@@ -17,7 +17,7 @@ use workloads::concurrent::interleave_script;
 use crate::driver::{encode_script, Op, Pacing};
 use crate::ledger::{sample_mask, Store};
 use crate::report::{push_tail, Metric, Report};
-use crate::stats::median;
+use crate::stats::{column_medians, median};
 use crate::trace::Recorder;
 use crate::wire::{serve_ledger, time_once, Live, WINDOW};
 use crate::Traced;
@@ -106,67 +106,66 @@ pub fn run(seed: u64, seconds: f64, traced: Option<&mut Traced>) -> Result<Repor
     // A checked sweep first: it warms up and fixes each CFG's answer.
     let mut expected = Vec::new();
     sweep(&corpus, true, &mut Vec::new(), &mut expected, None)?;
-    let mut lat = Vec::new();
-    let mut rates = Vec::new();
-    let timed = |rec: Option<&Recorder>, lat: &mut Vec<f64>| -> Result<f64, String> {
+    let timed = |rec: Option<&Recorder>, lat: &mut Vec<f64>| -> Result<(), String> {
         let mut counts = Vec::with_capacity(CFGS);
-        let ns = sweep(&corpus, false, lat, &mut counts, rec)?;
+        sweep(&corpus, false, lat, &mut counts, rec)?;
         if counts != expected {
             return Err("a sweep's dominator sets differ from the checked sweep's".into());
         }
-        Ok(CFGS as f64 / (ns / 1e9))
+        Ok(())
     };
+    let mut lat = Vec::new();
     match traced {
         None => {
-            let (start, cpu0) = (Instant::now(), crate::cpu_seconds());
-            while rates.len() < 2 || start.elapsed().as_secs_f64() < seconds {
-                rates.push(timed(None, &mut lat)?);
+            let start = Instant::now();
+            while lat.len() < 2 * CFGS || start.elapsed().as_secs_f64() < seconds {
+                timed(None, &mut lat)?;
             }
-            report.printed.push(Metric::new(
-                "cpu_us_per_cfg",
-                "us",
-                (crate::cpu_seconds() - cpu0) * 1e6 / lat.len() as f64,
-                "process CPU time per CFG over the timed sweeps",
-            ));
         }
         Some(tr) => {
             // Two untraced sweeps, then two traced ones.
-            let plain = [timed(None, &mut Vec::new())?, timed(None, &mut Vec::new())?];
-            let plain = median(&plain).expect("two sweeps");
+            let mut plain = Vec::new();
+            timed(None, &mut plain)?;
+            timed(None, &mut plain)?;
             let rec = Recorder::new(tr.origin);
-            for _ in 0..2 {
-                rates.push(timed(Some(&rec), &mut lat)?);
-            }
-            let with = median(&rates).expect("two sweeps");
+            timed(Some(&rec), &mut lat)?;
+            timed(Some(&rec), &mut lat)?;
             tr.absorb(rec);
+            let (a, b) = (
+                rate(&column_medians(&plain, CFGS)),
+                rate(&column_medians(&lat, CFGS)),
+            );
             tr.metrics.push(Metric::new(
                 "trace.overhead_frac",
                 "ratio",
-                (plain - with) / plain,
-                format!("cfgs_per_s: untraced {plain:.1}, traced {with:.1}"),
+                (a - b) / a,
+                format!("cfgs_per_s: untraced {a:.1}, traced {b:.1}"),
             ));
             tr.metrics.push(Metric::new(
                 "cfg_analysis.fixpoint_us_per_cfg",
                 "us",
-                lat.iter().sum::<f64>() / lat.len() as f64 / 1e3,
-                format!("traced sweep over {CFGS} CFGs"),
+                1e6 / b,
+                format!("two traced sweeps over {CFGS} CFGs"),
             ));
             trie_layers(tr, &corpus, seed)?;
         }
     }
     report.attempted = lat.len() as u64;
+    // Each CFG's median over the sweeps: a slow spell of the host hits
+    // different CFGs in different sweeps, and the median drops it.
+    let typical = column_medians(&lat, CFGS);
+    let sweeps = lat.len() / CFGS;
     report.printed.push(Metric::new(
         "cfgs_per_s",
         "1/s",
-        median(&rates).expect("a sweep ran"),
-        format!("median of {} sweeps", rates.len()),
+        rate(&typical),
+        format!("{CFGS} CFGs over the sum of each CFG's median of {sweeps} sweeps"),
     ));
-    let sweeps: Vec<Vec<f64>> = lat.chunks(CFGS).map(<[f64]>::to_vec).collect();
     push_tail(
         &mut report.printed,
         "fixpoint",
-        &sweeps,
-        "per-CFG dominators_relational, one group per sweep",
+        &[typical],
+        &format!("per CFG, each CFG's median of {sweeps} sweeps"),
     );
     Ok(report)
 }
@@ -283,6 +282,11 @@ fn trie_layers(tr: &mut Traced, corpus: &[Cfg], seed: u64) -> Result<(), String>
          axiom.probe_ns; the table above serves the preds tuples as u32 ids, seed {seed})\n"
     ));
     Ok(())
+}
+
+/// Fixed points per second, given each CFG's fixpoint time in ns.
+fn rate(per_cfg_ns: &[f64]) -> f64 {
+    per_cfg_ns.len() as f64 / (per_cfg_ns.iter().sum::<f64>() / 1e9)
 }
 
 /// `cfg_analysis.fixpoint_us_per_cfg` for the wire workloads, whose own

@@ -30,15 +30,11 @@ use trace::{Recorder, Span};
 
 /// The end-to-end metrics, in `BENCHMARK.json`'s order, and the printed
 /// metric each workload reports under each name.
-const END_TO_END: [(&str, [&str; 3]); 6] = [
+const END_TO_END: [(&str, [&str; 3]); 5] = [
     ("setup_s", ["setup_s", "setup_s", "setup_s"]),
     (
         "throughput_per_s",
         ["reads_per_s", "edits_per_s", "cfgs_per_s"],
-    ),
-    (
-        "cpu_us_per_op",
-        ["cpu_us_per_read", "cpu_us_per_edit", "cpu_us_per_cfg"],
     ),
     ("p50_us", ["read_p50_us", "write_p50_us", "fixpoint_p50_us"]),
     ("p90_us", ["read_p90_us", "write_p90_us", "fixpoint_p90_us"]),

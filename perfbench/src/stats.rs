@@ -110,6 +110,17 @@ pub fn median(values: &[f64]) -> Option<f64> {
     }
 }
 
+/// `values` holds rows of `width` values each (e.g. one row per sweep);
+/// returns each column's median over the rows.
+pub fn column_medians(values: &[f64], width: usize) -> Vec<f64> {
+    (0..width)
+        .map(|c| {
+            let column: Vec<f64> = values.iter().skip(c).step_by(width).copied().collect();
+            median(&column).unwrap_or(0.0)
+        })
+        .collect()
+}
+
 /// When the `i`-th request of a paced phase is due, in ns after the phase
 /// starts, at `rate` requests per second.
 pub fn due_ns(i: u64, rate: f64) -> u64 {
@@ -227,6 +238,12 @@ mod tests {
         let samples = [(10, 1.0), (1_500_000_000, 2.0), (2_100_000_000, 3.0)];
         assert_eq!(per_second(&samples, 2.5), vec![vec![1.0], vec![2.0]]);
         assert_eq!(per_second(&samples, 1.5), vec![vec![1.0, 2.0, 3.0]]);
+    }
+
+    #[test]
+    fn column_medians_drop_one_slow_row() {
+        let rows = [1.0, 10.0, 100.0, 2.0, 20.0, 200.0, 90.0, 900.0, 9000.0];
+        assert_eq!(column_medians(&rows, 3), vec![2.0, 20.0, 200.0]);
     }
 
     #[test]
