@@ -36,22 +36,19 @@ const PROBE_SAMPLE_EVERY: usize = 8;
 /// One sweep of the fixed point over the corpus: per-CFG fixpoint times
 /// (ns) appended to `lat`, each solution's tuple count appended to
 /// `counts`; with `check`, each solution is compared against
-/// `dominators_bitset`. Returns the summed fixpoint time in ns.
+/// `dominators_bitset`.
 fn sweep(
     corpus: &[Cfg],
     check: bool,
     lat: &mut Vec<f64>,
     counts: &mut Vec<usize>,
     rec: Option<&Recorder>,
-) -> Result<f64, String> {
-    let mut total = 0.0;
+) -> Result<(), String> {
     for (i, cfg) in corpus.iter().enumerate() {
         let start = Instant::now();
         let dom: Axiom = dominators_relational(cfg);
         let end = Instant::now();
-        let ns = (end - start).as_nanos() as f64;
-        total += ns;
-        lat.push(ns);
+        lat.push((end - start).as_nanos() as f64);
         counts.push(black_box(dom.tuple_count()));
         if let Some(rec) = rec {
             rec.record("cfg_analysis", "fixpoint", start, end, 0, i as u64);
@@ -61,7 +58,7 @@ fn sweep(
                 .map_err(|_| format!("dominators of CFG {i} disagree with dominators_bitset"))?;
         }
     }
-    Ok(total)
+    Ok(())
 }
 
 /// Runs the `dominators` workload.

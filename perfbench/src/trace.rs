@@ -48,7 +48,7 @@ impl Recorder {
     }
 
     /// Nanoseconds from the origin to `t`.
-    pub fn ns(&self, t: Instant) -> u64 {
+    fn ns(&self, t: Instant) -> u64 {
         t.saturating_duration_since(self.origin).as_nanos() as u64
     }
 

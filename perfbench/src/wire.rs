@@ -545,9 +545,8 @@ fn check_model(
             let want = model.get(k).cloned().unwrap_or_default();
             if got != want {
                 return Err(format!(
-                    "model check: key {k} holds {} values, the model {}",
-                    got.len(),
-                    want.len()
+                    "model check: key {k} holds {:?}, the model {:?}",
+                    got, want
                 ));
             }
         }
