@@ -30,14 +30,13 @@ use trace::{Recorder, Span};
 
 /// The end-to-end metrics, in `BENCHMARK.json`'s order, and the printed
 /// metric each workload reports under each name.
-const END_TO_END: [(&str, [&str; 3]); 5] = [
+const END_TO_END: [(&str, [&str; 3]); 4] = [
     ("setup_s", ["setup_s", "setup_s", "setup_s"]),
     (
         "throughput_per_s",
         ["reads_per_s", "edits_per_s", "cfgs_per_s"],
     ),
     ("p50_us", ["read_p50_us", "write_p50_us", "fixpoint_p50_us"]),
-    ("p90_us", ["read_p90_us", "write_p90_us", "fixpoint_p90_us"]),
     (
         "heap_bytes_per_tuple",
         [
