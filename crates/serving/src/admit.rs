@@ -1,77 +1,107 @@
-//! Writer admission: bounded staged write batches, one applier per shard.
+//! Writer admission: one bounded queue of staged write batches and read
+//! fences, drained by one applier.
 //!
 //! Writers never edit tries themselves. [`Engine::stage`](crate::Engine::stage)
-//! splits a batch by shard and enqueues each slice on that shard's *lane*;
-//! a dedicated applier thread per lane drains everything queued, applies
-//! the whole drain through the store's batched `_mut` path, and publishes
-//! it as one epoch. Consequences:
+//! enqueues the whole batch; a dedicated applier thread drains everything
+//! queued, applies it through the store's batched `_mut` path, and
+//! publishes it as one epoch (group commit). Consequences:
 //!
 //! - **Readers never block on writers** — they pin epochs; nothing on the
 //!   write path touches the read path except the pointer swap.
-//! - **Writers never contend on trie editing** — each shard has exactly one
-//!   applier, so the per-shard write lock in `sharded` is never contended
-//!   by staged traffic, and queued batches coalesce into one publication.
-//! - **Back-pressure, not unbounded queues** — each lane holds at most
-//!   `capacity` staged batches. Admission is all-or-nothing per batch:
-//!   either every shard slice is enqueued or none is, so a shed batch comes
-//!   back whole and an admitted one always fully resolves. Blocking
-//!   admission waits for space (optionally up to a deadline); try-admission
-//!   sheds immediately.
-//! - **Fault isolation** — a panicking applier faults exactly the tickets
-//!   it drained ([`WriteTicket::wait`] reports
-//!   [`WriteError::Faulted`]); all locks recover from poison, so the lanes
-//!   keep admitting while a worker respawns.
+//! - **Staged batches are atomic** — a batch commits inside one
+//!   `Serve::apply` however many shards it touches, so no pin observes
+//!   part of it; queued batches coalesce into one publication.
+//! - **Fences order reads among writes** — a read that must see the
+//!   batches queued ahead of it, and none queued behind it, enqueues a
+//!   *fence*. The applier commits what precedes the fence, pins, hands the
+//!   pin over, then goes on with what follows.
+//! - **Back-pressure, not unbounded queues** — the queue holds at most
+//!   `capacity` staged batches (fences do not count). Blocking admission
+//!   waits for space, optionally up to a deadline; a refused batch comes
+//!   back whole.
+//! - **Fault isolation** — a panicking commit faults exactly the tickets
+//!   it carried ([`WriteTicket::wait`] reports [`WriteError::Faulted`]);
+//!   all locks recover from poison, so the queue keeps admitting while the
+//!   applier respawns.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use trie_common::faults::{fire as fault_point, site};
 use trie_common::sync::{lock_recover, wait_recover, wait_timeout_recover};
 
 use crate::error::WriteError;
+use crate::store::Serve;
 
-/// Progress of one staged write batch.
-struct WriteProgress {
-    /// Lanes that still hold a slice of this batch.
-    remaining: usize,
-    /// Slices whose applier panicked instead of publishing them.
-    faulted: usize,
-    /// Highest epoch observed after a slice of this batch committed; once
-    /// `remaining == 0` every applied edit is visible at (or before) this
-    /// epoch.
-    visible_at: u64,
+/// One wait on `cv`, bounded by `deadline` (`None` waits unbounded).
+/// Returns `None` instead of waiting once the deadline has passed.
+fn wait_until<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    deadline: Option<Instant>,
+) -> Option<MutexGuard<'a, T>> {
+    match deadline {
+        None => Some(wait_recover(cv, guard)),
+        Some(deadline) => {
+            let now = Instant::now();
+            (now < deadline).then(|| wait_timeout_recover(cv, guard, deadline - now).0)
+        }
+    }
 }
 
-pub(crate) struct WriteState {
-    progress: Mutex<WriteProgress>,
+/// A value handed from one thread to its waiters: filled once, then read
+/// by cloning ([`Slot::get`]) or taken by its one consumer
+/// ([`Slot::claim`]).
+pub(crate) struct Slot<T> {
+    value: Mutex<Option<T>>,
     done: Condvar,
 }
 
-impl WriteState {
-    pub(crate) fn new(remaining: usize, visible_at: u64) -> Self {
-        WriteState {
-            progress: Mutex::new(WriteProgress {
-                remaining,
-                faulted: 0,
-                visible_at,
-            }),
+impl<T> Slot<T> {
+    pub(crate) fn new() -> Self {
+        Slot {
+            value: Mutex::new(None),
             done: Condvar::new(),
         }
     }
 
-    /// One slice finished: applied and published (`ok`) or faulted.
-    pub(crate) fn complete_one(&self, epoch: u64, ok: bool) {
-        let mut p = lock_recover(&self.progress);
-        p.remaining -= 1;
-        p.visible_at = p.visible_at.max(epoch);
-        if !ok {
-            p.faulted += 1;
+    pub(crate) fn fill(&self, value: T) {
+        *lock_recover(&self.value) = Some(value);
+        self.done.notify_all();
+    }
+
+    pub(crate) fn is_filled(&self) -> bool {
+        lock_recover(&self.value).is_some()
+    }
+
+    /// Blocks until the slot holds a value, or `deadline` passes.
+    fn wait(&self, deadline: Option<Instant>) -> Option<MutexGuard<'_, Option<T>>> {
+        let mut value = lock_recover(&self.value);
+        while value.is_none() {
+            value = wait_until(&self.done, value, deadline)?;
         }
-        if p.remaining == 0 {
-            self.done.notify_all();
-        }
+        Some(value)
+    }
+
+    /// Takes the value once it is filled; `None` if `deadline` passed
+    /// first (the value, when it comes, stays claimable).
+    pub(crate) fn claim(&self, deadline: Option<Instant>) -> Option<T> {
+        self.wait(deadline).and_then(|mut value| value.take())
+    }
+}
+
+impl<T: Clone> Slot<T> {
+    /// A copy of the value, if filled.
+    fn get(&self) -> Option<T> {
+        lock_recover(&self.value).clone()
+    }
+
+    /// A copy of the value once it is filled; `None` if `deadline` passed
+    /// first.
+    fn wait_get(&self, deadline: Option<Instant>) -> Option<T> {
+        self.wait(deadline).and_then(|value| value.clone())
     }
 }
 
@@ -79,41 +109,52 @@ impl WriteState {
 /// clone can wait.
 #[derive(Clone)]
 pub struct WriteTicket {
-    pub(crate) state: Arc<WriteState>,
+    state: Arc<Slot<Result<u64, WriteError>>>,
 }
 
 impl WriteTicket {
-    /// Blocks until every slice of the staged batch has resolved. `Ok`
-    /// carries an epoch at which the whole batch is visible;
-    /// [`WriteError::Faulted`] means some slices hit a panicking applier
-    /// and were not applied.
-    pub fn wait(&self) -> Result<u64, WriteError> {
-        let mut p = lock_recover(&self.state.progress);
-        while p.remaining > 0 {
-            p = wait_recover(&self.state.done, p);
+    /// A ticket for a batch still to commit.
+    pub(crate) fn pending() -> Self {
+        WriteTicket {
+            state: Arc::new(Slot::new()),
         }
-        finish(&p)
+    }
+
+    /// A ticket already resolved (an empty batch is visible at once).
+    pub(crate) fn resolved(epoch: u64) -> Self {
+        let ticket = Self::pending();
+        ticket.resolve(Ok(epoch));
+        ticket
+    }
+
+    pub(crate) fn resolve(&self, outcome: Result<u64, WriteError>) {
+        self.state.fill(outcome);
+    }
+
+    /// Blocks until the staged batch has committed. `Ok` carries an epoch
+    /// at which the whole batch is visible; [`WriteError::Faulted`] means
+    /// the commit carrying it panicked and none of it was applied.
+    pub fn wait(&self) -> Result<u64, WriteError> {
+        self.outcome(None)
     }
 
     /// [`WriteTicket::wait`] with a deadline. `Err(Deadline)` leaves the
     /// ticket untouched and claimable — the batch is still in flight and a
     /// later `wait` (or `wait_timeout`) still resolves it.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<u64, WriteError> {
-        let deadline = Instant::now() + timeout;
-        let mut p = lock_recover(&self.state.progress);
-        while p.remaining > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(WriteError::Deadline);
-            }
-            let (guard, _timed_out) = wait_timeout_recover(&self.state.done, p, deadline - now);
-            p = guard;
-        }
-        finish(&p)
+        self.outcome(Some(Instant::now() + timeout))
     }
 
-    /// Non-blocking probe: the visibility epoch if the batch fully applied
-    /// without faults, `None` while slices are still in flight (or if any
+    /// The outcome once resolved; `Err(Deadline)` if `deadline` (`None`:
+    /// never) passed first.
+    pub(crate) fn outcome(&self, deadline: Option<Instant>) -> Result<u64, WriteError> {
+        self.state
+            .wait_get(deadline)
+            .unwrap_or(Err(WriteError::Deadline))
+    }
+
+    /// Non-blocking probe: the visibility epoch if the batch applied
+    /// without faults, `None` while it is still in flight (or if it
     /// faulted — use [`WriteTicket::try_outcome`] to distinguish).
     pub fn try_epoch(&self) -> Option<u64> {
         self.try_outcome().and_then(Result::ok)
@@ -122,203 +163,127 @@ impl WriteTicket {
     /// Non-blocking probe with fault visibility: `None` while in flight,
     /// otherwise the same outcome [`WriteTicket::wait`] would return.
     pub fn try_outcome(&self) -> Option<Result<u64, WriteError>> {
-        let p = lock_recover(&self.state.progress);
-        (p.remaining == 0).then(|| finish(&p))
+        self.state.get()
     }
-}
 
-fn finish(p: &WriteProgress) -> Result<u64, WriteError> {
-    if p.faulted > 0 {
-        Err(WriteError::Faulted { slices: p.faulted })
-    } else {
-        Ok(p.visible_at)
+    /// True once the batch has committed or faulted.
+    pub(crate) fn is_resolved(&self) -> bool {
+        self.state.is_filled()
     }
 }
 
 impl std::fmt::Debug for WriteTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WriteTicket")
-            .field("done", &self.try_outcome().is_some())
+            .field("done", &self.is_resolved())
             .finish()
     }
 }
 
-struct Staged<E> {
-    edits: Vec<E>,
-    ticket: Arc<WriteState>,
+/// One queued admission entry, in submission order.
+pub(crate) enum Entry<S: Serve> {
+    /// A staged write batch and the ticket its commit resolves.
+    Batch(Vec<S::Edit>, WriteTicket),
+    /// A read fence: filled with a pin taken after every batch ahead of it
+    /// committed and before any batch behind it.
+    Fence(Arc<Slot<S::Snapshot>>),
 }
 
-struct Lane<E> {
-    queue: Mutex<VecDeque<Staged<E>>>,
-    /// Signals appliers that work arrived.
+struct Queued<S: Serve> {
+    entries: VecDeque<Entry<S>>,
+    /// `Entry::Batch` count in `entries` (what `capacity` bounds).
+    batches: usize,
+}
+
+/// The admission queue shared between stagers, fencing readers and the
+/// applier.
+pub(crate) struct Admission<S: Serve> {
+    queue: Mutex<Queued<S>>,
+    /// Signals the applier that work arrived.
     ready: Condvar,
     /// Signals blocked stagers that a drain freed queue slots.
     space: Condvar,
-}
-
-/// Why an admission attempt did not enqueue; always hands the batch's
-/// shard groups back untouched.
-pub(crate) enum Refused<E> {
-    /// Lane `.0` was at capacity.
-    Full(usize, Vec<(usize, Vec<E>)>),
-    /// The engine is shutting down; nothing further is admitted.
-    Shutdown(Vec<(usize, Vec<E>)>),
-    /// The deadline passed before every full lane freed a slot.
-    Deadline(Vec<(usize, Vec<E>)>),
-}
-
-impl<E> Refused<E> {
-    pub(crate) fn into_groups(self) -> Vec<(usize, Vec<E>)> {
-        match self {
-            Refused::Full(_, g) | Refused::Shutdown(g) | Refused::Deadline(g) => g,
-        }
-    }
-}
-
-/// The per-shard admission queues shared between stagers and appliers.
-pub(crate) struct Lanes<E> {
-    lanes: Box<[Lane<E>]>,
-    /// Maximum staged batches per lane (`usize::MAX` = unbounded).
+    /// Maximum queued batches (`usize::MAX` = unbounded).
     capacity: usize,
     stop: AtomicBool,
 }
 
-impl<E> Lanes<E> {
-    pub(crate) fn new(shards: usize, capacity: usize) -> Self {
-        Lanes {
-            lanes: (0..shards)
-                .map(|_| Lane {
-                    queue: Mutex::new(VecDeque::new()),
-                    ready: Condvar::new(),
-                    space: Condvar::new(),
-                })
-                .collect(),
+impl<S: Serve> Admission<S> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Admission {
+            queue: Mutex::new(Queued {
+                entries: VecDeque::new(),
+                batches: 0,
+            }),
+            ready: Condvar::new(),
+            space: Condvar::new(),
             capacity: capacity.max(1),
             stop: AtomicBool::new(false),
         }
     }
 
-    /// All-or-nothing admission: enqueues every `(shard, edits)` group, or
-    /// none of them. Groups must be sorted by shard ascending (the lock
-    /// order). On refusal the groups come back untouched in the error.
-    pub(crate) fn try_push_all(
+    /// Enqueues a write batch. `deadline` bounds the wait for space:
+    /// `None` waits until there is room, a deadline already passed sheds
+    /// at once. A refused batch comes back untouched.
+    pub(crate) fn push(
         &self,
-        groups: Vec<(usize, Vec<E>)>,
-        ticket: &Arc<WriteState>,
-    ) -> Result<(), Refused<E>> {
-        debug_assert!(
-            groups.windows(2).all(|w| w[0].0 < w[1].0),
-            "groups sorted by shard"
-        );
-        if self.stop.load(Ordering::Acquire) {
-            return Err(Refused::Shutdown(groups));
+        edits: Vec<S::Edit>,
+        ticket: &WriteTicket,
+        deadline: Option<Instant>,
+    ) -> Result<(), Vec<S::Edit>> {
+        let mut q = lock_recover(&self.queue);
+        while q.batches >= self.capacity {
+            match wait_until(&self.space, q, deadline) {
+                Some(guard) => q = guard,
+                None => return Err(edits),
+            }
         }
-        // Hold every target lane's lock at once so the capacity check and
-        // the pushes are one atomic step: a concurrent admitter cannot
-        // fill a lane between our check and our push.
-        let mut guards = Vec::with_capacity(groups.len());
-        for &(shard, _) in &groups {
-            guards.push(lock_recover(&self.lanes[shard].queue));
-        }
-        if let Some(pos) = guards.iter().position(|q| q.len() >= self.capacity) {
-            let shard = groups[pos].0;
-            drop(guards);
-            return Err(Refused::Full(shard, groups));
-        }
-        for (guard, (shard, edits)) in guards.iter_mut().zip(groups) {
-            guard.push_back(Staged {
-                edits,
-                ticket: Arc::clone(ticket),
-            });
-            self.lanes[shard].ready.notify_one();
-        }
+        q.batches += 1;
+        q.entries.push_back(Entry::Batch(edits, ticket.clone()));
+        drop(q);
+        self.ready.notify_one();
         Ok(())
     }
 
-    /// Blocking admission: retries [`Lanes::try_push_all`], sleeping on the
-    /// first full lane's `space` condvar between attempts. `deadline`
-    /// bounds the total wait; `None` blocks until admitted or shutdown.
-    pub(crate) fn push_all_blocking(
-        &self,
-        mut groups: Vec<(usize, Vec<E>)>,
-        ticket: &Arc<WriteState>,
-        deadline: Option<Instant>,
-    ) -> Result<(), Refused<E>> {
-        loop {
-            let (full_shard, returned) = match self.try_push_all(groups, ticket) {
-                Ok(()) => return Ok(()),
-                Err(Refused::Full(shard, g)) => (shard, g),
-                Err(other) => return Err(other),
-            };
-            groups = returned;
-            let lane = &self.lanes[full_shard];
-            let mut q = lock_recover(&lane.queue);
-            loop {
-                // Re-check shedding conditions *under the lock*: shutdown
-                // sets `stop` before notifying, so checking here cannot
-                // miss the wake.
-                if self.stop.load(Ordering::Acquire) {
-                    return Err(Refused::Shutdown(groups));
-                }
-                if q.len() < self.capacity {
-                    break;
-                }
-                match deadline {
-                    None => q = wait_recover(&lane.space, q),
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(Refused::Deadline(groups));
-                        }
-                        let (guard, _timed_out) =
-                            wait_timeout_recover(&lane.space, q, deadline - now);
-                        q = guard;
-                    }
-                }
-            }
-            // Slot spotted; drop the single-lane lock and retry the
-            // all-or-nothing admission from scratch.
-            drop(q);
-        }
+    /// Enqueues a read fence behind everything staged so far and returns
+    /// the slot its pin will arrive in.
+    pub(crate) fn fence(&self) -> Arc<Slot<S::Snapshot>> {
+        let slot = Arc::new(Slot::new());
+        lock_recover(&self.queue)
+            .entries
+            .push_back(Entry::Fence(Arc::clone(&slot)));
+        self.ready.notify_one();
+        slot
     }
 
-    /// Blocks until lane `shard` has work, then drains **all** of it (the
-    /// coalescing step: everything queued becomes one publication). Returns
-    /// `None` when the engine is shutting down and the lane is empty.
-    pub(crate) fn drain(&self, shard: usize) -> Option<(Vec<E>, Vec<Arc<WriteState>>)> {
+    /// Blocks until work is queued, then drains **all** of it (the group
+    /// commit: everything between two fences becomes one publication).
+    /// Returns `None` when the engine is shutting down and the queue is
+    /// empty.
+    pub(crate) fn drain(&self) -> Option<VecDeque<Entry<S>>> {
         // Fault site fires before the queue is touched: an injected panic
-        // here kills the applier with every staged batch still queued, so
-        // the respawned applier loses nothing.
+        // here kills the applier with every entry still queued, so the
+        // respawned applier loses nothing.
         fault_point(site::APPLIER_DRAIN);
-        let lane = &self.lanes[shard];
-        let mut q = lock_recover(&lane.queue);
+        let mut q = lock_recover(&self.queue);
         loop {
-            if !q.is_empty() {
-                let mut edits = Vec::new();
-                let mut tickets = Vec::with_capacity(q.len());
-                for staged in q.drain(..) {
-                    edits.extend(staged.edits);
-                    tickets.push(staged.ticket);
-                }
-                lane.space.notify_all();
-                return Some((edits, tickets));
+            if !q.entries.is_empty() {
+                q.batches = 0;
+                self.space.notify_all();
+                return Some(std::mem::take(&mut q.entries));
             }
             if self.stop.load(Ordering::Acquire) {
                 return None;
             }
-            q = wait_recover(&lane.ready, q);
+            q = wait_recover(&self.ready, q);
         }
     }
 
-    /// Signals every applier to drain what is queued and exit, and every
-    /// blocked stager to shed with [`Refused::Shutdown`].
+    /// Signals the applier to drain what is queued and exit.
     pub(crate) fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        for lane in &self.lanes {
-            // Acquire the lock so a sleeping worker cannot miss the wake.
-            drop(lock_recover(&lane.queue));
-            lane.ready.notify_all();
-            lane.space.notify_all();
-        }
+        // Acquire the lock so a sleeping applier cannot miss the wake.
+        drop(lock_recover(&self.queue));
+        self.ready.notify_all();
     }
 }

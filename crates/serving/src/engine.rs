@@ -1,10 +1,10 @@
-//! The request engine: a self-healing read worker pool plus per-shard
-//! write appliers over one [`Serve`] store.
+//! The request engine: a self-healing read worker pool plus one write
+//! applier over one [`Serve`] store.
 //!
 //! # Fault model
 //!
 //! Worker panics are isolated at two levels. Each *job* runs under
-//! `catch_unwind`: a panic while answering a read batch or applying a
+//! `catch_unwind`: a panic while answering a read batch or committing a
 //! write drain resolves exactly those tickets with a fault
 //! ([`ReadError::Faulted`] / [`WriteError::Faulted`]) and the worker moves
 //! on. A panic *outside* a job guard (e.g. an injected fault at the drain
@@ -22,29 +22,26 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use trie_common::faults::{fire as fault_point, site};
-use trie_common::sync::{lock_recover, wait_recover, wait_timeout_recover};
+use trie_common::sync::{lock_recover, wait_recover};
 
-use crate::admit::{Lanes, Refused, WriteState, WriteTicket};
-use crate::error::{Overloaded, ReadError};
+use crate::admit::{Admission, Entry, Slot, WriteTicket};
+use crate::error::{Overloaded, ReadError, WriteError};
 use crate::store::Serve;
 use crate::txn::{Txn, TxnError, TxnOutcome};
-
-/// A batch split into `(shard, edits)` groups, ascending by shard.
-type ShardGroups<E> = Vec<(usize, Vec<E>)>;
 
 /// Tuning knobs for an [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Read worker threads serving queued batches (defaults to the
-    /// available parallelism).
+    /// Read worker threads serving [`Engine::submit`] batches (defaults to
+    /// the available parallelism).
     pub read_workers: usize,
     /// Attempts a [`Engine::transact`] call makes before giving up
     /// (first try included).
     pub txn_attempts: usize,
-    /// Per-shard admission-lane capacity, in staged batches. `None`
-    /// (default) keeps the lanes unbounded; `Some(n)` bounds each lane at
-    /// `n` queued batches, making [`Engine::try_stage`] shed and
-    /// [`Engine::stage`] block under pressure.
+    /// Admission-queue capacity, in staged write batches (read fences do
+    /// not count). `None` (default) keeps the queue unbounded; `Some(n)`
+    /// bounds it at `n` queued batches, making [`Engine::try_stage`] shed
+    /// and [`Engine::stage`] block under pressure.
     pub lane_capacity: Option<usize>,
     /// Read-queue capacity, in queued batches. `None` (default) keeps the
     /// queue unbounded; `Some(n)` makes [`Engine::try_submit`] shed and
@@ -74,59 +71,43 @@ pub struct BatchReply<R> {
     pub replies: Vec<R>,
 }
 
-struct ReadState<R> {
-    slot: Mutex<Option<Result<BatchReply<R>, ReadError>>>,
-    done: Condvar,
-}
-
 /// Handle to an in-flight read batch submitted with [`Engine::submit`].
 pub struct ReadTicket<R> {
-    state: Arc<ReadState<R>>,
+    state: Arc<Slot<Result<BatchReply<R>, ReadError>>>,
 }
 
 impl<R> ReadTicket<R> {
     /// Blocks until the batch has been served. `Ok` carries the replies;
     /// [`ReadError::Faulted`] means the answering worker panicked.
     pub fn wait(self) -> Result<BatchReply<R>, ReadError> {
-        let mut slot = lock_recover(&self.state.slot);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = wait_recover(&self.state.done, slot);
-        }
+        self.claim(None)
     }
 
     /// Non-blocking probe: true once the batch has resolved (the outcome
     /// itself is still unclaimed — [`ReadTicket::wait`] hands it over).
     pub fn is_done(&self) -> bool {
-        lock_recover(&self.state.slot).is_some()
+        self.state.is_filled()
     }
 
     /// [`ReadTicket::wait`] with a deadline. `Err(Deadline)` leaves the
     /// ticket untouched and claimable — a later wait still resolves it.
     /// (Like `wait`, a success hands the replies over exactly once.)
     pub fn wait_timeout(&self, timeout: Duration) -> Result<BatchReply<R>, ReadError> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = lock_recover(&self.state.slot);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ReadError::Deadline);
-            }
-            let (guard, _timed_out) = wait_timeout_recover(&self.state.done, slot, deadline - now);
-            slot = guard;
-        }
+        self.claim(Some(Instant::now() + timeout))
+    }
+
+    fn claim(&self, deadline: Option<Instant>) -> Result<BatchReply<R>, ReadError> {
+        self.state
+            .claim(deadline)
+            .unwrap_or(Err(ReadError::Deadline))
     }
 }
 
 impl<R> std::fmt::Debug for ReadTicket<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let done = lock_recover(&self.state.slot).is_some();
-        f.debug_struct("ReadTicket").field("done", &done).finish()
+        f.debug_struct("ReadTicket")
+            .field("done", &self.is_done())
+            .finish()
     }
 }
 
@@ -135,11 +116,10 @@ struct ReadJob<S: Serve> {
     /// submission (not at service) makes answering epochs follow
     /// submission order: a caller that submits R1 then R2 never sees R2
     /// answered from an *older* view than R1, no matter which pool
-    /// worker serves which — the property the pipelined wire server
-    /// relies on for monotone per-connection epochs.
+    /// worker serves which.
     snap: S::Snapshot,
     ops: Vec<S::Read>,
-    state: Arc<ReadState<S::Reply>>,
+    state: Arc<Slot<Result<BatchReply<S::Reply>, ReadError>>>,
 }
 
 struct ReadQueue<S: Serve> {
@@ -164,7 +144,7 @@ pub struct EngineStats {
     pub write_batches: u64,
     /// Individual edits staged.
     pub write_edits: u64,
-    /// Publications performed by the appliers (coalesced drains).
+    /// Publications performed by the applier (coalesced drains).
     pub applier_commits: u64,
     /// Transactions that committed.
     pub txn_commits: u64,
@@ -173,7 +153,7 @@ pub struct EngineStats {
     /// Read batches consumed by a panicking worker (resolved as
     /// [`ReadError::Faulted`]).
     pub read_faults: u64,
-    /// Write tickets resolved with a faulted slice by a panicking applier.
+    /// Write tickets resolved as faulted by a panicking commit.
     pub write_faults: u64,
     /// Write batches shed by bounded admission (`try_stage` full, or a
     /// `stage_timeout` deadline).
@@ -297,6 +277,11 @@ impl StatsCore {
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
         }
     }
+
+    fn count_reads(&self, ops: usize) {
+        self.read_batches.fetch_add(1, Ordering::Relaxed);
+        self.read_ops.fetch_add(ops as u64, Ordering::Relaxed);
+    }
 }
 
 /// The serving engine: MVCC reads, admitted writes, and optimistic
@@ -306,10 +291,11 @@ impl StatsCore {
 ///   pool) or [`Engine::execute`] (on the caller's thread). Either way a
 ///   batch is answered against **one** pinned epoch, so its replies are
 ///   mutually consistent across shards.
-/// - **Writes** go through [`Engine::stage`]: split by shard, queued on
-///   per-shard admission lanes, applied by one dedicated applier per shard.
-///   With a bounded [`EngineConfig::lane_capacity`], [`Engine::try_stage`]
-///   sheds under overload and [`Engine::stage_timeout`] bounds the wait.
+/// - **Writes** go through [`Engine::stage`]: queued whole on one
+///   admission queue and committed by one applier, each drain as one
+///   epoch. With a bounded [`EngineConfig::lane_capacity`],
+///   [`Engine::try_stage`] sheds under overload and
+///   [`Engine::stage_timeout`] bounds the wait.
 /// - **Read-modify-write** goes through [`Engine::transact`]: the body runs
 ///   against a pinned epoch, and the commit validates every shard it read
 ///   or wrote, retrying on conflict.
@@ -319,7 +305,7 @@ impl StatsCore {
 pub struct Engine<S: Serve> {
     store: Arc<S>,
     reads: Arc<ReadQueue<S>>,
-    lanes: Arc<Lanes<S::Edit>>,
+    writes: Arc<Admission<S>>,
     stats: Arc<StatsCore>,
     txn_attempts: usize,
     workers: Vec<JoinHandle<()>>,
@@ -331,9 +317,9 @@ impl<S: Serve> Engine<S> {
         Self::with_config(store, EngineConfig::default())
     }
 
-    /// Spawns the engine: `config.read_workers` read threads plus one
-    /// applier thread per shard of the store. Each worker runs under a
-    /// supervisor that respawns it if it panics outside a job guard.
+    /// Spawns the engine: `config.read_workers` read threads plus the
+    /// applier thread. Each worker runs under a supervisor that respawns
+    /// it if it panics outside a job guard.
     pub fn with_config(store: Arc<S>, config: EngineConfig) -> Self {
         let reads = Arc::new(ReadQueue {
             jobs: Mutex::new(VecDeque::new()),
@@ -342,10 +328,7 @@ impl<S: Serve> Engine<S> {
             capacity: config.read_queue_capacity.unwrap_or(usize::MAX).max(1),
             stop: AtomicBool::new(false),
         });
-        let lanes = Arc::new(Lanes::new(
-            store.shard_count(),
-            config.lane_capacity.unwrap_or(usize::MAX),
-        ));
+        let writes = Arc::new(Admission::new(config.lane_capacity.unwrap_or(usize::MAX)));
         let stats = Arc::new(StatsCore::default());
         let mut workers = Vec::new();
         for _ in 0..config.read_workers.max(1) {
@@ -355,18 +338,18 @@ impl<S: Serve> Engine<S> {
                 supervise(&stats, || read_worker::<S>(&reads, &stats))
             }));
         }
-        for shard in 0..store.shard_count() {
+        {
             let store = Arc::clone(&store);
-            let lanes = Arc::clone(&lanes);
+            let writes = Arc::clone(&writes);
             let stats = Arc::clone(&stats);
             workers.push(std::thread::spawn(move || {
-                supervise(&stats, || applier::<S>(&store, &lanes, shard, &stats))
+                supervise(&stats, || applier::<S>(&store, &writes, &stats))
             }));
         }
         Engine {
             store,
             reads,
-            lanes,
+            writes,
             stats,
             txn_attempts: config.txn_attempts.max(1),
             workers,
@@ -402,38 +385,10 @@ impl<S: Serve> Engine<S> {
     /// bounded [`EngineConfig::read_queue_capacity`], blocks until the
     /// queue has room (use [`Engine::try_submit`] to shed instead).
     pub fn submit(&self, ops: Vec<S::Read>) -> ReadTicket<S::Reply> {
-        self.submit_pinned(self.store.pin(), ops)
-    }
-
-    /// [`Engine::submit`] with a visibility floor: the batch is pinned at
-    /// an epoch `>= min_epoch` *on the calling thread* (blocking via
-    /// [`Serve::pin_after`] until the store publishes one if necessary),
-    /// then queued — the asynchronous twin of
-    /// [`Engine::execute_at_least`], and the read path of the pipelined
-    /// wire server. The same floor caveat applies: a floor above
-    /// anything the store will ever publish blocks here forever, so
-    /// callers must pre-check against [`Serve::current_epoch`].
-    pub fn submit_at_least(&self, min_epoch: u64, ops: Vec<S::Read>) -> ReadTicket<S::Reply> {
-        self.submit_pinned(self.pin_at_least(min_epoch), ops)
-    }
-
-    fn submit_pinned(&self, snap: S::Snapshot, ops: Vec<S::Read>) -> ReadTicket<S::Reply> {
-        let state = Arc::new(ReadState {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let mut jobs = lock_recover(&self.reads.jobs);
-        while jobs.len() >= self.reads.capacity && !self.reads.stop.load(Ordering::Acquire) {
-            jobs = wait_recover(&self.reads.space, jobs);
+        match self.enqueue_read(ops, false) {
+            Ok(ticket) => ticket,
+            Err(_) => unreachable!("a blocking submission never sheds"),
         }
-        jobs.push_back(ReadJob {
-            snap,
-            ops,
-            state: Arc::clone(&state),
-        });
-        drop(jobs);
-        self.reads.ready.notify_one();
-        ReadTicket { state }
     }
 
     /// Non-blocking [`Engine::submit`]: sheds with [`Overloaded`] (handing
@@ -442,24 +397,33 @@ impl<S: Serve> Engine<S> {
         &self,
         ops: Vec<S::Read>,
     ) -> Result<ReadTicket<S::Reply>, Overloaded<Vec<S::Read>>> {
-        let state = Arc::new(ReadState {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        });
+        self.enqueue_read(ops, true)
+    }
+
+    /// Pins, then queues the batch for the pool; with `shed`, a full queue
+    /// refuses instead of blocking.
+    fn enqueue_read(
+        &self,
+        ops: Vec<S::Read>,
+        shed: bool,
+    ) -> Result<ReadTicket<S::Reply>, Overloaded<Vec<S::Read>>> {
         let snap = self.store.pin();
-        {
-            let mut jobs = lock_recover(&self.reads.jobs);
-            if jobs.len() >= self.reads.capacity {
+        let mut jobs = lock_recover(&self.reads.jobs);
+        while jobs.len() >= self.reads.capacity && !self.reads.stop.load(Ordering::Acquire) {
+            if shed {
                 drop(jobs);
                 self.stats.shed_reads.fetch_add(1, Ordering::Relaxed);
                 return Err(Overloaded(ops));
             }
-            jobs.push_back(ReadJob {
-                snap,
-                ops,
-                state: Arc::clone(&state),
-            });
+            jobs = wait_recover(&self.reads.space, jobs);
         }
+        let state = Arc::new(Slot::new());
+        jobs.push_back(ReadJob {
+            snap,
+            ops,
+            state: Arc::clone(&state),
+        });
+        drop(jobs);
         self.reads.ready.notify_one();
         Ok(ReadTicket { state })
     }
@@ -467,79 +431,46 @@ impl<S: Serve> Engine<S> {
     /// Serves a read batch synchronously on the caller's thread (same
     /// single-pin consistency as [`Engine::submit`], no queueing).
     pub fn execute(&self, ops: &[S::Read]) -> BatchReply<S::Reply> {
-        self.answer_with(self.store.pin(), ops)
-    }
-
-    /// [`Engine::execute`] with a visibility floor: the batch is answered
-    /// against an epoch `>= min_epoch`, blocking (via
-    /// [`Serve::pin_after`]) until the store publishes one if necessary.
-    ///
-    /// This is the session primitive behind cross-connection
-    /// read-your-writes: pass the visibility epoch a write ack carried and
-    /// the reply is guaranteed to include that write. A floor of `0` never
-    /// blocks. Beware floors above anything the store will ever publish —
-    /// they block until the store catches up (the wire server rejects such
-    /// floors up front with `FutureEpoch` instead of parking a handler).
-    pub fn execute_at_least(&self, min_epoch: u64, ops: &[S::Read]) -> BatchReply<S::Reply> {
-        self.answer_with(self.pin_at_least(min_epoch), ops)
-    }
-
-    /// Pins an epoch `>= min_epoch`, long-polling if the store has not
-    /// published one yet.
-    fn pin_at_least(&self, min_epoch: u64) -> S::Snapshot {
-        let snap = self.store.pin();
-        if S::epoch_of(&snap) >= min_epoch {
-            snap
-        } else {
-            // `pin_after(e)` waits for an epoch strictly beyond `e`, so
-            // the floor `min_epoch` maps to `pin_after(min_epoch - 1)`
-            // (the zero floor was satisfied by any pin above).
-            self.store.pin_after(min_epoch - 1)
-        }
-    }
-
-    fn answer_with(&self, snap: S::Snapshot, ops: &[S::Read]) -> BatchReply<S::Reply> {
-        let reply = answer_batch::<S>(&snap, ops);
-        self.stats.read_batches.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .read_ops
-            .fetch_add(ops.len() as u64, Ordering::Relaxed);
+        let reply = answer_batch::<S>(&self.store.pin(), ops);
+        self.stats.count_reads(ops.len());
         reply
     }
 
-    /// Stages a write batch: splits it by shard and queues each slice on
-    /// that shard's admission lane. The ticket resolves (with a visibility
-    /// epoch) once every slice has been applied and published.
+    /// Queues a read fence behind every write batch staged so far: the
+    /// slot fills with a pin that covers all of them and none staged
+    /// later (see [`crate::admit`]).
+    pub(crate) fn fence(&self) -> Arc<Slot<S::Snapshot>> {
+        self.writes.fence()
+    }
+
+    /// Answers a read batch against `snap` under the read job guard, on
+    /// the caller's thread: a panic while answering faults this batch
+    /// only.
+    pub(crate) fn answer(
+        &self,
+        snap: &S::Snapshot,
+        ops: &[S::Read],
+    ) -> Result<BatchReply<S::Reply>, ReadError> {
+        answer_guarded::<S>(&self.stats, snap, ops)
+    }
+
+    /// Stages a write batch: queues it whole on the admission queue. The
+    /// ticket resolves (with a visibility epoch) once the applier has
+    /// committed it — in one epoch, however many shards it touches.
     ///
-    /// Admission is all-or-nothing: with a bounded lane capacity this
-    /// blocks until every touched lane has room. If the engine shuts down
-    /// first, the ticket resolves with [`WriteError::Faulted`] for the
-    /// whole batch (nothing was enqueued).
-    ///
-    /// [`WriteError::Faulted`]: crate::WriteError::Faulted
+    /// With a bounded lane capacity this blocks until the queue has room.
     pub fn stage(&self, batch: impl IntoIterator<Item = S::Edit>) -> WriteTicket {
         match self.admit(batch, None) {
             Ok(ticket) => ticket,
-            Err((state, refused)) => {
-                // Shutdown raced the stage: fail every unstaged slice so
-                // the ticket resolves instead of hanging forever.
-                let groups = refused.into_groups();
-                for _ in &groups {
-                    state.complete_one(0, false);
-                }
-                self.stats
-                    .write_faults
-                    .fetch_add(groups.len() as u64, Ordering::Relaxed);
-                WriteTicket { state }
-            }
+            Err(_) => unreachable!("an unbounded admission wait never sheds"),
         }
     }
 
-    /// [`Engine::stage`] with a deadline on admission: if the touched
-    /// lanes cannot all make room within `timeout`, the batch is shed with
-    /// [`Overloaded`] handing every edit back (grouped by shard, document
-    /// order within each shard). The deadline covers admission only — once
-    /// admitted, use [`WriteTicket::wait_timeout`] to bound the apply wait.
+    /// [`Engine::stage`] with a deadline on admission: if the queue cannot
+    /// make room within `timeout`, the batch is shed with [`Overloaded`]
+    /// handing every edit back in submission order. The deadline covers
+    /// admission only — once admitted, use [`WriteTicket::wait_timeout`]
+    /// to bound the apply wait.
     ///
     /// [`WriteTicket::wait_timeout`]: crate::WriteTicket::wait_timeout
     pub fn stage_timeout(
@@ -547,79 +478,42 @@ impl<S: Serve> Engine<S> {
         batch: impl IntoIterator<Item = S::Edit>,
         timeout: Duration,
     ) -> Result<WriteTicket, Overloaded<Vec<S::Edit>>> {
-        let deadline = Instant::now() + timeout;
-        match self.admit(batch, Some(deadline)) {
-            Ok(ticket) => Ok(ticket),
-            Err((_, refused)) => {
-                self.stats.shed_writes.fetch_add(1, Ordering::Relaxed);
-                Err(Overloaded(flatten(refused.into_groups())))
-            }
-        }
+        self.admit(batch, Some(Instant::now() + timeout))
     }
 
     /// Non-blocking [`Engine::stage`]: sheds immediately with
-    /// [`Overloaded`] (handing every edit back) when any touched lane is
-    /// at capacity, instead of queueing or blocking. The all-or-nothing
-    /// admission means a shed batch left **no** slice behind.
+    /// [`Overloaded`] (handing every edit back) when the queue is at
+    /// capacity, instead of blocking.
     pub fn try_stage(
         &self,
         batch: impl IntoIterator<Item = S::Edit>,
     ) -> Result<WriteTicket, Overloaded<Vec<S::Edit>>> {
-        let (groups, edits) = self.group(batch);
-        let state = Arc::new(WriteState::new(groups.len(), self.store.current_epoch()));
-        match self.lanes.try_push_all(groups, &state) {
-            Ok(()) => {
-                self.count_staged(edits);
-                Ok(WriteTicket { state })
-            }
-            Err(refused) => {
-                self.stats.shed_writes.fetch_add(1, Ordering::Relaxed);
-                Err(Overloaded(flatten(refused.into_groups())))
-            }
-        }
+        self.admit(batch, Some(Instant::now()))
     }
 
-    /// Shared admission path: groups the batch, then pushes blocking (with
-    /// an optional deadline). On refusal, hands back the write state and
-    /// the refused groups so the caller picks the failure shape.
+    /// Shared admission path: queues the batch, waiting for space until
+    /// `deadline` (`None`: as long as it takes).
     fn admit(
         &self,
         batch: impl IntoIterator<Item = S::Edit>,
         deadline: Option<Instant>,
-    ) -> Result<WriteTicket, (Arc<WriteState>, Refused<S::Edit>)> {
-        let (groups, edits) = self.group(batch);
-        // An empty batch is vacuously visible at the current epoch.
-        let state = Arc::new(WriteState::new(groups.len(), self.store.current_epoch()));
-        match self.lanes.push_all_blocking(groups, &state, deadline) {
-            Ok(()) => {
-                self.count_staged(edits);
-                Ok(WriteTicket { state })
+    ) -> Result<WriteTicket, Overloaded<Vec<S::Edit>>> {
+        let edits: Vec<S::Edit> = batch.into_iter().collect();
+        let count = edits.len() as u64;
+        let ticket = if edits.is_empty() {
+            // An empty batch is vacuously visible at the current epoch.
+            WriteTicket::resolved(self.store.current_epoch())
+        } else {
+            let ticket = WriteTicket::pending();
+            if let Err(edits) = self.writes.push(edits, &ticket, deadline) {
+                self.stats.shed_writes.fetch_add(1, Ordering::Relaxed);
+                return Err(Overloaded(edits));
             }
-            Err(refused) => Err((state, refused)),
-        }
-    }
-
-    /// Splits a batch into per-shard groups (ascending shard order — the
-    /// admission lock order) and counts its edits.
-    fn group(&self, batch: impl IntoIterator<Item = S::Edit>) -> (ShardGroups<S::Edit>, u64) {
-        let mut by_shard: Vec<Vec<S::Edit>> =
-            (0..self.store.shard_count()).map(|_| Vec::new()).collect();
-        let mut edits = 0u64;
-        for edit in batch {
-            by_shard[self.store.edit_shard(&edit)].push(edit);
-            edits += 1;
-        }
-        let groups = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        (groups, edits)
-    }
-
-    fn count_staged(&self, edits: u64) {
+            ticket
+        };
         self.stats.write_batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.write_edits.fetch_add(edits, Ordering::Relaxed);
+        self.stats.write_edits.fetch_add(count, Ordering::Relaxed);
+        Ok(ticket)
     }
 
     /// Runs `body` as an optimistic read-modify-write transaction: it reads
@@ -628,10 +522,10 @@ impl<S: Serve> Engine<S> {
     /// republished in between. On conflict the body is re-run against a
     /// fresh pin, up to the configured attempt budget.
     ///
-    /// The commit bypasses the admission lanes (it must validate-and-apply
-    /// atomically), so transactional writers can contend with appliers on
-    /// the per-shard write locks — the intended trade: staged traffic for
-    /// throughput, transactions for coherence.
+    /// The commit bypasses the admission queue (it must validate-and-apply
+    /// atomically), so transactional writers can contend with the applier
+    /// on the per-shard write locks — the intended trade: staged traffic
+    /// for throughput, transactions for coherence.
     pub fn transact<R>(
         &self,
         mut body: impl FnMut(&mut Txn<S>) -> R,
@@ -663,12 +557,6 @@ impl<S: Serve> Engine<S> {
     }
 }
 
-/// Flattens per-shard groups back into one edit vector (shard order,
-/// document order within each shard) for the `Overloaded` payload.
-fn flatten<E>(groups: Vec<(usize, Vec<E>)>) -> Vec<E> {
-    groups.into_iter().flat_map(|(_, g)| g).collect()
-}
-
 impl<S: Serve> Drop for Engine<S> {
     fn drop(&mut self) {
         self.reads.stop.store(true, Ordering::Release);
@@ -678,7 +566,7 @@ impl<S: Serve> Drop for Engine<S> {
             self.reads.ready.notify_all();
             self.reads.space.notify_all();
         }
-        self.lanes.shutdown();
+        self.writes.shutdown();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -706,6 +594,28 @@ fn answer_batch<S: Serve>(snap: &S::Snapshot, ops: &[S::Read]) -> BatchReply<S::
     }
 }
 
+/// The read job guard: a panic while answering faults this batch only.
+fn answer_guarded<S: Serve>(
+    stats: &StatsCore,
+    snap: &S::Snapshot,
+    ops: &[S::Read],
+) -> Result<BatchReply<S::Reply>, ReadError> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        fault_point(site::READ_WORKER);
+        answer_batch::<S>(snap, ops)
+    }));
+    match outcome {
+        Ok(reply) => {
+            stats.count_reads(ops.len());
+            Ok(reply)
+        }
+        Err(_) => {
+            stats.read_faults.fetch_add(1, Ordering::Relaxed);
+            Err(ReadError::Faulted)
+        }
+    }
+}
+
 fn read_worker<S: Serve>(queue: &ReadQueue<S>, stats: &StatsCore) {
     loop {
         let job = {
@@ -721,49 +631,64 @@ fn read_worker<S: Serve>(queue: &ReadQueue<S>, stats: &StatsCore) {
                 jobs = wait_recover(&queue.ready, jobs);
             }
         };
-        // The job guard: a panic while answering faults this batch only.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            fault_point(site::READ_WORKER);
-            answer_batch::<S>(&job.snap, &job.ops)
-        }));
-        let outcome = match outcome {
-            Ok(reply) => {
-                stats.read_batches.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .read_ops
-                    .fetch_add(job.ops.len() as u64, Ordering::Relaxed);
-                Ok(reply)
-            }
-            Err(_) => {
-                stats.read_faults.fetch_add(1, Ordering::Relaxed);
-                Err(ReadError::Faulted)
-            }
-        };
-        *lock_recover(&job.state.slot) = Some(outcome);
-        job.state.done.notify_all();
+        job.state
+            .fill(answer_guarded::<S>(stats, &job.snap, &job.ops));
     }
 }
 
-fn applier<S: Serve>(store: &S, lanes: &Lanes<S::Edit>, shard: usize, stats: &StatsCore) {
-    while let Some((edits, tickets)) = lanes.drain(shard) {
-        // The job guard: a panic inside apply faults exactly the tickets
-        // of this drain; the publication cell recovers from the poison and
-        // the next drain applies normally.
-        let ok = catch_unwind(AssertUnwindSafe(|| {
-            fault_point(site::APPLIER_APPLY);
-            store.apply(edits);
-        }))
-        .is_ok();
-        let epoch = store.current_epoch();
-        if ok {
+/// The applier: commits each drain's batches as one epoch, split only at
+/// read fences, which it pins between the commits around them.
+fn applier<S: Serve>(store: &S, writes: &Admission<S>, stats: &StatsCore) {
+    while let Some(entries) = writes.drain() {
+        let mut edits = Vec::new();
+        let mut tickets = Vec::new();
+        for entry in entries {
+            match entry {
+                Entry::Batch(batch, ticket) => {
+                    edits.extend(batch);
+                    tickets.push(ticket);
+                }
+                Entry::Fence(pin) => {
+                    commit(store, stats, &mut edits, &mut tickets);
+                    pin.fill(store.pin());
+                }
+            }
+        }
+        commit(store, stats, &mut edits, &mut tickets);
+    }
+}
+
+/// Applies the edits gathered since the last commit as one epoch and
+/// resolves their tickets. The job guard: a panic inside apply faults
+/// exactly these tickets; the publication cell recovers from the poison
+/// and the next commit applies normally.
+fn commit<S: Serve>(
+    store: &S,
+    stats: &StatsCore,
+    edits: &mut Vec<S::Edit>,
+    tickets: &mut Vec<WriteTicket>,
+) {
+    if tickets.is_empty() {
+        return;
+    }
+    let batch = std::mem::take(edits);
+    let applied = catch_unwind(AssertUnwindSafe(|| {
+        fault_point(site::APPLIER_APPLY);
+        store.apply(batch);
+    }));
+    let outcome = match applied {
+        Ok(()) => {
             stats.applier_commits.fetch_add(1, Ordering::Relaxed);
-        } else {
+            Ok(store.current_epoch())
+        }
+        Err(_) => {
             stats
                 .write_faults
                 .fetch_add(tickets.len() as u64, Ordering::Relaxed);
+            Err(WriteError::Faulted)
         }
-        for ticket in tickets {
-            ticket.complete_one(epoch, ok);
-        }
+    };
+    for ticket in tickets.drain(..) {
+        ticket.resolve(outcome);
     }
 }

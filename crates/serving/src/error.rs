@@ -124,7 +124,7 @@ impl From<WriteError> for Status {
     fn from(e: WriteError) -> Status {
         match e {
             WriteError::Deadline => Status::Deadline,
-            WriteError::Faulted { .. } => Status::Faulted,
+            WriteError::Faulted => Status::Faulted,
         }
     }
 }
@@ -169,8 +169,7 @@ impl<T> From<Overloaded<T>> for Status {
 /// batch is returned whole, so nothing acked is ever lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Overloaded<T>(
-    /// The rejected payload, exactly as submitted (write batches come back
-    /// grouped by shard, in document order within each shard).
+    /// The rejected payload, exactly as submitted.
     pub T,
 );
 
@@ -195,22 +194,16 @@ pub enum WriteError {
     /// `wait_timeout` expired before the batch finished applying. The
     /// ticket is untouched — wait again to keep claiming the ack.
     Deadline,
-    /// One or more per-shard slices of the batch hit a panicking applier
-    /// (or the engine shut down before they were admitted); those edits
-    /// were not applied. Slices on healthy lanes still applied normally.
-    Faulted {
-        /// How many of the batch's per-shard slices faulted.
-        slices: usize,
-    },
+    /// The commit carrying the batch panicked; none of its edits were
+    /// applied.
+    Faulted,
 }
 
 impl std::fmt::Display for WriteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WriteError::Deadline => f.write_str("write deadline expired (ticket still claimable)"),
-            WriteError::Faulted { slices } => {
-                write!(f, "{slices} slice(s) of the write batch faulted")
-            }
+            WriteError::Faulted => f.write_str("the commit carrying the write batch panicked"),
         }
     }
 }
@@ -299,10 +292,7 @@ mod tests {
     #[test]
     fn typed_errors_project_onto_statuses() {
         assert_eq!(Status::from(WriteError::Deadline), Status::Deadline);
-        assert_eq!(
-            Status::from(WriteError::Faulted { slices: 2 }),
-            Status::Faulted
-        );
+        assert_eq!(Status::from(WriteError::Faulted), Status::Faulted);
         assert_eq!(Status::from(ReadError::Deadline), Status::Deadline);
         assert_eq!(Status::from(ReadError::Faulted), Status::Faulted);
         assert_eq!(

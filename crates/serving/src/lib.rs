@@ -184,7 +184,15 @@ mod tests {
     fn transactions_retry_past_interference() {
         let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(2));
         store.insert(0, 0);
-        let engine = Arc::new(Engine::new(Arc::clone(&store)));
+        // The budget covers the worst interleaving: one attempt can lose to
+        // every other thread's remaining increments.
+        let engine = Arc::new(Engine::with_config(
+            Arc::clone(&store),
+            EngineConfig {
+                txn_attempts: 100,
+                ..EngineConfig::default()
+            },
+        ));
         // 4 threads each increment key 0 transactionally 25 times; every
         // increment must be preserved despite conflicts.
         std::thread::scope(|s| {

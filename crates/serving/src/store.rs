@@ -17,8 +17,8 @@ use trie_common::ops::{
 use crate::ops::{MapRead, MapReply, MultiMapRead, MultiMapReply, SetRead, SetReply};
 
 /// A store the serving engine can run over: epoch-pinned snapshots to
-/// answer reads from, shard routing for edits, and both unconditional and
-/// epoch-validated batch application for writes.
+/// answer reads from, and both unconditional and epoch-validated batch
+/// application for writes.
 ///
 /// All methods that answer reads are associated functions over the
 /// *snapshot* — once pinned, answering never touches the live store, which
@@ -47,18 +47,12 @@ pub trait Serve: Send + Sync + 'static {
     /// The store's current publication epoch.
     fn current_epoch(&self) -> u64;
 
-    /// Number of shards (the admission layer runs one applier per shard).
-    fn shard_count(&self) -> usize;
-
     /// Answers one read against a pinned snapshot.
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply;
 
     /// Appends the shard indices `op` reads from to `out` (what a
     /// transaction validates at commit).
     fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>);
-
-    /// The shard an edit routes to.
-    fn edit_shard(&self, edit: &Self::Edit) -> usize;
 
     /// Applies a batch unconditionally (one epoch however many shards it
     /// touches). Returns the store's count delta.
@@ -101,10 +95,6 @@ where
         ShardedMap::current_epoch(self)
     }
 
-    fn shard_count(&self) -> usize {
-        ShardedMap::shard_count(self)
-    }
-
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
         match op {
             MapRead::Get(k) => MapReply::Value(snap.get(k).cloned()),
@@ -124,10 +114,6 @@ where
             MapRead::Get(k) | MapRead::Contains(k) => out.push(snap.shard_of(k)),
             MapRead::Scan { .. } | MapRead::Len => out.extend(0..snap.shard_count()),
         }
-    }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        self.shard_of(edit.key())
     }
 
     fn apply(&self, batch: Vec<Self::Edit>) -> isize {
@@ -170,10 +156,6 @@ where
         ShardedSet::current_epoch(self)
     }
 
-    fn shard_count(&self) -> usize {
-        ShardedSet::shard_count(self)
-    }
-
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
         match op {
             SetRead::Contains(v) => SetReply::Bool(snap.contains(v)),
@@ -187,10 +169,6 @@ where
             SetRead::Contains(v) => out.push(snap.shard_of(v)),
             SetRead::Scan { .. } | SetRead::Len => out.extend(0..snap.shard_count()),
         }
-    }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        self.shard_of(edit.key())
     }
 
     fn apply(&self, batch: Vec<Self::Edit>) -> isize {
@@ -234,10 +212,6 @@ where
         ShardedMultiMap::current_epoch(self)
     }
 
-    fn shard_count(&self) -> usize {
-        ShardedMultiMap::shard_count(self)
-    }
-
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
         match op {
             MultiMapRead::ValuesOf(k) => {
@@ -270,10 +244,6 @@ where
                 out.extend(0..snap.shard_count())
             }
         }
-    }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        self.shard_of(edit.key())
     }
 
     fn apply(&self, batch: Vec<Self::Edit>) -> isize {

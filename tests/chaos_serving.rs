@@ -63,7 +63,7 @@ fn chaos_round(seed: u64) {
             Ok(_) => {
                 oracle.insert(k, k * 2);
             }
-            Err(WriteError::Faulted { .. }) => faulted += 1,
+            Err(WriteError::Faulted) => faulted += 1,
             Err(WriteError::Deadline) => unreachable!("no deadline was set"),
         }
     }

@@ -22,6 +22,61 @@ fn keyspace() -> impl Iterator<Item = u32> {
     0..KEYS
 }
 
+/// Storms `write(round)` for rounds 1, 2, … while two reader threads run
+/// `check` in a loop (each with its own last-seen round), until at least
+/// `MIN_ROUNDS` rounds were written *and* the readers checked
+/// `MIN_CHECKS` views between them — so a fast storm cannot end before
+/// the readers are scheduled.
+fn storm(check: impl Fn(&mut u32) + Sync, mut write: impl FnMut(u32)) {
+    const MIN_ROUNDS: u32 = 300;
+    const MIN_CHECKS: usize = 200;
+    let done = AtomicBool::new(false);
+    let checked = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut last_round = 0;
+                while !done.load(Ordering::Relaxed) {
+                    check(&mut last_round);
+                    checked.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        let mut round = 0;
+        while round < MIN_ROUNDS || checked.load(Ordering::Relaxed) < MIN_CHECKS {
+            round += 1;
+            write(round);
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+}
+
+/// Asserts a 64-key read holds one round, and that rounds never go
+/// backwards for this reader.
+fn assert_one_round(epoch: u64, rounds: &[u32], last_round: &mut u32) {
+    assert!(
+        rounds.windows(2).all(|w| w[0] == w[1]),
+        "epoch {epoch} mixes rounds {rounds:?}"
+    );
+    assert!(rounds[0] >= *last_round, "rounds went backwards");
+    *last_round = rounds[0];
+}
+
+/// A 64-key batch answered through the engine's read pool, as rounds.
+fn submitted_rounds(engine: &Engine<ShardedMap<u32, u32>>) -> (u64, Vec<u32>) {
+    let ops: Vec<MapRead<u32>> = keyspace().map(MapRead::Get).collect();
+    let reply = engine.submit(ops).wait().expect("no read worker faulted");
+    let rounds = reply
+        .replies
+        .iter()
+        .map(|r| match r {
+            MapReply::Value(Some(v)) => *v,
+            other => panic!("key missing: {other:?}"),
+        })
+        .collect();
+    (reply.epoch, rounds)
+}
+
 /// A pinned epoch never mixes shard versions: a writer storm rewrites all
 /// 64 keys (spread over all 8 shards) to the round number, one atomic
 /// batch per round; every snapshot a racing reader pins must observe one
@@ -41,44 +96,23 @@ fn pinned_epoch_is_uniform_across_shards_under_writer_storm() {
         assert!(hit.iter().all(|&h| h), "64 keys cover all 8 shards");
     }
 
-    let done = AtomicBool::new(false);
-    let checked = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            let store = &store;
-            let done = &done;
-            let checked = &checked;
-            s.spawn(move || {
-                let mut last_round = 0;
-                while !done.load(Ordering::Relaxed) {
-                    let snap = store.snapshot();
-                    let first = *snap.get(&0).expect("key 0 always present");
-                    for k in keyspace() {
-                        assert_eq!(
-                            snap.get(&k),
-                            Some(&first),
-                            "epoch {} mixes round {first} with key {k}",
-                            snap.epoch()
-                        );
-                    }
-                    assert!(first >= last_round, "rounds went backwards");
-                    last_round = first;
-                    checked.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        for round in 1..=500u32 {
+    storm(
+        |last_round| {
+            let snap = store.snapshot();
+            let rounds: Vec<u32> = keyspace()
+                .map(|k| *snap.get(&k).expect("every key always present"))
+                .collect();
+            assert_one_round(snap.epoch(), &rounds, last_round);
+        },
+        |round| {
             store.apply(keyspace().map(|k| MapEdit::Insert(k, round)));
-        }
-        done.store(true, Ordering::Relaxed);
-    });
-    assert!(checked.load(Ordering::Relaxed) > 0, "readers actually ran");
+        },
+    );
 }
 
 /// Same property end-to-end through the engine: submitted read batches are
 /// answered from one pin, so a 64-key fan-out must report one uniform
-/// round even while the writer storms, and the reply's epoch must cover
-/// it.
+/// round even while the writer storms.
 #[test]
 fn engine_read_batches_are_answered_from_one_epoch() {
     let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(SHARDS));
@@ -91,37 +125,44 @@ fn engine_read_batches_are_answered_from_one_epoch() {
             ..EngineConfig::default()
         },
     );
-
-    let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            let engine = &engine;
-            let done = &done;
-            s.spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    let ops: Vec<MapRead<u32>> = keyspace().map(MapRead::Get).collect();
-                    let reply = engine.submit(ops).wait().expect("no read worker faulted");
-                    let rounds: Vec<u32> = reply
-                        .replies
-                        .iter()
-                        .map(|r| match r {
-                            MapReply::Value(Some(v)) => *v,
-                            other => panic!("key missing: {other:?}"),
-                        })
-                        .collect();
-                    assert!(
-                        rounds.windows(2).all(|w| w[0] == w[1]),
-                        "batch at epoch {} mixed rounds {rounds:?}",
-                        reply.epoch
-                    );
-                }
-            });
-        }
-        for round in 1..=300u32 {
+    storm(
+        |last_round| {
+            let (epoch, rounds) = submitted_rounds(&engine);
+            assert_one_round(epoch, &rounds, last_round);
+        },
+        |round| {
             store.apply(keyspace().map(|k| MapEdit::Insert(k, round)));
-        }
-        done.store(true, Ordering::Relaxed);
-    });
+        },
+    );
+}
+
+/// Staged batches commit whole: the storm stages each 64-key round (over
+/// all 8 shards) through admission, and every batch answered through
+/// `Engine::submit` must see a single round — no epoch holds part of a
+/// staged batch.
+#[test]
+fn staged_multi_shard_batches_are_atomic() {
+    let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(SHARDS));
+    store.apply(keyspace().map(|k| MapEdit::Insert(k, 0)));
+    let engine = Engine::with_config(
+        Arc::clone(&store),
+        EngineConfig {
+            read_workers: 2,
+            ..EngineConfig::default()
+        },
+    );
+    storm(
+        |last_round| {
+            let (epoch, rounds) = submitted_rounds(&engine);
+            assert_one_round(epoch, &rounds, last_round);
+        },
+        |round| {
+            engine
+                .stage(keyspace().map(|k| MapEdit::Insert(k, round)))
+                .wait()
+                .expect("no applier faulted");
+        },
+    );
 }
 
 /// Transactions under a conflict storm: concurrent transfers between

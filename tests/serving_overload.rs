@@ -3,9 +3,9 @@
 //! back-pressure.
 //!
 //! Determinism comes from a `SlowStore` wrapper whose `apply`/`answer`
-//! block on explicit gates: the tests fill lanes and queues to exact
-//! depths before asserting what admission does, instead of racing real
-//! appliers. The read gate lives in `answer` (carried by the snapshot)
+//! block on explicit gates: the tests fill the admission and read queues
+//! to exact depths before asserting what admission does, instead of
+//! racing the real applier. The read gate lives in `answer` (carried by the snapshot)
 //! rather than `pin`, because reads pin at *submission* — a gate in `pin`
 //! would stall the submitting caller, not the read worker.
 
@@ -131,10 +131,6 @@ impl Serve for SlowStore {
         self.inner.current_epoch()
     }
 
-    fn shard_count(&self) -> usize {
-        <Inner as Serve>::shard_count(&self.inner)
-    }
-
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
         snap.answers_entered.fetch_add(1, Ordering::Release);
         snap.read_gate.pass();
@@ -143,10 +139,6 @@ impl Serve for SlowStore {
 
     fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
         <Inner as Serve>::read_shards(&snap.inner, op, out)
-    }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        <Inner as Serve>::edit_shard(&self.inner, edit)
     }
 
     fn apply(&self, batch: Vec<Self::Edit>) -> isize {
@@ -176,7 +168,7 @@ fn bounded_engine(store: &Arc<SlowStore>, lane_capacity: usize) -> Engine<SlowSt
     )
 }
 
-/// A capacity-1 lane under a try_stage storm: admissions beyond the one
+/// A capacity-1 admission queue under a try_stage storm: admissions beyond the one
 /// in-flight batch plus one queued batch shed with `Overloaded` (never an
 /// unbounded queue), every acked write is present afterwards, and every
 /// shed batch is absent — nothing acked is lost, nothing shed leaks in.
@@ -186,7 +178,7 @@ fn capacity_one_lane_sheds_storm_without_losing_acked_writes() {
     let engine = bounded_engine(&store, 1);
 
     // Fill deterministically: batch A is drained and its apply blocks on
-    // the gate; batch B then occupies the lane's single slot.
+    // the gate; batch B then occupies the queue's single slot.
     let ticket_a = engine.stage([MapEdit::Insert(0, 0)]);
     SlowStore::await_count(&store.applies_entered, 1);
     let ticket_b = engine.stage([MapEdit::Insert(1, 1)]);
@@ -210,7 +202,7 @@ fn capacity_one_lane_sheds_storm_without_losing_acked_writes() {
     }
     assert!(
         !shed_keys.is_empty(),
-        "storm must overflow a capacity-1 lane"
+        "storm must overflow a capacity-1 queue"
     );
     assert_eq!(engine.stats().shed_writes, shed_keys.len() as u64);
 
@@ -227,7 +219,7 @@ fn capacity_one_lane_sheds_storm_without_losing_acked_writes() {
     }
 }
 
-/// `stage_timeout` under a full lane: the deadline expires, the whole batch
+/// `stage_timeout` under a full queue: the deadline expires, the whole batch
 /// comes back in the error, and none of it is ever applied.
 #[test]
 fn stage_timeout_returns_the_batch_whole() {
@@ -243,7 +235,7 @@ fn stage_timeout_returns_the_batch_whole() {
             vec![MapEdit::Insert(7, 7), MapEdit::Insert(8, 8)],
             Duration::from_millis(20),
         )
-        .expect_err("full lane must time the batch out");
+        .expect_err("full queue must time the batch out");
     assert_eq!(
         err.into_inner(),
         vec![MapEdit::Insert(7, 7), MapEdit::Insert(8, 8)]

@@ -8,15 +8,19 @@
 //! graceful shutdown finishing in-flight requests.
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use axiom_repro::serving::proto::{
+    append_frame, decode_value, encode_value, read_frame, DEFAULT_MAX_PAYLOAD,
+};
 use axiom_repro::serving::session::{MapClient, MultiMapClient, SetClient};
 use axiom_repro::serving::{
-    ClientError, Engine, EngineConfig, MapRead, MapReply, MultiMapRead, MultiMapReply, Serve,
-    Server, ServerConfig, SetRead, SetReply, Status,
+    ClientError, Engine, EngineConfig, Frame, MapRead, MapReply, MultiMapRead, MultiMapReply,
+    OpCode, ScriptOp, ScriptReply, Serve, Server, ServerConfig, SetRead, SetReply, Status,
 };
 use axiom_repro::sharded::{EpochConflict, ShardedMap, ShardedMultiMap, ShardedSet};
 use axiom_repro::trie_common::ops::{MapEdit, MultiMapEdit, SetEdit};
@@ -246,19 +250,24 @@ impl Gate {
 /// panic — deterministic Faulted outcomes on either path.
 const POISON_KEY: u32 = 0xdead;
 
-/// Routing this key panics `edit_shard` — a panic *inside dispatch*, on
-/// the connection's own thread, exercising its `catch_unwind` fallback
-/// rather than the engine's job guards.
-const DISPATCH_POISON_KEY: u32 = 0xbeef;
-
 type Inner = ShardedMap<u32, u32>;
 
-/// Wraps a real sharded map: `apply` blocks on a gate (so lanes can be
-/// filled to exact depths) and poisons on the marker key.
+/// Wraps a real sharded map: `apply` blocks on a gate (so the admission
+/// queue can be filled to exact depths) and poisons on the marker key;
+/// the next `pin` can be armed to panic or to wait on a second gate.
 struct GatedStore {
     inner: Inner,
     write_gate: Gate,
     applies_entered: AtomicUsize,
+    /// Arms a panic in the next `pin`. A read on a fresh connection pins
+    /// while it is dispatched, so this panics *inside dispatch*, on the
+    /// connection's own thread, exercising its `catch_unwind` fallback
+    /// rather than the engine's job guards.
+    poison_next_pin: AtomicBool,
+    /// Arms the next `pin` to wait for `pin_gate`.
+    hold_next_pin: AtomicBool,
+    pin_gate: Gate,
+    pins_held: AtomicUsize,
 }
 
 impl GatedStore {
@@ -267,6 +276,10 @@ impl GatedStore {
             inner: ShardedMap::with_shards(shards),
             write_gate: Gate::closed(),
             applies_entered: AtomicUsize::new(0),
+            poison_next_pin: AtomicBool::new(false),
+            hold_next_pin: AtomicBool::new(false),
+            pin_gate: Gate::closed(),
+            pins_held: AtomicUsize::new(0),
         }
     }
 
@@ -284,6 +297,13 @@ impl Serve for GatedStore {
     type Snapshot = <Inner as Serve>::Snapshot;
 
     fn pin(&self) -> Self::Snapshot {
+        if self.poison_next_pin.swap(false, Ordering::AcqRel) {
+            panic!("poisoned dispatch");
+        }
+        if self.hold_next_pin.swap(false, Ordering::AcqRel) {
+            self.pins_held.fetch_add(1, Ordering::Release);
+            self.pin_gate.pass();
+        }
         self.inner.pin()
     }
 
@@ -299,10 +319,6 @@ impl Serve for GatedStore {
         self.inner.current_epoch()
     }
 
-    fn shard_count(&self) -> usize {
-        <Inner as Serve>::shard_count(&self.inner)
-    }
-
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
         if matches!(op, MapRead::Get(k) if *k == POISON_KEY) {
             panic!("poisoned read");
@@ -312,13 +328,6 @@ impl Serve for GatedStore {
 
     fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
         <Inner as Serve>::read_shards(snap, op, out)
-    }
-
-    fn edit_shard(&self, edit: &Self::Edit) -> usize {
-        if *edit.key() == DISPATCH_POISON_KEY {
-            panic!("poisoned dispatch");
-        }
-        self.inner.edit_shard(edit)
     }
 
     fn apply(&self, batch: Vec<Self::Edit>) -> isize {
@@ -378,11 +387,11 @@ fn failure_statuses_arrive_as_wire_codes() {
     assert_eq!(status.code(), 2);
 
     // Overloaded: the applier is stuck mid-drain behind the gate; fill the
-    // lane (capacity 1), then one more write cannot be admitted in time.
+    // queue (capacity 1), then one more write cannot be admitted in time.
     store.await_applies(1);
     let mut c2: MapClient<u32, u32> = MapClient::connect(addr).expect("connect");
     let status = remote_status(c2.write(vec![MapEdit::Insert(2, 2)]).unwrap_err());
-    assert_eq!(status, Status::Deadline, "fills the lane, then times out");
+    assert_eq!(status, Status::Deadline, "fills the queue, then times out");
     let mut c3: MapClient<u32, u32> = MapClient::connect(addr).expect("connect");
     let status = remote_status(c3.write(vec![MapEdit::Insert(3, 3)]).unwrap_err());
     assert_eq!(status, Status::Overloaded);
@@ -544,11 +553,8 @@ fn faulted_frames_carry_the_published_epoch() {
     // catch_unwind fallback) both answer at a real published epoch,
     // not the epoch-0 placeholder.
     let mut fresh: MapClient<u32, u32> = MapClient::connect(addr).expect("connect");
-    let status = remote_status(
-        fresh
-            .write(vec![MapEdit::Insert(DISPATCH_POISON_KEY, 0)])
-            .unwrap_err(),
-    );
+    store.poison_next_pin.store(true, Ordering::Release);
+    let status = remote_status(fresh.read_at(0, vec![MapRead::Get(1)]).unwrap_err());
     assert_eq!(status, Status::Faulted);
     assert!(
         fresh.last_epoch() >= epoch,
@@ -623,5 +629,158 @@ fn idle_acceptor_reaps_finished_handlers() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(live, 0, "finished handlers held until shutdown");
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Read fences: a read pipelined behind a connection's in-flight writes is
+// pinned by the applier between the commits around it.
+// ---------------------------------------------------------------------------
+
+fn read_request(ops: Vec<MapRead<u32>>) -> Frame {
+    Frame::request(OpCode::ReadReq, 0, encode_value(&ops).expect("ops encode"))
+}
+
+fn write_request(edits: Vec<MapEdit<u32, u32>>) -> Frame {
+    Frame::request(
+        OpCode::WriteReq,
+        0,
+        encode_value(&edits).expect("edits encode"),
+    )
+}
+
+/// Sends `frames` on a raw connection in one write.
+fn send_frames(raw: &mut TcpStream, frames: &[Frame]) {
+    let mut buf = Vec::new();
+    for frame in frames {
+        append_frame(&mut buf, frame);
+    }
+    raw.write_all(&buf).expect("send frames");
+}
+
+fn await_write_batches<S: Serve>(engine: &Engine<S>, n: u64) {
+    while engine.stats().write_batches < n {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn fenced_read_sees_earlier_writes_and_not_later_ones() {
+    let store = Arc::new(GatedStore::new(2));
+    let engine = Arc::new(Engine::new(Arc::clone(&store)));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
+
+    // Hold the applier inside an unrelated commit, so W1, R and W2 all
+    // queue up behind it and land in one drain.
+    let held = engine.stage([MapEdit::Insert(100, 0)]);
+    store.await_applies(1);
+    let pipelined = std::thread::spawn(move || {
+        let mut client: MapClient<u32, u32> = MapClient::connect(addr).expect("connect");
+        client.pipeline(vec![
+            ScriptOp::Write(vec![MapEdit::Insert(1, 1)]),
+            ScriptOp::Read(vec![MapRead::Get(1), MapRead::Get(2)]),
+            ScriptOp::Write(vec![MapEdit::Insert(2, 2)]),
+        ])
+    });
+    // The connection dispatches in order: once W2 is staged, so are W1
+    // and R's fence between them.
+    await_write_batches(&engine, 3);
+    store.write_gate.open();
+    held.wait().expect("held batch commits");
+
+    let replies = pipelined
+        .join()
+        .expect("client thread")
+        .expect("pipeline completes");
+    let ScriptReply::Write(w1) = replies[0] else {
+        panic!("W1 answered {:?}", replies[0])
+    };
+    let ScriptReply::Read(read) = &replies[1] else {
+        panic!("R answered {:?}", replies[1])
+    };
+    let ScriptReply::Write(w2) = replies[2] else {
+        panic!("W2 answered {:?}", replies[2])
+    };
+    assert_eq!(
+        read.replies,
+        vec![MapReply::Value(Some(1)), MapReply::Value(None)],
+        "R must see W1 and not W2"
+    );
+    assert!(read.epoch >= w1, "R at {} misses W1 at {w1}", read.epoch);
+    assert!(
+        read.epoch < w2,
+        "R at {} is not before W2 at {w2}",
+        read.epoch
+    );
+    // The held batch, then one drain split at the fence: W1, then W2.
+    assert_eq!(engine.stats().applier_commits, 3);
+    server.shutdown();
+}
+
+#[test]
+fn read_behind_an_unfired_fence_is_fenced_too() {
+    let store = Arc::new(GatedStore::new(2));
+    let engine = Arc::new(Engine::new(Arc::clone(&store)));
+    let server = Server::spawn(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let recv = |raw: &mut TcpStream| read_frame(raw, DEFAULT_MAX_PAYLOAD).expect("response");
+
+    // W1 cannot commit yet, so R1 queues a fence behind it. The empty
+    // write after R1 resolves without queueing; once it is counted, R1
+    // has been dispatched.
+    send_frames(
+        &mut raw,
+        &[
+            write_request(vec![MapEdit::Insert(1, 1)]),
+            read_request(vec![MapRead::Get(1)]),
+            write_request(Vec::new()),
+        ],
+    );
+    await_write_batches(&engine, 2);
+
+    // Let W1 commit, but hold the applier at the pin it takes for R1's
+    // fence: W1 is resolved, the fence is not.
+    store.hold_next_pin.store(true, Ordering::Release);
+    store.write_gate.open();
+    let w1 = recv(&mut raw);
+    assert_eq!(w1.op, OpCode::WriteResp);
+    while store.pins_held.load(Ordering::Acquire) < 1 {
+        std::thread::yield_now();
+    }
+
+    // R2 must queue behind R1's fence. Pinned at dispatch instead, it
+    // would answer before the publication below, which R1 will see.
+    send_frames(
+        &mut raw,
+        &[
+            read_request(vec![MapRead::Get(1)]),
+            write_request(Vec::new()),
+        ],
+    );
+    await_write_batches(&engine, 3);
+    store.inner.apply([MapEdit::Insert(9, 9)]);
+    store.pin_gate.open();
+
+    let r1 = recv(&mut raw);
+    assert_eq!(recv(&mut raw).op, OpCode::WriteResp);
+    let r2 = recv(&mut raw);
+    assert_eq!(recv(&mut raw).op, OpCode::WriteResp);
+    for read in [&r1, &r2] {
+        assert_eq!(read.op, OpCode::ReadResp);
+        let replies: Vec<MapReply<u32, u32>> = decode_value(&read.payload).expect("replies");
+        assert_eq!(replies, vec![MapReply::Value(Some(1))], "reads see W1");
+    }
+    assert!(
+        r1.epoch > w1.epoch,
+        "R1's fence pinned after the publication"
+    );
+    assert!(
+        r2.epoch >= r1.epoch,
+        "read epochs went backwards: R1 at {}, R2 at {}",
+        r1.epoch,
+        r2.epoch
+    );
+    drop(raw);
     server.shutdown();
 }
