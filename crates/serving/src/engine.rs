@@ -458,7 +458,8 @@ impl<S: Serve> Engine<S> {
     /// ticket resolves (with a visibility epoch) once the applier has
     /// committed it — in one epoch, however many shards it touches.
     ///
-    /// With a bounded lane capacity this blocks until the queue has room.
+    /// With a bounded [`EngineConfig::lane_capacity`] this blocks until the
+    /// queue has room.
     pub fn stage(&self, batch: impl IntoIterator<Item = S::Edit>) -> WriteTicket {
         match self.admit(batch, None) {
             Ok(ticket) => ticket,

@@ -13,14 +13,14 @@
 //!   ([`MapRead`]/[`SetRead`]/[`MultiMapRead`]) submitted as batches and
 //!   served by a worker pool; typed replies come back in submission order
 //!   tagged with the answering epoch.
-//! - **Writer admission** ([`Engine::stage`]) — write batches are split by
-//!   shard onto admission lanes and applied by a single applier per shard,
-//!   coalescing queued batches into one publication; readers never block
-//!   and writers never contend on trie editing.
+//! - **Writer admission** ([`Engine::stage`]) — write batches queue whole
+//!   on one admission queue and one applier commits each drain as a single
+//!   epoch (group commit), so a multi-shard batch is atomic; readers never
+//!   block and writers never contend on trie editing.
 //! - **Optimistic transactions** ([`Engine::transact`]) — read-modify-write
 //!   bodies run against a pin and commit only if every shard they read or
 //!   wrote is still at its pinned version, retrying on [`EpochConflict`].
-//! - **Fault tolerance** — bounded admission lanes shed with [`Overloaded`]
+//! - **Fault tolerance** — bounded admission sheds with [`Overloaded`]
 //!   instead of growing without bound ([`Engine::try_stage`] /
 //!   [`Engine::stage_timeout`]), ticket waits take deadlines without losing
 //!   the ticket, and a panicking worker faults only the requests it carried
@@ -29,8 +29,10 @@
 //! - **A wire protocol** — [`Server`] frames the same batches over TCP
 //!   ([`proto`]: validated binary frames riding the snapshot value codec)
 //!   and [`Client`] carries the visibility epoch as a session floor, so
-//!   `pin_after` read-your-writes works across connections; every engine
-//!   failure mode maps onto a stable numeric [`Status`] code.
+//!   read-your-writes works across connections; a read pipelined behind a
+//!   connection's own writes is fenced into the admission queue, so it
+//!   sees them without the connection waiting; every engine failure mode
+//!   maps onto a stable numeric [`Status`] code.
 //!
 //! # Example
 //!
@@ -41,7 +43,7 @@
 //! use trie_common::ops::MapEdit;
 //!
 //! let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(4));
-//! // Bound each admission lane at 64 staged batches: `stage` now applies
+//! // Bound the admission queue at 64 staged batches: `stage` now applies
 //! // back-pressure and `try_stage` sheds (returning the batch) when full.
 //! let engine = Engine::with_config(
 //!     Arc::clone(&store),

@@ -4,9 +4,8 @@
 //! highest visibility epoch any of its acks or replies has carried. Every
 //! read request sends that epoch as its visibility floor, so a session
 //! always reads its own writes — the server answers from a snapshot at
-//! least as new as everything the session has been told about, blocking
-//! briefly (via the engine's `pin_after`) if the publication has not
-//! landed yet.
+//! least as new as everything the session has been told about (a floor
+//! the server has not published is refused with `FutureEpoch`).
 //!
 //! The session epoch is plain data, which is what makes read-your-writes
 //! work *across* connections: carry [`Client::last_epoch`] to a second
@@ -22,9 +21,10 @@
 //! [`Client::pipeline`] sends a *script* — a sequence of read and write
 //! batches — with many requests in flight at once, and returns one
 //! [`ScriptReply`] per op, in script order. The server answers each
-//! connection's requests strictly in request order and runs a
-//! write→read barrier per connection, so a pipelined `write; read`
-//! script still reads its own write, and the session-epoch ratchet is
+//! connection's requests strictly in request order and fences each read
+//! behind the connection's writes still in flight, so a pipelined
+//! `write; read` script still reads its own write (and never a write sent
+//! after the read), and the session-epoch ratchet is
 //! preserved: every response frame's epoch is folded into
 //! [`Client::last_epoch`] exactly as in the one-at-a-time calls. Per-op
 //! failures (`Overloaded`, `Deadline`, …) surface as
@@ -42,7 +42,7 @@
 //! # Timed-out writes and visibility
 //!
 //! A write answered `Deadline` (or any non-`Ok` status after admission)
-//! was *not* cancelled — the batch stays in the admission lanes and may
+//! was *not* cancelled — the batch stays in the admission queue and may
 //! publish after the error frame was already sent. The session cannot
 //! learn that write's exact epoch, so strict read-your-writes does not
 //! cover it. Two mechanisms bound the hazard: error frames carry the
@@ -115,10 +115,10 @@ impl From<trie_common::snapshot::SnapshotError> for ClientError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScriptOp<Q, E> {
     /// A read batch, floored at the session epoch when its window is
-    /// sent (the server's per-connection barrier extends the floor over
+    /// sent (the server's per-connection fences extend the floor over
     /// writes earlier in the script).
     Read(Vec<Q>),
-    /// A write batch, staged through the server's admission lanes.
+    /// A write batch, staged through the server's admission queue.
     Write(Vec<E>),
 }
 
@@ -282,9 +282,9 @@ where
     /// frames — one buffered write per window, then that window's
     /// replies — so an N-op script costs roughly one round trip per
     /// window instead of one per op. Reads are floored at the session
-    /// epoch as of their window; the server's per-connection write→read
-    /// barrier makes a read later in the script observe writes earlier
-    /// in it, even within one window. The session epoch ratchets from
+    /// epoch as of their window; the server fences each read behind the
+    /// connection's writes still in flight, so a read later in the script
+    /// observes writes earlier in it, even within one window. The session epoch ratchets from
     /// every reply, errors included.
     ///
     /// Per-op server failures come back as [`ScriptReply::Failed`] in

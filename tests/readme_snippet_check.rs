@@ -109,7 +109,7 @@ fn readme_wire_protocol() {
 
     // A pipelined script: many requests in flight on one connection,
     // replies strictly in script order — and a read later in the script
-    // observes writes earlier in it (the server's write→read barrier),
+    // observes writes earlier in it (the server fences it behind them),
     // even though neither response had come back when the read was sent.
     let mut client: MapClient<u32, u32> = MapClient::connect(server.local_addr()).unwrap();
     let replies = client
@@ -149,7 +149,7 @@ fn readme_serving_engine() {
     use axiom_repro::trie_common::ops::MapEdit;
 
     let store: Arc<ShardedMap<u32, u32>> = Arc::new(ShardedMap::with_shards(8));
-    // Bound each admission lane at 64 staged batches: `stage` now applies
+    // Bound the admission queue at 64 staged batches: `stage` now applies
     // back-pressure and `try_stage` sheds (handing the batch back) when full.
     let engine = Engine::with_config(
         Arc::clone(&store),

@@ -1,10 +1,10 @@
 //! Differential suite for the serving engine: randomized request scripts
-//! executed through the real engine (worker pool, admission lanes,
+//! executed through the real engine (worker pool, admission queue,
 //! transactions) against a single-threaded `BTreeMap` oracle.
 //!
 //! The scripts run sequentially — every staged write is acked before the
 //! next command — so the engine must agree with the oracle *exactly*: any
-//! divergence (a lost edit in an admission lane, a stale pin, a reply
+//! divergence (a lost edit in the admission queue, a stale pin, a reply
 //! answered from the wrong epoch) is a hard failure, shrunk by proptest to
 //! a minimal script.
 

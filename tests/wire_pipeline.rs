@@ -3,9 +3,9 @@
 //! against a `BTreeMap` oracle.
 //!
 //! The contract under test: replies come back strictly in script order;
-//! a read later in a script observes writes earlier in it (the server's
-//! per-connection write→read barrier), even when neither response has
-//! reached the client yet; answering epochs are monotone per session;
+//! a read later in a script observes writes earlier in it (the server
+//! fences it behind the connection's writes), even when neither response
+//! has reached the client yet; answering epochs are monotone per session;
 //! per-op failures land in their slot as [`ScriptReply::Failed`] without
 //! aborting the rest of the script; and all of it holds with several
 //! clients pipelining concurrently and with a server pipeline depth far
@@ -95,11 +95,9 @@ fn check_script(
     let len = script.len();
     let replies: Vec<Reply> = client.pipeline(script).expect("pipeline completes");
     assert_eq!(replies.len(), len, "one reply per script op, in order");
-    // The per-connection ordering contract: read epochs are monotone
-    // (pin-at-submit), and every read covers every write acked earlier
-    // in the script (the write→read barrier). Raw write acks carry true
-    // publication epochs, which may interleave across shards' lanes —
-    // those only have to be covered by later reads, not sorted.
+    // The per-connection ordering contract: read epochs are monotone,
+    // and every read covers every write acked earlier in the script (its
+    // fence follows them in the admission queue).
     let mut last_read = 0u64;
     let mut max_write = 0u64;
     for (slot, (reply, want)) in replies.iter().zip(expected).enumerate() {
@@ -296,9 +294,9 @@ fn pipelining_is_faster_than_ping_pong_on_loopback() {
 /// pipelined script by `interleave_script`, match an in-order oracle
 /// replay. This is the bridge between the traffic generator (which
 /// models reads and writes as separate timelines for the concurrent
-/// benches) and the pipelined client (which wants one script): the
-/// write→read barrier makes "replay the script in order" the correct
-/// oracle semantics.
+/// benches) and the pipelined client (which wants one script): read
+/// fences make "replay the script in order" the correct oracle
+/// semantics.
 #[test]
 fn workload_timelines_pipeline_against_the_oracle() {
     use std::collections::BTreeSet;
