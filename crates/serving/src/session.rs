@@ -284,8 +284,8 @@ where
     /// window instead of one per op. Reads are floored at the session
     /// epoch as of their window; the server fences each read behind the
     /// connection's writes still in flight, so a read later in the script
-    /// observes writes earlier in it, even within one window. The session epoch ratchets from
-    /// every reply, errors included.
+    /// observes writes earlier in it, even within one window. The session
+    /// epoch ratchets from every reply, errors included.
     ///
     /// Per-op server failures come back as [`ScriptReply::Failed`] in
     /// the op's slot; `Err` is reserved for transport/framing loss,
