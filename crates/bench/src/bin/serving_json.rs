@@ -1,9 +1,9 @@
 //! Machine-readable serving-engine benchmark (`BENCH_serving.json` at the
 //! repository root): sustained throughput and request-latency percentiles
 //! for the epoch-pinned engine under uniform, Zipf-skewed, and hot-key
-//! storm traffic, plus an overload scenario against capacity-bounded
-//! lanes (shed rate and read tail latency under an unpaced `try_stage`
-//! storm), the engine's overhead over raw snapshot reads, and the
+//! storm traffic, plus an overload scenario against a capacity-bounded
+//! admission queue (shed rate and read tail latency under an unpaced
+//! `try_stage` storm), the engine's overhead over raw snapshot reads, and the
 //! optimistic-transaction conflict rate.
 //!
 //! Latency is reported per *request* (one submitted batch of probes,
@@ -184,9 +184,9 @@ fn bench_mix(name: &'static str, mix: KeyMix, keys: usize, min_secs: f64) -> Mix
 
 /// Admission under deliberate overload: `OVERLOAD_WRITERS` threads storm a
 /// capacity-bounded engine with `try_stage` and no pacing — offering well
-/// beyond what the appliers drain — while the usual submitters keep
+/// beyond what the applier drains — while the usual submitters keep
 /// reading. Reports the shed rate (sheds over offered batches) and the
-/// read tail latency the bounded lanes preserve under that pressure: the
+/// read tail latency the bounded queue preserves under that pressure: the
 /// graceful-degradation numbers from the failure model (`DESIGN.md` §9).
 fn bench_overload(keys: usize, min_secs: f64) -> String {
     const LANE_CAPACITY: usize = 2;

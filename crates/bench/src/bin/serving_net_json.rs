@@ -14,10 +14,11 @@
 //! The `rtt` row is the floor underneath those numbers: a single
 //! connection ping-ponging one-op batches, which is what the protocol
 //! plus loopback costs before any real answering work. The `pipeline`
-//! rows send the same one-op requests through [`Client::pipeline`] at
-//! window depths 1/8/32 — the depth-1 row should track `rtt`, and the
-//! deeper rows show how much of the per-request round trip pipelining
-//! recovers. Probe counts come back over the wire too, via the Stats op.
+//! rows send the same one-op requests through
+//! [`Client::pipeline`](serving::Client::pipeline) at window depths
+//! 1/8/32 — the depth-1 row should track `rtt`, and the deeper rows show
+//! how much of the per-request round trip pipelining recovers. Probe
+//! counts come back over the wire too, via the Stats op.
 //!
 //! Knobs via environment:
 //!

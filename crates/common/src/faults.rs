@@ -22,8 +22,8 @@
 /// chaos tests. The constants exist without the `fault-injection`
 /// feature so instrumented call sites compile unconditionally.
 pub mod site {
-    /// Entry of an admission-lane drain, *before* the queue is touched: a
-    /// panic here kills the applier without consuming any staged batch,
+    /// Entry of an admission-queue drain, *before* the queue is touched:
+    /// a panic here kills the applier without consuming any staged batch,
     /// exercising the respawn path losslessly.
     pub const APPLIER_DRAIN: &str = "applier::drain";
     /// Inside the applier's guarded apply step: a panic here faults the

@@ -16,8 +16,7 @@
 //! nodes shared with other handles) opt in through the one-method
 //! [`EditInPlace`] bridge and get the whole protocol (plus
 //! `FromIterator`/`Extend` plumbing via [`from_iter_via`]/[`extend_via`])
-//! for free; implementations without in-place editing implement
-//! [`TransientOps`] by hand over the [`Accumulate`] fallback builder.
+//! for free.
 //!
 //! Naming convention: persistent operations use past-participle names
 //! (`inserted`, `removed`) because they *return the updated collection* and
@@ -537,7 +536,7 @@ pub trait MultiMapAlgebraOps<K: Clone, V: Clone>: MultiMapOps<K, V> {
 // ---------------------------------------------------------------------------
 
 /// The in-place mutation surface of a persistent map: the inherent `_mut`
-/// family, lifted to a trait so generic layers (the sharded wrappers, the
+/// family, lifted to a trait so generic layers (the sharded store, the
 /// workload drivers) can batch edits without naming a concrete trie.
 ///
 /// Every method follows the `Rc`/`Arc`-uniqueness discipline documented on
@@ -790,9 +789,7 @@ pub trait Builder<Item>: Sized {
     type Persistent;
 
     /// Inserts one item in place. Returns true if the collection grew (the
-    /// same contract as the inherent `insert_mut` methods; the
-    /// [`Accumulate`] fallback cannot observe growth and always reports
-    /// true).
+    /// same contract as the inherent `insert_mut` methods).
     fn insert_mut(&mut self, item: Item) -> bool;
 
     /// Bulk-inserts a batch, returning how many insertions reported growth.
@@ -812,9 +809,7 @@ pub trait Builder<Item>: Sized {
 /// persistent → transient → bulk `insert_mut` batches → freeze.
 ///
 /// Every collection in this workspace implements it through the blanket
-/// impl over [`EditInPlace`]; a collection without in-place editing would
-/// instead implement it by hand with [`Accumulate`] as its
-/// [`TransientOps::Transient`] type.
+/// impl over [`EditInPlace`].
 pub trait TransientOps<Item>: Sized {
     /// The builder type of this collection.
     type Transient: Builder<Item, Persistent = Self>;
@@ -908,46 +903,6 @@ impl<Item, C: EditInPlace<Item>> TransientOps<Item> for C {
     }
 }
 
-/// Fallback builder for collections *without* in-place editing: accumulates
-/// the batch in a `Vec` and replays it through `Extend` at freeze time.
-///
-/// [`Builder::insert_mut`] cannot observe whether the collection will grow
-/// (the items are still pending), so it always reports true.
-///
-/// Because [`Builder::build`] replays through `Extend`, a collection whose
-/// `TransientOps` rides `Accumulate` must implement `Extend` *directly* —
-/// routing its `Extend` through [`extend_via`] would recurse
-/// (`extend` → `transient` → `build` → `extend` → …).
-#[derive(Debug, Clone)]
-pub struct Accumulate<C, Item> {
-    base: C,
-    pending: Vec<Item>,
-}
-
-impl<C, Item> Accumulate<C, Item> {
-    /// A builder that will extend `base` with the accumulated items.
-    pub fn over(base: C) -> Self {
-        Accumulate {
-            base,
-            pending: Vec::new(),
-        }
-    }
-}
-
-impl<C: Extend<Item>, Item> Builder<Item> for Accumulate<C, Item> {
-    type Persistent = C;
-
-    fn insert_mut(&mut self, item: Item) -> bool {
-        self.pending.push(item);
-        true
-    }
-
-    fn build(mut self) -> C {
-        self.base.extend(self.pending);
-        self.base
-    }
-}
-
 /// `FromIterator` plumbing for implementors: collect through the transient
 /// builder. Concrete collections write
 /// `fn from_iter(iter: I) -> Self { ops::from_iter_via(iter) }`.
@@ -962,11 +917,10 @@ where
 /// `Extend` plumbing for implementors: batch-extend in place through the
 /// transient builder.
 ///
-/// Only for [`EditInPlace`]-backed collections (persistent handles are O(1)
-/// to clone, and [`Accumulate`]-backed types must implement `Extend`
-/// directly — see [`Accumulate`]). The clone keeps the operation
-/// panic-safe: if the item iterator (or an element's `Clone`/`Hash`)
-/// panics mid-batch, `collection` still holds its previous contents.
+/// Meant for [`EditInPlace`]-backed collections, whose persistent handles
+/// are O(1) to clone. The clone keeps the operation panic-safe: if the
+/// item iterator (or an element's `Clone`/`Hash`) panics mid-batch,
+/// `collection` still holds its previous contents.
 pub fn extend_via<C, Item, I>(collection: &mut C, items: I)
 where
     C: TransientOps<Item> + Clone,
@@ -982,9 +936,7 @@ mod tests {
     use super::*;
 
     // A deliberately naive reference implementation proving the traits are
-    // implementable and that their default methods behave. It has no `_mut`
-    // editing path, so its `TransientOps` rides the `Accumulate` fallback —
-    // the one collection in the workspace exercising that branch.
+    // implementable and that their default methods behave.
     #[derive(Clone, Default)]
     struct VecMap(Vec<(u32, u32)>);
 
@@ -1006,10 +958,7 @@ mod tests {
         }
         fn inserted(&self, key: u32, value: u32) -> Self {
             let mut next = self.clone();
-            match next.0.iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = value,
-                None => next.0.push((key, value)),
-            }
+            next.edit_insert((key, value));
             next
         }
         fn removed(&self, key: &u32) -> Self {
@@ -1040,25 +989,19 @@ mod tests {
         &e.1
     }
 
-    impl Extend<(u32, u32)> for VecMap {
-        fn extend<I: IntoIterator<Item = (u32, u32)>>(&mut self, iter: I) {
-            for (k, v) in iter {
-                *self = self.inserted(k, v);
+    // The transient path through the one-method in-place bridge.
+    impl EditInPlace<(u32, u32)> for VecMap {
+        fn edit_insert(&mut self, (key, value): (u32, u32)) -> bool {
+            match self.0.iter_mut().find(|(k, _)| *k == key) {
+                Some(slot) => {
+                    slot.1 = value;
+                    false
+                }
+                None => {
+                    self.0.push((key, value));
+                    true
+                }
             }
-        }
-    }
-
-    // The accumulate-then-build transient path for a collection without
-    // in-place editing.
-    impl TransientOps<(u32, u32)> for VecMap {
-        type Transient = Accumulate<VecMap, (u32, u32)>;
-
-        fn transient(self) -> Self::Transient {
-            Accumulate::over(self)
-        }
-
-        fn transient_builder() -> Self::Transient {
-            Accumulate::over(VecMap::empty())
         }
     }
 
@@ -1089,21 +1032,6 @@ mod tests {
         let values: Vec<u32> = m.values().copied().collect();
         assert_eq!(keys, vec![1, 2]);
         assert_eq!(values, vec![10, 20]);
-    }
-
-    #[test]
-    fn accumulate_builder_roundtrip() {
-        let built = VecMap::built_from([(1, 10), (2, 20), (1, 11)]);
-        assert_eq!(built.len(), 2);
-        assert_eq!(built.get(&1), Some(&11)); // later batch item wins, map semantics
-
-        let extended = built.bulk_inserted([(3, 30)]);
-        assert_eq!(extended.len(), 3);
-
-        let mut t = VecMap::transient_builder();
-        assert!(t.insert_mut((7, 70))); // Accumulate always reports growth
-        assert_eq!(t.insert_all_mut([(8, 80), (9, 90)]), 2);
-        assert_eq!(t.build().len(), 3);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub use session::{
     Client, ClientError, MapClient, MultiMapClient, ScriptOp, ScriptReply, SetClient,
 };
 pub use sharded::EpochConflict;
-pub use store::Serve;
+pub use store::{Serve, ServeKind};
 pub use txn::{Txn, TxnError, TxnOutcome};
 
 #[cfg(test)]

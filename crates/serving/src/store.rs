@@ -1,18 +1,19 @@
 //! The [`Serve`] trait: what the engine needs from a store.
 //!
-//! Each sharded wrapper ([`ShardedMap`], [`ShardedSet`],
-//! [`ShardedMultiMap`]) implements `Serve` with its own typed read/reply
-//! vocabulary from [`crate::ops`] and its edit type from
-//! [`trie_common::ops`]. The engine itself is generic: one worker pool,
-//! one admission layer, one transaction protocol for all three.
+//! The generic sharded store [`Sharded<C, Kd>`] implements `Serve` once.
+//! Pinning, epochs and (validated) batch application are the store's own;
+//! only the typed read/reply vocabulary from [`crate::ops`] differs per
+//! kind, and [`ServeKind`] supplies it for the [`Map`], [`Set`] and
+//! [`MultiMap`] markers (so [`ShardedMap`](sharded::ShardedMap),
+//! [`ShardedSet`](sharded::ShardedSet) and
+//! [`ShardedMultiMap`](sharded::ShardedMultiMap) all serve). The engine
+//! itself is generic: one admission queue, one applier, one transaction
+//! protocol for all three.
 
 use std::hash::Hash;
 
-use sharded::{EpochConflict, ShardedMap, ShardedMultiMap, ShardedSet};
-use trie_common::ops::{
-    MapEdit, MapMutOps, MapOps, MultiMapEdit, MultiMapMutOps, MultiMapOps, SetEdit, SetMutOps,
-    SetOps,
-};
+use sharded::{EditKind, EpochConflict, Map, MultiMap, Set, Sharded, Snapshot};
+use trie_common::ops::{MapMutOps, MultiMapMutOps, SetMutOps};
 
 use crate::ops::{MapRead, MapReply, MultiMapRead, MultiMapReply, SetRead, SetReply};
 
@@ -68,16 +69,31 @@ pub trait Serve: Send + Sync + 'static {
     ) -> Result<isize, EpochConflict>;
 }
 
-impl<K, V, M> Serve for ShardedMap<K, V, M>
+/// The serving vocabulary of one kind of sharded store: its typed reads
+/// and replies, and how a pinned [`Snapshot`] answers them.
+pub trait ServeKind<C>: EditKind<C> {
+    /// One typed read operation.
+    type Read: Send + 'static;
+    /// The reply to one read operation.
+    type Reply: Send + 'static;
+
+    /// Answers one read against a pinned snapshot.
+    fn answer(snap: &Snapshot<C, Self>, op: &Self::Read) -> Self::Reply;
+
+    /// Appends the shard indices `op` reads from to `out`.
+    fn read_shards(snap: &Snapshot<C, Self>, op: &Self::Read, out: &mut Vec<usize>);
+}
+
+impl<C, Kd> Serve for Sharded<C, Kd>
 where
-    K: Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    M: MapOps<K, V> + MapMutOps<K, V> + Send + Sync + 'static,
+    C: Clone + Send + Sync + 'static,
+    Kd: ServeKind<C> + 'static,
+    Kd::Edit: Send + 'static,
 {
-    type Read = MapRead<K>;
-    type Reply = MapReply<K, V>;
-    type Edit = MapEdit<K, V>;
-    type Snapshot = sharded::MapSnapshot<K, V, M>;
+    type Read = Kd::Read;
+    type Reply = Kd::Reply;
+    type Edit = Kd::Edit;
+    type Snapshot = Snapshot<C, Kd>;
 
     fn pin(&self) -> Self::Snapshot {
         self.snapshot()
@@ -92,10 +108,41 @@ where
     }
 
     fn current_epoch(&self) -> u64 {
-        ShardedMap::current_epoch(self)
+        Sharded::current_epoch(self)
     }
 
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
+        Kd::answer(snap, op)
+    }
+
+    fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
+        Kd::read_shards(snap, op, out)
+    }
+
+    fn apply(&self, batch: Vec<Self::Edit>) -> isize {
+        Sharded::apply(self, batch)
+    }
+
+    fn apply_validated(
+        &self,
+        base: &Self::Snapshot,
+        read_shards: &[usize],
+        batch: Vec<Self::Edit>,
+    ) -> Result<isize, EpochConflict> {
+        Sharded::apply_validated(self, base, read_shards, batch)
+    }
+}
+
+impl<K, V, M> ServeKind<M> for Map<K, V>
+where
+    K: Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    M: MapMutOps<K, V>,
+{
+    type Read = MapRead<K>;
+    type Reply = MapReply<K, V>;
+
+    fn answer(snap: &Snapshot<M, Self>, op: &MapRead<K>) -> MapReply<K, V> {
         match op {
             MapRead::Get(k) => MapReply::Value(snap.get(k).cloned()),
             MapRead::Contains(k) => MapReply::Bool(snap.contains_key(k)),
@@ -109,54 +156,23 @@ where
         }
     }
 
-    fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
+    fn read_shards(snap: &Snapshot<M, Self>, op: &MapRead<K>, out: &mut Vec<usize>) {
         match op {
             MapRead::Get(k) | MapRead::Contains(k) => out.push(snap.shard_of(k)),
             MapRead::Scan { .. } | MapRead::Len => out.extend(0..snap.shard_count()),
         }
     }
-
-    fn apply(&self, batch: Vec<Self::Edit>) -> isize {
-        ShardedMap::apply(self, batch)
-    }
-
-    fn apply_validated(
-        &self,
-        base: &Self::Snapshot,
-        read_shards: &[usize],
-        batch: Vec<Self::Edit>,
-    ) -> Result<isize, EpochConflict> {
-        ShardedMap::apply_validated(self, base, read_shards, batch)
-    }
 }
 
-impl<T, S> Serve for ShardedSet<T, S>
+impl<T, S> ServeKind<S> for Set<T>
 where
     T: Hash + Clone + Send + Sync + 'static,
-    S: SetOps<T> + SetMutOps<T> + Send + Sync + 'static,
+    S: SetMutOps<T>,
 {
     type Read = SetRead<T>;
     type Reply = SetReply<T>;
-    type Edit = SetEdit<T>;
-    type Snapshot = sharded::SetSnapshot<T, S>;
 
-    fn pin(&self) -> Self::Snapshot {
-        self.snapshot()
-    }
-
-    fn pin_after(&self, epoch: u64) -> Self::Snapshot {
-        self.snapshot_after(epoch)
-    }
-
-    fn epoch_of(snap: &Self::Snapshot) -> u64 {
-        snap.epoch()
-    }
-
-    fn current_epoch(&self) -> u64 {
-        ShardedSet::current_epoch(self)
-    }
-
-    fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
+    fn answer(snap: &Snapshot<S, Self>, op: &SetRead<T>) -> SetReply<T> {
         match op {
             SetRead::Contains(v) => SetReply::Bool(snap.contains(v)),
             SetRead::Scan { limit } => SetReply::Elems(snap.iter().take(*limit).cloned().collect()),
@@ -164,55 +180,24 @@ where
         }
     }
 
-    fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
+    fn read_shards(snap: &Snapshot<S, Self>, op: &SetRead<T>, out: &mut Vec<usize>) {
         match op {
             SetRead::Contains(v) => out.push(snap.shard_of(v)),
             SetRead::Scan { .. } | SetRead::Len => out.extend(0..snap.shard_count()),
         }
     }
-
-    fn apply(&self, batch: Vec<Self::Edit>) -> isize {
-        ShardedSet::apply(self, batch)
-    }
-
-    fn apply_validated(
-        &self,
-        base: &Self::Snapshot,
-        read_shards: &[usize],
-        batch: Vec<Self::Edit>,
-    ) -> Result<isize, EpochConflict> {
-        ShardedSet::apply_validated(self, base, read_shards, batch)
-    }
 }
 
-impl<K, V, M> Serve for ShardedMultiMap<K, V, M>
+impl<K, V, M> ServeKind<M> for MultiMap<K, V>
 where
     K: Hash + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
-    M: MultiMapOps<K, V> + MultiMapMutOps<K, V> + Send + Sync + 'static,
+    M: MultiMapMutOps<K, V>,
 {
     type Read = MultiMapRead<K, V>;
     type Reply = MultiMapReply<K, V>;
-    type Edit = MultiMapEdit<K, V>;
-    type Snapshot = sharded::MultiMapSnapshot<K, V, M>;
 
-    fn pin(&self) -> Self::Snapshot {
-        self.snapshot()
-    }
-
-    fn pin_after(&self, epoch: u64) -> Self::Snapshot {
-        self.snapshot_after(epoch)
-    }
-
-    fn epoch_of(snap: &Self::Snapshot) -> u64 {
-        snap.epoch()
-    }
-
-    fn current_epoch(&self) -> u64 {
-        ShardedMultiMap::current_epoch(self)
-    }
-
-    fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
+    fn answer(snap: &Snapshot<M, Self>, op: &MultiMapRead<K, V>) -> MultiMapReply<K, V> {
         match op {
             MultiMapRead::ValuesOf(k) => {
                 MultiMapReply::Values(snap.values_of(k).cloned().collect())
@@ -234,7 +219,7 @@ where
         }
     }
 
-    fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
+    fn read_shards(snap: &Snapshot<M, Self>, op: &MultiMapRead<K, V>, out: &mut Vec<usize>) {
         match op {
             MultiMapRead::ValuesOf(k)
             | MultiMapRead::ContainsKey(k)
@@ -244,18 +229,5 @@ where
                 out.extend(0..snap.shard_count())
             }
         }
-    }
-
-    fn apply(&self, batch: Vec<Self::Edit>) -> isize {
-        ShardedMultiMap::apply(self, batch)
-    }
-
-    fn apply_validated(
-        &self,
-        base: &Self::Snapshot,
-        read_shards: &[usize],
-        batch: Vec<Self::Edit>,
-    ) -> Result<isize, EpochConflict> {
-        ShardedMultiMap::apply_validated(self, base, read_shards, batch)
     }
 }

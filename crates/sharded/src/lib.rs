@@ -27,24 +27,37 @@
 //!    query the immutable tries lock-free for as long as they like; they
 //!    always see a complete batch, never a partial one.
 //!
+//! # One generic store
+//!
+//! All three shapes are one type, [`Sharded<C, Kd>`]: `C` is the shard
+//! collection and `Kd` a zero-sized kind marker ([`Map`], [`Set`] or
+//! [`MultiMap`]) implementing the [`ShardKind`] traits — routing key,
+//! element shape, in-place edit, per-shard diff, snapshot encoding. The
+//! epoch plumbing (routing, pinning, batched and validated commits, the
+//! parallel build/extend/diff drivers, save and restore) is written once
+//! over those traits; each kind adds only its queries and algebra.
+//! [`ShardedMap`], [`ShardedSet`] and [`ShardedMultiMap`] (and their
+//! [`MapSnapshot`], [`SetSnapshot`], [`MultiMapSnapshot`] pins) are type
+//! aliases with [`axiom`] shards by default.
+//!
 //! # Consistency model
 //!
 //! Globally serializable publication: all shards publish under **one**
 //! epoch sequence, and every commit — even a batch spanning many shards —
-//! swaps the whole bundle atomically. A [`ShardedMultiMap::snapshot`] pins
-//! one epoch, so any two reads answered from the same snapshot are mutually
+//! swaps the whole bundle atomically. A [`Sharded::snapshot`] pins one
+//! epoch, so any two reads answered from the same snapshot are mutually
 //! consistent *across shards* (the MVCC guarantee the serving engine builds
-//! on). Optimistic read-modify-write is available through the
-//! `apply_validated` methods, which re-check the pinned per-shard versions
-//! at commit and report an [`EpochConflict`] instead of clobbering
-//! concurrent writes.
+//! on). Optimistic read-modify-write is available through
+//! [`Sharded::apply_validated`], which re-checks the pinned per-shard
+//! versions at commit and reports an [`EpochConflict`] instead of
+//! clobbering concurrent writes.
 //!
 //! # `Send`/`Sync` reasoning
 //!
-//! `ShardedMultiMap<K, V, M>` is `Send + Sync` whenever `M` is: published
-//! state is a `Mutex<Arc<…>>` bundle plus per-shard `Mutex<()>` write locks
-//! (all `Send + Sync` for `M: Send + Sync`), and the trie handles
-//! themselves are `Arc`-based persistent
+//! `Sharded<C, Kd>` is `Send + Sync` whenever `C` is (the marker is a
+//! `PhantomData<fn() -> Kd>`): published state is one `EpochCell` — a
+//! `Mutex<Arc<…>>` bundle, its `Condvar`, and per-shard `Mutex<()>` write
+//! locks — and the trie handles themselves are `Arc`-based persistent
 //! structures that are `Send + Sync` for `Send + Sync` element types. The
 //! aliasing discipline that makes this sound is the `Arc::get_mut`
 //! uniqueness protocol of the `_mut` families: a writer's staged successor
@@ -72,6 +85,7 @@
 
 #![warn(missing_docs)]
 
+mod kind;
 mod map;
 mod multimap;
 mod partition;
@@ -80,11 +94,13 @@ mod set;
 mod shards;
 mod snapshot;
 
-pub use map::{MapEpoch, MapSnapshot, ShardedMap, SnapshotEntries};
-pub use multimap::{MultiMapEpoch, MultiMapSnapshot, ShardedMultiMap, SnapshotTuples};
+pub use kind::{DiffKind, EditKind, SaveKind, ShardKind};
+pub use map::{Map, MapSnapshot, ShardedMap};
+pub use multimap::{MultiMap, MultiMapSnapshot, ShardedMultiMap};
 pub use partition::{partition_by, partition_tuples, Partition, MAX_SHARDS};
 pub use publish::EpochConflict;
-pub use set::{SetEpoch, SetSnapshot, ShardedSet, SnapshotElems};
+pub use set::{Set, SetSnapshot, ShardedSet};
+pub use shards::{Sharded, Snapshot};
 
 /// Default shard count: the available parallelism rounded up to a power of
 /// two (capped at [`MAX_SHARDS`]; 1 when parallelism cannot be queried).

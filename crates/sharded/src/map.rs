@@ -1,17 +1,20 @@
-//! The concurrent sharded map (see the [crate documentation](crate); same
-//! architecture as [`crate::ShardedMultiMap`], keyed map semantics).
+//! The map kind: [`Map`], the [`ShardedMap`] / [`MapSnapshot`] aliases, and
+//! the keyed-map queries and merge on top of the generic
+//! [`Sharded`] store.
 
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use axiom::AxiomMap;
-use trie_common::ops::{Builder, MapDiff, MapEdit, MapMergeOps, MapMutOps, MapOps, TransientOps};
+use serde::Serialize;
+use trie_common::ops::{MapDiff, MapEdit, MapMergeOps, MapMutOps, MapOps};
+use trie_common::snapshot::{encode_section, Kind, Section, SnapshotError};
 
-use crate::default_shard_count;
-use crate::partition::Partition;
-use crate::publish::{EpochConflict, EpochCore};
-use crate::shards::ShardSet;
+use crate::kind::{DiffKind, EditKind, SaveKind, ShardKind};
+use crate::{Sharded, Snapshot};
+
+/// The kind marker of keyed maps: entries `(K, V)`, unique keys.
+pub struct Map<K, V>(PhantomData<fn() -> (K, V)>);
 
 /// A concurrent map: `N` persistent trie maps published under one global
 /// epoch sequence. Defaults to [`AxiomMap`] shards.
@@ -28,113 +31,100 @@ use crate::shards::ShardSet;
 /// assert_eq!(snap.get(&1), Some(&"one")); // the snapshot is unaffected
 /// assert_eq!(m.len(), 0);
 /// ```
-pub struct ShardedMap<K, V, M = AxiomMap<K, V>> {
-    core: ShardSet<M>,
-    _entry: PhantomData<fn() -> (K, V)>,
-}
+pub type ShardedMap<K, V, M = AxiomMap<K, V>> = Sharded<M, Map<K, V>>;
 
-impl<K, V, M> ShardedMap<K, V, M> {
-    /// Wraps a pre-built shard set (the restore path in `snapshot.rs`).
-    pub(crate) fn from_core(core: ShardSet<M>) -> Self {
-        ShardedMap {
-            core,
-            _entry: PhantomData,
-        }
+/// An immutable pinned epoch of a [`ShardedMap`].
+pub type MapSnapshot<K, V, M = AxiomMap<K, V>> = Snapshot<M, Map<K, V>>;
+
+impl<K: Hash, V, M: MapOps<K, V>> ShardKind<M> for Map<K, V> {
+    type Key = K;
+    type Elem = (K, V);
+    const KIND: Kind = Kind::Map;
+
+    fn empty() -> M {
+        M::empty()
+    }
+
+    fn count(shard: &M) -> usize {
+        shard.len()
+    }
+
+    fn elem_key((k, _): &(K, V)) -> &K {
+        k
     }
 }
 
-impl<K, V, M> ShardedMap<K, V, M>
+impl<K: Hash, V, M: MapMutOps<K, V>> EditKind<M> for Map<K, V> {
+    type Edit = MapEdit<K, V>;
+
+    fn edit_key(edit: &MapEdit<K, V>) -> &K {
+        edit.key()
+    }
+
+    fn apply_mut(shard: &mut M, edit: MapEdit<K, V>) -> isize {
+        shard.apply_mut(edit)
+    }
+}
+
+impl<K, V, M> DiffKind<M> for Map<K, V>
 where
-    K: Hash,
-    M: MapOps<K, V>,
+    K: Hash + Clone,
+    V: Clone + PartialEq,
+    M: MapMergeOps<K, V>,
 {
-    /// Creates an empty sharded map with one shard per available CPU
-    /// (rounded up to a power of two).
-    pub fn new() -> Self {
-        Self::with_shards(default_shard_count())
+    type Diff = MapDiff<K, V>;
+
+    fn diff(old: &M, new: &M) -> MapDiff<K, V> {
+        old.diff(new)
     }
 
-    /// Creates an empty sharded map over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards` is a power of two in
-    /// `1..=`[`crate::MAX_SHARDS`].
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedMap {
-            core: ShardSet::filled(Partition::new(shards), M::empty),
-            _entry: PhantomData,
+    fn merge(parts: Vec<MapDiff<K, V>>) -> MapDiff<K, V> {
+        let mut out = MapDiff::new();
+        for d in parts {
+            out.added.extend(d.added);
+            out.removed.extend(d.removed);
+            out.changed.extend(d.changed);
         }
+        out
     }
+}
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.count()
+impl<K: Hash + Serialize, V: Serialize, M: MapOps<K, V>> SaveKind<M> for Map<K, V> {
+    fn encode(shard: &M) -> Result<Section, SnapshotError> {
+        encode_section(shard.entries())
     }
+}
 
-    /// The shard a key routes to (top bits of its 32-bit trie hash).
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.core.shard_of(key)
-    }
-
-    /// Pins the current epoch: every shard at one global publication point
-    /// (one `Arc` clone, no per-shard loads). All queries on the snapshot
-    /// are lock-free and mutually consistent across shards.
-    pub fn snapshot(&self) -> MapSnapshot<K, V, M> {
-        MapSnapshot {
-            pin: self.core.pin(),
-            _entry: PhantomData,
-        }
-    }
-
-    /// Blocks until the published epoch advances past `epoch`, then returns
-    /// the new pinned snapshot (the long-poll/subscription primitive).
-    pub fn snapshot_after(&self, epoch: u64) -> MapSnapshot<K, V, M> {
-        MapSnapshot {
-            pin: self.core.pin_after(epoch),
-            _entry: PhantomData,
-        }
-    }
-
-    /// The global publication epoch (bumps once per commit, however many
-    /// shards the commit touched); cheap staleness check for cached
-    /// readers.
-    pub fn current_epoch(&self) -> u64 {
-        self.core.epoch_now()
-    }
-
+impl<K: Hash, V, M: MapOps<K, V>> ShardedMap<K, V, M> {
     /// Number of entries (over one pinned epoch).
     pub fn len(&self) -> usize {
-        self.core.sum_pinned(M::len)
-    }
-
-    /// True if no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.sum(M::len)
     }
 
     /// True if `key` has a binding.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.core.load_for(key).contains_key(key)
+        self.shard_now(key).contains_key(key)
     }
 
     /// Looks up `key`, cloning the value out of the current shard snapshot
-    /// (borrowing reads go through [`ShardedMap::snapshot`]).
+    /// (borrowing reads go through [`Sharded::snapshot`]).
     pub fn get_cloned(&self, key: &K) -> Option<V>
     where
         V: Clone,
     {
-        self.core.load_for(key).get(key).cloned()
+        self.shard_now(key).get(key).cloned()
+    }
+}
+
+impl<K: Hash, V, M: MapMutOps<K, V>> ShardedMap<K, V, M> {
+    /// Binds `key` to `value`. Returns true if a new key was added.
+    pub fn insert(&self, key: K, value: V) -> bool {
+        self.edit_shard(self.shard_of(&key), |m| m.insert_mut(key, value))
     }
 
-    /// Captures the current epoch for [`ShardedMap::changes_since`]
-    /// (identical to [`ShardedMap::snapshot`]'s pin; kept as its own type
-    /// for the delta API).
-    pub fn epoch(&self) -> MapEpoch<K, V, M> {
-        MapEpoch {
-            core: self.core.pin(),
-            _entry: PhantomData,
-        }
+    /// Removes `key`. Returns true if a binding was removed.
+    pub fn remove(&self, key: &K) -> bool {
+        self.edit_shard(self.shard_of(key), |m| m.remove_mut(key))
     }
 }
 
@@ -144,27 +134,6 @@ where
     V: Clone + PartialEq + Send,
     M: MapMergeOps<K, V> + Send + Sync,
 {
-    /// The entry-level delta since `epoch` (`epoch` old, current state
-    /// new). Shards whose publication counter is unchanged are skipped
-    /// outright; each changed shard is diffed structurally on its own
-    /// scoped worker thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` was captured from a map with a different partition.
-    pub fn changes_since(&self, epoch: &MapEpoch<K, V, M>) -> MapDiff<K, V> {
-        let parts = self
-            .core
-            .diff_since_parallel(&epoch.core, |old, current| old.diff(current));
-        let mut out = MapDiff::new();
-        for d in parts {
-            out.added.extend(d.added);
-            out.removed.extend(d.removed);
-            out.changed.extend(d.changed);
-        }
-        out
-    }
-
     /// Pairwise right-biased shard merge with `other` (`other` wins on
     /// conflicting keys), one scoped worker per shard pair.
     ///
@@ -172,197 +141,14 @@ where
     ///
     /// Panics if the two maps have different shard counts.
     pub fn merged_with(&self, other: &Self) -> Self {
-        Self::from_core(self.core.combine_parallel(&other.core, |a, b| a.merged(b)))
+        self.combine(other, |a, b| a.merged(b))
     }
 }
 
-/// A captured epoch of a [`ShardedMap`]: per-shard publication counters and
-/// frozen snapshots. Created by [`ShardedMap::epoch`], consumed by
-/// [`ShardedMap::changes_since`].
-pub struct MapEpoch<K, V, M = AxiomMap<K, V>> {
-    core: Arc<EpochCore<M>>,
-    _entry: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K, V, M> Clone for MapEpoch<K, V, M> {
-    fn clone(&self) -> Self {
-        MapEpoch {
-            core: Arc::clone(&self.core),
-            _entry: PhantomData,
-        }
-    }
-}
-
-impl<K, V, M> std::fmt::Debug for MapEpoch<K, V, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MapEpoch")
-            .field("epoch", &self.core.epoch)
-            .finish()
-    }
-}
-
-impl<K, V, M> ShardedMap<K, V, M>
-where
-    K: Hash,
-    M: MapOps<K, V> + MapMutOps<K, V> + Clone,
-{
-    /// Binds `key` to `value`. Returns true if a new key was added.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let shard = self.core.shard_of(&key);
-        self.core.update_at(shard, |m| {
-            let mut next = m.clone();
-            let grew = next.insert_mut(key, value);
-            (next, grew)
-        })
-    }
-
-    /// Removes `key`. Returns true if a binding was removed.
-    pub fn remove(&self, key: &K) -> bool {
-        self.core.update_for(key, |m| m.remove_mut(key))
-    }
-
-    /// Applies a batch of edits grouped by shard; all touched shards
-    /// publish as **one** epoch (a pinned reader sees none or all of the
-    /// batch). Returns the entry-count delta.
-    pub fn apply<I: IntoIterator<Item = MapEdit<K, V>>>(&self, batch: I) -> isize {
-        self.core
-            .apply_grouped(batch, |e| self.core.shard_of(e.key()), M::apply_mut)
-    }
-
-    /// Optimistically applies `batch` against the epoch pinned by `base`:
-    /// the commit succeeds only if every shard the batch writes — plus
-    /// every shard in `read_shards` (the shards a transaction read from) —
-    /// is still at the version `base` pinned. On conflict nothing is
-    /// staged; re-pin and retry.
-    pub fn apply_validated<I: IntoIterator<Item = MapEdit<K, V>>>(
-        &self,
-        base: &MapSnapshot<K, V, M>,
-        read_shards: &[usize],
-        batch: I,
-    ) -> Result<isize, EpochConflict> {
-        self.core.apply_grouped_validated(
-            batch,
-            |e| self.core.shard_of(e.key()),
-            M::apply_mut,
-            Some((&base.pin, read_shards)),
-        )
-    }
-}
-
-impl<K, V, M> ShardedMap<K, V, M>
-where
-    K: Hash + Send,
-    V: Send,
-    M: MapOps<K, V> + TransientOps<(K, V)> + Send,
-{
-    /// Bulk-builds a sharded map: partition, then one scoped builder thread
-    /// per non-empty shard through the transient protocol.
-    pub fn build_parallel(shards: usize, entries: impl IntoIterator<Item = (K, V)>) -> Self {
-        let partition = Partition::new(shards);
-        let parts = crate::partition_tuples(shards, entries);
-        ShardedMap {
-            core: ShardSet::build_parallel(partition, parts, M::built_from),
-            _entry: PhantomData,
-        }
-    }
-
-    /// Bulk-extends in place, one scoped worker per touched shard. Returns
-    /// how many insertions reported growth.
-    pub fn extend_parallel(&self, entries: impl IntoIterator<Item = (K, V)>) -> usize
-    where
-        M: Clone + Sync,
-    {
-        let parts = crate::partition_tuples(self.core.count(), entries);
-        self.core.extend_parallel(parts, |m, part| {
-            let mut t = m.clone().transient();
-            let grew = t.insert_all_mut(part);
-            (t.build(), grew)
-        })
-    }
-}
-
-impl<K, V, M> Default for ShardedMap<K, V, M>
-where
-    K: Hash,
-    M: MapOps<K, V>,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K, V, M> std::fmt::Debug for ShardedMap<K, V, M>
-where
-    K: Hash,
-    M: MapOps<K, V>,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedMap")
-            .field("shards", &self.core.count())
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-/// An immutable pinned epoch of a [`ShardedMap`]: every shard at one global
-/// publication point.
-pub struct MapSnapshot<K, V, M = AxiomMap<K, V>> {
-    pin: Arc<EpochCore<M>>,
-    _entry: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K, V, M> Clone for MapSnapshot<K, V, M> {
-    fn clone(&self) -> Self {
-        MapSnapshot {
-            pin: Arc::clone(&self.pin),
-            _entry: PhantomData,
-        }
-    }
-}
-
-impl<K, V, M> MapSnapshot<K, V, M>
-where
-    K: Hash,
-    M: MapOps<K, V>,
-{
-    fn shard_for(&self, key: &K) -> &M {
-        &self.pin.shards[self.pin.partition.shard_of(key)].1
-    }
-
-    /// The global epoch this snapshot was pinned at.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch
-    }
-
-    /// The publication counter shard `index` was pinned at (what a
-    /// validated commit re-checks).
-    pub fn shard_version(&self, index: usize) -> u64 {
-        self.pin.shards[index].0
-    }
-
-    /// The shard a key routes to.
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.pin.partition.shard_of(key)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.pin.shards.len()
-    }
-
-    /// Borrow of one shard's frozen trie.
-    pub fn shard(&self, index: usize) -> &M {
-        &self.pin.shards[index].1
-    }
-
+impl<K: Hash, V, M: MapOps<K, V>> MapSnapshot<K, V, M> {
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.pin.shards.iter().map(|(_, m)| m.len()).sum()
-    }
-
-    /// True if the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.sum(M::len)
     }
 
     /// Looks up the value bound to `key`.
@@ -376,42 +162,8 @@ where
     }
 
     /// Iterates all `(key, value)` entries, shard by shard.
-    pub fn entries(&self) -> SnapshotEntries<'_, K, V, M> {
-        SnapshotEntries {
-            rest: self.pin.shards.iter(),
-            current: None,
-            _entry: PhantomData,
-        }
-    }
-}
-
-/// Flattened entry iterator over every shard of a [`MapSnapshot`].
-pub struct SnapshotEntries<'a, K, V, M>
-where
-    M: MapOps<K, V> + 'a,
-    K: 'a,
-    V: 'a,
-{
-    rest: std::slice::Iter<'a, (u64, Arc<M>)>,
-    current: Option<M::Entries<'a>>,
-    _entry: PhantomData<fn() -> (K, V)>,
-}
-
-impl<'a, K, V, M> Iterator for SnapshotEntries<'a, K, V, M>
-where
-    M: MapOps<K, V>,
-{
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<(&'a K, &'a V)> {
-        loop {
-            if let Some(entries) = &mut self.current {
-                if let Some(e) = entries.next() {
-                    return Some(e);
-                }
-            }
-            self.current = Some(self.rest.next()?.1.entries());
-        }
+    pub fn entries(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        self.shards().flat_map(M::entries)
     }
 }
 
@@ -453,16 +205,6 @@ mod tests {
         assert_eq!(m.extend_parallel((3000..3100).map(|i| (i, i))), 100);
         assert_eq!(m.len(), 3100);
         assert_eq!(snap.len(), 3000);
-    }
-
-    #[test]
-    fn batches_commit_as_one_epoch() {
-        let m: ShardedMap<u32, u32> = ShardedMap::with_shards(8);
-        let e0 = m.current_epoch();
-        // 64 keys spread over all 8 shards, one apply: one epoch.
-        m.apply((0..64).map(|i| MapEdit::Insert(i, i)));
-        assert_eq!(m.current_epoch(), e0 + 1);
-        assert_eq!(m.snapshot().epoch(), e0 + 1);
     }
 
     #[test]

@@ -1,36 +1,28 @@
-//! The concurrent sharded multi-map.
-//!
-//! See the [crate documentation](crate) for the architecture; this module
-//! holds the write-side handle [`ShardedMultiMap`], the read-side
-//! [`MultiMapSnapshot`] (a pinned epoch), and the snapshot's flattened
-//! tuple iterator. The shard-array machinery itself (routing, batching,
-//! the epoch cell, the scoped-thread drivers) lives once in the
-//! crate-private `ShardSet`.
+//! The multi-map kind: [`MultiMap`], the [`ShardedMultiMap`] /
+//! [`MultiMapSnapshot`] aliases, and the relation queries and union on top
+//! of the generic [`Sharded`] store.
 
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use axiom::AxiomMultiMap;
+use serde::Serialize;
 use trie_common::ops::{
-    Builder, MultiMapAlgebraOps, MultiMapDiff, MultiMapEdit, MultiMapMutOps, MultiMapOps,
-    TransientOps,
+    MultiMapAlgebraOps, MultiMapDiff, MultiMapEdit, MultiMapMutOps, MultiMapOps,
 };
+use trie_common::snapshot::{encode_section, Kind, Section, SnapshotError};
 
-use crate::default_shard_count;
-use crate::partition::Partition;
-use crate::publish::{EpochConflict, EpochCore};
-use crate::shards::ShardSet;
+use crate::kind::{DiffKind, EditKind, SaveKind, ShardKind};
+use crate::{Sharded, Snapshot};
+
+/// The kind marker of multi-maps: tuples `(K, V)`, duplicate keys allowed.
+pub struct MultiMap<K, V>(PhantomData<fn() -> (K, V)>);
 
 /// A concurrent multi-map: `N` persistent tries (one per slice of the key
-/// space) published under one global epoch sequence.
-///
-/// Writers batch edits into shard-local successors built through the `_mut`
-/// protocol and publish with one pointer swap (a multi-shard batch commits
-/// as **one** epoch); readers pin [`MultiMapSnapshot`]s and query them
-/// lock-free. The backing trie `M` defaults to [`AxiomMultiMap`] but any
-/// [`MultiMapOps`] + [`MultiMapMutOps`] + [`TransientOps`] implementation
-/// works.
+/// space) published under one global epoch sequence. The backing trie `M`
+/// defaults to [`AxiomMultiMap`] but any [`MultiMapOps`] +
+/// [`MultiMapMutOps`] + [`TransientOps`](trie_common::ops::TransientOps)
+/// implementation works.
 ///
 /// # Examples
 ///
@@ -48,127 +40,114 @@ use crate::shards::ShardSet;
 /// assert_eq!(snap.value_count(&1), 2); // the snapshot is unaffected
 /// assert_eq!(mm.tuple_count(), 1);
 /// ```
-pub struct ShardedMultiMap<K, V, M = AxiomMultiMap<K, V>> {
-    core: ShardSet<M>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
+pub type ShardedMultiMap<K, V, M = AxiomMultiMap<K, V>> = Sharded<M, MultiMap<K, V>>;
 
-impl<K, V, M> ShardedMultiMap<K, V, M> {
-    /// Wraps a pre-built shard set (the restore path in `snapshot.rs`).
-    pub(crate) fn from_core(core: ShardSet<M>) -> Self {
-        ShardedMultiMap {
-            core,
-            _tuple: PhantomData,
-        }
+/// An immutable pinned epoch of a [`ShardedMultiMap`].
+pub type MultiMapSnapshot<K, V, M = AxiomMultiMap<K, V>> = Snapshot<M, MultiMap<K, V>>;
+
+impl<K: Hash, V, M: MultiMapOps<K, V>> ShardKind<M> for MultiMap<K, V> {
+    type Key = K;
+    type Elem = (K, V);
+    const KIND: Kind = Kind::MultiMap;
+
+    fn empty() -> M {
+        M::empty()
+    }
+
+    fn count(shard: &M) -> usize {
+        shard.tuple_count()
+    }
+
+    fn elem_key((k, _): &(K, V)) -> &K {
+        k
     }
 }
 
-impl<K, V, M> ShardedMultiMap<K, V, M>
+impl<K: Hash, V, M: MultiMapMutOps<K, V>> EditKind<M> for MultiMap<K, V> {
+    type Edit = MultiMapEdit<K, V>;
+
+    fn edit_key(edit: &MultiMapEdit<K, V>) -> &K {
+        edit.key()
+    }
+
+    fn apply_mut(shard: &mut M, edit: MultiMapEdit<K, V>) -> isize {
+        shard.apply_mut(edit)
+    }
+}
+
+impl<K, V, M> DiffKind<M> for MultiMap<K, V>
 where
-    K: Hash,
-    M: MultiMapOps<K, V>,
+    K: Hash + Clone,
+    V: Clone,
+    M: MultiMapAlgebraOps<K, V>,
 {
-    /// Creates an empty sharded multi-map with one shard per available CPU
-    /// (rounded up to a power of two).
-    pub fn new() -> Self {
-        Self::with_shards(default_shard_count())
+    type Diff = MultiMapDiff<K, V>;
+
+    fn diff(old: &M, new: &M) -> MultiMapDiff<K, V> {
+        old.diff(new)
     }
 
-    /// Creates an empty sharded multi-map over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards` is a power of two in
-    /// `1..=`[`crate::MAX_SHARDS`].
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedMultiMap {
-            core: ShardSet::filled(Partition::new(shards), M::empty),
-            _tuple: PhantomData,
+    fn merge(parts: Vec<MultiMapDiff<K, V>>) -> MultiMapDiff<K, V> {
+        let mut out = MultiMapDiff::new();
+        for d in parts {
+            out.added.extend(d.added);
+            out.removed.extend(d.removed);
         }
+        out
     }
+}
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.count()
+impl<K: Hash + Serialize, V: Serialize, M: MultiMapOps<K, V>> SaveKind<M> for MultiMap<K, V> {
+    fn encode(shard: &M) -> Result<Section, SnapshotError> {
+        encode_section(shard.tuples())
     }
+}
 
-    /// The shard a key routes to (top bits of its 32-bit trie hash).
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.core.shard_of(key)
-    }
-
-    /// Pins the current epoch: every shard at one global publication point
-    /// (one `Arc` clone, no per-shard loads). All queries on the snapshot
-    /// are lock-free, and any two reads answered from the same snapshot
-    /// are mutually consistent — including across shards.
-    pub fn snapshot(&self) -> MultiMapSnapshot<K, V, M> {
-        MultiMapSnapshot {
-            pin: self.core.pin(),
-            _tuple: PhantomData,
-        }
-    }
-
-    /// Blocks until the published epoch advances past `epoch`, then returns
-    /// the new pinned snapshot (the long-poll/subscription primitive).
-    pub fn snapshot_after(&self, epoch: u64) -> MultiMapSnapshot<K, V, M> {
-        MultiMapSnapshot {
-            pin: self.core.pin_after(epoch),
-            _tuple: PhantomData,
-        }
-    }
-
-    /// The global publication epoch (bumps once per commit, however many
-    /// shards the commit touched); cheap staleness check for cached
-    /// readers.
-    pub fn current_epoch(&self) -> u64 {
-        self.core.epoch_now()
-    }
-
-    /// The global publication epoch (alias of
-    /// [`ShardedMultiMap::current_epoch`], kept for PR 4 callers).
-    pub fn version(&self) -> u64 {
-        self.current_epoch()
-    }
-
+impl<K: Hash, V, M: MultiMapOps<K, V>> ShardedMultiMap<K, V, M> {
     /// Total number of tuples (over one pinned epoch).
     pub fn tuple_count(&self) -> usize {
-        self.core.sum_pinned(M::tuple_count)
+        self.sum(M::tuple_count)
     }
 
     /// Number of distinct keys (keys never span shards, so the sum is
     /// exact).
     pub fn key_count(&self) -> usize {
-        self.core.sum_pinned(M::key_count)
-    }
-
-    /// True if no shard holds a tuple.
-    pub fn is_empty(&self) -> bool {
-        self.tuple_count() == 0
+        self.sum(M::key_count)
     }
 
     /// True if `key` maps to at least one value.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.core.load_for(key).contains_key(key)
+        self.shard_now(key).contains_key(key)
     }
 
     /// True if the exact tuple `(key, value)` is present.
     pub fn contains_tuple(&self, key: &K, value: &V) -> bool {
-        self.core.load_for(key).contains_tuple(key, value)
+        self.shard_now(key).contains_tuple(key, value)
     }
 
     /// Number of values associated with `key` (0 if absent).
     pub fn value_count(&self, key: &K) -> usize {
-        self.core.load_for(key).value_count(key)
+        self.shard_now(key).value_count(key)
+    }
+}
+
+impl<K: Hash, V, M: MultiMapMutOps<K, V>> ShardedMultiMap<K, V, M> {
+    /// Inserts one tuple. Returns true if the relation grew.
+    ///
+    /// One-tuple batches pay a full shard publication each; prefer
+    /// [`Sharded::apply`] for anything that arrives in groups.
+    pub fn insert(&self, key: K, value: V) -> bool {
+        self.edit_shard(self.shard_of(&key), |m| m.insert_mut(key, value))
     }
 
-    /// Captures the current epoch for [`ShardedMultiMap::changes_since`]
-    /// (identical to [`ShardedMultiMap::snapshot`]'s pin; kept as its own
-    /// type for the delta API).
-    pub fn epoch(&self) -> MultiMapEpoch<K, V, M> {
-        MultiMapEpoch {
-            core: self.core.pin(),
-            _tuple: PhantomData,
-        }
+    /// Removes one tuple. Returns true if it was present.
+    pub fn remove_tuple(&self, key: &K, value: &V) -> bool {
+        self.edit_shard(self.shard_of(key), |m| m.remove_tuple_mut(key, value))
+    }
+
+    /// Removes every tuple for `key`. Returns how many were removed.
+    pub fn remove_key(&self, key: &K) -> usize {
+        self.edit_shard(self.shard_of(key), |m| m.remove_key_mut(key))
     }
 }
 
@@ -178,28 +157,6 @@ where
     V: Clone + Send,
     M: MultiMapAlgebraOps<K, V> + Send + Sync,
 {
-    /// The tuple-level delta since `epoch` (`epoch` old, current state
-    /// new). Shards whose publication counter is unchanged are skipped
-    /// outright; each changed shard is diffed structurally on its own
-    /// scoped worker thread, so the cost tracks the number of edited
-    /// tuples, not the relation size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` was captured from a multi-map with a different
-    /// partition.
-    pub fn changes_since(&self, epoch: &MultiMapEpoch<K, V, M>) -> MultiMapDiff<K, V> {
-        let parts = self
-            .core
-            .diff_since_parallel(&epoch.core, |old, current| old.diff(current));
-        let mut out = MultiMapDiff::new();
-        for d in parts {
-            out.added.extend(d.added);
-            out.removed.extend(d.removed);
-        }
-        out
-    }
-
     /// Pairwise shard union with `other` (tuple granularity), one scoped
     /// worker per shard pair.
     ///
@@ -207,223 +164,19 @@ where
     ///
     /// Panics if the two multi-maps have different shard counts.
     pub fn union_with(&self, other: &Self) -> Self {
-        Self::from_core(self.core.combine_parallel(&other.core, |a, b| a.union(b)))
+        self.combine(other, |a, b| a.union(b))
     }
 }
 
-/// A captured epoch of a [`ShardedMultiMap`]: per-shard publication
-/// counters and frozen snapshots. Created by [`ShardedMultiMap::epoch`],
-/// consumed by [`ShardedMultiMap::changes_since`].
-pub struct MultiMapEpoch<K, V, M = AxiomMultiMap<K, V>> {
-    core: Arc<EpochCore<M>>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K, V, M> Clone for MultiMapEpoch<K, V, M> {
-    fn clone(&self) -> Self {
-        MultiMapEpoch {
-            core: Arc::clone(&self.core),
-            _tuple: PhantomData,
-        }
-    }
-}
-
-impl<K, V, M> std::fmt::Debug for MultiMapEpoch<K, V, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiMapEpoch")
-            .field("epoch", &self.core.epoch)
-            .finish()
-    }
-}
-
-impl<K, V, M> ShardedMultiMap<K, V, M>
-where
-    K: Hash,
-    M: MultiMapOps<K, V> + MultiMapMutOps<K, V> + Clone,
-{
-    /// Inserts one tuple. Returns true if the relation grew.
-    ///
-    /// One-tuple batches pay a full shard publication each; prefer
-    /// [`ShardedMultiMap::apply`] for anything that arrives in groups.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let shard = self.core.shard_of(&key);
-        self.core.update_at(shard, |m| {
-            let mut next = m.clone();
-            let grew = next.insert_mut(key, value);
-            (next, grew)
-        })
-    }
-
-    /// Removes one tuple. Returns true if it was present.
-    pub fn remove_tuple(&self, key: &K, value: &V) -> bool {
-        self.core
-            .update_for(key, |m| m.remove_tuple_mut(key, value))
-    }
-
-    /// Removes every tuple for `key`. Returns how many were removed.
-    pub fn remove_key(&self, key: &K) -> usize {
-        self.core.update_for(key, |m| m.remove_key_mut(key))
-    }
-
-    /// Applies a batch of edits: groups them by shard (preserving input
-    /// order within each shard), stages every group on a shard-local
-    /// successor through the `_mut` protocol, and publishes all touched
-    /// shards as **one** epoch — a pinned reader observes either none or
-    /// all of the batch, even across shards. Returns the total tuple-count
-    /// delta.
-    ///
-    /// Concurrent `apply` calls to disjoint shards stage fully in
-    /// parallel; calls touching the same shard serialize on that shard's
-    /// write lock, and only the pointer swap itself serializes globally.
-    pub fn apply<I: IntoIterator<Item = MultiMapEdit<K, V>>>(&self, batch: I) -> isize {
-        self.core
-            .apply_grouped(batch, |e| self.core.shard_of(e.key()), M::apply_mut)
-    }
-
-    /// Optimistically applies `batch` against the epoch pinned by `base`:
-    /// the commit succeeds only if every shard the batch writes — plus
-    /// every shard in `read_shards` (the shards a transaction read from) —
-    /// is still at the version `base` pinned. On conflict nothing is
-    /// staged; re-pin and retry.
-    pub fn apply_validated<I: IntoIterator<Item = MultiMapEdit<K, V>>>(
-        &self,
-        base: &MultiMapSnapshot<K, V, M>,
-        read_shards: &[usize],
-        batch: I,
-    ) -> Result<isize, EpochConflict> {
-        self.core.apply_grouped_validated(
-            batch,
-            |e| self.core.shard_of(e.key()),
-            M::apply_mut,
-            Some((&base.pin, read_shards)),
-        )
-    }
-}
-
-impl<K, V, M> ShardedMultiMap<K, V, M>
-where
-    K: Hash + Send,
-    V: Send,
-    M: MultiMapOps<K, V> + TransientOps<(K, V)> + Send,
-{
-    /// Bulk-builds a sharded multi-map: partitions the tuples by shard,
-    /// then builds every shard **in parallel** (one scoped worker thread
-    /// per non-empty shard) through the transient builder protocol.
-    pub fn build_parallel(shards: usize, tuples: impl IntoIterator<Item = (K, V)>) -> Self {
-        let partition = Partition::new(shards);
-        let parts = crate::partition_tuples(shards, tuples);
-        ShardedMultiMap {
-            core: ShardSet::build_parallel(partition, parts, M::built_from),
-            _tuple: PhantomData,
-        }
-    }
-
-    /// Bulk-extends in place: partitions the batch, then every touched
-    /// shard clones its snapshot into a transient, bulk-inserts its slice
-    /// on a scoped worker thread, and publishes. Returns how many insertions
-    /// reported growth.
-    pub fn extend_parallel(&self, tuples: impl IntoIterator<Item = (K, V)>) -> usize
-    where
-        M: Clone + Sync,
-    {
-        let parts = crate::partition_tuples(self.core.count(), tuples);
-        self.core.extend_parallel(parts, |m, part| {
-            let mut t = m.clone().transient();
-            let grew = t.insert_all_mut(part);
-            (t.build(), grew)
-        })
-    }
-}
-
-impl<K, V, M> Default for ShardedMultiMap<K, V, M>
-where
-    K: Hash,
-    M: MultiMapOps<K, V>,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K, V, M> std::fmt::Debug for ShardedMultiMap<K, V, M>
-where
-    K: Hash,
-    M: MultiMapOps<K, V>,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedMultiMap")
-            .field("shards", &self.core.count())
-            .field("tuples", &self.tuple_count())
-            .finish()
-    }
-}
-
-/// An immutable pinned epoch of a [`ShardedMultiMap`]: one frozen
-/// persistent trie per shard, all captured at a single global publication
-/// point. Every query is lock-free; the snapshot stays valid (and
-/// unchanged) no matter what writers publish afterwards.
-pub struct MultiMapSnapshot<K, V, M = AxiomMultiMap<K, V>> {
-    pin: Arc<EpochCore<M>>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K, V, M> Clone for MultiMapSnapshot<K, V, M> {
-    fn clone(&self) -> Self {
-        MultiMapSnapshot {
-            pin: Arc::clone(&self.pin),
-            _tuple: PhantomData,
-        }
-    }
-}
-
-impl<K, V, M> MultiMapSnapshot<K, V, M>
-where
-    K: Hash,
-    M: MultiMapOps<K, V>,
-{
-    fn shard_for(&self, key: &K) -> &M {
-        &self.pin.shards[self.pin.partition.shard_of(key)].1
-    }
-
-    /// The global epoch this snapshot was pinned at.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch
-    }
-
-    /// The publication counter shard `index` was pinned at (what a
-    /// validated commit re-checks).
-    pub fn shard_version(&self, index: usize) -> u64 {
-        self.pin.shards[index].0
-    }
-
-    /// The shard a key routes to.
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.pin.partition.shard_of(key)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.pin.shards.len()
-    }
-
-    /// Borrow of one shard's frozen trie (e.g. to run per-shard analytics).
-    pub fn shard(&self, index: usize) -> &M {
-        &self.pin.shards[index].1
-    }
-
+impl<K: Hash, V, M: MultiMapOps<K, V>> MultiMapSnapshot<K, V, M> {
     /// Total number of tuples.
     pub fn tuple_count(&self) -> usize {
-        self.pin.shards.iter().map(|(_, m)| m.tuple_count()).sum()
+        self.sum(M::tuple_count)
     }
 
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
-        self.pin.shards.iter().map(|(_, m)| m.key_count()).sum()
-    }
-
-    /// True if the snapshot holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.tuple_count() == 0
+        self.sum(M::key_count)
     }
 
     /// True if `key` maps to at least one value.
@@ -447,42 +200,8 @@ where
     }
 
     /// Iterates all `(key, value)` tuples, shard by shard.
-    pub fn tuples(&self) -> SnapshotTuples<'_, K, V, M> {
-        SnapshotTuples {
-            rest: self.pin.shards.iter(),
-            current: None,
-            _tuple: PhantomData,
-        }
-    }
-}
-
-/// Flattened tuple iterator over every shard of a [`MultiMapSnapshot`].
-pub struct SnapshotTuples<'a, K, V, M>
-where
-    M: MultiMapOps<K, V> + 'a,
-    K: 'a,
-    V: 'a,
-{
-    rest: std::slice::Iter<'a, (u64, Arc<M>)>,
-    current: Option<M::Tuples<'a>>,
-    _tuple: PhantomData<fn() -> (K, V)>,
-}
-
-impl<'a, K, V, M> Iterator for SnapshotTuples<'a, K, V, M>
-where
-    M: MultiMapOps<K, V>,
-{
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<(&'a K, &'a V)> {
-        loop {
-            if let Some(tuples) = &mut self.current {
-                if let Some(t) = tuples.next() {
-                    return Some(t);
-                }
-            }
-            self.current = Some(self.rest.next()?.1.tuples());
-        }
+    pub fn tuples(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        self.shards().flat_map(M::tuples)
     }
 }
 
@@ -490,6 +209,7 @@ where
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use trie_common::ops::TransientOps;
 
     type Mm = ShardedMultiMap<u32, u32>;
 
@@ -537,14 +257,6 @@ mod tests {
         assert_eq!(delta, 2);
         assert_eq!(mm.tuple_count(), 2);
         assert_eq!(mm.apply([MultiMapEdit::RemoveKey(1)]), -1);
-    }
-
-    #[test]
-    fn multi_shard_apply_is_one_epoch() {
-        let mm = Mm::with_shards(8);
-        let before = mm.current_epoch();
-        mm.apply((0..64).map(|i| MultiMapEdit::Insert(i, i)));
-        assert_eq!(mm.current_epoch(), before + 1);
     }
 
     #[test]

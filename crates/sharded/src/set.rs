@@ -1,17 +1,20 @@
-//! The concurrent sharded set (see the [crate documentation](crate); same
-//! architecture as [`crate::ShardedMultiMap`], set semantics).
+//! The set kind: [`Set`], the [`ShardedSet`] / [`SetSnapshot`] aliases, and
+//! the membership queries and set algebra on top of the generic
+//! [`Sharded`] store.
 
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use axiom::AxiomSet;
-use trie_common::ops::{Builder, SetAlgebraOps, SetDiff, SetEdit, SetMutOps, SetOps, TransientOps};
+use serde::Serialize;
+use trie_common::ops::{SetAlgebraOps, SetDiff, SetEdit, SetMutOps, SetOps};
+use trie_common::snapshot::{encode_section, Kind, Section, SnapshotError};
 
-use crate::default_shard_count;
-use crate::partition::Partition;
-use crate::publish::{EpochConflict, EpochCore};
-use crate::shards::ShardSet;
+use crate::kind::{DiffKind, EditKind, SaveKind, ShardKind};
+use crate::{Sharded, Snapshot};
+
+/// The kind marker of sets: elements `T`.
+pub struct Set<T>(PhantomData<fn() -> T>);
 
 /// A concurrent set: `N` persistent trie sets published under one global
 /// epoch sequence. Defaults to [`AxiomSet`] shards.
@@ -28,103 +31,85 @@ use crate::shards::ShardSet;
 /// assert!(snap.contains(&7)); // the snapshot is unaffected
 /// assert!(s.is_empty());
 /// ```
-pub struct ShardedSet<T, S = AxiomSet<T>> {
-    core: ShardSet<S>,
-    _elem: PhantomData<fn() -> T>,
-}
+pub type ShardedSet<T, S = AxiomSet<T>> = Sharded<S, Set<T>>;
 
-impl<T, S> ShardedSet<T, S> {
-    /// Wraps a pre-built shard set (the restore path in `snapshot.rs`).
-    pub(crate) fn from_core(core: ShardSet<S>) -> Self {
-        ShardedSet {
-            core,
-            _elem: PhantomData,
-        }
+/// An immutable pinned epoch of a [`ShardedSet`].
+pub type SetSnapshot<T, S = AxiomSet<T>> = Snapshot<S, Set<T>>;
+
+impl<T: Hash, S: SetOps<T>> ShardKind<S> for Set<T> {
+    type Key = T;
+    type Elem = T;
+    const KIND: Kind = Kind::Set;
+
+    fn empty() -> S {
+        S::empty()
+    }
+
+    fn count(shard: &S) -> usize {
+        shard.len()
+    }
+
+    fn elem_key(elem: &T) -> &T {
+        elem
     }
 }
 
-impl<T, S> ShardedSet<T, S>
-where
-    T: Hash,
-    S: SetOps<T>,
-{
-    /// Creates an empty sharded set with one shard per available CPU
-    /// (rounded up to a power of two).
-    pub fn new() -> Self {
-        Self::with_shards(default_shard_count())
+impl<T: Hash, S: SetMutOps<T>> EditKind<S> for Set<T> {
+    type Edit = SetEdit<T>;
+
+    fn edit_key(edit: &SetEdit<T>) -> &T {
+        edit.key()
     }
 
-    /// Creates an empty sharded set over `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards` is a power of two in
-    /// `1..=`[`crate::MAX_SHARDS`].
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedSet {
-            core: ShardSet::filled(Partition::new(shards), S::empty),
-            _elem: PhantomData,
+    fn apply_mut(shard: &mut S, edit: SetEdit<T>) -> isize {
+        shard.apply_mut(edit)
+    }
+}
+
+impl<T: Hash + Clone, S: SetAlgebraOps<T>> DiffKind<S> for Set<T> {
+    type Diff = SetDiff<T>;
+
+    fn diff(old: &S, new: &S) -> SetDiff<T> {
+        old.diff(new)
+    }
+
+    fn merge(parts: Vec<SetDiff<T>>) -> SetDiff<T> {
+        let mut out = SetDiff::new();
+        for d in parts {
+            out.added.extend(d.added);
+            out.removed.extend(d.removed);
         }
+        out
     }
+}
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.count()
+impl<T: Hash + Serialize, S: SetOps<T>> SaveKind<S> for Set<T> {
+    fn encode(shard: &S) -> Result<Section, SnapshotError> {
+        encode_section(shard.iter())
     }
+}
 
-    /// The shard an element routes to (top bits of its 32-bit trie hash).
-    pub fn shard_of(&self, value: &T) -> usize {
-        self.core.shard_of(value)
-    }
-
-    /// Pins the current epoch: every shard at one global publication point.
-    /// All queries on the snapshot are lock-free and mutually consistent,
-    /// including across shards.
-    pub fn snapshot(&self) -> SetSnapshot<T, S> {
-        SetSnapshot {
-            pin: self.core.pin(),
-            _elem: PhantomData,
-        }
-    }
-
-    /// Blocks until the published epoch advances past `epoch`, then returns
-    /// the new pinned snapshot (the long-poll/subscription primitive).
-    pub fn snapshot_after(&self, epoch: u64) -> SetSnapshot<T, S> {
-        SetSnapshot {
-            pin: self.core.pin_after(epoch),
-            _elem: PhantomData,
-        }
-    }
-
-    /// The global publication epoch (bumps once per commit, however many
-    /// shards the commit touched).
-    pub fn current_epoch(&self) -> u64 {
-        self.core.epoch_now()
-    }
-
+impl<T: Hash, S: SetOps<T>> ShardedSet<T, S> {
     /// Number of elements (over one pinned epoch).
     pub fn len(&self) -> usize {
-        self.core.sum_pinned(S::len)
-    }
-
-    /// True if no shard holds an element.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.sum(S::len)
     }
 
     /// Membership test against the current shard snapshot.
     pub fn contains(&self, value: &T) -> bool {
-        self.core.load_for(value).contains(value)
+        self.shard_now(value).contains(value)
+    }
+}
+
+impl<T: Hash, S: SetMutOps<T>> ShardedSet<T, S> {
+    /// Inserts `value`. Returns true if the set grew.
+    pub fn insert(&self, value: T) -> bool {
+        self.edit_shard(self.shard_of(&value), |s| s.insert_mut(value))
     }
 
-    /// Captures the current epoch: every shard's publication counter plus
-    /// its frozen snapshot. Feed it to [`ShardedSet::changes_since`] later
-    /// to get the element-level delta without rescanning unchanged shards.
-    pub fn epoch(&self) -> SetEpoch<T, S> {
-        SetEpoch {
-            core: self.core.pin(),
-            _elem: PhantomData,
-        }
+    /// Removes `value`. Returns true if the set shrank.
+    pub fn remove(&self, value: &T) -> bool {
+        self.edit_shard(self.shard_of(value), |s| s.remove_mut(value))
     }
 }
 
@@ -133,27 +118,6 @@ where
     T: Hash + Clone + Send,
     S: SetAlgebraOps<T> + Send + Sync,
 {
-    /// The element-level delta since `epoch` (`epoch` old, current state
-    /// new). Shards whose publication counter is unchanged are skipped
-    /// outright; each changed shard is diffed structurally on its own
-    /// scoped worker thread, so the cost is O(changed shards × changed
-    /// elements), not O(set size).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` was captured from a set with a different partition.
-    pub fn changes_since(&self, epoch: &SetEpoch<T, S>) -> SetDiff<T> {
-        let parts = self
-            .core
-            .diff_since_parallel(&epoch.core, |old, current| old.diff(current));
-        let mut out = SetDiff::new();
-        for d in parts {
-            out.added.extend(d.added);
-            out.removed.extend(d.removed);
-        }
-        out
-    }
-
     /// Pairwise shard union with `other`, one scoped worker per shard pair,
     /// each running the underlying trie's structural (sharing-aware) union.
     ///
@@ -161,7 +125,7 @@ where
     ///
     /// Panics if the two sets have different shard counts.
     pub fn union_with(&self, other: &Self) -> Self {
-        Self::from_core(self.core.combine_parallel(&other.core, |a, b| a.union(b)))
+        self.combine(other, |a, b| a.union(b))
     }
 
     /// Pairwise shard intersection with `other` (see
@@ -171,10 +135,7 @@ where
     ///
     /// Panics if the two sets have different shard counts.
     pub fn intersect_with(&self, other: &Self) -> Self {
-        Self::from_core(
-            self.core
-                .combine_parallel(&other.core, |a, b| a.intersect(b)),
-        )
+        self.combine(other, |a, b| a.intersect(b))
     }
 
     /// Pairwise shard difference with `other` (see
@@ -184,238 +145,24 @@ where
     ///
     /// Panics if the two sets have different shard counts.
     pub fn difference_with(&self, other: &Self) -> Self {
-        Self::from_core(
-            self.core
-                .combine_parallel(&other.core, |a, b| a.difference(b)),
-        )
+        self.combine(other, |a, b| a.difference(b))
     }
 }
 
-/// A captured epoch of a [`ShardedSet`]: per-shard publication counters and
-/// frozen snapshots. Created by [`ShardedSet::epoch`], consumed by
-/// [`ShardedSet::changes_since`].
-pub struct SetEpoch<T, S = AxiomSet<T>> {
-    core: Arc<EpochCore<S>>,
-    _elem: PhantomData<fn() -> T>,
-}
-
-impl<T, S> Clone for SetEpoch<T, S> {
-    fn clone(&self) -> Self {
-        SetEpoch {
-            core: Arc::clone(&self.core),
-            _elem: PhantomData,
-        }
-    }
-}
-
-impl<T, S> std::fmt::Debug for SetEpoch<T, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SetEpoch")
-            .field("epoch", &self.core.epoch)
-            .finish()
-    }
-}
-
-impl<T, S> ShardedSet<T, S>
-where
-    T: Hash,
-    S: SetOps<T> + SetMutOps<T> + Clone,
-{
-    /// Inserts `value`. Returns true if the set grew.
-    pub fn insert(&self, value: T) -> bool {
-        let shard = self.core.shard_of(&value);
-        self.core.update_at(shard, |s| {
-            let mut next = s.clone();
-            let grew = next.insert_mut(value);
-            (next, grew)
-        })
-    }
-
-    /// Removes `value`. Returns true if the set shrank.
-    pub fn remove(&self, value: &T) -> bool {
-        self.core.update_for(value, |s| s.remove_mut(value))
-    }
-
-    /// Applies a batch of edits grouped by shard; all touched shards
-    /// publish as **one** epoch. Returns the element-count delta.
-    pub fn apply<I: IntoIterator<Item = SetEdit<T>>>(&self, batch: I) -> isize {
-        self.core
-            .apply_grouped(batch, |e| self.core.shard_of(e.key()), S::apply_mut)
-    }
-
-    /// Optimistically applies `batch` against the epoch pinned by `base`:
-    /// the commit succeeds only if every shard the batch writes — plus
-    /// every shard in `read_shards` — is still at the version `base`
-    /// pinned. On conflict nothing is staged; re-pin and retry.
-    pub fn apply_validated<I: IntoIterator<Item = SetEdit<T>>>(
-        &self,
-        base: &SetSnapshot<T, S>,
-        read_shards: &[usize],
-        batch: I,
-    ) -> Result<isize, EpochConflict> {
-        self.core.apply_grouped_validated(
-            batch,
-            |e| self.core.shard_of(e.key()),
-            S::apply_mut,
-            Some((&base.pin, read_shards)),
-        )
-    }
-}
-
-impl<T, S> ShardedSet<T, S>
-where
-    T: Hash + Send,
-    S: SetOps<T> + TransientOps<T> + Send,
-{
-    /// Bulk-builds a sharded set: partition, then one scoped builder thread
-    /// per non-empty shard through the transient protocol.
-    pub fn build_parallel(shards: usize, elems: impl IntoIterator<Item = T>) -> Self {
-        let partition = Partition::new(shards);
-        let parts = crate::partition_by(shards, elems, |v| v);
-        ShardedSet {
-            core: ShardSet::build_parallel(partition, parts, S::built_from),
-            _elem: PhantomData,
-        }
-    }
-
-    /// Bulk-extends in place, one scoped worker per touched shard. Returns
-    /// how many insertions reported growth.
-    pub fn extend_parallel(&self, elems: impl IntoIterator<Item = T>) -> usize
-    where
-        S: Clone + Sync,
-    {
-        let parts = crate::partition_by(self.core.count(), elems, |v| v);
-        self.core.extend_parallel(parts, |s, part| {
-            let mut t = s.clone().transient();
-            let grew = t.insert_all_mut(part);
-            (t.build(), grew)
-        })
-    }
-}
-
-impl<T, S> Default for ShardedSet<T, S>
-where
-    T: Hash,
-    S: SetOps<T>,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T, S> std::fmt::Debug for ShardedSet<T, S>
-where
-    T: Hash,
-    S: SetOps<T>,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSet")
-            .field("shards", &self.core.count())
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-/// An immutable pinned epoch of a [`ShardedSet`]: one frozen persistent
-/// trie per shard, all captured at a single global publication point.
-pub struct SetSnapshot<T, S = AxiomSet<T>> {
-    pin: Arc<EpochCore<S>>,
-    _elem: PhantomData<fn() -> T>,
-}
-
-impl<T, S> Clone for SetSnapshot<T, S> {
-    fn clone(&self) -> Self {
-        SetSnapshot {
-            pin: Arc::clone(&self.pin),
-            _elem: PhantomData,
-        }
-    }
-}
-
-impl<T, S> SetSnapshot<T, S>
-where
-    T: Hash,
-    S: SetOps<T>,
-{
-    /// The global epoch this snapshot was pinned at.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch
-    }
-
-    /// The publication counter shard `index` was pinned at (what a
-    /// validated commit re-checks).
-    pub fn shard_version(&self, index: usize) -> u64 {
-        self.pin.shards[index].0
-    }
-
-    /// The shard an element routes to.
-    pub fn shard_of(&self, value: &T) -> usize {
-        self.pin.partition.shard_of(value)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.pin.shards.len()
-    }
-
-    /// Borrow of one shard's frozen trie.
-    pub fn shard(&self, index: usize) -> &S {
-        &self.pin.shards[index].1
-    }
-
+impl<T: Hash, S: SetOps<T>> SetSnapshot<T, S> {
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.pin.shards.iter().map(|(_, s)| s.len()).sum()
-    }
-
-    /// True if the snapshot holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.sum(S::len)
     }
 
     /// Membership test.
     pub fn contains(&self, value: &T) -> bool {
-        self.pin.shards[self.pin.partition.shard_of(value)]
-            .1
-            .contains(value)
+        self.shard_for(value).contains(value)
     }
 
     /// Iterates all elements, shard by shard.
-    pub fn iter(&self) -> SnapshotElems<'_, T, S> {
-        SnapshotElems {
-            rest: self.pin.shards.iter(),
-            current: None,
-            _elem: PhantomData,
-        }
-    }
-}
-
-/// Flattened element iterator over every shard of a [`SetSnapshot`].
-pub struct SnapshotElems<'a, T, S>
-where
-    S: SetOps<T> + 'a,
-    T: 'a,
-{
-    rest: std::slice::Iter<'a, (u64, Arc<S>)>,
-    current: Option<S::Elems<'a>>,
-    _elem: PhantomData<fn() -> T>,
-}
-
-impl<'a, T, S> Iterator for SnapshotElems<'a, T, S>
-where
-    S: SetOps<T>,
-{
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        loop {
-            if let Some(elems) = &mut self.current {
-                if let Some(e) = elems.next() {
-                    return Some(e);
-                }
-            }
-            self.current = Some(self.rest.next()?.1.iter());
-        }
+    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.shards().flat_map(S::iter)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Durable snapshots for the sharded wrappers: `save_snapshot` /
+//! Durable snapshots for the sharded store: `save_snapshot` /
 //! `load_snapshot` over the [`trie_common::snapshot`] format.
 //!
 //! A sharded save serializes each shard's published `Arc` snapshot as its
@@ -17,62 +17,21 @@
 //! topology-bound), plain collections can read sharded snapshots and vice
 //! versa.
 
-use std::hash::Hash;
 use std::thread;
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use trie_common::faults::{fire as fault_point, site};
-use trie_common::ops::{MapOps, MultiMapOps, SetOps, TransientOps};
+use trie_common::ops::TransientOps;
 use trie_common::snapshot::{
     encode_section, write_frame, Frame, FrameSection, Kind, Section, SnapshotError, SnapshotRead,
     SnapshotWrite,
 };
 
+use crate::kind::{SaveKind, ShardKind};
 use crate::partition::{Partition, MAX_SHARDS};
-use crate::shards::ShardSet;
-use crate::{MapSnapshot, MultiMapSnapshot, SetSnapshot, ShardedMap, ShardedMultiMap, ShardedSet};
+use crate::{Sharded, Snapshot};
 
 // ------------------------------------------------------ shared machinery
-
-/// Encodes one section per shard, in parallel (one scoped worker per
-/// non-trivial shard; trivially-empty shards encode inline), and appends
-/// the framed result to `out` (no intermediate whole-snapshot buffer).
-fn save_parallel<C: Sync>(
-    kind: Kind,
-    shards: &[&C],
-    is_empty: impl Fn(&C) -> bool,
-    encode: impl Fn(&C) -> Result<Section, SnapshotError> + Sync,
-    out: &mut Vec<u8>,
-) -> Result<(), SnapshotError> {
-    let encode = &encode;
-    let sections: Vec<Result<Section, SnapshotError>> = thread::scope(|scope| {
-        let workers: Vec<_> = shards
-            .iter()
-            .map(|&shard| {
-                if is_empty(shard) {
-                    None
-                } else {
-                    Some(scope.spawn(move || {
-                        fault_point(site::SNAPSHOT_ENCODE);
-                        encode(shard)
-                    }))
-                }
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| match worker {
-                // A panicked encoder fails this save with a typed error
-                // instead of aborting the process; the remaining workers
-                // still join (scoped threads), nothing is left running.
-                Some(handle) => handle.join().unwrap_or(Err(SnapshotError::WorkerPanicked)),
-                None => encode_section(std::iter::empty::<()>()),
-            })
-            .collect()
-    });
-    let sections = sections.into_iter().collect::<Result<Vec<_>, _>>()?;
-    write_frame(kind, &sections, out)
-}
 
 /// Decodes every stored section in parallel, routing each element into one
 /// of `new_count` buckets; returns the merged per-new-shard parts.
@@ -139,14 +98,9 @@ fn parse_expecting<'a>(bytes: &'a [u8], kind: Kind) -> Result<Frame<'a>, Snapsho
     Ok(frame)
 }
 
-// ----------------------------------------------------------- multi-map
+// ------------------------------------------------------------- the store
 
-impl<K, V, M> MultiMapSnapshot<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MultiMapOps<K, V> + Sync,
-{
+impl<C: Sync, Kd: SaveKind<C>> Snapshot<C, Kd> {
     /// Serializes this frozen snapshot, one frame section per shard,
     /// encoding shards in parallel.
     pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
@@ -156,29 +110,43 @@ where
     }
 
     /// Appends the snapshot to `out` (the allocation-free-at-the-seam
-    /// variant backing [`SnapshotWrite`]).
+    /// variant backing [`SnapshotWrite`]): one section per shard, encoded
+    /// in parallel (one scoped worker per non-empty shard; empty shards
+    /// encode inline), framed straight into `out` (no intermediate
+    /// whole-snapshot buffer).
     fn write_snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let shards: Vec<&M> = (0..self.shard_count()).map(|i| self.shard(i)).collect();
-        save_parallel(
-            Kind::MultiMap,
-            &shards,
-            |m| m.is_empty(),
-            |m| encode_section(m.tuples()),
-            out,
-        )
+        let sections: Vec<Result<Section, SnapshotError>> = thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .shards()
+                .map(|shard| {
+                    (Kd::count(shard) != 0).then(|| {
+                        scope.spawn(move || {
+                            fault_point(site::SNAPSHOT_ENCODE);
+                            Kd::encode(shard)
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| match worker {
+                    // A panicked encoder fails this save with a typed error
+                    // instead of aborting the process; the remaining workers
+                    // still join (scoped threads), nothing is left running.
+                    Some(handle) => handle.join().unwrap_or(Err(SnapshotError::WorkerPanicked)),
+                    None => encode_section(std::iter::empty::<()>()),
+                })
+                .collect()
+        });
+        let sections = sections.into_iter().collect::<Result<Vec<_>, _>>()?;
+        write_frame(Kd::KIND, &sections, out)
     }
 }
 
-impl<K, V, M> ShardedMultiMap<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MultiMapOps<K, V> + Sync,
-{
-    /// Takes a consistent-per-shard snapshot and serializes it (see
-    /// [`MultiMapSnapshot::save_snapshot`]). Concurrent writers are never
-    /// blocked: the save works on the frozen `Arc` snapshots acquired up
-    /// front.
+impl<C: Sync, Kd: SaveKind<C>> Sharded<C, Kd> {
+    /// Takes a consistent snapshot and serializes it (see
+    /// [`Snapshot::save_snapshot`]). Concurrent writers are never blocked:
+    /// the save works on the frozen `Arc` snapshots acquired up front.
     pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
         self.snapshot().save_snapshot()
     }
@@ -191,11 +159,11 @@ where
     }
 }
 
-impl<K, V, M> ShardedMultiMap<K, V, M>
+impl<C, Kd> Sharded<C, Kd>
 where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MultiMapOps<K, V> + TransientOps<(K, V)> + Send,
+    C: TransientOps<Kd::Elem> + Send,
+    Kd: ShardKind<C>,
+    Kd::Elem: Send + for<'de> Deserialize<'de>,
 {
     /// Restores a snapshot at `shards` shards — any power of two in
     /// `1..=`[`crate::MAX_SHARDS`], independent of the count it was saved
@@ -206,23 +174,14 @@ where
     /// # Panics
     ///
     /// Panics if `shards` is not a valid partition size (same contract as
-    /// [`ShardedMultiMap::with_shards`]); corrupt `bytes` never panic.
+    /// [`Sharded::with_shards`]); corrupt `bytes` never panic.
     pub fn load_snapshot(bytes: &[u8], shards: usize) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::MultiMap)?;
-        let partition = Partition::new(shards);
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
+        let frame = parse_expecting(bytes, Kd::KIND)?;
+        Self::restore(&frame, Partition::new(shards))
     }
 
-    /// Reads a snapshot file (as written by
-    /// [`ShardedMultiMap::save_snapshot_to`]) and restores it at `shards`
-    /// shards.
+    /// Reads a snapshot file (as written by [`Sharded::save_snapshot_to`])
+    /// and restores it at `shards` shards.
     pub fn load_snapshot_from(
         path: impl AsRef<std::path::Path>,
         shards: usize,
@@ -230,266 +189,35 @@ where
         let bytes = std::fs::read(path.as_ref()).map_err(|e| SnapshotError::Io(e.to_string()))?;
         Self::load_snapshot(&bytes, shards)
     }
+
+    fn restore(frame: &Frame<'_>, partition: Partition) -> Result<Self, SnapshotError> {
+        let parts = decode_and_route(frame.sections(), partition.count(), |elem: &Kd::Elem| {
+            partition.shard_of(Kd::elem_key(elem))
+        })?;
+        Ok(Self::built_from_parts(partition, parts))
+    }
 }
 
-impl<K, V, M> SnapshotWrite for ShardedMultiMap<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MultiMapOps<K, V> + Sync,
-{
-    const KIND: Kind = Kind::MultiMap;
+impl<C: Sync, Kd: SaveKind<C>> SnapshotWrite for Sharded<C, Kd> {
+    const KIND: Kind = Kd::KIND;
 
     fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
         self.snapshot().write_snapshot_into(out)
     }
 }
 
-impl<K, V, M> SnapshotRead for ShardedMultiMap<K, V, M>
+impl<C, Kd> SnapshotRead for Sharded<C, Kd>
 where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MultiMapOps<K, V> + TransientOps<(K, V)> + Send,
+    C: TransientOps<Kd::Elem> + Send,
+    Kd: ShardKind<C>,
+    Kd::Elem: Send + for<'de> Deserialize<'de>,
 {
     /// Restores at the snapshot's stored shard count (errors — never
     /// panics — if that count is not a valid partition; use
-    /// [`ShardedMultiMap::load_snapshot`] to reshard).
+    /// [`Sharded::load_snapshot`] to reshard).
     fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::MultiMap)?;
-        let partition = stored_partition(frame.sections().len())?;
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
-    }
-}
-
-// ----------------------------------------------------------------- map
-
-impl<K, V, M> MapSnapshot<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MapOps<K, V> + Sync,
-{
-    /// Serializes this frozen snapshot, one frame section per shard,
-    /// encoding shards in parallel.
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
-        self.write_snapshot_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Appends the snapshot to `out` (the allocation-free-at-the-seam
-    /// variant backing [`SnapshotWrite`]).
-    fn write_snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let shards: Vec<&M> = (0..self.shard_count()).map(|i| self.shard(i)).collect();
-        save_parallel(
-            Kind::Map,
-            &shards,
-            |m| m.is_empty(),
-            |m| encode_section(m.entries()),
-            out,
-        )
-    }
-}
-
-impl<K, V, M> ShardedMap<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MapOps<K, V> + Sync,
-{
-    /// Takes a consistent-per-shard snapshot and serializes it (see
-    /// [`MapSnapshot::save_snapshot`]).
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.snapshot().save_snapshot()
-    }
-
-    /// Saves a snapshot to `path` atomically (see
-    /// [`ShardedMultiMap::save_snapshot_to`]).
-    pub fn save_snapshot_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
-        trie_common::snapshot::save_atomic(path.as_ref(), &self.save_snapshot()?)
-    }
-}
-
-impl<K, V, M> ShardedMap<K, V, M>
-where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MapOps<K, V> + TransientOps<(K, V)> + Send,
-{
-    /// Restores a snapshot at `shards` shards (see
-    /// [`ShardedMultiMap::load_snapshot`] for the contract).
-    pub fn load_snapshot(bytes: &[u8], shards: usize) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Map)?;
-        Self::load_frame(&frame, shards)
-    }
-
-    /// Reads a snapshot file and restores it at `shards` shards.
-    pub fn load_snapshot_from(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::load_snapshot(&bytes, shards)
-    }
-
-    fn load_frame(frame: &Frame<'_>, shards: usize) -> Result<Self, SnapshotError> {
-        let partition = Partition::new(shards);
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
-    }
-}
-
-impl<K, V, M> SnapshotWrite for ShardedMap<K, V, M>
-where
-    K: Hash + Serialize,
-    V: Serialize,
-    M: MapOps<K, V> + Sync,
-{
-    const KIND: Kind = Kind::Map;
-
-    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        self.snapshot().write_snapshot_into(out)
-    }
-}
-
-impl<K, V, M> SnapshotRead for ShardedMap<K, V, M>
-where
-    K: Hash + Send + for<'de> Deserialize<'de>,
-    V: Send + for<'de> Deserialize<'de>,
-    M: MapOps<K, V> + TransientOps<(K, V)> + Send,
-{
-    fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Map)?;
-        let partition = stored_partition(frame.sections().len())?;
-        let parts = decode_and_route(frame.sections(), partition.count(), |(k, _): &(K, V)| {
-            partition.shard_of(k)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            M::built_from,
-        )))
-    }
-}
-
-// ----------------------------------------------------------------- set
-
-impl<T, S> SetSnapshot<T, S>
-where
-    T: Hash + Serialize,
-    S: SetOps<T> + Sync,
-{
-    /// Serializes this frozen snapshot, one frame section per shard,
-    /// encoding shards in parallel.
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut out = Vec::new();
-        self.write_snapshot_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Appends the snapshot to `out` (the allocation-free-at-the-seam
-    /// variant backing [`SnapshotWrite`]).
-    fn write_snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let shards: Vec<&S> = (0..self.shard_count()).map(|i| self.shard(i)).collect();
-        save_parallel(
-            Kind::Set,
-            &shards,
-            |s| s.is_empty(),
-            |s| encode_section(s.iter()),
-            out,
-        )
-    }
-}
-
-impl<T, S> ShardedSet<T, S>
-where
-    T: Hash + Serialize,
-    S: SetOps<T> + Sync,
-{
-    /// Takes a consistent-per-shard snapshot and serializes it (see
-    /// [`SetSnapshot::save_snapshot`]).
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.snapshot().save_snapshot()
-    }
-
-    /// Saves a snapshot to `path` atomically (see
-    /// [`ShardedMultiMap::save_snapshot_to`]).
-    pub fn save_snapshot_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
-        trie_common::snapshot::save_atomic(path.as_ref(), &self.save_snapshot()?)
-    }
-}
-
-impl<T, S> ShardedSet<T, S>
-where
-    T: Hash + Send + for<'de> Deserialize<'de>,
-    S: SetOps<T> + TransientOps<T> + Send,
-{
-    /// Restores a snapshot at `shards` shards (see
-    /// [`ShardedMultiMap::load_snapshot`] for the contract).
-    pub fn load_snapshot(bytes: &[u8], shards: usize) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Set)?;
-        let partition = Partition::new(shards);
-        let parts = decode_and_route(frame.sections(), partition.count(), |t: &T| {
-            partition.shard_of(t)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            S::built_from,
-        )))
-    }
-
-    /// Reads a snapshot file and restores it at `shards` shards.
-    pub fn load_snapshot_from(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::load_snapshot(&bytes, shards)
-    }
-}
-
-impl<T, S> SnapshotWrite for ShardedSet<T, S>
-where
-    T: Hash + Serialize,
-    S: SetOps<T> + Sync,
-{
-    const KIND: Kind = Kind::Set;
-
-    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        self.snapshot().write_snapshot_into(out)
-    }
-}
-
-impl<T, S> SnapshotRead for ShardedSet<T, S>
-where
-    T: Hash + Send + for<'de> Deserialize<'de>,
-    S: SetOps<T> + TransientOps<T> + Send,
-{
-    fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let frame = parse_expecting(bytes, Kind::Set)?;
-        let partition = stored_partition(frame.sections().len())?;
-        let parts = decode_and_route(frame.sections(), partition.count(), |t: &T| {
-            partition.shard_of(t)
-        })?;
-        Ok(Self::from_core(ShardSet::build_parallel(
-            partition,
-            parts,
-            S::built_from,
-        )))
+        let frame = parse_expecting(bytes, Kd::KIND)?;
+        Self::restore(&frame, stored_partition(frame.sections().len())?)
     }
 }
 
@@ -497,6 +225,8 @@ where
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    use crate::{ShardedMap, ShardedMultiMap, ShardedSet};
 
     #[test]
     fn multimap_save_restore_across_shard_counts() {

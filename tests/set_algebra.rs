@@ -377,7 +377,7 @@ fn multimap_frozen_then_extended_k_times_diffs_exactly_k() {
 #[test]
 fn sharded_set_changes_since_epoch() {
     let s: ShardedSet<u32> = ShardedSet::build_parallel(4, 0..1000);
-    let epoch = s.epoch();
+    let epoch = s.snapshot();
     assert!(s.changes_since(&epoch).is_empty());
 
     s.insert(5000);
@@ -390,7 +390,7 @@ fn sharded_set_changes_since_epoch() {
     assert_eq!(d.removed, vec![3]);
 
     // A fresh epoch re-baselines.
-    let epoch2 = s.epoch();
+    let epoch2 = s.snapshot();
     assert!(s.changes_since(&epoch2).is_empty());
 }
 
@@ -415,7 +415,7 @@ fn sharded_set_parallel_algebra_matches_model() {
 #[test]
 fn sharded_map_changes_and_merge() {
     let a: ShardedMap<u32, u32> = ShardedMap::build_parallel(4, (0..500).map(|k| (k, k)));
-    let epoch = a.epoch();
+    let epoch = a.snapshot();
     a.insert(77, 7700); // overwrite
     a.insert(9999, 1); // fresh key
     a.remove(&13);
@@ -435,7 +435,7 @@ fn sharded_map_changes_and_merge() {
 fn sharded_multimap_changes_and_union() {
     let a: ShardedMultiMap<u32, u32> =
         ShardedMultiMap::build_parallel(4, (0..800u32).map(|i| (i % 200, i)));
-    let epoch = a.epoch();
+    let epoch = a.snapshot();
     assert!(a.changes_since(&epoch).is_empty());
     a.insert(3, 9999);
     a.remove_tuple(&5, &5);
