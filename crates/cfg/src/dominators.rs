@@ -7,13 +7,13 @@
 //!   solved by fixed-point iteration *directly over persistent multi-maps*
 //!   (the `Dom` and `preds` relations are multi-maps, the big intersection
 //!   is staged by first collecting the predecessor sets, exactly as §6
-//!   describes). Generic over [`MultiMapOps`], so Table 1 runs it unchanged
-//!   over nested-CHAMP and AXIOM multi-maps.
+//!   describes). Generic over [`MultiMapMutOps`], so Table 1 runs it
+//!   unchanged over nested-CHAMP and AXIOM multi-maps.
 //! * [`dominators_bitset`] — an index-based iterative bitset algorithm, used
 //!   as an independent oracle in tests (and by the well-known dominator-tree
 //!   derivation [`dominator_tree`]).
 
-use trie_common::ops::{MultiMapAlgebraOps, MultiMapOps, TransientOps};
+use trie_common::ops::{MultiMapMutOps, MultiMapOps, ValuesView};
 
 use crate::ast::CfgNode;
 use crate::graph::Cfg;
@@ -21,16 +21,17 @@ use crate::graph::Cfg;
 /// Solves the dominance equations over a persistent multi-map `M`.
 ///
 /// The result maps every reachable node to its full dominator set (including
-/// itself), as a multi-map `node ↦ {dominators}`. Each solution rewrite
-/// batches the node's new dominator set through the transient builder, and
-/// the fixed point is detected by
-/// [`MultiMapAlgebraOps::diff`] against the
-/// previous sweep's relation: successive sweeps share every untouched
-/// subtree, so a structural `diff` implementation prices the convergence
-/// check at O(tuples rewritten this sweep), not O(relation size).
+/// itself), as a multi-map `node ↦ {dominators}`. The fixed point works a
+/// key's whole value set at a time, so each node's (deliberately expensive)
+/// hash is paid once per question asked of it: one
+/// [`get`](MultiMapOps::get) per predecessor, whose view answers the
+/// intersection's membership tests; one `get` of the node itself to decide
+/// whether its set changed; and, when it did, one
+/// [`replace_values_mut`](MultiMapMutOps::replace_values_mut) rewriting the
+/// set in place. A sweep that rewrote nothing is the fixed point.
 pub fn dominators_relational<M>(cfg: &Cfg) -> M
 where
-    M: MultiMapAlgebraOps<CfgNode, CfgNode> + TransientOps<(CfgNode, CfgNode)>,
+    M: MultiMapMutOps<CfgNode, CfgNode>,
 {
     let rpo = cfg.reverse_postorder();
     let preds_idx = cfg.pred_indices();
@@ -38,44 +39,40 @@ where
 
     // Dom(entry) = {entry}; all other nodes start "unknown" (absent), which
     // behaves as the full set in the intersection.
-    let mut dom = M::empty().inserted(nodes[0].clone(), nodes[0].clone());
+    let mut dom = M::empty();
+    dom.insert_mut(nodes[0].clone(), nodes[0].clone());
 
     loop {
-        let prev = dom.clone();
+        let mut changed = false;
         for &n in rpo.iter().skip(1) {
             // Stage the intersection: first produce the set of predecessor
             // dominator sets (skipping still-unknown ones), then intersect.
             let mut candidate: Option<Vec<CfgNode>> = None;
             for &p in &preds_idx[n] {
-                if !dom.contains_key(&nodes[p]) {
+                let Some(dom_p) = dom.get(&nodes[p]) else {
                     continue;
-                }
+                };
                 match &mut candidate {
-                    None => {
-                        candidate = Some(dom.values_of(&nodes[p]).cloned().collect());
-                    }
-                    Some(vs) => {
-                        vs.retain(|d| dom.contains_tuple(&nodes[p], d));
-                    }
+                    None => candidate = Some(dom_p.iter().cloned().collect()),
+                    Some(vs) => vs.retain(|d| dom_p.contains(d)),
                 }
             }
             let Some(mut new_dom) = candidate else {
                 continue; // no processed predecessor yet
             };
-            if !new_dom.iter().any(|d| *d == nodes[n]) {
+            if !new_dom.contains(&nodes[n]) {
                 new_dom.push(nodes[n].clone());
             }
             // Compare against the current solution; rewrite on change.
-            let unchanged = dom.value_count(&nodes[n]) == new_dom.len()
-                && new_dom.iter().all(|d| dom.contains_tuple(&nodes[n], d));
+            let unchanged = dom.get(&nodes[n]).is_some_and(|cur| {
+                cur.len() == new_dom.len() && new_dom.iter().all(|d| cur.contains(d))
+            });
             if !unchanged {
-                dom = dom
-                    .key_removed(&nodes[n])
-                    .bulk_inserted(new_dom.into_iter().map(|d| (nodes[n].clone(), d)));
+                dom.replace_values_mut(nodes[n].clone(), new_dom);
+                changed = true;
             }
         }
-        // Fixed point: the sweep left the relation unchanged.
-        if prev.diff(&dom).is_empty() {
+        if !changed {
             return dom;
         }
     }

@@ -89,7 +89,8 @@ pub(crate) enum Node<K, V> {
 
 pub(crate) enum Inserted<K, V> {
     Unchanged,
-    Replaced(Node<K, V>),
+    /// The new node and the value it replaced.
+    Replaced(Node<K, V>, V),
     Added(Node<K, V>),
 }
 
@@ -100,9 +101,11 @@ pub(crate) enum Removed<K, V> {
 }
 
 /// In-place insertion outcome (the node is edited where it stands).
-pub(crate) enum EditInserted {
-    Unchanged,
-    Replaced,
+pub(crate) enum EditInserted<V> {
+    /// An equal value was already bound; the offered one is handed back.
+    Unchanged(V),
+    /// The value the key was bound to before.
+    Replaced(V),
     Added,
 }
 
@@ -198,11 +201,14 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                             return Inserted::Unchanged;
                         }
                         let mut entries = c.entries.clone();
-                        entries[pos].1 = value.clone();
-                        Inserted::Replaced(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
+                        let old = std::mem::replace(&mut entries[pos].1, value.clone());
+                        Inserted::Replaced(
+                            Node::Collision(CollisionNode {
+                                hash: c.hash,
+                                entries,
+                            }),
+                            old,
+                        )
                     }
                     None => {
                         let mut entries = c.entries.clone();
@@ -227,15 +233,18 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                         if ev == value {
                             return Inserted::Unchanged;
                         }
-                        return Inserted::Replaced(Node::Bitmap(BitmapNode {
-                            datamap: b.datamap,
-                            nodemap: b.nodemap,
-                            slots: slice_replaced(
-                                &b.slots,
-                                idx,
-                                Slot::Entry(key.clone(), value.clone()),
-                            ),
-                        }));
+                        return Inserted::Replaced(
+                            Node::Bitmap(BitmapNode {
+                                datamap: b.datamap,
+                                nodemap: b.nodemap,
+                                slots: slice_replaced(
+                                    &b.slots,
+                                    idx,
+                                    Slot::Entry(key.clone(), value.clone()),
+                                ),
+                            }),
+                            ev.clone(),
+                        );
                     }
                     // Entry migrates from the data group to the node group.
                     let child = Node::pair(
@@ -270,7 +279,7 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                     };
                     match child.inserted(hash, next_shift(shift), key, value) {
                         Inserted::Unchanged => Inserted::Unchanged,
-                        Inserted::Replaced(n) => Inserted::Replaced(rebuild(n)),
+                        Inserted::Replaced(n, old) => Inserted::Replaced(rebuild(n), old),
                         Inserted::Added(n) => Inserted::Added(rebuild(n)),
                     }
                 } else {
@@ -301,17 +310,16 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         shift: u32,
         key: K,
         value: V,
-    ) -> EditInserted {
+    ) -> EditInserted<V> {
         match Arc::get_mut(this) {
             Some(Node::Collision(c)) => {
                 debug_assert_eq!(c.hash, hash);
                 match c.entries.iter().position(|(k, _)| *k == key) {
                     Some(pos) => {
                         if c.entries[pos].1 == value {
-                            return EditInserted::Unchanged;
+                            return EditInserted::Unchanged(value);
                         }
-                        c.entries[pos].1 = value;
-                        EditInserted::Replaced
+                        EditInserted::Replaced(std::mem::replace(&mut c.entries[pos].1, value))
                     }
                     None => {
                         c.entries.push((key, value));
@@ -330,11 +338,15 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                     };
                     if *ek == key {
                         if *ev == value {
-                            return EditInserted::Unchanged;
+                            return EditInserted::Unchanged(value);
                         }
                         // Replace in place: zero allocations, zero clones.
-                        b.slots[idx] = Slot::Entry(key, value);
-                        return EditInserted::Replaced;
+                        let Slot::Entry(_, old) =
+                            std::mem::replace(&mut b.slots[idx], Slot::Entry(key, value))
+                        else {
+                            unreachable!("datamap says entry")
+                        };
+                        return EditInserted::Replaced(old);
                     }
                     // The entry migrates data group → node group in place.
                     let existing_hash = hash32(ek);
@@ -376,10 +388,10 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                 }
             }
             None => match this.inserted(hash, shift, &key, &value) {
-                Inserted::Unchanged => EditInserted::Unchanged,
-                Inserted::Replaced(n) => {
+                Inserted::Unchanged => EditInserted::Unchanged(value),
+                Inserted::Replaced(n, old) => {
                     *this = Arc::new(n);
-                    EditInserted::Replaced
+                    EditInserted::Replaced(old)
                 }
                 Inserted::Added(n) => {
                     *this = Arc::new(n);
@@ -768,12 +780,20 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> ChampMap<K, V> {
     /// spine are edited directly, shared nodes are path-copied. Returns true
     /// if a new key was added.
     pub fn insert_mut(&mut self, key: K, value: V) -> bool {
+        self.replace_mut(key, value).is_none()
+    }
+
+    /// Binds `key` to `value` in place, like [`ChampMap::insert_mut`], and
+    /// returns the value the key was bound to before (`None` for a new
+    /// key). If that value equals `value`, the map is left untouched and
+    /// `value` itself comes back.
+    pub fn replace_mut(&mut self, key: K, value: V) -> Option<V> {
         let hash = hash32(&key);
         match Node::insert_in_place(&mut self.root, hash, 0, key, value) {
-            EditInserted::Unchanged | EditInserted::Replaced => false,
+            EditInserted::Unchanged(v) | EditInserted::Replaced(v) => Some(v),
             EditInserted::Added => {
                 self.len += 1;
-                true
+                None
             }
         }
     }

@@ -7,7 +7,8 @@
 use std::hash::Hash;
 
 use trie_common::ops::{
-    EditInPlace, MapDiff, MapMergeOps, MapMutOps, MapOps, SetAlgebraOps, SetDiff, SetMutOps, SetOps,
+    EditInPlace, MapDiff, MapMergeOps, MapMutOps, MapOps, SetAlgebraOps, SetDiff, SetMutOps,
+    SetOps, ValuesView,
 };
 
 use crate::{map, set, ChampMap, ChampSet};
@@ -173,6 +174,27 @@ where
 
     fn remove_mut(&mut self, value: &T) -> bool {
         ChampSet::remove_mut(self, value)
+    }
+}
+
+/// A borrowed set as one multi-map key's values (the nested-CHAMP
+/// multi-map's [`MultiMapOps::get`](trie_common::ops::MultiMapOps::get)).
+impl<'a, T> ValuesView<'a, T> for &'a ChampSet<T>
+where
+    T: Clone + Eq + Hash,
+{
+    type Iter = set::Iter<'a, T>;
+
+    fn len(&self) -> usize {
+        ChampSet::len(self)
+    }
+
+    fn contains(&self, value: &T) -> bool {
+        ChampSet::contains(self, value)
+    }
+
+    fn iter(&self) -> Self::Iter {
+        ChampSet::iter(self)
     }
 }
 

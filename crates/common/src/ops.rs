@@ -176,6 +176,14 @@ pub trait MultiMapOps<K, V>: Clone {
         K: 'a,
         V: 'a;
 
+    /// Borrowed view of one present key's values, returned by
+    /// [`MultiMapOps::get`].
+    type Values<'a>: ValuesView<'a, V>
+    where
+        Self: 'a,
+        K: 'a,
+        V: 'a;
+
     /// Creates an empty multi-map.
     fn empty() -> Self;
 
@@ -190,14 +198,26 @@ pub trait MultiMapOps<K, V>: Clone {
         self.tuple_count() == 0
     }
 
+    /// Borrowed view of the values bound to `key`, or `None` if the key is
+    /// absent. The key is hashed once here; the view's
+    /// [`contains`](ValuesView::contains) hashes only the probed value, so a
+    /// caller asking several questions of one key pays for its hash once.
+    fn get(&self, key: &K) -> Option<Self::Values<'_>>;
+
     /// True if `key` maps to at least one value.
-    fn contains_key(&self, key: &K) -> bool;
+    fn contains_key(&self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
 
     /// True if the exact tuple `(key, value)` is present.
-    fn contains_tuple(&self, key: &K, value: &V) -> bool;
+    fn contains_tuple(&self, key: &K, value: &V) -> bool {
+        self.get(key).is_some_and(|vs| vs.contains(value))
+    }
 
     /// Number of values associated with `key` (0 if absent).
-    fn value_count(&self, key: &K) -> usize;
+    fn value_count(&self, key: &K) -> usize {
+        self.get(key).map_or(0, |vs| vs.len())
+    }
 
     /// Returns a multi-map additionally containing the tuple `(key, value)`;
     /// `self` is unchanged. Inserting a present tuple is a no-op.
@@ -242,6 +262,28 @@ pub trait MultiMapOps<K, V>: Clone {
             f(v);
         }
     }
+}
+
+/// A borrowed view of the values one multi-map key is bound to, as returned
+/// by [`MultiMapOps::get`]. A view exists only for a present key, so it is
+/// never empty.
+pub trait ValuesView<'a, V: 'a> {
+    /// Borrowing iterator over the viewed values, in unspecified order.
+    type Iter: Iterator<Item = &'a V>;
+
+    /// Number of values (at least one).
+    fn len(&self) -> usize;
+
+    /// Always false: a present key has at least one value.
+    fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// True if `value` is among the key's values.
+    fn contains(&self, value: &V) -> bool;
+
+    /// Iterates the values.
+    fn iter(&self) -> Self::Iter;
 }
 
 // ---------------------------------------------------------------------------
@@ -588,6 +630,25 @@ pub trait MultiMapMutOps<K, V>: MultiMapOps<K, V> {
     /// Removes every tuple for `key` in place. Returns how many were
     /// removed.
     fn remove_key_mut(&mut self, key: &K) -> usize;
+
+    /// Binds `key` to exactly `values` in place, replacing whatever it was
+    /// bound to. Duplicate values collapse; empty `values` removes the key.
+    /// Returns the tuple-count delta.
+    ///
+    /// Default: [`remove_key_mut`](MultiMapMutOps::remove_key_mut), then one
+    /// [`insert_mut`](MultiMapMutOps::insert_mut) per value, which hashes
+    /// the key once per value. The tries override it with one walk that
+    /// builds the new value set first and hashes the key once.
+    fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize
+    where
+        K: Clone,
+    {
+        let mut delta = -(self.remove_key_mut(&key) as isize);
+        for value in values {
+            delta += self.insert_mut(key.clone(), value) as isize;
+        }
+        delta
+    }
 
     /// Applies one scripted edit; returns the tuple-count delta.
     fn apply_mut(&mut self, edit: MultiMapEdit<K, V>) -> isize {

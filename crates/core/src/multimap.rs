@@ -69,6 +69,24 @@ impl<V: Clone + Eq + Hash, B: ValueBag<V>> Binding<V, B> {
         }
     }
 
+    /// The binding of `values`, built in place (duplicates collapse);
+    /// `None` when there are none.
+    fn of_values(values: impl IntoIterator<Item = V>) -> Option<Binding<V, B>> {
+        let mut values = values.into_iter();
+        let mut binding = Binding::One(values.next()?);
+        for value in values {
+            binding = match binding {
+                Binding::One(v) if v == value => Binding::One(v),
+                Binding::One(v) => Binding::Many(B::from_two(v, value)),
+                Binding::Many(mut bag) => {
+                    bag.insert_mut(value);
+                    Binding::Many(bag)
+                }
+            };
+        }
+        Some(binding)
+    }
+
     /// Adds a value, promoting singletons; `None` when already present.
     fn inserted(&self, value: &V) -> Option<Binding<V, B>> {
         match self {
@@ -609,6 +627,93 @@ where
                     EditInserted::NewKey
                 }
             },
+        }
+    }
+
+    /// In-place put: binds `key` to `binding`, replacing the key's previous
+    /// binding, in one walk. Returns the previous binding's size (`None`
+    /// for a new key). A shared node is copied first (`Arc::make_mut`), so
+    /// other handles keep their version and only the spine down to the key
+    /// is copied; a uniquely-owned node is edited where it stands. A put
+    /// never removes a key, so no sub-trie collapses.
+    fn put_in_place(
+        this: &mut Arc<Node<K, V, B>>,
+        hash: u32,
+        shift: u32,
+        key: K,
+        binding: Binding<V, B>,
+    ) -> Option<usize> {
+        match Arc::make_mut(this) {
+            Node::Collision(c) => {
+                debug_assert_eq!(c.hash, hash);
+                match c.entries.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, old)) => Some(std::mem::replace(old, binding).len()),
+                    None => {
+                        c.entries.push((key, binding));
+                        None
+                    }
+                }
+            }
+            Node::Bitmap(b) => {
+                let m = mask(hash, shift);
+                let (cat, idx) = b.bitmap.locate(m);
+                let to_cat = binding.category();
+                let (ek, old_len) = match cat {
+                    Category::Empty => {
+                        b.bitmap = b.bitmap.with(m, to_cat);
+                        let idx = b.bitmap.slot_index(to_cat, m);
+                        b.slots = inserted_at_owned(
+                            std::mem::take(&mut b.slots),
+                            idx,
+                            Node::slot_of(key, binding),
+                        );
+                        return None;
+                    }
+                    Category::Node => {
+                        let Slot::Child(child) = &mut b.slots[idx] else {
+                            unreachable!("bitmap says NODE")
+                        };
+                        return Node::put_in_place(child, hash, next_shift(shift), key, binding);
+                    }
+                    Category::Cat1 | Category::Cat2 => match &b.slots[idx] {
+                        Slot::One(k, _) => (k, 1),
+                        Slot::Many(k, bag) => (k, bag.len()),
+                        Slot::Child(_) => unreachable!("bitmap says payload"),
+                    },
+                };
+                if *ek == key {
+                    if cat == to_cat {
+                        b.slots[idx] = Node::slot_of(key, binding);
+                    } else {
+                        // CAT1 ↔ CAT2 in place: the slot migrates groups.
+                        b.bitmap = b.bitmap.with(m, to_cat);
+                        let to = b.bitmap.slot_index(to_cat, m);
+                        migrate_map(&mut b.slots, idx, to, |_| Node::slot_of(key, binding));
+                    }
+                    return Some(old_len);
+                }
+                // Prefix clash: both bindings descend; the slot becomes NODE.
+                let existing_hash = hash32(ek);
+                b.bitmap = b.bitmap.with(m, Category::Node);
+                let to = b.bitmap.slot_index(Category::Node, m);
+                migrate_map(&mut b.slots, idx, to, |slot| {
+                    let (k, existing) = match slot {
+                        Slot::One(k, v) => (k, Binding::One(v)),
+                        Slot::Many(k, bag) => (k, Binding::Many(bag)),
+                        Slot::Child(_) => unreachable!("bitmap says payload"),
+                    };
+                    Slot::Child(Arc::new(Node::pair(
+                        existing_hash,
+                        k,
+                        existing,
+                        hash,
+                        key,
+                        binding,
+                        next_shift(shift),
+                    )))
+                });
+                None
+            }
         }
     }
 
@@ -1705,6 +1810,43 @@ where
                 true
             }
         }
+    }
+
+    /// Binds `key` to exactly `values` in place, replacing whatever it was
+    /// bound to, and returns the tuple-count delta. Duplicate values
+    /// collapse; empty `values` removes the key.
+    ///
+    /// The new binding (an inlined singleton or a bag) is built first and
+    /// the trie walked once, so the key is hashed once however many values
+    /// it gets. Uniquely-owned nodes along the spine are edited directly,
+    /// shared nodes are path-copied (other handles keep their version).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use axiom::AxiomMultiMap;
+    ///
+    /// let mut mm = AxiomMultiMap::<&str, u32>::new().inserted("D", 4);
+    /// assert_eq!(mm.replace_values_mut("D", [5, 6, 5]), 1); // 1:1 → 1:n
+    /// assert_eq!(mm.value_count(&"D"), 2);
+    /// assert_eq!(mm.replace_values_mut("D", []), -2); // the key goes
+    /// assert!(mm.is_empty());
+    /// ```
+    pub fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {
+        let Some(binding) = Binding::of_values(values) else {
+            return -(self.remove_key_mut(&key) as isize);
+        };
+        let new = binding.len();
+        let hash = hash32(&key);
+        let old = match Node::put_in_place(&mut self.root, hash, 0, key, binding) {
+            Some(old) => old,
+            None => {
+                self.keys += 1;
+                0
+            }
+        };
+        self.tuples = self.tuples + new - old;
+        new as isize - old as isize
     }
 
     /// Returns a multi-map without the tuple `(key, value)`; `self` is

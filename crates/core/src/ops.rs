@@ -10,12 +10,12 @@ use std::hash::Hash;
 
 use trie_common::ops::{
     EditInPlace, MapDiff, MapMergeOps, MapMutOps, MapOps, MultiMapAlgebraOps, MultiMapDiff,
-    MultiMapMutOps, MultiMapOps, SetAlgebraOps, SetDiff, SetMutOps, SetOps,
+    MultiMapMutOps, MultiMapOps, SetAlgebraOps, SetDiff, SetMutOps, SetOps, ValuesView,
 };
 
 use crate::bag::ValueBag;
 use crate::map::{self, AxiomMap};
-use crate::multimap::{self, AxiomMultiMap};
+use crate::multimap::{self, AxiomMultiMap, BindingRef};
 use crate::set::{self, AxiomSet};
 
 impl<K, V> MapOps<K, V> for AxiomMap<K, V>
@@ -217,6 +217,12 @@ where
         Self: 'a,
         K: 'a,
         V: 'a;
+    type Values<'a>
+        = BindingRef<'a, V, B>
+    where
+        Self: 'a,
+        K: 'a,
+        V: 'a;
 
     fn empty() -> Self {
         AxiomMultiMap::new()
@@ -230,16 +236,8 @@ where
         AxiomMultiMap::key_count(self)
     }
 
-    fn contains_key(&self, key: &K) -> bool {
-        AxiomMultiMap::contains_key(self, key)
-    }
-
-    fn contains_tuple(&self, key: &K, value: &V) -> bool {
-        AxiomMultiMap::contains_tuple(self, key, value)
-    }
-
-    fn value_count(&self, key: &K) -> usize {
-        AxiomMultiMap::value_count(self, key)
+    fn get(&self, key: &K) -> Option<Self::Values<'_>> {
+        AxiomMultiMap::get(self, key)
     }
 
     fn inserted(&self, key: K, value: V) -> Self {
@@ -298,6 +296,30 @@ where
 
     fn remove_key_mut(&mut self, key: &K) -> usize {
         AxiomMultiMap::remove_key_mut(self, key)
+    }
+
+    fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {
+        AxiomMultiMap::replace_values_mut(self, key, values)
+    }
+}
+
+impl<'a, V, B> ValuesView<'a, V> for BindingRef<'a, V, B>
+where
+    V: Clone + Eq + Hash,
+    B: ValueBag<V>,
+{
+    type Iter = multimap::BindingIter<'a, V, B>;
+
+    fn len(&self) -> usize {
+        BindingRef::len(self)
+    }
+
+    fn contains(&self, value: &V) -> bool {
+        BindingRef::contains(self, value)
+    }
+
+    fn iter(&self) -> Self::Iter {
+        BindingRef::iter(self)
     }
 }
 

@@ -12,7 +12,7 @@ use std::hash::Hash;
 use hamt::{HamtMap, HamtSet};
 use heapmodel::{Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy, RustFootprint};
 use trie_common::iter::{MaybeIter, TuplesOf};
-use trie_common::ops::{EditInPlace, MultiMapAlgebraOps, MultiMapMutOps, MultiMapOps};
+use trie_common::ops::{EditInPlace, MultiMapAlgebraOps, MultiMapMutOps, MultiMapOps, ValuesView};
 
 /// A key's binding: the dynamic either-value-or-set the Clojure protocol
 /// dispatches on.
@@ -43,7 +43,19 @@ impl<V: Clone + Eq + Hash> PartialEq for ClojureVal<V> {
     }
 }
 
-impl<V: Clone + Eq + Hash> ClojureVal<V> {
+impl<V> ClojureVal<V> {
+    /// Iterates the binding's values (one for a bare singleton).
+    pub fn iter(&self) -> ClojureValIter<'_, V> {
+        match self {
+            ClojureVal::Single(v) => ClojureValIter::Single(std::iter::once(v)),
+            ClojureVal::SetOf(s) => ClojureValIter::SetOf(s.iter()),
+        }
+    }
+}
+
+impl<'a, V: Clone + Eq + Hash> ValuesView<'a, V> for &'a ClojureVal<V> {
+    type Iter = ClojureValIter<'a, V>;
+
     fn len(&self) -> usize {
         match self {
             ClojureVal::Single(_) => 1,
@@ -57,15 +69,9 @@ impl<V: Clone + Eq + Hash> ClojureVal<V> {
             ClojureVal::SetOf(s) => s.contains(value),
         }
     }
-}
 
-impl<V> ClojureVal<V> {
-    /// Iterates the binding's values (one for a bare singleton).
-    pub fn iter(&self) -> ClojureValIter<'_, V> {
-        match self {
-            ClojureVal::Single(v) => ClojureValIter::Single(std::iter::once(v)),
-            ClojureVal::SetOf(s) => ClojureValIter::SetOf(s.iter()),
-        }
+    fn iter(&self) -> ClojureValIter<'a, V> {
+        ClojureVal::iter(self)
     }
 }
 
@@ -217,7 +223,7 @@ where
 
     /// Removes every tuple for `key` in place. Returns the number removed.
     pub fn remove_key_mut(&mut self, key: &K) -> usize {
-        let removed = self.map.get(key).map_or(0, ClojureVal::len);
+        let removed = self.map.get(key).map_or(0, |b| b.len());
         if removed > 0 {
             self.map.remove_mut(key);
             self.tuples -= removed;
@@ -350,6 +356,12 @@ where
         Self: 'a,
         K: 'a,
         V: 'a;
+    type Values<'a>
+        = &'a ClojureVal<V>
+    where
+        Self: 'a,
+        K: 'a,
+        V: 'a;
 
     fn empty() -> Self {
         ClojureMultiMap::new()
@@ -363,16 +375,8 @@ where
         self.map.len()
     }
 
-    fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn contains_tuple(&self, key: &K, value: &V) -> bool {
-        self.map.get(key).is_some_and(|b| b.contains(value))
-    }
-
-    fn value_count(&self, key: &K) -> usize {
-        self.map.get(key).map_or(0, ClojureVal::len)
+    fn get(&self, key: &K) -> Option<&ClojureVal<V>> {
+        self.map.get(key)
     }
 
     fn inserted(&self, key: K, value: V) -> Self {

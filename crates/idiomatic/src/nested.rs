@@ -210,6 +210,19 @@ where
     fn remove_key_mut(&mut self, key: &K) -> usize {
         NestedChampMultiMap::remove_key_mut(self, key)
     }
+
+    /// One map insert of a freshly built set, so the key is hashed once, as
+    /// in AXIOM's override.
+    fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {
+        let set: ChampSet<V> = values.into_iter().collect();
+        if set.is_empty() {
+            return -(self.remove_key_mut(&key) as isize);
+        }
+        let new = set.len();
+        let old = self.map.replace_mut(key, set).map_or(0, |old| old.len());
+        self.tuples = self.tuples + new - old;
+        new as isize - old as isize
+    }
 }
 
 // The idiomatic emulation layers on a map of sets, so the tuple algebra
@@ -246,6 +259,12 @@ where
         Self: 'a,
         K: 'a,
         V: 'a;
+    type Values<'a>
+        = &'a ChampSet<V>
+    where
+        Self: 'a,
+        K: 'a,
+        V: 'a;
 
     fn empty() -> Self {
         NestedChampMultiMap::new()
@@ -259,16 +278,8 @@ where
         self.map.len()
     }
 
-    fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn contains_tuple(&self, key: &K, value: &V) -> bool {
-        self.map.get(key).is_some_and(|s| s.contains(value))
-    }
-
-    fn value_count(&self, key: &K) -> usize {
-        self.map.get(key).map_or(0, ChampSet::len)
+    fn get(&self, key: &K) -> Option<&ChampSet<V>> {
+        self.map.get(key)
     }
 
     fn inserted(&self, key: K, value: V) -> Self {

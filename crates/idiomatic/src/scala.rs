@@ -17,7 +17,7 @@ use std::hash::Hash;
 use hamt::{MemoHamtMap, MemoHamtSet};
 use heapmodel::{Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy, RustFootprint};
 use trie_common::iter::{MaybeIter, TuplesOf};
-use trie_common::ops::{EditInPlace, MultiMapAlgebraOps, MultiMapMutOps, MultiMapOps};
+use trie_common::ops::{EditInPlace, MultiMapAlgebraOps, MultiMapMutOps, MultiMapOps, ValuesView};
 
 /// An immutable Scala-style set: `Set1..Set4` field specializations with a
 /// hash-trie overflow (`HashSet`) beyond four elements.
@@ -72,6 +72,22 @@ impl<V> ScalaSet<V> {
             ScalaSet::S4(a, b, c, d) => ScalaSetIter::small([Some(a), Some(b), Some(c), Some(d)]),
             ScalaSet::Trie(s) => ScalaSetIter::Trie(s.iter()),
         }
+    }
+}
+
+impl<'a, V: Clone + Eq + Hash> ValuesView<'a, V> for &'a ScalaSet<V> {
+    type Iter = ScalaSetIter<'a, V>;
+
+    fn len(&self) -> usize {
+        ScalaSet::len(self)
+    }
+
+    fn contains(&self, value: &V) -> bool {
+        ScalaSet::contains(self, value)
+    }
+
+    fn iter(&self) -> ScalaSetIter<'a, V> {
+        ScalaSet::iter(self)
     }
 }
 
@@ -443,6 +459,12 @@ where
         Self: 'a,
         K: 'a,
         V: 'a;
+    type Values<'a>
+        = &'a ScalaSet<V>
+    where
+        Self: 'a,
+        K: 'a,
+        V: 'a;
 
     fn empty() -> Self {
         ScalaMultiMap::new()
@@ -456,16 +478,8 @@ where
         self.map.len()
     }
 
-    fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn contains_tuple(&self, key: &K, value: &V) -> bool {
-        self.map.get(key).is_some_and(|s| s.contains(value))
-    }
-
-    fn value_count(&self, key: &K) -> usize {
-        self.map.get(key).map_or(0, ScalaSet::len)
+    fn get(&self, key: &K) -> Option<&ScalaSet<V>> {
+        self.map.get(key)
     }
 
     fn inserted(&self, key: K, value: V) -> Self {

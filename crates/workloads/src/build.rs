@@ -51,7 +51,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trie_common::ops::{Builder, EditInPlace};
+    use trie_common::ops::{Builder, EditInPlace, ValuesView};
 
     // A tiny association-list multi-map: enough trait surface to prove the
     // construction paths agree without depending on the real impl crates
@@ -75,6 +75,7 @@ mod tests {
         type Tuples<'a> = TupleRefs<'a>;
         type Keys<'a> = Box<dyn Iterator<Item = &'a u32> + 'a>;
         type ValuesOf<'a> = Box<dyn Iterator<Item = &'a u32> + 'a>;
+        type Values<'a> = VecValues<'a>;
 
         fn empty() -> Self {
             VecMm::default()
@@ -88,14 +89,11 @@ mod tests {
             ks.dedup();
             ks.len()
         }
-        fn contains_key(&self, key: &u32) -> bool {
-            self.0.iter().any(|(k, _)| k == key)
-        }
-        fn contains_tuple(&self, key: &u32, value: &u32) -> bool {
-            self.0.contains(&(*key, *value))
-        }
-        fn value_count(&self, key: &u32) -> usize {
-            self.0.iter().filter(|(k, _)| k == key).count()
+        fn get(&self, key: &u32) -> Option<VecValues<'_>> {
+            let all = &self.0[..];
+            all.iter()
+                .any(|(k, _)| k == key)
+                .then_some(VecValues { key: *key, all })
         }
         fn inserted(&self, key: u32, value: u32) -> Self {
             let mut next = self.clone();
@@ -129,9 +127,29 @@ mod tests {
             }))
         }
         fn values_of<'a>(&'a self, key: &u32) -> Self::ValuesOf<'a> {
-            let key = *key;
+            Box::new(self.get(key).into_iter().flat_map(|vs| vs.iter()))
+        }
+    }
+
+    /// One present key's values in the association list.
+    struct VecValues<'a> {
+        key: u32,
+        all: &'a [(u32, u32)],
+    }
+
+    impl<'a> ValuesView<'a, u32> for VecValues<'a> {
+        type Iter = Box<dyn Iterator<Item = &'a u32> + 'a>;
+
+        fn len(&self) -> usize {
+            self.iter().count()
+        }
+        fn contains(&self, value: &u32) -> bool {
+            self.all.contains(&(self.key, *value))
+        }
+        fn iter(&self) -> Self::Iter {
+            let key = self.key;
             Box::new(
-                self.0
+                self.all
                     .iter()
                     .filter(move |(k, _)| *k == key)
                     .map(|(_, v)| v),

@@ -3,8 +3,10 @@
 //! implementation must agree with `BTreeSet`/`BTreeMap` models on
 //! `union`/`intersect`/`difference`/`diff`, including under pathological
 //! hash collisions, and a frozen snapshot edited in `k` places must diff in
-//! exactly `k` entries. The sharded layer's epoch/`changes_since` and the
-//! parallel combinators are covered at the end.
+//! exactly `k` entries. The key-level multi-map operations (`get`,
+//! `replace_values_mut`) are checked against a map-of-sets model. The
+//! sharded layer's epoch/`changes_since` and the parallel combinators are
+//! covered at the end.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -12,12 +14,14 @@ use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 
-use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet};
+use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet, ValueBag};
 use axiom_repro::champ::{ChampMap, ChampSet};
 use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
 use axiom_repro::idiomatic::{ClojureMultiMap, NestedChampMultiMap, ScalaMultiMap};
 use axiom_repro::sharded::{ShardedMap, ShardedMultiMap, ShardedSet};
-use axiom_repro::trie_common::ops::{MapMergeOps, MultiMapAlgebraOps, SetAlgebraOps};
+use axiom_repro::trie_common::ops::{
+    MapMergeOps, MultiMapAlgebraOps, MultiMapMutOps, SetAlgebraOps, ValuesView,
+};
 
 /// Key wrapper hashing into five buckets: small scripts already exercise
 /// deep sub-trie chains and full-hash collision nodes in every walk.
@@ -234,6 +238,99 @@ where
     assert_eq!(to_model(&a.union(&a)), ma, "{} self-union", M::NAME);
 }
 
+/// A key's values in the model.
+type KeyModel<K> = BTreeMap<K, BTreeSet<u8>>;
+
+/// The key-level operations (`get`, `replace_values_mut`) against a
+/// `BTreeMap<K, BTreeSet<V>>` model. `script` replaces one key's values per
+/// step with 0, 1, 2 or many values (duplicates included), so keys appear,
+/// go, and move between the singleton and the nested representation in
+/// both directions. After every step: the returned delta, the whole
+/// relation, every key's view, a clone taken before the step (unchanged),
+/// and the implementation's own `shape` check.
+fn check_key_level_ops<K, M>(
+    key: fn(u16) -> K,
+    base: &[(u16, u8)],
+    script: &[(u16, Vec<u8>)],
+    shape: fn(&M, &KeyModel<K>),
+) where
+    K: Clone + Ord + Debug,
+    M: MultiMapMutOps<K, u8>,
+{
+    let to_model = |m: &M| -> KeyModel<K> {
+        let mut out = KeyModel::new();
+        for (k, v) in m.tuples() {
+            out.entry(k.clone()).or_default().insert(*v);
+        }
+        out
+    };
+    let mut mm = base
+        .iter()
+        .fold(M::empty(), |m, &(k, v)| m.inserted(key(k), v));
+    let mut model = to_model(&mm);
+    for (k, values) in script {
+        let k = key(*k);
+        let frozen = (mm.clone(), model.clone());
+        let new: BTreeSet<u8> = values.iter().copied().collect();
+        let old = model.get(&k).map_or(0, BTreeSet::len);
+        let delta = mm.replace_values_mut(k.clone(), values.iter().copied());
+        assert_eq!(
+            delta,
+            new.len() as isize - old as isize,
+            "{} delta",
+            M::NAME
+        );
+        if new.is_empty() {
+            model.remove(&k);
+        } else {
+            model.insert(k.clone(), new);
+        }
+
+        assert_eq!(to_model(&mm), model, "{} replace {k:?}", M::NAME);
+        assert_eq!(
+            mm.tuple_count(),
+            model.values().map(BTreeSet::len).sum::<usize>()
+        );
+        assert_eq!(mm.key_count(), model.len(), "{} key_count", M::NAME);
+        assert_eq!(to_model(&frozen.0), frozen.1, "{} clone moved", M::NAME);
+        for probe in (0..64).map(key) {
+            let expected = model.get(&probe);
+            let view = mm.get(&probe);
+            assert_eq!(view.is_some(), expected.is_some(), "{} get", M::NAME);
+            assert_eq!(mm.contains_key(&probe), expected.is_some());
+            assert_eq!(mm.value_count(&probe), expected.map_or(0, BTreeSet::len));
+            let (Some(view), Some(expected)) = (view, expected) else {
+                continue;
+            };
+            assert_eq!(view.len(), expected.len(), "{} view len", M::NAME);
+            let seen: BTreeSet<u8> = view.iter().copied().collect();
+            assert_eq!(&seen, expected, "{} view iter", M::NAME);
+            for v in 0..8u8 {
+                assert_eq!(view.contains(&v), expected.contains(&v), "{} view", M::NAME);
+                assert_eq!(mm.contains_tuple(&probe, &v), expected.contains(&v));
+            }
+        }
+        shape(&mm, &model);
+    }
+}
+
+/// AXIOM's canonical form: the invariants hold, and the trie is the one a
+/// tuple-at-a-time build of the same relation makes (`==` compares shape).
+fn axiom_canonical<K, B>(mm: &AxiomMultiMap<K, u8, B>, model: &KeyModel<K>)
+where
+    K: Clone + Eq + Hash + Ord + Debug,
+    B: ValueBag<u8>,
+{
+    mm.assert_invariants();
+    let folded = model
+        .iter()
+        .flat_map(|(k, vs)| vs.iter().map(move |v| (k.clone(), *v)))
+        .fold(AxiomMultiMap::new(), |m, (k, v)| m.inserted(k, v));
+    assert!(*mm == folded, "not canonical: {mm:?} vs {folded:?}");
+}
+
+fn no_shape_check<K, M>(_: &M, _: &KeyModel<K>) {}
+
 // ---------------------------------------------------------------------------
 // Proptest differential suite: every implementation against the model.
 // ---------------------------------------------------------------------------
@@ -248,6 +345,18 @@ fn entries() -> impl Strategy<Value = Vec<(u16, u8)>> {
     prop::collection::vec(
         (any::<u16>(), any::<u8>()).prop_map(|(k, v)| (k % 64, v % 8)),
         0..120,
+    )
+}
+
+/// Key-level replacements: a key of `entries()`'s domain and 0–11 values
+/// of its 8, so replacements carry duplicates and every arity up to 8.
+fn replacements() -> impl Strategy<Value = Vec<(u16, Vec<u8>)>> {
+    prop::collection::vec(
+        (
+            any::<u16>().prop_map(|k| k % 64),
+            prop::collection::vec(any::<u8>().prop_map(|v| v % 8), 0..12),
+        ),
+        0..24,
     )
 }
 
@@ -303,6 +412,25 @@ proptest! {
         let ys: Vec<(Collide, u8)> = ys.into_iter().map(|(k, v)| (Collide(k), v)).collect();
         check_multimap_algebra::<Collide, u8, AxiomMultiMap<Collide, u8>>(&xs, &ys);
         check_multimap_algebra::<Collide, u8, AxiomFusedMultiMap<Collide, u8>>(&xs, &ys);
+    }
+
+    /// `u16` keys (64 of them over 32 root masks) force prefix clashes;
+    /// `Collide` keys force full-hash collision nodes.
+    #[test]
+    fn key_level_ops_match_model(base in entries(), script in replacements()) {
+        fn run<K: Clone + Eq + Hash + Ord + Debug>(
+            key: fn(u16) -> K,
+            base: &[(u16, u8)],
+            script: &[(u16, Vec<u8>)],
+        ) {
+            check_key_level_ops::<K, AxiomMultiMap<K, u8>>(key, base, script, axiom_canonical);
+            check_key_level_ops::<K, AxiomFusedMultiMap<K, u8>>(key, base, script, axiom_canonical);
+            check_key_level_ops::<K, NestedChampMultiMap<K, u8>>(key, base, script, no_shape_check);
+            check_key_level_ops::<K, ClojureMultiMap<K, u8>>(key, base, script, no_shape_check);
+            check_key_level_ops::<K, ScalaMultiMap<K, u8>>(key, base, script, no_shape_check);
+        }
+        run(|k| k, &base, &script);
+        run(Collide, &base, &script);
     }
 }
 
