@@ -3,198 +3,147 @@
 //! trajectory of the transient editing paths is tracked across PRs
 //! (`BENCH_construction.json` at the repository root).
 //!
-//! Knobs via environment:
+//! Knobs via environment (see [`paper_bench::report::Run`]):
 //!
 //! * `AXIOM_CONSTRUCTION_PROFILE` — `quick` (CI smoke) or `thorough`
 //!   (default; the numbers checked into the repository);
 //! * `AXIOM_CONSTRUCTION_OUT` — output path (default
 //!   `BENCH_construction.json`; `-` for stdout only);
 //! * `AXIOM_CONSTRUCTION_GATE` — when set (any value), exit nonzero unless
-//!   the AXIOM transient build is at least as fast as the persistent fold at
-//!   the ≥100k-tuple data point (the regression gate CI runs);
-//! * `AXIOM_CONSTRUCTION_MIN_SPEEDUP` — override the gate threshold
-//!   (default 1.0; the acceptance target for this optimization is 1.5).
-
-use std::time::Instant;
+//!   the AXIOM transient build is at least `MIN_SPEEDUP` (1.0) times as
+//!   fast as the persistent fold at the ≥100k-tuple data point (the
+//!   regression gate CI runs).
 
 use axiom::{AxiomFusedMultiMap, AxiomMultiMap};
 use champ::ChampMap;
 use idiomatic::{ClojureMultiMap, NestedChampMultiMap, ScalaMultiMap};
+use paper_bench::report::{best_ns, Gate, Profile, Report, Row, Run};
 use trie_common::ops::{MapOps, MultiMapOps, TransientOps};
 use workloads::build::{map_persistent, map_transient, multimap_persistent, multimap_transient};
 use workloads::data::{map_workload, multimap_workload};
 
 const SEED: u64 = 11;
 
-/// One `impl × size` data point.
-struct Row {
-    name: &'static str,
-    kind: &'static str,
+/// Gate: the AXIOM transient build over the persistent fold at ≥100k
+/// tuples (the acceptance target of the in-place transients was 1.5).
+const MIN_SPEEDUP: f64 = 1.0;
+
+/// Times both build paths over `items` items, best of `reps` after one
+/// discarded warmup each, in ns per item.
+fn bench_paths(
+    name: &str,
+    kind: &str,
     keys: usize,
     items: usize,
-    persistent_ns_per_op: f64,
-    transient_ns_per_op: f64,
+    reps: usize,
+    persistent: impl Fn() -> usize,
+    transient: impl Fn() -> usize,
+) -> Row {
+    let per_item = |build: &dyn Fn() -> usize| {
+        build();
+        best_ns(reps, || assert_eq!(build(), items, "build dropped items")) / items as f64
+    };
+    let (persistent, transient) = (per_item(&persistent), per_item(&transient));
+    Row::new()
+        .str("impl", name)
+        .str("kind", kind)
+        .int("keys", keys)
+        .int("items", items)
+        .num("persistent_ns_per_op", persistent, 2)
+        .num("transient_ns_per_op", transient, 2)
+        .num("speedup", persistent / transient, 3)
 }
 
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.persistent_ns_per_op / self.transient_ns_per_op
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "    {{\"impl\": \"{}\", \"kind\": \"{}\", \"keys\": {}, \"items\": {}, \
-             \"persistent_ns_per_op\": {:.2}, \"transient_ns_per_op\": {:.2}, \
-             \"speedup\": {:.3}}}",
-            self.name,
-            self.kind,
-            self.keys,
-            self.items,
-            self.persistent_ns_per_op,
-            self.transient_ns_per_op,
-            self.speedup()
-        )
-    }
-}
-
-/// Best-of-`reps` wall time of one full build, in ns per item.
-fn best_ns_per_op(items: usize, reps: usize, mut f: impl FnMut() -> usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let n = std::hint::black_box(f());
-        let elapsed = start.elapsed().as_nanos() as f64;
-        assert_eq!(n, items, "build dropped items");
-        best = best.min(elapsed / items as f64);
-    }
-    best
-}
-
-fn bench_multimap<M>(name: &'static str, keys: usize, reps: usize) -> Row
+fn bench_multimap<M>(name: &str, keys: usize, reps: usize) -> Row
 where
     M: MultiMapOps<u32, u32> + TransientOps<(u32, u32)>,
 {
     let w = multimap_workload(keys, SEED);
-    let items = w.tuples.len();
-    // One discarded warmup per path.
-    let _ = multimap_persistent::<M>(&w.tuples).tuple_count();
-    let persistent = best_ns_per_op(items, reps, || {
-        multimap_persistent::<M>(&w.tuples).tuple_count()
-    });
-    let _ = multimap_transient::<M>(&w.tuples).tuple_count();
-    let transient = best_ns_per_op(items, reps, || {
-        multimap_transient::<M>(&w.tuples).tuple_count()
-    });
-    Row {
+    bench_paths(
         name,
-        kind: "multimap",
+        "multimap",
         keys,
-        items,
-        persistent_ns_per_op: persistent,
-        transient_ns_per_op: transient,
-    }
+        w.tuples.len(),
+        reps,
+        || multimap_persistent::<M>(&w.tuples).tuple_count(),
+        || multimap_transient::<M>(&w.tuples).tuple_count(),
+    )
 }
 
-fn bench_map<M>(name: &'static str, keys: usize, reps: usize) -> Row
+fn bench_map<M>(name: &str, keys: usize, reps: usize) -> Row
 where
     M: MapOps<u32, u32> + TransientOps<(u32, u32)>,
 {
     let w = map_workload(keys, SEED);
-    let items = w.entries.len();
-    let _ = map_persistent::<M>(&w.entries).len();
-    let persistent = best_ns_per_op(items, reps, || map_persistent::<M>(&w.entries).len());
-    let _ = map_transient::<M>(&w.entries).len();
-    let transient = best_ns_per_op(items, reps, || map_transient::<M>(&w.entries).len());
-    Row {
+    bench_paths(
         name,
-        kind: "map",
+        "map",
         keys,
-        items,
-        persistent_ns_per_op: persistent,
-        transient_ns_per_op: transient,
-    }
+        w.entries.len(),
+        reps,
+        || map_persistent::<M>(&w.entries).len(),
+        || map_transient::<M>(&w.entries).len(),
+    )
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_CONSTRUCTION_PROFILE").unwrap_or_else(|_| "thorough".into());
+    let run = Run::from_env("CONSTRUCTION");
     // 66.7k keys at the 50/50 1:1/1:2 shape ≈ 100k tuples (the acceptance
     // data point).
-    let (sizes, reps) = match profile.as_str() {
-        "quick" => (vec![1 << 10, 66_700], 3),
-        _ => (vec![1 << 10, 1 << 14, 66_700], 5),
+    let (sizes, reps) = match run.profile {
+        Profile::Quick => (vec![1 << 10, 66_700], 3),
+        Profile::Thorough => (vec![1 << 10, 1 << 14, 66_700], 5),
     };
 
-    let mut rows = Vec::new();
+    let mut report = Report::new("axiom-construction-v1", &run).seed(SEED).about(
+        "ns_per_op",
+        format!("full build wall time divided by item count, best of {reps} runs"),
+    );
     for &keys in &sizes {
-        rows.push(bench_multimap::<AxiomMultiMap<u32, u32>>(
+        report.push(bench_multimap::<AxiomMultiMap<u32, u32>>(
             "axiom", keys, reps,
         ));
-        rows.push(bench_multimap::<AxiomFusedMultiMap<u32, u32>>(
+        report.push(bench_multimap::<AxiomFusedMultiMap<u32, u32>>(
             "axiom-fused",
             keys,
             reps,
         ));
-        rows.push(bench_multimap::<ClojureMultiMap<u32, u32>>(
+        report.push(bench_multimap::<ClojureMultiMap<u32, u32>>(
             "clojure", keys, reps,
         ));
-        rows.push(bench_multimap::<ScalaMultiMap<u32, u32>>(
+        report.push(bench_multimap::<ScalaMultiMap<u32, u32>>(
             "scala", keys, reps,
         ));
-        rows.push(bench_multimap::<NestedChampMultiMap<u32, u32>>(
+        report.push(bench_multimap::<NestedChampMultiMap<u32, u32>>(
             "nested-champ",
             keys,
             reps,
         ));
-        rows.push(bench_map::<ChampMap<u32, u32>>("champ-map", keys, reps));
+        report.push(bench_map::<ChampMap<u32, u32>>("champ-map", keys, reps));
     }
+    report.emit(&run);
 
-    let body: Vec<String> = rows.iter().map(Row::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-construction-v1\",\n  \"profile\": \"{}\",\n  \
-         \"seed\": {},\n  \"ns_per_op\": \"full build wall time divided by item count, \
-         best of {} runs\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        reps,
-        body.join(",\n")
-    );
-
-    print!("{json}");
-
-    let out = std::env::var("AXIOM_CONSTRUCTION_OUT")
-        .unwrap_or_else(|_| "BENCH_construction.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_CONSTRUCTION_GATE").is_ok() {
-        let min_speedup: f64 = std::env::var("AXIOM_CONSTRUCTION_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
-        let gated: Vec<&Row> = rows
+    if run.gate.is_some() {
+        let mut gate = Gate::new();
+        let gated: Vec<&Row> = report
+            .rows()
             .iter()
-            .filter(|r| r.name == "axiom" && r.items >= 100_000)
+            .filter(|r| r.is("impl", "axiom") && r.num_of("items") >= 100_000.0)
             .collect();
         assert!(
             !gated.is_empty(),
             "gate requested but no >=100k-tuple axiom data point was measured"
         );
         for row in gated {
-            let speedup = row.speedup();
-            if speedup < min_speedup {
-                eprintln!(
-                    "GATE FAILED: axiom transient build at {} tuples is only x{:.2} \
-                     vs the persistent fold (required x{:.2})",
-                    row.items, speedup, min_speedup
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "gate ok: axiom transient x{:.2} vs persistent fold at {} tuples",
-                speedup, row.items
+            let speedup = row.num_of("speedup");
+            gate.check(
+                speedup >= MIN_SPEEDUP,
+                format!(
+                    "axiom transient x{speedup:.2} vs persistent fold at {} tuples (required x{MIN_SPEEDUP:.2})",
+                    row.num_of("items")
+                ),
             );
         }
+        gate.finish();
     }
 }

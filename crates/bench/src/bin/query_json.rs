@@ -4,7 +4,7 @@
 //! PRs the same way `construction_json` gates the build path
 //! (`BENCH_query.json` at the repository root).
 //!
-//! Knobs via environment:
+//! Knobs via environment (see [`paper_bench::report::Run`]):
 //!
 //! * `AXIOM_QUERY_PROFILE` — `quick` (CI smoke) or `thorough` (default; the
 //!   numbers checked into the repository);
@@ -12,75 +12,62 @@
 //!   stdout only);
 //! * `AXIOM_QUERY_GATE` — path to a baseline JSON (CI passes the checked-in
 //!   file): exit nonzero if any overlapping `(impl, op, keys)` data point is
-//!   more than `AXIOM_QUERY_GATE_FACTOR` (default 3.0) slower than the
-//!   baseline. The generous factor absorbs machine-to-machine variance
-//!   while still catching order-of-magnitude read-path regressions;
-//! * `AXIOM_QUERY_MAX_VS_CHAMP` — same-run relative sanity bound (default
-//!   2.5): the AXIOM map's `lookup_hit` median must stay within this factor
-//!   of CHAMP's at every size. Machine-independent, so it holds on any
-//!   runner (the paper's fig. 6 deficit is ~×1.2).
+//!   more than `GATE_FACTOR` (3.0) times slower than the baseline.
+//!
+//! The same-run gate always runs: the AXIOM map's `lookup_hit` median must
+//! stay within `MAX_VS_CHAMP` (2.5) of CHAMP's at every size.
 
 use std::time::Duration;
 
 use axiom::AxiomMap;
 use champ::ChampMap;
 use hamt::{HamtMap, MemoHamtMap};
+use paper_bench::report::{die, Gate, Profile, Report, Row, Run};
 use trie_common::ops::{MapOps, TransientOps};
 use workloads::data::map_workload;
-use workloads::timing::{measure, BenchOptions};
+use workloads::timing::{measure, BenchOptions, Stats};
 
 const SEED: u64 = 11;
 
-/// One `impl × op × size` data point (median ns per operation).
-struct Row {
-    name: &'static str,
-    op: &'static str,
-    keys: usize,
-    median_ns: f64,
-    mad_ns: f64,
-}
+/// Cross-run gate: every point may be at most this many times slower than
+/// the baseline. The generous factor absorbs machine-to-machine variance
+/// while still catching order-of-magnitude read-path regressions.
+const GATE_FACTOR: f64 = 3.0;
 
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"impl\": \"{}\", \"op\": \"{}\", \"keys\": {}, \
-             \"median_ns\": {:.3}, \"mad_ns\": {:.3}}}",
-            self.name, self.op, self.keys, self.median_ns, self.mad_ns
-        )
-    }
-}
+/// Same-run gate: AXIOM map `lookup_hit` over CHAMP's at every size.
+/// Machine-independent, so it holds on any runner (the paper's fig. 6
+/// deficit is ~×1.2).
+const MAX_VS_CHAMP: f64 = 2.5;
 
-fn bench_map<M>(name: &'static str, keys: usize, opts: &BenchOptions, rows: &mut Vec<Row>)
+fn bench_map<M>(name: &str, keys: usize, opts: &BenchOptions, report: &mut Report)
 where
     M: MapOps<u32, u32> + TransientOps<(u32, u32)>,
 {
     let w = map_workload(keys, SEED);
     let m: M = workloads::map_transient(&w.entries);
     assert_eq!(m.len(), keys, "build dropped entries");
+    let mut push = |op: &str, stats: Stats, per: usize| {
+        report.push(
+            Row::new()
+                .str("impl", name)
+                .str("op", op)
+                .int("keys", keys)
+                .num("median_ns", stats.median_ns / per as f64, 3)
+                .num("mad_ns", stats.mad_ns / per as f64, 3),
+        );
+    };
 
     // Lookup bursts (8 probes per measured repetition, per §4.1).
     let hit = measure(opts, || {
         w.hit_keys.iter().filter(|k| m.get(k).is_some()).count()
     });
     assert!(hit.median_ns > 0.0);
-    rows.push(Row {
-        name,
-        op: "lookup_hit",
-        keys,
-        median_ns: hit.median_ns / w.hit_keys.len() as f64,
-        mad_ns: hit.mad_ns / w.hit_keys.len() as f64,
-    });
+    push("lookup_hit", hit, w.hit_keys.len());
 
     let miss = measure(opts, || {
         w.miss_keys.iter().filter(|k| m.get(k).is_some()).count()
     });
-    rows.push(Row {
-        name,
-        op: "lookup_miss",
-        keys,
-        median_ns: miss.median_ns / w.miss_keys.len() as f64,
-        mad_ns: miss.mad_ns / w.miss_keys.len() as f64,
-    });
+    push("lookup_miss", miss, w.miss_keys.len());
 
     // Full iteration: one trie walk per measured repetition, amortized to
     // ns per element. Iteration is long relative to a lookup burst, so drop
@@ -89,154 +76,67 @@ where
         inner_reps: 1,
         ..*opts
     };
-    let iterate = measure(&iter_opts, || m.entries().count());
-    rows.push(Row {
-        name,
-        op: "iterate",
-        keys,
-        median_ns: iterate.median_ns / keys as f64,
-        mad_ns: iterate.mad_ns / keys as f64,
-    });
-}
-
-/// Minimal parser for the JSON this binary itself emits: extracts
-/// `(impl, op, keys, median_ns)` from each result line. Robust against
-/// field reordering but intentionally not a general JSON parser.
-fn parse_rows(text: &str) -> Vec<(String, String, usize, f64)> {
-    fn str_field(line: &str, name: &str) -> Option<String> {
-        let tag = format!("\"{name}\": \"");
-        let start = line.find(&tag)? + tag.len();
-        let end = line[start..].find('"')? + start;
-        Some(line[start..end].to_string())
-    }
-    fn num_field(line: &str, name: &str) -> Option<f64> {
-        let tag = format!("\"{name}\": ");
-        let start = line.find(&tag)? + tag.len();
-        let rest = &line[start..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-    text.lines()
-        .filter_map(|line| {
-            Some((
-                str_field(line, "impl")?,
-                str_field(line, "op")?,
-                num_field(line, "keys")? as usize,
-                num_field(line, "median_ns")?,
-            ))
-        })
-        .collect()
+    push("iterate", measure(&iter_opts, || m.entries().count()), keys);
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_QUERY_PROFILE").unwrap_or_else(|_| "thorough".into());
-    let (sizes, opts) = match profile.as_str() {
-        "quick" => (vec![1 << 10, 1 << 14], BenchOptions::QUICK),
-        _ => (vec![1 << 10, 1 << 14, 1 << 17], BenchOptions::THOROUGH),
+    let run = Run::from_env("QUERY");
+    let (sizes, opts) = match run.profile {
+        Profile::Quick => (vec![1 << 10, 1 << 14], BenchOptions::QUICK),
+        Profile::Thorough => (vec![1 << 10, 1 << 14, 1 << 17], BenchOptions::THOROUGH),
     };
 
     let started = std::time::Instant::now();
-    let mut rows = Vec::new();
+    let mut report = Report::new("axiom-query-v1", &run).seed(SEED).about(
+        "ns_per_op",
+        "median ns per operation (lookups: per probe of an 8-probe burst; iterate: per element)",
+    );
     for &keys in &sizes {
-        bench_map::<AxiomMap<u32, u32>>("axiom-map", keys, &opts, &mut rows);
-        bench_map::<ChampMap<u32, u32>>("champ-map", keys, &opts, &mut rows);
-        bench_map::<HamtMap<u32, u32>>("hamt-map", keys, &opts, &mut rows);
-        bench_map::<MemoHamtMap<u32, u32>>("memo-hamt-map", keys, &opts, &mut rows);
+        bench_map::<AxiomMap<u32, u32>>("axiom-map", keys, &opts, &mut report);
+        bench_map::<ChampMap<u32, u32>>("champ-map", keys, &opts, &mut report);
+        bench_map::<HamtMap<u32, u32>>("hamt-map", keys, &opts, &mut report);
+        bench_map::<MemoHamtMap<u32, u32>>("memo-hamt-map", keys, &opts, &mut report);
     }
     let elapsed = started.elapsed();
+    report.emit(&run);
+    eprintln!("measured {} rows in {elapsed:.1?}", report.rows().len());
 
-    let body: Vec<String> = rows.iter().map(Row::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-query-v1\",\n  \"profile\": \"{}\",\n  \"seed\": {},\n  \
-         \"ns_per_op\": \"median ns per operation (lookups: per probe of an 8-probe burst; \
-         iterate: per element)\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        body.join(",\n")
-    );
-    print!("{json}");
-    eprintln!("measured {} rows in {elapsed:.1?}", rows.len());
-
-    let out = std::env::var("AXIOM_QUERY_OUT").unwrap_or_else(|_| "BENCH_query.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    let mut failed = false;
-
-    // Same-run relative sanity: AXIOM lookup vs CHAMP lookup, per size.
-    let max_vs_champ: f64 = std::env::var("AXIOM_QUERY_MAX_VS_CHAMP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.5);
+    let mut gate = Gate::new();
     for &keys in &sizes {
         let median_of = |name: &str| {
-            rows.iter()
-                .find(|r| r.name == name && r.op == "lookup_hit" && r.keys == keys)
-                .map(|r| r.median_ns)
-                .expect("measured above")
+            report
+                .find(|r| {
+                    r.is("impl", name)
+                        && r.is("op", "lookup_hit")
+                        && r.num_of("keys") == keys as f64
+                })
+                .num_of("median_ns")
         };
         let ratio = median_of("axiom-map") / median_of("champ-map");
-        if ratio > max_vs_champ {
-            eprintln!(
-                "GATE FAILED: axiom-map lookup_hit is x{ratio:.2} of champ-map at {keys} keys \
-                 (allowed x{max_vs_champ:.2})"
-            );
-            failed = true;
-        } else {
-            eprintln!("gate ok: axiom-map lookup_hit x{ratio:.2} of champ-map at {keys} keys");
-        }
+        gate.check(
+            ratio <= MAX_VS_CHAMP,
+            format!(
+                "axiom-map lookup_hit is x{ratio:.2} of champ-map at {keys} keys \
+                 (allowed x{MAX_VS_CHAMP:.2})"
+            ),
+        );
     }
-
-    // Cross-run gate against a checked-in baseline, with a generous factor
-    // for machine variance.
-    if let Ok(baseline_path) = std::env::var("AXIOM_QUERY_GATE") {
-        let factor: f64 = std::env::var("AXIOM_QUERY_GATE_FACTOR")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3.0);
-        let baseline_text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading gate baseline {baseline_path}: {e}"));
-        let baseline = parse_rows(&baseline_text);
-        assert!(
-            !baseline.is_empty(),
-            "gate baseline {baseline_path} holds no result rows"
-        );
-        let mut compared = 0;
-        for row in &rows {
-            let Some((_, _, _, base_ns)) = baseline
-                .iter()
-                .find(|(name, op, keys, _)| *name == row.name && *op == row.op && *keys == row.keys)
-                .cloned()
-            else {
-                continue;
-            };
-            compared += 1;
-            if row.median_ns > base_ns * factor {
-                eprintln!(
-                    "GATE FAILED: {} {} at {} keys took {:.1} ns/op vs baseline {:.1} \
-                     (allowed x{:.2})",
-                    row.name, row.op, row.keys, row.median_ns, base_ns, factor
-                );
-                failed = true;
-            }
-        }
-        assert!(
-            compared > 0,
-            "gate baseline {baseline_path} shares no (impl, op, keys) points with this run"
-        );
-        eprintln!("gate compared {compared} data points against {baseline_path} (x{factor:.2})");
+    if let Some(path) = &run.gate {
+        let baseline = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(format!("reading gate baseline {path}: {e}")));
+        gate.within_baseline(
+            report.rows(),
+            &baseline,
+            &["impl", "op", "keys"],
+            "median_ns",
+            GATE_FACTOR,
+        )
+        .unwrap_or_else(|e| die(format!("{path}: {e}")));
     }
 
     // Keep the binary honest about wall-clock cost in CI logs.
     if elapsed > Duration::from_secs(600) {
         eprintln!("warning: query bench took {elapsed:.0?}; consider trimming sizes");
     }
-
-    if failed {
-        std::process::exit(1);
-    }
+    gate.finish();
 }

@@ -20,88 +20,45 @@
 //! cannot go below — while the engine adds pinning, batching, and
 //! worker-pool handoff on top.
 //!
-//! Knobs via environment:
+//! Knobs via environment (see [`paper_bench::report::Run`]):
 //!
 //! * `AXIOM_SERVING_PROFILE` — `quick` (CI smoke) or `thorough` (default;
 //!   the numbers checked into the repository);
 //! * `AXIOM_SERVING_OUT` — output path (default `BENCH_serving.json`; `-`
 //!   for stdout only);
 //! * `AXIOM_SERVING_GATE` — when set, exit nonzero unless on the uniform
-//!   mix: `p99_us ≤ AXIOM_SERVING_MAX_P99_US` (default 20000) and
-//!   `read_probes_per_sec ≥ AXIOM_SERVING_MIN_PROBES` (default 50000).
+//!   mix: `p99_us ≤ MAX_P99_US` (20000) and `read_probes_per_sec ≥
+//!   MIN_PROBES_PER_SEC` (50000).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use axiom::AxiomMultiMap;
+use paper_bench::read_requests;
+use paper_bench::report::{best_ns, cpus, percentile, Gate, Profile, Report, Row, Run};
 use serving::{Engine, EngineConfig, MultiMapRead, MultiMapReply};
 use sharded::ShardedMultiMap;
-use workloads::concurrent::{serving_workload, KeyMix, ReadProbe, ServingProfile};
+use workloads::concurrent::{serving_workload, KeyMix, ServingProfile};
 
 const SEED: u64 = 13;
 const SHARDS: usize = 8;
 const SUBMITTERS: usize = 2;
 const PROBES_PER_REQUEST: usize = 8;
 
+/// Gate: the uniform mix's request p99, generous for a starved runner.
+const MAX_P99_US: f64 = 20_000.0;
+
+/// Gate: the uniform mix's read throughput.
+const MIN_PROBES_PER_SEC: f64 = 50_000.0;
+
 type Store = ShardedMultiMap<u32, u32, AxiomMultiMap<u32, u32>>;
-
-fn to_op(probe: &ReadProbe) -> MultiMapRead<u32, u32> {
-    match probe {
-        ReadProbe::ValuesOf(k) => MultiMapRead::ValuesOf(*k),
-        ReadProbe::ContainsKey(k) => MultiMapRead::ContainsKey(*k),
-        ReadProbe::FanOut(ks) => MultiMapRead::FanOut(ks.clone()),
-    }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64 / 1_000.0 // ns -> µs
-}
-
-struct MixRow {
-    mix: &'static str,
-    keys: usize,
-    requests: usize,
-    read_reqs_per_sec: f64,
-    read_probes_per_sec: f64,
-    write_edits_per_sec: f64,
-    applier_commits: u64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-}
-
-impl MixRow {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"kind\": \"mix\", \"mix\": \"{}\", \"keys\": {}, \"shards\": {SHARDS}, \
-             \"submitters\": {SUBMITTERS}, \"probes_per_request\": {PROBES_PER_REQUEST}, \
-             \"requests\": {}, \"read_reqs_per_sec\": {:.0}, \"read_probes_per_sec\": {:.0}, \
-             \"write_edits_per_sec\": {:.0}, \"applier_commits\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}}}",
-            self.mix,
-            self.keys,
-            self.requests,
-            self.read_reqs_per_sec,
-            self.read_probes_per_sec,
-            self.write_edits_per_sec,
-            self.applier_commits,
-            self.p50_us,
-            self.p99_us,
-            self.p999_us
-        )
-    }
-}
 
 /// Drives one traffic mix: `SUBMITTERS` threads submit request batches to
 /// the engine's worker pool (timing each request end to end) while one
 /// writer thread stages the workload's write batches through admission,
 /// for at least `min_secs`.
-fn bench_mix(name: &'static str, mix: KeyMix, keys: usize, min_secs: f64) -> MixRow {
+fn bench_mix(name: &str, mix: KeyMix, keys: usize, min_secs: f64) -> Row {
     let profile = ServingProfile {
         keys,
         read_batches: 512,
@@ -113,11 +70,7 @@ fn bench_mix(name: &'static str, mix: KeyMix, keys: usize, min_secs: f64) -> Mix
         fanout_width: 8,
     };
     let w = serving_workload(&profile, SEED);
-    let requests: Vec<Vec<MultiMapRead<u32, u32>>> = w
-        .read_batches
-        .iter()
-        .map(|b| b.iter().map(to_op).collect())
-        .collect();
+    let requests = read_requests(&w.read_batches);
 
     let store: Arc<Store> = Arc::new(ShardedMultiMap::build_parallel(
         SHARDS,
@@ -167,19 +120,36 @@ fn bench_mix(name: &'static str, mix: KeyMix, keys: usize, min_secs: f64) -> Mix
 
     let mut lat = samples.into_inner().unwrap();
     lat.sort_unstable();
-    let requests_served = lat.len();
-    MixRow {
-        mix: name,
-        keys,
-        requests: requests_served,
-        read_reqs_per_sec: requests_served as f64 / secs,
-        read_probes_per_sec: stats.read_ops as f64 / secs,
-        write_edits_per_sec: edits.load(Ordering::Relaxed) as f64 / secs,
-        applier_commits: stats.applier_commits,
-        p50_us: percentile(&lat, 0.50),
-        p99_us: percentile(&lat, 0.99),
-        p999_us: percentile(&lat, 0.999),
-    }
+    let (p50, p99, p999) = (
+        percentile(&lat, 0.50) / 1e3,
+        percentile(&lat, 0.99) / 1e3,
+        percentile(&lat, 0.999) / 1e3,
+    );
+    let read_reqs_per_sec = lat.len() as f64 / secs;
+    let read_probes_per_sec = stats.read_ops as f64 / secs;
+    eprintln!(
+        "  {read_reqs_per_sec:.0} reqs/s, {read_probes_per_sec:.0} probes/s, p50 {p50:.0}µs \
+         p99 {p99:.0}µs p999 {p999:.0}µs"
+    );
+    Row::new()
+        .str("kind", "mix")
+        .str("mix", name)
+        .int("keys", keys)
+        .int("shards", SHARDS)
+        .int("submitters", SUBMITTERS)
+        .int("probes_per_request", PROBES_PER_REQUEST)
+        .int("requests", lat.len())
+        .num("read_reqs_per_sec", read_reqs_per_sec, 0)
+        .num("read_probes_per_sec", read_probes_per_sec, 0)
+        .num(
+            "write_edits_per_sec",
+            edits.load(Ordering::Relaxed) as f64 / secs,
+            0,
+        )
+        .int("applier_commits", stats.applier_commits)
+        .num("p50_us", p50, 1)
+        .num("p99_us", p99, 1)
+        .num("p999_us", p999, 1)
 }
 
 /// Admission under deliberate overload: `OVERLOAD_WRITERS` threads storm a
@@ -188,7 +158,7 @@ fn bench_mix(name: &'static str, mix: KeyMix, keys: usize, min_secs: f64) -> Mix
 /// reading. Reports the shed rate (sheds over offered batches) and the
 /// read tail latency the bounded queue preserves under that pressure: the
 /// graceful-degradation numbers from the failure model (`DESIGN.md` §9).
-fn bench_overload(keys: usize, min_secs: f64) -> String {
+fn bench_overload(keys: usize, min_secs: f64) -> Row {
     const LANE_CAPACITY: usize = 2;
     const OVERLOAD_WRITERS: usize = 4;
     let profile = ServingProfile {
@@ -202,11 +172,7 @@ fn bench_overload(keys: usize, min_secs: f64) -> String {
         fanout_width: 8,
     };
     let w = serving_workload(&profile, SEED);
-    let requests: Vec<Vec<MultiMapRead<u32, u32>>> = w
-        .read_batches
-        .iter()
-        .map(|b| b.iter().map(to_op).collect())
-        .collect();
+    let requests = read_requests(&w.read_batches);
 
     let store: Arc<Store> = Arc::new(ShardedMultiMap::build_parallel(
         SHARDS,
@@ -285,24 +251,29 @@ fn bench_overload(keys: usize, min_secs: f64) -> String {
     let shed_rate = shed as f64 / offered.max(1) as f64;
     let mut lat = samples.into_inner().unwrap();
     lat.sort_unstable();
-    let (p50, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.99));
+    let (p50, p99) = (percentile(&lat, 0.50) / 1e3, percentile(&lat, 0.99) / 1e3);
     eprintln!(
         "overload: {offered} batches offered, {admitted} admitted, shed rate {shed_rate:.3}, \
          read p50 {p50:.0}µs p99 {p99:.0}µs"
     );
-    format!(
-        "    {{\"kind\": \"overload\", \"keys\": {keys}, \"shards\": {SHARDS}, \
-         \"lane_capacity\": {LANE_CAPACITY}, \"writers\": {OVERLOAD_WRITERS}, \
-         \"offered_batches\": {offered}, \"admitted_batches\": {admitted}, \
-         \"shed_batches\": {shed}, \"shed_rate\": {shed_rate:.4}, \
-         \"read_p50_us\": {p50:.1}, \"read_p99_us\": {p99:.1}}}"
-    )
+    Row::new()
+        .str("kind", "overload")
+        .int("keys", keys)
+        .int("shards", SHARDS)
+        .int("lane_capacity", LANE_CAPACITY)
+        .int("writers", OVERLOAD_WRITERS)
+        .int("offered_batches", offered)
+        .int("admitted_batches", admitted)
+        .int("shed_batches", shed)
+        .num("shed_rate", shed_rate, 4)
+        .num("read_p50_us", p50, 1)
+        .num("read_p99_us", p99, 1)
 }
 
 /// The engine's constant factor over the critical path: answering the same
 /// probes directly on a pinned snapshot (no batching, no pool) vs through
 /// a synchronous engine call.
-fn bench_overhead(keys: usize, reps: usize) -> String {
+fn bench_overhead(keys: usize, reps: usize) -> Row {
     let profile = ServingProfile {
         keys,
         read_batches: 64,
@@ -314,11 +285,7 @@ fn bench_overhead(keys: usize, reps: usize) -> String {
         fanout_width: 8,
     };
     let w = serving_workload(&profile, SEED);
-    let requests: Vec<Vec<MultiMapRead<u32, u32>>> = w
-        .read_batches
-        .iter()
-        .map(|b| b.iter().map(to_op).collect())
-        .collect();
+    let requests = read_requests(&w.read_batches);
     let probes = requests.iter().map(Vec::len).sum::<usize>();
 
     let store: Arc<Store> = Arc::new(ShardedMultiMap::build_parallel(
@@ -333,18 +300,8 @@ fn bench_overhead(keys: usize, reps: usize) -> String {
         },
     );
 
-    let best = |f: &mut dyn FnMut() -> usize| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(t.elapsed().as_nanos() as f64);
-        }
-        best
-    };
-
     // Critical path: answer every probe straight off one pin.
-    let direct_ns = best(&mut || {
+    let direct_ns = best_ns(reps, || {
         let snap = store.snapshot();
         let mut n = 0;
         for req in &requests {
@@ -360,7 +317,7 @@ fn bench_overhead(keys: usize, reps: usize) -> String {
         n
     });
     // Engine path, synchronous (pin + typed dispatch + reply assembly).
-    let engine_ns = best(&mut || {
+    let engine_ns = best_ns(reps, || {
         let mut n = 0;
         for req in &requests {
             let reply = engine.execute(req);
@@ -381,18 +338,19 @@ fn bench_overhead(keys: usize, reps: usize) -> String {
          (x{:.2})",
         engine_per / direct_per
     );
-    format!(
-        "    {{\"kind\": \"overhead\", \"keys\": {keys}, \"shards\": {SHARDS}, \
-         \"direct_ns_per_probe\": {direct_per:.1}, \"engine_ns_per_probe\": {engine_per:.1}, \
-         \"engine_overhead\": {:.3}}}",
-        engine_per / direct_per
-    )
+    Row::new()
+        .str("kind", "overhead")
+        .int("keys", keys)
+        .int("shards", SHARDS)
+        .num("direct_ns_per_probe", direct_per, 1)
+        .num("engine_ns_per_probe", engine_per, 1)
+        .num("engine_overhead", engine_per / direct_per, 3)
 }
 
 /// Optimistic-transaction behaviour under contention: hot-key increments
 /// from several threads, reporting commit throughput and the conflict
 /// (retry) rate.
-fn bench_txn(keys: usize, min_secs: f64) -> String {
+fn bench_txn(keys: usize, min_secs: f64) -> Row {
     let profile = ServingProfile {
         keys,
         read_batches: 1,
@@ -444,21 +402,21 @@ fn bench_txn(keys: usize, min_secs: f64) -> String {
         stats.txn_commits as f64 / secs,
         conflicts_per_commit
     );
-    format!(
-        "    {{\"kind\": \"txn\", \"keys\": {keys}, \"shards\": {SHARDS}, \"threads\": {threads}, \
-         \"commits_per_sec\": {:.0}, \"conflicts_per_commit\": {:.4}}}",
-        stats.txn_commits as f64 / secs,
-        conflicts_per_commit
-    )
+    Row::new()
+        .str("kind", "txn")
+        .int("keys", keys)
+        .int("shards", SHARDS)
+        .int("threads", threads)
+        .num("commits_per_sec", stats.txn_commits as f64 / secs, 0)
+        .num("conflicts_per_commit", conflicts_per_commit, 4)
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_SERVING_PROFILE").unwrap_or_else(|_| "thorough".into());
-    let (keys, min_secs, reps) = match profile.as_str() {
-        "quick" => (16_384, 0.3, 2),
-        _ => (66_700, 1.0, 3),
+    let run = Run::from_env("SERVING");
+    let (keys, min_secs, reps) = match run.profile {
+        Profile::Quick => (16_384, 0.3, 2),
+        Profile::Thorough => (66_700, 1.0, 3),
     };
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mixes: [(&'static str, KeyMix); 3] = [
         ("uniform", KeyMix::Uniform),
@@ -472,79 +430,41 @@ fn main() {
             },
         ),
     ];
-    let mut mix_rows = Vec::new();
+    let mut report = Report::new("axiom-serving-v1", &run).seed(SEED).about(
+        "note",
+        "request latency percentiles are wall-clock under write pressure and depend on this \
+         machine's cpus; direct_ns_per_probe in the overhead row is the machine-independent \
+         critical path (pure answering cost on a pinned epoch), engine_overhead the \
+         batching/pool factor on top",
+    );
     for (name, mix) in mixes {
         eprintln!("mix '{name}' at {keys} keys ({SUBMITTERS} submitters + 1 writer)");
-        let row = bench_mix(name, mix, keys, min_secs);
-        eprintln!(
-            "  {:.0} reqs/s, {:.0} probes/s, p50 {:.0}µs p99 {:.0}µs p999 {:.0}µs",
-            row.read_reqs_per_sec, row.read_probes_per_sec, row.p50_us, row.p99_us, row.p999_us
-        );
-        mix_rows.push(row);
+        report.push(bench_mix(name, mix, keys, min_secs));
     }
     eprintln!("overload at {keys} keys ({SUBMITTERS} submitters + 4 storm writers)");
-    let overload_row = bench_overload(keys, min_secs);
-    let overhead_row = bench_overhead(keys, reps);
-    let txn_row = bench_txn(keys, min_secs);
+    report.push(bench_overload(keys, min_secs));
+    report.push(bench_overhead(keys, reps));
+    report.push(bench_txn(keys, min_secs));
+    report.emit(&run);
 
-    let body: Vec<String> = mix_rows
-        .iter()
-        .map(MixRow::json)
-        .chain([overload_row, overhead_row, txn_row])
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-serving-v1\",\n  \"profile\": \"{}\",\n  \"seed\": {},\n  \
-         \"cpus\": {},\n  \"note\": \"request latency percentiles are wall-clock under write \
-         pressure and depend on this machine's cpus; direct_ns_per_probe in the overhead row \
-         is the machine-independent critical path (pure answering cost on a pinned epoch), \
-         engine_overhead the batching/pool factor on top\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        cpus,
-        body.join(",\n")
-    );
-    print!("{json}");
-
-    let out = std::env::var("AXIOM_SERVING_OUT").unwrap_or_else(|_| "BENCH_serving.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_SERVING_GATE").is_ok() {
-        let max_p99: f64 = std::env::var("AXIOM_SERVING_MAX_P99_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000.0);
-        let min_probes: f64 = std::env::var("AXIOM_SERVING_MIN_PROBES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50_000.0);
-        let row = mix_rows
-            .iter()
-            .find(|r| r.mix == "uniform")
-            .expect("uniform mix measured");
-        let mut failed = false;
-        if row.p99_us > max_p99 {
-            eprintln!(
-                "GATE FAILED: uniform-mix p99 {:.0}µs (limit {max_p99:.0}µs)",
-                row.p99_us
-            );
-            failed = true;
-        }
-        if row.read_probes_per_sec < min_probes {
-            eprintln!(
-                "GATE FAILED: uniform-mix {:.0} probes/s (required {min_probes:.0})",
-                row.read_probes_per_sec
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok: uniform mix p99 {:.0}µs, {:.0} probes/s on {cpus} cpu(s)",
-            row.p99_us, row.read_probes_per_sec
+    if run.gate.is_some() {
+        let uniform = report.find(|r| r.is("mix", "uniform"));
+        let (p99, probes) = (
+            uniform.num_of("p99_us"),
+            uniform.num_of("read_probes_per_sec"),
         );
+        let mut gate = Gate::new();
+        gate.check(
+            p99 <= MAX_P99_US,
+            format!(
+                "uniform-mix p99 {p99:.0}µs on {} cpu(s) (limit {MAX_P99_US:.0}µs)",
+                cpus()
+            ),
+        );
+        gate.check(
+            probes >= MIN_PROBES_PER_SEC,
+            format!("uniform-mix {probes:.0} probes/s (required {MIN_PROBES_PER_SEC:.0})"),
+        );
+        gate.finish();
     }
 }

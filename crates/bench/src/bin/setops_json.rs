@@ -16,7 +16,7 @@
 //!   merges nodes instead of probing elements, so it typically still wins,
 //!   but no 10x is claimed here).
 //!
-//! Knobs via environment:
+//! Knobs via environment (see [`paper_bench::report::Run`]):
 //!
 //! * `AXIOM_SETOPS_PROFILE` — `quick` (CI smoke) or `thorough` (default;
 //!   the 1M-element numbers checked into the repository);
@@ -24,36 +24,29 @@
 //!   for stdout only);
 //! * `AXIOM_SETOPS_GATE` — when set, exit nonzero unless at the largest
 //!   size, on the `divergent1pct` shape, the structural `diff` beats its
-//!   element-wise fallback by at least `AXIOM_SETOPS_MIN_SPEEDUP`
-//!   (default 10.0) and the structural `union` by at least
-//!   `AXIOM_SETOPS_MIN_UNION_SPEEDUP` (default 2.5). The bars differ
-//!   because `diff` only *reports* the divergence while `union` must also
-//!   *build* the result — path-copying ~10k scattered divergent paths is
-//!   real work no walk can skip, so union's honest ceiling on this shape
-//!   is a few-fold, while diff's is bounded only by the divergence.
-
-use std::time::Instant;
+//!   element-wise fallback by at least `MIN_DIFF_SPEEDUP` (10.0) and the
+//!   structural `union` by at least `MIN_UNION_SPEEDUP` (2.5).
 
 use axiom::AxiomSet;
 use champ::ChampSet;
-use trie_common::ops::SetDiff;
+use paper_bench::report::{median_ns, Gate, Profile, Report, Row, Run};
+use trie_common::ops::{SetDiff, SetOps};
 
-/// Median wall time of `reps` runs of `f`, in ns (result black-boxed).
-fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
+/// Gate: structural `diff` over the element-wise fallback on 1%-divergent
+/// operands at the largest size.
+const MIN_DIFF_SPEEDUP: f64 = 10.0;
+
+/// Gate: structural `union` over the element-wise fallback on the same
+/// operands. The bars differ because `diff` only *reports* the divergence
+/// while `union` must also *build* the result — path-copying ~10k
+/// scattered divergent paths is real work no walk can skip, so union's
+/// honest ceiling on this shape is a few-fold, while diff's is bounded
+/// only by the divergence.
+const MIN_UNION_SPEEDUP: f64 = 2.5;
 
 /// The documented element-wise `diff` fallback, reproduced here so the
 /// structural implementation is measured against exactly what it replaced.
-fn diff_elementwise(a: &AxiomSet<u64>, b: &AxiomSet<u64>) -> SetDiff<u64> {
+fn diff_elementwise<S: SetOps<u64>>(a: &S, b: &S) -> SetDiff<u64> {
     let mut out = SetDiff::new();
     for v in b.iter() {
         if !a.contains(v) {
@@ -66,57 +59,12 @@ fn diff_elementwise(a: &AxiomSet<u64>, b: &AxiomSet<u64>) -> SetDiff<u64> {
         }
     }
     out
-}
-
-fn diff_elementwise_champ(a: &ChampSet<u64>, b: &ChampSet<u64>) -> SetDiff<u64> {
-    let mut out = SetDiff::new();
-    for v in b.iter() {
-        if !a.contains(v) {
-            out.added.push(*v);
-        }
-    }
-    for v in a.iter() {
-        if !b.contains(v) {
-            out.removed.push(*v);
-        }
-    }
-    out
-}
-
-struct Row {
-    imp: &'static str,
-    op: &'static str,
-    shape: &'static str,
-    n: usize,
-    structural_ns: f64,
-    elementwise_ns: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.elementwise_ns / self.structural_ns
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "    {{\"impl\": \"{}\", \"op\": \"{}\", \"shape\": \"{}\", \"n\": {}, \
-             \"structural_median_ns\": {:.0}, \"elementwise_median_ns\": {:.0}, \
-             \"speedup\": {:.2}}}",
-            self.imp,
-            self.op,
-            self.shape,
-            self.n,
-            self.structural_ns,
-            self.elementwise_ns,
-            self.speedup()
-        )
-    }
 }
 
 /// Builds the three operand shapes at size `n` for one set type, via the
 /// same closure-driven plumbing for both tries.
 macro_rules! bench_set_impl {
-    ($name:literal, $ty:ty, $diff_ew:ident, $n:expr, $reps:expr, $rows:expr) => {{
+    ($name:literal, $ty:ty, $n:expr, $reps:expr, $report:expr) => {{
         let n = $n as u64;
         let a: $ty = (0..n).collect();
         let shapes: [(&'static str, $ty); 3] = [
@@ -138,108 +86,73 @@ macro_rules! bench_set_impl {
             let structural_union = median_ns($reps, || a.union(b).len());
             let elementwise_union = median_ns($reps, || a.union_elementwise(b).len());
             let structural_diff = median_ns($reps, || a.diff(b).len());
-            let elementwise_diff = median_ns($reps, || $diff_ew(&a, b).len());
+            let elementwise_diff = median_ns($reps, || diff_elementwise(&a, b).len());
             for (op, s, e) in [
                 ("union", structural_union, elementwise_union),
                 ("diff", structural_diff, elementwise_diff),
             ] {
-                let row = Row {
-                    imp: $name,
-                    op,
-                    shape,
-                    n: $n,
-                    structural_ns: s,
-                    elementwise_ns: e,
-                };
                 eprintln!(
-                    "  {} {op:5} {shape:13}: structural {:9.0}ns, element-wise {:11.0}ns, x{:.1}",
+                    "  {} {op:5} {shape:13}: structural {s:9.0}ns, element-wise {e:11.0}ns, x{:.1}",
                     $name,
-                    row.structural_ns,
-                    row.elementwise_ns,
-                    row.speedup()
+                    e / s
                 );
-                $rows.push(row);
+                $report.push(
+                    Row::new()
+                        .str("impl", $name)
+                        .str("op", op)
+                        .str("shape", shape)
+                        .int("n", $n)
+                        .num("structural_median_ns", s, 0)
+                        .num("elementwise_median_ns", e, 0)
+                        .num("speedup", e / s, 2),
+                );
             }
         }
     }};
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_SETOPS_PROFILE").unwrap_or_else(|_| "thorough".into());
-    let (sizes, reps) = match profile.as_str() {
-        "quick" => (vec![65_536usize], 3),
-        _ => (vec![65_536usize, 1_000_000], 5),
+    let run = Run::from_env("SETOPS");
+    let (sizes, reps) = match run.profile {
+        Profile::Quick => (vec![65_536usize], 3),
+        Profile::Thorough => (vec![65_536usize, 1_000_000], 5),
     };
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut report = Report::new("axiom-setops-v1", &run).about(
+        "note",
+        "structural = lockstep node walk skipping Arc-pointer-equal subtrees; element-wise = \
+         the documented per-element fallback the algebra traits default to; divergent1pct = \
+         operand frozen then 1% of elements rewritten",
+    );
     for &n in &sizes {
         eprintln!("set algebra at {n} elements");
-        bench_set_impl!("axiom", AxiomSet<u64>, diff_elementwise, n, reps, rows);
-        bench_set_impl!(
-            "champ",
-            ChampSet<u64>,
-            diff_elementwise_champ,
-            n,
-            reps,
-            rows
-        );
+        bench_set_impl!("axiom", AxiomSet<u64>, n, reps, report);
+        bench_set_impl!("champ", ChampSet<u64>, n, reps, report);
     }
+    report.emit(&run);
 
-    let body: Vec<String> = rows.iter().map(Row::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-setops-v1\",\n  \"profile\": \"{}\",\n  \"note\": \
-         \"structural = lockstep node walk skipping Arc-pointer-equal subtrees; element-wise = \
-         the documented per-element fallback the algebra traits default to; divergent1pct = \
-         operand frozen then 1% of elements rewritten\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        body.join(",\n")
-    );
-    print!("{json}");
-
-    let out = std::env::var("AXIOM_SETOPS_OUT").unwrap_or_else(|_| "BENCH_setops.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_SETOPS_GATE").is_ok() {
-        let min_diff: f64 = std::env::var("AXIOM_SETOPS_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10.0);
-        let min_union: f64 = std::env::var("AXIOM_SETOPS_MIN_UNION_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2.5);
-        let largest = sizes.iter().copied().max().expect("sizes nonempty");
-        let mut failed = false;
-        for row in rows
-            .iter()
-            .filter(|r| r.n == largest && r.shape == "divergent1pct")
-        {
-            let required = if row.op == "diff" {
-                min_diff
-            } else {
-                min_union
-            };
-            if row.speedup() < required {
-                eprintln!(
-                    "GATE FAILED: {} {} on divergent1pct at {}: x{:.2} (required x{:.2})",
-                    row.imp,
-                    row.op,
-                    row.n,
-                    row.speedup(),
-                    required
+    if run.gate.is_some() {
+        let largest = sizes.iter().copied().max().expect("sizes nonempty") as f64;
+        let mut gate = Gate::new();
+        for imp in ["axiom", "champ"] {
+            for (op, required) in [("union", MIN_UNION_SPEEDUP), ("diff", MIN_DIFF_SPEEDUP)] {
+                let speedup = report
+                    .find(|r| {
+                        r.is("impl", imp)
+                            && r.is("op", op)
+                            && r.is("shape", "divergent1pct")
+                            && r.num_of("n") == largest
+                    })
+                    .num_of("speedup");
+                gate.check(
+                    speedup >= required,
+                    format!(
+                        "{imp} structural {op} on divergent1pct at {largest}: x{speedup:.2} \
+                         (required x{required:.2})"
+                    ),
                 );
-                failed = true;
             }
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok on 1%-divergent operands: structural diff ≥ x{min_diff:.1}, \
-             union ≥ x{min_union:.1}"
-        );
+        gate.finish();
     }
 }

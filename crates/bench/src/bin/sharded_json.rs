@@ -16,7 +16,7 @@
 //!   enough cores), so it is the machine-independent scaling statement; the
 //!   `cpus` field records how much real parallelism backed `speedup_wall`.
 //!
-//! Knobs via environment:
+//! Knobs via environment (see [`paper_bench::report::Run`]):
 //!
 //! * `AXIOM_SHARDED_PROFILE` — `quick` (CI smoke) or `thorough` (default;
 //!   the numbers checked into the repository, topping out at ~1M tuples);
@@ -24,14 +24,14 @@
 //!   for stdout only);
 //! * `AXIOM_SHARDED_GATE` — when set, exit nonzero unless at the largest
 //!   measured size with 8 shards: `speedup_critical_path ≥
-//!   AXIOM_SHARDED_MIN_SPEEDUP` (default 3.0) and `speedup_wall ≥
-//!   AXIOM_SHARDED_MIN_WALL` (default 0.7, i.e. sharding never costs more
-//!   than ~1.4× wall even with no cores to exploit).
+//!   MIN_CRITICAL_SPEEDUP` (3.0) and `speedup_wall ≥ MIN_WALL_SPEEDUP`
+//!   (0.7).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use axiom::AxiomMultiMap;
+use paper_bench::report::{best_ns, cpus, Gate, Profile, Report, Row, Run};
 use sharded::{partition_tuples, ShardedMultiMap};
 use trie_common::ops::TransientOps;
 use workloads::concurrent::concurrent_workload;
@@ -42,79 +42,16 @@ const SEED: u64 = 11;
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const READERS: usize = 2;
 
+/// Gate: the 8-shard critical-path speedup at the largest size.
+const MIN_CRITICAL_SPEEDUP: f64 = 3.0;
+
+/// Gate: the 8-shard wall speedup at the largest size, i.e. sharding never
+/// costs more than ~1.4× wall even with no cores to exploit.
+const MIN_WALL_SPEEDUP: f64 = 0.7;
+
 type Mm = AxiomMultiMap<u32, u32>;
 
-/// Best-of-`reps` wall time of `f`, in ns.
-fn best_ns(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
-
-struct BuildRow {
-    keys: usize,
-    items: usize,
-    shards: usize,
-    single_ns: f64,
-    partition_ns: f64,
-    max_shard_ns: f64,
-    sum_shards_ns: f64,
-    wall_ns: f64,
-}
-
-impl BuildRow {
-    fn speedup_wall(&self) -> f64 {
-        self.single_ns / self.wall_ns
-    }
-
-    fn speedup_critical(&self) -> f64 {
-        self.single_ns / (self.partition_ns + self.max_shard_ns)
-    }
-
-    fn json(&self) -> String {
-        let per = |ns: f64| ns / self.items as f64;
-        format!(
-            "    {{\"kind\": \"build\", \"keys\": {}, \"items\": {}, \"shards\": {}, \
-             \"single_transient_ns_per_item\": {:.2}, \"partition_ns_per_item\": {:.2}, \
-             \"max_shard_ns_per_item\": {:.2}, \"sum_shards_ns_per_item\": {:.2}, \
-             \"parallel_wall_ns_per_item\": {:.2}, \"speedup_wall\": {:.3}, \
-             \"speedup_critical_path\": {:.3}}}",
-            self.keys,
-            self.items,
-            self.shards,
-            per(self.single_ns),
-            per(self.partition_ns),
-            per(self.max_shard_ns),
-            per(self.sum_shards_ns),
-            per(self.wall_ns),
-            self.speedup_wall(),
-            self.speedup_critical()
-        )
-    }
-}
-
-struct MixedRow {
-    keys: usize,
-    shards: usize,
-    reads_per_sec: f64,
-    edits_per_sec: f64,
-}
-
-impl MixedRow {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"kind\": \"mixed\", \"keys\": {}, \"shards\": {}, \"readers\": {READERS}, \
-             \"read_probes_per_sec\": {:.0}, \"write_edits_per_sec\": {:.0}}}",
-            self.keys, self.shards, self.reads_per_sec, self.edits_per_sec
-        )
-    }
-}
-
-fn bench_build(keys: usize, reps: usize, rows: &mut Vec<BuildRow>) {
+fn bench_build(keys: usize, reps: usize, report: &mut Report) {
     let w = multimap_workload(keys, SEED);
     let items = w.tuples.len();
     eprintln!("build scaling at {keys} keys / {items} tuples");
@@ -138,26 +75,31 @@ fn bench_build(keys: usize, reps: usize, rows: &mut Vec<BuildRow>) {
             ShardedMultiMap::<u32, u32>::build_parallel(shards, w.tuples.iter().copied())
                 .tuple_count()
         });
-        let row = BuildRow {
-            keys,
-            items,
-            shards,
-            single_ns,
-            partition_ns,
-            max_shard_ns: shard_ns.iter().cloned().fold(0.0, f64::max),
-            sum_shards_ns: shard_ns.iter().sum(),
-            wall_ns,
-        };
+        let max_shard_ns = shard_ns.iter().cloned().fold(0.0, f64::max);
+        let speedup_wall = single_ns / wall_ns;
+        let speedup_critical = single_ns / (partition_ns + max_shard_ns);
         eprintln!(
-            "  {shards} shard(s): wall x{:.2}, critical path x{:.2}",
-            row.speedup_wall(),
-            row.speedup_critical()
+            "  {shards} shard(s): wall x{speedup_wall:.2}, critical path x{speedup_critical:.2}"
         );
-        rows.push(row);
+        let per = |ns: f64| ns / items as f64;
+        report.push(
+            Row::new()
+                .str("kind", "build")
+                .int("keys", keys)
+                .int("items", items)
+                .int("shards", shards)
+                .num("single_transient_ns_per_item", per(single_ns), 2)
+                .num("partition_ns_per_item", per(partition_ns), 2)
+                .num("max_shard_ns_per_item", per(max_shard_ns), 2)
+                .num("sum_shards_ns_per_item", per(shard_ns.iter().sum()), 2)
+                .num("parallel_wall_ns_per_item", per(wall_ns), 2)
+                .num("speedup_wall", speedup_wall, 3)
+                .num("speedup_critical_path", speedup_critical, 3),
+        );
     }
 }
 
-fn bench_mixed(keys: usize, min_secs: f64, rows: &mut Vec<MixedRow>) {
+fn bench_mixed(keys: usize, min_secs: f64, report: &mut Report) {
     // Writer batches + read probes from the shared scenario generator.
     let w = concurrent_workload(keys, 64, 64, SEED);
     eprintln!("mixed read/write at {keys} keys ({READERS} readers + 1 writer)");
@@ -195,103 +137,67 @@ fn bench_mixed(keys: usize, min_secs: f64, rows: &mut Vec<MixedRow>) {
             done.store(true, Ordering::Relaxed);
         });
         let secs = start.elapsed().as_secs_f64();
-        let row = MixedRow {
-            keys,
-            shards,
-            reads_per_sec: reads.load(Ordering::Relaxed) as f64 / secs,
-            edits_per_sec: edits as f64 / secs,
-        };
-        eprintln!(
-            "  {shards} shard(s): {:.0} reads/s, {:.0} edits/s",
-            row.reads_per_sec, row.edits_per_sec
+        let reads_per_sec = reads.load(Ordering::Relaxed) as f64 / secs;
+        let edits_per_sec = edits as f64 / secs;
+        eprintln!("  {shards} shard(s): {reads_per_sec:.0} reads/s, {edits_per_sec:.0} edits/s");
+        report.push(
+            Row::new()
+                .str("kind", "mixed")
+                .int("keys", keys)
+                .int("shards", shards)
+                .int("readers", READERS)
+                .num("read_probes_per_sec", reads_per_sec, 0)
+                .num("write_edits_per_sec", edits_per_sec, 0),
         );
-        rows.push(row);
     }
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_SHARDED_PROFILE").unwrap_or_else(|_| "thorough".into());
+    let run = Run::from_env("SHARDED");
     // 66.7k / 667k keys at the 50/50 1:1/1:2 shape ≈ 100k / 1M tuples.
-    let (sizes, mixed_keys, reps, mixed_secs) = match profile.as_str() {
-        "quick" => (vec![66_700], 16_384, 2, 0.25),
-        _ => (vec![66_700, 667_000], 66_700, 3, 1.0),
+    let (sizes, mixed_keys, reps, mixed_secs) = match run.profile {
+        Profile::Quick => (vec![66_700], 16_384, 2, 0.25),
+        Profile::Thorough => (vec![66_700, 667_000], 66_700, 3, 1.0),
     };
 
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut build_rows = Vec::new();
-    for &keys in &sizes {
-        bench_build(keys, reps, &mut build_rows);
-    }
-    let mut mixed_rows = Vec::new();
-    bench_mixed(mixed_keys, mixed_secs, &mut mixed_rows);
-
-    let body: Vec<String> = build_rows
-        .iter()
-        .map(BuildRow::json)
-        .chain(mixed_rows.iter().map(MixedRow::json))
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-sharded-v1\",\n  \"profile\": \"{}\",\n  \"seed\": {},\n  \
-         \"cpus\": {},\n  \"note\": \"speedup_critical_path = single-threaded transient build \
-         over (partition + slowest shard build), the span of the parallel computation; \
-         speedup_wall is the measured scoped-thread wall time on this machine's cpus\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        cpus,
-        body.join(",\n")
+    let mut report = Report::new("axiom-sharded-v1", &run).seed(SEED).about(
+        "note",
+        "speedup_critical_path = single-threaded transient build over (partition + slowest \
+         shard build), the span of the parallel computation; speedup_wall is the measured \
+         scoped-thread wall time on this machine's cpus",
     );
-    print!("{json}");
-
-    let out = std::env::var("AXIOM_SHARDED_OUT").unwrap_or_else(|_| "BENCH_sharded.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
+    for &keys in &sizes {
+        bench_build(keys, reps, &mut report);
     }
+    bench_mixed(mixed_keys, mixed_secs, &mut report);
+    report.emit(&run);
 
-    if std::env::var("AXIOM_SHARDED_GATE").is_ok() {
-        let min_critical: f64 = std::env::var("AXIOM_SHARDED_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3.0);
-        let min_wall: f64 = std::env::var("AXIOM_SHARDED_MIN_WALL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.7);
-        let largest = sizes.iter().copied().max().expect("sizes nonempty");
-        let row = build_rows
-            .iter()
-            .find(|r| r.keys == largest && r.shards == 8)
-            .expect("8-shard row measured");
-        let mut failed = false;
-        if row.speedup_critical() < min_critical {
-            eprintln!(
-                "GATE FAILED: 8-shard critical-path speedup x{:.2} at {} tuples \
-                 (required x{:.2})",
-                row.speedup_critical(),
-                row.items,
-                min_critical
-            );
-            failed = true;
-        }
-        if row.speedup_wall() < min_wall {
-            eprintln!(
-                "GATE FAILED: 8-shard wall speedup x{:.2} at {} tuples (required x{:.2})",
-                row.speedup_wall(),
-                row.items,
-                min_wall
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok: 8 shards at {} tuples — critical path x{:.2}, wall x{:.2} on {} cpu(s)",
-            row.items,
-            row.speedup_critical(),
-            row.speedup_wall(),
-            cpus
+    if run.gate.is_some() {
+        let largest = sizes.iter().copied().max().expect("sizes nonempty") as f64;
+        let row = report.find(|r| {
+            r.is("kind", "build") && r.num_of("keys") == largest && r.num_of("shards") == 8.0
+        });
+        let (critical, wall) = (
+            row.num_of("speedup_critical_path"),
+            row.num_of("speedup_wall"),
         );
+        let items = row.num_of("items");
+        let mut gate = Gate::new();
+        gate.check(
+            critical >= MIN_CRITICAL_SPEEDUP,
+            format!(
+                "8-shard critical-path speedup x{critical:.2} at {items} tuples \
+                 (required x{MIN_CRITICAL_SPEEDUP:.2})"
+            ),
+        );
+        gate.check(
+            wall >= MIN_WALL_SPEEDUP,
+            format!(
+                "8-shard wall speedup x{wall:.2} at {items} tuples on {} cpu(s) \
+                 (required x{MIN_WALL_SPEEDUP:.2})",
+                cpus()
+            ),
+        );
+        gate.finish();
     }
 }

@@ -7,7 +7,7 @@
 //! tuples hit, partial matches stay partial, misses miss) and the expected
 //! tuple count — a fast-but-wrong restore fails the run outright.
 //!
-//! Knobs via environment:
+//! Knobs via environment (see [`paper_bench::report::Run`]):
 //!
 //! * `AXIOM_SNAPSHOT_PROFILE` — `quick` (CI smoke: the 100k-tuple
 //!   instance) or `thorough` (default: checked-in numbers, up to ~1M
@@ -15,12 +15,11 @@
 //! * `AXIOM_SNAPSHOT_OUT` — output path (default `BENCH_snapshot.json`;
 //!   `-` for stdout only);
 //! * `AXIOM_SNAPSHOT_GATE` — when set, exit nonzero unless at the largest
-//!   size the 8-shard restore takes at most `AXIOM_SNAPSHOT_MAX_FACTOR`
-//!   (default 3.0) times the fresh transient build.
-
-use std::time::Instant;
+//!   size the 8-shard restore takes at most `MAX_RESTORE_FACTOR` (3.0)
+//!   times the fresh transient build.
 
 use axiom::AxiomMultiMap;
+use paper_bench::report::{best_ns, die, Gate, Profile, Report, Row, Run};
 use sharded::ShardedMultiMap;
 use trie_common::snapshot::inspect;
 use trie_common::snapshot::SnapshotRead;
@@ -29,65 +28,12 @@ use workloads::snapshot::{snapshot_workload, verify_restore, SnapshotWorkload, S
 
 const SEED: u64 = 11;
 
+/// Gate: the 8-shard restore over the fresh transient build at the
+/// largest size.
+const MAX_RESTORE_FACTOR: f64 = 3.0;
+
 type Mm = AxiomMultiMap<u32, u32>;
 type Sharded = ShardedMultiMap<u32, u32>;
-
-/// Best-of-`reps` wall time of `f`, in ns.
-fn best_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
-
-struct SizeReport {
-    keys: usize,
-    items: usize,
-    bytes: usize,
-    bytes_per_tuple: f64,
-    fresh_build_ns: f64,
-    save_ns: f64,
-    restores: Vec<RestoreRow>,
-}
-
-struct RestoreRow {
-    shards: usize,
-    restore_ns: f64,
-    vs_fresh_build: f64,
-}
-
-impl SizeReport {
-    fn json(&self) -> String {
-        let restores: Vec<String> = self
-            .restores
-            .iter()
-            .map(|r| {
-                format!(
-                    "      {{\"shards\": {}, \"restore_ns_per_item\": {:.2}, \
-                     \"restore_vs_fresh_build\": {:.3}}}",
-                    r.shards,
-                    r.restore_ns / self.items as f64,
-                    r.vs_fresh_build
-                )
-            })
-            .collect();
-        format!(
-            "    {{\"keys\": {}, \"items\": {}, \"snapshot_bytes\": {}, \
-             \"bytes_per_tuple\": {:.2}, \"fresh_build_ns_per_item\": {:.2}, \
-             \"save_ns_per_item\": {:.2}, \"save_shards\": {SAVE_SHARDS}, \"restores\": [\n{}\n    ]}}",
-            self.keys,
-            self.items,
-            self.bytes,
-            self.bytes_per_tuple,
-            self.fresh_build_ns / self.items as f64,
-            self.save_ns / self.items as f64,
-            restores.join(",\n")
-        )
-    }
-}
 
 /// Probe-verifies a sharded restore with the same oracle
 /// [`workloads::snapshot::verify_restore`] applies to plain restores
@@ -120,7 +66,9 @@ fn verify_sharded(restored: &Sharded, w: &SnapshotWorkload) -> Result<(), String
     Ok(())
 }
 
-fn bench_size(keys: usize, reps: usize) -> SizeReport {
+/// Pushes the row of one size and returns its restore time at
+/// `SAVE_SHARDS` shards over the fresh transient build.
+fn bench_size(keys: usize, reps: usize, report: &mut Report) -> f64 {
     let w = snapshot_workload(keys, SEED);
     let items = w.tuples.len();
     eprintln!("snapshot round-trip at {keys} keys / {items} tuples");
@@ -137,11 +85,14 @@ fn bench_size(keys: usize, reps: usize) -> SizeReport {
     // bytes must restore into a plain unsharded trie.
     let plain: Mm = Mm::read_snapshot(&bytes).expect("plain restore");
     if let Err(why) = verify_restore(&plain, &w) {
-        eprintln!("FATAL: plain restore of the sharded snapshot is corrupt: {why}");
-        std::process::exit(2);
+        die(format!(
+            "plain restore of the sharded snapshot is corrupt: {why}"
+        ));
     }
 
+    let per = |ns: f64| ns / items as f64;
     let mut restores = Vec::new();
+    let mut gated = None;
     for &shards in &w.restore_shards {
         let restore_ns = best_ns(reps, || {
             Sharded::load_snapshot(&bytes, shards)
@@ -150,85 +101,72 @@ fn bench_size(keys: usize, reps: usize) -> SizeReport {
         });
         let restored = Sharded::load_snapshot(&bytes, shards).expect("restore");
         if let Err(why) = verify_sharded(&restored, &w) {
-            eprintln!("FATAL: restore at {shards} shards is corrupt: {why}");
-            std::process::exit(2);
+            die(format!("restore at {shards} shards is corrupt: {why}"));
         }
-        let row = RestoreRow {
-            shards,
-            restore_ns,
-            vs_fresh_build: restore_ns / fresh_build_ns,
-        };
+        let vs_fresh_build = restore_ns / fresh_build_ns;
         eprintln!(
-            "  restore at {shards} shard(s): x{:.2} of the fresh transient build",
-            row.vs_fresh_build
+            "  restore at {shards} shard(s): x{vs_fresh_build:.2} of the fresh transient build"
         );
-        restores.push(row);
+        if shards == SAVE_SHARDS {
+            gated = Some(vs_fresh_build);
+        }
+        restores.push(
+            Row::new()
+                .int("shards", shards)
+                .num("restore_ns_per_item", per(restore_ns), 2)
+                .num("restore_vs_fresh_build", vs_fresh_build, 3),
+        );
     }
 
-    SizeReport {
-        keys,
-        items,
-        bytes_per_tuple: bytes.len() as f64 / items as f64,
-        bytes: bytes.len(),
-        fresh_build_ns,
-        save_ns,
-        restores,
-    }
+    report.push(
+        Row::new()
+            .int("keys", keys)
+            .int("items", items)
+            .int("snapshot_bytes", bytes.len())
+            .num("bytes_per_tuple", bytes.len() as f64 / items as f64, 2)
+            .num("fresh_build_ns_per_item", per(fresh_build_ns), 2)
+            .num("save_ns_per_item", per(save_ns), 2)
+            .int("save_shards", SAVE_SHARDS)
+            .rows("restores", restores),
+    );
+    gated.expect("8-shard restore measured")
 }
 
 fn main() {
-    let profile = std::env::var("AXIOM_SNAPSHOT_PROFILE").unwrap_or_else(|_| "thorough".into());
+    let run = Run::from_env("SNAPSHOT");
     // 66.7k keys at the 50/50 1:1/1:2 shape ≈ 100k tuples.
-    let (sizes, reps) = match profile.as_str() {
-        "quick" => (vec![66_700usize], 2),
-        _ => (vec![66_700, 667_000], 3),
+    let (sizes, reps) = match run.profile {
+        Profile::Quick => (vec![66_700usize], 2),
+        Profile::Thorough => (vec![66_700, 667_000], 3),
     };
 
-    let reports: Vec<SizeReport> = sizes.iter().map(|&keys| bench_size(keys, reps)).collect();
-
-    let body: Vec<String> = reports.iter().map(SizeReport::json).collect();
-    let json = format!(
-        "{{\n  \"schema\": \"axiom-snapshot-v1\",\n  \"profile\": \"{}\",\n  \"seed\": {},\n  \
-         \"cpus\": {},\n  \"note\": \"save at {SAVE_SHARDS} shards (parallel per-shard encode); \
-         restores re-route elements through the new partition and bulk-build via the transient \
-         protocol; every restore is probe-verified before timing is reported\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        profile,
-        SEED,
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        body.join(",\n")
+    let mut report = Report::new("axiom-snapshot-v1", &run).seed(SEED).about(
+        "note",
+        format!(
+            "save at {SAVE_SHARDS} shards (parallel per-shard encode); restores re-route \
+             elements through the new partition and bulk-build via the transient protocol; \
+             every restore is probe-verified before timing is reported"
+        ),
     );
-    print!("{json}");
+    let factors: Vec<f64> = sizes
+        .iter()
+        .map(|&keys| bench_size(keys, reps, &mut report))
+        .collect();
+    report.emit(&run);
 
-    let out = std::env::var("AXIOM_SNAPSHOT_OUT").unwrap_or_else(|_| "BENCH_snapshot.json".into());
-    if out != "-" {
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("wrote {out}");
-    }
-
-    if std::env::var("AXIOM_SNAPSHOT_GATE").is_ok() {
-        let max_factor: f64 = std::env::var("AXIOM_SNAPSHOT_MAX_FACTOR")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3.0);
-        let largest = reports.last().expect("sizes nonempty");
-        let row = largest
-            .restores
-            .iter()
-            .find(|r| r.shards == SAVE_SHARDS)
-            .expect("8-shard restore measured");
-        if row.vs_fresh_build > max_factor {
-            eprintln!(
-                "GATE FAILED: 8-shard restore of {} tuples is x{:.2} of a fresh transient \
-                 build (allowed x{max_factor:.2})",
-                largest.items, row.vs_fresh_build
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "gate ok: 8-shard restore of {} tuples is x{:.2} of a fresh transient build \
-             (allowed x{max_factor:.2}); snapshot is {:.1} bytes/tuple",
-            largest.items, row.vs_fresh_build, largest.bytes_per_tuple
+    if run.gate.is_some() {
+        let factor = *factors.last().expect("sizes nonempty");
+        let largest = report.rows().last().expect("sizes nonempty");
+        let mut gate = Gate::new();
+        gate.check(
+            factor <= MAX_RESTORE_FACTOR,
+            format!(
+                "8-shard restore of {} tuples is x{factor:.2} of a fresh transient build \
+                 (allowed x{MAX_RESTORE_FACTOR:.2}); snapshot is {:.1} bytes/tuple",
+                largest.num_of("items"),
+                largest.num_of("bytes_per_tuple")
+            ),
         );
+        gate.finish();
     }
 }

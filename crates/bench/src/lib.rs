@@ -15,6 +15,9 @@
 //! | `footprints` | §4.4 fusion / specialization factors |
 //! | `ablation` | design-choice ablations (dispatch, iteration, canonicalization, fusion) |
 //!
+//! The `*_json` binaries emit the machine-readable `BENCH_*.json` files
+//! and run the CI perf gates through [`report`].
+//!
 //! Knobs via environment: `AXIOM_BENCH_MAX_EXP` (largest size exponent,
 //! default 14), `AXIOM_BENCH_SEEDS` (seeds per size, default 3, max 5),
 //! `AXIOM_BENCH_PROFILE` (`quick`/`thorough`).
@@ -22,10 +25,13 @@
 #![warn(missing_docs)]
 
 pub mod figure;
+pub mod report;
 
 use heapmodel::{JvmArch, JvmFootprint, LayoutPolicy};
+use serving::MultiMapRead;
 use trie_common::ops::{MapOps, MultiMapOps, TransientOps};
 use workloads::build::{map_persistent, multimap_persistent, multimap_transient};
+use workloads::concurrent::ReadProbe;
 use workloads::data::{MapWorkload, MultiMapWorkload};
 use workloads::timing::{measure, BenchOptions, Stats};
 
@@ -232,6 +238,17 @@ pub fn map_times<M: MapOps<u32, u32>>(w: &MapWorkload, opts: &BenchOptions) -> M
         iter_key,
         iter_entry,
     }
+}
+
+/// The serving engine's read requests for generated probe batches, one
+/// request per batch.
+pub fn read_requests(batches: &[Vec<ReadProbe>]) -> Vec<Vec<MultiMapRead<u32, u32>>> {
+    let op = |probe: &ReadProbe| match probe {
+        ReadProbe::ValuesOf(k) => MultiMapRead::ValuesOf(*k),
+        ReadProbe::ContainsKey(k) => MultiMapRead::ContainsKey(*k),
+        ReadProbe::FanOut(ks) => MultiMapRead::FanOut(ks.clone()),
+    };
+    batches.iter().map(|b| b.iter().map(op).collect()).collect()
 }
 
 /// Harness configuration from the environment (see module docs).

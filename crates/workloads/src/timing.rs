@@ -48,9 +48,8 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Speedup of `self` relative to `other` (> 1 means `other` is faster…
-    /// no: > 1 means `self` is the baseline time and `other` is faster).
-    /// Concretely: `other_median / self_median`.
+    /// Speedup of `self` relative to `baseline`: `baseline_median /
+    /// self_median`, so > 1 means `self` is faster than `baseline`.
     pub fn ratio_to(&self, baseline: &Stats) -> f64 {
         baseline.median_ns / self.median_ns
     }
