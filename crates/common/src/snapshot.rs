@@ -24,10 +24,10 @@
 //! 12+24N  ...   the N shard payloads, concatenated in table order
 //! ```
 //!
-//! Version-1 frames — 16-byte table entries with no checksum column —
-//! still parse (the checksum verification is simply skipped), so
-//! pre-checksum snapshots remain restorable. Writers always emit the
-//! current version.
+//! Only the current version parses. A version-1 frame (16-byte table
+//! entries, no checksum column) is rejected with
+//! [`SnapshotError::UnsupportedVersion`]: its payloads could not be
+//! verified, so a flipped byte could restore as different data.
 //!
 //! Every length is validated against the actual buffer before any element
 //! is decoded ([`inspect`] performs exactly this validation), each shard
@@ -57,8 +57,8 @@ use crate::ops::{Builder, TransientOps};
 /// First four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"AXSN";
 
-/// Current format version. Version 2 added the per-shard payload
-/// checksum column to the shard table; version-1 frames still parse.
+/// Current format version, the only one that parses. Version 2 added the
+/// per-shard payload checksum column to the shard table.
 pub const VERSION: u16 = 2;
 
 /// Size of the fixed header that precedes the shard table.
@@ -67,9 +67,6 @@ pub const HEADER_BYTES: usize = 12;
 /// Bytes per shard-table entry in the current format (item count +
 /// payload length + payload checksum).
 pub const SHARD_ENTRY_BYTES: usize = 24;
-
-/// Bytes per shard-table entry in version-1 frames (no checksum column).
-pub const SHARD_ENTRY_BYTES_V1: usize = 16;
 
 /// The FNV-1a 64-bit hash used as the per-shard payload checksum.
 ///
@@ -125,7 +122,8 @@ pub enum SnapshotError {
     },
     /// The first four bytes are not [`MAGIC`].
     BadMagic([u8; 4]),
-    /// The format version is newer than this build understands.
+    /// The format version is not [`VERSION`], the only one this build
+    /// reads.
     UnsupportedVersion(u16),
     /// The kind byte is none of the defined [`Kind`]s.
     UnknownKind(u8),
@@ -191,7 +189,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads up to {VERSION})"
+                    "unsupported snapshot version {v} (this build reads version {VERSION} only)"
                 )
             }
             SnapshotError::UnknownKind(byte) => write!(f, "unknown collection kind {byte}"),
@@ -419,12 +417,9 @@ impl<'a> Frame<'a> {
             ]));
         }
         let version = u16::from_le_bytes(reader.take(2)?.try_into().expect("2 bytes"));
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        // Version 1 tables have no checksum column; its payloads parse
-        // unverified (the column simply did not exist yet).
-        let has_checksums = version >= 2;
         let kind = Kind::from_u8(reader.u8()?);
         let _reserved = reader.u8()?;
         let kind = kind?;
@@ -435,13 +430,7 @@ impl<'a> Frame<'a> {
         for _ in 0..shard_count {
             let count = u64::from_le_bytes(reader.take(8)?.try_into().expect("8 bytes"));
             let len = u64::from_le_bytes(reader.take(8)?.try_into().expect("8 bytes"));
-            let checksum = if has_checksums {
-                Some(u64::from_le_bytes(
-                    reader.take(8)?.try_into().expect("8 bytes"),
-                ))
-            } else {
-                None
-            };
+            let checksum = u64::from_le_bytes(reader.take(8)?.try_into().expect("8 bytes"));
             table.push((count, len, checksum));
         }
         let declared = table
@@ -458,15 +447,13 @@ impl<'a> Frame<'a> {
         for (index, (count, len, checksum)) in table.into_iter().enumerate() {
             let len = usize::try_from(len).map_err(|_| SnapshotError::LengthOverflow)?;
             let payload = reader.take(len)?;
-            if let Some(stored) = checksum {
-                let computed = fnv1a64(payload);
-                if stored != computed {
-                    return Err(SnapshotError::ChecksumMismatch {
-                        shard: index,
-                        stored,
-                        computed,
-                    });
-                }
+            let computed = fnv1a64(payload);
+            if checksum != computed {
+                return Err(SnapshotError::ChecksumMismatch {
+                    shard: index,
+                    stored: checksum,
+                    computed,
+                });
             }
             sections.push(FrameSection {
                 index,
@@ -1190,24 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_frames_still_parse() {
-        let sections = [
-            encode_section((0..4u32).map(|i| (i, i + 100))).unwrap(),
-            encode_section([(9u32, 900u32)]).unwrap(),
-        ];
-        let bytes = write_frame_v1(Kind::Map, &sections);
-        let frame = Frame::parse(&bytes).unwrap();
-        assert_eq!(frame.kind(), Kind::Map);
-        assert_eq!(frame.item_count(), 5);
-        let mut seen = Vec::new();
-        for section in frame.sections() {
-            section.decode_each(|t: (u32, u32)| seen.push(t)).unwrap();
-        }
-        assert_eq!(seen.len(), 5);
-        assert!(seen.contains(&(9, 900)));
-    }
-
-    #[test]
     fn versions_past_current_are_rejected() {
         let section = encode_section([(1u32, 2u32)]).unwrap();
         let mut bytes = Vec::new();
@@ -1221,6 +1190,12 @@ mod tests {
         assert_eq!(
             Frame::parse(&bytes).unwrap_err(),
             SnapshotError::UnsupportedVersion(0)
+        );
+        // A genuine version-1 frame (no checksum column) is refused too.
+        let v1 = write_frame_v1(Kind::Map, std::slice::from_ref(&section));
+        assert_eq!(
+            Frame::parse(&v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
         );
     }
 

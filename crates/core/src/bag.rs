@@ -26,18 +26,6 @@ mod sealed {
     impl<V> Sealed for super::FusedBag<V> {}
 }
 
-/// Outcome of removing one value from a bag.
-#[derive(Debug)]
-pub enum BagRemoved<V, B> {
-    /// The value was not in the bag.
-    NotFound,
-    /// The value was removed; at least two values remain.
-    Bag(B),
-    /// The value was removed and exactly one value survives — the caller
-    /// demotes the `1:n` slot back to an inlined `1:1` pair.
-    Single(V),
-}
-
 /// Outcome of the in-place [`ValueBag::remove_mut`].
 #[derive(Debug)]
 pub enum BagEdited<V> {
@@ -78,15 +66,9 @@ pub trait ValueBag<V>: Clone + PartialEq + sealed::Sealed {
     /// Membership test.
     fn contains(&self, value: &V) -> bool;
 
-    /// Returns the bag with `value` added, or `None` if already present.
-    fn inserted(&self, value: &V) -> Option<Self>;
-
-    /// Removes `value`, reporting demotion when one value remains.
-    fn removed(&self, value: &V) -> BagRemoved<V, Self>;
-
-    /// Adds `value` in place (for uniquely-owned `CAT2` slots under
-    /// transient editing). Returns true if the bag grew; a present value is
-    /// dropped and the bag left untouched.
+    /// Adds `value` in place. Returns true if the bag grew; a present value
+    /// is dropped and the bag left untouched. A bag in a trie node shared
+    /// with another handle is edited on the copied node's clone of it.
     fn insert_mut(&mut self, value: V) -> bool;
 
     /// Removes `value` in place, reporting demotion through
@@ -114,27 +96,6 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
 
     fn contains(&self, value: &V) -> bool {
         AxiomSet::contains(self, value)
-    }
-
-    fn inserted(&self, value: &V) -> Option<Self> {
-        let mut next = self.clone();
-        if next.insert_mut(value.clone()) {
-            Some(next)
-        } else {
-            None
-        }
-    }
-
-    fn removed(&self, value: &V) -> BagRemoved<V, Self> {
-        let mut next = self.clone();
-        if !next.remove_mut(value) {
-            return BagRemoved::NotFound;
-        }
-        if next.len() == 1 {
-            BagRemoved::Single(next.sole().clone())
-        } else {
-            BagRemoved::Bag(next)
-        }
     }
 
     fn insert_mut(&mut self, value: V) -> bool {
@@ -222,65 +183,6 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
         match self {
             FusedBag::Inline(vs) => vs.iter().any(|v| v == value),
             FusedBag::Trie(s) => s.contains(value),
-        }
-    }
-
-    fn inserted(&self, value: &V) -> Option<Self> {
-        match self {
-            FusedBag::Inline(vs) => {
-                if vs.iter().any(|v| v == value) {
-                    return None;
-                }
-                if vs.len() < FUSE_MAX {
-                    let mut out = Vec::with_capacity(vs.len() + 1);
-                    out.extend_from_slice(vs);
-                    out.push(value.clone());
-                    Some(FusedBag::Inline(out.into_boxed_slice()))
-                } else {
-                    // Overflow: promote to a trie set.
-                    let mut set: AxiomSet<V> = vs.iter().cloned().collect();
-                    set.insert_mut(value.clone());
-                    Some(FusedBag::Trie(set))
-                }
-            }
-            FusedBag::Trie(s) => {
-                let mut next = s.clone();
-                if next.insert_mut(value.clone()) {
-                    Some(FusedBag::Trie(next))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn removed(&self, value: &V) -> BagRemoved<V, Self> {
-        match self {
-            FusedBag::Inline(vs) => {
-                let Some(pos) = vs.iter().position(|v| v == value) else {
-                    return BagRemoved::NotFound;
-                };
-                if vs.len() == 2 {
-                    return BagRemoved::Single(vs[1 - pos].clone());
-                }
-                let mut out = Vec::with_capacity(vs.len() - 1);
-                out.extend_from_slice(&vs[..pos]);
-                out.extend_from_slice(&vs[pos + 1..]);
-                BagRemoved::Bag(FusedBag::Inline(out.into_boxed_slice()))
-            }
-            FusedBag::Trie(s) => {
-                let mut next = s.clone();
-                if !next.remove_mut(value) {
-                    return BagRemoved::NotFound;
-                }
-                if next.len() <= FUSE_MAX {
-                    // Demote back to the inline representation.
-                    let out: Vec<V> = next.iter().cloned().collect();
-                    BagRemoved::Bag(FusedBag::Inline(out.into_boxed_slice()))
-                } else {
-                    BagRemoved::Bag(FusedBag::Trie(next))
-                }
-            }
         }
     }
 
@@ -386,15 +288,16 @@ mod tests {
         let b: AxiomSet<u32> = ValueBag::from_two(1, 2);
         assert_eq!(ValueBag::len(&b), 2);
         assert!(ValueBag::contains(&b, &1));
-        assert!(ValueBag::inserted(&b, &1).is_none());
-        let b3 = ValueBag::inserted(&b, &3).unwrap();
+        assert!(!ValueBag::insert_mut(&mut b.clone(), 1));
+        let mut b3 = b.clone();
+        assert!(ValueBag::insert_mut(&mut b3, 3));
         assert_eq!(elems(&b3), BTreeSet::from([1, 2, 3]));
-        match ValueBag::removed(&b, &1) {
-            BagRemoved::Single(v) => assert_eq!(v, 2),
+        match ValueBag::remove_mut(&mut b.clone(), &1) {
+            BagEdited::Single(v) => assert_eq!(v, 2),
             _ => panic!("expected demotion"),
         }
-        match ValueBag::removed(&b3, &9) {
-            BagRemoved::NotFound => {}
+        match ValueBag::remove_mut(&mut b3.clone(), &9) {
+            BagEdited::NotFound => {}
             _ => panic!("expected NotFound"),
         }
     }
@@ -403,12 +306,13 @@ mod tests {
     fn fused_bag_stays_inline_up_to_fuse_max() {
         let mut b: FusedBag<u32> = ValueBag::from_two(0, 1);
         for v in 2..FUSE_MAX as u32 {
-            b = b.inserted(&v).unwrap();
+            assert!(b.insert_mut(v));
         }
         assert!(matches!(b, FusedBag::Inline(_)));
         assert_eq!(b.len(), FUSE_MAX);
         // One more overflows into the trie.
-        let big = b.inserted(&(FUSE_MAX as u32)).unwrap();
+        let mut big = b.clone();
+        assert!(big.insert_mut(FUSE_MAX as u32));
         assert!(matches!(big, FusedBag::Trie(_)));
         assert_eq!(big.len(), FUSE_MAX + 1);
         assert_eq!(elems(&big), (0..=FUSE_MAX as u32).collect());
@@ -418,36 +322,30 @@ mod tests {
     fn fused_bag_demotes_from_trie_to_inline() {
         let mut b: FusedBag<u32> = ValueBag::from_two(0, 1);
         for v in 2..10u32 {
-            b = b.inserted(&v).unwrap();
+            assert!(b.insert_mut(v));
         }
         assert!(matches!(b, FusedBag::Trie(_)));
         // Remove down to FUSE_MAX: must flip back to Inline.
         for v in (FUSE_MAX as u32..10).rev() {
-            b = match b.removed(&v) {
-                BagRemoved::Bag(b) => b,
-                _ => panic!("unexpected"),
-            };
+            assert!(matches!(b.remove_mut(&v), BagEdited::Shrunk), "unexpected");
         }
         assert!(matches!(b, FusedBag::Inline(_)));
         assert_eq!(elems(&b), (0..FUSE_MAX as u32).collect());
         // And all the way down to a single survivor.
         for v in (2..FUSE_MAX as u32).rev() {
-            b = match b.removed(&v) {
-                BagRemoved::Bag(b) => b,
-                _ => panic!("unexpected"),
-            };
+            assert!(matches!(b.remove_mut(&v), BagEdited::Shrunk), "unexpected");
         }
-        match b.removed(&1) {
-            BagRemoved::Single(v) => assert_eq!(v, 0),
+        match b.remove_mut(&1) {
+            BagEdited::Single(v) => assert_eq!(v, 0),
             _ => panic!("expected demotion"),
         }
     }
 
     #[test]
     fn fused_bag_duplicate_and_missing() {
-        let b: FusedBag<u32> = ValueBag::from_two(5, 6);
-        assert!(b.inserted(&5).is_none());
-        assert!(matches!(b.removed(&99), BagRemoved::NotFound));
+        let mut b: FusedBag<u32> = ValueBag::from_two(5, 6);
+        assert!(!b.insert_mut(5));
+        assert!(matches!(b.remove_mut(&99), BagEdited::NotFound));
         assert!(!b.contains(&99));
     }
 
@@ -462,24 +360,23 @@ mod tests {
         };
         for _ in 0..500 {
             let v = next();
+            let before = elems(&set_bag);
+            let (set_before, fused_before) = (set_bag.clone(), fused.clone());
             if v % 2 == 0 {
-                if let Some(s) = ValueBag::inserted(&set_bag, &v) {
-                    set_bag = s;
-                    fused = fused.inserted(&v).expect("bags diverged on insert");
-                } else {
-                    assert!(fused.inserted(&v).is_none());
-                }
+                let grew = ValueBag::insert_mut(&mut set_bag, v);
+                assert_eq!(fused.insert_mut(v), grew, "bags diverged on insert");
             } else if ValueBag::len(&set_bag) > 2 {
-                match (ValueBag::removed(&set_bag, &v), fused.removed(&v)) {
-                    (BagRemoved::NotFound, BagRemoved::NotFound) => {}
-                    (BagRemoved::Bag(s), BagRemoved::Bag(f)) => {
-                        set_bag = s;
-                        fused = f;
-                    }
-                    (BagRemoved::Single(_), BagRemoved::Single(_)) => break,
+                match (ValueBag::remove_mut(&mut set_bag, &v), fused.remove_mut(&v)) {
+                    (BagEdited::NotFound, BagEdited::NotFound)
+                    | (BagEdited::Shrunk, BagEdited::Shrunk) => {}
+                    (BagEdited::Single(_), BagEdited::Single(_)) => break,
                     _ => panic!("bags diverged on remove"),
                 }
             }
+            // The walk edits a shared bag on a clone: the clone taken before
+            // the edit must not see it.
+            assert_eq!(elems(&set_before), before);
+            assert_eq!(elems(&fused_before), before);
             assert_eq!(ValueBag::len(&set_bag), fused.len());
             assert_eq!(elems(&set_bag), elems(&fused));
         }

@@ -60,7 +60,7 @@ mod serde_impls;
 mod slots;
 mod snapshot;
 
-pub use bag::{BagRemoved, FusedBag, ValueBag, FUSE_MAX};
+pub use bag::{FusedBag, ValueBag, FUSE_MAX};
 pub use map::AxiomMap;
 pub use multimap::{AxiomMultiMap, BindingRef};
 pub use set::AxiomSet;

@@ -26,10 +26,7 @@ use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
 
 use crate::bitmap::{Category, SlotBitmap};
-use crate::slots::{
-    inserted_at, inserted_at_owned, migrate_map, migrated, removed_at, removed_at_owned,
-    replaced_at,
-};
+use crate::slots::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
 
 /// One physical slot of a map node.
 #[derive(Debug, Clone)]
@@ -62,39 +59,20 @@ pub(crate) enum Node<K, V> {
     Collision(CollisionNode<K, V>),
 }
 
-/// Node-level insertion outcome; distinguishes growth from replacement for
-/// size bookkeeping.
-pub(crate) enum Inserted<K, V> {
-    /// Key present with an equal value — structurally a no-op.
-    Unchanged,
-    /// Key present, value replaced.
-    Replaced(Node<K, V>),
-    /// A new key was added.
-    Added(Node<K, V>),
-}
-
-/// Node-level removal outcome (canonicalizing, like the set's).
-pub(crate) enum Removed<K, V> {
-    NotFound,
-    Node(Node<K, V>),
-    /// Sub-tree collapsed to a single entry: inline into the parent.
-    Single(K, V),
-}
-
-/// In-place insertion outcome: the node is edited where it stands, so only
-/// the bookkeeping flag travels.
+/// Insertion outcome: the walk edits or copies nodes where they stand, so
+/// only the bookkeeping flag travels.
 pub(crate) enum EditInserted {
     Unchanged,
     Replaced,
     Added,
 }
 
-/// In-place removal outcome.
+/// Removal outcome.
 pub(crate) enum EditRemoved<K, V> {
     NotFound,
     Removed,
-    /// Sub-tree collapsed to a single entry (the node is consumed; the
-    /// parent drops it and inlines the survivor).
+    /// Sub-tree collapsed to a single entry (a unique node is left
+    /// consumed; the parent drops it and inlines the survivor).
     Single(K, V),
 }
 
@@ -165,110 +143,17 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         }
     }
 
-    fn inserted(&self, hash: u32, shift: u32, key: &K, value: &V) -> Inserted<K, V> {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| k == key) {
-                    Some(pos) => {
-                        if c.entries[pos].1 == *value {
-                            return Inserted::Unchanged;
-                        }
-                        let mut entries = c.entries.clone();
-                        entries[pos].1 = value.clone();
-                        Inserted::Replaced(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                    None => {
-                        let mut entries = c.entries.clone();
-                        entries.push((key.clone(), value.clone()));
-                        Inserted::Added(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                match b.bitmap.get(m) {
-                    Category::Empty => {
-                        let bitmap = b.bitmap.with(m, Category::Cat1);
-                        let idx = bitmap.slot_index(Category::Cat1, m);
-                        Inserted::Added(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: inserted_at(
-                                &b.slots,
-                                idx,
-                                Slot::Entry(key.clone(), value.clone()),
-                            ),
-                        }))
-                    }
-                    Category::Cat1 => {
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        let (ek, ev) = match &b.slots[idx] {
-                            Slot::Entry(k, v) => (k, v),
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if ek == key {
-                            if ev == value {
-                                return Inserted::Unchanged;
-                            }
-                            return Inserted::Replaced(Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: replaced_at(
-                                    &b.slots,
-                                    idx,
-                                    Slot::Entry(key.clone(), value.clone()),
-                                ),
-                            }));
-                        }
-                        let child = Node::pair(
-                            hash32(ek),
-                            ek.clone(),
-                            ev.clone(),
-                            hash,
-                            key.clone(),
-                            value.clone(),
-                            next_shift(shift),
-                        );
-                        let bitmap = b.bitmap.with(m, Category::Node);
-                        let to = bitmap.slot_index(Category::Node, m);
-                        Inserted::Added(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: migrated(&b.slots, idx, to, Slot::Child(Arc::new(child))),
-                        }))
-                    }
-                    Category::Node => {
-                        let idx = b.bitmap.slot_index(Category::Node, m);
-                        let child = match &b.slots[idx] {
-                            Slot::Child(c) => c,
-                            Slot::Entry(..) => unreachable!("bitmap says NODE"),
-                        };
-                        let rebuild = |n: Node<K, V>| {
-                            Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: replaced_at(&b.slots, idx, Slot::Child(Arc::new(n))),
-                            })
-                        };
-                        match child.inserted(hash, next_shift(shift), key, value) {
-                            Inserted::Unchanged => Inserted::Unchanged,
-                            Inserted::Replaced(n) => Inserted::Replaced(rebuild(n)),
-                            Inserted::Added(n) => Inserted::Added(rebuild(n)),
-                        }
-                    }
-                    Category::Cat2 => unreachable!("maps never use CAT2"),
-                }
-            }
-        }
+    /// The root of a one-entry map (a collapsed trie's last entry).
+    fn single(key: K, value: V) -> Node<K, V> {
+        Node::Bitmap(BitmapNode {
+            bitmap: SlotBitmap::EMPTY.with(mask(hash32(&key), 0), Category::Cat1),
+            slots: Box::new([Slot::Entry(key, value)]),
+        })
     }
 
-    /// In-place insert driven by `Arc` uniqueness: a uniquely-owned node is
-    /// edited directly, a shared node falls back to the persistent path copy
-    /// for its whole subtree. Takes `key`/`value` by ownership so the common
-    /// paths move them into their final slot without cloning.
+    /// Binds `key` to `value` below `this`, editing unique nodes in place
+    /// and copying shared ones on write (see [`crate::slots`]). Takes the
+    /// entry by ownership so the common paths move it into its final slot.
     fn insert_in_place(
         this: &mut Arc<Node<K, V>>,
         hash: u32,
@@ -276,14 +161,18 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         key: K,
         value: V,
     ) -> EditInserted {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| *k == key) {
+                let pos = c.entries.iter().position(|(k, _)| *k == key);
+                if pos.is_some_and(|pos| c.entries[pos].1 == value) {
+                    return EditInserted::Unchanged;
+                }
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
+                return match pos {
                     Some(pos) => {
-                        if c.entries[pos].1 == value {
-                            return EditInserted::Unchanged;
-                        }
                         c.entries[pos].1 = value;
                         EditInserted::Replaced
                     }
@@ -291,81 +180,65 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                         c.entries.push((key, value));
                         EditInserted::Added
                     }
-                }
+                };
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                match cat {
-                    Category::Empty => {
-                        b.bitmap = b.bitmap.with(m, Category::Cat1);
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        b.slots = inserted_at_owned(
-                            std::mem::take(&mut b.slots),
-                            idx,
-                            Slot::Entry(key, value),
-                        );
-                        EditInserted::Added
-                    }
-                    Category::Cat1 => {
-                        let (ek, ev) = match &b.slots[idx] {
-                            Slot::Entry(k, v) => (k, v),
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if *ek == key {
-                            if *ev == value {
-                                return EditInserted::Unchanged;
-                            }
-                            // Replace in place: zero allocations, zero clones.
-                            b.slots[idx] = Slot::Entry(key, value);
-                            return EditInserted::Replaced;
-                        }
-                        // Prefix clash: the slot migrates CAT1 → NODE in
-                        // place; both entries move into the fresh sub-trie.
-                        let existing_hash = hash32(ek);
-                        b.bitmap = b.bitmap.with(m, Category::Node);
-                        let to = b.bitmap.slot_index(Category::Node, m);
-                        migrate_map(&mut b.slots, idx, to, |slot| {
-                            let Slot::Entry(ek, ev) = slot else {
-                                unreachable!("bitmap says CAT1")
-                            };
-                            Slot::Child(Arc::new(Node::pair(
-                                existing_hash,
-                                ek,
-                                ev,
-                                hash,
-                                key,
-                                value,
-                                next_shift(shift),
-                            )))
-                        });
-                        EditInserted::Added
-                    }
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        Node::insert_in_place(child, hash, next_shift(shift), key, value)
-                    }
-                    Category::Cat2 => unreachable!("maps never use CAT2"),
-                }
+            Node::Bitmap(b) => b,
+        };
+        let m = mask(hash, shift);
+        let (cat, idx) = b.bitmap.locate(m);
+        match cat {
+            Category::Empty => {
+                let bitmap = b.bitmap.with(m, Category::Cat1);
+                let idx = bitmap.slot_index(Category::Cat1, m);
+                insert_slot(this, bitmap, idx, Slot::Entry(key, value));
+                EditInserted::Added
             }
-            None => match this.inserted(hash, shift, &key, &value) {
-                Inserted::Unchanged => EditInserted::Unchanged,
-                Inserted::Replaced(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::Replaced
+            Category::Cat1 => {
+                let Slot::Entry(ek, ev) = &b.slots[idx] else {
+                    unreachable!("bitmap says CAT1")
+                };
+                if *ek == key {
+                    if *ev == value {
+                        return EditInserted::Unchanged;
+                    }
+                    Arc::make_mut(this).parts_mut().1[idx] = Slot::Entry(key, value);
+                    return EditInserted::Replaced;
                 }
-                Inserted::Added(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::Added
-                }
-            },
+                // Prefix clash: the slot migrates CAT1 → NODE; both entries
+                // move into the fresh sub-trie.
+                let existing_hash = hash32(ek);
+                let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                *bitmap = bitmap.with(m, Category::Node);
+                let to = bitmap.slot_index(Category::Node, m);
+                migrate_map(slots, idx, to, |slot| {
+                    let Slot::Entry(ek, ev) = slot else {
+                        unreachable!("bitmap says CAT1")
+                    };
+                    Slot::Child(Arc::new(Node::pair(
+                        existing_hash,
+                        ek,
+                        ev,
+                        hash,
+                        key,
+                        value,
+                        next_shift(shift),
+                    )))
+                });
+                EditInserted::Added
+            }
+            Category::Node => edit_child(
+                this,
+                idx,
+                |child| Node::insert_in_place(child, hash, next_shift(shift), key, value),
+                |outcome| !matches!(outcome, EditInserted::Unchanged),
+            ),
+            Category::Cat2 => unreachable!("maps never use CAT2"),
         }
     }
 
-    /// In-place removal with the same ownership discipline and the same
-    /// canonicalization as [`Node::removed`].
+    /// Removes `key` below `this` with the same copy-on-write discipline
+    /// as [`Node::insert_in_place`]. Canonicalizes on the way up: a sub-trie
+    /// left with one entry hands it to the parent for inlining.
     fn remove_in_place<Q>(
         this: &mut Arc<Node<K, V>>,
         hash: u32,
@@ -376,158 +249,97 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         K: Borrow<Q>,
         Q: Eq + ?Sized,
     {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
                     return EditRemoved::NotFound;
+                };
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
                 };
                 if c.entries.len() == 2 {
                     let (k, v) = c.entries.swap_remove(1 - pos);
                     return EditRemoved::Single(k, v);
                 }
                 c.entries.swap_remove(pos);
+                return EditRemoved::Removed;
+            }
+            Node::Bitmap(b) => b,
+        };
+        let m = mask(hash, shift);
+        let (cat, idx) = b.bitmap.locate(m);
+        match cat {
+            Category::Empty => EditRemoved::NotFound,
+            Category::Cat1 => {
+                let matches = match &b.slots[idx] {
+                    Slot::Entry(k, _) => k.borrow() == key,
+                    Slot::Child(_) => unreachable!("bitmap says CAT1"),
+                };
+                if !matches {
+                    return EditRemoved::NotFound;
+                }
+                let bitmap = b.bitmap.with(m, Category::Empty);
+                if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
+                    let Slot::Entry(k, v) = survivor(this, idx) else {
+                        unreachable!("both slots are payload")
+                    };
+                    return EditRemoved::Single(k, v);
+                }
+                remove_slot(this, bitmap, idx);
                 EditRemoved::Removed
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                match cat {
-                    Category::Empty => EditRemoved::NotFound,
-                    Category::Cat1 => {
-                        let matches = match &b.slots[idx] {
-                            Slot::Entry(k, _) => k.borrow() == key,
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if !matches {
-                            return EditRemoved::NotFound;
-                        }
-                        let bitmap = b.bitmap.with(m, Category::Empty);
-                        if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-                            debug_assert_eq!(b.slots.len(), 2);
-                            let mut slots = std::mem::take(&mut b.slots).into_vec();
-                            let Slot::Entry(k, v) = slots.swap_remove(1 - idx) else {
-                                unreachable!("both slots are payload")
-                            };
-                            return EditRemoved::Single(k, v);
-                        }
-                        b.bitmap = bitmap;
-                        b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
+            Category::Node => {
+                // A pure chain node dissolves when its child collapses.
+                let chain =
+                    shift > 0 && b.bitmap.payload_arity() == 0 && b.bitmap.node_arity() == 1;
+                match edit_child(
+                    this,
+                    idx,
+                    |child| Node::remove_in_place(child, hash, next_shift(shift), key),
+                    |outcome| matches!(outcome, EditRemoved::Removed),
+                ) {
+                    EditRemoved::Single(k, v) if !chain => {
+                        // Inline the survivor: NODE → CAT1, dropping the
+                        // collapsed child.
+                        let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                        *bitmap = bitmap.with(m, Category::Cat1);
+                        let to = bitmap.slot_index(Category::Cat1, m);
+                        migrate_map(slots, idx, to, |_child| Slot::Entry(k, v));
                         EditRemoved::Removed
                     }
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        match Node::remove_in_place(child, hash, next_shift(shift), key) {
-                            EditRemoved::NotFound => EditRemoved::NotFound,
-                            EditRemoved::Removed => EditRemoved::Removed,
-                            EditRemoved::Single(k, v) => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    return EditRemoved::Single(k, v);
-                                }
-                                b.bitmap = b.bitmap.with(m, Category::Cat1);
-                                let to = b.bitmap.slot_index(Category::Cat1, m);
-                                migrate_map(&mut b.slots, idx, to, |_child| Slot::Entry(k, v));
-                                EditRemoved::Removed
-                            }
-                        }
-                    }
-                    Category::Cat2 => unreachable!("maps never use CAT2"),
+                    outcome => outcome,
                 }
             }
-            None => match this.removed(hash, shift, key) {
-                Removed::NotFound => EditRemoved::NotFound,
-                Removed::Node(n) => {
-                    *this = Arc::new(n);
-                    EditRemoved::Removed
-                }
-                Removed::Single(k, v) => EditRemoved::Single(k, v),
-            },
+            Category::Cat2 => unreachable!("maps never use CAT2"),
+        }
+    }
+}
+
+impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+    type Slot = Slot<K, V>;
+
+    fn parts(&self) -> (SlotBitmap, &[Slot<K, V>]) {
+        match self {
+            Node::Bitmap(b) => (b.bitmap, &b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
         }
     }
 
-    fn removed<Q>(&self, hash: u32, shift: u32, key: &Q) -> Removed<K, V>
-    where
-        K: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
+    fn parts_mut(&mut self) -> (&mut SlotBitmap, &mut Box<[Slot<K, V>]>) {
         match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
-                    return Removed::NotFound;
-                };
-                if c.entries.len() == 2 {
-                    let (k, v) = c.entries[1 - pos].clone();
-                    return Removed::Single(k, v);
-                }
-                let mut entries = c.entries.clone();
-                entries.remove(pos);
-                Removed::Node(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    entries,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                match b.bitmap.get(m) {
-                    Category::Empty => Removed::NotFound,
-                    Category::Cat1 => {
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        let matches = match &b.slots[idx] {
-                            Slot::Entry(k, _) => k.borrow() == key,
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if !matches {
-                            return Removed::NotFound;
-                        }
-                        let bitmap = b.bitmap.with(m, Category::Empty);
-                        if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-                            debug_assert_eq!(b.slots.len(), 2);
-                            let (k, v) = match &b.slots[1 - idx] {
-                                Slot::Entry(k, v) => (k.clone(), v.clone()),
-                                Slot::Child(_) => unreachable!("both slots are payload"),
-                            };
-                            return Removed::Single(k, v);
-                        }
-                        Removed::Node(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: removed_at(&b.slots, idx),
-                        }))
-                    }
-                    Category::Node => {
-                        let idx = b.bitmap.slot_index(Category::Node, m);
-                        let child = match &b.slots[idx] {
-                            Slot::Child(c) => c,
-                            Slot::Entry(..) => unreachable!("bitmap says NODE"),
-                        };
-                        match child.removed(hash, next_shift(shift), key) {
-                            Removed::NotFound => Removed::NotFound,
-                            Removed::Node(n) => Removed::Node(Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: replaced_at(&b.slots, idx, Slot::Child(Arc::new(n))),
-                            })),
-                            Removed::Single(k, v) => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    return Removed::Single(k, v);
-                                }
-                                let bitmap = b.bitmap.with(m, Category::Cat1);
-                                let to = bitmap.slot_index(Category::Cat1, m);
-                                Removed::Node(Node::Bitmap(BitmapNode {
-                                    bitmap,
-                                    slots: migrated(&b.slots, idx, to, Slot::Entry(k, v)),
-                                }))
-                            }
-                        }
-                    }
-                    Category::Cat2 => unreachable!("maps never use CAT2"),
-                }
-            }
+            Node::Bitmap(b) => (&mut b.bitmap, &mut b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<K, V>]>) -> Self {
+        Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child_mut(slot: &mut Slot<K, V>) -> &mut Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Entry(..) => unreachable!("bitmap says NODE"),
         }
     }
 }
@@ -771,12 +583,7 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> AxiomMap<K, V> {
                 true
             }
             EditRemoved::Single(k, v) => {
-                let root = Node::empty();
-                let root = match root.inserted(hash32(&k), 0, &k, &v) {
-                    Inserted::Added(n) => n,
-                    _ => unreachable!("inserting into empty"),
-                };
-                self.root = Arc::new(root);
+                self.root = Arc::new(Node::single(k, v));
                 self.len -= 1;
                 true
             }

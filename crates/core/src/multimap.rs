@@ -46,12 +46,11 @@ use std::sync::Arc;
 use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
 
-use crate::bag::{BagEdited, BagRemoved, ValueBag};
+use crate::bag::{BagEdited, ValueBag};
 use crate::bitmap::{Category, SlotBitmap};
 use crate::set::AxiomSet;
 use crate::slots::{
-    inserted_at, inserted_at_owned, migrate_map, migrated, removed_at, removed_at_owned,
-    replaced_at,
+    edit_child, insert_slot, inserted_at_owned, migrate_map, remove_slot, survivor, CowNode,
 };
 
 /// The values bound to one key: an inlined singleton or a nested bag.
@@ -87,39 +86,6 @@ impl<V: Clone + Eq + Hash, B: ValueBag<V>> Binding<V, B> {
         Some(binding)
     }
 
-    /// Adds a value, promoting singletons; `None` when already present.
-    fn inserted(&self, value: &V) -> Option<Binding<V, B>> {
-        match self {
-            Binding::One(v) => {
-                if v == value {
-                    None
-                } else {
-                    Some(Binding::Many(B::from_two(v.clone(), value.clone())))
-                }
-            }
-            Binding::Many(bag) => bag.inserted(value).map(Binding::Many),
-        }
-    }
-
-    /// Removes a value, demoting two-element bags; `Gone` when the binding's
-    /// last value was removed.
-    fn removed(&self, value: &V) -> BindingRemoved<V, B> {
-        match self {
-            Binding::One(v) => {
-                if v == value {
-                    BindingRemoved::Gone
-                } else {
-                    BindingRemoved::NotFound
-                }
-            }
-            Binding::Many(bag) => match bag.removed(value) {
-                BagRemoved::NotFound => BindingRemoved::NotFound,
-                BagRemoved::Bag(b) => BindingRemoved::Keep(Binding::Many(b)),
-                BagRemoved::Single(survivor) => BindingRemoved::Keep(Binding::One(survivor)),
-            },
-        }
-    }
-
     fn category(&self) -> Category {
         match self {
             Binding::One(_) => Category::Cat1,
@@ -134,12 +100,6 @@ impl<V: Clone + Eq + Hash, B: ValueBag<V>> Binding<V, B> {
             _ => false,
         }
     }
-}
-
-enum BindingRemoved<V, B> {
-    NotFound,
-    Keep(Binding<V, B>),
-    Gone,
 }
 
 /// One physical slot of a multi-map node.
@@ -175,78 +135,31 @@ pub(crate) enum Node<K, V, B> {
     Collision(CollisionNode<K, V, B>),
 }
 
-/// Node-level insertion outcome, for tuple/key bookkeeping.
-enum Inserted<K, V, B> {
-    /// Tuple already present.
-    Unchanged,
-    /// New tuple under an existing key.
-    NewTuple(Node<K, V, B>),
-    /// New key (and tuple).
-    NewKey(Node<K, V, B>),
-}
-
-/// Node-level tuple-removal outcome.
-enum TupleRemoved<K, V, B> {
-    NotFound,
-    Node {
-        node: Node<K, V, B>,
-        key_gone: bool,
-    },
-    /// Sub-tree collapsed to one key's binding: inline into the parent.
-    Single {
-        key: K,
-        binding: Binding<V, B>,
-        key_gone: bool,
-    },
-}
-
-/// Node-level key-removal outcome.
-enum KeyRemoved<K, V, B> {
-    NotFound,
-    Node {
-        node: Node<K, V, B>,
-        tuples_removed: usize,
-    },
-    Single {
-        key: K,
-        binding: Binding<V, B>,
-        tuples_removed: usize,
-    },
-}
-
-/// In-place insertion outcome: nodes are edited where they stand, so only
-/// the tuple/key bookkeeping flag travels.
+/// Insertion outcome: the walk edits or copies nodes where they stand, so
+/// only the tuple/key bookkeeping flag travels.
 enum EditInserted {
     Unchanged,
     NewTuple,
     NewKey,
 }
 
-/// In-place tuple-removal outcome.
-enum EditTupleRemoved<K, V, B> {
-    NotFound,
-    Removed {
-        key_gone: bool,
-    },
-    /// Sub-tree collapsed to one key's binding (the node is consumed; the
-    /// parent drops it and inlines the binding).
-    Single {
-        key: K,
-        binding: Binding<V, B>,
-        key_gone: bool,
-    },
+/// What one removal took out of the relation.
+#[derive(Clone, Copy)]
+struct Removal {
+    tuples: usize,
+    key_gone: bool,
 }
 
-/// In-place key-removal outcome.
-enum EditKeyRemoved<K, V, B> {
+/// Removal outcome, shared by tuple and key removal.
+enum EditRemoved<K, V, B> {
     NotFound,
-    Removed {
-        tuples_removed: usize,
-    },
+    Removed(Removal),
+    /// Sub-tree collapsed to one key's binding: the parent inlines it (a
+    /// unique node is left consumed for the parent to drop).
     Single {
         key: K,
         binding: Binding<V, B>,
-        tuples_removed: usize,
+        removal: Removal,
     },
 }
 
@@ -267,6 +180,15 @@ where
         match binding {
             Binding::One(v) => Slot::One(key, v),
             Binding::Many(bag) => Slot::Many(key, bag),
+        }
+    }
+
+    /// The key and binding of a payload slot (inverse of [`Node::slot_of`]).
+    fn binding_of(slot: Slot<K, V, B>) -> (K, Binding<V, B>) {
+        match slot {
+            Slot::One(k, v) => (k, Binding::One(v)),
+            Slot::Many(k, bag) => (k, Binding::Many(bag)),
+            Slot::Child(_) => unreachable!("bitmap says payload"),
         }
     }
 
@@ -342,142 +264,10 @@ where
         }
     }
 
-    fn inserted(&self, hash: u32, shift: u32, key: &K, value: &V) -> Inserted<K, V, B> {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| k == key) {
-                    Some(pos) => match c.entries[pos].1.inserted(value) {
-                        None => Inserted::Unchanged,
-                        Some(binding) => {
-                            let mut entries = c.entries.clone();
-                            entries[pos].1 = binding;
-                            Inserted::NewTuple(Node::Collision(CollisionNode {
-                                hash: c.hash,
-                                entries,
-                            }))
-                        }
-                    },
-                    None => {
-                        let mut entries = c.entries.clone();
-                        entries.push((key.clone(), Binding::One(value.clone())));
-                        Inserted::NewKey(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                match b.bitmap.get(m) {
-                    Category::Empty => {
-                        let bitmap = b.bitmap.with(m, Category::Cat1);
-                        let idx = bitmap.slot_index(Category::Cat1, m);
-                        Inserted::NewKey(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: inserted_at(
-                                &b.slots,
-                                idx,
-                                Slot::One(key.clone(), value.clone()),
-                            ),
-                        }))
-                    }
-                    Category::Cat1 => {
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        let (ek, ev) = match &b.slots[idx] {
-                            Slot::One(k, v) => (k, v),
-                            _ => unreachable!("bitmap says CAT1"),
-                        };
-                        if ek == key {
-                            if ev == value {
-                                return Inserted::Unchanged;
-                            }
-                            // Promote 1:1 → 1:n: the slot migrates CAT1 → CAT2.
-                            let bag = B::from_two(ev.clone(), value.clone());
-                            let bitmap = b.bitmap.with(m, Category::Cat2);
-                            let to = bitmap.slot_index(Category::Cat2, m);
-                            return Inserted::NewTuple(Node::Bitmap(BitmapNode {
-                                bitmap,
-                                slots: migrated(&b.slots, idx, to, Slot::Many(key.clone(), bag)),
-                            }));
-                        }
-                        // Prefix clash with a different key: push both down.
-                        let child = Node::pair(
-                            hash32(ek),
-                            ek.clone(),
-                            Binding::One(ev.clone()),
-                            hash,
-                            key.clone(),
-                            Binding::One(value.clone()),
-                            next_shift(shift),
-                        );
-                        let bitmap = b.bitmap.with(m, Category::Node);
-                        let to = bitmap.slot_index(Category::Node, m);
-                        Inserted::NewKey(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: migrated(&b.slots, idx, to, Slot::Child(Arc::new(child))),
-                        }))
-                    }
-                    Category::Cat2 => {
-                        let idx = b.bitmap.slot_index(Category::Cat2, m);
-                        let (ek, bag) = match &b.slots[idx] {
-                            Slot::Many(k, bag) => (k, bag),
-                            _ => unreachable!("bitmap says CAT2"),
-                        };
-                        if ek == key {
-                            return match bag.inserted(value) {
-                                None => Inserted::Unchanged,
-                                Some(bag) => Inserted::NewTuple(Node::Bitmap(BitmapNode {
-                                    bitmap: b.bitmap,
-                                    slots: replaced_at(&b.slots, idx, Slot::Many(key.clone(), bag)),
-                                })),
-                            };
-                        }
-                        let child = Node::pair(
-                            hash32(ek),
-                            ek.clone(),
-                            Binding::Many(bag.clone()),
-                            hash,
-                            key.clone(),
-                            Binding::One(value.clone()),
-                            next_shift(shift),
-                        );
-                        let bitmap = b.bitmap.with(m, Category::Node);
-                        let to = bitmap.slot_index(Category::Node, m);
-                        Inserted::NewKey(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: migrated(&b.slots, idx, to, Slot::Child(Arc::new(child))),
-                        }))
-                    }
-                    Category::Node => {
-                        let idx = b.bitmap.slot_index(Category::Node, m);
-                        let child = match &b.slots[idx] {
-                            Slot::Child(c) => c,
-                            _ => unreachable!("bitmap says NODE"),
-                        };
-                        let rebuild = |n: Node<K, V, B>| {
-                            Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: replaced_at(&b.slots, idx, Slot::Child(Arc::new(n))),
-                            })
-                        };
-                        match child.inserted(hash, next_shift(shift), key, value) {
-                            Inserted::Unchanged => Inserted::Unchanged,
-                            Inserted::NewTuple(n) => Inserted::NewTuple(rebuild(n)),
-                            Inserted::NewKey(n) => Inserted::NewKey(rebuild(n)),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// In-place insert driven by `Arc` uniqueness: a uniquely-owned node is
-    /// edited directly (slot payloads moved, never cloned; `CAT2` bags
-    /// edited through [`ValueBag::insert_mut`]); a shared node falls back to
-    /// the persistent path copy for its whole subtree. Takes the tuple by
-    /// ownership so the common paths are clone-free.
+    /// Inserts `(key, value)` below `this`, editing unique nodes in place
+    /// (`CAT2` bags through [`ValueBag::insert_mut`]) and copying shared
+    /// ones on write (see [`crate::slots`]). Takes the tuple by ownership so
+    /// the common paths are clone-free.
     fn insert_in_place(
         this: &mut Arc<Node<K, V, B>>,
         hash: u32,
@@ -485,148 +275,111 @@ where
         key: K,
         value: V,
     ) -> EditInserted {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| *k == key) {
-                    Some(pos) => {
-                        // Move the entry out (capacity is preserved, so the
-                        // push below cannot reallocate), edit, put it back.
-                        let (k, binding) = c.entries.swap_remove(pos);
-                        match binding {
-                            Binding::One(v) if v == value => {
-                                c.entries.push((k, Binding::One(v)));
-                                EditInserted::Unchanged
-                            }
-                            Binding::One(v) => {
-                                c.entries.push((k, Binding::Many(B::from_two(v, value))));
-                                EditInserted::NewTuple
-                            }
-                            Binding::Many(mut bag) => {
-                                let grew = bag.insert_mut(value);
-                                c.entries.push((k, Binding::Many(bag)));
-                                if grew {
-                                    EditInserted::NewTuple
-                                } else {
-                                    EditInserted::Unchanged
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        c.entries.push((key, Binding::One(value)));
-                        EditInserted::NewKey
-                    }
+                let pos = c.entries.iter().position(|(k, _)| *k == key);
+                if pos.is_some_and(|pos| BindingRef::of(&c.entries[pos].1).contains(&value)) {
+                    return EditInserted::Unchanged;
                 }
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
+                let Some(pos) = pos else {
+                    c.entries.push((key, Binding::One(value)));
+                    return EditInserted::NewKey;
+                };
+                // Move the entry out (capacity is preserved, so the push
+                // below cannot reallocate), grow it, put it back.
+                let (k, binding) = c.entries.swap_remove(pos);
+                let binding = match binding {
+                    Binding::One(v) => Binding::Many(B::from_two(v, value)),
+                    Binding::Many(mut bag) => {
+                        bag.insert_mut(value);
+                        Binding::Many(bag)
+                    }
+                };
+                c.entries.push((k, binding));
+                return EditInserted::NewTuple;
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                match cat {
-                    Category::Empty => {
-                        b.bitmap = b.bitmap.with(m, Category::Cat1);
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        b.slots = inserted_at_owned(
-                            std::mem::take(&mut b.slots),
-                            idx,
-                            Slot::One(key, value),
-                        );
-                        EditInserted::NewKey
-                    }
-                    Category::Cat1 => {
-                        let (ek, ev) = match &b.slots[idx] {
-                            Slot::One(k, v) => (k, v),
-                            _ => unreachable!("bitmap says CAT1"),
-                        };
-                        if *ek == key {
-                            if *ev == value {
-                                return EditInserted::Unchanged;
-                            }
-                            // Promote 1:1 → 1:n in place: CAT1 → CAT2, the
-                            // existing value moving into the fresh bag.
-                            b.bitmap = b.bitmap.with(m, Category::Cat2);
-                            let to = b.bitmap.slot_index(Category::Cat2, m);
-                            migrate_map(&mut b.slots, idx, to, |slot| {
-                                let Slot::One(k, v) = slot else {
-                                    unreachable!("bitmap says CAT1")
-                                };
-                                Slot::Many(k, B::from_two(v, value))
-                            });
-                            return EditInserted::NewTuple;
-                        }
-                        // Prefix clash: both bindings descend; CAT1 → NODE.
-                        let existing_hash = hash32(ek);
-                        b.bitmap = b.bitmap.with(m, Category::Node);
-                        let to = b.bitmap.slot_index(Category::Node, m);
-                        migrate_map(&mut b.slots, idx, to, |slot| {
-                            let Slot::One(k, v) = slot else {
-                                unreachable!("bitmap says CAT1")
-                            };
-                            Slot::Child(Arc::new(Node::pair(
-                                existing_hash,
-                                k,
-                                Binding::One(v),
-                                hash,
-                                key,
-                                Binding::One(value),
-                                next_shift(shift),
-                            )))
-                        });
-                        EditInserted::NewKey
-                    }
-                    Category::Cat2 => {
-                        let (ek, _) = match &b.slots[idx] {
-                            Slot::Many(k, bag) => (k, bag),
-                            _ => unreachable!("bitmap says CAT2"),
-                        };
-                        if *ek == key {
-                            let Slot::Many(_, bag) = &mut b.slots[idx] else {
-                                unreachable!("bitmap says CAT2")
-                            };
-                            return if bag.insert_mut(value) {
-                                EditInserted::NewTuple
-                            } else {
-                                EditInserted::Unchanged
-                            };
-                        }
-                        let existing_hash = hash32(ek);
-                        b.bitmap = b.bitmap.with(m, Category::Node);
-                        let to = b.bitmap.slot_index(Category::Node, m);
-                        migrate_map(&mut b.slots, idx, to, |slot| {
-                            let Slot::Many(k, bag) = slot else {
-                                unreachable!("bitmap says CAT2")
-                            };
-                            Slot::Child(Arc::new(Node::pair(
-                                existing_hash,
-                                k,
-                                Binding::Many(bag),
-                                hash,
-                                key,
-                                Binding::One(value),
-                                next_shift(shift),
-                            )))
-                        });
-                        EditInserted::NewKey
-                    }
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        Node::insert_in_place(child, hash, next_shift(shift), key, value)
-                    }
-                }
+            Node::Bitmap(b) => b,
+        };
+        let m = mask(hash, shift);
+        let (cat, idx) = b.bitmap.locate(m);
+        let (ek, existing) = match cat {
+            Category::Empty => {
+                let bitmap = b.bitmap.with(m, Category::Cat1);
+                let idx = bitmap.slot_index(Category::Cat1, m);
+                insert_slot(this, bitmap, idx, Slot::One(key, value));
+                return EditInserted::NewKey;
             }
-            None => match this.inserted(hash, shift, &key, &value) {
-                Inserted::Unchanged => EditInserted::Unchanged,
-                Inserted::NewTuple(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::NewTuple
-                }
-                Inserted::NewKey(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::NewKey
-                }
+            Category::Node => {
+                return edit_child(
+                    this,
+                    idx,
+                    |child| Node::insert_in_place(child, hash, next_shift(shift), key, value),
+                    |outcome| !matches!(outcome, EditInserted::Unchanged),
+                );
+            }
+            Category::Cat1 | Category::Cat2 => match &b.slots[idx] {
+                Slot::One(k, v) => (k, BindingRef::One(v)),
+                Slot::Many(k, bag) => (k, BindingRef::Many(bag)),
+                Slot::Child(_) => unreachable!("bitmap says payload"),
             },
+        };
+        if *ek != key {
+            // Prefix clash with a different key: both bindings descend; the
+            // slot becomes NODE.
+            let existing_hash = hash32(ek);
+            let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+            *bitmap = bitmap.with(m, Category::Node);
+            let to = bitmap.slot_index(Category::Node, m);
+            migrate_map(slots, idx, to, |slot| {
+                let (k, existing) = Node::binding_of(slot);
+                Slot::Child(Arc::new(Node::pair(
+                    existing_hash,
+                    k,
+                    existing,
+                    hash,
+                    key,
+                    Binding::One(value),
+                    next_shift(shift),
+                )))
+            });
+            return EditInserted::NewKey;
+        }
+        match existing {
+            BindingRef::One(v) => {
+                if *v == value {
+                    return EditInserted::Unchanged;
+                }
+                // Promote 1:1 → 1:n: CAT1 → CAT2, the existing value moving
+                // into the fresh bag.
+                let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                *bitmap = bitmap.with(m, Category::Cat2);
+                let to = bitmap.slot_index(Category::Cat2, m);
+                migrate_map(slots, idx, to, |slot| {
+                    let Slot::One(k, v) = slot else {
+                        unreachable!("bitmap says CAT1")
+                    };
+                    Slot::Many(k, B::from_two(v, value))
+                });
+                EditInserted::NewTuple
+            }
+            BindingRef::Many(bag) => {
+                // A shared node is copied only for a value its bag lacks.
+                if Arc::strong_count(this) > 1 && bag.contains(&value) {
+                    return EditInserted::Unchanged;
+                }
+                let Slot::Many(_, bag) = &mut Arc::make_mut(this).parts_mut().1[idx] else {
+                    unreachable!("bitmap says CAT2")
+                };
+                if bag.insert_mut(value) {
+                    EditInserted::NewTuple
+                } else {
+                    EditInserted::Unchanged
+                }
+            }
         }
     }
 
@@ -717,591 +470,179 @@ where
         }
     }
 
-    /// In-place twin of [`Node::slot_removed`] for uniquely-owned nodes:
-    /// removes payload slot `idx`, or — when canonicalization demands it —
-    /// hands back the surviving binding (moved out) for the parent to
-    /// inline, leaving `b` consumed.
-    fn slot_removed_in_place(
-        b: &mut BitmapNode<K, V, B>,
-        m: u32,
-        idx: usize,
-        shift: u32,
-    ) -> Option<(K, Binding<V, B>)> {
-        let bitmap = b.bitmap.with(m, Category::Empty);
-        if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-            // Exactly one payload slot survives: offer it for inlining.
-            debug_assert_eq!(b.slots.len(), 2);
-            let mut slots = std::mem::take(&mut b.slots).into_vec();
-            return Some(match slots.swap_remove(1 - idx) {
-                Slot::One(k, v) => (k, Binding::One(v)),
-                Slot::Many(k, bag) => (k, Binding::Many(bag)),
-                Slot::Child(_) => unreachable!("both slots are payload"),
-            });
-        }
-        b.bitmap = bitmap;
-        b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
-        None
-    }
-
-    /// In-place tuple removal (same ownership discipline and the same
-    /// canonicalization as [`Node::tuple_removed`]).
-    fn tuple_remove_in_place(
+    /// Removes from `key`'s binding below `this` either one `value` (a
+    /// tuple removal) or, for `None`, the whole binding (a key removal),
+    /// with the same copy-on-write discipline as [`Node::insert_in_place`].
+    /// Canonicalizes on the way up: a sub-trie left with one key hands its
+    /// binding to the parent for inlining.
+    fn remove_in_place(
         this: &mut Arc<Node<K, V, B>>,
         hash: u32,
         shift: u32,
         key: &K,
-        value: &V,
-    ) -> EditTupleRemoved<K, V, B> {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        value: Option<&V>,
+    ) -> EditRemoved<K, V, B> {
+        let b = match &**this {
+            Node::Collision(c) => {
                 let Some(pos) = c.entries.iter().position(|(k, _)| k == key) else {
-                    return EditTupleRemoved::NotFound;
+                    return EditRemoved::NotFound;
                 };
-                match &mut c.entries[pos].1 {
-                    Binding::One(v) => {
-                        if v != value {
-                            return EditTupleRemoved::NotFound;
-                        }
-                        c.entries.swap_remove(pos);
-                        if c.entries.len() == 1 {
-                            let (k, b) = c.entries.pop().expect("len == 1");
-                            return EditTupleRemoved::Single {
-                                key: k,
-                                binding: b,
-                                key_gone: true,
-                            };
-                        }
-                        EditTupleRemoved::Removed { key_gone: true }
-                    }
-                    Binding::Many(bag) => match bag.remove_mut(value) {
-                        BagEdited::NotFound => EditTupleRemoved::NotFound,
-                        BagEdited::Shrunk => EditTupleRemoved::Removed { key_gone: false },
-                        BagEdited::Single(survivor) => {
-                            c.entries[pos].1 = Binding::One(survivor);
-                            EditTupleRemoved::Removed { key_gone: false }
-                        }
+                let binding = &c.entries[pos].1;
+                let removal = match value {
+                    None => Removal {
+                        tuples: binding.len(),
+                        key_gone: true,
                     },
-                }
-            }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                match cat {
-                    Category::Empty => EditTupleRemoved::NotFound,
-                    Category::Cat1 => {
-                        let matches = match &b.slots[idx] {
-                            Slot::One(k, v) => k == key && v == value,
-                            _ => unreachable!("bitmap says CAT1"),
-                        };
-                        if !matches {
-                            return EditTupleRemoved::NotFound;
-                        }
-                        match Node::slot_removed_in_place(b, m, idx, shift) {
-                            None => EditTupleRemoved::Removed { key_gone: true },
-                            Some((k, binding)) => EditTupleRemoved::Single {
-                                key: k,
-                                binding,
-                                key_gone: true,
-                            },
-                        }
+                    Some(v) if !BindingRef::of(binding).contains(v) => {
+                        return EditRemoved::NotFound
                     }
-                    Category::Cat2 => {
-                        let matches = match &b.slots[idx] {
-                            Slot::Many(k, _) => k == key,
-                            _ => unreachable!("bitmap says CAT2"),
-                        };
-                        if !matches {
-                            return EditTupleRemoved::NotFound;
-                        }
-                        let Slot::Many(_, bag) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says CAT2")
-                        };
-                        match bag.remove_mut(value) {
-                            BagEdited::NotFound => EditTupleRemoved::NotFound,
-                            BagEdited::Shrunk => EditTupleRemoved::Removed { key_gone: false },
-                            BagEdited::Single(survivor) => {
-                                // Demote 1:n → 1:1 in place: CAT2 → CAT1,
-                                // dropping the consumed bag.
-                                b.bitmap = b.bitmap.with(m, Category::Cat1);
-                                let to = b.bitmap.slot_index(Category::Cat1, m);
-                                migrate_map(&mut b.slots, idx, to, |slot| {
-                                    let Slot::Many(k, _) = slot else {
-                                        unreachable!("bitmap says CAT2")
-                                    };
-                                    Slot::One(k, survivor)
-                                });
-                                EditTupleRemoved::Removed { key_gone: false }
-                            }
-                        }
-                    }
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        match Node::tuple_remove_in_place(
-                            child,
-                            hash,
-                            next_shift(shift),
-                            key,
-                            value,
-                        ) {
-                            EditTupleRemoved::NotFound => EditTupleRemoved::NotFound,
-                            EditTupleRemoved::Removed { key_gone } => {
-                                EditTupleRemoved::Removed { key_gone }
-                            }
-                            EditTupleRemoved::Single {
-                                key: k,
-                                binding,
-                                key_gone,
-                            } => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    return EditTupleRemoved::Single {
-                                        key: k,
-                                        binding,
-                                        key_gone,
-                                    };
-                                }
-                                let cat = binding.category();
-                                b.bitmap = b.bitmap.with(m, cat);
-                                let to = b.bitmap.slot_index(cat, m);
-                                migrate_map(&mut b.slots, idx, to, |_child| {
-                                    Node::slot_of(k, binding)
-                                });
-                                EditTupleRemoved::Removed { key_gone }
-                            }
-                        }
-                    }
-                }
-            }
-            None => match this.tuple_removed(hash, shift, key, value) {
-                TupleRemoved::NotFound => EditTupleRemoved::NotFound,
-                TupleRemoved::Node { node, key_gone } => {
-                    *this = Arc::new(node);
-                    EditTupleRemoved::Removed { key_gone }
-                }
-                TupleRemoved::Single {
-                    key,
-                    binding,
-                    key_gone,
-                } => EditTupleRemoved::Single {
-                    key,
-                    binding,
-                    key_gone,
-                },
-            },
-        }
-    }
-
-    /// In-place key removal (same ownership discipline and the same
-    /// canonicalization as [`Node::key_removed`]).
-    fn key_remove_in_place(
-        this: &mut Arc<Node<K, V, B>>,
-        hash: u32,
-        shift: u32,
-        key: &K,
-    ) -> EditKeyRemoved<K, V, B> {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k == key) else {
-                    return EditKeyRemoved::NotFound;
+                    Some(_) => Removal {
+                        tuples: 1,
+                        key_gone: binding.len() == 1,
+                    },
                 };
-                let tuples_removed = c.entries[pos].1.len();
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
+                if let (Binding::Many(bag), Some(v)) = (&mut c.entries[pos].1, value) {
+                    if let BagEdited::Single(survivor) = bag.remove_mut(v) {
+                        c.entries[pos].1 = Binding::One(survivor);
+                    }
+                    return EditRemoved::Removed(removal);
+                }
                 c.entries.swap_remove(pos);
                 if c.entries.len() == 1 {
-                    let (k, b) = c.entries.pop().expect("len == 1");
-                    return EditKeyRemoved::Single {
-                        key: k,
-                        binding: b,
-                        tuples_removed,
+                    let (key, binding) = c.entries.pop().expect("len == 1");
+                    return EditRemoved::Single {
+                        key,
+                        binding,
+                        removal,
                     };
                 }
-                EditKeyRemoved::Removed { tuples_removed }
+                return EditRemoved::Removed(removal);
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                let tuples_removed = match cat {
-                    Category::Empty => return EditKeyRemoved::NotFound,
-                    Category::Cat1 => match &b.slots[idx] {
-                        Slot::One(k, _) if k == key => 1,
-                        Slot::One(..) => return EditKeyRemoved::NotFound,
-                        _ => unreachable!("bitmap says CAT1"),
-                    },
-                    Category::Cat2 => match &b.slots[idx] {
-                        Slot::Many(k, bag) if k == key => bag.len(),
-                        Slot::Many(..) => return EditKeyRemoved::NotFound,
-                        _ => unreachable!("bitmap says CAT2"),
-                    },
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        return match Node::key_remove_in_place(child, hash, next_shift(shift), key)
-                        {
-                            EditKeyRemoved::NotFound => EditKeyRemoved::NotFound,
-                            EditKeyRemoved::Removed { tuples_removed } => {
-                                EditKeyRemoved::Removed { tuples_removed }
-                            }
-                            EditKeyRemoved::Single {
-                                key: k,
-                                binding,
-                                tuples_removed,
-                            } => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    return EditKeyRemoved::Single {
-                                        key: k,
-                                        binding,
-                                        tuples_removed,
-                                    };
-                                }
-                                let cat = binding.category();
-                                b.bitmap = b.bitmap.with(m, cat);
-                                let to = b.bitmap.slot_index(cat, m);
-                                migrate_map(&mut b.slots, idx, to, |_child| {
-                                    Node::slot_of(k, binding)
-                                });
-                                EditKeyRemoved::Removed { tuples_removed }
-                            }
-                        };
-                    }
-                };
-                match Node::slot_removed_in_place(b, m, idx, shift) {
-                    None => EditKeyRemoved::Removed { tuples_removed },
-                    Some((k, binding)) => EditKeyRemoved::Single {
-                        key: k,
+            Node::Bitmap(b) => b,
+        };
+        let m = mask(hash, shift);
+        let (cat, idx) = b.bitmap.locate(m);
+        let removal = match cat {
+            Category::Empty => return EditRemoved::NotFound,
+            Category::Node => {
+                // A pure chain node dissolves when its child collapses.
+                let chain =
+                    shift > 0 && b.bitmap.payload_arity() == 0 && b.bitmap.node_arity() == 1;
+                return match edit_child(
+                    this,
+                    idx,
+                    |child| Node::remove_in_place(child, hash, next_shift(shift), key, value),
+                    |outcome| matches!(outcome, EditRemoved::Removed(_)),
+                ) {
+                    EditRemoved::Single {
+                        key,
                         binding,
-                        tuples_removed,
-                    },
-                }
+                        removal,
+                    } if !chain => {
+                        // Inline the binding: NODE → CAT1/CAT2, dropping the
+                        // collapsed child.
+                        let cat = binding.category();
+                        let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                        *bitmap = bitmap.with(m, cat);
+                        let to = bitmap.slot_index(cat, m);
+                        migrate_map(slots, idx, to, |_child| Node::slot_of(key, binding));
+                        EditRemoved::Removed(removal)
+                    }
+                    outcome => outcome,
+                };
             }
-            None => match this.key_removed(hash, shift, key) {
-                KeyRemoved::NotFound => EditKeyRemoved::NotFound,
-                KeyRemoved::Node {
-                    node,
-                    tuples_removed,
-                } => {
-                    *this = Arc::new(node);
-                    EditKeyRemoved::Removed { tuples_removed }
-                }
-                KeyRemoved::Single {
-                    key,
-                    binding,
-                    tuples_removed,
-                } => EditKeyRemoved::Single {
-                    key,
-                    binding,
-                    tuples_removed,
+            Category::Cat1 => match &b.slots[idx] {
+                Slot::One(k, v) if k == key && value.is_none_or(|value| value == v) => Removal {
+                    tuples: 1,
+                    key_gone: true,
                 },
+                Slot::One(..) => return EditRemoved::NotFound,
+                _ => unreachable!("bitmap says CAT1"),
             },
-        }
-    }
-
-    /// Removes one payload slot (whatever its category), canonicalizing:
-    /// below the root, a node left with a single payload slot hands that
-    /// payload to the parent for inlining instead of surviving.
-    fn slot_removed(
-        b: &BitmapNode<K, V, B>,
-        m: u32,
-        idx: usize,
-        shift: u32,
-    ) -> SlotRemoved<K, V, B> {
+            Category::Cat2 => match (&b.slots[idx], value) {
+                (Slot::Many(k, _), _) if k != key => return EditRemoved::NotFound,
+                (Slot::Many(_, bag), None) => Removal {
+                    tuples: bag.len(),
+                    key_gone: true,
+                },
+                (Slot::Many(_, bag), Some(value)) => {
+                    // A shared node is copied only for a value its bag holds.
+                    if Arc::strong_count(this) > 1 && !bag.contains(value) {
+                        return EditRemoved::NotFound;
+                    }
+                    let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                    let Slot::Many(_, bag) = &mut slots[idx] else {
+                        unreachable!("bitmap says CAT2")
+                    };
+                    let removal = Removal {
+                        tuples: 1,
+                        key_gone: false,
+                    };
+                    let survivor = match bag.remove_mut(value) {
+                        BagEdited::NotFound => return EditRemoved::NotFound,
+                        BagEdited::Shrunk => return EditRemoved::Removed(removal),
+                        BagEdited::Single(survivor) => survivor,
+                    };
+                    // Demote 1:n → 1:1: CAT2 → CAT1, dropping the consumed bag.
+                    *bitmap = bitmap.with(m, Category::Cat1);
+                    let to = bitmap.slot_index(Category::Cat1, m);
+                    migrate_map(slots, idx, to, |slot| {
+                        let Slot::Many(k, _) = slot else {
+                            unreachable!("bitmap says CAT2")
+                        };
+                        Slot::One(k, survivor)
+                    });
+                    return EditRemoved::Removed(removal);
+                }
+                _ => unreachable!("bitmap says CAT2"),
+            },
+        };
+        // The whole payload slot goes.
         let bitmap = b.bitmap.with(m, Category::Empty);
         if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
             // Exactly one payload slot survives: offer it for inlining.
-            debug_assert_eq!(b.slots.len(), 2);
-            let (key, binding) = match &b.slots[1 - idx] {
-                Slot::One(k, v) => (k.clone(), Binding::One(v.clone())),
-                Slot::Many(k, bag) => (k.clone(), Binding::Many(bag.clone())),
-                Slot::Child(_) => unreachable!("both slots are payload"),
+            let (key, binding) = Node::binding_of(survivor(this, idx));
+            return EditRemoved::Single {
+                key,
+                binding,
+                removal,
             };
-            SlotRemoved::Single { key, binding }
-        } else {
-            SlotRemoved::Node(Node::Bitmap(BitmapNode {
-                bitmap,
-                slots: removed_at(&b.slots, idx),
-            }))
         }
-    }
-
-    fn tuple_removed(&self, hash: u32, shift: u32, key: &K, value: &V) -> TupleRemoved<K, V, B> {
-        match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k == key) else {
-                    return TupleRemoved::NotFound;
-                };
-                match c.entries[pos].1.removed(value) {
-                    BindingRemoved::NotFound => TupleRemoved::NotFound,
-                    BindingRemoved::Keep(binding) => {
-                        let mut entries = c.entries.clone();
-                        entries[pos].1 = binding;
-                        TupleRemoved::Node {
-                            node: Node::Collision(CollisionNode {
-                                hash: c.hash,
-                                entries,
-                            }),
-                            key_gone: false,
-                        }
-                    }
-                    BindingRemoved::Gone => {
-                        if c.entries.len() == 2 {
-                            let (k, b) = c.entries[1 - pos].clone();
-                            return TupleRemoved::Single {
-                                key: k,
-                                binding: b,
-                                key_gone: true,
-                            };
-                        }
-                        let mut entries = c.entries.clone();
-                        entries.remove(pos);
-                        TupleRemoved::Node {
-                            node: Node::Collision(CollisionNode {
-                                hash: c.hash,
-                                entries,
-                            }),
-                            key_gone: true,
-                        }
-                    }
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                match b.bitmap.get(m) {
-                    Category::Empty => TupleRemoved::NotFound,
-                    Category::Cat1 => {
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        let matches = match &b.slots[idx] {
-                            Slot::One(k, v) => k == key && v == value,
-                            _ => unreachable!("bitmap says CAT1"),
-                        };
-                        if !matches {
-                            return TupleRemoved::NotFound;
-                        }
-                        match Node::slot_removed(b, m, idx, shift) {
-                            SlotRemoved::Node(node) => TupleRemoved::Node {
-                                node,
-                                key_gone: true,
-                            },
-                            SlotRemoved::Single { key, binding } => TupleRemoved::Single {
-                                key,
-                                binding,
-                                key_gone: true,
-                            },
-                        }
-                    }
-                    Category::Cat2 => {
-                        let idx = b.bitmap.slot_index(Category::Cat2, m);
-                        let (ek, bag) = match &b.slots[idx] {
-                            Slot::Many(k, bag) => (k, bag),
-                            _ => unreachable!("bitmap says CAT2"),
-                        };
-                        if ek != key {
-                            return TupleRemoved::NotFound;
-                        }
-                        match bag.removed(value) {
-                            BagRemoved::NotFound => TupleRemoved::NotFound,
-                            BagRemoved::Bag(bag) => TupleRemoved::Node {
-                                node: Node::Bitmap(BitmapNode {
-                                    bitmap: b.bitmap,
-                                    slots: replaced_at(&b.slots, idx, Slot::Many(key.clone(), bag)),
-                                }),
-                                key_gone: false,
-                            },
-                            BagRemoved::Single(survivor) => {
-                                // Demote 1:n → 1:1: the slot migrates CAT2 → CAT1.
-                                let bitmap = b.bitmap.with(m, Category::Cat1);
-                                let to = bitmap.slot_index(Category::Cat1, m);
-                                TupleRemoved::Node {
-                                    node: Node::Bitmap(BitmapNode {
-                                        bitmap,
-                                        slots: migrated(
-                                            &b.slots,
-                                            idx,
-                                            to,
-                                            Slot::One(key.clone(), survivor),
-                                        ),
-                                    }),
-                                    key_gone: false,
-                                }
-                            }
-                        }
-                    }
-                    Category::Node => {
-                        let idx = b.bitmap.slot_index(Category::Node, m);
-                        let child = match &b.slots[idx] {
-                            Slot::Child(c) => c,
-                            _ => unreachable!("bitmap says NODE"),
-                        };
-                        match child.tuple_removed(hash, next_shift(shift), key, value) {
-                            TupleRemoved::NotFound => TupleRemoved::NotFound,
-                            TupleRemoved::Node { node, key_gone } => TupleRemoved::Node {
-                                node: Node::Bitmap(BitmapNode {
-                                    bitmap: b.bitmap,
-                                    slots: replaced_at(&b.slots, idx, Slot::Child(Arc::new(node))),
-                                }),
-                                key_gone,
-                            },
-                            TupleRemoved::Single {
-                                key: k,
-                                binding,
-                                key_gone,
-                            } => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    return TupleRemoved::Single {
-                                        key: k,
-                                        binding,
-                                        key_gone,
-                                    };
-                                }
-                                let cat = binding.category();
-                                let bitmap = b.bitmap.with(m, cat);
-                                let to = bitmap.slot_index(cat, m);
-                                TupleRemoved::Node {
-                                    node: Node::Bitmap(BitmapNode {
-                                        bitmap,
-                                        slots: migrated(
-                                            &b.slots,
-                                            idx,
-                                            to,
-                                            Node::slot_of(k, binding),
-                                        ),
-                                    }),
-                                    key_gone,
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn key_removed(&self, hash: u32, shift: u32, key: &K) -> KeyRemoved<K, V, B> {
-        match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k == key) else {
-                    return KeyRemoved::NotFound;
-                };
-                let tuples_removed = c.entries[pos].1.len();
-                if c.entries.len() == 2 {
-                    let (k, b) = c.entries[1 - pos].clone();
-                    return KeyRemoved::Single {
-                        key: k,
-                        binding: b,
-                        tuples_removed,
-                    };
-                }
-                let mut entries = c.entries.clone();
-                entries.remove(pos);
-                KeyRemoved::Node {
-                    node: Node::Collision(CollisionNode {
-                        hash: c.hash,
-                        entries,
-                    }),
-                    tuples_removed,
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let (cat, idx, tuples_removed) = match b.bitmap.get(m) {
-                    Category::Empty => return KeyRemoved::NotFound,
-                    Category::Cat1 => {
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        match &b.slots[idx] {
-                            Slot::One(k, _) if k == key => (Category::Cat1, idx, 1),
-                            Slot::One(..) => return KeyRemoved::NotFound,
-                            _ => unreachable!("bitmap says CAT1"),
-                        }
-                    }
-                    Category::Cat2 => {
-                        let idx = b.bitmap.slot_index(Category::Cat2, m);
-                        match &b.slots[idx] {
-                            Slot::Many(k, bag) if k == key => (Category::Cat2, idx, bag.len()),
-                            Slot::Many(..) => return KeyRemoved::NotFound,
-                            _ => unreachable!("bitmap says CAT2"),
-                        }
-                    }
-                    Category::Node => {
-                        let idx = b.bitmap.slot_index(Category::Node, m);
-                        let child = match &b.slots[idx] {
-                            Slot::Child(c) => c,
-                            _ => unreachable!("bitmap says NODE"),
-                        };
-                        return match child.key_removed(hash, next_shift(shift), key) {
-                            KeyRemoved::NotFound => KeyRemoved::NotFound,
-                            KeyRemoved::Node {
-                                node,
-                                tuples_removed,
-                            } => KeyRemoved::Node {
-                                node: Node::Bitmap(BitmapNode {
-                                    bitmap: b.bitmap,
-                                    slots: replaced_at(&b.slots, idx, Slot::Child(Arc::new(node))),
-                                }),
-                                tuples_removed,
-                            },
-                            KeyRemoved::Single {
-                                key: k,
-                                binding,
-                                tuples_removed,
-                            } => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    return KeyRemoved::Single {
-                                        key: k,
-                                        binding,
-                                        tuples_removed,
-                                    };
-                                }
-                                let cat = binding.category();
-                                let bitmap = b.bitmap.with(m, cat);
-                                let to = bitmap.slot_index(cat, m);
-                                KeyRemoved::Node {
-                                    node: Node::Bitmap(BitmapNode {
-                                        bitmap,
-                                        slots: migrated(
-                                            &b.slots,
-                                            idx,
-                                            to,
-                                            Node::slot_of(k, binding),
-                                        ),
-                                    }),
-                                    tuples_removed,
-                                }
-                            }
-                        };
-                    }
-                };
-                let _ = cat;
-                match Node::slot_removed(b, m, idx, shift) {
-                    SlotRemoved::Node(node) => KeyRemoved::Node {
-                        node,
-                        tuples_removed,
-                    },
-                    SlotRemoved::Single { key, binding } => KeyRemoved::Single {
-                        key,
-                        binding,
-                        tuples_removed,
-                    },
-                }
-            }
-        }
+        remove_slot(this, bitmap, idx);
+        EditRemoved::Removed(removal)
     }
 }
 
-/// Outcome of [`Node::slot_removed`].
-enum SlotRemoved<K, V, B> {
-    Node(Node<K, V, B>),
-    Single { key: K, binding: Binding<V, B> },
+impl<K: Clone, V: Clone, B: Clone> CowNode for Node<K, V, B> {
+    type Slot = Slot<K, V, B>;
+
+    fn parts(&self) -> (SlotBitmap, &[Slot<K, V, B>]) {
+        match self {
+            Node::Bitmap(b) => (b.bitmap, &b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn parts_mut(&mut self) -> (&mut SlotBitmap, &mut Box<[Slot<K, V, B>]>) {
+        match self {
+            Node::Bitmap(b) => (&mut b.bitmap, &mut b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<K, V, B>]>) -> Self {
+        Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child_mut(slot: &mut Slot<K, V, B>) -> &mut Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            _ => unreachable!("bitmap says NODE"),
+        }
+    }
 }
 
 /// Borrowed view of one key's values. Returned by [`AxiomMultiMap::get`].
@@ -1860,28 +1201,8 @@ where
     /// Removes the tuple `(key, value)` in place (editing uniquely-owned
     /// nodes, path-copying shared ones). Returns true if present.
     pub fn remove_tuple_mut(&mut self, key: &K, value: &V) -> bool {
-        match Node::tuple_remove_in_place(&mut self.root, hash32(key), 0, key, value) {
-            EditTupleRemoved::NotFound => false,
-            EditTupleRemoved::Removed { key_gone } => {
-                self.tuples -= 1;
-                if key_gone {
-                    self.keys -= 1;
-                }
-                true
-            }
-            EditTupleRemoved::Single {
-                key: k,
-                binding,
-                key_gone,
-            } => {
-                self.root = Arc::new(root_with_single_binding(k, binding));
-                self.tuples -= 1;
-                if key_gone {
-                    self.keys -= 1;
-                }
-                true
-            }
-        }
+        let outcome = Node::remove_in_place(&mut self.root, hash32(key), 0, key, Some(value));
+        self.apply_removal(outcome).is_some()
     }
 
     /// Returns a multi-map without any tuple for `key`; `self` is unchanged.
@@ -1894,24 +1215,31 @@ where
     /// Removes every tuple for `key` in place (editing uniquely-owned nodes,
     /// path-copying shared ones). Returns the number of tuples removed.
     pub fn remove_key_mut(&mut self, key: &K) -> usize {
-        match Node::key_remove_in_place(&mut self.root, hash32(key), 0, key) {
-            EditKeyRemoved::NotFound => 0,
-            EditKeyRemoved::Removed { tuples_removed } => {
-                self.tuples -= tuples_removed;
-                self.keys -= 1;
-                tuples_removed
-            }
-            EditKeyRemoved::Single {
-                key: k,
+        let outcome = Node::remove_in_place(&mut self.root, hash32(key), 0, key, None);
+        self.apply_removal(outcome)
+            .map_or(0, |removal| removal.tuples)
+    }
+
+    /// Books a removal walk's outcome into the counts, rebuilding the root
+    /// when the trie collapsed to one binding. `None` if nothing went.
+    fn apply_removal(&mut self, outcome: EditRemoved<K, V, B>) -> Option<Removal> {
+        let removal = match outcome {
+            EditRemoved::NotFound => return None,
+            EditRemoved::Removed(removal) => removal,
+            EditRemoved::Single {
+                key,
                 binding,
-                tuples_removed,
+                removal,
             } => {
-                self.root = Arc::new(root_with_single_binding(k, binding));
-                self.tuples -= tuples_removed;
-                self.keys -= 1;
-                tuples_removed
+                self.root = Arc::new(root_with_single_binding(key, binding));
+                removal
             }
+        };
+        self.tuples -= removal.tuples;
+        if removal.key_gone {
+            self.keys -= 1;
         }
+        Some(removal)
     }
 
     /// Iterates all `(key, value)` tuples — the paper's flattened

@@ -31,10 +31,7 @@ use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
 
 use crate::bitmap::{Category, SlotBitmap};
-use crate::slots::{
-    inserted_at, inserted_at_owned, migrate_map, migrated, removed_at, removed_at_owned,
-    replaced_at,
-};
+use crate::slots::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
 
 /// One physical slot of a set node: an inlined element or a sub-trie.
 #[derive(Debug, Clone)]
@@ -69,21 +66,13 @@ pub(crate) enum Node<T> {
 }
 
 /// Result of a node-level removal, driving CHAMP-style canonicalization:
-/// a sub-tree reduced to a single element is handed to the parent for
+/// a sub-tree reduced to a single element hands it to the parent for
 /// inlining instead of being kept as a degenerate path.
-pub(crate) enum Removed<T> {
-    NotFound,
-    Node(Node<T>),
-    Single(T),
-}
-
-/// Result of an in-place node-level removal: edited nodes stay where they
-/// are, so only the canonicalization payload travels.
 pub(crate) enum EditRemoved<T> {
     NotFound,
     Removed,
-    /// The sub-tree collapsed to one element (left in a consumed state; the
-    /// parent drops it and inlines the survivor).
+    /// The sub-tree collapsed to one element (a unique node is left
+    /// consumed; the parent drops it and inlines the survivor).
     Single(T),
 }
 
@@ -173,150 +162,81 @@ impl<T: Clone + Eq + Hash> Node<T> {
         }
     }
 
-    /// Returns the updated node, or `None` when `value` was already present.
-    fn inserted(&self, hash: u32, shift: u32, value: &T) -> Option<Node<T>> {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash, "collision nodes sit below exhausted hashes");
-                if c.elems.iter().any(|e| e == value) {
-                    return None;
-                }
-                let mut elems = c.elems.clone();
-                elems.push(value.clone());
-                Some(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    elems,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                match b.bitmap.get(m) {
-                    Category::Empty => {
-                        let bitmap = b.bitmap.with(m, Category::Cat1);
-                        let idx = bitmap.slot_index(Category::Cat1, m);
-                        Some(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: inserted_at(&b.slots, idx, Slot::Elem(value.clone())),
-                        }))
-                    }
-                    Category::Cat1 => {
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        let existing = match &b.slots[idx] {
-                            Slot::Elem(e) => e,
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if existing == value {
-                            return None;
-                        }
-                        // Prefix clash: both elements descend into a fresh
-                        // sub-trie; the slot migrates CAT1 → NODE.
-                        let child = Node::pair(
-                            hash32(existing),
-                            existing.clone(),
-                            hash,
-                            value.clone(),
-                            next_shift(shift),
-                        );
-                        let bitmap = b.bitmap.with(m, Category::Node);
-                        let to = bitmap.slot_index(Category::Node, m);
-                        Some(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: migrated(&b.slots, idx, to, Slot::Child(Arc::new(child))),
-                        }))
-                    }
-                    Category::Node => {
-                        let idx = b.bitmap.slot_index(Category::Node, m);
-                        let child = match &b.slots[idx] {
-                            Slot::Child(c) => c,
-                            Slot::Elem(_) => unreachable!("bitmap says NODE"),
-                        };
-                        let new_child = child.inserted(hash, next_shift(shift), value)?;
-                        Some(Node::Bitmap(BitmapNode {
-                            bitmap: b.bitmap,
-                            slots: replaced_at(&b.slots, idx, Slot::Child(Arc::new(new_child))),
-                        }))
-                    }
-                    Category::Cat2 => unreachable!("sets never use CAT2"),
-                }
-            }
-        }
+    /// The root of a one-element set (a collapsed trie's last element).
+    fn single(value: T) -> Node<T> {
+        Node::Bitmap(BitmapNode {
+            bitmap: SlotBitmap::EMPTY.with(mask(hash32(&value), 0), Category::Cat1),
+            slots: Box::new([Slot::Elem(value)]),
+        })
     }
 
-    /// In-place insert driven by `Arc` uniqueness: a uniquely-owned node is
-    /// edited directly (slots moved, never cloned); a shared node falls back
-    /// to the persistent path copy for its whole subtree. Takes `value` by
-    /// ownership — the common paths move it into its final slot with zero
-    /// clones. Returns true if the set grew.
+    /// Inserts `value` below `this`, editing unique nodes in place and
+    /// copying shared ones on write (see [`crate::slots`]). Takes `value` by
+    /// ownership so the common paths move it into its final slot. Returns
+    /// true if the set grew.
     fn insert_in_place(this: &mut Arc<Node<T>>, hash: u32, shift: u32, value: T) -> bool {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 debug_assert_eq!(c.hash, hash, "collision nodes sit below exhausted hashes");
                 if c.elems.contains(&value) {
                     return false;
                 }
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
                 c.elems.push(value);
+                return true;
+            }
+            Node::Bitmap(b) => b,
+        };
+        let m = mask(hash, shift);
+        let (cat, idx) = b.bitmap.locate(m);
+        match cat {
+            Category::Empty => {
+                let bitmap = b.bitmap.with(m, Category::Cat1);
+                let idx = bitmap.slot_index(Category::Cat1, m);
+                insert_slot(this, bitmap, idx, Slot::Elem(value));
                 true
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                match cat {
-                    Category::Empty => {
-                        b.bitmap = b.bitmap.with(m, Category::Cat1);
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        b.slots =
-                            inserted_at_owned(std::mem::take(&mut b.slots), idx, Slot::Elem(value));
-                        true
-                    }
-                    Category::Cat1 => {
-                        let existing = match &b.slots[idx] {
-                            Slot::Elem(e) => e,
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if *existing == value {
-                            return false;
-                        }
-                        // Prefix clash: both elements descend into a fresh
-                        // sub-trie; the slot migrates CAT1 → NODE in place.
-                        let existing_hash = hash32(existing);
-                        b.bitmap = b.bitmap.with(m, Category::Node);
-                        let to = b.bitmap.slot_index(Category::Node, m);
-                        migrate_map(&mut b.slots, idx, to, |slot| {
-                            let Slot::Elem(existing) = slot else {
-                                unreachable!("bitmap says CAT1")
-                            };
-                            Slot::Child(Arc::new(Node::pair(
-                                existing_hash,
-                                existing,
-                                hash,
-                                value,
-                                next_shift(shift),
-                            )))
-                        });
-                        true
-                    }
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        Node::insert_in_place(child, hash, next_shift(shift), value)
-                    }
-                    Category::Cat2 => unreachable!("sets never use CAT2"),
+            Category::Cat1 => {
+                let Slot::Elem(existing) = &b.slots[idx] else {
+                    unreachable!("bitmap says CAT1")
+                };
+                if *existing == value {
+                    return false;
                 }
+                // Prefix clash: both elements descend into a fresh sub-trie;
+                // the slot migrates CAT1 → NODE.
+                let existing_hash = hash32(existing);
+                let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                *bitmap = bitmap.with(m, Category::Node);
+                let to = bitmap.slot_index(Category::Node, m);
+                migrate_map(slots, idx, to, |slot| {
+                    let Slot::Elem(existing) = slot else {
+                        unreachable!("bitmap says CAT1")
+                    };
+                    Slot::Child(Arc::new(Node::pair(
+                        existing_hash,
+                        existing,
+                        hash,
+                        value,
+                        next_shift(shift),
+                    )))
+                });
+                true
             }
-            None => match this.inserted(hash, shift, &value) {
-                Some(node) => {
-                    *this = Arc::new(node);
-                    true
-                }
-                None => false,
-            },
+            Category::Node => edit_child(
+                this,
+                idx,
+                |child| Node::insert_in_place(child, hash, next_shift(shift), value),
+                |grew| *grew,
+            ),
+            Category::Cat2 => unreachable!("sets never use CAT2"),
         }
     }
 
-    /// In-place removal (same ownership discipline as
-    /// [`Node::insert_in_place`]), canonicalizing exactly like
-    /// [`Node::removed`].
+    /// Removes `value` below `this` with the same copy-on-write discipline
+    /// as [`Node::insert_in_place`], canonicalizing on the way up.
     fn remove_in_place<Q>(
         this: &mut Arc<Node<T>>,
         hash: u32,
@@ -327,168 +247,98 @@ impl<T: Clone + Eq + Hash> Node<T> {
         T: Borrow<Q>,
         Q: Eq + ?Sized,
     {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 let Some(pos) = c.elems.iter().position(|e| e.borrow() == value) else {
                     return EditRemoved::NotFound;
+                };
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
                 };
                 if c.elems.len() == 2 {
                     return EditRemoved::Single(c.elems.swap_remove(1 - pos));
                 }
                 c.elems.swap_remove(pos);
+                return EditRemoved::Removed;
+            }
+            Node::Bitmap(b) => b,
+        };
+        let m = mask(hash, shift);
+        let (cat, idx) = b.bitmap.locate(m);
+        match cat {
+            Category::Empty => EditRemoved::NotFound,
+            Category::Cat1 => {
+                let matches = match &b.slots[idx] {
+                    Slot::Elem(e) => e.borrow() == value,
+                    Slot::Child(_) => unreachable!("bitmap says CAT1"),
+                };
+                if !matches {
+                    return EditRemoved::NotFound;
+                }
+                let bitmap = b.bitmap.with(m, Category::Empty);
+                if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
+                    // The node held exactly two elements; hand the survivor
+                    // to the parent for inlining.
+                    let Slot::Elem(e) = survivor(this, idx) else {
+                        unreachable!("both slots are payload")
+                    };
+                    return EditRemoved::Single(e);
+                }
+                remove_slot(this, bitmap, idx);
                 EditRemoved::Removed
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                match cat {
-                    Category::Empty => EditRemoved::NotFound,
-                    Category::Cat1 => {
-                        let matches = match &b.slots[idx] {
-                            Slot::Elem(e) => e.borrow() == value,
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if !matches {
-                            return EditRemoved::NotFound;
-                        }
-                        let bitmap = b.bitmap.with(m, Category::Empty);
-                        if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-                            // The node held exactly two elements; hand the
-                            // survivor (moved out) to the parent for inlining.
-                            debug_assert_eq!(b.slots.len(), 2);
-                            let mut slots = std::mem::take(&mut b.slots).into_vec();
-                            let Slot::Elem(survivor) = slots.swap_remove(1 - idx) else {
-                                unreachable!("both slots are payload")
-                            };
-                            return EditRemoved::Single(survivor);
-                        }
-                        b.bitmap = bitmap;
-                        b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
+            Category::Node => {
+                // A pure chain node dissolves when its child collapses.
+                let chain =
+                    shift > 0 && b.bitmap.payload_arity() == 0 && b.bitmap.node_arity() == 1;
+                match edit_child(
+                    this,
+                    idx,
+                    |child| Node::remove_in_place(child, hash, next_shift(shift), value),
+                    |outcome| matches!(outcome, EditRemoved::Removed),
+                ) {
+                    EditRemoved::Single(e) if !chain => {
+                        // Inline the survivor: NODE → CAT1, dropping the
+                        // collapsed child.
+                        let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                        *bitmap = bitmap.with(m, Category::Cat1);
+                        let to = bitmap.slot_index(Category::Cat1, m);
+                        migrate_map(slots, idx, to, |_child| Slot::Elem(e));
                         EditRemoved::Removed
                     }
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        match Node::remove_in_place(child, hash, next_shift(shift), value) {
-                            EditRemoved::NotFound => EditRemoved::NotFound,
-                            EditRemoved::Removed => EditRemoved::Removed,
-                            EditRemoved::Single(e) => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    // A pure chain node dissolves: keep
-                                    // propagating the survivor upward.
-                                    return EditRemoved::Single(e);
-                                }
-                                // Inline the survivor: NODE → CAT1 in place,
-                                // dropping the collapsed child.
-                                b.bitmap = b.bitmap.with(m, Category::Cat1);
-                                let to = b.bitmap.slot_index(Category::Cat1, m);
-                                migrate_map(&mut b.slots, idx, to, |_child| Slot::Elem(e));
-                                EditRemoved::Removed
-                            }
-                        }
-                    }
-                    Category::Cat2 => unreachable!("sets never use CAT2"),
+                    outcome => outcome,
                 }
             }
-            None => match this.removed(hash, shift, value) {
-                Removed::NotFound => EditRemoved::NotFound,
-                Removed::Node(n) => {
-                    *this = Arc::new(n);
-                    EditRemoved::Removed
-                }
-                Removed::Single(e) => EditRemoved::Single(e),
-            },
+            Category::Cat2 => unreachable!("sets never use CAT2"),
+        }
+    }
+}
+
+impl<T: Clone> CowNode for Node<T> {
+    type Slot = Slot<T>;
+
+    fn parts(&self) -> (SlotBitmap, &[Slot<T>]) {
+        match self {
+            Node::Bitmap(b) => (b.bitmap, &b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
         }
     }
 
-    fn removed<Q>(&self, hash: u32, shift: u32, value: &Q) -> Removed<T>
-    where
-        T: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
+    fn parts_mut(&mut self) -> (&mut SlotBitmap, &mut Box<[Slot<T>]>) {
         match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.elems.iter().position(|e| e.borrow() == value) else {
-                    return Removed::NotFound;
-                };
-                if c.elems.len() == 2 {
-                    let survivor = c.elems[1 - pos].clone();
-                    return Removed::Single(survivor);
-                }
-                let mut elems = c.elems.clone();
-                elems.remove(pos);
-                Removed::Node(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    elems,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                match b.bitmap.get(m) {
-                    Category::Empty => Removed::NotFound,
-                    Category::Cat1 => {
-                        let idx = b.bitmap.slot_index(Category::Cat1, m);
-                        let matches = match &b.slots[idx] {
-                            Slot::Elem(e) => e.borrow() == value,
-                            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                        };
-                        if !matches {
-                            return Removed::NotFound;
-                        }
-                        let bitmap = b.bitmap.with(m, Category::Empty);
-                        if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-                            // The node held exactly two elements; hand the
-                            // survivor to the parent for inlining.
-                            debug_assert_eq!(b.slots.len(), 2);
-                            let survivor = match &b.slots[1 - idx] {
-                                Slot::Elem(e) => e.clone(),
-                                Slot::Child(_) => unreachable!("both slots are payload"),
-                            };
-                            return Removed::Single(survivor);
-                        }
-                        Removed::Node(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: removed_at(&b.slots, idx),
-                        }))
-                    }
-                    Category::Node => {
-                        let idx = b.bitmap.slot_index(Category::Node, m);
-                        let child = match &b.slots[idx] {
-                            Slot::Child(c) => c,
-                            Slot::Elem(_) => unreachable!("bitmap says NODE"),
-                        };
-                        match child.removed(hash, next_shift(shift), value) {
-                            Removed::NotFound => Removed::NotFound,
-                            Removed::Node(n) => Removed::Node(Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: replaced_at(&b.slots, idx, Slot::Child(Arc::new(n))),
-                            })),
-                            Removed::Single(e) => {
-                                if shift > 0
-                                    && b.bitmap.payload_arity() == 0
-                                    && b.bitmap.node_arity() == 1
-                                {
-                                    // A pure chain node dissolves: keep
-                                    // propagating the survivor upward.
-                                    return Removed::Single(e);
-                                }
-                                // Inline the survivor: slot migrates NODE → CAT1.
-                                let bitmap = b.bitmap.with(m, Category::Cat1);
-                                let to = bitmap.slot_index(Category::Cat1, m);
-                                Removed::Node(Node::Bitmap(BitmapNode {
-                                    bitmap,
-                                    slots: migrated(&b.slots, idx, to, Slot::Elem(e)),
-                                }))
-                            }
-                        }
-                    }
-                    Category::Cat2 => unreachable!("sets never use CAT2"),
-                }
-            }
+            Node::Bitmap(b) => (&mut b.bitmap, &mut b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<T>]>) -> Self {
+        Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child_mut(slot: &mut Slot<T>) -> &mut Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Elem(_) => unreachable!("bitmap says NODE"),
         }
     }
 }
@@ -664,28 +514,32 @@ fn union_nodes<T: Clone + Eq + Hash>(
                         // `a`'s lone element joins (or is absorbed by) `b`'s
                         // subtree; either way the slot becomes NODE.
                         bitmap = bitmap.with(m, Category::Node);
-                        match bc.inserted(hash32(ea), next_shift(shift), ea) {
-                            None => {
-                                added += node_len(bc) - 1;
-                                children.push(Slot::Child(Arc::clone(bc)));
-                            }
-                            Some(n) => {
-                                added += node_len(bc);
-                                children.push(Slot::Child(Arc::new(n)));
-                            }
+                        let mut child = Arc::clone(bc);
+                        added += node_len(bc);
+                        if !Node::insert_in_place(
+                            &mut child,
+                            hash32(ea),
+                            next_shift(shift),
+                            ea.clone(),
+                        ) {
+                            added -= 1;
                         }
+                        children.push(Slot::Child(child));
                         changed = true;
                     }
                     (At::Sub(ac), At::Elem(eb)) => {
                         bitmap = bitmap.with(m, Category::Node);
-                        match ac.inserted(hash32(eb), next_shift(shift), eb) {
-                            None => children.push(Slot::Child(Arc::clone(ac))),
-                            Some(n) => {
-                                children.push(Slot::Child(Arc::new(n)));
-                                added += 1;
-                                changed = true;
-                            }
+                        let mut child = Arc::clone(ac);
+                        if Node::insert_in_place(
+                            &mut child,
+                            hash32(eb),
+                            next_shift(shift),
+                            eb.clone(),
+                        ) {
+                            added += 1;
+                            changed = true;
                         }
+                        children.push(Slot::Child(child));
                     }
                     (At::Sub(ac), At::Sub(bc)) => {
                         bitmap = bitmap.with(m, Category::Node);
@@ -904,19 +758,20 @@ fn difference_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) 
                         kept += node_len(ac);
                     }
                     (At::Sub(ac), At::Elem(eb)) => {
-                        match ac.removed(hash32(eb), next_shift(shift), eb) {
-                            Removed::NotFound => {
+                        let mut child = Arc::clone(ac);
+                        match Node::remove_in_place(&mut child, hash32(eb), next_shift(shift), eb) {
+                            EditRemoved::NotFound => {
                                 bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(Arc::clone(ac)));
+                                children.push(Slot::Child(child));
                                 kept += node_len(ac);
                             }
-                            Removed::Node(n) => {
-                                kept += node_len(&n);
+                            EditRemoved::Removed => {
+                                kept += node_len(&child);
                                 bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(Arc::new(n)));
+                                children.push(Slot::Child(child));
                                 changed = true;
                             }
-                            Removed::Single(e) => {
+                            EditRemoved::Single(e) => {
                                 bitmap = bitmap.with(m, Category::Cat1);
                                 payload.push(Slot::Elem(e));
                                 kept += 1;
@@ -1163,11 +1018,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
             }
             EditRemoved::Single(survivor) => {
                 // Only reachable when the root collapses to one element.
-                let root = Node::empty();
-                let root = root
-                    .inserted(hash32(&survivor), 0, &survivor)
-                    .expect("inserting into empty");
-                self.root = Arc::new(root);
+                self.root = Arc::new(Node::single(survivor));
                 self.len -= 1;
                 true
             }
@@ -1191,11 +1042,8 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
 
     /// Rebuilds the one-element set (canonicalization helper).
     fn singleton(value: T) -> Self {
-        let root = Node::empty()
-            .inserted(hash32(&value), 0, &value)
-            .expect("inserting into empty");
         AxiomSet {
-            root: Arc::new(root),
+            root: Arc::new(Node::single(value)),
             len: 1,
         }
     }

@@ -12,7 +12,7 @@ use axiom_repro::axiom::{AxiomMultiMap, AxiomSet};
 use axiom_repro::sharded::ShardedMultiMap;
 use axiom_repro::trie_common::snapshot::{
     inspect, SnapshotError, SnapshotRead, SnapshotWrite, HEADER_BYTES, MAGIC, SHARD_ENTRY_BYTES,
-    SHARD_ENTRY_BYTES_V1, VERSION,
+    VERSION,
 };
 
 type Mm = AxiomMultiMap<u32, u32>;
@@ -287,9 +287,12 @@ fn payload_bit_flips_are_detected_and_blamed() {
     }
 }
 
-/// Down-converts a v2 snapshot to the v1 framing (no checksums) so the
-/// backward-compatibility path is exercised end-to-end: snapshots written
-/// by the previous release must still restore.
+/// Bytes per shard-table entry in version-1 frames (item count + payload
+/// length, no checksum column).
+const SHARD_ENTRY_BYTES_V1: usize = 16;
+
+/// Down-converts a v2 snapshot to the v1 framing (no checksums), the bytes
+/// a pre-checksum release wrote.
 fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
     let info = inspect(v2).unwrap();
     let mut out = v2[..HEADER_BYTES].to_vec();
@@ -311,21 +314,21 @@ fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
 }
 
 #[test]
-fn version_1_snapshots_still_restore() {
+fn version_1_snapshots_are_rejected() {
     let reference: ShardedMultiMap<u32, u32> =
         ShardedMultiMap::build_parallel(8, (0..500u32).map(|i| (i % 50, i)));
     let v1 = downgrade_to_v1(&reference.save_snapshot().unwrap());
     assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), 1);
 
-    let restored = ShardedMultiMap::<u32, u32>::load_snapshot(&v1, 8).unwrap();
-    assert_eq!(restored.tuple_count(), 500);
-    assert_eq!(restored.key_count(), 50);
-
-    // v1 framing carries no checksums, so a payload flip falls through to
-    // the codec — it may error or decode to different data, but never
-    // panics (the pre-v2 guarantee, unchanged).
-    let payload_start = HEADER_BYTES + 8 * SHARD_ENTRY_BYTES_V1;
-    let mut bad = v1.clone();
-    bad[payload_start] ^= 0x10;
-    let _ = ShardedMultiMap::<u32, u32>::load_snapshot(&bad, 8);
+    // v1 framing carries no checksums, so its payloads cannot be verified:
+    // restore refuses the frame (without panicking) rather than decode
+    // bytes that may have flipped.
+    assert_eq!(
+        ShardedMultiMap::<u32, u32>::load_snapshot(&v1, 8).err(),
+        Some(SnapshotError::UnsupportedVersion(1))
+    );
+    assert_eq!(
+        Mm::read_snapshot(&downgrade_to_v1(&valid_snapshot())).err(),
+        Some(SnapshotError::UnsupportedVersion(1))
+    );
 }
