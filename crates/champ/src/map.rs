@@ -28,10 +28,7 @@ use std::sync::Arc;
 
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
-use trie_common::slices::{
-    inserted_at as slice_inserted, inserted_at_owned, migrate_map, migrated as slice_migrated,
-    removed_at as slice_removed, removed_at_owned, replaced_at as slice_replaced,
-};
+use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
 
 /// One physical slot: an inlined entry or a sub-trie.
 #[derive(Debug, Clone)]
@@ -87,20 +84,8 @@ pub(crate) enum Node<K, V> {
     Collision(CollisionNode<K, V>),
 }
 
-pub(crate) enum Inserted<K, V> {
-    Unchanged,
-    /// The new node and the value it replaced.
-    Replaced(Node<K, V>, V),
-    Added(Node<K, V>),
-}
-
-pub(crate) enum Removed<K, V> {
-    NotFound,
-    Node(Node<K, V>),
-    Single(K, V),
-}
-
-/// In-place insertion outcome (the node is edited where it stands).
+/// Insertion outcome: the walk edits or copies nodes where they stand, so
+/// only the displaced value travels.
 pub(crate) enum EditInserted<V> {
     /// An equal value was already bound; the offered one is handed back.
     Unchanged(V),
@@ -109,13 +94,12 @@ pub(crate) enum EditInserted<V> {
     Added,
 }
 
-/// In-place removal outcome: edited nodes stay where they are, so only the
-/// canonicalization payload travels upward.
+/// Removal outcome: only the canonicalization payload travels upward.
 pub(crate) enum EditRemoved<K, V> {
     NotFound,
     Removed,
-    /// The sub-tree collapsed to one entry (left in a consumed state; the
-    /// parent drops it and inlines the survivor).
+    /// The sub-tree collapsed to one entry (a unique node is left
+    /// consumed; the parent drops it and inlines the survivor).
     Single(K, V),
 }
 
@@ -191,119 +175,10 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         }
     }
 
-    fn inserted(&self, hash: u32, shift: u32, key: &K, value: &V) -> Inserted<K, V> {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| k == key) {
-                    Some(pos) => {
-                        if c.entries[pos].1 == *value {
-                            return Inserted::Unchanged;
-                        }
-                        let mut entries = c.entries.clone();
-                        let old = std::mem::replace(&mut entries[pos].1, value.clone());
-                        Inserted::Replaced(
-                            Node::Collision(CollisionNode {
-                                hash: c.hash,
-                                entries,
-                            }),
-                            old,
-                        )
-                    }
-                    None => {
-                        let mut entries = c.entries.clone();
-                        entries.push((key.clone(), value.clone()));
-                        Inserted::Added(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let (ek, ev) = match &b.slots[idx] {
-                        Slot::Entry(k, v) => (k, v),
-                        Slot::Child(_) => unreachable!("datamap says entry"),
-                    };
-                    if ek == key {
-                        if ev == value {
-                            return Inserted::Unchanged;
-                        }
-                        return Inserted::Replaced(
-                            Node::Bitmap(BitmapNode {
-                                datamap: b.datamap,
-                                nodemap: b.nodemap,
-                                slots: slice_replaced(
-                                    &b.slots,
-                                    idx,
-                                    Slot::Entry(key.clone(), value.clone()),
-                                ),
-                            }),
-                            ev.clone(),
-                        );
-                    }
-                    // Entry migrates from the data group to the node group.
-                    let child = Node::pair(
-                        hash32(ek),
-                        ek.clone(),
-                        ev.clone(),
-                        hash,
-                        key.clone(),
-                        value.clone(),
-                        next_shift(shift),
-                    );
-                    let datamap = b.datamap & !bit;
-                    let nodemap = b.nodemap | bit;
-                    let to = (datamap.count_ones() as usize) + index_in(nodemap, bit);
-                    Inserted::Added(Node::Bitmap(BitmapNode {
-                        datamap,
-                        nodemap,
-                        slots: slice_migrated(&b.slots, idx, to, Slot::Child(Arc::new(child))),
-                    }))
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let child = match &b.slots[idx] {
-                        Slot::Child(c) => c,
-                        Slot::Entry(..) => unreachable!("nodemap says child"),
-                    };
-                    let rebuild = |n: Node<K, V>| {
-                        Node::Bitmap(BitmapNode {
-                            datamap: b.datamap,
-                            nodemap: b.nodemap,
-                            slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(n))),
-                        })
-                    };
-                    match child.inserted(hash, next_shift(shift), key, value) {
-                        Inserted::Unchanged => Inserted::Unchanged,
-                        Inserted::Replaced(n, old) => Inserted::Replaced(rebuild(n), old),
-                        Inserted::Added(n) => Inserted::Added(rebuild(n)),
-                    }
-                } else {
-                    let datamap = b.datamap | bit;
-                    let idx = index_in(datamap, bit);
-                    Inserted::Added(Node::Bitmap(BitmapNode {
-                        datamap,
-                        nodemap: b.nodemap,
-                        slots: slice_inserted(
-                            &b.slots,
-                            idx,
-                            Slot::Entry(key.clone(), value.clone()),
-                        ),
-                    }))
-                }
-            }
-        }
-    }
-
-    /// In-place insert driven by `Arc` uniqueness: a uniquely-owned node is
-    /// edited directly (slots moved, never cloned), a shared node falls back
-    /// to the persistent path copy for its whole subtree. This is what makes
-    /// the transient builder's bulk `insert_mut` batches O(1)-amortized in
-    /// allocations instead of one path copy per tuple.
+    /// Binds `key` to `value` below `this`, editing unique nodes in place
+    /// and copying shared ones on write (see [`trie_common::slices`]).
+    /// Takes the entry by ownership so the common paths move it into its
+    /// final slot.
     fn insert_in_place(
         this: &mut Arc<Node<K, V>>,
         hash: u32,
@@ -311,100 +186,87 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         key: K,
         value: V,
     ) -> EditInserted<V> {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| *k == key) {
+                let pos = c.entries.iter().position(|(k, _)| *k == key);
+                if pos.is_some_and(|pos| c.entries[pos].1 == value) {
+                    return EditInserted::Unchanged(value);
+                }
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
+                return match pos {
                     Some(pos) => {
-                        if c.entries[pos].1 == value {
-                            return EditInserted::Unchanged(value);
-                        }
                         EditInserted::Replaced(std::mem::replace(&mut c.entries[pos].1, value))
                     }
                     None => {
                         c.entries.push((key, value));
                         EditInserted::Added
                     }
-                }
+                };
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let (ek, ev) = match &b.slots[idx] {
-                        Slot::Entry(k, v) => (k, v),
-                        Slot::Child(_) => unreachable!("datamap says entry"),
-                    };
-                    if *ek == key {
-                        if *ev == value {
-                            return EditInserted::Unchanged(value);
-                        }
-                        // Replace in place: zero allocations, zero clones.
-                        let Slot::Entry(_, old) =
-                            std::mem::replace(&mut b.slots[idx], Slot::Entry(key, value))
-                        else {
-                            unreachable!("datamap says entry")
-                        };
-                        return EditInserted::Replaced(old);
-                    }
-                    // The entry migrates data group → node group in place.
-                    let existing_hash = hash32(ek);
-                    let datamap = b.datamap & !bit;
-                    let nodemap = b.nodemap | bit;
-                    let to = (datamap.count_ones() as usize) + index_in(nodemap, bit);
-                    b.datamap = datamap;
-                    b.nodemap = nodemap;
-                    migrate_map(&mut b.slots, idx, to, |slot| {
-                        let Slot::Entry(ek, ev) = slot else {
-                            unreachable!("datamap says entry")
-                        };
-                        Slot::Child(Arc::new(Node::pair(
-                            existing_hash,
-                            ek,
-                            ev,
-                            hash,
-                            key,
-                            value,
-                            next_shift(shift),
-                        )))
-                    });
-                    EditInserted::Added
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let Slot::Child(child) = &mut b.slots[idx] else {
-                        unreachable!("nodemap says child")
-                    };
-                    Node::insert_in_place(child, hash, next_shift(shift), key, value)
-                } else {
-                    b.datamap |= bit;
-                    let idx = index_in(b.datamap, bit);
-                    b.slots = inserted_at_owned(
-                        std::mem::take(&mut b.slots),
-                        idx,
-                        Slot::Entry(key, value),
-                    );
-                    EditInserted::Added
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.datamap & bit != 0 {
+            let idx = b.data_index(bit);
+            let Slot::Entry(ek, ev) = &b.slots[idx] else {
+                unreachable!("datamap says entry")
+            };
+            if *ek == key {
+                if *ev == value {
+                    return EditInserted::Unchanged(value);
                 }
+                let slot = &mut Arc::make_mut(this).slots_mut()[idx];
+                let Slot::Entry(_, old) = std::mem::replace(slot, Slot::Entry(key, value)) else {
+                    unreachable!("datamap says entry")
+                };
+                return EditInserted::Replaced(old);
             }
-            None => match this.inserted(hash, shift, &key, &value) {
-                Inserted::Unchanged => EditInserted::Unchanged(value),
-                Inserted::Replaced(n, old) => {
-                    *this = Arc::new(n);
-                    EditInserted::Replaced(old)
-                }
-                Inserted::Added(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::Added
-                }
-            },
+            // Prefix clash: the entry migrates data group → node group;
+            // both entries move into the fresh sub-trie.
+            let existing_hash = hash32(ek);
+            let Node::Bitmap(b) = Arc::make_mut(this) else {
+                unreachable!("matched a bitmap node")
+            };
+            b.datamap &= !bit;
+            b.nodemap |= bit;
+            let to = b.node_index(bit);
+            migrate_map(&mut b.slots, idx, to, |slot| {
+                let Slot::Entry(ek, ev) = slot else {
+                    unreachable!("datamap says entry")
+                };
+                Slot::Child(Arc::new(Node::pair(
+                    existing_hash,
+                    ek,
+                    ev,
+                    hash,
+                    key,
+                    value,
+                    next_shift(shift),
+                )))
+            });
+            EditInserted::Added
+        } else if b.nodemap & bit != 0 {
+            let idx = b.node_index(bit);
+            edit_child(
+                this,
+                idx,
+                |child| Node::insert_in_place(child, hash, next_shift(shift), key, value),
+                |outcome| !matches!(outcome, EditInserted::Unchanged(_)),
+            )
+        } else {
+            let bitmap = (b.datamap | bit, b.nodemap);
+            let idx = index_in(bitmap.0, bit);
+            insert_slot(this, bitmap, idx, Slot::Entry(key, value));
+            EditInserted::Added
         }
     }
 
-    /// In-place removal (same `Arc`-uniqueness discipline as
-    /// [`Node::insert_in_place`]), canonicalizing exactly like
-    /// [`Node::removed`]: uniquely-owned nodes are edited where they stand,
-    /// shared subtrees fall back to the persistent path copy.
+    /// Removes `key` below `this` with the same copy-on-write discipline
+    /// as [`Node::insert_in_place`]. Canonicalizes on the way up: a sub-trie
+    /// left with one entry hands it to the parent for inlining.
     fn remove_in_place<Q>(
         this: &mut Arc<Node<K, V>>,
         hash: u32,
@@ -415,166 +277,103 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         K: Borrow<Q>,
         Q: Eq + ?Sized,
     {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
                     return EditRemoved::NotFound;
+                };
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
                 };
                 if c.entries.len() == 2 {
                     let (k, v) = c.entries.swap_remove(1 - pos);
                     return EditRemoved::Single(k, v);
                 }
                 c.entries.swap_remove(pos);
-                EditRemoved::Removed
+                return EditRemoved::Removed;
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let matches = match &b.slots[idx] {
-                        Slot::Entry(k, _) => k.borrow() == key,
-                        Slot::Child(_) => unreachable!("datamap says entry"),
-                    };
-                    if !matches {
-                        return EditRemoved::NotFound;
-                    }
-                    let datamap = b.datamap & !bit;
-                    if shift > 0 && datamap.count_ones() == 1 && b.nodemap == 0 {
-                        // The node held exactly two entries; hand the
-                        // survivor (moved out) to the parent for inlining.
-                        debug_assert_eq!(b.slots.len(), 2);
-                        let mut slots = std::mem::take(&mut b.slots).into_vec();
-                        let Slot::Entry(k, v) = slots.swap_remove(1 - idx) else {
-                            unreachable!("both slots are payload")
-                        };
-                        return EditRemoved::Single(k, v);
-                    }
-                    b.datamap = datamap;
-                    b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
-                    EditRemoved::Removed
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let Slot::Child(child) = &mut b.slots[idx] else {
-                        unreachable!("nodemap says child")
-                    };
-                    match Node::remove_in_place(child, hash, next_shift(shift), key) {
-                        EditRemoved::NotFound => EditRemoved::NotFound,
-                        EditRemoved::Removed => EditRemoved::Removed,
-                        EditRemoved::Single(k, v) => {
-                            if shift > 0 && b.datamap == 0 && b.nodemap.count_ones() == 1 {
-                                // A pure chain node dissolves: keep
-                                // propagating the survivor upward.
-                                return EditRemoved::Single(k, v);
-                            }
-                            // Inline the survivor: the slot migrates node
-                            // group → data group in place, dropping the
-                            // collapsed child.
-                            let datamap = b.datamap | bit;
-                            let nodemap = b.nodemap & !bit;
-                            let to = index_in(datamap, bit);
-                            b.datamap = datamap;
-                            b.nodemap = nodemap;
-                            migrate_map(&mut b.slots, idx, to, |_child| Slot::Entry(k, v));
-                            EditRemoved::Removed
-                        }
-                    }
-                } else {
-                    EditRemoved::NotFound
-                }
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.datamap & bit != 0 {
+            let idx = b.data_index(bit);
+            let Slot::Entry(k, _) = &b.slots[idx] else {
+                unreachable!("datamap says entry")
+            };
+            if k.borrow() != key {
+                return EditRemoved::NotFound;
             }
-            None => match this.removed(hash, shift, key) {
-                Removed::NotFound => EditRemoved::NotFound,
-                Removed::Node(n) => {
-                    *this = Arc::new(n);
+            let bitmap = (b.datamap & !bit, b.nodemap);
+            if shift > 0 && bitmap.0.count_ones() == 1 && bitmap.1 == 0 {
+                // The node held exactly two entries; hand the survivor to
+                // the parent for inlining.
+                let Slot::Entry(k, v) = survivor(this, idx) else {
+                    unreachable!("both slots are payload")
+                };
+                return EditRemoved::Single(k, v);
+            }
+            remove_slot(this, bitmap, idx);
+            EditRemoved::Removed
+        } else if b.nodemap & bit != 0 {
+            // A pure chain node dissolves when its child collapses.
+            let chain = shift > 0 && b.datamap == 0 && b.nodemap.count_ones() == 1;
+            let idx = b.node_index(bit);
+            match edit_child(
+                this,
+                idx,
+                |child| Node::remove_in_place(child, hash, next_shift(shift), key),
+                |outcome| matches!(outcome, EditRemoved::Removed),
+            ) {
+                EditRemoved::Single(k, v) if !chain => {
+                    // Inline the survivor: the slot migrates node group →
+                    // data group, dropping the collapsed child.
+                    let Node::Bitmap(b) = Arc::make_mut(this) else {
+                        unreachable!("matched a bitmap node")
+                    };
+                    b.datamap |= bit;
+                    b.nodemap &= !bit;
+                    let to = b.data_index(bit);
+                    migrate_map(&mut b.slots, idx, to, |_child| Slot::Entry(k, v));
                     EditRemoved::Removed
                 }
-                Removed::Single(k, v) => EditRemoved::Single(k, v),
-            },
+                outcome => outcome,
+            }
+        } else {
+            EditRemoved::NotFound
+        }
+    }
+}
+
+impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+    type Bitmap = (u32, u32);
+    type Slot = Slot<K, V>;
+
+    fn parts(&self) -> ((u32, u32), &[Slot<K, V>]) {
+        match self {
+            Node::Bitmap(b) => ((b.datamap, b.nodemap), &b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
         }
     }
 
-    fn removed<Q>(&self, hash: u32, shift: u32, key: &Q) -> Removed<K, V>
-    where
-        K: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
+    fn slots_mut(&mut self) -> &mut Box<[Slot<K, V>]> {
         match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
-                    return Removed::NotFound;
-                };
-                if c.entries.len() == 2 {
-                    let (k, v) = c.entries[1 - pos].clone();
-                    return Removed::Single(k, v);
-                }
-                let mut entries = c.entries.clone();
-                entries.remove(pos);
-                Removed::Node(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    entries,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let matches = match &b.slots[idx] {
-                        Slot::Entry(k, _) => k.borrow() == key,
-                        Slot::Child(_) => unreachable!("datamap says entry"),
-                    };
-                    if !matches {
-                        return Removed::NotFound;
-                    }
-                    let datamap = b.datamap & !bit;
-                    if shift > 0 && datamap.count_ones() == 1 && b.nodemap == 0 {
-                        // Canonicalization: hand the survivor to the parent.
-                        debug_assert_eq!(b.slots.len(), 2);
-                        let (k, v) = match &b.slots[1 - idx] {
-                            Slot::Entry(k, v) => (k.clone(), v.clone()),
-                            Slot::Child(_) => unreachable!("both slots are payload"),
-                        };
-                        return Removed::Single(k, v);
-                    }
-                    Removed::Node(Node::Bitmap(BitmapNode {
-                        datamap,
-                        nodemap: b.nodemap,
-                        slots: slice_removed(&b.slots, idx),
-                    }))
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let child = match &b.slots[idx] {
-                        Slot::Child(c) => c,
-                        Slot::Entry(..) => unreachable!("nodemap says child"),
-                    };
-                    match child.removed(hash, next_shift(shift), key) {
-                        Removed::NotFound => Removed::NotFound,
-                        Removed::Node(n) => Removed::Node(Node::Bitmap(BitmapNode {
-                            datamap: b.datamap,
-                            nodemap: b.nodemap,
-                            slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(n))),
-                        })),
-                        Removed::Single(k, v) => {
-                            if shift > 0 && b.datamap == 0 && b.nodemap.count_ones() == 1 {
-                                // Chain node dissolves.
-                                return Removed::Single(k, v);
-                            }
-                            // Inline: the slot migrates node group → data group.
-                            let datamap = b.datamap | bit;
-                            let nodemap = b.nodemap & !bit;
-                            let to = index_in(datamap, bit);
-                            Removed::Node(Node::Bitmap(BitmapNode {
-                                datamap,
-                                nodemap,
-                                slots: slice_migrated(&b.slots, idx, to, Slot::Entry(k, v)),
-                            }))
-                        }
-                    }
-                } else {
-                    Removed::NotFound
-                }
-            }
+            Node::Bitmap(b) => &mut b.slots,
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn of_parts((datamap, nodemap): (u32, u32), slots: Box<[Slot<K, V>]>) -> Self {
+        Node::Bitmap(BitmapNode {
+            datamap,
+            nodemap,
+            slots,
+        })
+    }
+
+    fn child_mut(slot: &mut Slot<K, V>) -> &mut Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Entry(..) => unreachable!("nodemap says child"),
         }
     }
 }
@@ -824,12 +623,9 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> ChampMap<K, V> {
                 true
             }
             EditRemoved::Single(k, v) => {
-                let root = Node::empty();
-                let root = match root.inserted(hash32(&k), 0, &k, &v) {
-                    Inserted::Added(n) => n,
-                    _ => unreachable!("inserting into empty"),
-                };
-                self.root = Arc::new(root);
+                // Only reachable when the root collapses to one entry.
+                self.root = Arc::new(Node::empty());
+                Node::insert_in_place(&mut self.root, hash32(&k), 0, k, v);
                 self.len -= 1;
                 true
             }

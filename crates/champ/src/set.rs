@@ -21,10 +21,7 @@ use std::sync::Arc;
 
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
-use trie_common::slices::{
-    inserted_at as slice_inserted, inserted_at_owned, migrate_map, migrated as slice_migrated,
-    removed_at as slice_removed, removed_at_owned, replaced_at as slice_replaced,
-};
+use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
 
 /// One physical slot: an element or a sub-trie.
 #[derive(Debug, Clone)]
@@ -77,19 +74,13 @@ pub(crate) enum Node<T> {
     Collision(CollisionNode<T>),
 }
 
-pub(crate) enum Removed<T> {
-    NotFound,
-    Node(Node<T>),
-    Single(T),
-}
-
-/// In-place removal outcome: edited nodes stay where they are, so only the
-/// canonicalization payload travels upward.
+/// Removal outcome: the walk edits or copies nodes where they stand, so
+/// only the canonicalization payload travels upward.
 pub(crate) enum EditRemoved<T> {
     NotFound,
     Removed,
-    /// The sub-tree collapsed to one element (left in a consumed state; the
-    /// parent drops it and inlines the survivor).
+    /// The sub-tree collapsed to one element (a unique node is left
+    /// consumed; the parent drops it and inlines the survivor).
     Single(T),
 }
 
@@ -159,145 +150,73 @@ impl<T: Clone + Eq + Hash> Node<T> {
         }
     }
 
-    fn inserted(&self, hash: u32, shift: u32, value: &T) -> Option<Node<T>> {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                if c.elems.iter().any(|e| e == value) {
-                    return None;
-                }
-                let mut elems = c.elems.clone();
-                elems.push(value.clone());
-                Some(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    elems,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let existing = match &b.slots[idx] {
-                        Slot::Elem(e) => e,
-                        Slot::Child(_) => unreachable!("datamap says element"),
-                    };
-                    if existing == value {
-                        return None;
-                    }
-                    let child = Node::pair(
-                        hash32(existing),
-                        existing.clone(),
-                        hash,
-                        value.clone(),
-                        next_shift(shift),
-                    );
-                    let datamap = b.datamap & !bit;
-                    let nodemap = b.nodemap | bit;
-                    let to = (datamap.count_ones() as usize) + index_in(nodemap, bit);
-                    Some(Node::Bitmap(BitmapNode {
-                        datamap,
-                        nodemap,
-                        slots: slice_migrated(&b.slots, idx, to, Slot::Child(Arc::new(child))),
-                    }))
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let child = match &b.slots[idx] {
-                        Slot::Child(c) => c,
-                        Slot::Elem(_) => unreachable!("nodemap says child"),
-                    };
-                    let new_child = child.inserted(hash, next_shift(shift), value)?;
-                    Some(Node::Bitmap(BitmapNode {
-                        datamap: b.datamap,
-                        nodemap: b.nodemap,
-                        slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(new_child))),
-                    }))
-                } else {
-                    let datamap = b.datamap | bit;
-                    let idx = index_in(datamap, bit);
-                    Some(Node::Bitmap(BitmapNode {
-                        datamap,
-                        nodemap: b.nodemap,
-                        slots: slice_inserted(&b.slots, idx, Slot::Elem(value.clone())),
-                    }))
-                }
-            }
-        }
-    }
-
-    /// In-place insert driven by `Arc` uniqueness: a uniquely-owned node is
-    /// edited directly (slots moved, never cloned), a shared node falls back
-    /// to the persistent path copy for its whole subtree. Returns true if
-    /// the set grew.
+    /// Inserts `value` below `this`, editing unique nodes in place and
+    /// copying shared ones on write (see [`trie_common::slices`]). Returns
+    /// true if the set grew.
     fn insert_in_place(this: &mut Arc<Node<T>>, hash: u32, shift: u32, value: T) -> bool {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 debug_assert_eq!(c.hash, hash);
                 if c.elems.contains(&value) {
                     return false;
                 }
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
                 c.elems.push(value);
-                true
+                return true;
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let existing = match &b.slots[idx] {
-                        Slot::Elem(e) => e,
-                        Slot::Child(_) => unreachable!("datamap says element"),
-                    };
-                    if *existing == value {
-                        return false;
-                    }
-                    // The element migrates data group → node group in place.
-                    let existing_hash = hash32(existing);
-                    let datamap = b.datamap & !bit;
-                    let nodemap = b.nodemap | bit;
-                    let to = (datamap.count_ones() as usize) + index_in(nodemap, bit);
-                    b.datamap = datamap;
-                    b.nodemap = nodemap;
-                    migrate_map(&mut b.slots, idx, to, |slot| {
-                        let Slot::Elem(existing) = slot else {
-                            unreachable!("datamap says element")
-                        };
-                        Slot::Child(Arc::new(Node::pair(
-                            existing_hash,
-                            existing,
-                            hash,
-                            value,
-                            next_shift(shift),
-                        )))
-                    });
-                    true
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let Slot::Child(child) = &mut b.slots[idx] else {
-                        unreachable!("nodemap says child")
-                    };
-                    Node::insert_in_place(child, hash, next_shift(shift), value)
-                } else {
-                    b.datamap |= bit;
-                    let idx = index_in(b.datamap, bit);
-                    b.slots =
-                        inserted_at_owned(std::mem::take(&mut b.slots), idx, Slot::Elem(value));
-                    true
-                }
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.datamap & bit != 0 {
+            let idx = b.data_index(bit);
+            let Slot::Elem(existing) = &b.slots[idx] else {
+                unreachable!("datamap says element")
+            };
+            if *existing == value {
+                return false;
             }
-            None => match this.inserted(hash, shift, &value) {
-                Some(node) => {
-                    *this = Arc::new(node);
-                    true
-                }
-                None => false,
-            },
+            // Prefix clash: the element migrates data group → node group;
+            // both elements move into the fresh sub-trie.
+            let existing_hash = hash32(existing);
+            let Node::Bitmap(b) = Arc::make_mut(this) else {
+                unreachable!("matched a bitmap node")
+            };
+            b.datamap &= !bit;
+            b.nodemap |= bit;
+            let to = b.node_index(bit);
+            migrate_map(&mut b.slots, idx, to, |slot| {
+                let Slot::Elem(existing) = slot else {
+                    unreachable!("datamap says element")
+                };
+                Slot::Child(Arc::new(Node::pair(
+                    existing_hash,
+                    existing,
+                    hash,
+                    value,
+                    next_shift(shift),
+                )))
+            });
+            true
+        } else if b.nodemap & bit != 0 {
+            let idx = b.node_index(bit);
+            edit_child(
+                this,
+                idx,
+                |child| Node::insert_in_place(child, hash, next_shift(shift), value),
+                |&grew| grew,
+            )
+        } else {
+            let bitmap = (b.datamap | bit, b.nodemap);
+            let idx = index_in(bitmap.0, bit);
+            insert_slot(this, bitmap, idx, Slot::Elem(value));
+            true
         }
     }
 
-    /// In-place removal (same `Arc`-uniqueness discipline as
-    /// [`Node::insert_in_place`]), canonicalizing exactly like
-    /// [`Node::removed`].
+    /// Removes `value` below `this` with the same copy-on-write discipline
+    /// as [`Node::insert_in_place`], canonicalizing on the way up.
     fn remove_in_place<Q>(
         this: &mut Arc<Node<T>>,
         hash: u32,
@@ -308,160 +227,102 @@ impl<T: Clone + Eq + Hash> Node<T> {
         T: Borrow<Q>,
         Q: Eq + ?Sized,
     {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 let Some(pos) = c.elems.iter().position(|e| e.borrow() == value) else {
                     return EditRemoved::NotFound;
+                };
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
                 };
                 if c.elems.len() == 2 {
                     return EditRemoved::Single(c.elems.swap_remove(1 - pos));
                 }
                 c.elems.swap_remove(pos);
-                EditRemoved::Removed
+                return EditRemoved::Removed;
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let matches = match &b.slots[idx] {
-                        Slot::Elem(e) => e.borrow() == value,
-                        Slot::Child(_) => unreachable!("datamap says element"),
-                    };
-                    if !matches {
-                        return EditRemoved::NotFound;
-                    }
-                    let datamap = b.datamap & !bit;
-                    if shift > 0 && datamap.count_ones() == 1 && b.nodemap == 0 {
-                        // The node held exactly two elements; hand the
-                        // survivor (moved out) to the parent for inlining.
-                        debug_assert_eq!(b.slots.len(), 2);
-                        let mut slots = std::mem::take(&mut b.slots).into_vec();
-                        let Slot::Elem(survivor) = slots.swap_remove(1 - idx) else {
-                            unreachable!("both slots are payload")
-                        };
-                        return EditRemoved::Single(survivor);
-                    }
-                    b.datamap = datamap;
-                    b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
-                    EditRemoved::Removed
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let Slot::Child(child) = &mut b.slots[idx] else {
-                        unreachable!("nodemap says child")
-                    };
-                    match Node::remove_in_place(child, hash, next_shift(shift), value) {
-                        EditRemoved::NotFound => EditRemoved::NotFound,
-                        EditRemoved::Removed => EditRemoved::Removed,
-                        EditRemoved::Single(e) => {
-                            if shift > 0 && b.datamap == 0 && b.nodemap.count_ones() == 1 {
-                                // A pure chain node dissolves: keep
-                                // propagating the survivor upward.
-                                return EditRemoved::Single(e);
-                            }
-                            // Inline the survivor: node group → data group
-                            // in place, dropping the collapsed child.
-                            let datamap = b.datamap | bit;
-                            let nodemap = b.nodemap & !bit;
-                            let to = index_in(datamap, bit);
-                            b.datamap = datamap;
-                            b.nodemap = nodemap;
-                            migrate_map(&mut b.slots, idx, to, |_child| Slot::Elem(e));
-                            EditRemoved::Removed
-                        }
-                    }
-                } else {
-                    EditRemoved::NotFound
-                }
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.datamap & bit != 0 {
+            let idx = b.data_index(bit);
+            let Slot::Elem(e) = &b.slots[idx] else {
+                unreachable!("datamap says element")
+            };
+            if e.borrow() != value {
+                return EditRemoved::NotFound;
             }
-            None => match this.removed(hash, shift, value) {
-                Removed::NotFound => EditRemoved::NotFound,
-                Removed::Node(n) => {
-                    *this = Arc::new(n);
+            let bitmap = (b.datamap & !bit, b.nodemap);
+            if shift > 0 && bitmap.0.count_ones() == 1 && bitmap.1 == 0 {
+                // The node held exactly two elements; hand the survivor to
+                // the parent for inlining.
+                let Slot::Elem(e) = survivor(this, idx) else {
+                    unreachable!("both slots are payload")
+                };
+                return EditRemoved::Single(e);
+            }
+            remove_slot(this, bitmap, idx);
+            EditRemoved::Removed
+        } else if b.nodemap & bit != 0 {
+            // A pure chain node dissolves when its child collapses.
+            let chain = shift > 0 && b.datamap == 0 && b.nodemap.count_ones() == 1;
+            let idx = b.node_index(bit);
+            match edit_child(
+                this,
+                idx,
+                |child| Node::remove_in_place(child, hash, next_shift(shift), value),
+                |outcome| matches!(outcome, EditRemoved::Removed),
+            ) {
+                EditRemoved::Single(e) if !chain => {
+                    // Inline the survivor: the slot migrates node group →
+                    // data group, dropping the collapsed child.
+                    let Node::Bitmap(b) = Arc::make_mut(this) else {
+                        unreachable!("matched a bitmap node")
+                    };
+                    b.datamap |= bit;
+                    b.nodemap &= !bit;
+                    let to = b.data_index(bit);
+                    migrate_map(&mut b.slots, idx, to, |_child| Slot::Elem(e));
                     EditRemoved::Removed
                 }
-                Removed::Single(e) => EditRemoved::Single(e),
-            },
+                outcome => outcome,
+            }
+        } else {
+            EditRemoved::NotFound
+        }
+    }
+}
+
+impl<T: Clone> CowNode for Node<T> {
+    type Bitmap = (u32, u32);
+    type Slot = Slot<T>;
+
+    fn parts(&self) -> ((u32, u32), &[Slot<T>]) {
+        match self {
+            Node::Bitmap(b) => ((b.datamap, b.nodemap), &b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
         }
     }
 
-    fn removed<Q>(&self, hash: u32, shift: u32, value: &Q) -> Removed<T>
-    where
-        T: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
+    fn slots_mut(&mut self) -> &mut Box<[Slot<T>]> {
         match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.elems.iter().position(|e| e.borrow() == value) else {
-                    return Removed::NotFound;
-                };
-                if c.elems.len() == 2 {
-                    return Removed::Single(c.elems[1 - pos].clone());
-                }
-                let mut elems = c.elems.clone();
-                elems.remove(pos);
-                Removed::Node(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    elems,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.datamap & bit != 0 {
-                    let idx = b.data_index(bit);
-                    let matches = match &b.slots[idx] {
-                        Slot::Elem(e) => e.borrow() == value,
-                        Slot::Child(_) => unreachable!("datamap says element"),
-                    };
-                    if !matches {
-                        return Removed::NotFound;
-                    }
-                    let datamap = b.datamap & !bit;
-                    if shift > 0 && datamap.count_ones() == 1 && b.nodemap == 0 {
-                        debug_assert_eq!(b.slots.len(), 2);
-                        let survivor = match &b.slots[1 - idx] {
-                            Slot::Elem(e) => e.clone(),
-                            Slot::Child(_) => unreachable!("both slots are payload"),
-                        };
-                        return Removed::Single(survivor);
-                    }
-                    Removed::Node(Node::Bitmap(BitmapNode {
-                        datamap,
-                        nodemap: b.nodemap,
-                        slots: slice_removed(&b.slots, idx),
-                    }))
-                } else if b.nodemap & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let child = match &b.slots[idx] {
-                        Slot::Child(c) => c,
-                        Slot::Elem(_) => unreachable!("nodemap says child"),
-                    };
-                    match child.removed(hash, next_shift(shift), value) {
-                        Removed::NotFound => Removed::NotFound,
-                        Removed::Node(n) => Removed::Node(Node::Bitmap(BitmapNode {
-                            datamap: b.datamap,
-                            nodemap: b.nodemap,
-                            slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(n))),
-                        })),
-                        Removed::Single(e) => {
-                            if shift > 0 && b.datamap == 0 && b.nodemap.count_ones() == 1 {
-                                return Removed::Single(e);
-                            }
-                            let datamap = b.datamap | bit;
-                            let nodemap = b.nodemap & !bit;
-                            let to = index_in(datamap, bit);
-                            Removed::Node(Node::Bitmap(BitmapNode {
-                                datamap,
-                                nodemap,
-                                slots: slice_migrated(&b.slots, idx, to, Slot::Elem(e)),
-                            }))
-                        }
-                    }
-                } else {
-                    Removed::NotFound
-                }
-            }
+            Node::Bitmap(b) => &mut b.slots,
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn of_parts((datamap, nodemap): (u32, u32), slots: Box<[Slot<T>]>) -> Self {
+        Node::Bitmap(BitmapNode {
+            datamap,
+            nodemap,
+            slots,
+        })
+    }
+
+    fn child_mut(slot: &mut Slot<T>) -> &mut Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Elem(_) => unreachable!("nodemap says child"),
         }
     }
 }
@@ -642,28 +503,32 @@ fn union_nodes<T: Clone + Eq + Hash>(
                         // `a`'s lone element joins (or is absorbed by) `b`'s
                         // subtree; either way the slot becomes a child.
                         nodemap |= bit;
-                        match bc.inserted(hash32(ea), next_shift(shift), ea) {
-                            None => {
-                                added += node_len(bc) - 1;
-                                children.push(Slot::Child(Arc::clone(bc)));
-                            }
-                            Some(n) => {
-                                added += node_len(bc);
-                                children.push(Slot::Child(Arc::new(n)));
-                            }
+                        let mut child = Arc::clone(bc);
+                        added += node_len(bc);
+                        if !Node::insert_in_place(
+                            &mut child,
+                            hash32(ea),
+                            next_shift(shift),
+                            ea.clone(),
+                        ) {
+                            added -= 1;
                         }
+                        children.push(Slot::Child(child));
                         changed = true;
                     }
                     (At::Sub(ac), At::Elem(eb)) => {
                         nodemap |= bit;
-                        match ac.inserted(hash32(eb), next_shift(shift), eb) {
-                            None => children.push(Slot::Child(Arc::clone(ac))),
-                            Some(n) => {
-                                children.push(Slot::Child(Arc::new(n)));
-                                added += 1;
-                                changed = true;
-                            }
+                        let mut child = Arc::clone(ac);
+                        if Node::insert_in_place(
+                            &mut child,
+                            hash32(eb),
+                            next_shift(shift),
+                            eb.clone(),
+                        ) {
+                            added += 1;
+                            changed = true;
                         }
+                        children.push(Slot::Child(child));
                     }
                     (At::Sub(ac), At::Sub(bc)) => {
                         nodemap |= bit;
@@ -887,19 +752,20 @@ fn difference_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) 
                         kept += node_len(ac);
                     }
                     (At::Sub(ac), At::Elem(eb)) => {
-                        match ac.removed(hash32(eb), next_shift(shift), eb) {
-                            Removed::NotFound => {
+                        let mut child = Arc::clone(ac);
+                        match Node::remove_in_place(&mut child, hash32(eb), next_shift(shift), eb) {
+                            EditRemoved::NotFound => {
                                 nodemap |= bit;
-                                children.push(Slot::Child(Arc::clone(ac)));
+                                children.push(Slot::Child(child));
                                 kept += node_len(ac);
                             }
-                            Removed::Node(n) => {
-                                kept += node_len(&n);
+                            EditRemoved::Removed => {
+                                kept += node_len(&child);
                                 nodemap |= bit;
-                                children.push(Slot::Child(Arc::new(n)));
+                                children.push(Slot::Child(child));
                                 changed = true;
                             }
-                            Removed::Single(e) => {
+                            EditRemoved::Single(e) => {
                                 datamap |= bit;
                                 payload.push(Slot::Elem(e));
                                 kept += 1;
@@ -1109,11 +975,8 @@ impl<T: Clone + Eq + Hash> ChampSet<T> {
                 true
             }
             EditRemoved::Single(survivor) => {
-                let root = Node::empty()
-                    .inserted(hash32(&survivor), 0, &survivor)
-                    .expect("inserting into empty");
-                self.root = Arc::new(root);
-                self.len -= 1;
+                // Only reachable when the root collapses to one element.
+                *self = Self::singleton(survivor);
                 true
             }
         }
@@ -1139,13 +1002,9 @@ impl<T: Clone + Eq + Hash> ChampSet<T> {
 
     /// Rebuilds the one-element set (canonicalization helper).
     fn singleton(value: T) -> Self {
-        let root = Node::empty()
-            .inserted(hash32(&value), 0, &value)
-            .expect("inserting into empty");
-        ChampSet {
-            root: Arc::new(root),
-            len: 1,
-        }
+        let mut set = ChampSet::new();
+        set.insert_mut(value);
+        set
     }
 
     /// Union of two sets via a lockstep structural walk: subtrees the

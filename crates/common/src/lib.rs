@@ -15,7 +15,8 @@
 //! * [`iter`] — reusable adapters backing the map-of-sets implementations'
 //!   associated iterator types;
 //! * [`slices`] — dense slot-array edit helpers (borrowed path-copying and
-//!   owned in-place families) shared by the CHAMP/HAMT node encodings;
+//!   owned in-place families) and the copy-on-write steps of the one edit
+//!   walk every AXIOM, CHAMP and HAMT trie runs;
 //! * [`snapshot`] — the versioned binary snapshot codec
 //!   (`SnapshotWrite`/`SnapshotRead`) every collection and the sharded
 //!   layer persist through;

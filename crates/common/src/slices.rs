@@ -1,16 +1,140 @@
-//! Dense slot-array editing helpers shared by every node implementation in
-//! the workspace (AXIOM re-exports them as `axiom::slots`; CHAMP and HAMT
-//! import them directly).
+//! Dense slot-array editing helpers, and the copy-on-write steps of the one
+//! edit walk every trie in the workspace runs (AXIOM's map, set and
+//! multi-map; the CHAMP map and set; the HAMT and memoizing HAMT maps).
 //!
-//! Two families, one per ownership regime:
+//! Two slice families, one per ownership regime:
 //!
 //! * **Borrowed** (`inserted_at`, `removed_at`, `replaced_at`, `migrated`):
-//!   persistent path copying — the input node is shared, so a fresh
-//!   `Box<[T]>` is built with the edit applied and untouched slots cloned.
+//!   the input node is shared, so a fresh `Box<[T]>` is built with the
+//!   edit applied and untouched slots cloned.
 //! * **Owned** (`inserted_at_owned`, `removed_at_owned`, `migrate_map`):
-//!   transient in-place editing — the caller holds the node uniquely (via
-//!   `Arc::get_mut`), so slots are *moved*, never cloned; arity-preserving
-//!   edits reuse the existing allocation.
+//!   the caller holds the node uniquely (via `Arc::get_mut`), so slots are
+//!   *moved*, never cloned; arity-preserving edits reuse the existing
+//!   allocation.
+//!
+//! Every edit (`insert_mut`, `remove_mut`, …, and the persistent
+//! `inserted`/`removed` built on them) is one recursive walk over
+//! `&mut Arc<Node>`. [`CowNode`] and the functions below are the steps
+//! where that walk meets a node it may share with another handle:
+//!
+//! * [`edit_child`] descends. Under a uniquely-owned node the child handle
+//!   is edited where it stands; under a shared node the walk edits a clone
+//!   of the handle, so everything below reads as shared, and copies this
+//!   node only when the child reports a change.
+//! * [`insert_slot`] and [`remove_slot`] change a node's arity. A unique
+//!   node moves its slots into one new array; a shared node is rebuilt
+//!   once from its borrowed slots, never copied first and resized after.
+//! * [`survivor`] hands the last payload of a collapsing node to its
+//!   parent: moved out of a unique node, cloned out of a shared one.
+//!
+//! Arity-preserving edits (value replacement, slot-kind migration) need no
+//! helper: the walk decides the outcome from the borrowed node, returns
+//! early on a no-op, and otherwise edits the node behind `Arc::make_mut`
+//! with the owned helpers. So does every collision-node edit. The shape
+//! rules stay with each trie: AXIOM, CHAMP and the memoizing HAMT inline a
+//! collapsed sub-trie on delete, the Clojure-style HAMT leaves degenerate
+//! paths in place.
+
+use std::sync::Arc;
+
+/// A trie node the copy-on-write walk reshapes. Only bitmap nodes go
+/// through these methods; the walk edits a collision node behind
+/// `Arc::make_mut` directly.
+pub trait CowNode: Clone {
+    /// The node's branch bitmap: AXIOM's 2-bit `SlotBitmap`, CHAMP's
+    /// `(datamap, nodemap)` pair, the HAMT's single `u32`.
+    type Bitmap: Copy;
+
+    /// One physical slot.
+    type Slot: Clone;
+
+    /// The bitmap node's bitmap and slot array.
+    fn parts(&self) -> (Self::Bitmap, &[Self::Slot]);
+
+    /// The bitmap node's slot array, mutably.
+    fn slots_mut(&mut self) -> &mut Box<[Self::Slot]>;
+
+    /// A bitmap node of the given parts.
+    fn of_parts(bitmap: Self::Bitmap, slots: Box<[Self::Slot]>) -> Self;
+
+    /// The sub-trie handle a child slot holds.
+    fn child_mut(slot: &mut Self::Slot) -> &mut Arc<Self>;
+}
+
+/// Runs `edit` on the child handle in slot `idx` and returns its outcome.
+/// Under a unique node the handle is edited in place. Under a shared node
+/// `edit` gets a clone of the handle, and this node is copied to store the
+/// edited child only when `store` accepts the outcome.
+#[inline]
+pub fn edit_child<N: CowNode, R>(
+    this: &mut Arc<N>,
+    idx: usize,
+    edit: impl FnOnce(&mut Arc<N>) -> R,
+    store: impl FnOnce(&R) -> bool,
+) -> R {
+    if let Some(node) = Arc::get_mut(this) {
+        return edit(N::child_mut(&mut node.slots_mut()[idx]));
+    }
+    edit_shared_child(this, idx, edit, store)
+}
+
+/// The shared-node half of [`edit_child`]. It stays out of line so that
+/// the unique descent, which every transient edit takes, keeps no copied
+/// slot in its frame: inlined, it made CHAMP and HAMT builds with
+/// reference-counted values about 10 % slower.
+#[inline(never)]
+fn edit_shared_child<N: CowNode, R>(
+    this: &mut Arc<N>,
+    idx: usize,
+    edit: impl FnOnce(&mut Arc<N>) -> R,
+    store: impl FnOnce(&R) -> bool,
+) -> R {
+    let mut slot = this.parts().1[idx].clone();
+    let outcome = edit(N::child_mut(&mut slot));
+    if store(&outcome) {
+        let (bitmap, slots) = this.parts();
+        *this = Arc::new(N::of_parts(bitmap, replaced_at(slots, idx, slot)));
+    }
+    outcome
+}
+
+/// Installs `bitmap` and inserts `slot` at `idx`.
+#[inline]
+pub fn insert_slot<N: CowNode>(this: &mut Arc<N>, bitmap: N::Bitmap, idx: usize, slot: N::Slot) {
+    match Arc::get_mut(this) {
+        Some(node) => {
+            let slots = std::mem::take(node.slots_mut());
+            *node = N::of_parts(bitmap, inserted_at_owned(slots, idx, slot));
+        }
+        None => *this = Arc::new(N::of_parts(bitmap, inserted_at(this.parts().1, idx, slot))),
+    }
+}
+
+/// Installs `bitmap` and removes the slot at `idx`.
+#[inline]
+pub fn remove_slot<N: CowNode>(this: &mut Arc<N>, bitmap: N::Bitmap, idx: usize) {
+    match Arc::get_mut(this) {
+        Some(node) => {
+            let slots = std::mem::take(node.slots_mut());
+            *node = N::of_parts(bitmap, removed_at_owned(slots, idx));
+        }
+        None => *this = Arc::new(N::of_parts(bitmap, removed_at(this.parts().1, idx))),
+    }
+}
+
+/// The other slot of a two-slot node whose slot `gone` is removed. A
+/// unique node gives it up by move (and is left empty, for the parent to
+/// drop); a shared node is left as it is and the slot cloned.
+#[inline]
+pub fn survivor<N: CowNode>(this: &mut Arc<N>, gone: usize) -> N::Slot {
+    debug_assert_eq!(this.parts().1.len(), 2);
+    match Arc::get_mut(this) {
+        Some(node) => std::mem::take(node.slots_mut())
+            .into_vec()
+            .swap_remove(1 - gone),
+        None => this.parts().1[1 - gone].clone(),
+    }
+}
 
 /// Returns a copy of `slots` with `item` inserted at `idx`.
 pub fn inserted_at<T: Clone>(slots: &[T], idx: usize, item: T) -> Box<[T]> {

@@ -201,13 +201,13 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                     if *ev == value {
                         return EditInserted::Unchanged;
                     }
-                    Arc::make_mut(this).parts_mut().1[idx] = Slot::Entry(key, value);
+                    Arc::make_mut(this).bitmap_node_mut().slots[idx] = Slot::Entry(key, value);
                     return EditInserted::Replaced;
                 }
                 // Prefix clash: the slot migrates CAT1 → NODE; both entries
                 // move into the fresh sub-trie.
                 let existing_hash = hash32(ek);
-                let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
                 *bitmap = bitmap.with(m, Category::Node);
                 let to = bitmap.slot_index(Category::Node, m);
                 migrate_map(slots, idx, to, |slot| {
@@ -301,7 +301,7 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                     EditRemoved::Single(k, v) if !chain => {
                         // Inline the survivor: NODE → CAT1, dropping the
                         // collapsed child.
-                        let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                        let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
                         *bitmap = bitmap.with(m, Category::Cat1);
                         let to = bitmap.slot_index(Category::Cat1, m);
                         migrate_map(slots, idx, to, |_child| Slot::Entry(k, v));
@@ -315,7 +315,18 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
     }
 }
 
+impl<K, V> Node<K, V> {
+    /// The bitmap node, mutably.
+    fn bitmap_node_mut(&mut self) -> &mut BitmapNode<K, V> {
+        match self {
+            Node::Bitmap(b) => b,
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+}
+
 impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+    type Bitmap = SlotBitmap;
     type Slot = Slot<K, V>;
 
     fn parts(&self) -> (SlotBitmap, &[Slot<K, V>]) {
@@ -325,11 +336,8 @@ impl<K: Clone, V: Clone> CowNode for Node<K, V> {
         }
     }
 
-    fn parts_mut(&mut self) -> (&mut SlotBitmap, &mut Box<[Slot<K, V>]>) {
-        match self {
-            Node::Bitmap(b) => (&mut b.bitmap, &mut b.slots),
-            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
-        }
+    fn slots_mut(&mut self) -> &mut Box<[Slot<K, V>]> {
+        &mut self.bitmap_node_mut().slots
     }
 
     fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<K, V>]>) -> Self {

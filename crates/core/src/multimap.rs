@@ -331,7 +331,7 @@ where
             // Prefix clash with a different key: both bindings descend; the
             // slot becomes NODE.
             let existing_hash = hash32(ek);
-            let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+            let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
             *bitmap = bitmap.with(m, Category::Node);
             let to = bitmap.slot_index(Category::Node, m);
             migrate_map(slots, idx, to, |slot| {
@@ -355,7 +355,7 @@ where
                 }
                 // Promote 1:1 → 1:n: CAT1 → CAT2, the existing value moving
                 // into the fresh bag.
-                let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
                 *bitmap = bitmap.with(m, Category::Cat2);
                 let to = bitmap.slot_index(Category::Cat2, m);
                 migrate_map(slots, idx, to, |slot| {
@@ -371,7 +371,8 @@ where
                 if Arc::strong_count(this) > 1 && bag.contains(&value) {
                     return EditInserted::Unchanged;
                 }
-                let Slot::Many(_, bag) = &mut Arc::make_mut(this).parts_mut().1[idx] else {
+                let Slot::Many(_, bag) = &mut Arc::make_mut(this).bitmap_node_mut().slots[idx]
+                else {
                     unreachable!("bitmap says CAT2")
                 };
                 if bag.insert_mut(value) {
@@ -545,7 +546,7 @@ where
                         // Inline the binding: NODE → CAT1/CAT2, dropping the
                         // collapsed child.
                         let cat = binding.category();
-                        let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                        let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
                         *bitmap = bitmap.with(m, cat);
                         let to = bitmap.slot_index(cat, m);
                         migrate_map(slots, idx, to, |_child| Node::slot_of(key, binding));
@@ -573,7 +574,7 @@ where
                     if Arc::strong_count(this) > 1 && !bag.contains(value) {
                         return EditRemoved::NotFound;
                     }
-                    let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                    let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
                     let Slot::Many(_, bag) = &mut slots[idx] else {
                         unreachable!("bitmap says CAT2")
                     };
@@ -616,7 +617,18 @@ where
     }
 }
 
+impl<K, V, B> Node<K, V, B> {
+    /// The bitmap node, mutably.
+    fn bitmap_node_mut(&mut self) -> &mut BitmapNode<K, V, B> {
+        match self {
+            Node::Bitmap(b) => b,
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+}
+
 impl<K: Clone, V: Clone, B: Clone> CowNode for Node<K, V, B> {
+    type Bitmap = SlotBitmap;
     type Slot = Slot<K, V, B>;
 
     fn parts(&self) -> (SlotBitmap, &[Slot<K, V, B>]) {
@@ -626,11 +638,8 @@ impl<K: Clone, V: Clone, B: Clone> CowNode for Node<K, V, B> {
         }
     }
 
-    fn parts_mut(&mut self) -> (&mut SlotBitmap, &mut Box<[Slot<K, V, B>]>) {
-        match self {
-            Node::Bitmap(b) => (&mut b.bitmap, &mut b.slots),
-            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
-        }
+    fn slots_mut(&mut self) -> &mut Box<[Slot<K, V, B>]> {
+        &mut self.bitmap_node_mut().slots
     }
 
     fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<K, V, B>]>) -> Self {

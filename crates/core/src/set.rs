@@ -208,7 +208,7 @@ impl<T: Clone + Eq + Hash> Node<T> {
                 // Prefix clash: both elements descend into a fresh sub-trie;
                 // the slot migrates CAT1 → NODE.
                 let existing_hash = hash32(existing);
-                let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
                 *bitmap = bitmap.with(m, Category::Node);
                 let to = bitmap.slot_index(Category::Node, m);
                 migrate_map(slots, idx, to, |slot| {
@@ -300,7 +300,7 @@ impl<T: Clone + Eq + Hash> Node<T> {
                     EditRemoved::Single(e) if !chain => {
                         // Inline the survivor: NODE → CAT1, dropping the
                         // collapsed child.
-                        let (bitmap, slots) = Arc::make_mut(this).parts_mut();
+                        let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
                         *bitmap = bitmap.with(m, Category::Cat1);
                         let to = bitmap.slot_index(Category::Cat1, m);
                         migrate_map(slots, idx, to, |_child| Slot::Elem(e));
@@ -314,7 +314,18 @@ impl<T: Clone + Eq + Hash> Node<T> {
     }
 }
 
+impl<T> Node<T> {
+    /// The bitmap node, mutably.
+    fn bitmap_node_mut(&mut self) -> &mut BitmapNode<T> {
+        match self {
+            Node::Bitmap(b) => b,
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+}
+
 impl<T: Clone> CowNode for Node<T> {
+    type Bitmap = SlotBitmap;
     type Slot = Slot<T>;
 
     fn parts(&self) -> (SlotBitmap, &[Slot<T>]) {
@@ -324,11 +335,8 @@ impl<T: Clone> CowNode for Node<T> {
         }
     }
 
-    fn parts_mut(&mut self) -> (&mut SlotBitmap, &mut Box<[Slot<T>]>) {
-        match self {
-            Node::Bitmap(b) => (&mut b.bitmap, &mut b.slots),
-            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
-        }
+    fn slots_mut(&mut self) -> &mut Box<[Slot<T>]> {
+        &mut self.bitmap_node_mut().slots
     }
 
     fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<T>]>) -> Self {

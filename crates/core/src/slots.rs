@@ -1,131 +1,20 @@
-//! Dense slot-array editing helpers shared by all AXIOM node kinds, and the
-//! copy-on-write steps of the one edit walk each trie runs.
+//! The slot-array helpers and copy-on-write walk steps AXIOM uses, all
+//! defined in [`trie_common::slices`] and shared with the CHAMP and HAMT
+//! baselines, plus the AXIOM-flavoured test suite for them, including the
+//! three-category migration boundary cases the multi-map relies on.
 //!
-//! The slice helpers live in [`trie_common::slices`] (shared with the
-//! CHAMP/HAMT crates); this module re-exports the ones AXIOM uses and
-//! keeps the AXIOM-flavoured test suite, including the three-category
-//! migration boundary cases the multi-map relies on.
-//!
-//! Every AXIOM edit (`insert_mut`, `remove_mut`, …, and the persistent
-//! `inserted`/`removed` built on them) is one recursive walk over
-//! `&mut Arc<Node>`. [`CowNode`] and the functions below are the steps
-//! where that walk meets a node it may share with another handle:
-//!
-//! * [`edit_child`] descends. Under a uniquely-owned node the child handle
-//!   is edited where it stands; under a shared node the walk edits a clone
-//!   of the handle, so everything below reads as shared, and copies this
-//!   node only when the child reports a change.
-//! * [`insert_slot`] and [`remove_slot`] change a node's arity. A unique
-//!   node moves its slots into one new array; a shared node is rebuilt
-//!   once from its borrowed slots, never copied first and resized after.
-//! * [`survivor`] hands the last payload of a collapsing node to its
-//!   parent: moved out of a unique node, cloned out of a shared one.
-//!
-//! Arity-preserving edits (value replacement, `CAT1 ↔ CAT2` migration,
-//! payload → `NODE`) need no helper: the walk decides the outcome from the
-//! borrowed node, returns early on a no-op, and otherwise edits the node
-//! behind `Arc::make_mut` with the owned helpers below.
-
-use std::sync::Arc;
-
-use crate::bitmap::SlotBitmap;
+//! Each AXIOM `Node` implements [`CowNode`] with the 2-bit
+//! [`SlotBitmap`](crate::bitmap::SlotBitmap) as its bitmap.
 
 pub(crate) use trie_common::slices::{
-    inserted_at, inserted_at_owned, migrate_map, removed_at, removed_at_owned, replaced_at,
+    edit_child, insert_slot, inserted_at_owned, migrate_map, remove_slot, removed_at_owned,
+    survivor, CowNode,
 };
-
-/// A trie node the copy-on-write walk reshapes: the map's, set's and
-/// multi-map's `Node`. Only bitmap nodes go through these methods; the
-/// walk edits a collision node behind `Arc::make_mut` directly.
-pub(crate) trait CowNode: Clone {
-    /// One physical slot.
-    type Slot: Clone;
-
-    /// The bitmap node's bitmap and slot array.
-    fn parts(&self) -> (SlotBitmap, &[Self::Slot]);
-
-    /// The bitmap node's bitmap and slot array, mutably.
-    fn parts_mut(&mut self) -> (&mut SlotBitmap, &mut Box<[Self::Slot]>);
-
-    /// A bitmap node of the given parts.
-    fn of_parts(bitmap: SlotBitmap, slots: Box<[Self::Slot]>) -> Self;
-
-    /// The sub-trie handle a `NODE` slot holds.
-    fn child_mut(slot: &mut Self::Slot) -> &mut Arc<Self>;
-}
-
-/// Runs `edit` on the child handle in slot `idx` and returns its outcome.
-/// Under a unique node the handle is edited in place. Under a shared node
-/// `edit` gets a clone of the handle, and this node is copied to store the
-/// edited child only when `store` accepts the outcome.
-#[inline]
-pub(crate) fn edit_child<N: CowNode, R>(
-    this: &mut Arc<N>,
-    idx: usize,
-    edit: impl FnOnce(&mut Arc<N>) -> R,
-    store: impl FnOnce(&R) -> bool,
-) -> R {
-    if let Some(node) = Arc::get_mut(this) {
-        return edit(N::child_mut(&mut node.parts_mut().1[idx]));
-    }
-    let mut slot = this.parts().1[idx].clone();
-    let outcome = edit(N::child_mut(&mut slot));
-    if store(&outcome) {
-        let (bitmap, slots) = this.parts();
-        *this = Arc::new(N::of_parts(bitmap, replaced_at(slots, idx, slot)));
-    }
-    outcome
-}
-
-/// Installs `bitmap` and inserts `slot` at `idx`.
-#[inline]
-pub(crate) fn insert_slot<N: CowNode>(
-    this: &mut Arc<N>,
-    bitmap: SlotBitmap,
-    idx: usize,
-    slot: N::Slot,
-) {
-    match Arc::get_mut(this) {
-        Some(node) => {
-            let (bits, slots) = node.parts_mut();
-            *bits = bitmap;
-            *slots = inserted_at_owned(std::mem::take(slots), idx, slot);
-        }
-        None => *this = Arc::new(N::of_parts(bitmap, inserted_at(this.parts().1, idx, slot))),
-    }
-}
-
-/// Installs `bitmap` and removes the slot at `idx`.
-#[inline]
-pub(crate) fn remove_slot<N: CowNode>(this: &mut Arc<N>, bitmap: SlotBitmap, idx: usize) {
-    match Arc::get_mut(this) {
-        Some(node) => {
-            let (bits, slots) = node.parts_mut();
-            *bits = bitmap;
-            *slots = removed_at_owned(std::mem::take(slots), idx);
-        }
-        None => *this = Arc::new(N::of_parts(bitmap, removed_at(this.parts().1, idx))),
-    }
-}
-
-/// The other slot of a two-slot node whose slot `gone` is removed. A
-/// unique node gives it up by move (and is left empty, for the parent to
-/// drop); a shared node is left as it is and the slot cloned.
-#[inline]
-pub(crate) fn survivor<N: CowNode>(this: &mut Arc<N>, gone: usize) -> N::Slot {
-    debug_assert_eq!(this.parts().1.len(), 2);
-    match Arc::get_mut(this) {
-        Some(node) => std::mem::take(node.parts_mut().1)
-            .into_vec()
-            .swap_remove(1 - gone),
-        None => this.parts().1[1 - gone].clone(),
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trie_common::slices::migrated;
+    use trie_common::slices::{inserted_at, migrated, removed_at, replaced_at};
 
     #[test]
     fn inserted_at_boundaries_and_middle() {

@@ -23,10 +23,7 @@ use std::sync::Arc;
 
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
-use trie_common::slices::{
-    inserted_at as slice_inserted, inserted_at_owned, migrate_map, removed_at as slice_removed,
-    removed_at_owned, replaced_at as slice_replaced,
-};
+use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, CowNode};
 
 /// One slot: an inlined entry or a sub-trie, dynamically discriminated.
 #[derive(Debug, Clone)]
@@ -57,29 +54,16 @@ pub(crate) enum Node<K, V> {
     Collision(CollisionNode<K, V>),
 }
 
-pub(crate) enum Inserted<K, V> {
-    Unchanged,
-    Replaced(Node<K, V>),
-    Added(Node<K, V>),
-}
-
-pub(crate) enum Removed<K, V> {
-    NotFound,
-    Node(Node<K, V>),
-    /// The node lost its last slot; the parent drops the branch.
-    Empty,
-}
-
-/// In-place insertion outcome (the node is edited where it stands).
+/// Insertion outcome: the walk edits or copies nodes where they stand, so
+/// only the bookkeeping flag travels.
 pub(crate) enum EditInserted {
     Unchanged,
     Replaced,
     Added,
 }
 
-/// In-place removal outcome. Mirrors [`Removed`] without carrying nodes:
-/// edited nodes stay where they stand, and `Empty` tells the parent to drop
-/// the branch (the emptied node is left consumed).
+/// Removal outcome. `Empty` tells the parent to drop the branch: the node
+/// would lose its last slot, and is left as it is.
 pub(crate) enum EditRemoved {
     NotFound,
     Removed,
@@ -148,100 +132,8 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         }
     }
 
-    fn inserted(&self, hash: u32, shift: u32, key: &K, value: &V) -> Inserted<K, V> {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| k == key) {
-                    Some(pos) => {
-                        if c.entries[pos].1 == *value {
-                            return Inserted::Unchanged;
-                        }
-                        let mut entries = c.entries.clone();
-                        entries[pos].1 = value.clone();
-                        Inserted::Replaced(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                    None => {
-                        let mut entries = c.entries.clone();
-                        entries.push((key.clone(), value.clone()));
-                        Inserted::Added(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
-                    let bitmap = b.bitmap | bit;
-                    let idx = index_in(bitmap, bit);
-                    return Inserted::Added(Node::Bitmap(BitmapNode {
-                        bitmap,
-                        slots: slice_inserted(
-                            &b.slots,
-                            idx,
-                            Slot::Entry(key.clone(), value.clone()),
-                        ),
-                    }));
-                }
-                let idx = index_in(b.bitmap, bit);
-                match &b.slots[idx] {
-                    Slot::Entry(ek, ev) => {
-                        if ek == key {
-                            if ev == value {
-                                return Inserted::Unchanged;
-                            }
-                            return Inserted::Replaced(Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: slice_replaced(
-                                    &b.slots,
-                                    idx,
-                                    Slot::Entry(key.clone(), value.clone()),
-                                ),
-                            }));
-                        }
-                        let child = Node::pair(
-                            hash32(ek),
-                            ek.clone(),
-                            ev.clone(),
-                            hash,
-                            key.clone(),
-                            value.clone(),
-                            next_shift(shift),
-                        );
-                        // In-place slot replacement: the mixed layout keeps
-                        // the entry's position (no migration needed).
-                        Inserted::Added(Node::Bitmap(BitmapNode {
-                            bitmap: b.bitmap,
-                            slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(child))),
-                        }))
-                    }
-                    Slot::Child(child) => {
-                        let rebuild = |n: Node<K, V>| {
-                            Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(n))),
-                            })
-                        };
-                        match child.inserted(hash, next_shift(shift), key, value) {
-                            Inserted::Unchanged => Inserted::Unchanged,
-                            Inserted::Replaced(n) => Inserted::Replaced(rebuild(n)),
-                            Inserted::Added(n) => Inserted::Added(rebuild(n)),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// In-place insert driven by `Arc` uniqueness: a uniquely-owned node is
-    /// edited directly, a shared node falls back to the persistent path copy
-    /// for its whole subtree.
+    /// Binds `key` to `value` below `this`, editing unique nodes in place
+    /// and copying shared ones on write (see [`trie_common::slices`]).
     fn insert_in_place(
         this: &mut Arc<Node<K, V>>,
         hash: u32,
@@ -249,14 +141,18 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         key: K,
         value: V,
     ) -> EditInserted {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| *k == key) {
+                let pos = c.entries.iter().position(|(k, _)| *k == key);
+                if pos.is_some_and(|pos| c.entries[pos].1 == value) {
+                    return EditInserted::Unchanged;
+                }
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
+                return match pos {
                     Some(pos) => {
-                        if c.entries[pos].1 == value {
-                            return EditInserted::Unchanged;
-                        }
                         c.entries[pos].1 = value;
                         EditInserted::Replaced
                     }
@@ -264,201 +160,133 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                         c.entries.push((key, value));
                         EditInserted::Added
                     }
-                }
+                };
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
-                    b.bitmap |= bit;
-                    let idx = index_in(b.bitmap, bit);
-                    b.slots = inserted_at_owned(
-                        std::mem::take(&mut b.slots),
-                        idx,
-                        Slot::Entry(key, value),
-                    );
-                    return EditInserted::Added;
-                }
-                let idx = index_in(b.bitmap, bit);
-                match &mut b.slots[idx] {
-                    Slot::Entry(ek, ev) => {
-                        if *ek == key {
-                            if *ev == value {
-                                return EditInserted::Unchanged;
-                            }
-                            b.slots[idx] = Slot::Entry(key, value);
-                            return EditInserted::Replaced;
-                        }
-                        // The mixed layout keeps the slot's position: a
-                        // `from == to` migration transforms Entry → Child in
-                        // place, moving both entries into the fresh sub-trie.
-                        let existing_hash = hash32(ek);
-                        migrate_map(&mut b.slots, idx, idx, |slot| {
-                            let Slot::Entry(ek, ev) = slot else {
-                                unreachable!("just matched an entry")
-                            };
-                            Slot::Child(Arc::new(Node::pair(
-                                existing_hash,
-                                ek,
-                                ev,
-                                hash,
-                                key,
-                                value,
-                                next_shift(shift),
-                            )))
-                        });
-                        EditInserted::Added
-                    }
-                    Slot::Child(child) => {
-                        Node::insert_in_place(child, hash, next_shift(shift), key, value)
-                    }
-                }
-            }
-            None => match this.inserted(hash, shift, &key, &value) {
-                Inserted::Unchanged => EditInserted::Unchanged,
-                Inserted::Replaced(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::Replaced
-                }
-                Inserted::Added(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::Added
-                }
-            },
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.bitmap & bit == 0 {
+            let bitmap = b.bitmap | bit;
+            insert_slot(this, bitmap, index_in(bitmap, bit), Slot::Entry(key, value));
+            return EditInserted::Added;
         }
+        let idx = index_in(b.bitmap, bit);
+        // Dynamic slot-type dispatch — the HAMT's `instanceof`.
+        let Slot::Entry(ek, ev) = &b.slots[idx] else {
+            return edit_child(
+                this,
+                idx,
+                |child| Node::insert_in_place(child, hash, next_shift(shift), key, value),
+                |outcome| !matches!(outcome, EditInserted::Unchanged),
+            );
+        };
+        if *ek == key {
+            if *ev == value {
+                return EditInserted::Unchanged;
+            }
+            Arc::make_mut(this).slots_mut()[idx] = Slot::Entry(key, value);
+            return EditInserted::Replaced;
+        }
+        // The mixed layout keeps the slot's position: a `from == to`
+        // migration turns Entry into Child in place, moving both entries
+        // into the fresh sub-trie.
+        let existing_hash = hash32(ek);
+        migrate_map(Arc::make_mut(this).slots_mut(), idx, idx, |slot| {
+            let Slot::Entry(ek, ev) = slot else {
+                unreachable!("just matched an entry")
+            };
+            Slot::Child(Arc::new(Node::pair(
+                existing_hash,
+                ek,
+                ev,
+                hash,
+                key,
+                value,
+                next_shift(shift),
+            )))
+        });
+        EditInserted::Added
     }
 
-    /// In-place removal (same `Arc`-uniqueness discipline as
-    /// [`Node::insert_in_place`]): uniquely-owned nodes are edited where
-    /// they stand, shared subtrees fall back to the persistent path copy.
-    /// Deletion stays non-canonical, exactly like [`Node::removed`].
+    /// Removes `key` below `this` with the same copy-on-write discipline
+    /// as [`Node::insert_in_place`]. Deletion stays non-canonical: nothing
+    /// is inlined upward, and a 1-entry collision node may survive.
     fn remove_in_place<Q>(this: &mut Arc<Node<K, V>>, hash: u32, shift: u32, key: &Q) -> EditRemoved
     where
         K: Borrow<Q>,
         Q: Eq + ?Sized,
     {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
                     return EditRemoved::NotFound;
                 };
                 if c.entries.len() == 1 {
                     return EditRemoved::Empty;
                 }
-                // Non-canonical: a 1-entry collision node may survive.
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
                 c.entries.swap_remove(pos);
-                EditRemoved::Removed
+                return EditRemoved::Removed;
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
-                    return EditRemoved::NotFound;
-                }
-                let idx = index_in(b.bitmap, bit);
-                match &mut b.slots[idx] {
-                    Slot::Entry(k, _) => {
-                        if (*k).borrow() != key {
-                            return EditRemoved::NotFound;
-                        }
-                        if b.slots.len() == 1 {
-                            return EditRemoved::Empty;
-                        }
-                        // Non-canonical: no inlining of a surviving single
-                        // entry into the parent.
-                        b.bitmap &= !bit;
-                        b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
-                        EditRemoved::Removed
-                    }
-                    Slot::Child(child) => {
-                        match Node::remove_in_place(child, hash, next_shift(shift), key) {
-                            EditRemoved::NotFound => EditRemoved::NotFound,
-                            EditRemoved::Removed => EditRemoved::Removed,
-                            EditRemoved::Empty => {
-                                if b.slots.len() == 1 {
-                                    return EditRemoved::Empty;
-                                }
-                                // Drop the emptied branch.
-                                b.bitmap &= !bit;
-                                b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
-                                EditRemoved::Removed
-                            }
-                        }
-                    }
-                }
-            }
-            None => match this.removed(hash, shift, key) {
-                Removed::NotFound => EditRemoved::NotFound,
-                Removed::Node(n) => {
-                    *this = Arc::new(n);
-                    EditRemoved::Removed
-                }
-                Removed::Empty => EditRemoved::Empty,
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.bitmap & bit == 0 {
+            return EditRemoved::NotFound;
+        }
+        let idx = index_in(b.bitmap, bit);
+        match &b.slots[idx] {
+            Slot::Entry(k, _) if k.borrow() != key => return EditRemoved::NotFound,
+            Slot::Entry(..) => {}
+            Slot::Child(_) => match edit_child(
+                this,
+                idx,
+                |child| Node::remove_in_place(child, hash, next_shift(shift), key),
+                |outcome| matches!(outcome, EditRemoved::Removed),
+            ) {
+                EditRemoved::Empty => {}
+                outcome => return outcome,
             },
+        }
+        // Drop the matched entry or the emptied branch. Non-canonical: a
+        // single surviving slot is not inlined into the parent.
+        let (bitmap, slots) = this.parts();
+        if slots.len() == 1 {
+            return EditRemoved::Empty;
+        }
+        remove_slot(this, bitmap & !bit, idx);
+        EditRemoved::Removed
+    }
+}
+
+impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+    type Bitmap = u32;
+    type Slot = Slot<K, V>;
+
+    fn parts(&self) -> (u32, &[Slot<K, V>]) {
+        match self {
+            Node::Bitmap(b) => (b.bitmap, &b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
         }
     }
 
-    fn removed<Q>(&self, hash: u32, shift: u32, key: &Q) -> Removed<K, V>
-    where
-        K: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
+    fn slots_mut(&mut self) -> &mut Box<[Slot<K, V>]> {
         match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
-                    return Removed::NotFound;
-                };
-                if c.entries.len() == 1 {
-                    return Removed::Empty;
-                }
-                // Non-canonical: a 1-entry collision node may survive.
-                let mut entries = c.entries.clone();
-                entries.remove(pos);
-                Removed::Node(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    entries,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
-                    return Removed::NotFound;
-                }
-                let idx = index_in(b.bitmap, bit);
-                match &b.slots[idx] {
-                    Slot::Entry(k, _) => {
-                        if k.borrow() != key {
-                            return Removed::NotFound;
-                        }
-                        if b.slots.len() == 1 {
-                            return Removed::Empty;
-                        }
-                        // Non-canonical: no inlining of a surviving single
-                        // entry into the parent.
-                        Removed::Node(Node::Bitmap(BitmapNode {
-                            bitmap: b.bitmap & !bit,
-                            slots: slice_removed(&b.slots, idx),
-                        }))
-                    }
-                    Slot::Child(child) => match child.removed(hash, next_shift(shift), key) {
-                        Removed::NotFound => Removed::NotFound,
-                        Removed::Node(n) => Removed::Node(Node::Bitmap(BitmapNode {
-                            bitmap: b.bitmap,
-                            slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(n))),
-                        })),
-                        Removed::Empty => {
-                            if b.slots.len() == 1 {
-                                return Removed::Empty;
-                            }
-                            Removed::Node(Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap & !bit,
-                                slots: slice_removed(&b.slots, idx),
-                            }))
-                        }
-                    },
-                }
-            }
+            Node::Bitmap(b) => &mut b.slots,
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn of_parts(bitmap: u32, slots: Box<[Slot<K, V>]>) -> Self {
+        Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child_mut(slot: &mut Slot<K, V>) -> &mut Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Entry(..) => unreachable!("slot holds a child"),
         }
     }
 }

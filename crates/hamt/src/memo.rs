@@ -21,10 +21,7 @@ use std::sync::Arc;
 
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
-use trie_common::slices::{
-    inserted_at as slice_inserted, inserted_at_owned, migrate_map, removed_at as slice_removed,
-    removed_at_owned, replaced_at as slice_replaced,
-};
+use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
 
 /// One slot: a leaf entry (with memoized hash) or a sub-trie.
 #[derive(Debug, Clone)]
@@ -55,34 +52,21 @@ pub(crate) enum Node<K, V> {
     Collision(CollisionNode<K, V>),
 }
 
-pub(crate) enum Inserted<K, V> {
-    Unchanged,
-    Replaced(Node<K, V>),
-    Added(Node<K, V>),
-}
-
-pub(crate) enum Removed<K, V> {
-    NotFound,
-    Node(Node<K, V>),
-    /// Canonicalization: a single surviving entry (with its memoized hash)
-    /// is handed to the parent for inlining.
-    Single(u32, K, V),
-}
-
-/// In-place insertion outcome (the node is edited where it stands).
+/// Insertion outcome: the walk edits or copies nodes where they stand, so
+/// only the bookkeeping flag travels.
 pub(crate) enum EditInserted {
     Unchanged,
     Replaced,
     Added,
 }
 
-/// In-place removal outcome: edited nodes stay where they are, so only the
-/// canonicalization payload (survivor + memoized hash) travels upward.
+/// Removal outcome: only the canonicalization payload (survivor + memoized
+/// hash) travels upward.
 pub(crate) enum EditRemoved<K, V> {
     NotFound,
     Removed,
-    /// The sub-tree collapsed to one entry (left in a consumed state; the
-    /// parent drops it and inlines the survivor with its memoized hash).
+    /// The sub-tree collapsed to one entry (a unique node is left consumed;
+    /// the parent drops it and inlines the survivor with its memoized hash).
     Single(u32, K, V),
 }
 
@@ -153,100 +137,10 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         }
     }
 
-    fn inserted(&self, hash: u32, shift: u32, key: &K, value: &V) -> Inserted<K, V> {
-        match self {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| k == key) {
-                    Some(pos) => {
-                        if c.entries[pos].1 == *value {
-                            return Inserted::Unchanged;
-                        }
-                        let mut entries = c.entries.clone();
-                        entries[pos].1 = value.clone();
-                        Inserted::Replaced(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                    None => {
-                        let mut entries = c.entries.clone();
-                        entries.push((key.clone(), value.clone()));
-                        Inserted::Added(Node::Collision(CollisionNode {
-                            hash: c.hash,
-                            entries,
-                        }))
-                    }
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
-                    let bitmap = b.bitmap | bit;
-                    let idx = index_in(bitmap, bit);
-                    return Inserted::Added(Node::Bitmap(BitmapNode {
-                        bitmap,
-                        slots: slice_inserted(
-                            &b.slots,
-                            idx,
-                            Slot::Entry(hash, key.clone(), value.clone()),
-                        ),
-                    }));
-                }
-                let idx = index_in(b.bitmap, bit);
-                match &b.slots[idx] {
-                    Slot::Entry(eh, ek, ev) => {
-                        if *eh == hash && ek == key {
-                            if ev == value {
-                                return Inserted::Unchanged;
-                            }
-                            return Inserted::Replaced(Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: slice_replaced(
-                                    &b.slots,
-                                    idx,
-                                    Slot::Entry(hash, key.clone(), value.clone()),
-                                ),
-                            }));
-                        }
-                        // Memoized hash: no re-hash of the existing key here.
-                        let child = Node::pair(
-                            *eh,
-                            ek.clone(),
-                            ev.clone(),
-                            hash,
-                            key.clone(),
-                            value.clone(),
-                            next_shift(shift),
-                        );
-                        Inserted::Added(Node::Bitmap(BitmapNode {
-                            bitmap: b.bitmap,
-                            slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(child))),
-                        }))
-                    }
-                    Slot::Child(child) => {
-                        let rebuild = |n: Node<K, V>| {
-                            Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(n))),
-                            })
-                        };
-                        match child.inserted(hash, next_shift(shift), key, value) {
-                            Inserted::Unchanged => Inserted::Unchanged,
-                            Inserted::Replaced(n) => Inserted::Replaced(rebuild(n)),
-                            Inserted::Added(n) => Inserted::Added(rebuild(n)),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// In-place insert driven by `Arc` uniqueness: a uniquely-owned node is
-    /// edited directly, a shared node falls back to the persistent path copy
-    /// for its whole subtree. The memoized hash travels with the entry, so
-    /// the existing key is never re-hashed.
+    /// Binds `key` to `value` below `this`, editing unique nodes in place
+    /// and copying shared ones on write (see [`trie_common::slices`]). The
+    /// memoized hash travels with the entry, so the existing key is never
+    /// re-hashed.
     fn insert_in_place(
         this: &mut Arc<Node<K, V>>,
         hash: u32,
@@ -254,14 +148,18 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         key: K,
         value: V,
     ) -> EditInserted {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 debug_assert_eq!(c.hash, hash);
-                match c.entries.iter().position(|(k, _)| *k == key) {
+                let pos = c.entries.iter().position(|(k, _)| *k == key);
+                if pos.is_some_and(|pos| c.entries[pos].1 == value) {
+                    return EditInserted::Unchanged;
+                }
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
+                };
+                return match pos {
                     Some(pos) => {
-                        if c.entries[pos].1 == value {
-                            return EditInserted::Unchanged;
-                        }
                         c.entries[pos].1 = value;
                         EditInserted::Replaced
                     }
@@ -269,73 +167,56 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
                         c.entries.push((key, value));
                         EditInserted::Added
                     }
-                }
+                };
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
-                    b.bitmap |= bit;
-                    let idx = index_in(b.bitmap, bit);
-                    b.slots = inserted_at_owned(
-                        std::mem::take(&mut b.slots),
-                        idx,
-                        Slot::Entry(hash, key, value),
-                    );
-                    return EditInserted::Added;
-                }
-                let idx = index_in(b.bitmap, bit);
-                match &mut b.slots[idx] {
-                    Slot::Entry(eh, ek, ev) => {
-                        if *eh == hash && *ek == key {
-                            if *ev == value {
-                                return EditInserted::Unchanged;
-                            }
-                            b.slots[idx] = Slot::Entry(hash, key, value);
-                            return EditInserted::Replaced;
-                        }
-                        // `from == to` migration: Entry → Child in place,
-                        // both entries (and the memoized hash) moving into
-                        // the fresh sub-trie.
-                        migrate_map(&mut b.slots, idx, idx, |slot| {
-                            let Slot::Entry(eh, ek, ev) = slot else {
-                                unreachable!("just matched an entry")
-                            };
-                            Slot::Child(Arc::new(Node::pair(
-                                eh,
-                                ek,
-                                ev,
-                                hash,
-                                key,
-                                value,
-                                next_shift(shift),
-                            )))
-                        });
-                        EditInserted::Added
-                    }
-                    Slot::Child(child) => {
-                        Node::insert_in_place(child, hash, next_shift(shift), key, value)
-                    }
-                }
-            }
-            None => match this.inserted(hash, shift, &key, &value) {
-                Inserted::Unchanged => EditInserted::Unchanged,
-                Inserted::Replaced(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::Replaced
-                }
-                Inserted::Added(n) => {
-                    *this = Arc::new(n);
-                    EditInserted::Added
-                }
-            },
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.bitmap & bit == 0 {
+            let bitmap = b.bitmap | bit;
+            let slot = Slot::Entry(hash, key, value);
+            insert_slot(this, bitmap, index_in(bitmap, bit), slot);
+            return EditInserted::Added;
         }
+        let idx = index_in(b.bitmap, bit);
+        let Slot::Entry(eh, ek, ev) = &b.slots[idx] else {
+            return edit_child(
+                this,
+                idx,
+                |child| Node::insert_in_place(child, hash, next_shift(shift), key, value),
+                |outcome| !matches!(outcome, EditInserted::Unchanged),
+            );
+        };
+        if *eh == hash && *ek == key {
+            if *ev == value {
+                return EditInserted::Unchanged;
+            }
+            Arc::make_mut(this).slots_mut()[idx] = Slot::Entry(hash, key, value);
+            return EditInserted::Replaced;
+        }
+        // `from == to` migration: Entry → Child in place, both entries (and
+        // the memoized hash) moving into the fresh sub-trie.
+        migrate_map(Arc::make_mut(this).slots_mut(), idx, idx, |slot| {
+            let Slot::Entry(eh, ek, ev) = slot else {
+                unreachable!("just matched an entry")
+            };
+            Slot::Child(Arc::new(Node::pair(
+                eh,
+                ek,
+                ev,
+                hash,
+                key,
+                value,
+                next_shift(shift),
+            )))
+        });
+        EditInserted::Added
     }
 
-    /// In-place removal (same `Arc`-uniqueness discipline as
-    /// [`Node::insert_in_place`]), canonicalizing exactly like
-    /// [`Node::removed`]; the survivor's memoized hash travels with it, so
-    /// no key is ever re-hashed.
+    /// Removes `key` below `this` with the same copy-on-write discipline
+    /// as [`Node::insert_in_place`], canonicalizing on the way up; the
+    /// survivor's memoized hash travels with it, so no key is ever
+    /// re-hashed.
     fn remove_in_place<Q>(
         this: &mut Arc<Node<K, V>>,
         hash: u32,
@@ -346,149 +227,95 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
         K: Borrow<Q>,
         Q: Eq + ?Sized,
     {
-        match Arc::get_mut(this) {
-            Some(Node::Collision(c)) => {
+        let b = match &**this {
+            Node::Collision(c) => {
                 if c.hash != hash {
                     return EditRemoved::NotFound;
                 }
                 let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
                     return EditRemoved::NotFound;
+                };
+                let Node::Collision(c) = Arc::make_mut(this) else {
+                    unreachable!("matched a collision node")
                 };
                 if c.entries.len() == 2 {
                     let (k, v) = c.entries.swap_remove(1 - pos);
                     return EditRemoved::Single(c.hash, k, v);
                 }
                 c.entries.swap_remove(pos);
-                EditRemoved::Removed
+                return EditRemoved::Removed;
             }
-            Some(Node::Bitmap(b)) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
+            Node::Bitmap(b) => b,
+        };
+        let bit = bit_pos(mask(hash, shift));
+        if b.bitmap & bit == 0 {
+            return EditRemoved::NotFound;
+        }
+        let idx = index_in(b.bitmap, bit);
+        match &b.slots[idx] {
+            Slot::Entry(eh, ek, _) => {
+                if *eh != hash || ek.borrow() != key {
                     return EditRemoved::NotFound;
                 }
-                let idx = index_in(b.bitmap, bit);
-                match &mut b.slots[idx] {
-                    Slot::Entry(eh, ek, _) => {
-                        if *eh != hash || (*ek).borrow() != key {
-                            return EditRemoved::NotFound;
-                        }
-                        // Canonicalize: a lone surviving entry moves up.
-                        if shift > 0 && b.slots.len() == 2 {
-                            if let Slot::Entry(..) = &b.slots[1 - idx] {
-                                let mut slots = std::mem::take(&mut b.slots).into_vec();
-                                let Slot::Entry(h, k, v) = slots.swap_remove(1 - idx) else {
-                                    unreachable!("just matched an entry")
-                                };
-                                return EditRemoved::Single(h, k, v);
-                            }
-                        }
-                        b.bitmap &= !bit;
-                        b.slots = removed_at_owned(std::mem::take(&mut b.slots), idx);
+                // Canonicalize: a lone surviving entry moves up.
+                if shift > 0 && b.slots.len() == 2 && matches!(b.slots[1 - idx], Slot::Entry(..)) {
+                    let Slot::Entry(h, k, v) = survivor(this, idx) else {
+                        unreachable!("just matched an entry")
+                    };
+                    return EditRemoved::Single(h, k, v);
+                }
+                let bitmap = b.bitmap & !bit;
+                remove_slot(this, bitmap, idx);
+                EditRemoved::Removed
+            }
+            Slot::Child(_) => {
+                // A pure chain node dissolves when its child collapses.
+                let chain = shift > 0 && b.slots.len() == 1;
+                match edit_child(
+                    this,
+                    idx,
+                    |child| Node::remove_in_place(child, hash, next_shift(shift), key),
+                    |outcome| matches!(outcome, EditRemoved::Removed),
+                ) {
+                    EditRemoved::Single(h, k, v) if !chain => {
+                        // Inline: the collapsed child's slot takes the
+                        // surviving entry.
+                        Arc::make_mut(this).slots_mut()[idx] = Slot::Entry(h, k, v);
                         EditRemoved::Removed
                     }
-                    Slot::Child(child) => {
-                        match Node::remove_in_place(child, hash, next_shift(shift), key) {
-                            EditRemoved::NotFound => EditRemoved::NotFound,
-                            EditRemoved::Removed => EditRemoved::Removed,
-                            EditRemoved::Single(h, k, v) => {
-                                if shift > 0 && b.slots.len() == 1 {
-                                    // A pure chain node dissolves.
-                                    return EditRemoved::Single(h, k, v);
-                                }
-                                // Inline: overwrite the collapsed child's
-                                // slot with the surviving entry in place.
-                                b.slots[idx] = Slot::Entry(h, k, v);
-                                EditRemoved::Removed
-                            }
-                        }
-                    }
+                    outcome => outcome,
                 }
             }
-            None => match this.removed(hash, shift, key) {
-                Removed::NotFound => EditRemoved::NotFound,
-                Removed::Node(n) => {
-                    *this = Arc::new(n);
-                    EditRemoved::Removed
-                }
-                Removed::Single(h, k, v) => EditRemoved::Single(h, k, v),
-            },
+        }
+    }
+}
+
+impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+    type Bitmap = u32;
+    type Slot = Slot<K, V>;
+
+    fn parts(&self) -> (u32, &[Slot<K, V>]) {
+        match self {
+            Node::Bitmap(b) => (b.bitmap, &b.slots),
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
         }
     }
 
-    fn removed<Q>(&self, hash: u32, shift: u32, key: &Q) -> Removed<K, V>
-    where
-        K: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
+    fn slots_mut(&mut self) -> &mut Box<[Slot<K, V>]> {
         match self {
-            Node::Collision(c) => {
-                if c.hash != hash {
-                    return Removed::NotFound;
-                }
-                let Some(pos) = c.entries.iter().position(|(k, _)| k.borrow() == key) else {
-                    return Removed::NotFound;
-                };
-                if c.entries.len() == 2 {
-                    let (k, v) = c.entries[1 - pos].clone();
-                    return Removed::Single(c.hash, k, v);
-                }
-                let mut entries = c.entries.clone();
-                entries.remove(pos);
-                Removed::Node(Node::Collision(CollisionNode {
-                    hash: c.hash,
-                    entries,
-                }))
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let bit = bit_pos(m);
-                if b.bitmap & bit == 0 {
-                    return Removed::NotFound;
-                }
-                let idx = index_in(b.bitmap, bit);
-                match &b.slots[idx] {
-                    Slot::Entry(eh, ek, _) => {
-                        if *eh != hash || ek.borrow() != key {
-                            return Removed::NotFound;
-                        }
-                        let bitmap = b.bitmap & !bit;
-                        let remaining: Vec<&Slot<K, V>> = b
-                            .slots
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| *i != idx)
-                            .map(|(_, s)| s)
-                            .collect();
-                        // Canonicalize: a lone surviving entry moves up.
-                        if shift > 0 && remaining.len() == 1 {
-                            if let Slot::Entry(h, k, v) = remaining[0] {
-                                return Removed::Single(*h, k.clone(), v.clone());
-                            }
-                        }
-                        Removed::Node(Node::Bitmap(BitmapNode {
-                            bitmap,
-                            slots: slice_removed(&b.slots, idx),
-                        }))
-                    }
-                    Slot::Child(child) => match child.removed(hash, next_shift(shift), key) {
-                        Removed::NotFound => Removed::NotFound,
-                        Removed::Node(n) => Removed::Node(Node::Bitmap(BitmapNode {
-                            bitmap: b.bitmap,
-                            slots: slice_replaced(&b.slots, idx, Slot::Child(Arc::new(n))),
-                        })),
-                        Removed::Single(h, k, v) => {
-                            if shift > 0 && b.slots.len() == 1 {
-                                return Removed::Single(h, k, v);
-                            }
-                            Removed::Node(Node::Bitmap(BitmapNode {
-                                bitmap: b.bitmap,
-                                slots: slice_replaced(&b.slots, idx, Slot::Entry(h, k, v)),
-                            }))
-                        }
-                    },
-                }
-            }
+            Node::Bitmap(b) => &mut b.slots,
+            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+        }
+    }
+
+    fn of_parts(bitmap: u32, slots: Box<[Slot<K, V>]>) -> Self {
+        Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child_mut(slot: &mut Slot<K, V>) -> &mut Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Entry(..) => unreachable!("slot holds a child"),
         }
     }
 }

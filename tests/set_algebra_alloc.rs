@@ -4,16 +4,21 @@
 //! the `Arc::ptr_eq` short-circuit at the root and must perform **zero**
 //! heap allocations — only refcount bumps. `replace_values_mut` likewise
 //! edits a uniquely-owned multi-map's spine in place and path-copies a
-//! shared one.
+//! shared one. The CHAMP and HAMT baselines' persistent edits on a shared
+//! trie copy only the spine they change: a no-op allocates nothing, and a
+//! real edit allocates no more than it did before their edits became one
+//! copy-on-write walk.
 //!
 //! Lives in its own test binary because the counting allocator is
 //! process-global; see `heapmodel::alloc_counter`.
 
 use axiom_repro::axiom::{AxiomMap, AxiomMultiMap, AxiomSet, ValueBag};
-use axiom_repro::champ::ChampSet;
-use axiom_repro::hamt::HamtSet;
+use axiom_repro::champ::{ChampMap, ChampSet};
+use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap};
 use axiom_repro::heapmodel::alloc_counter::{measure, CountingAlloc};
-use axiom_repro::trie_common::ops::{MapMergeOps, MultiMapAlgebraOps, SetAlgebraOps};
+use axiom_repro::trie_common::ops::{
+    MapMergeOps, MapOps, MultiMapAlgebraOps, SetAlgebraOps, SetOps,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::system();
@@ -68,6 +73,7 @@ fn self_algebra_allocates_nothing() {
     assert!(d.is_empty());
 
     replace_values_copies_only_shared_nodes();
+    baseline_shared_edits();
 }
 
 /// Replacing a `CAT2` binding with another `CAT2` binding: on a
@@ -113,4 +119,90 @@ fn replace_values_copies_only_shared_nodes() {
     assert_eq!(sorted(&frozen), [7, 8, 9], "the shared handle changed");
     mm.assert_invariants();
     frozen.assert_invariants();
+}
+
+/// Keys in each shared baseline trie, and persistent edits per measured
+/// loop.
+const KEYS: u64 = 16_384;
+const OPS: u64 = 1_000;
+
+/// Allocations of `OPS` persistent edits, each applied to `base` (whose
+/// nodes a second handle shares) and dropped.
+fn allocs<C>(base: &C, edit: impl Fn(&C, u64) -> C) -> u64 {
+    measure(|| {
+        for i in 0..OPS {
+            drop(edit(base, i));
+        }
+    })
+    .1
+}
+
+/// A named persistent edit of the collection `C` under loop index `i`.
+type Edit<'a, C> = (&'a str, &'a dyn Fn(&C, u64) -> C);
+
+/// Persistent edits of a shared baseline map: two no-ops that must not
+/// allocate, then a new key, a replaced value and a removal, each bounded
+/// by `bounds` in that order.
+fn map_edits<M: MapOps<u64, u64> + FromIterator<(u64, u64)>>(bounds: [u64; 3]) {
+    let map: M = (0..KEYS).map(|k| (k, k)).collect();
+    let _second = map.clone();
+    let no_ops: [Edit<M>; 2] = [
+        ("duplicate insert", &|m, i| m.inserted(i, i)),
+        ("absent remove", &|m, i| m.removed(&(KEYS + i))),
+    ];
+    for (edit, apply) in no_ops {
+        assert_eq!(allocs(&map, apply), 0, "{} {edit} allocated", M::NAME);
+    }
+    let edits: [Edit<M>; 3] = [
+        ("new key", &|m, i| m.inserted(KEYS + i, i)),
+        ("replace", &|m, i| m.inserted(i, i + 1)),
+        ("remove", &|m, i| m.removed(&i)),
+    ];
+    for ((edit, apply), bound) in edits.into_iter().zip(bounds) {
+        let n = allocs(&map, apply);
+        assert!(
+            n <= bound,
+            "{} {edit}: {n} allocations (bound {bound})",
+            M::NAME
+        );
+    }
+}
+
+/// The set counterpart of [`map_edits`]: bounds for an insert and a
+/// removal.
+fn set_edits<S: SetOps<u64> + FromIterator<u64>>(bounds: [u64; 2]) {
+    let set: S = (0..KEYS).collect();
+    let _second = set.clone();
+    let no_ops: [Edit<S>; 2] = [
+        ("duplicate insert", &|s, i| s.inserted(i)),
+        ("absent remove", &|s, i| s.removed(&(KEYS + i))),
+    ];
+    for (edit, apply) in no_ops {
+        assert_eq!(allocs(&set, apply), 0, "{} {edit} allocated", S::NAME);
+    }
+    let edits: [Edit<S>; 2] = [
+        ("insert", &|s, i| s.inserted(KEYS + i)),
+        ("remove", &|s, i| s.removed(&i)),
+    ];
+    for ((edit, apply), bound) in edits.into_iter().zip(bounds) {
+        let n = allocs(&set, apply);
+        assert!(
+            n <= bound,
+            "{} {edit}: {n} allocations (bound {bound})",
+            S::NAME
+        );
+    }
+}
+
+// The bounds are the totals the same loops allocated at commit e7f9f11,
+// where a shared CHAMP or HAMT node was rebuilt by a separate persistent
+// twin of each edit: the one copy-on-write walk must not copy more. It
+// matches every total but the memoizing HAMT's removal, which drops from
+// 8452 to 6108: that twin first collected the surviving slots into a
+// scratch `Vec`.
+fn baseline_shared_edits() {
+    map_edits::<ChampMap<u64, u64>>([6658, 6706, 6108]);
+    set_edits::<ChampSet<u64>>([6658, 6108]);
+    map_edits::<HamtMap<u64, u64>>([6658, 6706, 6706]);
+    map_edits::<MemoHamtMap<u64, u64>>([6658, 6706, 8452]);
 }

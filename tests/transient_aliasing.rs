@@ -15,6 +15,11 @@
 //! Keys are used both verbatim and wrapped in [`FewBuckets`] (a
 //! deliberately colliding `Hash`), so the collision-node editing paths get
 //! the same treatment.
+//!
+//! Iteration order must not depend on sharing either: one script run
+//! through `_mut` on a unique handle and through the persistent methods
+//! (every version kept alive, so every edit meets shared nodes) must
+//! iterate the same sequence.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
@@ -25,7 +30,9 @@ use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet};
 use axiom_repro::champ::{ChampMap, ChampSet};
 use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
 use axiom_repro::idiomatic::{ClojureMultiMap, NestedChampMultiMap, ScalaMultiMap};
-use axiom_repro::trie_common::ops::{MapOps, MultiMapOps, SetOps};
+use axiom_repro::trie_common::ops::{
+    MapMutOps, MapOps, MultiMapMutOps, MultiMapOps, SetMutOps, SetOps,
+};
 
 /// Key wrapper hashing into very few buckets: forces sub-trie chains and
 /// full-hash collision nodes even for small scripts.
@@ -267,6 +274,9 @@ proptest! {
         // Colliding keys: the same scripts through collision-node editing.
         check_multimap!(AxiomMultiMap<FewBuckets, u16>, FewBuckets, &base, &script);
         check_multimap!(AxiomFusedMultiMap<FewBuckets, u16>, FewBuckets, &base, &script);
+        check_multimap!(ClojureMultiMap<FewBuckets, u16>, FewBuckets, &base, &script);
+        check_multimap!(ScalaMultiMap<FewBuckets, u16>, FewBuckets, &base, &script);
+        check_multimap!(NestedChampMultiMap<FewBuckets, u16>, FewBuckets, &base, &script);
     }
 
     #[test]
@@ -290,7 +300,121 @@ proptest! {
         check_set!(MemoHamtSet<u16>, |k: u16| k, &base, &script);
         check_set!(AxiomSet<FewBuckets>, FewBuckets, &base, &script);
         check_set!(ChampSet<FewBuckets>, FewBuckets, &base, &script);
+        check_set!(HamtSet<FewBuckets>, FewBuckets, &base, &script);
+        check_set!(MemoHamtSet<FewBuckets>, FewBuckets, &base, &script);
     }
+
+    #[test]
+    fn iteration_order_does_not_depend_on_sharing(
+        base in prop::collection::vec((any::<u16>(), any::<u16>()), 0..80),
+        raw in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 0..120),
+    ) {
+        let ops: Vec<Op> = base
+            .iter()
+            .map(|&(k, v)| Op::Insert(k % 48, v % 6))
+            .chain(decode(&raw))
+            .collect();
+        map_order_agrees::<AxiomMap<FewBuckets, u16>>(&ops);
+        map_order_agrees::<ChampMap<FewBuckets, u16>>(&ops);
+        map_order_agrees::<HamtMap<FewBuckets, u16>>(&ops);
+        map_order_agrees::<MemoHamtMap<FewBuckets, u16>>(&ops);
+        set_order_agrees::<AxiomSet<FewBuckets>>(&ops);
+        set_order_agrees::<ChampSet<FewBuckets>>(&ops);
+        set_order_agrees::<HamtSet<FewBuckets>>(&ops);
+        set_order_agrees::<MemoHamtSet<FewBuckets>>(&ops);
+        multimap_order_agrees::<AxiomMultiMap<FewBuckets, u16>>(&ops);
+        multimap_order_agrees::<AxiomFusedMultiMap<FewBuckets, u16>>(&ops);
+        multimap_order_agrees::<ClojureMultiMap<FewBuckets, u16>>(&ops);
+        multimap_order_agrees::<ScalaMultiMap<FewBuckets, u16>>(&ops);
+        multimap_order_agrees::<NestedChampMultiMap<FewBuckets, u16>>(&ops);
+    }
+}
+
+/// Runs `ops` from an empty map twice: through `_mut` on a unique handle,
+/// and through the persistent methods with every version kept alive. Both
+/// runs must iterate the same entries in the same order.
+fn map_order_agrees<M: MapMutOps<FewBuckets, u16>>(ops: &[Op]) {
+    let mut unique = M::empty();
+    let mut versions = vec![M::empty()];
+    for op in ops {
+        let last = versions.last().expect("starts with the empty map");
+        let next = match *op {
+            Op::Insert(k, v) => {
+                unique.insert_mut(FewBuckets(k), v);
+                last.inserted(FewBuckets(k), v)
+            }
+            Op::RemoveTuple(k, _) | Op::RemoveKey(k) => {
+                unique.remove_mut(&FewBuckets(k));
+                last.removed(&FewBuckets(k))
+            }
+        };
+        versions.push(next);
+    }
+    let shared = versions.last().expect("starts with the empty map");
+    assert_eq!(
+        unique.entries().collect::<Vec<_>>(),
+        shared.entries().collect::<Vec<_>>(),
+        "{}: unique and shared edits iterate differently",
+        std::any::type_name::<M>()
+    );
+}
+
+/// The set counterpart of [`map_order_agrees`].
+fn set_order_agrees<S: SetMutOps<FewBuckets>>(ops: &[Op]) {
+    let mut unique = S::empty();
+    let mut versions = vec![S::empty()];
+    for op in ops {
+        let last = versions.last().expect("starts with the empty set");
+        let next = match *op {
+            Op::Insert(k, _) => {
+                unique.insert_mut(FewBuckets(k));
+                last.inserted(FewBuckets(k))
+            }
+            Op::RemoveTuple(k, _) | Op::RemoveKey(k) => {
+                unique.remove_mut(&FewBuckets(k));
+                last.removed(&FewBuckets(k))
+            }
+        };
+        versions.push(next);
+    }
+    let shared = versions.last().expect("starts with the empty set");
+    assert_eq!(
+        unique.iter().collect::<Vec<_>>(),
+        shared.iter().collect::<Vec<_>>(),
+        "{}: unique and shared edits iterate differently",
+        std::any::type_name::<S>()
+    );
+}
+
+/// The multi-map counterpart of [`map_order_agrees`].
+fn multimap_order_agrees<M: MultiMapMutOps<FewBuckets, u16>>(ops: &[Op]) {
+    let mut unique = M::empty();
+    let mut versions = vec![M::empty()];
+    for op in ops {
+        let last = versions.last().expect("starts with the empty multi-map");
+        let next = match *op {
+            Op::Insert(k, v) => {
+                unique.insert_mut(FewBuckets(k), v);
+                last.inserted(FewBuckets(k), v)
+            }
+            Op::RemoveTuple(k, v) => {
+                unique.remove_tuple_mut(&FewBuckets(k), &v);
+                last.tuple_removed(&FewBuckets(k), &v)
+            }
+            Op::RemoveKey(k) => {
+                unique.remove_key_mut(&FewBuckets(k));
+                last.key_removed(&FewBuckets(k))
+            }
+        };
+        versions.push(next);
+    }
+    let shared = versions.last().expect("starts with the empty multi-map");
+    assert_eq!(
+        unique.tuples().collect::<Vec<_>>(),
+        shared.tuples().collect::<Vec<_>>(),
+        "{}: unique and shared edits iterate differently",
+        std::any::type_name::<M>()
+    );
 }
 
 /// Deterministic smoke check of the axiom structural invariants under a
@@ -344,4 +468,45 @@ fn axiom_invariants_hold_after_shared_edits() {
     map.assert_invariants();
     shared.assert_invariants();
     assert_eq!(shared.len(), 300);
+}
+
+/// The same deterministic check for the CHAMP and HAMT baselines, with
+/// colliding keys so shared collision nodes are edited too.
+#[test]
+fn baseline_invariants_hold_after_shared_edits() {
+    macro_rules! check_map {
+        ($ty:ty) => {{
+            let mut map: $ty = (0..300).map(|k| (FewBuckets(k), k)).collect();
+            let shared = map.clone();
+            for k in 0..300u16 {
+                if k % 2 == 0 {
+                    map.remove_mut(&FewBuckets(k));
+                } else {
+                    map.insert_mut(FewBuckets(k), k + 1);
+                    map.insert_mut(FewBuckets(k + 1000), k);
+                }
+            }
+            map.assert_invariants();
+            shared.assert_invariants();
+            assert_eq!(shared.len(), 300, "{}", stringify!($ty));
+            assert_eq!(map.len(), 300, "{}", stringify!($ty));
+        }};
+    }
+    check_map!(ChampMap<FewBuckets, u16>);
+    check_map!(HamtMap<FewBuckets, u16>);
+    check_map!(MemoHamtMap<FewBuckets, u16>);
+
+    let mut set: ChampSet<FewBuckets> = (0..300).map(FewBuckets).collect();
+    let shared = set.clone();
+    for k in 0..300u16 {
+        if k % 2 == 0 {
+            set.remove_mut(&FewBuckets(k));
+        } else {
+            set.insert_mut(FewBuckets(k + 1000));
+        }
+    }
+    set.assert_invariants();
+    shared.assert_invariants();
+    assert_eq!(shared.len(), 300);
+    assert_eq!(set.len(), 300);
 }
