@@ -8,13 +8,15 @@
 //!
 //! The corpus is the generated structured-program stand-in documented in
 //! DESIGN.md §2; sizes default to {128 … 1024} and extend to the paper's
-//! 4096 with `AXIOM_TABLE1_MAX=4096`.
+//! 4096 with `AXIOM_TABLE1_MAX=4096`. After the timed loops, every CFG's
+//! CHAMP and AXIOM answers are checked against the bitset oracle
+//! (`assert_dominators_agree`), untimed.
 
 use std::time::Instant;
 
 use axiom::AxiomMultiMap;
 use cfg_analysis::ast::CfgNode;
-use cfg_analysis::dominators::dominators_relational;
+use cfg_analysis::dominators::{assert_dominators_agree, dominators_relational};
 use cfg_analysis::generate::{generate_corpus, GenConfig};
 use cfg_analysis::graph::relation_shape;
 use heapmodel::{Accounting, JvmArch, JvmFootprint, LayoutPolicy};
@@ -70,6 +72,15 @@ fn main() {
         }
         let axiom_time = t1.elapsed();
         assert_eq!(champ_checksum, axiom_checksum, "implementations disagree");
+
+        // Untimed: every CFG's answer from each backend against the bitset
+        // oracle. The timed loops drop each solution as they go: keeping
+        // the first backend's solutions alive while the second one runs
+        // slowed the second by up to a third at 4096 CFGs.
+        for cfg in &corpus {
+            assert_dominators_agree(cfg, &dominators_relational::<Champ>(cfg));
+            assert_dominators_agree(cfg, &dominators_relational::<Axiom>(cfg));
+        }
 
         // --- preds relation shape + footprints ---
         let mut keys = 0usize;

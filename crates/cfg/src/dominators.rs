@@ -5,15 +5,15 @@
 //! * [`dominators_relational`] — the paper's approach: the dominance
 //!   equations `Dom(n0) = {n0}`, `Dom(n) = (∩_{p∈preds(n)} Dom(p)) ∪ {n}`
 //!   solved by fixed-point iteration *directly over persistent multi-maps*
-//!   (the `Dom` and `preds` relations are multi-maps, the big intersection
-//!   is staged by first collecting the predecessor sets, exactly as §6
-//!   describes). Generic over [`MultiMapMutOps`], so Table 1 runs it
+//!   (the `Dom` relation is a multi-map, and the big intersection folds the
+//!   predecessors' dominator sets with the sets' structural intersection,
+//!   as §6 describes). Generic over [`MultiMapMutOps`], so Table 1 runs it
 //!   unchanged over nested-CHAMP and AXIOM multi-maps.
 //! * [`dominators_bitset`] — an index-based iterative bitset algorithm, used
 //!   as an independent oracle in tests (and by the well-known dominator-tree
 //!   derivation [`dominator_tree`]).
 
-use trie_common::ops::{MultiMapMutOps, MultiMapOps, ValuesView};
+use trie_common::ops::{MultiMapMutOps, MultiMapOps, SetAlgebraOps, SetMutOps};
 
 use crate::ast::CfgNode;
 use crate::graph::Cfg;
@@ -21,14 +21,21 @@ use crate::graph::Cfg;
 /// Solves the dominance equations over a persistent multi-map `M`.
 ///
 /// The result maps every reachable node to its full dominator set (including
-/// itself), as a multi-map `node ↦ {dominators}`. The fixed point works a
-/// key's whole value set at a time, so each node's (deliberately expensive)
-/// hash is paid once per question asked of it: one
-/// [`get`](MultiMapOps::get) per predecessor, whose view answers the
-/// intersection's membership tests; one `get` of the node itself to decide
-/// whether its set changed; and, when it did, one
-/// [`replace_values_mut`](MultiMapMutOps::replace_values_mut) rewriting the
-/// set in place. A sweep that rewrote nothing is the fixed point.
+/// itself), as a multi-map `node ↦ {dominators}`. The fixed point works on
+/// whole value sets with the sets' structural algebra, as §6 describes:
+/// each predecessor's dominators are read out as an owned set
+/// ([`value_set`](MultiMapMutOps::value_set), an `O(1)` clone of a nested
+/// trie set), the sets are folded with
+/// [`intersect`](trie_common::ops::SetAlgebraOps::intersect), and the node
+/// itself is inserted. The candidate is compared with the node's current
+/// set by `==` and, when it differs, bound with one
+/// [`put_value_set_mut`](MultiMapMutOps::put_value_set_mut). Both the
+/// intersection and the comparison walk the tries in lockstep and skip
+/// subtrees shared by pointer, and the put stores the set as it is, so
+/// `Dom(n)` keeps sharing every subtree it did not change with the
+/// `Dom(p)` it came from. A node's (deliberately expensive) hash is paid
+/// once per set it is looked up in, not once per element of the set it
+/// is compared with. A sweep that rebinds nothing is the fixed point.
 pub fn dominators_relational<M>(cfg: &Cfg) -> M
 where
     M: MultiMapMutOps<CfgNode, CfgNode>,
@@ -45,30 +52,25 @@ where
     loop {
         let mut changed = false;
         for &n in rpo.iter().skip(1) {
-            // Stage the intersection: first produce the set of predecessor
-            // dominator sets (skipping still-unknown ones), then intersect.
-            let mut candidate: Option<Vec<CfgNode>> = None;
+            // The intersection of the predecessors' sets, skipping
+            // still-unknown ones.
+            let mut candidate: Option<M::ValueSet> = None;
             for &p in &preds_idx[n] {
-                let Some(dom_p) = dom.get(&nodes[p]) else {
+                let Some(dom_p) = dom.value_set(&nodes[p]) else {
                     continue;
                 };
-                match &mut candidate {
-                    None => candidate = Some(dom_p.iter().cloned().collect()),
-                    Some(vs) => vs.retain(|d| dom_p.contains(d)),
-                }
+                candidate = Some(match candidate {
+                    None => dom_p,
+                    Some(acc) => acc.intersect(&dom_p),
+                });
             }
             let Some(mut new_dom) = candidate else {
                 continue; // no processed predecessor yet
             };
-            if !new_dom.contains(&nodes[n]) {
-                new_dom.push(nodes[n].clone());
-            }
-            // Compare against the current solution; rewrite on change.
-            let unchanged = dom.get(&nodes[n]).is_some_and(|cur| {
-                cur.len() == new_dom.len() && new_dom.iter().all(|d| cur.contains(d))
-            });
-            if !unchanged {
-                dom.replace_values_mut(nodes[n].clone(), new_dom);
+            new_dom.insert_mut(nodes[n].clone());
+            // Compare against the current solution; rebind on change.
+            if dom.value_set(&nodes[n]).as_ref() != Some(&new_dom) {
+                dom.put_value_set_mut(nodes[n].clone(), new_dom);
                 changed = true;
             }
         }

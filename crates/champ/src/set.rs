@@ -1226,7 +1226,8 @@ impl<T: Clone + Eq + Hash> std::ops::Sub for &ChampSet<T> {
 
 impl<T: Clone + Eq + Hash> PartialEq for ChampSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && node_eq(&self.root, &other.root)
+        self.len == other.len
+            && (Arc::ptr_eq(&self.root, &other.root) || node_eq(&self.root, &other.root))
     }
 }
 

@@ -619,7 +619,16 @@ pub trait SetMutOps<T>: SetOps<T> {
 
 /// The in-place mutation surface of a persistent multi-map (see
 /// [`MapMutOps`]).
-pub trait MultiMapMutOps<K, V>: MultiMapOps<K, V> {
+///
+/// Besides tuple edits it works on a key's values as a whole: a
+/// [`ValueSet`](MultiMapMutOps::ValueSet) is an owned persistent set that
+/// [`value_set`](MultiMapMutOps::value_set) reads out and
+/// [`put_value_set_mut`](MultiMapMutOps::put_value_set_mut) binds back, so
+/// callers can run the set's structural algebra on whole value sets.
+pub trait MultiMapMutOps<K, V: Clone>: MultiMapOps<K, V> {
+    /// A key's values as an owned persistent set.
+    type ValueSet: SetAlgebraOps<V> + SetMutOps<V> + Clone + Eq;
+
     /// Inserts the tuple `(key, value)` in place. Returns true if the
     /// relation grew (inserting a present tuple is a no-op).
     fn insert_mut(&mut self, key: K, value: V) -> bool;
@@ -631,23 +640,33 @@ pub trait MultiMapMutOps<K, V>: MultiMapOps<K, V> {
     /// removed.
     fn remove_key_mut(&mut self, key: &K) -> usize;
 
+    /// The values bound to `key` as an owned set (`None` if the key is
+    /// absent). A binding stored as a nested trie set comes back as an
+    /// `O(1)` clone sharing its nodes; an inlined or small-array binding is
+    /// built into a set.
+    fn value_set(&self, key: &K) -> Option<Self::ValueSet>;
+
+    /// Binds `key` to exactly the values of `set` in place, replacing
+    /// whatever it was bound to, and returns the tuple-count delta. An
+    /// empty `set` removes the key; a one-element set takes the inlined
+    /// form where the multi-map has one. No value is hashed, and a set that
+    /// is stored as it is keeps sharing its nodes with the caller's copy.
+    fn put_value_set_mut(&mut self, key: K, set: Self::ValueSet) -> isize;
+
     /// Binds `key` to exactly `values` in place, replacing whatever it was
     /// bound to. Duplicate values collapse; empty `values` removes the key.
     /// Returns the tuple-count delta.
     ///
-    /// Default: [`remove_key_mut`](MultiMapMutOps::remove_key_mut), then one
-    /// [`insert_mut`](MultiMapMutOps::insert_mut) per value, which hashes
-    /// the key once per value. The tries override it with one walk that
-    /// builds the new value set first and hashes the key once.
-    fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize
-    where
-        K: Clone,
-    {
-        let mut delta = -(self.remove_key_mut(&key) as isize);
+    /// Default: the values are collected into a
+    /// [`ValueSet`](MultiMapMutOps::ValueSet) and bound with one
+    /// [`put_value_set_mut`](MultiMapMutOps::put_value_set_mut), so the key
+    /// is looked up once however many values it gets.
+    fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {
+        let mut set = Self::ValueSet::empty();
         for value in values {
-            delta += self.insert_mut(key.clone(), value) as isize;
+            set.insert_mut(value);
         }
-        delta
+        self.put_value_set_mut(key, set)
     }
 
     /// Applies one scripted edit; returns the tuple-count delta.

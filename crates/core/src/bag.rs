@@ -78,6 +78,14 @@ pub trait ValueBag<V>: Clone + PartialEq + sealed::Sealed {
 
     /// Iterates the values in unspecified order.
     fn iter(&self) -> Self::Iter<'_>;
+
+    /// The values as a nested set: an `O(1)` clone of a bag stored as one,
+    /// built (each value hashed) for an inline bag.
+    fn to_set(&self) -> AxiomSet<V>;
+
+    /// The bag of a set's ≥ 2 values, keeping the set's trie where the
+    /// representation stores one; no value is hashed.
+    fn of_set(set: AxiomSet<V>) -> Self;
 }
 
 impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
@@ -115,6 +123,15 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
 
     fn iter(&self) -> Self::Iter<'_> {
         AxiomSet::iter(self)
+    }
+
+    fn to_set(&self) -> AxiomSet<V> {
+        self.clone()
+    }
+
+    fn of_set(set: AxiomSet<V>) -> Self {
+        debug_assert!(set.len() >= 2);
+        set
     }
 }
 
@@ -241,6 +258,22 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
         match self {
             FusedBag::Inline(vs) => FusedIter::Slice(vs.iter()),
             FusedBag::Trie(s) => FusedIter::Trie(s.iter()),
+        }
+    }
+
+    fn to_set(&self) -> AxiomSet<V> {
+        match self {
+            FusedBag::Inline(vs) => vs.iter().cloned().collect(),
+            FusedBag::Trie(s) => s.clone(),
+        }
+    }
+
+    fn of_set(set: AxiomSet<V>) -> Self {
+        debug_assert!(set.len() >= 2);
+        if set.len() > FUSE_MAX {
+            FusedBag::Trie(set)
+        } else {
+            FusedBag::Inline(set.iter().cloned().collect())
         }
     }
 }

@@ -1183,9 +1183,66 @@ where
     /// assert!(mm.is_empty());
     /// ```
     pub fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {
-        let Some(binding) = Binding::of_values(values) else {
-            return -(self.remove_key_mut(&key) as isize);
+        match Binding::of_values(values) {
+            Some(binding) => self.put_binding_mut(key, binding),
+            None => -(self.remove_key_mut(&key) as isize),
+        }
+    }
+
+    /// The values bound to `key` as an owned [`AxiomSet`] (`None` if the
+    /// key is absent). A binding stored as a nested set comes back as an
+    /// `O(1)` clone sharing its trie; an inlined singleton (or a fused
+    /// inline bag) is built into a set.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use axiom::AxiomMultiMap;
+    ///
+    /// let mm = AxiomMultiMap::<&str, u32>::new().inserted("D", 4).inserted("D", 5);
+    /// let both = mm.value_set(&"D").unwrap();
+    /// assert_eq!(both.len(), 2);
+    /// assert!(mm.value_set(&"E").is_none());
+    /// ```
+    pub fn value_set(&self, key: &K) -> Option<AxiomSet<V>> {
+        self.get(key).map(|binding| match binding {
+            BindingRef::One(v) => AxiomSet::singleton(v.clone()),
+            BindingRef::Many(bag) => bag.to_set(),
+        })
+    }
+
+    /// Binds `key` to exactly the values of `set` in place, replacing
+    /// whatever it was bound to, and returns the tuple-count delta. An empty
+    /// `set` removes the key; a one-element set is inlined as a `1:1`
+    /// tuple.
+    ///
+    /// The trie is walked once, hashing the key once and no value: a nested
+    /// set is stored as it is (a fused bag takes it as its overflow trie or
+    /// copies its few values inline), so it keeps sharing nodes with the
+    /// caller's copy and with whatever other key it came from.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use axiom::AxiomMultiMap;
+    ///
+    /// let mut mm = AxiomMultiMap::<&str, u32>::new().inserted("A", 1).inserted("A", 2);
+    /// let mut set = mm.value_set(&"A").unwrap();
+    /// set.insert_mut(3);
+    /// assert_eq!(mm.put_value_set_mut("B", set), 3); // "A" keeps {1, 2}
+    /// assert_eq!(mm.tuple_count(), 5);
+    /// ```
+    pub fn put_value_set_mut(&mut self, key: K, set: AxiomSet<V>) -> isize {
+        let binding = match set.len() {
+            0 => return -(self.remove_key_mut(&key) as isize),
+            1 => Binding::One(set.sole().clone()),
+            _ => Binding::Many(B::of_set(set)),
         };
+        self.put_binding_mut(key, binding)
+    }
+
+    /// Binds `key` to `binding` in one walk; returns the tuple-count delta.
+    fn put_binding_mut(&mut self, key: K, binding: Binding<V, B>) -> isize {
         let new = binding.len();
         let hash = hash32(&key);
         let old = match Node::put_in_place(&mut self.root, hash, 0, key, binding) {

@@ -286,6 +286,8 @@ where
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
+    type ValueSet = AxiomSet<V>;
+
     fn insert_mut(&mut self, key: K, value: V) -> bool {
         AxiomMultiMap::insert_mut(self, key, value)
     }
@@ -296,6 +298,14 @@ where
 
     fn remove_key_mut(&mut self, key: &K) -> usize {
         AxiomMultiMap::remove_key_mut(self, key)
+    }
+
+    fn value_set(&self, key: &K) -> Option<AxiomSet<V>> {
+        AxiomMultiMap::value_set(self, key)
+    }
+
+    fn put_value_set_mut(&mut self, key: K, set: AxiomSet<V>) -> isize {
+        AxiomMultiMap::put_value_set_mut(self, key, set)
     }
 
     fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {

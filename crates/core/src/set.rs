@@ -1049,7 +1049,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     }
 
     /// Rebuilds the one-element set (canonicalization helper).
-    fn singleton(value: T) -> Self {
+    pub(crate) fn singleton(value: T) -> Self {
         AxiomSet {
             root: Arc::new(Node::single(value)),
             len: 1,
@@ -1301,7 +1301,8 @@ impl<T: Clone + Eq + Hash> std::ops::Sub for &AxiomSet<T> {
 
 impl<T: Clone + Eq + Hash> PartialEq for AxiomSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && node_eq(&self.root, &other.root)
+        self.len == other.len
+            && (Arc::ptr_eq(&self.root, &other.root) || node_eq(&self.root, &other.root))
     }
 }
 

@@ -309,6 +309,8 @@ where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
 {
+    type ValueSet = HamtSet<V>;
+
     fn insert_mut(&mut self, key: K, value: V) -> bool {
         ClojureMultiMap::insert_mut(self, key, value)
     }
@@ -319,6 +321,30 @@ where
 
     fn remove_key_mut(&mut self, key: &K) -> usize {
         ClojureMultiMap::remove_key_mut(self, key)
+    }
+
+    /// The nested set as an `O(1)` clone; a bare singleton is built into a
+    /// set.
+    fn value_set(&self, key: &K) -> Option<HamtSet<V>> {
+        self.map.get(key).map(|binding| match binding {
+            ClojureVal::Single(v) => std::iter::once(v.clone()).collect(),
+            ClojureVal::SetOf(s) => s.clone(),
+        })
+    }
+
+    /// A one-element set is stored as a bare value (the protocol's
+    /// `to-one` case), a larger one as it is.
+    fn put_value_set_mut(&mut self, key: K, set: HamtSet<V>) -> isize {
+        let new = set.len();
+        let binding = match new {
+            0 => return -(self.remove_key_mut(&key) as isize),
+            1 => ClojureVal::Single(set.sole().clone()),
+            _ => ClojureVal::SetOf(set),
+        };
+        let old = self.map.get(&key).map_or(0, |b| b.len());
+        self.map.insert_mut(key, binding);
+        self.tuples = self.tuples + new - old;
+        new as isize - old as isize
     }
 }
 

@@ -199,6 +199,8 @@ where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
 {
+    type ValueSet = ChampSet<V>;
+
     fn insert_mut(&mut self, key: K, value: V) -> bool {
         NestedChampMultiMap::insert_mut(self, key, value)
     }
@@ -211,10 +213,14 @@ where
         NestedChampMultiMap::remove_key_mut(self, key)
     }
 
-    /// One map insert of a freshly built set, so the key is hashed once, as
-    /// in AXIOM's override.
-    fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {
-        let set: ChampSet<V> = values.into_iter().collect();
+    /// The nested set itself, an `O(1)` clone.
+    fn value_set(&self, key: &K) -> Option<ChampSet<V>> {
+        self.map.get(key).cloned()
+    }
+
+    /// One map insert of the set as it is, so the key is hashed once and
+    /// the set keeps sharing its nodes, as in AXIOM.
+    fn put_value_set_mut(&mut self, key: K, set: ChampSet<V>) -> isize {
         if set.is_empty() {
             return -(self.remove_key_mut(&key) as isize);
         }

@@ -412,6 +412,8 @@ where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
 {
+    type ValueSet = MemoHamtSet<V>;
+
     fn insert_mut(&mut self, key: K, value: V) -> bool {
         ScalaMultiMap::insert_mut(self, key, value)
     }
@@ -422,6 +424,40 @@ where
 
     fn remove_key_mut(&mut self, key: &K) -> usize {
         ScalaMultiMap::remove_key_mut(self, key)
+    }
+
+    /// The overflow trie as an `O(1)` clone; a `Set1..Set4` is built into a
+    /// trie set.
+    fn value_set(&self, key: &K) -> Option<MemoHamtSet<V>> {
+        self.map.get(key).map(|set| match set {
+            ScalaSet::Trie(s) => s.clone(),
+            small => small.iter().cloned().collect(),
+        })
+    }
+
+    /// Up to four values are rebuilt as the `Set1..Set4` a fresh Scala set
+    /// of them would be; a larger set is stored as it is.
+    fn put_value_set_mut(&mut self, key: K, set: MemoHamtSet<V>) -> isize {
+        let new = set.len();
+        if new == 0 {
+            return -(self.remove_key_mut(&key) as isize);
+        }
+        let stored = if new > 4 {
+            ScalaSet::Trie(set)
+        } else {
+            let mut vs = set.iter().cloned();
+            let mut next = || vs.next().expect("counted above");
+            match new {
+                1 => ScalaSet::S1(next()),
+                2 => ScalaSet::S2(next(), next()),
+                3 => ScalaSet::S3(next(), next(), next()),
+                _ => ScalaSet::S4(next(), next(), next(), next()),
+            }
+        };
+        let old = self.map.get(&key).map_or(0, ScalaSet::len);
+        self.map.insert_mut(key, stored);
+        self.tuples = self.tuples + new - old;
+        new as isize - old as isize
     }
 }
 

@@ -63,7 +63,7 @@ impl<K: Hash, V, M: MultiMapOps<K, V>> ShardKind<M> for MultiMap<K, V> {
     }
 }
 
-impl<K: Hash, V, M: MultiMapMutOps<K, V>> EditKind<M> for MultiMap<K, V> {
+impl<K: Hash, V: Clone, M: MultiMapMutOps<K, V>> EditKind<M> for MultiMap<K, V> {
     type Edit = MultiMapEdit<K, V>;
 
     fn edit_key(edit: &MultiMapEdit<K, V>) -> &K {
@@ -131,7 +131,7 @@ impl<K: Hash, V, M: MultiMapOps<K, V>> ShardedMultiMap<K, V, M> {
     }
 }
 
-impl<K: Hash, V, M: MultiMapMutOps<K, V>> ShardedMultiMap<K, V, M> {
+impl<K: Hash, V: Clone, M: MultiMapMutOps<K, V>> ShardedMultiMap<K, V, M> {
     /// Inserts one tuple. Returns true if the relation grew.
     ///
     /// One-tuple batches pay a full shard publication each; prefer

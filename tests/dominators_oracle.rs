@@ -19,8 +19,10 @@ fn every_backend_matches_the_bitset_oracle() {
         cfg.assert_well_formed();
         let a: AxiomMultiMap<CfgNode, CfgNode> = dominators_relational(cfg);
         assert_dominators_agree(cfg, &a);
+        a.assert_invariants();
         let f: AxiomFusedMultiMap<CfgNode, CfgNode> = dominators_relational(cfg);
         assert_dominators_agree(cfg, &f);
+        f.assert_invariants();
         let n: NestedChampMultiMap<CfgNode, CfgNode> = dominators_relational(cfg);
         assert_dominators_agree(cfg, &n);
         let c: ClojureMultiMap<CfgNode, CfgNode> = dominators_relational(cfg);

@@ -4,10 +4,12 @@
 //! `union`/`intersect`/`difference`/`diff`, including under pathological
 //! hash collisions, and a frozen snapshot edited in `k` places must diff in
 //! exactly `k` entries. The key-level multi-map operations (`get`,
-//! `replace_values_mut`) are checked against a map-of-sets model. The
+//! `replace_values_mut`, `value_set`, `put_value_set_mut`) are checked
+//! against a map-of-sets model, and a put is shown to hash only its key. The
 //! sharded layer's epoch/`changes_since` and the parallel combinators are
 //! covered at the end.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -17,10 +19,12 @@ use proptest::prelude::*;
 use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet, ValueBag};
 use axiom_repro::champ::{ChampMap, ChampSet};
 use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
-use axiom_repro::idiomatic::{ClojureMultiMap, NestedChampMultiMap, ScalaMultiMap};
+use axiom_repro::idiomatic::{
+    ClojureMultiMap, ClojureVal, NestedChampMultiMap, ScalaMultiMap, ScalaSet,
+};
 use axiom_repro::sharded::{ShardedMap, ShardedMultiMap, ShardedSet};
 use axiom_repro::trie_common::ops::{
-    MapMergeOps, MultiMapAlgebraOps, MultiMapMutOps, SetAlgebraOps, ValuesView,
+    MapMergeOps, MultiMapAlgebraOps, MultiMapMutOps, SetAlgebraOps, SetMutOps, SetOps, ValuesView,
 };
 
 /// Key wrapper hashing into five buckets: small scripts already exercise
@@ -241,13 +245,17 @@ where
 /// A key's values in the model.
 type KeyModel<K> = BTreeMap<K, BTreeSet<u8>>;
 
-/// The key-level operations (`get`, `replace_values_mut`) against a
-/// `BTreeMap<K, BTreeSet<V>>` model. `script` replaces one key's values per
-/// step with 0, 1, 2 or many values (duplicates included), so keys appear,
-/// go, and move between the singleton and the nested representation in
-/// both directions. After every step: the returned delta, the whole
-/// relation, every key's view, a clone taken before the step (unchanged),
-/// and the implementation's own `shape` check.
+/// The key-level operations against a `BTreeMap<K, BTreeSet<V>>` model.
+/// Two copies of the multi-map run `script`, which replaces one key's values
+/// per step with 0, 1, 2 or many values (duplicates included), so keys
+/// appear, go, and move between the singleton and the nested representation
+/// in both directions. One copy takes each step as one `replace_values_mut`;
+/// the other reads the key's `value_set`, edits that owned set to the new
+/// values and binds it back with `put_value_set_mut`. After every step, for
+/// both copies: the returned delta, the whole relation, every key's view
+/// and value set, a clone taken before the step (unchanged), and the
+/// implementation's own `shape` check (which catches a one-element set left
+/// nested instead of inlined).
 fn check_key_level_ops<K, M>(
     key: fn(u16) -> K,
     base: &[(u16, u8)],
@@ -264,53 +272,81 @@ fn check_key_level_ops<K, M>(
         }
         out
     };
-    let mut mm = base
+    let elems = |set: &M::ValueSet| -> BTreeSet<u8> { set.iter().copied().collect() };
+    let mut by_values = base
         .iter()
         .fold(M::empty(), |m, &(k, v)| m.inserted(key(k), v));
-    let mut model = to_model(&mm);
+    let mut by_sets = by_values.clone();
+    let mut model = to_model(&by_values);
     for (k, values) in script {
         let k = key(*k);
-        let frozen = (mm.clone(), model.clone());
+        let frozen = [by_values.clone(), by_sets.clone()];
+        let frozen_model = model.clone();
         let new: BTreeSet<u8> = values.iter().copied().collect();
-        let old = model.get(&k).map_or(0, BTreeSet::len);
-        let delta = mm.replace_values_mut(k.clone(), values.iter().copied());
+        let old = model.get(&k).cloned().unwrap_or_default();
+        let expected = new.len() as isize - old.len() as isize;
+
+        let delta = by_values.replace_values_mut(k.clone(), values.iter().copied());
+        assert_eq!(delta, expected, "{} replace delta", M::NAME);
+
+        let read = by_sets.value_set(&k);
+        assert_eq!(read.is_some(), !old.is_empty(), "{} value_set", M::NAME);
+        let mut set = read.unwrap_or_else(M::ValueSet::empty);
+        assert_eq!(elems(&set), old, "{} value_set elements", M::NAME);
+        for v in &old - &new {
+            assert!(set.remove_mut(&v));
+        }
+        for &v in values {
+            set.insert_mut(v);
+        }
+        assert_eq!(elems(&set), new);
         assert_eq!(
-            delta,
-            new.len() as isize - old as isize,
-            "{} delta",
+            by_sets.value_count(&k),
+            old.len(),
+            "{} editing the owned value set moved the multi-map",
             M::NAME
         );
+        let delta = by_sets.put_value_set_mut(k.clone(), set);
+        assert_eq!(delta, expected, "{} put delta", M::NAME);
+
         if new.is_empty() {
             model.remove(&k);
         } else {
             model.insert(k.clone(), new);
         }
-
-        assert_eq!(to_model(&mm), model, "{} replace {k:?}", M::NAME);
-        assert_eq!(
-            mm.tuple_count(),
-            model.values().map(BTreeSet::len).sum::<usize>()
-        );
-        assert_eq!(mm.key_count(), model.len(), "{} key_count", M::NAME);
-        assert_eq!(to_model(&frozen.0), frozen.1, "{} clone moved", M::NAME);
-        for probe in (0..64).map(key) {
-            let expected = model.get(&probe);
-            let view = mm.get(&probe);
-            assert_eq!(view.is_some(), expected.is_some(), "{} get", M::NAME);
-            assert_eq!(mm.contains_key(&probe), expected.is_some());
-            assert_eq!(mm.value_count(&probe), expected.map_or(0, BTreeSet::len));
-            let (Some(view), Some(expected)) = (view, expected) else {
-                continue;
-            };
-            assert_eq!(view.len(), expected.len(), "{} view len", M::NAME);
-            let seen: BTreeSet<u8> = view.iter().copied().collect();
-            assert_eq!(&seen, expected, "{} view iter", M::NAME);
-            for v in 0..8u8 {
-                assert_eq!(view.contains(&v), expected.contains(&v), "{} view", M::NAME);
-                assert_eq!(mm.contains_tuple(&probe, &v), expected.contains(&v));
+        for (mm, frozen) in [(&by_values, &frozen[0]), (&by_sets, &frozen[1])] {
+            assert_eq!(to_model(mm), model, "{} step on {k:?}", M::NAME);
+            assert_eq!(
+                mm.tuple_count(),
+                model.values().map(BTreeSet::len).sum::<usize>()
+            );
+            assert_eq!(mm.key_count(), model.len(), "{} key_count", M::NAME);
+            assert_eq!(to_model(frozen), frozen_model, "{} clone moved", M::NAME);
+            for probe in (0..64).map(key) {
+                let expected = model.get(&probe);
+                let view = mm.get(&probe);
+                assert_eq!(view.is_some(), expected.is_some(), "{} get", M::NAME);
+                assert_eq!(mm.contains_key(&probe), expected.is_some());
+                assert_eq!(mm.value_count(&probe), expected.map_or(0, BTreeSet::len));
+                assert_eq!(
+                    mm.value_set(&probe).map(|set| elems(&set)).as_ref(),
+                    expected,
+                    "{} value_set",
+                    M::NAME
+                );
+                let (Some(view), Some(expected)) = (view, expected) else {
+                    continue;
+                };
+                assert_eq!(view.len(), expected.len(), "{} view len", M::NAME);
+                let seen: BTreeSet<u8> = view.iter().copied().collect();
+                assert_eq!(&seen, expected, "{} view iter", M::NAME);
+                for v in 0..8u8 {
+                    assert_eq!(view.contains(&v), expected.contains(&v), "{} view", M::NAME);
+                    assert_eq!(mm.contains_tuple(&probe, &v), expected.contains(&v));
+                }
             }
+            shape(mm, &model);
         }
-        shape(&mm, &model);
     }
 }
 
@@ -327,6 +363,30 @@ where
         .flat_map(|(k, vs)| vs.iter().map(move |v| (k.clone(), *v)))
         .fold(AxiomMultiMap::new(), |m, (k, v)| m.inserted(k, v));
     assert!(*mm == folded, "not canonical: {mm:?} vs {folded:?}");
+}
+
+/// Clojure's `to-one` case: a key bound to one value holds it bare.
+fn clojure_singletons_bare<K>(mm: &ClojureMultiMap<K, u8>, model: &KeyModel<K>)
+where
+    K: Clone + Eq + Hash + Debug,
+{
+    for (k, vs) in model {
+        let bare = matches!(mm.get(k), Some(ClojureVal::Single(_)));
+        assert_eq!(bare, vs.len() == 1, "clojure binding of {k:?}");
+    }
+}
+
+/// Scala's field-specialized sets: up to four values live in `Set1..Set4`
+/// (this harness never removes single tuples, after which Scala keeps a
+/// shrunk trie).
+fn scala_small_sets_inline<K>(mm: &ScalaMultiMap<K, u8>, model: &KeyModel<K>)
+where
+    K: Clone + Eq + Hash + Debug,
+{
+    for (k, vs) in model {
+        let trie = matches!(mm.get(k), Some(ScalaSet::Trie(_)));
+        assert_eq!(trie, vs.len() > 4, "scala set of {k:?}");
+    }
 }
 
 fn no_shape_check<K, M>(_: &M, _: &KeyModel<K>) {}
@@ -426,12 +486,86 @@ proptest! {
             check_key_level_ops::<K, AxiomMultiMap<K, u8>>(key, base, script, axiom_canonical);
             check_key_level_ops::<K, AxiomFusedMultiMap<K, u8>>(key, base, script, axiom_canonical);
             check_key_level_ops::<K, NestedChampMultiMap<K, u8>>(key, base, script, no_shape_check);
-            check_key_level_ops::<K, ClojureMultiMap<K, u8>>(key, base, script, no_shape_check);
-            check_key_level_ops::<K, ScalaMultiMap<K, u8>>(key, base, script, no_shape_check);
+            check_key_level_ops::<K, ClojureMultiMap<K, u8>>(
+                key,
+                base,
+                script,
+                clojure_singletons_bare,
+            );
+            check_key_level_ops::<K, ScalaMultiMap<K, u8>>(
+                key,
+                base,
+                script,
+                scala_small_sets_inline,
+            );
         }
         run(|k| k, &base, &script);
         run(Collide, &base, &script);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Binding a value set hashes the key once and no value.
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// `Counted::hash` calls on this thread (tests run on several threads).
+    static HASHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A key and value type whose `Hash` counts its calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counted(u16);
+
+impl Hash for Counted {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        HASHES.with(|h| h.set(h.get() + 1));
+        state.write_u16(self.0);
+    }
+}
+
+/// `f`'s result and the `Counted` hashes it made.
+fn hashes_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = HASHES.with(Cell::get);
+    let out = f();
+    (out, HASHES.with(Cell::get) - before)
+}
+
+/// Rebinding a present key to an `n`-element set hashes the key once and
+/// none of the `n` values, whether the set is fresh or was read out of
+/// another key (whose nodes it then shares).
+#[test]
+fn put_value_set_hashes_the_key_once_and_no_value() {
+    fn run<M: MultiMapMutOps<Counted, Counted>>() {
+        let mut mm = (0..64u16)
+            .flat_map(|k| (0..=k % 9).map(move |v| (Counted(k), Counted(1_000 + v))))
+            .fold(M::empty(), |m, (k, v)| m.inserted(k, v));
+        for (i, n) in [1u16, 2, 3, 5, 9, 40].into_iter().enumerate() {
+            let key = Counted(i as u16 * 7);
+            let mut set = M::ValueSet::empty();
+            for v in 0..n {
+                set.insert_mut(Counted(2_000 + v));
+            }
+            let old = mm.value_count(&key) as isize;
+            let (delta, hashes) = hashes_during(|| mm.put_value_set_mut(key, set));
+            assert_eq!(delta, n as isize - old, "{} delta", M::NAME);
+            assert_eq!(hashes, 1, "{} put of {n} values", M::NAME);
+            assert_eq!(mm.value_count(&key), n as usize);
+        }
+        // A set read out of one key and bound to another.
+        let shared = mm.value_set(&Counted(8)).expect("key 8 is bound");
+        let (_, hashes) = hashes_during(|| mm.put_value_set_mut(Counted(17), shared.clone()));
+        assert_eq!(hashes, 1, "{} put of a shared set", M::NAME);
+        assert!(mm.value_set(&Counted(17)) == Some(shared));
+        // Into an empty multi-map: the new key alone.
+        let mut fresh = M::empty();
+        let set = mm.value_set(&Counted(26)).expect("key 26 is bound");
+        let (delta, hashes) = hashes_during(|| fresh.put_value_set_mut(Counted(3), set));
+        assert_eq!((delta, hashes), (9, 1), "{} put into an empty map", M::NAME);
+    }
+    run::<AxiomMultiMap<Counted, Counted>>();
+    run::<AxiomFusedMultiMap<Counted, Counted>>();
+    run::<NestedChampMultiMap<Counted, Counted>>();
 }
 
 // ---------------------------------------------------------------------------

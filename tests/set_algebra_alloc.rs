@@ -2,11 +2,12 @@
 //! pointer-equality fast paths must be observable at the allocator, not
 //! just by timing. Self-union (and friends) of a trie with itself touches
 //! the `Arc::ptr_eq` short-circuit at the root and must perform **zero**
-//! heap allocations — only refcount bumps. `replace_values_mut` likewise
-//! edits a uniquely-owned multi-map's spine in place and path-copies a
-//! shared one. The CHAMP and HAMT baselines' persistent edits on a shared
-//! trie copy only the spine they change: a no-op allocates nothing, and a
-//! real edit allocates no more than it did before their edits became one
+//! heap allocations — only refcount bumps; so must reading a key's nested
+//! value set out of a multi-map. `replace_values_mut` likewise edits a
+//! uniquely-owned multi-map's spine in place and path-copies a shared one.
+//! The CHAMP and HAMT baselines' persistent edits on a shared trie copy
+//! only the spine they change: a no-op allocates nothing, and a real edit
+//! allocates no more than it did before their edits became one
 //! copy-on-write walk.
 //!
 //! Lives in its own test binary because the counting allocator is
@@ -65,6 +66,11 @@ fn self_algebra_allocates_nothing() {
     let (d, allocs) = measure(|| MultiMapAlgebraOps::diff(&mm, &mm));
     assert_eq!(allocs, 0, "AxiomMultiMap self-diff allocated");
     assert!(d.is_empty());
+
+    // A key's nested value set comes out as a clone of the bag's root.
+    let (values, allocs) = measure(|| mm.value_set(&1_234));
+    assert_eq!(allocs, 0, "value_set of a nested binding allocated");
+    assert_eq!(values.map(|set| set.len()), Some(4));
 
     // A frozen copy (clone) shares the root: still zero allocations.
     let frozen = set.clone();
