@@ -5,13 +5,14 @@
 //! specialization by ×5.1; fusion strictly helps runtimes (fewer
 //! indirections) while specialization costs ≈ 20 % runtime.
 //!
-//! This binary reports (a) the footprint factors under the layout policies
-//! and (b) the *measured runtime* effect of real fusion (the
+//! This binary reports (a) the footprint factors under the layout policies,
+//! (b) the native heap bytes per tuple of the five multi-maps next to the
+//! JVM model, and (c) the *measured runtime* effect of real fusion (the
 //! `AxiomFusedMultiMap` representation) on the §4.1 operation suite.
 
 use axiom::{AxiomFusedMultiMap, AxiomMultiMap};
-use heapmodel::{JvmArch, JvmFootprint, LayoutPolicy};
-use idiomatic::{ClojureMultiMap, ScalaMultiMap};
+use heapmodel::{JvmArch, JvmFootprint, LayoutPolicy, RustFootprint};
+use idiomatic::{ClojureMultiMap, NestedChampMultiMap, ScalaMultiMap};
 use paper_bench::{multimap_times, HarnessConfig};
 use trie_common::ops::{MultiMapOps, TransientOps};
 use workloads::build::multimap_transient;
@@ -27,6 +28,22 @@ where
 {
     let mm: M = multimap_transient(tuples);
     mm.jvm_bytes(arch, policy).structure
+}
+
+/// Native heap bytes per tuple (what the allocator holds, by the
+/// `RustFootprint` walk) and modeled JVM overhead bytes per tuple
+/// (structure only, compressed oops, baseline layout) of one design.
+fn per_tuple<M>(tuples: &[(u32, u32)]) -> [String; 2]
+where
+    M: MultiMapOps<u32, u32> + TransientOps<(u32, u32)> + JvmFootprint + RustFootprint,
+{
+    let mm: M = multimap_transient(tuples);
+    let n = tuples.len() as f64;
+    let model = mm.jvm_bytes(&JvmArch::COMPRESSED_OOPS, &LayoutPolicy::BASELINE);
+    [
+        format!("{:.1}", mm.rust_bytes() as f64 / n),
+        format!("{:.1}", model.structure as f64 / n),
+    ]
 }
 
 fn main() {
@@ -81,6 +98,30 @@ fn main() {
         "  fusion+specialized   paper: x5.1 average    measured: {}",
         RatioSummary::of(spec_factors)
     );
+    println!();
+
+    // --- native bytes next to the JVM model ---
+    println!("## Native heap vs JVM model (2^14 keys, 50 % 1:1 / 50 % 1:2, u32)");
+    println!();
+    let w = multimap_workload(1 << 14, 11);
+    let mut table = Table::new(&["design", "native B/tuple", "JVM-model overhead B/tuple"]);
+    let rows = [
+        ("AXIOM", per_tuple::<AxiomMultiMap<u32, u32>>(&w.tuples)),
+        (
+            "AXIOM fused",
+            per_tuple::<AxiomFusedMultiMap<u32, u32>>(&w.tuples),
+        ),
+        (
+            "nested CHAMP",
+            per_tuple::<NestedChampMultiMap<u32, u32>>(&w.tuples),
+        ),
+        ("Clojure", per_tuple::<ClojureMultiMap<u32, u32>>(&w.tuples)),
+        ("Scala", per_tuple::<ScalaMultiMap<u32, u32>>(&w.tuples)),
+    ];
+    for (design, [native, model]) in rows {
+        table.row(vec![design.to_string(), native, model]);
+    }
+    println!("{}", table.render());
     println!();
 
     // --- runtime effect of real fusion ---

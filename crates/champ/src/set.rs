@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
-use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
+use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, SlotNode};
 
 /// One physical slot: an element or a sub-trie.
 #[derive(Debug, Clone)]
@@ -293,7 +293,7 @@ impl<T: Clone + Eq + Hash> Node<T> {
     }
 }
 
-impl<T: Clone> CowNode for Node<T> {
+impl<T: Clone> SlotNode for Node<T> {
     type Bitmap = (u32, u32);
     type Slot = Slot<T>;
 
@@ -317,6 +317,13 @@ impl<T: Clone> CowNode for Node<T> {
             nodemap,
             slots,
         })
+    }
+
+    fn child(slot: &Slot<T>) -> &Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Elem(_) => unreachable!("nodemap says child"),
+        }
     }
 
     fn child_mut(slot: &mut Slot<T>) -> &mut Arc<Self> {

@@ -17,6 +17,9 @@
 //! * [`slices`] — dense slot-array edit helpers (borrowed path-copying and
 //!   owned in-place families) and the copy-on-write steps of the one edit
 //!   walk every AXIOM, CHAMP and HAMT trie runs;
+//! * [`packed`] — the one-allocation node of the AXIOM set and multi-map
+//!   (reference count, bitmap and typed slot groups in one block), which
+//!   holds every `unsafe` block of the tries;
 //! * [`snapshot`] — the versioned binary snapshot codec
 //!   (`SnapshotWrite`/`SnapshotRead`) every collection and the sharded
 //!   layer persist through;
@@ -51,6 +54,7 @@ pub mod faults;
 pub mod hash;
 pub mod iter;
 pub mod ops;
+pub mod packed;
 pub mod slices;
 pub mod snapshot;
 pub mod sync;

@@ -13,9 +13,12 @@
 //!   allocation.
 //!
 //! Every edit (`insert_mut`, `remove_mut`, …, and the persistent
-//! `inserted`/`removed` built on them) is one recursive walk over
-//! `&mut Arc<Node>`. [`CowNode`] and the functions below are the steps
-//! where that walk meets a node it may share with another handle:
+//! `inserted`/`removed` built on them) is one recursive walk over a node
+//! handle: `&mut Arc<Node>` for a [`SlotNode`] (a bitmap plus a
+//! `Box<[Slot]>` array), `&mut Packed` for the one-allocation AXIOM set and
+//! multi-map nodes ([`crate::packed`]). Both handles are a [`CowNode`], and
+//! the functions below are the steps where the walk meets a node it may
+//! share with another handle:
 //!
 //! * [`edit_child`] descends. Under a uniquely-owned node the child handle
 //!   is edited where it stands; under a shared node the walk edits a clone
@@ -29,20 +32,108 @@
 //!
 //! Arity-preserving edits (value replacement, slot-kind migration) need no
 //! helper: the walk decides the outcome from the borrowed node, returns
-//! early on a no-op, and otherwise edits the node behind `Arc::make_mut`
-//! with the owned helpers. So does every collision-node edit. The shape
-//! rules stay with each trie: AXIOM, CHAMP and the memoizing HAMT inline a
-//! collapsed sub-trie on delete, the Clojure-style HAMT leaves degenerate
-//! paths in place.
+//! early on a no-op, and otherwise edits the node behind `make_mut` (with
+//! the owned helpers, or `Packed::migrate`). So does every collision-node
+//! edit. The shape rules stay with each trie: AXIOM, CHAMP and the
+//! memoizing HAMT inline a collapsed sub-trie on delete, the Clojure-style
+//! HAMT leaves degenerate paths in place.
 
 use std::sync::Arc;
 
-/// A trie node the copy-on-write walk reshapes. Only bitmap nodes go
-/// through these methods; the walk edits a collision node behind
-/// `Arc::make_mut` directly.
+/// A handle to a trie node that the copy-on-write walk reshapes: an
+/// `Arc` around a node with a `Box<[Slot]>` array (any [`SlotNode`]), or a
+/// one-allocation [`Packed`](crate::packed::Packed) node. Only bitmap
+/// nodes go through these methods; the walk edits a collision node
+/// directly.
 pub trait CowNode: Clone {
     /// The node's branch bitmap: AXIOM's 2-bit `SlotBitmap`, CHAMP's
     /// `(datamap, nodemap)` pair, the HAMT's single `u32`.
+    type Bitmap: Copy;
+
+    /// One slot, by value.
+    type Slot;
+
+    /// The sub-trie handle in slot `idx`.
+    fn child(&self, idx: usize) -> &Self;
+
+    /// The sub-trie handle in slot `idx`, if this handle is the node's only
+    /// owner, so that the child can be edited where it stands.
+    fn unique_child(&mut self, idx: usize) -> Option<&mut Self>;
+
+    /// Stores `child` in slot `idx` of a node this handle shares, by
+    /// copying the node.
+    fn copy_with_child(&mut self, idx: usize, child: Self);
+
+    /// Installs `bitmap` and inserts `slot` at `idx`, or removes the slot at
+    /// `idx` when `slot` is `None`: a unique node's slots move into the
+    /// resized node, a shared node's are cloned into it.
+    fn resize(&mut self, bitmap: Self::Bitmap, idx: usize, slot: Option<Self::Slot>);
+
+    /// Slot `keep` of a two-slot node: moved out of a unique node (left
+    /// empty, for the parent to drop), cloned out of a shared one.
+    fn take_slot(&mut self, keep: usize) -> Self::Slot;
+}
+
+/// Runs `edit` on the child handle in slot `idx` and returns its outcome.
+/// Under a unique node the handle is edited in place. Under a shared node
+/// `edit` gets a clone of the handle, and this node is copied to store the
+/// edited child only when `store` accepts the outcome.
+#[inline]
+pub fn edit_child<N: CowNode, R>(
+    this: &mut N,
+    idx: usize,
+    edit: impl FnOnce(&mut N) -> R,
+    store: impl FnOnce(&R) -> bool,
+) -> R {
+    if let Some(child) = this.unique_child(idx) {
+        return edit(child);
+    }
+    edit_shared_child(this, idx, edit, store)
+}
+
+/// The shared-node half of [`edit_child`]. It stays out of line so that
+/// the unique descent, which every transient edit takes, keeps no copied
+/// handle in its frame: inlined, it made CHAMP and HAMT builds with
+/// reference-counted values about 10 % slower.
+#[inline(never)]
+fn edit_shared_child<N: CowNode, R>(
+    this: &mut N,
+    idx: usize,
+    edit: impl FnOnce(&mut N) -> R,
+    store: impl FnOnce(&R) -> bool,
+) -> R {
+    let mut child = this.child(idx).clone();
+    let outcome = edit(&mut child);
+    if store(&outcome) {
+        this.copy_with_child(idx, child);
+    }
+    outcome
+}
+
+/// Installs `bitmap` and inserts `slot` at `idx`.
+#[inline]
+pub fn insert_slot<N: CowNode>(this: &mut N, bitmap: N::Bitmap, idx: usize, slot: N::Slot) {
+    this.resize(bitmap, idx, Some(slot));
+}
+
+/// Installs `bitmap` and removes the slot at `idx`.
+#[inline]
+pub fn remove_slot<N: CowNode>(this: &mut N, bitmap: N::Bitmap, idx: usize) {
+    this.resize(bitmap, idx, None);
+}
+
+/// The other slot of a two-slot node whose slot `gone` is removed. A
+/// unique node gives it up by move (and is left empty, for the parent to
+/// drop); a shared node is left as it is and the slot cloned.
+#[inline]
+pub fn survivor<N: CowNode>(this: &mut N, gone: usize) -> N::Slot {
+    this.take_slot(1 - gone)
+}
+
+/// A trie node stored as a bitmap plus a `Box<[Slot]>` array, whose
+/// `Arc` handle is a [`CowNode`].
+pub trait SlotNode: Clone {
+    /// The node's branch bitmap.
     type Bitmap: Copy;
 
     /// One physical slot.
@@ -58,81 +149,60 @@ pub trait CowNode: Clone {
     fn of_parts(bitmap: Self::Bitmap, slots: Box<[Self::Slot]>) -> Self;
 
     /// The sub-trie handle a child slot holds.
+    fn child(slot: &Self::Slot) -> &Arc<Self>;
+
+    /// The sub-trie handle a child slot holds, mutably.
     fn child_mut(slot: &mut Self::Slot) -> &mut Arc<Self>;
 }
 
-/// Runs `edit` on the child handle in slot `idx` and returns its outcome.
-/// Under a unique node the handle is edited in place. Under a shared node
-/// `edit` gets a clone of the handle, and this node is copied to store the
-/// edited child only when `store` accepts the outcome.
-#[inline]
-pub fn edit_child<N: CowNode, R>(
-    this: &mut Arc<N>,
-    idx: usize,
-    edit: impl FnOnce(&mut Arc<N>) -> R,
-    store: impl FnOnce(&R) -> bool,
-) -> R {
-    if let Some(node) = Arc::get_mut(this) {
-        return edit(N::child_mut(&mut node.slots_mut()[idx]));
-    }
-    edit_shared_child(this, idx, edit, store)
-}
+impl<N: SlotNode> CowNode for Arc<N> {
+    type Bitmap = N::Bitmap;
+    type Slot = N::Slot;
 
-/// The shared-node half of [`edit_child`]. It stays out of line so that
-/// the unique descent, which every transient edit takes, keeps no copied
-/// slot in its frame: inlined, it made CHAMP and HAMT builds with
-/// reference-counted values about 10 % slower.
-#[inline(never)]
-fn edit_shared_child<N: CowNode, R>(
-    this: &mut Arc<N>,
-    idx: usize,
-    edit: impl FnOnce(&mut Arc<N>) -> R,
-    store: impl FnOnce(&R) -> bool,
-) -> R {
-    let mut slot = this.parts().1[idx].clone();
-    let outcome = edit(N::child_mut(&mut slot));
-    if store(&outcome) {
-        let (bitmap, slots) = this.parts();
-        *this = Arc::new(N::of_parts(bitmap, replaced_at(slots, idx, slot)));
+    #[inline]
+    fn child(&self, idx: usize) -> &Self {
+        N::child(&self.parts().1[idx])
     }
-    outcome
-}
 
-/// Installs `bitmap` and inserts `slot` at `idx`.
-#[inline]
-pub fn insert_slot<N: CowNode>(this: &mut Arc<N>, bitmap: N::Bitmap, idx: usize, slot: N::Slot) {
-    match Arc::get_mut(this) {
-        Some(node) => {
-            let slots = std::mem::take(node.slots_mut());
-            *node = N::of_parts(bitmap, inserted_at_owned(slots, idx, slot));
+    #[inline]
+    fn unique_child(&mut self, idx: usize) -> Option<&mut Self> {
+        Arc::get_mut(self).map(|node| N::child_mut(&mut node.slots_mut()[idx]))
+    }
+
+    fn copy_with_child(&mut self, idx: usize, child: Self) {
+        let (bitmap, slots) = self.parts();
+        let mut slot = slots[idx].clone();
+        *N::child_mut(&mut slot) = child;
+        *self = Arc::new(N::of_parts(bitmap, replaced_at(slots, idx, slot)));
+    }
+
+    #[inline]
+    fn resize(&mut self, bitmap: N::Bitmap, idx: usize, slot: Option<N::Slot>) {
+        match (Arc::get_mut(self), slot) {
+            (Some(node), Some(slot)) => {
+                let slots = std::mem::take(node.slots_mut());
+                *node = N::of_parts(bitmap, inserted_at_owned(slots, idx, slot));
+            }
+            (Some(node), None) => {
+                let slots = std::mem::take(node.slots_mut());
+                *node = N::of_parts(bitmap, removed_at_owned(slots, idx));
+            }
+            (None, Some(slot)) => {
+                *self = Arc::new(N::of_parts(bitmap, inserted_at(self.parts().1, idx, slot)))
+            }
+            (None, None) => *self = Arc::new(N::of_parts(bitmap, removed_at(self.parts().1, idx))),
         }
-        None => *this = Arc::new(N::of_parts(bitmap, inserted_at(this.parts().1, idx, slot))),
     }
-}
 
-/// Installs `bitmap` and removes the slot at `idx`.
-#[inline]
-pub fn remove_slot<N: CowNode>(this: &mut Arc<N>, bitmap: N::Bitmap, idx: usize) {
-    match Arc::get_mut(this) {
-        Some(node) => {
-            let slots = std::mem::take(node.slots_mut());
-            *node = N::of_parts(bitmap, removed_at_owned(slots, idx));
+    #[inline]
+    fn take_slot(&mut self, keep: usize) -> N::Slot {
+        debug_assert_eq!(self.parts().1.len(), 2);
+        match Arc::get_mut(self) {
+            Some(node) => std::mem::take(node.slots_mut())
+                .into_vec()
+                .swap_remove(keep),
+            None => self.parts().1[keep].clone(),
         }
-        None => *this = Arc::new(N::of_parts(bitmap, removed_at(this.parts().1, idx))),
-    }
-}
-
-/// The other slot of a two-slot node whose slot `gone` is removed. A
-/// unique node gives it up by move (and is left empty, for the parent to
-/// drop); a shared node is left as it is and the slot cloned.
-#[inline]
-pub fn survivor<N: CowNode>(this: &mut Arc<N>, gone: usize) -> N::Slot {
-    debug_assert_eq!(this.parts().1.len(), 2);
-    match Arc::get_mut(this) {
-        Some(node) => std::mem::take(node.slots_mut())
-            .into_vec()
-            .swap_remove(1 - gone),
-        None => this.parts().1[1 - gone].clone(),
     }
 }
 

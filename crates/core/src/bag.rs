@@ -54,6 +54,17 @@ pub trait ValueBag<V>: Clone + PartialEq + sealed::Sealed {
     /// Builds a bag from two *distinct* values (promotion of a `1:1` slot).
     fn from_two(a: V, b: V) -> Self;
 
+    /// True if the bag is a hash trie, whose [`ValueBag::from_two_hashed`]
+    /// needs the values' hashes; an inline bag ignores them, so its
+    /// promotion computes none.
+    const HASHED: bool;
+
+    /// [`ValueBag::from_two`] of values whose 32-bit hashes (`ha`, `hb`)
+    /// the caller already computed (any value when not
+    /// [`ValueBag::HASHED`]): runs no `Hash` or `Eq` of `V`, so the
+    /// promotion can build the bag while it moves the slot.
+    fn from_two_hashed(a: V, ha: u32, b: V, hb: u32) -> Self;
+
     /// Number of values (always ≥ 2 while stored in a `CAT2` slot).
     fn len(&self) -> usize;
 
@@ -96,6 +107,12 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
 
     fn from_two(a: V, b: V) -> Self {
         AxiomSet::from_two(a, b)
+    }
+
+    const HASHED: bool = true;
+
+    fn from_two_hashed(a: V, ha: u32, b: V, hb: u32) -> Self {
+        AxiomSet::from_two_hashed(a, ha, b, hb)
     }
 
     fn len(&self) -> usize {
@@ -186,6 +203,12 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
 
     fn from_two(a: V, b: V) -> Self {
         debug_assert!(a != b);
+        FusedBag::Inline(Box::new([a, b]))
+    }
+
+    const HASHED: bool = false;
+
+    fn from_two_hashed(a: V, _: u32, b: V, _: u32) -> Self {
         FusedBag::Inline(Box::new([a, b]))
     }
 

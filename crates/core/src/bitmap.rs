@@ -230,6 +230,15 @@ impl SlotBitmap {
         }
     }
 
+    /// The masks occupied in `self` or in `other`, ascending: the branches
+    /// a lockstep walk of two nodes visits.
+    pub fn occupied_with(self, other: SlotBitmap) -> MaskIter {
+        let both = self.0 | other.0;
+        MaskIter {
+            filtered: (both | both >> 1) & LSB,
+        }
+    }
+
     /// Fused dispatch: category **and** absolute slot index of branch `mask`
     /// in one pass over the bitmap.
     ///
@@ -497,6 +506,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn occupied_with_is_the_union_of_occupied_masks() {
+        let a = SlotBitmap::EMPTY.with(3, Cat2).with(31, Node);
+        let b = SlotBitmap::EMPTY.with(0, Cat1).with(3, Cat1);
+        assert_eq!(a.occupied_with(b).collect::<Vec<_>>(), vec![0, 3, 31]);
+        assert_eq!(
+            SlotBitmap::EMPTY.occupied_with(SlotBitmap::EMPTY).count(),
+            0
+        );
     }
 
     #[test]

@@ -8,9 +8,17 @@
 //! entries one. Under a specializing [`LayoutPolicy`] small nodes become
 //! fixed-field objects without the array; under a fusing policy nested-set
 //! wrapper objects disappear.
+//!
+//! Native bytes are what the allocator holds: a set or multi-map node is
+//! one [`Packed`](trie_common::packed::Packed) block (its
+//! `alloc_bytes`), counted once however many handles share it; the map's
+//! nodes are an `Arc` plus a boxed slot array. The walk tells a collision
+//! node from a bitmap node by depth, as the tries do.
 
 use std::hash::Hash;
 use std::sync::Arc;
+
+use trie_common::bits::{hash_exhausted, next_shift};
 
 use heapmodel::{
     arc_alloc_bytes, boxed_slice_bytes, Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy,
@@ -19,7 +27,7 @@ use heapmodel::{
 
 use crate::bag::FusedBag;
 use crate::map::{self, AxiomMap};
-use crate::multimap::{AxiomMultiMap, Binding};
+use crate::multimap::AxiomMultiMap;
 use crate::set::{self, AxiomSet};
 use crate::{multimap, ValueBag};
 
@@ -29,29 +37,25 @@ use crate::{multimap, ValueBag};
 
 fn set_nodes_jvm<T: JvmSize>(
     node: &set::Node<T>,
+    shift: u32,
     arch: &JvmArch,
     policy: &LayoutPolicy,
     acc: &mut Accounting,
 ) {
-    match node {
-        set::Node::Bitmap(b) => {
-            // Elements weigh 1 ref, children 1 ref; bitmap is one long.
-            let slots = b.slots.len() as u64;
-            acc.structure(policy.node_size(arch, slots, 0, 1));
-            for slot in b.slots.iter() {
-                match slot {
-                    set::Slot::Elem(e) => acc.payload(e.jvm_size(arch)),
-                    set::Slot::Child(child) => set_nodes_jvm(child, arch, policy, acc),
-                }
-            }
-        }
-        set::Node::Collision(c) => {
-            // Collision node: object(array ref, hash int) + element array.
-            acc.structure(arch.object(1, 1, 0) + arch.ref_array(c.elems.len() as u64));
-            for e in &c.elems {
-                acc.payload(e.jvm_size(arch));
-            }
-        }
+    let elems = node.ones();
+    if hash_exhausted(shift) {
+        // Collision node: object(array ref, hash int) + element array.
+        acc.structure(arch.object(1, 1, 0) + arch.ref_array(elems.len() as u64));
+    } else {
+        // Elements weigh 1 ref, children 1 ref; bitmap is one long.
+        let slots = (elems.len() + node.children().len()) as u64;
+        acc.structure(policy.node_size(arch, slots, 0, 1));
+    }
+    for e in elems {
+        acc.payload(e.jvm_size(arch));
+    }
+    for child in node.children() {
+        set_nodes_jvm(child, next_shift(shift), arch, policy, acc);
     }
 }
 
@@ -59,27 +63,17 @@ impl<T: Clone + Eq + Hash + JvmSize> JvmFootprint for AxiomSet<T> {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         // Outer collection wrapper: root ref + cached size/hash ints.
         acc.structure(arch.object(1, 2, 0));
-        set_nodes_jvm(self.root_node(), arch, policy, acc);
+        set_nodes_jvm(self.root_node(), 0, arch, policy, acc);
     }
 }
 
-fn set_nodes_rust<T>(node: &Arc<set::Node<T>>, acc: &mut Accounting) {
-    if !acc.first_visit(Arc::as_ptr(node)) {
+fn set_nodes_rust<T>(node: &set::Node<T>, acc: &mut Accounting) {
+    if !acc.first_visit(node.as_ptr()) {
         return;
     }
-    acc.structure(arc_alloc_bytes::<set::Node<T>>());
-    match &**node {
-        set::Node::Bitmap(b) => {
-            acc.structure(boxed_slice_bytes::<set::Slot<T>>(b.slots.len()));
-            for slot in b.slots.iter() {
-                if let set::Slot::Child(child) = slot {
-                    set_nodes_rust(child, acc);
-                }
-            }
-        }
-        set::Node::Collision(c) => {
-            acc.structure(boxed_slice_bytes::<T>(c.elems.len()));
-        }
+    acc.structure(node.alloc_bytes() as u64);
+    for child in node.children() {
+        set_nodes_rust(child, acc);
     }
 }
 
@@ -180,7 +174,7 @@ impl<V: Clone + Eq + Hash + JvmSize> MeasuredBag<V> for AxiomSet<V> {
     fn bag_jvm(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         // Nested set: wrapper object unless the layout policy fuses it away.
         acc.structure(policy.set_wrapper(arch));
-        set_nodes_jvm(self.root_node(), arch, policy, acc);
+        set_nodes_jvm(self.root_node(), 0, arch, policy, acc);
     }
 
     fn bag_rust(&self, acc: &mut Accounting) {
@@ -199,7 +193,7 @@ impl<V: Clone + Eq + Hash + JvmSize> MeasuredBag<V> for FusedBag<V> {
                     acc.payload(v.jvm_size(arch));
                 }
             }
-            FusedBag::Trie(s) => set_nodes_jvm(s.root_node(), arch, policy, acc),
+            FusedBag::Trie(s) => set_nodes_jvm(s.root_node(), 0, arch, policy, acc),
         }
     }
 
@@ -213,6 +207,7 @@ impl<V: Clone + Eq + Hash + JvmSize> MeasuredBag<V> for FusedBag<V> {
 
 fn mm_nodes_jvm<K, V, B>(
     node: &multimap::Node<K, V, B>,
+    shift: u32,
     arch: &JvmArch,
     policy: &LayoutPolicy,
     acc: &mut Accounting,
@@ -221,37 +216,25 @@ fn mm_nodes_jvm<K, V, B>(
     V: Clone + Eq + Hash + JvmSize,
     B: MeasuredBag<V>,
 {
-    match node {
-        multimap::Node::Bitmap(b) => {
-            // Paper weight vector [0, 2, 2, 1]: payload categories use two
-            // array slots, sub-nodes one; the bitmap is one long.
-            let payload = b.bitmap.payload_arity() as u64;
-            let children = b.bitmap.node_arity() as u64;
-            acc.structure(policy.node_size(arch, 2 * payload + children, 0, 1));
-            for slot in b.slots.iter() {
-                match slot {
-                    multimap::Slot::One(k, v) => {
-                        acc.payload(k.jvm_size(arch));
-                        acc.payload(v.jvm_size(arch));
-                    }
-                    multimap::Slot::Many(k, bag) => {
-                        acc.payload(k.jvm_size(arch));
-                        bag.bag_jvm(arch, policy, acc);
-                    }
-                    multimap::Slot::Child(child) => mm_nodes_jvm(child, arch, policy, acc),
-                }
-            }
-        }
-        multimap::Node::Collision(c) => {
-            acc.structure(arch.object(1, 1, 0) + arch.ref_array(2 * c.entries.len() as u64));
-            for (k, binding) in &c.entries {
-                acc.payload(k.jvm_size(arch));
-                match binding {
-                    Binding::One(v) => acc.payload(v.jvm_size(arch)),
-                    Binding::Many(bag) => bag.bag_jvm(arch, policy, acc),
-                }
-            }
-        }
+    let payload = (node.ones().len() + node.manys().len()) as u64;
+    if hash_exhausted(shift) {
+        acc.structure(arch.object(1, 1, 0) + arch.ref_array(2 * payload));
+    } else {
+        // Paper weight vector [0, 2, 2, 1]: payload categories use two
+        // array slots, sub-nodes one; the bitmap is one long.
+        let children = node.children().len() as u64;
+        acc.structure(policy.node_size(arch, 2 * payload + children, 0, 1));
+    }
+    for (k, v) in node.ones() {
+        acc.payload(k.jvm_size(arch));
+        acc.payload(v.jvm_size(arch));
+    }
+    for (k, bag) in node.manys() {
+        acc.payload(k.jvm_size(arch));
+        bag.bag_jvm(arch, policy, acc);
+    }
+    for child in node.children() {
+        mm_nodes_jvm(child, next_shift(shift), arch, policy, acc);
     }
 }
 
@@ -264,40 +247,26 @@ where
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         // Outer wrapper: root ref + cached tuple/key counts.
         acc.structure(arch.object(1, 2, 0));
-        mm_nodes_jvm(self.root_node(), arch, policy, acc);
+        mm_nodes_jvm(self.root_node(), 0, arch, policy, acc);
     }
 }
 
-fn mm_nodes_rust<K, V, B>(node: &Arc<multimap::Node<K, V, B>>, acc: &mut Accounting)
+fn mm_nodes_rust<K, V, B>(node: &multimap::Node<K, V, B>, acc: &mut Accounting)
 where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
     B: MeasuredBag<V>,
     V: JvmSize,
 {
-    if !acc.first_visit(Arc::as_ptr(node)) {
+    if !acc.first_visit(node.as_ptr()) {
         return;
     }
-    acc.structure(arc_alloc_bytes::<multimap::Node<K, V, B>>());
-    match &**node {
-        multimap::Node::Bitmap(b) => {
-            acc.structure(boxed_slice_bytes::<multimap::Slot<K, V, B>>(b.slots.len()));
-            for slot in b.slots.iter() {
-                match slot {
-                    multimap::Slot::Many(_, bag) => bag.bag_rust(acc),
-                    multimap::Slot::Child(child) => mm_nodes_rust(child, acc),
-                    multimap::Slot::One(..) => {}
-                }
-            }
-        }
-        multimap::Node::Collision(c) => {
-            acc.structure(boxed_slice_bytes::<(K, Binding<V, B>)>(c.entries.len()));
-            for (_, binding) in &c.entries {
-                if let Binding::Many(bag) = binding {
-                    bag.bag_rust(acc);
-                }
-            }
-        }
+    acc.structure(node.alloc_bytes() as u64);
+    for (_, bag) in node.manys() {
+        bag.bag_rust(acc);
+    }
+    for child in node.children() {
+        mm_nodes_rust(child, acc);
     }
 }
 

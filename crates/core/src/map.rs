@@ -26,7 +26,7 @@ use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
 
 use crate::bitmap::{Category, SlotBitmap};
-use crate::slots::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
+use crate::slots::{edit_child, insert_slot, migrate_map, remove_slot, survivor, SlotNode};
 
 /// One physical slot of a map node.
 #[derive(Debug, Clone)]
@@ -325,7 +325,7 @@ impl<K, V> Node<K, V> {
     }
 }
 
-impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+impl<K: Clone, V: Clone> SlotNode for Node<K, V> {
     type Bitmap = SlotBitmap;
     type Slot = Slot<K, V>;
 
@@ -342,6 +342,13 @@ impl<K: Clone, V: Clone> CowNode for Node<K, V> {
 
     fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<K, V>]>) -> Self {
         Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child(slot: &Slot<K, V>) -> &Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Entry(..) => unreachable!("bitmap says NODE"),
+        }
     }
 
     fn child_mut(slot: &mut Slot<K, V>) -> &mut Arc<Self> {

@@ -8,6 +8,10 @@
 //! * `CAT2` — a key with a **nested collection** of ≥ 2 values (`1:n`);
 //! * `NODE` — a sub-trie; `EMPTY` — unoccupied.
 //!
+//! Each node is one allocation ([`trie_common::packed`]): the bitmap, then
+//! the `1:1` tuples, the `1:n` tuples and the sub-trie handles, each group
+//! ascending by mask. The bitmap is the only tag; no slot carries one.
+//!
 //! Content migrates between representations as the relation evolves
 //! (paper §3.2): inserting a second value *promotes* a `CAT1` slot to `CAT2`;
 //! deleting down to one value *demotes* it back; prefix clashes push payload
@@ -41,17 +45,15 @@
 
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
+use trie_common::packed::{Children, Manys, Ones, Packed, Slot};
 
 use crate::bag::{BagEdited, ValueBag};
 use crate::bitmap::{Category, SlotBitmap};
 use crate::set::AxiomSet;
-use crate::slots::{
-    edit_child, insert_slot, inserted_at_owned, migrate_map, remove_slot, survivor, CowNode,
-};
+use crate::slots::{edit_child, insert_slot, remove_slot, survivor};
 
 /// The values bound to one key: an inlined singleton or a nested bag.
 #[derive(Debug, Clone)]
@@ -85,55 +87,25 @@ impl<V: Clone + Eq + Hash, B: ValueBag<V>> Binding<V, B> {
         }
         Some(binding)
     }
+}
 
+impl<V, B> Binding<V, B> {
     fn category(&self) -> Category {
         match self {
             Binding::One(_) => Category::Cat1,
             Binding::Many(_) => Category::Cat2,
         }
     }
-
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Binding::One(a), Binding::One(b)) => a == b,
-            (Binding::Many(a), Binding::Many(b)) => a == b,
-            _ => false,
-        }
-    }
 }
 
-/// One physical slot of a multi-map node.
-#[derive(Debug, Clone)]
-pub(crate) enum Slot<K, V, B> {
-    /// `CAT1`: inlined `1:1` tuple.
-    One(K, V),
-    /// `CAT2`: key plus nested bag of ≥ 2 values.
-    Many(K, B),
-    /// `NODE`: shared sub-trie.
-    Child(Arc<Node<K, V, B>>),
-}
+/// A trie node: one allocation holding the bitmap, the `1:1` tuples, the
+/// `1:n` tuples and the sub-trie handles. Past the last hash level a node
+/// is a collision node: keys sharing one 32-bit hash, no children, an
+/// unused bitmap.
+pub(crate) type Node<K, V, B> = Packed<SlotBitmap, (K, V), (K, B)>;
 
-/// A compressed trie node: bitmap plus dense, permuted slots
-/// (`[1:1 tuples… | 1:n tuples… | children…]`, each group ascending by mask).
-#[derive(Debug, Clone)]
-pub(crate) struct BitmapNode<K, V, B> {
-    pub(crate) bitmap: SlotBitmap,
-    pub(crate) slots: Box<[Slot<K, V, B>]>,
-}
-
-/// Hash-collision overflow node.
-#[derive(Debug, Clone)]
-pub(crate) struct CollisionNode<K, V, B> {
-    pub(crate) hash: u32,
-    pub(crate) entries: Vec<(K, Binding<V, B>)>,
-}
-
-/// A trie node.
-#[derive(Debug, Clone)]
-pub(crate) enum Node<K, V, B> {
-    Bitmap(BitmapNode<K, V, B>),
-    Collision(CollisionNode<K, V, B>),
-}
+/// One slot of a multi-map node, by value.
+type NodeSlot<K, V, B> = Slot<(K, V), (K, B), Node<K, V, B>>;
 
 /// Insertion outcome: the walk edits or copies nodes where they stand, so
 /// only the tuple/key bookkeeping flag travels.
@@ -155,7 +127,7 @@ enum EditRemoved<K, V, B> {
     NotFound,
     Removed(Removal),
     /// Sub-tree collapsed to one key's binding: the parent inlines it (a
-    /// unique node is left consumed for the parent to drop).
+    /// unique node is left empty for the parent to drop).
     Single {
         key: K,
         binding: Binding<V, B>,
@@ -163,495 +135,491 @@ enum EditRemoved<K, V, B> {
     },
 }
 
-impl<K, V, B> Node<K, V, B>
+fn slot_of<K, V, B>(key: K, binding: Binding<V, B>) -> NodeSlot<K, V, B> {
+    match binding {
+        Binding::One(v) => Slot::One((key, v)),
+        Binding::Many(bag) => Slot::Many((key, bag)),
+    }
+}
+
+/// The key and binding of a payload slot handed over by a collapsing
+/// node (inverse of [`slot_of`]).
+fn binding_of<K, V, B>(slot: NodeSlot<K, V, B>) -> (K, Binding<V, B>) {
+    match slot {
+        Slot::One((k, v)) => (k, Binding::One(v)),
+        Slot::Many((k, bag)) => (k, Binding::Many(bag)),
+        Slot::Child(_) => unreachable!("a collapsing node holds two payload slots"),
+    }
+}
+
+/// The branch of `hash` at `shift`; 0 past the last level, where a
+/// collision node has no branches.
+fn branch(hash: u32, shift: u32) -> u32 {
+    match hash_exhausted(shift) {
+        true => 0,
+        false => mask(hash, shift),
+    }
+}
+
+fn empty<K, V, B>() -> Node<K, V, B> {
+    Node::new(SlotBitmap::EMPTY, [], [], [])
+}
+
+/// A node of one binding (the root a collapsed trie leaves, or a bitmap
+/// node's payload group of one).
+fn node_of<K, V, B>(bitmap: SlotBitmap, key: K, binding: Binding<V, B>) -> Node<K, V, B> {
+    match binding {
+        Binding::One(v) => Node::new(bitmap, [(key, v)], [], []),
+        Binding::Many(bag) => Node::new(bitmap, [], [(key, bag)], []),
+    }
+}
+
+/// Builds the minimal sub-trie holding two distinct keys' bindings whose
+/// hash prefixes agree up to `shift`.
+fn pair<K, V, B>(
+    h1: u32,
+    k1: K,
+    b1: Binding<V, B>,
+    h2: u32,
+    k2: K,
+    b2: Binding<V, B>,
+    shift: u32,
+) -> Node<K, V, B> {
+    let exhausted = hash_exhausted(shift);
+    let (m1, m2) = (branch(h1, shift), branch(h2, shift));
+    if !exhausted && m1 == m2 {
+        let child = pair(h1, k1, b1, h2, k2, b2, next_shift(shift));
+        return Node::new(SlotBitmap::EMPTY.with(m1, Category::Node), [], [], [child]);
+    }
+    // A collision node (exhausted hash) ignores its bitmap.
+    let bitmap = match exhausted {
+        true => SlotBitmap::EMPTY,
+        false => SlotBitmap::EMPTY
+            .with(m1, b1.category())
+            .with(m2, b2.category()),
+    };
+    let ((ka, ba), (kb, bb)) = match m1 <= m2 {
+        true => ((k1, b1), (k2, b2)),
+        false => ((k2, b2), (k1, b1)),
+    };
+    match (ba, bb) {
+        (Binding::One(va), Binding::One(vb)) => Node::new(bitmap, [(ka, va), (kb, vb)], [], []),
+        (Binding::Many(xa), Binding::Many(xb)) => Node::new(bitmap, [], [(ka, xa), (kb, xb)], []),
+        (Binding::One(va), Binding::Many(xb)) => Node::new(bitmap, [(ka, va)], [(kb, xb)], []),
+        (Binding::Many(xa), Binding::One(vb)) => Node::new(bitmap, [(kb, vb)], [(ka, xa)], []),
+    }
+}
+
+/// The binding of `key` in a collision node, with its absolute slot index.
+fn collision_find<'a, K: Eq, V, B>(
+    node: &'a Node<K, V, B>,
+    key: &K,
+) -> Option<(usize, BindingRef<'a, V, B>)> {
+    let ones = node.ones();
+    if let Some(pos) = ones.iter().position(|(k, _)| k == key) {
+        return Some((pos, BindingRef::One(&ones[pos].1)));
+    }
+    let pos = node.manys().iter().position(|(k, _)| k == key)?;
+    Some((ones.len() + pos, BindingRef::Many(&node.manys()[pos].1)))
+}
+
+fn get<'a, K, V, B>(
+    node: &'a Node<K, V, B>,
+    hash: u32,
+    shift: u32,
+    key: &K,
+) -> Option<BindingRef<'a, V, B>>
+where
+    K: Eq,
+{
+    if hash_exhausted(shift) {
+        return collision_find(node, key).map(|(_, binding)| binding);
+    }
+    // Fused dispatch: category and slot index from one pass.
+    match node.word().locate(mask(hash, shift)) {
+        (Category::Empty, _) => None,
+        (Category::Cat1, idx) => {
+            let (k, v) = node.one(idx);
+            (k == key).then_some(BindingRef::One(v))
+        }
+        (Category::Cat2, idx) => {
+            let (k, bag) = node.many(idx);
+            (k == key).then_some(BindingRef::Many(bag))
+        }
+        (Category::Node, idx) => get(node.child(idx), hash, next_shift(shift), key),
+    }
+}
+
+/// Prefix clash at mask `m`: the payload at `idx` (of category `cat`) and
+/// the new binding of `key` (hashed to `hash`) descend into a fresh
+/// sub-trie; the slot becomes NODE.
+fn push_down<K, V, B>(
+    this: &mut Node<K, V, B>,
+    (m, shift): (u32, u32),
+    (cat, idx): (Category, usize),
+    (hash, key, binding): (u32, K, Binding<V, B>),
+) where
+    K: Clone + Eq + Hash,
+    V: Clone + Eq + Hash,
+    B: ValueBag<V>,
+{
+    let existing_hash = match cat {
+        Category::Cat1 => hash32(&this.one(idx).0),
+        _ => hash32(&this.many(idx).0),
+    };
+    let bitmap = this.word().with(m, Category::Node);
+    let to = bitmap.slot_index(Category::Node, m);
+    let below = move |k, existing| {
+        let child = pair(
+            existing_hash,
+            k,
+            existing,
+            hash,
+            key,
+            binding,
+            next_shift(shift),
+        );
+        (Slot::Child(child), ())
+    };
+    match cat {
+        Category::Cat1 => {
+            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| below(k, Binding::One(v)))
+        }
+        _ => this.migrate::<Manys, _>(bitmap, idx, to, |(k, bag)| below(k, Binding::Many(bag))),
+    }
+}
+
+/// Inserts `(key, value)` below `this`, editing unique nodes in place
+/// (`CAT2` bags through [`ValueBag::insert_mut`]) and copying shared ones
+/// on write (see [`crate::slots`]). Takes the tuple by ownership so the
+/// common paths are clone-free.
+fn insert_in_place<K, V, B>(
+    this: &mut Node<K, V, B>,
+    hash: u32,
+    shift: u32,
+    key: K,
+    value: V,
+) -> EditInserted
 where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    fn empty() -> Node<K, V, B> {
-        Node::Bitmap(BitmapNode {
-            bitmap: SlotBitmap::EMPTY,
-            slots: Box::new([]),
-        })
-    }
-
-    fn slot_of(key: K, binding: Binding<V, B>) -> Slot<K, V, B> {
-        match binding {
-            Binding::One(v) => Slot::One(key, v),
-            Binding::Many(bag) => Slot::Many(key, bag),
-        }
-    }
-
-    /// The key and binding of a payload slot (inverse of [`Node::slot_of`]).
-    fn binding_of(slot: Slot<K, V, B>) -> (K, Binding<V, B>) {
-        match slot {
-            Slot::One(k, v) => (k, Binding::One(v)),
-            Slot::Many(k, bag) => (k, Binding::Many(bag)),
-            Slot::Child(_) => unreachable!("bitmap says payload"),
-        }
-    }
-
-    /// Builds the minimal sub-trie holding two distinct keys' bindings whose
-    /// hash prefixes agree up to `shift`.
-    fn pair(
-        h1: u32,
-        k1: K,
-        b1: Binding<V, B>,
-        h2: u32,
-        k2: K,
-        b2: Binding<V, B>,
-        shift: u32,
-    ) -> Node<K, V, B> {
-        if hash_exhausted(shift) {
-            debug_assert_eq!(h1, h2);
-            return Node::Collision(CollisionNode {
-                hash: h1,
-                entries: vec![(k1, b1), (k2, b2)],
-            });
-        }
-        let m1 = mask(h1, shift);
-        let m2 = mask(h2, shift);
-        if m1 == m2 {
-            let child = Node::pair(h1, k1, b1, h2, k2, b2, next_shift(shift));
-            Node::Bitmap(BitmapNode {
-                bitmap: SlotBitmap::EMPTY.with(m1, Category::Node),
-                slots: Box::new([Slot::Child(Arc::new(child))]),
-            })
-        } else {
-            let c1 = b1.category();
-            let c2 = b2.category();
-            let bitmap = SlotBitmap::EMPTY.with(m1, c1).with(m2, c2);
-            let i1 = bitmap.slot_index(c1, m1);
-            let s1 = Node::slot_of(k1, b1);
-            let s2 = Node::slot_of(k2, b2);
-            let slots: Box<[Slot<K, V, B>]> = if i1 == 0 {
-                Box::new([s1, s2])
-            } else {
-                Box::new([s2, s1])
-            };
-            Node::Bitmap(BitmapNode { bitmap, slots })
-        }
-    }
-
-    fn get(&self, hash: u32, shift: u32, key: &K) -> Option<BindingRef<'_, V, B>> {
-        match self {
-            Node::Collision(c) => c
-                .entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, b)| BindingRef::of(b)),
-            Node::Bitmap(b) => {
-                // Fused dispatch: category and slot index from one pass.
-                match b.bitmap.locate(mask(hash, shift)) {
-                    (Category::Empty, _) => None,
-                    (Category::Cat1, idx) => match &b.slots[idx] {
-                        Slot::One(k, v) if k == key => Some(BindingRef::One(v)),
-                        Slot::One(..) => None,
-                        _ => unreachable!("bitmap says CAT1"),
-                    },
-                    (Category::Cat2, idx) => match &b.slots[idx] {
-                        Slot::Many(k, bag) if k == key => Some(BindingRef::Many(bag)),
-                        Slot::Many(..) => None,
-                        _ => unreachable!("bitmap says CAT2"),
-                    },
-                    (Category::Node, idx) => match &b.slots[idx] {
-                        Slot::Child(child) => child.get(hash, next_shift(shift), key),
-                        _ => unreachable!("bitmap says NODE"),
-                    },
-                }
-            }
-        }
-    }
-
-    /// Inserts `(key, value)` below `this`, editing unique nodes in place
-    /// (`CAT2` bags through [`ValueBag::insert_mut`]) and copying shared
-    /// ones on write (see [`crate::slots`]). Takes the tuple by ownership so
-    /// the common paths are clone-free.
-    fn insert_in_place(
-        this: &mut Arc<Node<K, V, B>>,
-        hash: u32,
-        shift: u32,
-        key: K,
-        value: V,
-    ) -> EditInserted {
-        let b = match &**this {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                let pos = c.entries.iter().position(|(k, _)| *k == key);
-                if pos.is_some_and(|pos| BindingRef::of(&c.entries[pos].1).contains(&value)) {
-                    return EditInserted::Unchanged;
-                }
-                let Node::Collision(c) = Arc::make_mut(this) else {
-                    unreachable!("matched a collision node")
-                };
-                let Some(pos) = pos else {
-                    c.entries.push((key, Binding::One(value)));
-                    return EditInserted::NewKey;
-                };
-                // Move the entry out (capacity is preserved, so the push
-                // below cannot reallocate), grow it, put it back.
-                let (k, binding) = c.entries.swap_remove(pos);
-                let binding = match binding {
-                    Binding::One(v) => Binding::Many(B::from_two(v, value)),
-                    Binding::Many(mut bag) => {
-                        bag.insert_mut(value);
-                        Binding::Many(bag)
-                    }
-                };
-                c.entries.push((k, binding));
-                return EditInserted::NewTuple;
-            }
-            Node::Bitmap(b) => b,
-        };
-        let m = mask(hash, shift);
-        let (cat, idx) = b.bitmap.locate(m);
-        let (ek, existing) = match cat {
-            Category::Empty => {
-                let bitmap = b.bitmap.with(m, Category::Cat1);
-                let idx = bitmap.slot_index(Category::Cat1, m);
-                insert_slot(this, bitmap, idx, Slot::One(key, value));
+    let (bitmap, m) = (this.word(), branch(hash, shift));
+    let (cat, idx) = match hash_exhausted(shift) {
+        true => match collision_find(this, &key) {
+            Some((idx, BindingRef::One(_))) => (Category::Cat1, idx),
+            Some((idx, BindingRef::Many(_))) => (Category::Cat2, idx),
+            None => {
+                let end = this.ones().len();
+                this.insert(bitmap, end, Slot::One((key, value)));
                 return EditInserted::NewKey;
             }
-            Category::Node => {
-                return edit_child(
+        },
+        false => bitmap.locate(m),
+    };
+    match cat {
+        Category::Empty => {
+            let bitmap = bitmap.with(m, Category::Cat1);
+            let idx = bitmap.slot_index(Category::Cat1, m);
+            insert_slot(this, bitmap, idx, Slot::One((key, value)));
+            EditInserted::NewKey
+        }
+        Category::Node => edit_child(
+            this,
+            idx,
+            |child| insert_in_place(child, hash, next_shift(shift), key, value),
+            |outcome| !matches!(outcome, EditInserted::Unchanged),
+        ),
+        Category::Cat1 => {
+            let (k, v) = this.one(idx);
+            if *k != key {
+                push_down(
                     this,
-                    idx,
-                    |child| Node::insert_in_place(child, hash, next_shift(shift), key, value),
-                    |outcome| !matches!(outcome, EditInserted::Unchanged),
+                    (m, shift),
+                    (cat, idx),
+                    (hash, key, Binding::One(value)),
                 );
+                return EditInserted::NewKey;
             }
-            Category::Cat1 | Category::Cat2 => match &b.slots[idx] {
-                Slot::One(k, v) => (k, BindingRef::One(v)),
-                Slot::Many(k, bag) => (k, BindingRef::Many(bag)),
-                Slot::Child(_) => unreachable!("bitmap says payload"),
-            },
-        };
-        if *ek != key {
-            // Prefix clash with a different key: both bindings descend; the
-            // slot becomes NODE.
-            let existing_hash = hash32(ek);
-            let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
-            *bitmap = bitmap.with(m, Category::Node);
-            let to = bitmap.slot_index(Category::Node, m);
-            migrate_map(slots, idx, to, |slot| {
-                let (k, existing) = Node::binding_of(slot);
-                Slot::Child(Arc::new(Node::pair(
-                    existing_hash,
-                    k,
-                    existing,
-                    hash,
-                    key,
-                    Binding::One(value),
-                    next_shift(shift),
-                )))
+            if *v == value {
+                return EditInserted::Unchanged;
+            }
+            // Promote 1:1 → 1:n: CAT1 → CAT2, the existing value moving
+            // into the fresh bag.
+            let (hv, hvalue) = match B::HASHED {
+                true => (hash32(v), hash32(&value)),
+                false => (0, 0),
+            };
+            let (bitmap, to) = match hash_exhausted(shift) {
+                true => (bitmap, this.arity() - this.children().len() - 1),
+                false => {
+                    let bitmap = bitmap.with(m, Category::Cat2);
+                    (bitmap, bitmap.slot_index(Category::Cat2, m))
+                }
+            };
+            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| {
+                (
+                    Slot::Many((k, B::from_two_hashed(v, hv, value, hvalue))),
+                    (),
+                )
             });
-            return EditInserted::NewKey;
+            EditInserted::NewTuple
         }
-        match existing {
-            BindingRef::One(v) => {
-                if *v == value {
-                    return EditInserted::Unchanged;
-                }
-                // Promote 1:1 → 1:n: CAT1 → CAT2, the existing value moving
-                // into the fresh bag.
-                let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
-                *bitmap = bitmap.with(m, Category::Cat2);
-                let to = bitmap.slot_index(Category::Cat2, m);
-                migrate_map(slots, idx, to, |slot| {
-                    let Slot::One(k, v) = slot else {
-                        unreachable!("bitmap says CAT1")
-                    };
-                    Slot::Many(k, B::from_two(v, value))
-                });
-                EditInserted::NewTuple
-            }
-            BindingRef::Many(bag) => {
-                // A shared node is copied only for a value its bag lacks.
-                if Arc::strong_count(this) > 1 && bag.contains(&value) {
-                    return EditInserted::Unchanged;
-                }
-                let Slot::Many(_, bag) = &mut Arc::make_mut(this).bitmap_node_mut().slots[idx]
-                else {
-                    unreachable!("bitmap says CAT2")
-                };
-                if bag.insert_mut(value) {
-                    EditInserted::NewTuple
-                } else {
-                    EditInserted::Unchanged
-                }
-            }
-        }
-    }
-
-    /// In-place put: binds `key` to `binding`, replacing the key's previous
-    /// binding, in one walk. Returns the previous binding's size (`None`
-    /// for a new key). A shared node is copied first (`Arc::make_mut`), so
-    /// other handles keep their version and only the spine down to the key
-    /// is copied; a uniquely-owned node is edited where it stands. A put
-    /// never removes a key, so no sub-trie collapses.
-    fn put_in_place(
-        this: &mut Arc<Node<K, V, B>>,
-        hash: u32,
-        shift: u32,
-        key: K,
-        binding: Binding<V, B>,
-    ) -> Option<usize> {
-        match Arc::make_mut(this) {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                match c.entries.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, old)) => Some(std::mem::replace(old, binding).len()),
-                    None => {
-                        c.entries.push((key, binding));
-                        None
-                    }
-                }
-            }
-            Node::Bitmap(b) => {
-                let m = mask(hash, shift);
-                let (cat, idx) = b.bitmap.locate(m);
-                let to_cat = binding.category();
-                let (ek, old_len) = match cat {
-                    Category::Empty => {
-                        b.bitmap = b.bitmap.with(m, to_cat);
-                        let idx = b.bitmap.slot_index(to_cat, m);
-                        b.slots = inserted_at_owned(
-                            std::mem::take(&mut b.slots),
-                            idx,
-                            Node::slot_of(key, binding),
-                        );
-                        return None;
-                    }
-                    Category::Node => {
-                        let Slot::Child(child) = &mut b.slots[idx] else {
-                            unreachable!("bitmap says NODE")
-                        };
-                        return Node::put_in_place(child, hash, next_shift(shift), key, binding);
-                    }
-                    Category::Cat1 | Category::Cat2 => match &b.slots[idx] {
-                        Slot::One(k, _) => (k, 1),
-                        Slot::Many(k, bag) => (k, bag.len()),
-                        Slot::Child(_) => unreachable!("bitmap says payload"),
-                    },
-                };
-                if *ek == key {
-                    if cat == to_cat {
-                        b.slots[idx] = Node::slot_of(key, binding);
-                    } else {
-                        // CAT1 ↔ CAT2 in place: the slot migrates groups.
-                        b.bitmap = b.bitmap.with(m, to_cat);
-                        let to = b.bitmap.slot_index(to_cat, m);
-                        migrate_map(&mut b.slots, idx, to, |_| Node::slot_of(key, binding));
-                    }
-                    return Some(old_len);
-                }
-                // Prefix clash: both bindings descend; the slot becomes NODE.
-                let existing_hash = hash32(ek);
-                b.bitmap = b.bitmap.with(m, Category::Node);
-                let to = b.bitmap.slot_index(Category::Node, m);
-                migrate_map(&mut b.slots, idx, to, |slot| {
-                    let (k, existing) = match slot {
-                        Slot::One(k, v) => (k, Binding::One(v)),
-                        Slot::Many(k, bag) => (k, Binding::Many(bag)),
-                        Slot::Child(_) => unreachable!("bitmap says payload"),
-                    };
-                    Slot::Child(Arc::new(Node::pair(
-                        existing_hash,
-                        k,
-                        existing,
-                        hash,
-                        key,
-                        binding,
-                        next_shift(shift),
-                    )))
-                });
-                None
-            }
-        }
-    }
-
-    /// Removes from `key`'s binding below `this` either one `value` (a
-    /// tuple removal) or, for `None`, the whole binding (a key removal),
-    /// with the same copy-on-write discipline as [`Node::insert_in_place`].
-    /// Canonicalizes on the way up: a sub-trie left with one key hands its
-    /// binding to the parent for inlining.
-    fn remove_in_place(
-        this: &mut Arc<Node<K, V, B>>,
-        hash: u32,
-        shift: u32,
-        key: &K,
-        value: Option<&V>,
-    ) -> EditRemoved<K, V, B> {
-        let b = match &**this {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k == key) else {
-                    return EditRemoved::NotFound;
-                };
-                let binding = &c.entries[pos].1;
-                let removal = match value {
-                    None => Removal {
-                        tuples: binding.len(),
-                        key_gone: true,
-                    },
-                    Some(v) if !BindingRef::of(binding).contains(v) => {
-                        return EditRemoved::NotFound
-                    }
-                    Some(_) => Removal {
-                        tuples: 1,
-                        key_gone: binding.len() == 1,
-                    },
-                };
-                let Node::Collision(c) = Arc::make_mut(this) else {
-                    unreachable!("matched a collision node")
-                };
-                if let (Binding::Many(bag), Some(v)) = (&mut c.entries[pos].1, value) {
-                    if let BagEdited::Single(survivor) = bag.remove_mut(v) {
-                        c.entries[pos].1 = Binding::One(survivor);
-                    }
-                    return EditRemoved::Removed(removal);
-                }
-                c.entries.swap_remove(pos);
-                if c.entries.len() == 1 {
-                    let (key, binding) = c.entries.pop().expect("len == 1");
-                    return EditRemoved::Single {
-                        key,
-                        binding,
-                        removal,
-                    };
-                }
-                return EditRemoved::Removed(removal);
-            }
-            Node::Bitmap(b) => b,
-        };
-        let m = mask(hash, shift);
-        let (cat, idx) = b.bitmap.locate(m);
-        let removal = match cat {
-            Category::Empty => return EditRemoved::NotFound,
-            Category::Node => {
-                // A pure chain node dissolves when its child collapses.
-                let chain =
-                    shift > 0 && b.bitmap.payload_arity() == 0 && b.bitmap.node_arity() == 1;
-                return match edit_child(
+        Category::Cat2 => {
+            let (k, bag) = this.many(idx);
+            if *k != key {
+                push_down(
                     this,
-                    idx,
-                    |child| Node::remove_in_place(child, hash, next_shift(shift), key, value),
-                    |outcome| matches!(outcome, EditRemoved::Removed(_)),
-                ) {
-                    EditRemoved::Single {
-                        key,
-                        binding,
-                        removal,
-                    } if !chain => {
-                        // Inline the binding: NODE → CAT1/CAT2, dropping the
-                        // collapsed child.
-                        let cat = binding.category();
-                        let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
-                        *bitmap = bitmap.with(m, cat);
-                        let to = bitmap.slot_index(cat, m);
-                        migrate_map(slots, idx, to, |_child| Node::slot_of(key, binding));
-                        EditRemoved::Removed(removal)
-                    }
-                    outcome => outcome,
-                };
+                    (m, shift),
+                    (cat, idx),
+                    (hash, key, Binding::One(value)),
+                );
+                return EditInserted::NewKey;
             }
-            Category::Cat1 => match &b.slots[idx] {
-                Slot::One(k, v) if k == key && value.is_none_or(|value| value == v) => Removal {
-                    tuples: 1,
-                    key_gone: true,
-                },
-                Slot::One(..) => return EditRemoved::NotFound,
-                _ => unreachable!("bitmap says CAT1"),
-            },
-            Category::Cat2 => match (&b.slots[idx], value) {
-                (Slot::Many(k, _), _) if k != key => return EditRemoved::NotFound,
-                (Slot::Many(_, bag), None) => Removal {
-                    tuples: bag.len(),
-                    key_gone: true,
-                },
-                (Slot::Many(_, bag), Some(value)) => {
-                    // A shared node is copied only for a value its bag holds.
-                    if Arc::strong_count(this) > 1 && !bag.contains(value) {
-                        return EditRemoved::NotFound;
-                    }
-                    let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
-                    let Slot::Many(_, bag) = &mut slots[idx] else {
-                        unreachable!("bitmap says CAT2")
-                    };
-                    let removal = Removal {
-                        tuples: 1,
-                        key_gone: false,
-                    };
-                    let survivor = match bag.remove_mut(value) {
-                        BagEdited::NotFound => return EditRemoved::NotFound,
-                        BagEdited::Shrunk => return EditRemoved::Removed(removal),
-                        BagEdited::Single(survivor) => survivor,
-                    };
-                    // Demote 1:n → 1:1: CAT2 → CAT1, dropping the consumed bag.
-                    *bitmap = bitmap.with(m, Category::Cat1);
-                    let to = bitmap.slot_index(Category::Cat1, m);
-                    migrate_map(slots, idx, to, |slot| {
-                        let Slot::Many(k, _) = slot else {
-                            unreachable!("bitmap says CAT2")
-                        };
-                        Slot::One(k, survivor)
+            // A shared node is copied only for a value its bag lacks.
+            if !this.is_unique() && bag.contains(&value) {
+                return EditInserted::Unchanged;
+            }
+            let node = this.make_mut();
+            match node.manys[idx - node.ones.len()].1.insert_mut(value) {
+                true => EditInserted::NewTuple,
+                false => EditInserted::Unchanged,
+            }
+        }
+    }
+}
+
+/// In-place put: binds `key` to `binding`, replacing the key's previous
+/// binding, in one walk. Returns the previous binding's size (`None` for a
+/// new key). A shared node is copied first (`make_mut`), so other handles
+/// keep their version and only the spine down to the key is copied; a
+/// uniquely-owned node is edited where it stands. A put never removes a
+/// key, so no sub-trie collapses.
+fn put_in_place<K, V, B>(
+    this: &mut Node<K, V, B>,
+    hash: u32,
+    shift: u32,
+    key: K,
+    binding: Binding<V, B>,
+) -> Option<usize>
+where
+    K: Clone + Eq + Hash,
+    V: Clone + Eq + Hash,
+    B: ValueBag<V>,
+{
+    let (bitmap, m) = (this.word(), branch(hash, shift));
+    let to_cat = binding.category();
+    let (cat, idx) = match hash_exhausted(shift) {
+        true => match collision_find(this, &key) {
+            Some((idx, BindingRef::One(_))) => (Category::Cat1, idx),
+            Some((idx, BindingRef::Many(_))) => (Category::Cat2, idx),
+            None => {
+                let end = match to_cat {
+                    Category::Cat1 => this.ones().len(),
+                    _ => this.ones().len() + this.manys().len(),
+                };
+                this.insert(bitmap, end, slot_of(key, binding));
+                return None;
+            }
+        },
+        false => bitmap.locate(m),
+    };
+    let (ek, old_len) = match cat {
+        Category::Empty => {
+            let bitmap = bitmap.with(m, to_cat);
+            let idx = bitmap.slot_index(to_cat, m);
+            this.insert(bitmap, idx, slot_of(key, binding));
+            return None;
+        }
+        Category::Node => {
+            let node = this.make_mut();
+            let child = &mut node.children[idx - node.ones.len() - node.manys.len()];
+            return put_in_place(child, hash, next_shift(shift), key, binding);
+        }
+        Category::Cat1 => (&this.one(idx).0, 1),
+        Category::Cat2 => {
+            let (k, bag) = this.many(idx);
+            (k, bag.len())
+        }
+    };
+    if *ek != key {
+        push_down(this, (m, shift), (cat, idx), (hash, key, binding));
+        return None;
+    }
+    let (bitmap, to) = match hash_exhausted(shift) {
+        true => {
+            let ones = this.ones().len() - usize::from(cat == Category::Cat1);
+            let to = match to_cat {
+                Category::Cat1 => ones,
+                _ => this.arity() - this.children().len() - 1,
+            };
+            (bitmap, to)
+        }
+        false => {
+            let bitmap = bitmap.with(m, to_cat);
+            (bitmap, bitmap.slot_index(to_cat, m))
+        }
+    };
+    match (cat, binding) {
+        (Category::Cat1, Binding::One(v)) => this.make_mut().ones[idx].1 = v,
+        (Category::Cat1, Binding::Many(bag)) => {
+            // CAT1 → CAT2 in place: the slot migrates groups.
+            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| (Slot::Many((k, bag)), v));
+        }
+        (_, Binding::One(v)) => {
+            this.migrate::<Manys, _>(bitmap, idx, to, |(k, bag)| (Slot::One((k, v)), bag));
+        }
+        (_, Binding::Many(bag)) => {
+            let node = this.make_mut();
+            node.manys[idx - node.ones.len()].1 = bag;
+        }
+    }
+    Some(old_len)
+}
+
+/// Removes from `key`'s binding below `this` either one `value` (a tuple
+/// removal) or, for `None`, the whole binding (a key removal), with the
+/// same copy-on-write discipline as [`insert_in_place`]. Canonicalizes on
+/// the way up: a sub-trie left with one key hands its binding to the parent
+/// for inlining.
+fn remove_in_place<K, V, B>(
+    this: &mut Node<K, V, B>,
+    hash: u32,
+    shift: u32,
+    key: &K,
+    value: Option<&V>,
+) -> EditRemoved<K, V, B>
+where
+    K: Clone + Eq + Hash,
+    V: Clone + Eq + Hash,
+    B: ValueBag<V>,
+{
+    let (bitmap, m) = (this.word(), branch(hash, shift));
+    let (cat, idx) = match hash_exhausted(shift) {
+        true => match collision_find(this, key) {
+            Some((idx, BindingRef::One(_))) => (Category::Cat1, idx),
+            Some((idx, BindingRef::Many(_))) => (Category::Cat2, idx),
+            None => return EditRemoved::NotFound,
+        },
+        false => bitmap.locate(m),
+    };
+    let removal = match cat {
+        Category::Empty => return EditRemoved::NotFound,
+        Category::Node => {
+            // A pure chain node dissolves when its child collapses.
+            let chain = shift > 0 && bitmap.payload_arity() == 0 && bitmap.node_arity() == 1;
+            return match edit_child(
+                this,
+                idx,
+                |child| remove_in_place(child, hash, next_shift(shift), key, value),
+                |outcome| matches!(outcome, EditRemoved::Removed(_)),
+            ) {
+                EditRemoved::Single {
+                    key,
+                    binding,
+                    removal,
+                } if !chain => {
+                    // Inline the binding: NODE → CAT1/CAT2, dropping the
+                    // collapsed child after the move.
+                    let cat = binding.category();
+                    let bitmap = bitmap.with(m, cat);
+                    let to = bitmap.slot_index(cat, m);
+                    this.migrate::<Children, _>(bitmap, idx, to, |child| {
+                        (slot_of(key, binding), child)
                     });
-                    return EditRemoved::Removed(removal);
+                    EditRemoved::Removed(removal)
                 }
-                _ => unreachable!("bitmap says CAT2"),
-            },
-        };
-        // The whole payload slot goes.
-        let bitmap = b.bitmap.with(m, Category::Empty);
-        if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-            // Exactly one payload slot survives: offer it for inlining.
-            let (key, binding) = Node::binding_of(survivor(this, idx));
-            return EditRemoved::Single {
-                key,
-                binding,
-                removal,
+                outcome => outcome,
             };
         }
-        remove_slot(this, bitmap, idx);
-        EditRemoved::Removed(removal)
-    }
+        Category::Cat1 => {
+            let (k, v) = this.one(idx);
+            if k != key || value.is_some_and(|value| value != v) {
+                return EditRemoved::NotFound;
+            }
+            Removal {
+                tuples: 1,
+                key_gone: true,
+            }
+        }
+        Category::Cat2 => {
+            let (k, bag) = this.many(idx);
+            if k != key {
+                return EditRemoved::NotFound;
+            }
+            let Some(value) = value else {
+                let removal = Removal {
+                    tuples: bag.len(),
+                    key_gone: true,
+                };
+                return remove_payload(this, bitmap, m, shift, idx, removal);
+            };
+            // A shared node is copied only for a value its bag holds.
+            if !this.is_unique() && !bag.contains(value) {
+                return EditRemoved::NotFound;
+            }
+            let node = this.make_mut();
+            let removal = Removal {
+                tuples: 1,
+                key_gone: false,
+            };
+            let survivor = match node.manys[idx - node.ones.len()].1.remove_mut(value) {
+                BagEdited::NotFound => return EditRemoved::NotFound,
+                BagEdited::Shrunk => return EditRemoved::Removed(removal),
+                BagEdited::Single(survivor) => survivor,
+            };
+            // Demote 1:n → 1:1: CAT2 → CAT1, dropping the consumed bag.
+            let (bitmap, to) = match hash_exhausted(shift) {
+                true => (bitmap, this.ones().len()),
+                false => {
+                    let bitmap = bitmap.with(m, Category::Cat1);
+                    (bitmap, bitmap.slot_index(Category::Cat1, m))
+                }
+            };
+            this.migrate::<Manys, _>(bitmap, idx, to, |(k, bag)| (Slot::One((k, survivor)), bag));
+            return EditRemoved::Removed(removal);
+        }
+    };
+    remove_payload(this, bitmap, m, shift, idx, removal)
 }
 
-impl<K, V, B> Node<K, V, B> {
-    /// The bitmap node, mutably.
-    fn bitmap_node_mut(&mut self) -> &mut BitmapNode<K, V, B> {
-        match self {
-            Node::Bitmap(b) => b,
-            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
+/// Takes the whole payload slot at `idx` (mask `m`) out of `this`. A node
+/// left with one payload slot and no child offers it to the parent for
+/// inlining.
+fn remove_payload<K, V, B>(
+    this: &mut Node<K, V, B>,
+    bitmap: SlotBitmap,
+    m: u32,
+    shift: u32,
+    idx: usize,
+    removal: Removal,
+) -> EditRemoved<K, V, B>
+where
+    K: Clone,
+    V: Clone,
+    B: Clone,
+{
+    let (bitmap, last) = match hash_exhausted(shift) {
+        true => (bitmap, this.arity() == 2),
+        false => {
+            let bitmap = bitmap.with(m, Category::Empty);
+            (
+                bitmap,
+                shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0,
+            )
         }
+    };
+    if last {
+        let (key, binding) = binding_of(survivor(this, idx));
+        return EditRemoved::Single {
+            key,
+            binding,
+            removal,
+        };
     }
-}
-
-impl<K: Clone, V: Clone, B: Clone> CowNode for Node<K, V, B> {
-    type Bitmap = SlotBitmap;
-    type Slot = Slot<K, V, B>;
-
-    fn parts(&self) -> (SlotBitmap, &[Slot<K, V, B>]) {
-        match self {
-            Node::Bitmap(b) => (b.bitmap, &b.slots),
-            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
-        }
-    }
-
-    fn slots_mut(&mut self) -> &mut Box<[Slot<K, V, B>]> {
-        &mut self.bitmap_node_mut().slots
-    }
-
-    fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<K, V, B>]>) -> Self {
-        Node::Bitmap(BitmapNode { bitmap, slots })
-    }
-
-    fn child_mut(slot: &mut Slot<K, V, B>) -> &mut Arc<Self> {
-        match slot {
-            Slot::Child(child) => child,
-            _ => unreachable!("bitmap says NODE"),
-        }
-    }
+    remove_slot(this, bitmap, idx);
+    EditRemoved::Removed(removal)
 }
 
 /// Borrowed view of one key's values. Returned by [`AxiomMultiMap::get`].
@@ -672,13 +640,6 @@ impl<'a, V, B> Clone for BindingRef<'a, V, B> {
 impl<'a, V, B> Copy for BindingRef<'a, V, B> {}
 
 impl<'a, V: Clone + Eq + Hash, B: ValueBag<V>> BindingRef<'a, V, B> {
-    fn of(binding: &'a Binding<V, B>) -> Self {
-        match binding {
-            Binding::One(v) => BindingRef::One(v),
-            Binding::Many(bag) => BindingRef::Many(bag),
-        }
-    }
-
     /// Number of values in the binding.
     pub fn len(&self) -> usize {
         match self {
@@ -757,7 +718,7 @@ impl<'a, V, B: ValueBag<V>> std::fmt::Debug for ValuesOf<'a, V, B> {
 // ---------------------------------------------------------------------------
 //
 // `diff_nodes` walks two multi-map tries in lockstep, comparing the branch
-// under each 5-bit mask. Pointer-identical sub-tries (`Arc::ptr_eq`) are
+// under each 5-bit mask. Pointer-identical sub-tries (`Packed::ptr_eq`) are
 // skipped wholesale — the sharing the AXIOM canonical form guarantees after
 // persistent edits — so the walk is O(changed) for operands that share
 // structure. Bindings compare at tuple granularity: a `CAT1`×`CAT2` pair at
@@ -772,26 +733,54 @@ enum AtM<'a, K, V, B> {
     /// `CAT2`: a key with a nested bag of ≥ 2 values.
     Many(&'a K, &'a B),
     /// `NODE`: a sub-trie.
-    Sub(&'a Arc<Node<K, V, B>>),
+    Sub(&'a Node<K, V, B>),
 }
 
-fn at_m<'a, K, V, B>(b: &'a BitmapNode<K, V, B>, m: u32) -> AtM<'a, K, V, B> {
-    let (cat, idx) = b.bitmap.locate(m);
-    match cat {
-        Category::Empty => AtM::Nothing,
-        Category::Cat1 => match &b.slots[idx] {
-            Slot::One(k, v) => AtM::One(k, v),
-            _ => unreachable!("CAT1 tag over a non-1:1 slot"),
-        },
-        Category::Cat2 => match &b.slots[idx] {
-            Slot::Many(k, bag) => AtM::Many(k, bag),
-            _ => unreachable!("CAT2 tag over a non-1:n slot"),
-        },
-        Category::Node => match &b.slots[idx] {
-            Slot::Child(c) => AtM::Sub(c),
-            _ => unreachable!("NODE tag over a payload slot"),
-        },
+/// A node's branches in ascending mask order, one cursor per slot group
+/// (each ascending by mask), so no branch costs a popcount.
+struct Branches<'a, K, V, B> {
+    bitmap: SlotBitmap,
+    ones: std::slice::Iter<'a, (K, V)>,
+    manys: std::slice::Iter<'a, (K, B)>,
+    children: std::slice::Iter<'a, Node<K, V, B>>,
+}
+
+impl<'a, K, V, B> Branches<'a, K, V, B> {
+    fn of(node: &'a Node<K, V, B>) -> Self {
+        Branches {
+            bitmap: node.word(),
+            ones: node.ones().iter(),
+            manys: node.manys().iter(),
+            children: node.children().iter(),
+        }
     }
+
+    /// What the node holds at `m`. Called for ascending masks that cover
+    /// every branch the node occupies.
+    fn at(&mut self, m: u32) -> AtM<'a, K, V, B> {
+        match self.bitmap.get(m) {
+            Category::Empty => AtM::Nothing,
+            Category::Cat1 => self
+                .ones
+                .next()
+                .map_or(AtM::Nothing, |(k, v)| AtM::One(k, v)),
+            Category::Cat2 => self
+                .manys
+                .next()
+                .map_or(AtM::Nothing, |(k, bag)| AtM::Many(k, bag)),
+            Category::Node => self.children.next().map_or(AtM::Nothing, AtM::Sub),
+        }
+    }
+}
+
+/// The `(key, binding)` entries of a node's payload groups.
+fn entries<K, V, B>(node: &Node<K, V, B>) -> impl Iterator<Item = (&K, BindingRef<'_, V, B>)> {
+    let ones = node.ones().iter().map(|(k, v)| (k, BindingRef::One(v)));
+    ones.chain(
+        node.manys()
+            .iter()
+            .map(|(k, bag)| (k, BindingRef::Many(bag))),
+    )
 }
 
 /// Invokes `f` for every `(key, value)` tuple stored in the sub-trie.
@@ -801,27 +790,11 @@ where
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    match node {
-        Node::Bitmap(b) => {
-            for slot in b.slots.iter() {
-                match slot {
-                    Slot::One(k, v) => f(k, v),
-                    Slot::Many(k, bag) => {
-                        for v in bag.iter() {
-                            f(k, v);
-                        }
-                    }
-                    Slot::Child(c) => for_each_tuple_node(c, f),
-                }
-            }
-        }
-        Node::Collision(c) => {
-            for (k, binding) in &c.entries {
-                for v in BindingRef::of(binding).iter() {
-                    f(k, v);
-                }
-            }
-        }
+    for (k, binding) in entries(node) {
+        binding.iter().for_each(|v| f(k, v));
+    }
+    for child in node.children() {
+        for_each_tuple_node(child, f);
     }
 }
 
@@ -877,7 +850,7 @@ fn diff_binding_vs_sub<K, V, B>(
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    let in_sub = sub.get(hash32(key), next_shift(shift), key);
+    let in_sub = get(sub, hash32(key), next_shift(shift), key);
     // Tuples of the payload binding missing from the sub-trie.
     for v in binding.iter() {
         let present = in_sub.is_some_and(|theirs| theirs.contains(v));
@@ -917,137 +890,108 @@ fn diff_nodes<K, V, B>(
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    match (a, b) {
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            for m in 0..32u32 {
-                match (at_m(x, m), at_m(y, m)) {
-                    (AtM::Nothing, AtM::Nothing) => {}
-                    (AtM::One(k, v), AtM::Nothing) => {
-                        out.removed.push((k.clone(), v.clone()));
-                    }
-                    (AtM::Many(k, bag), AtM::Nothing) => {
-                        emit_binding::<K, V, B>(k, BindingRef::Many(bag), &mut out.removed);
-                    }
-                    (AtM::Sub(ac), AtM::Nothing) => {
-                        for_each_tuple_node(ac, &mut |k, v| {
-                            out.removed.push((k.clone(), v.clone()));
-                        });
-                    }
-                    (AtM::Nothing, AtM::One(k, v)) => {
-                        out.added.push((k.clone(), v.clone()));
-                    }
-                    (AtM::Nothing, AtM::Many(k, bag)) => {
-                        emit_binding::<K, V, B>(k, BindingRef::Many(bag), &mut out.added);
-                    }
-                    (AtM::Nothing, AtM::Sub(bc)) => {
-                        for_each_tuple_node(bc, &mut |k, v| {
-                            out.added.push((k.clone(), v.clone()));
-                        });
-                    }
-                    (AtM::One(ka, va), AtM::One(kb, vb)) => {
-                        if ka == kb {
-                            if va != vb {
-                                out.removed.push((ka.clone(), va.clone()));
-                                out.added.push((kb.clone(), vb.clone()));
-                            }
-                        } else {
-                            out.removed.push((ka.clone(), va.clone()));
-                            out.added.push((kb.clone(), vb.clone()));
-                        }
-                    }
-                    (AtM::One(ka, va), AtM::Many(kb, bb)) => {
-                        if ka == kb {
-                            // Promotion: the key gained values (and may have
-                            // swapped its original one).
-                            diff_bindings::<K, V, B>(
-                                ka,
-                                BindingRef::One(va),
-                                BindingRef::Many(bb),
-                                out,
-                            );
-                        } else {
-                            out.removed.push((ka.clone(), va.clone()));
-                            emit_binding::<K, V, B>(kb, BindingRef::Many(bb), &mut out.added);
-                        }
-                    }
-                    (AtM::Many(ka, ba), AtM::One(kb, vb)) => {
-                        if ka == kb {
-                            // Demotion: the key shed values down to one.
-                            diff_bindings::<K, V, B>(
-                                ka,
-                                BindingRef::Many(ba),
-                                BindingRef::One(vb),
-                                out,
-                            );
-                        } else {
-                            emit_binding::<K, V, B>(ka, BindingRef::Many(ba), &mut out.removed);
-                            out.added.push((kb.clone(), vb.clone()));
-                        }
-                    }
-                    (AtM::Many(ka, ba), AtM::Many(kb, bb)) => {
-                        if ka == kb {
-                            if ba != bb {
-                                diff_bindings::<K, V, B>(
-                                    ka,
-                                    BindingRef::Many(ba),
-                                    BindingRef::Many(bb),
-                                    out,
-                                );
-                            }
-                        } else {
-                            emit_binding::<K, V, B>(ka, BindingRef::Many(ba), &mut out.removed);
-                            emit_binding::<K, V, B>(kb, BindingRef::Many(bb), &mut out.added);
-                        }
-                    }
-                    (AtM::One(ka, va), AtM::Sub(bc)) => {
-                        diff_binding_vs_sub(ka, BindingRef::One(va), bc, shift, true, out);
-                    }
-                    (AtM::Many(ka, ba), AtM::Sub(bc)) => {
-                        diff_binding_vs_sub(ka, BindingRef::Many(ba), bc, shift, true, out);
-                    }
-                    (AtM::Sub(ac), AtM::One(kb, vb)) => {
-                        diff_binding_vs_sub(kb, BindingRef::One(vb), ac, shift, false, out);
-                    }
-                    (AtM::Sub(ac), AtM::Many(kb, bag)) => {
-                        diff_binding_vs_sub(kb, BindingRef::Many(bag), ac, shift, false, out);
-                    }
-                    (AtM::Sub(ac), AtM::Sub(bc)) => {
-                        if !Arc::ptr_eq(ac, bc) {
-                            diff_nodes(ac, bc, next_shift(shift), out);
-                        }
-                    }
-                }
+    if hash_exhausted(shift) {
+        for (k, binding_a) in entries(a) {
+            match entries(b).find(|(kb, _)| *kb == k) {
+                None => emit_binding::<K, V, B>(k, binding_a, &mut out.removed),
+                Some((_, binding_b)) => diff_bindings::<K, V, B>(k, binding_a, binding_b, out),
             }
         }
-        (Node::Collision(x), Node::Collision(y)) => {
-            for (k, binding_a) in &x.entries {
-                match y.entries.iter().find(|(ky, _)| ky == k) {
-                    None => {
-                        emit_binding::<K, V, B>(k, BindingRef::of(binding_a), &mut out.removed);
-                    }
-                    Some((_, binding_b)) => {
-                        if !binding_a.eq(binding_b) {
-                            diff_bindings::<K, V, B>(
-                                k,
-                                BindingRef::of(binding_a),
-                                BindingRef::of(binding_b),
-                                out,
-                            );
-                        }
-                    }
-                }
-            }
-            for (k, binding_b) in &y.entries {
-                if !x.entries.iter().any(|(kx, _)| kx == k) {
-                    emit_binding::<K, V, B>(k, BindingRef::of(binding_b), &mut out.added);
-                }
+        for (k, binding_b) in entries(b) {
+            if !entries(a).any(|(ka, _)| ka == k) {
+                emit_binding::<K, V, B>(k, binding_b, &mut out.added);
             }
         }
-        // At equal depth a collision node only appears once the hash is
-        // exhausted, where the canonical form forces the other side to be a
-        // collision node too.
-        (Node::Bitmap(_), Node::Collision(_)) | (Node::Collision(_), Node::Bitmap(_)) => {
-            unreachable!("bitmap/collision mix at equal depth")
+        return;
+    }
+    let (mut xa, mut xb) = (Branches::of(a), Branches::of(b));
+    for m in a.word().occupied_with(b.word()) {
+        match (xa.at(m), xb.at(m)) {
+            (AtM::Nothing, AtM::Nothing) => {}
+            (AtM::One(k, v), AtM::Nothing) => {
+                out.removed.push((k.clone(), v.clone()));
+            }
+            (AtM::Many(k, bag), AtM::Nothing) => {
+                emit_binding::<K, V, B>(k, BindingRef::Many(bag), &mut out.removed);
+            }
+            (AtM::Sub(ac), AtM::Nothing) => {
+                for_each_tuple_node(ac, &mut |k, v| {
+                    out.removed.push((k.clone(), v.clone()));
+                });
+            }
+            (AtM::Nothing, AtM::One(k, v)) => {
+                out.added.push((k.clone(), v.clone()));
+            }
+            (AtM::Nothing, AtM::Many(k, bag)) => {
+                emit_binding::<K, V, B>(k, BindingRef::Many(bag), &mut out.added);
+            }
+            (AtM::Nothing, AtM::Sub(bc)) => {
+                for_each_tuple_node(bc, &mut |k, v| {
+                    out.added.push((k.clone(), v.clone()));
+                });
+            }
+            (AtM::One(ka, va), AtM::One(kb, vb)) => {
+                if ka == kb {
+                    if va != vb {
+                        out.removed.push((ka.clone(), va.clone()));
+                        out.added.push((kb.clone(), vb.clone()));
+                    }
+                } else {
+                    out.removed.push((ka.clone(), va.clone()));
+                    out.added.push((kb.clone(), vb.clone()));
+                }
+            }
+            (AtM::One(ka, va), AtM::Many(kb, bb)) => {
+                if ka == kb {
+                    // Promotion: the key gained values (and may have
+                    // swapped its original one).
+                    diff_bindings::<K, V, B>(ka, BindingRef::One(va), BindingRef::Many(bb), out);
+                } else {
+                    out.removed.push((ka.clone(), va.clone()));
+                    emit_binding::<K, V, B>(kb, BindingRef::Many(bb), &mut out.added);
+                }
+            }
+            (AtM::Many(ka, ba), AtM::One(kb, vb)) => {
+                if ka == kb {
+                    // Demotion: the key shed values down to one.
+                    diff_bindings::<K, V, B>(ka, BindingRef::Many(ba), BindingRef::One(vb), out);
+                } else {
+                    emit_binding::<K, V, B>(ka, BindingRef::Many(ba), &mut out.removed);
+                    out.added.push((kb.clone(), vb.clone()));
+                }
+            }
+            (AtM::Many(ka, ba), AtM::Many(kb, bb)) => {
+                if ka == kb {
+                    if ba != bb {
+                        diff_bindings::<K, V, B>(
+                            ka,
+                            BindingRef::Many(ba),
+                            BindingRef::Many(bb),
+                            out,
+                        );
+                    }
+                } else {
+                    emit_binding::<K, V, B>(ka, BindingRef::Many(ba), &mut out.removed);
+                    emit_binding::<K, V, B>(kb, BindingRef::Many(bb), &mut out.added);
+                }
+            }
+            (AtM::One(ka, va), AtM::Sub(bc)) => {
+                diff_binding_vs_sub(ka, BindingRef::One(va), bc, shift, true, out);
+            }
+            (AtM::Many(ka, ba), AtM::Sub(bc)) => {
+                diff_binding_vs_sub(ka, BindingRef::Many(ba), bc, shift, true, out);
+            }
+            (AtM::Sub(ac), AtM::One(kb, vb)) => {
+                diff_binding_vs_sub(kb, BindingRef::One(vb), ac, shift, false, out);
+            }
+            (AtM::Sub(ac), AtM::Many(kb, bag)) => {
+                diff_binding_vs_sub(kb, BindingRef::Many(bag), ac, shift, false, out);
+            }
+            (AtM::Sub(ac), AtM::Sub(bc)) => {
+                if !Node::ptr_eq(ac, bc) {
+                    diff_nodes(ac, bc, next_shift(shift), out);
+                }
+            }
         }
     }
 }
@@ -1059,7 +1003,7 @@ fn diff_nodes<K, V, B>(
 /// defaults to nested [`AxiomSet`]s; [`crate::AxiomFusedMultiMap`] selects
 /// the fusion strategy.
 pub struct AxiomMultiMap<K, V, B = AxiomSet<V>> {
-    pub(crate) root: Arc<Node<K, V, B>>,
+    pub(crate) root: Node<K, V, B>,
     pub(crate) tuples: usize,
     pub(crate) keys: usize,
     marker: PhantomData<fn() -> B>,
@@ -1068,7 +1012,7 @@ pub struct AxiomMultiMap<K, V, B = AxiomSet<V>> {
 impl<K, V, B> Clone for AxiomMultiMap<K, V, B> {
     fn clone(&self) -> Self {
         AxiomMultiMap {
-            root: Arc::clone(&self.root),
+            root: self.root.clone(),
             tuples: self.tuples,
             keys: self.keys,
             marker: PhantomData,
@@ -1085,7 +1029,7 @@ where
     /// Creates an empty multi-map.
     pub fn new() -> Self {
         AxiomMultiMap {
-            root: Arc::new(Node::empty()),
+            root: empty(),
             tuples: 0,
             keys: 0,
             marker: PhantomData,
@@ -1114,7 +1058,7 @@ where
 
     /// Borrowed view of the values bound to `key`.
     pub fn get(&self, key: &K) -> Option<BindingRef<'_, V, B>> {
-        self.root.get(hash32(key), 0, key)
+        get(&self.root, hash32(key), 0, key)
     }
 
     /// True if `key` maps to at least one value.
@@ -1148,7 +1092,7 @@ where
     /// handles keep their version). Returns true if the relation grew.
     pub fn insert_mut(&mut self, key: K, value: V) -> bool {
         let hash = hash32(&key);
-        match Node::insert_in_place(&mut self.root, hash, 0, key, value) {
+        match insert_in_place(&mut self.root, hash, 0, key, value) {
             EditInserted::Unchanged => false,
             EditInserted::NewTuple => {
                 self.tuples += 1;
@@ -1245,7 +1189,7 @@ where
     fn put_binding_mut(&mut self, key: K, binding: Binding<V, B>) -> isize {
         let new = binding.len();
         let hash = hash32(&key);
-        let old = match Node::put_in_place(&mut self.root, hash, 0, key, binding) {
+        let old = match put_in_place(&mut self.root, hash, 0, key, binding) {
             Some(old) => old,
             None => {
                 self.keys += 1;
@@ -1267,7 +1211,7 @@ where
     /// Removes the tuple `(key, value)` in place (editing uniquely-owned
     /// nodes, path-copying shared ones). Returns true if present.
     pub fn remove_tuple_mut(&mut self, key: &K, value: &V) -> bool {
-        let outcome = Node::remove_in_place(&mut self.root, hash32(key), 0, key, Some(value));
+        let outcome = remove_in_place(&mut self.root, hash32(key), 0, key, Some(value));
         self.apply_removal(outcome).is_some()
     }
 
@@ -1281,7 +1225,7 @@ where
     /// Removes every tuple for `key` in place (editing uniquely-owned nodes,
     /// path-copying shared ones). Returns the number of tuples removed.
     pub fn remove_key_mut(&mut self, key: &K) -> usize {
-        let outcome = Node::remove_in_place(&mut self.root, hash32(key), 0, key, None);
+        let outcome = remove_in_place(&mut self.root, hash32(key), 0, key, None);
         self.apply_removal(outcome)
             .map_or(0, |removal| removal.tuples)
     }
@@ -1297,7 +1241,8 @@ where
                 binding,
                 removal,
             } => {
-                self.root = Arc::new(root_with_single_binding(key, binding));
+                let bitmap = SlotBitmap::EMPTY.with(mask(hash32(&key), 0), binding.category());
+                self.root = node_of(bitmap, key, binding);
                 removal
             }
         };
@@ -1318,7 +1263,7 @@ where
     /// unspecified order.
     pub fn keys(&self) -> Keys<'_, K, V, B> {
         Keys {
-            stack: vec![cursor_of(&self.root)],
+            stack: vec![Cursor::of(&self.root)],
             remaining: self.keys,
         }
     }
@@ -1326,7 +1271,7 @@ where
     /// Iterates `(key, values-view)` groups in unspecified order.
     pub fn entries(&self) -> Entries<'_, K, V, B> {
         Entries {
-            stack: vec![cursor_of(&self.root)],
+            stack: vec![Cursor::of(&self.root)],
             remaining: self.keys,
         }
     }
@@ -1359,7 +1304,7 @@ where
     /// ```
     pub fn diff(&self, other: &Self) -> trie_common::ops::MultiMapDiff<K, V> {
         let mut out = trie_common::ops::MultiMapDiff::new();
-        if Arc::ptr_eq(&self.root, &other.root) {
+        if Node::ptr_eq(&self.root, &other.root) {
             return out;
         }
         if self.is_empty() {
@@ -1383,7 +1328,7 @@ where
     /// from a common ancestor, so they route through the structural
     /// [`AxiomMultiMap::diff`] and cost O(changed).
     pub fn union(&self, other: &Self) -> Self {
-        if Arc::ptr_eq(&self.root, &other.root) || other.is_empty() {
+        if Node::ptr_eq(&self.root, &other.root) || other.is_empty() {
             return self.clone();
         }
         if self.is_empty() {
@@ -1410,8 +1355,8 @@ where
     /// (`[EMPTY, CAT1, CAT2, NODE]`, paper §3.3) — introspection for
     /// analyzing how a relation's skew maps onto the encoding.
     ///
-    /// Returns `None` if the root has degenerated to a hash-collision node
-    /// (only possible when every key shares one 32-bit hash).
+    /// Always `Some`: the root sits above the last hash level, so it is a
+    /// bitmap node even when every key shares one 32-bit hash.
     ///
     /// # Examples
     ///
@@ -1424,10 +1369,7 @@ where
     /// assert_eq!(hist[0], 31); // the rest empty
     /// ```
     pub fn root_histogram(&self) -> Option<[u32; 4]> {
-        match &*self.root {
-            Node::Bitmap(b) => Some(b.bitmap.histogram()),
-            Node::Collision(_) => None,
-        }
+        Some(self.root.word().histogram())
     }
 
     /// Recursively checks the canonical-form invariants (test support).
@@ -1443,21 +1385,6 @@ where
     }
 }
 
-/// Rebuilds a root node around a binding that collapsed out of the trie.
-fn root_with_single_binding<K, V, B>(key: K, binding: Binding<V, B>) -> Node<K, V, B>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: ValueBag<V>,
-{
-    let m = mask(hash32(&key), 0);
-    let cat = binding.category();
-    Node::Bitmap(BitmapNode {
-        bitmap: SlotBitmap::EMPTY.with(m, cat),
-        slots: Box::new([Node::slot_of(key, binding)]),
-    })
-}
-
 /// Validates canonical form; returns `(keys, tuples)` below `node`.
 fn validate<K, V, B>(node: &Node<K, V, B>, shift: u32) -> (usize, usize)
 where
@@ -1465,68 +1392,54 @@ where
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    match node {
-        Node::Collision(c) => {
-            assert!(hash_exhausted(shift), "collision node above max depth");
-            assert!(c.entries.len() >= 2, "collision node with < 2 keys");
-            let mut tuples = 0;
-            for (i, (k, b)) in c.entries.iter().enumerate() {
-                assert_eq!(hash32(k), c.hash, "collision member hash");
-                if let Binding::Many(bag) = b {
-                    assert!(bag.len() >= 2, "CAT2 bag with < 2 values");
-                }
-                tuples += b.len();
-                for (k2, _) in &c.entries[i + 1..] {
-                    assert!(k2 != k, "duplicate key in collision node");
-                }
-            }
-            (c.entries.len(), tuples)
-        }
-        Node::Bitmap(b) => {
-            assert_eq!(b.slots.len(), b.bitmap.arity(), "slot count");
-            let mut keys = 0usize;
-            let mut tuples = 0usize;
-            for (i, m) in b.bitmap.masks_of(Category::Cat1).enumerate() {
-                match &b.slots[b.bitmap.offset(Category::Cat1) + i] {
-                    Slot::One(k, _) => {
-                        assert_eq!(mask(hash32(k), shift), m, "CAT1 key in wrong branch");
-                        keys += 1;
-                        tuples += 1;
-                    }
-                    _ => panic!("CAT1 slot holds wrong variant"),
-                }
-            }
-            for (i, m) in b.bitmap.masks_of(Category::Cat2).enumerate() {
-                match &b.slots[b.bitmap.offset(Category::Cat2) + i] {
-                    Slot::Many(k, bag) => {
-                        assert_eq!(mask(hash32(k), shift), m, "CAT2 key in wrong branch");
-                        assert!(bag.len() >= 2, "CAT2 bag with < 2 values");
-                        keys += 1;
-                        tuples += bag.len();
-                    }
-                    _ => panic!("CAT2 slot holds wrong variant"),
-                }
-            }
-            for (i, _) in b.bitmap.masks_of(Category::Node).enumerate() {
-                match &b.slots[b.bitmap.offset(Category::Node) + i] {
-                    Slot::Child(child) => {
-                        let (k, t) = validate(child, next_shift(shift));
-                        assert!(k >= 2, "sub-trie with < 2 keys not inlined");
-                        keys += k;
-                        tuples += t;
-                    }
-                    _ => panic!("NODE slot holds payload"),
-                }
-            }
-            if shift > 0 {
-                assert!(
-                    !(b.bitmap.payload_arity() == 1 && b.bitmap.node_arity() == 0),
-                    "non-root singleton payload node must be inlined"
-                );
-            }
-            (keys, tuples)
-        }
+    for (_, bag) in node.manys() {
+        assert!(bag.len() >= 2, "CAT2 bag with < 2 values");
     }
+    let mut keys = node.ones().len() + node.manys().len();
+    let mut tuples =
+        node.ones().len() + node.manys().iter().map(|(_, bag)| bag.len()).sum::<usize>();
+    if hash_exhausted(shift) {
+        assert!(node.children().is_empty(), "collision node with children");
+        assert!(keys >= 2, "collision node with < 2 keys");
+        let hash = hash32(entries(node).next().expect("keys >= 2").0);
+        let all: Vec<&K> = entries(node).map(|(k, _)| k).collect();
+        for (i, k) in all.iter().enumerate() {
+            assert_eq!(hash32(*k), hash, "collision member hash");
+            assert!(!all[i + 1..].contains(k), "duplicate key in collision node");
+        }
+        return (keys, tuples);
+    }
+    let bitmap = node.word();
+    assert_eq!(
+        node.ones().len(),
+        bitmap.count(Category::Cat1),
+        "CAT1 count"
+    );
+    assert_eq!(
+        node.manys().len(),
+        bitmap.count(Category::Cat2),
+        "CAT2 count"
+    );
+    assert_eq!(node.children().len(), bitmap.node_arity(), "child count");
+    for ((k, _), m) in node.ones().iter().zip(bitmap.masks_of(Category::Cat1)) {
+        assert_eq!(mask(hash32(k), shift), m, "CAT1 key in wrong branch");
+    }
+    for ((k, _), m) in node.manys().iter().zip(bitmap.masks_of(Category::Cat2)) {
+        assert_eq!(mask(hash32(k), shift), m, "CAT2 key in wrong branch");
+    }
+    for child in node.children() {
+        let (k, t) = validate(child, next_shift(shift));
+        assert!(k >= 2, "sub-trie with < 2 keys not inlined");
+        keys += k;
+        tuples += t;
+    }
+    if shift > 0 {
+        assert!(
+            !(bitmap.payload_arity() == 1 && bitmap.node_arity() == 0),
+            "non-root singleton payload node must be inlined"
+        );
+    }
+    (keys, tuples)
 }
 
 impl<K, V, B> Default for AxiomMultiMap<K, V, B>
@@ -1547,7 +1460,9 @@ where
     B: ValueBag<V>,
 {
     fn eq(&self, other: &Self) -> bool {
-        self.tuples == other.tuples && self.keys == other.keys && node_eq(&self.root, &other.root)
+        self.tuples == other.tuples
+            && self.keys == other.keys
+            && node_eq(&self.root, &other.root, 0)
     }
 }
 
@@ -1559,36 +1474,30 @@ where
 {
 }
 
-fn node_eq<K, V, B>(a: &Node<K, V, B>, b: &Node<K, V, B>) -> bool
+fn node_eq<K, V, B>(a: &Node<K, V, B>, b: &Node<K, V, B>, shift: u32) -> bool
 where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    match (a, b) {
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            x.bitmap == y.bitmap
-                && x.slots
-                    .iter()
-                    .zip(y.slots.iter())
-                    .all(|(s, t)| match (s, t) {
-                        (Slot::One(k1, v1), Slot::One(k2, v2)) => k1 == k2 && v1 == v2,
-                        (Slot::Many(k1, b1), Slot::Many(k2, b2)) => k1 == k2 && b1 == b2,
-                        (Slot::Child(c), Slot::Child(d)) => Arc::ptr_eq(c, d) || node_eq(c, d),
-                        _ => false,
-                    })
-        }
-        (Node::Collision(x), Node::Collision(y)) => {
-            x.hash == y.hash
-                && x.entries.len() == y.entries.len()
-                && x.entries.iter().all(|(k, bind)| {
-                    y.entries
-                        .iter()
-                        .any(|(k2, bind2)| k == k2 && bind.eq(bind2))
-                })
-        }
-        _ => false,
+    if hash_exhausted(shift) {
+        let same = |(k, x): (&K, BindingRef<'_, V, B>), (k2, y): (&K, BindingRef<'_, V, B>)| {
+            k == k2
+                && match (x, y) {
+                    (BindingRef::One(v), BindingRef::One(w)) => v == w,
+                    (BindingRef::Many(p), BindingRef::Many(q)) => p == q,
+                    _ => false,
+                }
+        };
+        return a.arity() == b.arity() && entries(a).all(|x| entries(b).any(|y| same(x, y)));
     }
+    a.word() == b.word()
+        && a.ones() == b.ones()
+        && a.manys() == b.manys()
+        && a.children()
+            .iter()
+            .zip(b.children())
+            .all(|(c, d)| Node::ptr_eq(c, d) || node_eq(c, d, next_shift(shift)))
 }
 
 impl<K, V, B> std::fmt::Debug for AxiomMultiMap<K, V, B>
@@ -1637,27 +1546,45 @@ where
     }
 }
 
-enum Cursor<'a, K, V, B> {
-    Bitmap {
-        slots: &'a [Slot<K, V, B>],
-        idx: usize,
-    },
-    Collision {
-        entries: &'a [(K, Binding<V, B>)],
-        idx: usize,
-    },
+/// Depth-first cursor into one node's three slot groups.
+struct Cursor<'a, K, V, B> {
+    ones: std::slice::Iter<'a, (K, V)>,
+    manys: std::slice::Iter<'a, (K, B)>,
+    children: std::slice::Iter<'a, Node<K, V, B>>,
 }
 
-fn cursor_of<K, V, B>(node: &Node<K, V, B>) -> Cursor<'_, K, V, B> {
-    match node {
-        Node::Bitmap(b) => Cursor::Bitmap {
-            slots: &b.slots,
-            idx: 0,
-        },
-        Node::Collision(c) => Cursor::Collision {
-            entries: &c.entries,
-            idx: 0,
-        },
+/// One key's payload, as a depth-first walk meets it.
+enum Payload<'a, K, V, B> {
+    One(&'a K, &'a V),
+    Many(&'a K, &'a B),
+}
+
+impl<'a, K, V, B> Cursor<'a, K, V, B> {
+    fn of(node: &'a Node<K, V, B>) -> Self {
+        Cursor {
+            ones: node.ones().iter(),
+            manys: node.manys().iter(),
+            children: node.children().iter(),
+        }
+    }
+
+    /// The next payload below the top of `stack`, depth first.
+    fn next(stack: &mut Vec<Self>) -> Option<Payload<'a, K, V, B>> {
+        loop {
+            let top = stack.last_mut()?;
+            if let Some((k, v)) = top.ones.next() {
+                return Some(Payload::One(k, v));
+            }
+            if let Some((k, bag)) = top.manys.next() {
+                return Some(Payload::Many(k, bag));
+            }
+            match top.children.next() {
+                Some(child) => stack.push(Cursor::of(child)),
+                None => {
+                    stack.pop();
+                }
+            }
+        }
     }
 }
 
@@ -1672,7 +1599,7 @@ pub struct Tuples<'a, K, V: 'a, B: ValueBag<V> + 'a> {
 impl<'a, K, V, B: ValueBag<V>> Tuples<'a, K, V, B> {
     fn new(root: &'a Node<K, V, B>, tuples: usize) -> Self {
         Tuples {
-            stack: vec![cursor_of(root)],
+            stack: vec![Cursor::of(root)],
             current: None,
             remaining: tuples,
         }
@@ -1696,39 +1623,12 @@ where
                 }
                 self.current = None;
             }
-            let top = self.stack.last_mut()?;
-            match top {
-                Cursor::Collision { entries, idx } => {
-                    if *idx >= entries.len() {
-                        self.stack.pop();
-                        continue;
-                    }
-                    let (k, binding) = &entries[*idx];
-                    *idx += 1;
-                    match binding {
-                        Binding::One(v) => {
-                            self.remaining -= 1;
-                            return Some((k, v));
-                        }
-                        Binding::Many(bag) => self.current = Some((k, bag.iter())),
-                    }
+            match Cursor::next(&mut self.stack)? {
+                Payload::One(k, v) => {
+                    self.remaining -= 1;
+                    return Some((k, v));
                 }
-                Cursor::Bitmap { slots, idx } => {
-                    if *idx >= slots.len() {
-                        self.stack.pop();
-                        continue;
-                    }
-                    let slot = &slots[*idx];
-                    *idx += 1;
-                    match slot {
-                        Slot::One(k, v) => {
-                            self.remaining -= 1;
-                            return Some((k, v));
-                        }
-                        Slot::Many(k, bag) => self.current = Some((k, bag.iter())),
-                        Slot::Child(child) => self.stack.push(cursor_of(child)),
-                    }
-                }
+                Payload::Many(k, bag) => self.current = Some((k, bag.iter())),
             }
         }
     }
@@ -1764,36 +1664,9 @@ impl<'a, K, V, B> Iterator for Keys<'a, K, V, B> {
     type Item = &'a K;
 
     fn next(&mut self) -> Option<&'a K> {
-        loop {
-            let top = self.stack.last_mut()?;
-            match top {
-                Cursor::Collision { entries, idx } => {
-                    if *idx >= entries.len() {
-                        self.stack.pop();
-                        continue;
-                    }
-                    let (k, _) = &entries[*idx];
-                    *idx += 1;
-                    self.remaining -= 1;
-                    return Some(k);
-                }
-                Cursor::Bitmap { slots, idx } => {
-                    if *idx >= slots.len() {
-                        self.stack.pop();
-                        continue;
-                    }
-                    let slot = &slots[*idx];
-                    *idx += 1;
-                    match slot {
-                        Slot::One(k, _) | Slot::Many(k, _) => {
-                            self.remaining -= 1;
-                            return Some(k);
-                        }
-                        Slot::Child(child) => self.stack.push(cursor_of(child)),
-                    }
-                }
-            }
-        }
+        let (Payload::One(k, _) | Payload::Many(k, _)) = Cursor::next(&mut self.stack)?;
+        self.remaining -= 1;
+        Some(k)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1827,40 +1700,12 @@ where
     type Item = (&'a K, BindingRef<'a, V, B>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let top = self.stack.last_mut()?;
-            match top {
-                Cursor::Collision { entries, idx } => {
-                    if *idx >= entries.len() {
-                        self.stack.pop();
-                        continue;
-                    }
-                    let (k, binding) = &entries[*idx];
-                    *idx += 1;
-                    self.remaining -= 1;
-                    return Some((k, BindingRef::of(binding)));
-                }
-                Cursor::Bitmap { slots, idx } => {
-                    if *idx >= slots.len() {
-                        self.stack.pop();
-                        continue;
-                    }
-                    let slot = &slots[*idx];
-                    *idx += 1;
-                    match slot {
-                        Slot::One(k, v) => {
-                            self.remaining -= 1;
-                            return Some((k, BindingRef::One(v)));
-                        }
-                        Slot::Many(k, bag) => {
-                            self.remaining -= 1;
-                            return Some((k, BindingRef::Many(bag)));
-                        }
-                        Slot::Child(child) => self.stack.push(cursor_of(child)),
-                    }
-                }
-            }
-        }
+        let entry = match Cursor::next(&mut self.stack)? {
+            Payload::One(k, v) => (k, BindingRef::One(v)),
+            Payload::Many(k, bag) => (k, BindingRef::Many(bag)),
+        };
+        self.remaining -= 1;
+        Some(entry)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

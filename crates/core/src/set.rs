@@ -7,7 +7,10 @@
 //!
 //! Sets are the homogeneous instance of AXIOM: only categories `EMPTY`,
 //! `CAT1` (an element) and `NODE` are populated, which is exactly the CHAMP
-//! special case of the encoding (paper §3.1).
+//! special case of the encoding (paper §3.1). Each node is one allocation
+//! ([`trie_common::packed`]): the 2-bit bitmap, then the inlined elements,
+//! then the sub-trie handles, each group ascending by mask. The bitmap is
+//! the only tag; no slot carries one.
 //!
 //! # Examples
 //!
@@ -24,46 +27,21 @@
 //! ```
 
 use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
+use trie_common::packed::{Children, Ones, Packed, Slot};
 
 use crate::bitmap::{Category, SlotBitmap};
-use crate::slots::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
+use crate::slots::{edit_child, insert_slot, remove_slot, survivor};
 
-/// One physical slot of a set node: an inlined element or a sub-trie.
-#[derive(Debug, Clone)]
-pub(crate) enum Slot<T> {
-    /// `CAT1`: an inlined element.
-    Elem(T),
-    /// `NODE`: a shared sub-trie.
-    Child(Arc<Node<T>>),
-}
-
-/// A compressed trie node: the 2-bit bitmap plus the dense, permuted slot
-/// array (`[elements… | children…]`, each group ascending by mask).
-#[derive(Debug, Clone)]
-pub(crate) struct BitmapNode<T> {
-    pub(crate) bitmap: SlotBitmap,
-    pub(crate) slots: Box<[Slot<T>]>,
-}
-
-/// A node that resolves full 32-bit hash collisions past the deepest trie
-/// level by linear search.
-#[derive(Debug, Clone)]
-pub(crate) struct CollisionNode<T> {
-    pub(crate) hash: u32,
-    pub(crate) elems: Vec<T>,
-}
-
-/// A trie node.
-#[derive(Debug, Clone)]
-pub(crate) enum Node<T> {
-    Bitmap(BitmapNode<T>),
-    Collision(CollisionNode<T>),
-}
+/// A trie node: one allocation holding the bitmap, the inlined elements
+/// and the sub-trie handles (`[T] | [Node]`). Past the last hash level a
+/// node is a collision node: elements sharing one 32-bit hash, no children,
+/// an unused bitmap.
+pub(crate) type Node<T> = Packed<SlotBitmap, T, Infallible>;
 
 /// Result of a node-level removal, driving CHAMP-style canonicalization:
 /// a sub-tree reduced to a single element hands it to the parent for
@@ -72,282 +50,182 @@ pub(crate) enum EditRemoved<T> {
     NotFound,
     Removed,
     /// The sub-tree collapsed to one element (a unique node is left
-    /// consumed; the parent drops it and inlines the survivor).
+    /// empty; the parent drops it and inlines the survivor).
     Single(T),
 }
 
-impl<T: Clone + Eq + Hash> Node<T> {
-    fn empty() -> Node<T> {
-        Node::Bitmap(BitmapNode {
-            bitmap: SlotBitmap::EMPTY,
-            slots: Box::new([]),
-        })
-    }
+fn empty<T>() -> Node<T> {
+    Node::new(SlotBitmap::EMPTY, [], [], [])
+}
 
-    /// Builds the minimal sub-trie holding two *distinct* elements whose
-    /// hash prefixes agree up to `shift`.
-    fn pair(h1: u32, e1: T, h2: u32, e2: T, shift: u32) -> Node<T> {
-        if hash_exhausted(shift) {
-            debug_assert_eq!(h1, h2);
-            return Node::Collision(CollisionNode {
-                hash: h1,
-                elems: vec![e1, e2],
+/// Builds the minimal sub-trie holding two *distinct* elements whose hash
+/// prefixes agree up to `shift`.
+fn pair<T>(h1: u32, e1: T, h2: u32, e2: T, shift: u32) -> Node<T> {
+    if hash_exhausted(shift) {
+        debug_assert_eq!(h1, h2);
+        return Node::new(SlotBitmap::EMPTY, [e1, e2], [], []);
+    }
+    let m1 = mask(h1, shift);
+    let m2 = mask(h2, shift);
+    if m1 == m2 {
+        let child = pair(h1, e1, h2, e2, next_shift(shift));
+        return Node::new(SlotBitmap::EMPTY.with(m1, Category::Node), [], [], [child]);
+    }
+    let bitmap = SlotBitmap::EMPTY
+        .with(m1, Category::Cat1)
+        .with(m2, Category::Cat1);
+    let elems = if m1 < m2 { [e1, e2] } else { [e2, e1] };
+    Node::new(bitmap, elems, [], [])
+}
+
+/// The root of a one-element set (a collapsed trie's last element).
+fn single<T: Hash>(value: T) -> Node<T> {
+    let bitmap = SlotBitmap::EMPTY.with(mask(hash32(&value), 0), Category::Cat1);
+    Node::new(bitmap, [value], [], [])
+}
+
+fn get<'a, T, Q>(node: &'a Node<T>, hash: u32, shift: u32, value: &Q) -> Option<&'a T>
+where
+    T: Borrow<Q>,
+    Q: Eq + ?Sized,
+{
+    if hash_exhausted(shift) {
+        return node.ones().iter().find(|e| (*e).borrow() == value);
+    }
+    // Fused dispatch: category and slot index from one pass.
+    match node.word().locate(mask(hash, shift)) {
+        (Category::Cat1, idx) => Some(node.one(idx)).filter(|e| (*e).borrow() == value),
+        (Category::Node, idx) => get(node.child(idx), hash, next_shift(shift), value),
+        _ => None,
+    }
+}
+
+fn contains<T, Q>(node: &Node<T>, hash: u32, shift: u32, value: &Q) -> bool
+where
+    T: Borrow<Q>,
+    Q: Eq + ?Sized,
+{
+    get(node, hash, shift, value).is_some()
+}
+
+/// Inserts `value` below `this`, editing unique nodes in place and copying
+/// shared ones on write (see [`crate::slots`]). Takes `value` by ownership
+/// so the common paths move it into its final slot. Returns true if the set
+/// grew.
+fn insert_in_place<T: Clone + Eq + Hash>(
+    this: &mut Node<T>,
+    hash: u32,
+    shift: u32,
+    value: T,
+) -> bool {
+    if hash_exhausted(shift) {
+        if this.ones().contains(&value) {
+            return false;
+        }
+        let end = this.ones().len();
+        this.insert(SlotBitmap::EMPTY, end, Slot::One(value));
+        return true;
+    }
+    let bitmap = this.word();
+    let m = mask(hash, shift);
+    match bitmap.locate(m) {
+        (Category::Cat1, idx) => {
+            let existing = this.one(idx);
+            if *existing == value {
+                return false;
+            }
+            // Prefix clash: both elements descend into a fresh sub-trie;
+            // the slot migrates CAT1 → NODE.
+            let existing_hash = hash32(existing);
+            let bitmap = bitmap.with(m, Category::Node);
+            let to = bitmap.slot_index(Category::Node, m);
+            this.migrate::<Ones, _>(bitmap, idx, to, |existing| {
+                let child = pair(existing_hash, existing, hash, value, next_shift(shift));
+                (Slot::Child(child), ())
             });
+            true
         }
-        let m1 = mask(h1, shift);
-        let m2 = mask(h2, shift);
-        if m1 == m2 {
-            let child = Node::pair(h1, e1, h2, e2, next_shift(shift));
-            Node::Bitmap(BitmapNode {
-                bitmap: SlotBitmap::EMPTY.with(m1, Category::Node),
-                slots: Box::new([Slot::Child(Arc::new(child))]),
-            })
-        } else {
-            let bitmap = SlotBitmap::EMPTY
-                .with(m1, Category::Cat1)
-                .with(m2, Category::Cat1);
-            let slots: Box<[Slot<T>]> = if m1 < m2 {
-                Box::new([Slot::Elem(e1), Slot::Elem(e2)])
-            } else {
-                Box::new([Slot::Elem(e2), Slot::Elem(e1)])
-            };
-            Node::Bitmap(BitmapNode { bitmap, slots })
+        (Category::Node, idx) => edit_child(
+            this,
+            idx,
+            |child| insert_in_place(child, hash, next_shift(shift), value),
+            |grew| *grew,
+        ),
+        _ => {
+            let bitmap = bitmap.with(m, Category::Cat1);
+            let idx = bitmap.slot_index(Category::Cat1, m);
+            insert_slot(this, bitmap, idx, Slot::One(value));
+            true
         }
     }
+}
 
-    fn contains<Q>(&self, hash: u32, shift: u32, value: &Q) -> bool
-    where
-        T: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
-        match self {
-            Node::Collision(c) => c.elems.iter().any(|e| e.borrow() == value),
-            Node::Bitmap(b) => {
-                // Fused dispatch: category and slot index from one pass.
-                match b.bitmap.locate(mask(hash, shift)) {
-                    (Category::Empty, _) => false,
-                    (Category::Cat1, idx) => match &b.slots[idx] {
-                        Slot::Elem(e) => e.borrow() == value,
-                        Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                    },
-                    (Category::Node, idx) => match &b.slots[idx] {
-                        Slot::Child(child) => child.contains(hash, next_shift(shift), value),
-                        Slot::Elem(_) => unreachable!("bitmap says NODE"),
-                    },
-                    (Category::Cat2, _) => unreachable!("sets never use CAT2"),
-                }
-            }
-        }
-    }
-
-    fn get<Q>(&self, hash: u32, shift: u32, value: &Q) -> Option<&T>
-    where
-        T: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
-        match self {
-            Node::Collision(c) => c.elems.iter().find(|e| (*e).borrow() == value),
-            Node::Bitmap(b) => match b.bitmap.locate(mask(hash, shift)) {
-                (Category::Empty, _) => None,
-                (Category::Cat1, idx) => match &b.slots[idx] {
-                    Slot::Elem(e) if e.borrow() == value => Some(e),
-                    _ => None,
-                },
-                (Category::Node, idx) => match &b.slots[idx] {
-                    Slot::Child(child) => child.get(hash, next_shift(shift), value),
-                    Slot::Elem(_) => unreachable!("bitmap says NODE"),
-                },
-                (Category::Cat2, _) => unreachable!("sets never use CAT2"),
-            },
-        }
-    }
-
-    /// The root of a one-element set (a collapsed trie's last element).
-    fn single(value: T) -> Node<T> {
-        Node::Bitmap(BitmapNode {
-            bitmap: SlotBitmap::EMPTY.with(mask(hash32(&value), 0), Category::Cat1),
-            slots: Box::new([Slot::Elem(value)]),
-        })
-    }
-
-    /// Inserts `value` below `this`, editing unique nodes in place and
-    /// copying shared ones on write (see [`crate::slots`]). Takes `value` by
-    /// ownership so the common paths move it into its final slot. Returns
-    /// true if the set grew.
-    fn insert_in_place(this: &mut Arc<Node<T>>, hash: u32, shift: u32, value: T) -> bool {
-        let b = match &**this {
-            Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash, "collision nodes sit below exhausted hashes");
-                if c.elems.contains(&value) {
-                    return false;
-                }
-                let Node::Collision(c) = Arc::make_mut(this) else {
-                    unreachable!("matched a collision node")
-                };
-                c.elems.push(value);
-                return true;
-            }
-            Node::Bitmap(b) => b,
+/// Removes `value` below `this` with the same copy-on-write discipline as
+/// [`insert_in_place`], canonicalizing on the way up.
+fn remove_in_place<T, Q>(this: &mut Node<T>, hash: u32, shift: u32, value: &Q) -> EditRemoved<T>
+where
+    T: Clone + Eq + Hash + Borrow<Q>,
+    Q: Eq + ?Sized,
+{
+    if hash_exhausted(shift) {
+        let Some(pos) = this.ones().iter().position(|e| e.borrow() == value) else {
+            return EditRemoved::NotFound;
         };
-        let m = mask(hash, shift);
-        let (cat, idx) = b.bitmap.locate(m);
-        match cat {
-            Category::Empty => {
-                let bitmap = b.bitmap.with(m, Category::Cat1);
-                let idx = bitmap.slot_index(Category::Cat1, m);
-                insert_slot(this, bitmap, idx, Slot::Elem(value));
-                true
-            }
-            Category::Cat1 => {
-                let Slot::Elem(existing) = &b.slots[idx] else {
-                    unreachable!("bitmap says CAT1")
-                };
-                if *existing == value {
-                    return false;
-                }
-                // Prefix clash: both elements descend into a fresh sub-trie;
-                // the slot migrates CAT1 → NODE.
-                let existing_hash = hash32(existing);
-                let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
-                *bitmap = bitmap.with(m, Category::Node);
-                let to = bitmap.slot_index(Category::Node, m);
-                migrate_map(slots, idx, to, |slot| {
-                    let Slot::Elem(existing) = slot else {
-                        unreachable!("bitmap says CAT1")
-                    };
-                    Slot::Child(Arc::new(Node::pair(
-                        existing_hash,
-                        existing,
-                        hash,
-                        value,
-                        next_shift(shift),
-                    )))
-                });
-                true
-            }
-            Category::Node => edit_child(
-                this,
-                idx,
-                |child| Node::insert_in_place(child, hash, next_shift(shift), value),
-                |grew| *grew,
-            ),
-            Category::Cat2 => unreachable!("sets never use CAT2"),
-        }
-    }
-
-    /// Removes `value` below `this` with the same copy-on-write discipline
-    /// as [`Node::insert_in_place`], canonicalizing on the way up.
-    fn remove_in_place<Q>(
-        this: &mut Arc<Node<T>>,
-        hash: u32,
-        shift: u32,
-        value: &Q,
-    ) -> EditRemoved<T>
-    where
-        T: Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
-        let b = match &**this {
-            Node::Collision(c) => {
-                let Some(pos) = c.elems.iter().position(|e| e.borrow() == value) else {
-                    return EditRemoved::NotFound;
-                };
-                let Node::Collision(c) = Arc::make_mut(this) else {
-                    unreachable!("matched a collision node")
-                };
-                if c.elems.len() == 2 {
-                    return EditRemoved::Single(c.elems.swap_remove(1 - pos));
-                }
-                c.elems.swap_remove(pos);
-                return EditRemoved::Removed;
-            }
-            Node::Bitmap(b) => b,
-        };
-        let m = mask(hash, shift);
-        let (cat, idx) = b.bitmap.locate(m);
-        match cat {
-            Category::Empty => EditRemoved::NotFound,
-            Category::Cat1 => {
-                let matches = match &b.slots[idx] {
-                    Slot::Elem(e) => e.borrow() == value,
-                    Slot::Child(_) => unreachable!("bitmap says CAT1"),
-                };
-                if !matches {
-                    return EditRemoved::NotFound;
-                }
-                let bitmap = b.bitmap.with(m, Category::Empty);
-                if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-                    // The node held exactly two elements; hand the survivor
-                    // to the parent for inlining.
-                    let Slot::Elem(e) = survivor(this, idx) else {
-                        unreachable!("both slots are payload")
-                    };
-                    return EditRemoved::Single(e);
-                }
-                remove_slot(this, bitmap, idx);
+        return match this.ones().len() {
+            2 => EditRemoved::Single(take_element(survivor(this, pos))),
+            _ => {
+                this.remove(SlotBitmap::EMPTY, pos);
                 EditRemoved::Removed
             }
-            Category::Node => {
-                // A pure chain node dissolves when its child collapses.
-                let chain =
-                    shift > 0 && b.bitmap.payload_arity() == 0 && b.bitmap.node_arity() == 1;
-                match edit_child(
-                    this,
-                    idx,
-                    |child| Node::remove_in_place(child, hash, next_shift(shift), value),
-                    |outcome| matches!(outcome, EditRemoved::Removed),
-                ) {
-                    EditRemoved::Single(e) if !chain => {
-                        // Inline the survivor: NODE → CAT1, dropping the
-                        // collapsed child.
-                        let BitmapNode { bitmap, slots } = Arc::make_mut(this).bitmap_node_mut();
-                        *bitmap = bitmap.with(m, Category::Cat1);
-                        let to = bitmap.slot_index(Category::Cat1, m);
-                        migrate_map(slots, idx, to, |_child| Slot::Elem(e));
-                        EditRemoved::Removed
-                    }
-                    outcome => outcome,
-                }
+        };
+    }
+    let bitmap = this.word();
+    let m = mask(hash, shift);
+    match bitmap.locate(m) {
+        (Category::Cat1, idx) => {
+            if this.one(idx).borrow() != value {
+                return EditRemoved::NotFound;
             }
-            Category::Cat2 => unreachable!("sets never use CAT2"),
+            let bitmap = bitmap.with(m, Category::Empty);
+            if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
+                // The node held exactly two elements; hand the survivor to
+                // the parent for inlining.
+                return EditRemoved::Single(take_element(survivor(this, idx)));
+            }
+            remove_slot(this, bitmap, idx);
+            EditRemoved::Removed
         }
+        (Category::Node, idx) => {
+            // A pure chain node dissolves when its child collapses.
+            let chain = shift > 0 && bitmap.payload_arity() == 0 && bitmap.node_arity() == 1;
+            match edit_child(
+                this,
+                idx,
+                |child| remove_in_place(child, hash, next_shift(shift), value),
+                |outcome| matches!(outcome, EditRemoved::Removed),
+            ) {
+                EditRemoved::Single(e) if !chain => {
+                    // Inline the survivor: NODE → CAT1, dropping the
+                    // collapsed child after the move.
+                    let bitmap = bitmap.with(m, Category::Cat1);
+                    let to = bitmap.slot_index(Category::Cat1, m);
+                    this.migrate::<Children, _>(bitmap, idx, to, |child| (Slot::One(e), child));
+                    EditRemoved::Removed
+                }
+                outcome => outcome,
+            }
+        }
+        _ => EditRemoved::NotFound,
     }
 }
 
-impl<T> Node<T> {
-    /// The bitmap node, mutably.
-    fn bitmap_node_mut(&mut self) -> &mut BitmapNode<T> {
-        match self {
-            Node::Bitmap(b) => b,
-            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
-        }
-    }
-}
-
-impl<T: Clone> CowNode for Node<T> {
-    type Bitmap = SlotBitmap;
-    type Slot = Slot<T>;
-
-    fn parts(&self) -> (SlotBitmap, &[Slot<T>]) {
-        match self {
-            Node::Bitmap(b) => (b.bitmap, &b.slots),
-            Node::Collision(_) => unreachable!("only bitmap nodes have slots"),
-        }
-    }
-
-    fn slots_mut(&mut self) -> &mut Box<[Slot<T>]> {
-        &mut self.bitmap_node_mut().slots
-    }
-
-    fn of_parts(bitmap: SlotBitmap, slots: Box<[Slot<T>]>) -> Self {
-        Node::Bitmap(BitmapNode { bitmap, slots })
-    }
-
-    fn child_mut(slot: &mut Slot<T>) -> &mut Arc<Self> {
-        match slot {
-            Slot::Child(child) => child,
-            Slot::Elem(_) => unreachable!("bitmap says NODE"),
-        }
+/// The element of a surviving set slot: a set node's payload is all
+/// `CAT1`, and a collapsing node holds no child.
+fn take_element<T>(slot: Slot<T, Infallible, Node<T>>) -> T {
+    match slot {
+        Slot::One(e) => e,
+        Slot::Many(never) => match never {},
+        Slot::Child(_) => unreachable!("a collapsing node holds two elements"),
     }
 }
 
@@ -355,38 +233,64 @@ impl<T: Clone> CowNode for Node<T> {
 // Structural set algebra: lockstep node walks.
 //
 // Both operands are walked in lockstep over the union of their occupied
-// masks; pointer-identical subtrees short-circuit (`Arc::ptr_eq` is a sound
-// subtree-equivalence test because canonical tries represent equal sets with
-// identical structure), and results canonicalize on the way up through
-// `Cut`. Element counts travel as deltas so a short-circuited subtree costs
-// nothing to account for.
+// masks; pointer-identical subtrees short-circuit (`Packed::ptr_eq` is a
+// sound subtree-equivalence test because canonical tries represent equal
+// sets with identical structure), and results canonicalize on the way up
+// through `Cut`. Element counts travel as deltas so a short-circuited
+// subtree costs nothing to account for.
 // ---------------------------------------------------------------------------
 
 /// What one lockstep walk found at a mask position.
 enum At<'a, T> {
     Nothing,
     Elem(&'a T),
-    Sub(&'a Arc<Node<T>>),
+    Sub(&'a Node<T>),
 }
 
-fn at<'a, T>(b: &'a BitmapNode<T>, m: u32) -> At<'a, T> {
-    match b.bitmap.locate(m) {
-        (Category::Empty, _) => At::Nothing,
-        (Category::Cat1, idx) => match &b.slots[idx] {
-            Slot::Elem(e) => At::Elem(e),
-            Slot::Child(_) => unreachable!("bitmap says CAT1"),
-        },
-        (Category::Node, idx) => match &b.slots[idx] {
-            Slot::Child(c) => At::Sub(c),
-            Slot::Elem(_) => unreachable!("bitmap says NODE"),
-        },
-        (Category::Cat2, _) => unreachable!("sets never use CAT2"),
+/// A node's branches in ascending mask order. Each slot group is
+/// ascending by mask, so one cursor per group walks them without a
+/// popcount per branch.
+struct Branches<'a, T> {
+    bitmap: SlotBitmap,
+    elems: std::slice::Iter<'a, T>,
+    children: std::slice::Iter<'a, Node<T>>,
+}
+
+impl<'a, T> Branches<'a, T> {
+    fn of(node: &'a Node<T>) -> Self {
+        Branches {
+            bitmap: node.word(),
+            elems: node.ones().iter(),
+            children: node.children().iter(),
+        }
     }
+
+    /// What the node holds at `m`. Called for ascending masks that cover
+    /// every branch the node occupies.
+    fn at(&mut self, m: u32) -> At<'a, T> {
+        match self.bitmap.get(m) {
+            Category::Cat1 => self.elems.next().map_or(At::Nothing, At::Elem),
+            Category::Node => self.children.next().map_or(At::Nothing, At::Sub),
+            _ => At::Nothing,
+        }
+    }
+}
+
+/// The lockstep walk of two bitmap nodes: both nodes' branches at every
+/// mask either occupies, ascending.
+fn lockstep<'a, T>(
+    a: &'a Node<T>,
+    b: &'a Node<T>,
+) -> impl Iterator<Item = (u32, At<'a, T>, At<'a, T>)> {
+    let (mut xa, mut xb) = (Branches::of(a), Branches::of(b));
+    a.word()
+        .occupied_with(b.word())
+        .map(move |m| (m, xa.at(m), xb.at(m)))
 }
 
 /// A shrinking walk's result, driving canonicalization on the way up.
 enum Cut<T> {
-    /// The result equals the left operand's subtree: reuse its `Arc`.
+    /// The result equals the left operand's subtree: reuse its handle.
     Unchanged,
     /// Nothing survives below this branch.
     Empty,
@@ -399,431 +303,335 @@ enum Cut<T> {
 /// Elements below `node` (walked, not stored; only non-shared subtrees are
 /// ever counted, keeping bulk ops O(changed)).
 fn node_len<T>(node: &Node<T>) -> usize {
-    match node {
-        Node::Collision(c) => c.elems.len(),
-        Node::Bitmap(b) => b
-            .slots
-            .iter()
-            .map(|s| match s {
-                Slot::Elem(_) => 1,
-                Slot::Child(c) => node_len(c),
-            })
-            .sum(),
-    }
+    node.ones().len() + node.children().iter().map(node_len).sum::<usize>()
 }
 
 fn for_each_elem<T>(node: &Node<T>, f: &mut impl FnMut(&T)) {
-    match node {
-        Node::Collision(c) => c.elems.iter().for_each(&mut *f),
-        Node::Bitmap(b) => {
-            for s in &b.slots {
-                match s {
-                    Slot::Elem(e) => f(e),
-                    Slot::Child(c) => for_each_elem(c, f),
-                }
-            }
-        }
+    node.ones().iter().for_each(&mut *f);
+    for child in node.children() {
+        for_each_elem(child, f);
+    }
+}
+
+/// A collision node of `elems`, or the degenerate shapes for the parent to
+/// inline. `Unchanged` when all `total` elements of the left operand stay.
+fn collision_cut<T>(mut elems: Vec<T>, total: usize) -> Cut<T> {
+    match elems.len() {
+        n if n == total => Cut::Unchanged,
+        0 => Cut::Empty,
+        1 => Cut::One(elems.pop().expect("len == 1")),
+        _ => Cut::Node(Node::new(SlotBitmap::EMPTY, elems, [], [])),
     }
 }
 
 /// Assembles a canonical bitmap node from the walked groups, collapsing
 /// degenerate shapes (`Cut::Empty` / `Cut::One`) for the parent to inline.
-fn assemble<T>(bitmap: SlotBitmap, mut payload: Vec<Slot<T>>, children: Vec<Slot<T>>) -> Cut<T> {
+fn assemble<T>(bitmap: SlotBitmap, mut payload: Vec<T>, children: Vec<Node<T>>) -> Cut<T> {
     match (payload.len(), children.len()) {
         (0, 0) => Cut::Empty,
-        (1, 0) => match payload.pop() {
-            Some(Slot::Elem(e)) => Cut::One(e),
-            _ => unreachable!("payload group holds elements"),
-        },
-        _ => {
-            payload.extend(children);
-            Cut::Node(Node::Bitmap(BitmapNode {
-                bitmap,
-                slots: payload.into_boxed_slice(),
-            }))
-        }
+        (1, 0) => Cut::One(payload.pop().expect("len == 1")),
+        _ => Cut::Node(Node::new(bitmap, payload, [], children)),
     }
 }
 
 /// Lockstep union. Returns `(None, 0)` when the result equals `a` (the
-/// caller reuses the `Arc`), else the new node plus how many elements it
+/// caller reuses the handle), else the new node plus how many elements it
 /// gained relative to `a`.
 fn union_nodes<T: Clone + Eq + Hash>(
     a: &Node<T>,
     b: &Node<T>,
     shift: u32,
 ) -> (Option<Node<T>>, usize) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            let fresh: Vec<&T> = y.elems.iter().filter(|e| !x.elems.contains(e)).collect();
-            if fresh.is_empty() {
-                return (None, 0);
-            }
-            let added = fresh.len();
-            let mut elems = x.elems.clone();
-            elems.extend(fresh.into_iter().cloned());
-            (
-                Some(Node::Collision(CollisionNode {
-                    hash: x.hash,
-                    elems,
-                })),
-                added,
-            )
+    if hash_exhausted(shift) {
+        let fresh: Vec<&T> = b.ones().iter().filter(|e| !a.ones().contains(e)).collect();
+        if fresh.is_empty() {
+            return (None, 0);
         }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            let mut bitmap = SlotBitmap::EMPTY;
-            let mut payload: Vec<Slot<T>> = Vec::new();
-            let mut children: Vec<Slot<T>> = Vec::new();
-            let mut added = 0usize;
-            let mut changed = false;
-            for m in 0..32u32 {
-                match (at(x, m), at(y, m)) {
-                    (At::Nothing, At::Nothing) => {}
-                    (At::Elem(ea), At::Nothing) => {
-                        bitmap = bitmap.with(m, Category::Cat1);
-                        payload.push(Slot::Elem(ea.clone()));
-                    }
-                    (At::Nothing, At::Elem(eb)) => {
-                        bitmap = bitmap.with(m, Category::Cat1);
-                        payload.push(Slot::Elem(eb.clone()));
-                        added += 1;
+        let added = fresh.len();
+        let elems: Vec<T> = a.ones().iter().chain(fresh).cloned().collect();
+        return (Some(Node::new(SlotBitmap::EMPTY, elems, [], [])), added);
+    }
+    let mut bitmap = SlotBitmap::EMPTY;
+    let mut payload: Vec<T> = Vec::new();
+    let mut children: Vec<Node<T>> = Vec::new();
+    let mut added = 0usize;
+    let mut changed = false;
+    for (m, at_a, at_b) in lockstep(a, b) {
+        match (at_a, at_b) {
+            (At::Nothing, At::Nothing) => {}
+            (At::Elem(ea), At::Nothing) => {
+                bitmap = bitmap.with(m, Category::Cat1);
+                payload.push(ea.clone());
+            }
+            (At::Nothing, At::Elem(eb)) => {
+                bitmap = bitmap.with(m, Category::Cat1);
+                payload.push(eb.clone());
+                added += 1;
+                changed = true;
+            }
+            (At::Sub(ac), At::Nothing) => {
+                bitmap = bitmap.with(m, Category::Node);
+                children.push(ac.clone());
+            }
+            (At::Nothing, At::Sub(bc)) => {
+                bitmap = bitmap.with(m, Category::Node);
+                added += node_len(bc);
+                children.push(bc.clone());
+                changed = true;
+            }
+            (At::Elem(ea), At::Elem(eb)) => {
+                if ea == eb {
+                    bitmap = bitmap.with(m, Category::Cat1);
+                    payload.push(ea.clone());
+                } else {
+                    bitmap = bitmap.with(m, Category::Node);
+                    let (ha, hb) = (hash32(ea), hash32(eb));
+                    children.push(pair(ha, ea.clone(), hb, eb.clone(), next_shift(shift)));
+                    added += 1;
+                    changed = true;
+                }
+            }
+            (At::Elem(ea), At::Sub(bc)) => {
+                // `a`'s lone element joins (or is absorbed by) `b`'s
+                // subtree; either way the slot becomes NODE.
+                bitmap = bitmap.with(m, Category::Node);
+                let mut child = bc.clone();
+                added += node_len(bc);
+                if !insert_in_place(&mut child, hash32(ea), next_shift(shift), ea.clone()) {
+                    added -= 1;
+                }
+                children.push(child);
+                changed = true;
+            }
+            (At::Sub(ac), At::Elem(eb)) => {
+                bitmap = bitmap.with(m, Category::Node);
+                let mut child = ac.clone();
+                if insert_in_place(&mut child, hash32(eb), next_shift(shift), eb.clone()) {
+                    added += 1;
+                    changed = true;
+                }
+                children.push(child);
+            }
+            (At::Sub(ac), At::Sub(bc)) => {
+                bitmap = bitmap.with(m, Category::Node);
+                if Node::ptr_eq(ac, bc) {
+                    children.push(ac.clone());
+                    continue;
+                }
+                match union_nodes(ac, bc, next_shift(shift)) {
+                    (None, _) => children.push(ac.clone()),
+                    (Some(n), add) => {
+                        children.push(n);
+                        added += add;
                         changed = true;
-                    }
-                    (At::Sub(ac), At::Nothing) => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        children.push(Slot::Child(Arc::clone(ac)));
-                    }
-                    (At::Nothing, At::Sub(bc)) => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        added += node_len(bc);
-                        children.push(Slot::Child(Arc::clone(bc)));
-                        changed = true;
-                    }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea == eb {
-                            bitmap = bitmap.with(m, Category::Cat1);
-                            payload.push(Slot::Elem(ea.clone()));
-                        } else {
-                            bitmap = bitmap.with(m, Category::Node);
-                            let child = Node::pair(
-                                hash32(ea),
-                                ea.clone(),
-                                hash32(eb),
-                                eb.clone(),
-                                next_shift(shift),
-                            );
-                            children.push(Slot::Child(Arc::new(child)));
-                            added += 1;
-                            changed = true;
-                        }
-                    }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        // `a`'s lone element joins (or is absorbed by) `b`'s
-                        // subtree; either way the slot becomes NODE.
-                        bitmap = bitmap.with(m, Category::Node);
-                        let mut child = Arc::clone(bc);
-                        added += node_len(bc);
-                        if !Node::insert_in_place(
-                            &mut child,
-                            hash32(ea),
-                            next_shift(shift),
-                            ea.clone(),
-                        ) {
-                            added -= 1;
-                        }
-                        children.push(Slot::Child(child));
-                        changed = true;
-                    }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        let mut child = Arc::clone(ac);
-                        if Node::insert_in_place(
-                            &mut child,
-                            hash32(eb),
-                            next_shift(shift),
-                            eb.clone(),
-                        ) {
-                            added += 1;
-                            changed = true;
-                        }
-                        children.push(Slot::Child(child));
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        if Arc::ptr_eq(ac, bc) {
-                            children.push(Slot::Child(Arc::clone(ac)));
-                        } else {
-                            match union_nodes(ac, bc, next_shift(shift)) {
-                                (None, _) => children.push(Slot::Child(Arc::clone(ac))),
-                                (Some(n), add) => {
-                                    children.push(Slot::Child(Arc::new(n)));
-                                    added += add;
-                                    changed = true;
-                                }
-                            }
-                        }
                     }
                 }
             }
-            if !changed {
-                return (None, 0);
-            }
-            payload.extend(children);
-            (
-                Some(Node::Bitmap(BitmapNode {
-                    bitmap,
-                    slots: payload.into_boxed_slice(),
-                })),
-                added,
-            )
         }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
     }
+    if !changed {
+        return (None, 0);
+    }
+    (Some(Node::new(bitmap, payload, [], children)), added)
 }
 
 /// Lockstep intersection. Returns the surviving shape plus how many of `a`'s
 /// elements were dropped (`Cut::Unchanged` ⇒ 0).
 fn intersect_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> (Cut<T>, usize) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            let mut kept: Vec<T> = x
-                .elems
-                .iter()
-                .filter(|e| y.elems.contains(e))
-                .cloned()
-                .collect();
-            let removed = x.elems.len() - kept.len();
-            match kept.len() {
-                n if n == x.elems.len() => (Cut::Unchanged, 0),
-                0 => (Cut::Empty, removed),
-                1 => (Cut::One(kept.pop().expect("len == 1")), removed),
-                _ => (
-                    Cut::Node(Node::Collision(CollisionNode {
-                        hash: x.hash,
-                        elems: kept,
-                    })),
-                    removed,
-                ),
+    if hash_exhausted(shift) {
+        let kept: Vec<T> = a
+            .ones()
+            .iter()
+            .filter(|e| b.ones().contains(e))
+            .cloned()
+            .collect();
+        let removed = a.ones().len() - kept.len();
+        return (collision_cut(kept, a.ones().len()), removed);
+    }
+    let mut bitmap = SlotBitmap::EMPTY;
+    let mut payload: Vec<T> = Vec::new();
+    let mut children: Vec<Node<T>> = Vec::new();
+    let mut removed = 0usize;
+    let mut changed = false;
+    for (m, at_a, at_b) in lockstep(a, b) {
+        match (at_a, at_b) {
+            (At::Nothing, _) => {}
+            (At::Elem(_), At::Nothing) => {
+                removed += 1;
+                changed = true;
             }
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            let mut bitmap = SlotBitmap::EMPTY;
-            let mut payload: Vec<Slot<T>> = Vec::new();
-            let mut children: Vec<Slot<T>> = Vec::new();
-            let mut removed = 0usize;
-            let mut changed = false;
-            for m in 0..32u32 {
-                let pos_a = at(x, m);
-                if matches!(pos_a, At::Nothing) {
+            (At::Elem(ea), At::Elem(eb)) => {
+                if ea == eb {
+                    bitmap = bitmap.with(m, Category::Cat1);
+                    payload.push(ea.clone());
+                } else {
+                    removed += 1;
+                    changed = true;
+                }
+            }
+            (At::Elem(ea), At::Sub(bc)) => {
+                if contains(bc, hash32(ea), next_shift(shift), ea) {
+                    bitmap = bitmap.with(m, Category::Cat1);
+                    payload.push(ea.clone());
+                } else {
+                    removed += 1;
+                    changed = true;
+                }
+            }
+            (At::Sub(ac), At::Nothing) => {
+                removed += node_len(ac);
+                changed = true;
+            }
+            (At::Sub(ac), At::Elem(eb)) => {
+                let total = node_len(ac);
+                if contains(ac, hash32(eb), next_shift(shift), eb) {
+                    // The intersection of this subtree with a lone element
+                    // is that element, inlined.
+                    bitmap = bitmap.with(m, Category::Cat1);
+                    payload.push(eb.clone());
+                    removed += total - 1;
+                } else {
+                    removed += total;
+                }
+                changed = true;
+            }
+            (At::Sub(ac), At::Sub(bc)) => {
+                if Node::ptr_eq(ac, bc) {
+                    bitmap = bitmap.with(m, Category::Node);
+                    children.push(ac.clone());
                     continue;
                 }
-                match (pos_a, at(y, m)) {
-                    (At::Elem(_), At::Nothing) => {
-                        removed += 1;
-                        changed = true;
+                let (cut, r) = intersect_nodes(ac, bc, next_shift(shift));
+                removed += r;
+                changed |= !matches!(cut, Cut::Unchanged);
+                match cut {
+                    Cut::Unchanged => {
+                        bitmap = bitmap.with(m, Category::Node);
+                        children.push(ac.clone());
                     }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea == eb {
-                            bitmap = bitmap.with(m, Category::Cat1);
-                            payload.push(Slot::Elem(ea.clone()));
-                        } else {
-                            removed += 1;
-                            changed = true;
-                        }
+                    Cut::Empty => {}
+                    Cut::One(e) => {
+                        bitmap = bitmap.with(m, Category::Cat1);
+                        payload.push(e);
                     }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        if bc.contains(hash32(ea), next_shift(shift), ea) {
-                            bitmap = bitmap.with(m, Category::Cat1);
-                            payload.push(Slot::Elem(ea.clone()));
-                        } else {
-                            removed += 1;
-                            changed = true;
-                        }
+                    Cut::Node(n) => {
+                        bitmap = bitmap.with(m, Category::Node);
+                        children.push(n);
                     }
-                    (At::Sub(ac), At::Nothing) => {
-                        removed += node_len(ac);
-                        changed = true;
-                    }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        let total = node_len(ac);
-                        if ac.contains(hash32(eb), next_shift(shift), eb) {
-                            // The intersection of this subtree with a lone
-                            // element is that element, inlined.
-                            bitmap = bitmap.with(m, Category::Cat1);
-                            payload.push(Slot::Elem(eb.clone()));
-                            removed += total - 1;
-                        } else {
-                            removed += total;
-                        }
-                        changed = true;
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if Arc::ptr_eq(ac, bc) {
-                            bitmap = bitmap.with(m, Category::Node);
-                            children.push(Slot::Child(Arc::clone(ac)));
-                            continue;
-                        }
-                        match intersect_nodes(ac, bc, next_shift(shift)) {
-                            (Cut::Unchanged, _) => {
-                                bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(Arc::clone(ac)));
-                            }
-                            (Cut::Empty, r) => {
-                                removed += r;
-                                changed = true;
-                            }
-                            (Cut::One(e), r) => {
-                                bitmap = bitmap.with(m, Category::Cat1);
-                                payload.push(Slot::Elem(e));
-                                removed += r;
-                                changed = true;
-                            }
-                            (Cut::Node(n), r) => {
-                                bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(Arc::new(n)));
-                                removed += r;
-                                changed = true;
-                            }
-                        }
-                    }
-                    (At::Nothing, _) => unreachable!("filtered above"),
                 }
             }
-            if !changed {
-                return (Cut::Unchanged, 0);
-            }
-            (assemble(bitmap, payload, children), removed)
         }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
     }
+    if !changed {
+        return (Cut::Unchanged, 0);
+    }
+    (assemble(bitmap, payload, children), removed)
 }
 
 /// Lockstep difference (`a \ b`). Returns the surviving shape plus how many
 /// elements survive (`Cut::Unchanged` ⇒ the whole subtree, counted).
 fn difference_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> (Cut<T>, usize) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            let mut kept: Vec<T> = x
-                .elems
-                .iter()
-                .filter(|e| !y.elems.contains(e))
-                .cloned()
-                .collect();
-            match kept.len() {
-                n if n == x.elems.len() => (Cut::Unchanged, n),
-                0 => (Cut::Empty, 0),
-                1 => (Cut::One(kept.pop().expect("len == 1")), 1),
-                n => (
-                    Cut::Node(Node::Collision(CollisionNode {
-                        hash: x.hash,
-                        elems: kept,
-                    })),
-                    n,
-                ),
+    if hash_exhausted(shift) {
+        let kept: Vec<T> = a
+            .ones()
+            .iter()
+            .filter(|e| !b.ones().contains(e))
+            .cloned()
+            .collect();
+        let n = kept.len();
+        return (collision_cut(kept, a.ones().len()), n);
+    }
+    let mut bitmap = SlotBitmap::EMPTY;
+    let mut payload: Vec<T> = Vec::new();
+    let mut children: Vec<Node<T>> = Vec::new();
+    let mut kept = 0usize;
+    let mut changed = false;
+    for (m, at_a, at_b) in lockstep(a, b) {
+        match (at_a, at_b) {
+            (At::Nothing, _) => {}
+            (At::Elem(ea), At::Nothing) => {
+                bitmap = bitmap.with(m, Category::Cat1);
+                payload.push(ea.clone());
+                kept += 1;
             }
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            let mut bitmap = SlotBitmap::EMPTY;
-            let mut payload: Vec<Slot<T>> = Vec::new();
-            let mut children: Vec<Slot<T>> = Vec::new();
-            let mut kept = 0usize;
-            let mut changed = false;
-            for m in 0..32u32 {
-                let pos_a = at(x, m);
-                if matches!(pos_a, At::Nothing) {
-                    continue;
+            (At::Elem(ea), At::Elem(eb)) => {
+                if ea == eb {
+                    changed = true;
+                } else {
+                    bitmap = bitmap.with(m, Category::Cat1);
+                    payload.push(ea.clone());
+                    kept += 1;
                 }
-                match (pos_a, at(y, m)) {
-                    (At::Elem(ea), At::Nothing) => {
-                        bitmap = bitmap.with(m, Category::Cat1);
-                        payload.push(Slot::Elem(ea.clone()));
-                        kept += 1;
-                    }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea == eb {
-                            changed = true;
-                        } else {
-                            bitmap = bitmap.with(m, Category::Cat1);
-                            payload.push(Slot::Elem(ea.clone()));
-                            kept += 1;
-                        }
-                    }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        if bc.contains(hash32(ea), next_shift(shift), ea) {
-                            changed = true;
-                        } else {
-                            bitmap = bitmap.with(m, Category::Cat1);
-                            payload.push(Slot::Elem(ea.clone()));
-                            kept += 1;
-                        }
-                    }
-                    (At::Sub(ac), At::Nothing) => {
+            }
+            (At::Elem(ea), At::Sub(bc)) => {
+                if contains(bc, hash32(ea), next_shift(shift), ea) {
+                    changed = true;
+                } else {
+                    bitmap = bitmap.with(m, Category::Cat1);
+                    payload.push(ea.clone());
+                    kept += 1;
+                }
+            }
+            (At::Sub(ac), At::Nothing) => {
+                bitmap = bitmap.with(m, Category::Node);
+                children.push(ac.clone());
+                kept += node_len(ac);
+            }
+            (At::Sub(ac), At::Elem(eb)) => {
+                let mut child = ac.clone();
+                match remove_in_place(&mut child, hash32(eb), next_shift(shift), eb) {
+                    EditRemoved::NotFound => {
                         bitmap = bitmap.with(m, Category::Node);
-                        children.push(Slot::Child(Arc::clone(ac)));
+                        children.push(child);
                         kept += node_len(ac);
                     }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        let mut child = Arc::clone(ac);
-                        match Node::remove_in_place(&mut child, hash32(eb), next_shift(shift), eb) {
-                            EditRemoved::NotFound => {
-                                bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(child));
-                                kept += node_len(ac);
-                            }
-                            EditRemoved::Removed => {
-                                kept += node_len(&child);
-                                bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(child));
-                                changed = true;
-                            }
-                            EditRemoved::Single(e) => {
-                                bitmap = bitmap.with(m, Category::Cat1);
-                                payload.push(Slot::Elem(e));
-                                kept += 1;
-                                changed = true;
-                            }
-                        }
+                    EditRemoved::Removed => {
+                        kept += node_len(&child);
+                        bitmap = bitmap.with(m, Category::Node);
+                        children.push(child);
+                        changed = true;
                     }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if Arc::ptr_eq(ac, bc) {
-                            // The entire shared subtree cancels out.
-                            changed = true;
-                            continue;
-                        }
-                        match difference_nodes(ac, bc, next_shift(shift)) {
-                            (Cut::Unchanged, k) => {
-                                bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(Arc::clone(ac)));
-                                kept += k;
-                            }
-                            (Cut::Empty, _) => changed = true,
-                            (Cut::One(e), _) => {
-                                bitmap = bitmap.with(m, Category::Cat1);
-                                payload.push(Slot::Elem(e));
-                                kept += 1;
-                                changed = true;
-                            }
-                            (Cut::Node(n), k) => {
-                                bitmap = bitmap.with(m, Category::Node);
-                                children.push(Slot::Child(Arc::new(n)));
-                                kept += k;
-                                changed = true;
-                            }
-                        }
+                    EditRemoved::Single(e) => {
+                        bitmap = bitmap.with(m, Category::Cat1);
+                        payload.push(e);
+                        kept += 1;
+                        changed = true;
                     }
-                    (At::Nothing, _) => unreachable!("filtered above"),
                 }
             }
-            if !changed {
-                return (Cut::Unchanged, kept);
+            (At::Sub(ac), At::Sub(bc)) => {
+                if Node::ptr_eq(ac, bc) {
+                    // The entire shared subtree cancels out.
+                    changed = true;
+                    continue;
+                }
+                let (cut, k) = difference_nodes(ac, bc, next_shift(shift));
+                changed |= !matches!(cut, Cut::Unchanged);
+                match cut {
+                    Cut::Unchanged => {
+                        bitmap = bitmap.with(m, Category::Node);
+                        children.push(ac.clone());
+                        kept += k;
+                    }
+                    Cut::Empty => {}
+                    Cut::One(e) => {
+                        bitmap = bitmap.with(m, Category::Cat1);
+                        payload.push(e);
+                        kept += 1;
+                    }
+                    Cut::Node(n) => {
+                        bitmap = bitmap.with(m, Category::Node);
+                        children.push(n);
+                        kept += k;
+                    }
+                }
             }
-            (assemble(bitmap, payload, children), kept)
         }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
     }
+    if !changed {
+        return (Cut::Unchanged, kept);
+    }
+    (assemble(bitmap, payload, children), kept)
 }
 
 /// Lockstep diff (`a` old, `b` new): pointer-identical subtrees emit
@@ -834,67 +642,57 @@ fn diff_nodes<T: Clone + Eq + Hash>(
     shift: u32,
     out: &mut trie_common::ops::SetDiff<T>,
 ) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            for e in &x.elems {
-                if !y.elems.contains(e) {
-                    out.removed.push(e.clone());
+    if hash_exhausted(shift) {
+        let (x, y) = (a.ones(), b.ones());
+        out.removed
+            .extend(x.iter().filter(|e| !y.contains(e)).cloned());
+        out.added
+            .extend(y.iter().filter(|e| !x.contains(e)).cloned());
+        return;
+    }
+    for (_, at_a, at_b) in lockstep(a, b) {
+        match (at_a, at_b) {
+            (At::Nothing, At::Nothing) => {}
+            (At::Elem(ea), At::Nothing) => out.removed.push(ea.clone()),
+            (At::Nothing, At::Elem(eb)) => out.added.push(eb.clone()),
+            (At::Sub(ac), At::Nothing) => {
+                for_each_elem(ac, &mut |e| out.removed.push(e.clone()));
+            }
+            (At::Nothing, At::Sub(bc)) => {
+                for_each_elem(bc, &mut |e| out.added.push(e.clone()));
+            }
+            (At::Elem(ea), At::Elem(eb)) => {
+                if ea != eb {
+                    out.removed.push(ea.clone());
+                    out.added.push(eb.clone());
                 }
             }
-            for e in &y.elems {
-                if !x.elems.contains(e) {
-                    out.added.push(e.clone());
+            (At::Elem(ea), At::Sub(bc)) => {
+                if !contains(bc, hash32(ea), next_shift(shift), ea) {
+                    out.removed.push(ea.clone());
                 }
+                for_each_elem(bc, &mut |e| {
+                    if e != ea {
+                        out.added.push(e.clone());
+                    }
+                });
             }
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            for m in 0..32u32 {
-                match (at(x, m), at(y, m)) {
-                    (At::Nothing, At::Nothing) => {}
-                    (At::Elem(ea), At::Nothing) => out.removed.push(ea.clone()),
-                    (At::Nothing, At::Elem(eb)) => out.added.push(eb.clone()),
-                    (At::Sub(ac), At::Nothing) => {
-                        for_each_elem(ac, &mut |e| out.removed.push(e.clone()));
+            (At::Sub(ac), At::Elem(eb)) => {
+                if !contains(ac, hash32(eb), next_shift(shift), eb) {
+                    out.added.push(eb.clone());
+                }
+                for_each_elem(ac, &mut |e| {
+                    if e != eb {
+                        out.removed.push(e.clone());
                     }
-                    (At::Nothing, At::Sub(bc)) => {
-                        for_each_elem(bc, &mut |e| out.added.push(e.clone()));
-                    }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea != eb {
-                            out.removed.push(ea.clone());
-                            out.added.push(eb.clone());
-                        }
-                    }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        if !bc.contains(hash32(ea), next_shift(shift), ea) {
-                            out.removed.push(ea.clone());
-                        }
-                        for_each_elem(bc, &mut |e| {
-                            if e != ea {
-                                out.added.push(e.clone());
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        if !ac.contains(hash32(eb), next_shift(shift), eb) {
-                            out.added.push(eb.clone());
-                        }
-                        for_each_elem(ac, &mut |e| {
-                            if e != eb {
-                                out.removed.push(e.clone());
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if !Arc::ptr_eq(ac, bc) {
-                            diff_nodes(ac, bc, next_shift(shift), out);
-                        }
-                    }
+                });
+            }
+            (At::Sub(ac), At::Sub(bc)) => {
+                if !Node::ptr_eq(ac, bc) {
+                    diff_nodes(ac, bc, next_shift(shift), out);
                 }
             }
         }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
     }
 }
 
@@ -904,14 +702,14 @@ fn diff_nodes<T: Clone + Eq + Hash>(
 /// new set sharing unchanged sub-tries with its ancestors. See the
 /// [module documentation](self) for the encoding.
 pub struct AxiomSet<T> {
-    pub(crate) root: Arc<Node<T>>,
+    pub(crate) root: Node<T>,
     pub(crate) len: usize,
 }
 
 impl<T> Clone for AxiomSet<T> {
     fn clone(&self) -> Self {
         AxiomSet {
-            root: Arc::clone(&self.root),
+            root: self.root.clone(),
             len: self.len,
         }
     }
@@ -928,7 +726,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// ```
     pub fn new() -> Self {
         AxiomSet {
-            root: Arc::new(Node::empty()),
+            root: empty(),
             len: 0,
         }
     }
@@ -937,9 +735,15 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// promoted to `1:n`. `a` and `b` must be distinct.
     pub(crate) fn from_two(a: T, b: T) -> Self {
         debug_assert!(a != b);
-        let root = Node::pair(hash32(&a), a, hash32(&b), b, 0);
+        let (ha, hb) = (hash32(&a), hash32(&b));
+        Self::from_two_hashed(a, ha, b, hb)
+    }
+
+    /// [`AxiomSet::from_two`] of values whose hashes the caller computed:
+    /// hashes nothing.
+    pub(crate) fn from_two_hashed(a: T, ha: u32, b: T, hb: u32) -> Self {
         AxiomSet {
-            root: Arc::new(root),
+            root: pair(ha, a, hb, b, 0),
             len: 2,
         }
     }
@@ -967,7 +771,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        self.root.contains(hash32(value), 0, value)
+        contains(&self.root, hash32(value), 0, value)
     }
 
     /// Returns a reference to the stored element equal to `value`, if any.
@@ -976,7 +780,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        self.root.get(hash32(value), 0, value)
+        get(&self.root, hash32(value), 0, value)
     }
 
     /// Returns a set additionally containing `value`; `self` is unchanged.
@@ -992,7 +796,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// if the set grew.
     pub fn insert_mut(&mut self, value: T) -> bool {
         let hash = hash32(&value);
-        if Node::insert_in_place(&mut self.root, hash, 0, value) {
+        if insert_in_place(&mut self.root, hash, 0, value) {
             self.len += 1;
             true
         } else {
@@ -1018,7 +822,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        match Node::remove_in_place(&mut self.root, hash32(value), 0, value) {
+        match remove_in_place(&mut self.root, hash32(value), 0, value) {
             EditRemoved::NotFound => false,
             EditRemoved::Removed => {
                 self.len -= 1;
@@ -1026,7 +830,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
             }
             EditRemoved::Single(survivor) => {
                 // Only reachable when the root collapses to one element.
-                self.root = Arc::new(Node::single(survivor));
+                self.root = single(survivor);
                 self.len -= 1;
                 true
             }
@@ -1051,7 +855,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// Rebuilds the one-element set (canonicalization helper).
     pub(crate) fn singleton(value: T) -> Self {
         AxiomSet {
-            root: Arc::new(Node::single(value)),
+            root: single(value),
             len: 1,
         }
     }
@@ -1060,7 +864,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// operands share by pointer are reused wholesale, so the cost is
     /// O(changed) — and a self-union returns `self` without allocating.
     pub fn union(&self, other: &Self) -> Self {
-        if other.is_empty() || Arc::ptr_eq(&self.root, &other.root) {
+        if other.is_empty() || Node::ptr_eq(&self.root, &other.root) {
             return self.clone();
         }
         if self.is_empty() {
@@ -1069,7 +873,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         match union_nodes(&self.root, &other.root, 0) {
             (None, _) => self.clone(),
             (Some(node), added) => AxiomSet {
-                root: Arc::new(node),
+                root: node,
                 len: self.len + added,
             },
         }
@@ -1078,7 +882,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// Intersection of two sets via a lockstep structural walk (shared
     /// subtrees survive by pointer, cost O(changed)).
     pub fn intersect(&self, other: &Self) -> Self {
-        if self.is_empty() || Arc::ptr_eq(&self.root, &other.root) {
+        if self.is_empty() || Node::ptr_eq(&self.root, &other.root) {
             return self.clone();
         }
         if other.is_empty() {
@@ -1089,7 +893,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
             (Cut::Empty, _) => AxiomSet::new(),
             (Cut::One(e), _) => Self::singleton(e),
             (Cut::Node(n), removed) => AxiomSet {
-                root: Arc::new(n),
+                root: n,
                 len: self.len - removed,
             },
         }
@@ -1101,17 +905,14 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         if self.is_empty() || other.is_empty() {
             return self.clone();
         }
-        if Arc::ptr_eq(&self.root, &other.root) {
+        if Node::ptr_eq(&self.root, &other.root) {
             return AxiomSet::new();
         }
         match difference_nodes(&self.root, &other.root, 0) {
             (Cut::Unchanged, _) => self.clone(),
             (Cut::Empty, _) => AxiomSet::new(),
             (Cut::One(e), _) => Self::singleton(e),
-            (Cut::Node(n), kept) => AxiomSet {
-                root: Arc::new(n),
-                len: kept,
-            },
+            (Cut::Node(n), kept) => AxiomSet { root: n, len: kept },
         }
     }
 
@@ -1119,7 +920,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// subtrees emit nothing, so output and walk are both O(changed).
     pub fn diff(&self, other: &Self) -> trie_common::ops::SetDiff<T> {
         let mut out = trie_common::ops::SetDiff::new();
-        if Arc::ptr_eq(&self.root, &other.root) {
+        if Node::ptr_eq(&self.root, &other.root) {
             return out;
         }
         if self.is_empty() {
@@ -1214,56 +1015,45 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
 
 /// Validates canonical form below `node`; returns the element count.
 fn validate<T: Clone + Eq + Hash>(node: &Node<T>, shift: u32, prefix: Option<u32>) -> usize {
-    match node {
-        Node::Collision(c) => {
-            assert!(hash_exhausted(shift), "collision node above max depth");
-            assert!(c.elems.len() >= 2, "collision node with < 2 elements");
-            for (i, e) in c.elems.iter().enumerate() {
-                assert_eq!(hash32(e), c.hash, "collision member hash");
-                for later in &c.elems[i + 1..] {
-                    assert!(later != e, "duplicate in collision node");
-                }
-            }
-            if let Some(p) = prefix {
-                assert_eq!(c.hash, p, "collision hash disagrees with path");
-            }
-            c.elems.len()
+    if hash_exhausted(shift) {
+        let elems = node.ones();
+        assert!(node.children().is_empty(), "collision node with children");
+        assert!(elems.len() >= 2, "collision node with < 2 elements");
+        let hash = hash32(&elems[0]);
+        for (i, e) in elems.iter().enumerate() {
+            assert_eq!(hash32(e), hash, "collision member hash");
+            assert!(!elems[i + 1..].contains(e), "duplicate in collision node");
         }
-        Node::Bitmap(b) => {
-            assert!(!hash_exhausted(shift), "bitmap node below max depth");
-            assert_eq!(b.bitmap.count(Category::Cat2), 0, "sets never use CAT2");
-            assert_eq!(b.slots.len(), b.bitmap.arity(), "slot count");
-            let mut total = 0usize;
-            for (i, m) in b.bitmap.masks_of(Category::Cat1).enumerate() {
-                match &b.slots[b.bitmap.offset(Category::Cat1) + i] {
-                    Slot::Elem(e) => {
-                        assert_eq!(mask(hash32(e), shift), m, "element in wrong branch");
-                        total += 1;
-                    }
-                    Slot::Child(_) => panic!("payload slot holds a child"),
-                }
-            }
-            for (i, m) in b.bitmap.masks_of(Category::Node).enumerate() {
-                match &b.slots[b.bitmap.offset(Category::Node) + i] {
-                    Slot::Child(child) => {
-                        let sub = validate(child, next_shift(shift), prefix);
-                        assert!(sub >= 2, "sub-trie with < 2 elements not inlined");
-                        let _ = m;
-                        total += sub;
-                    }
-                    Slot::Elem(_) => panic!("node slot holds payload"),
-                }
-            }
-            if shift > 0 {
-                assert!(
-                    !(b.bitmap.payload_arity() == 1 && b.bitmap.node_arity() == 0),
-                    "non-root singleton payload node must be inlined"
-                );
-                assert!(b.bitmap.arity() >= 1, "empty non-root node");
-            }
-            total
+        if let Some(p) = prefix {
+            assert_eq!(hash, p, "collision hash disagrees with path");
         }
+        return elems.len();
     }
+    let bitmap = node.word();
+    assert_eq!(bitmap.count(Category::Cat2), 0, "sets never use CAT2");
+    assert_eq!(
+        node.ones().len(),
+        bitmap.count(Category::Cat1),
+        "element count"
+    );
+    assert_eq!(node.children().len(), bitmap.node_arity(), "child count");
+    for (e, m) in node.ones().iter().zip(bitmap.masks_of(Category::Cat1)) {
+        assert_eq!(mask(hash32(e), shift), m, "element in wrong branch");
+    }
+    let mut total = node.ones().len();
+    for child in node.children() {
+        let sub = validate(child, next_shift(shift), prefix);
+        assert!(sub >= 2, "sub-trie with < 2 elements not inlined");
+        total += sub;
+    }
+    if shift > 0 {
+        assert!(
+            !(bitmap.payload_arity() == 1 && bitmap.node_arity() == 0),
+            "non-root singleton payload node must be inlined"
+        );
+        assert!(bitmap.arity() >= 1, "empty non-root node");
+    }
+    total
 }
 
 impl<T: Clone + Eq + Hash> Default for AxiomSet<T> {
@@ -1302,35 +1092,24 @@ impl<T: Clone + Eq + Hash> std::ops::Sub for &AxiomSet<T> {
 impl<T: Clone + Eq + Hash> PartialEq for AxiomSet<T> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len
-            && (Arc::ptr_eq(&self.root, &other.root) || node_eq(&self.root, &other.root))
+            && (Node::ptr_eq(&self.root, &other.root) || node_eq(&self.root, &other.root, 0))
     }
 }
 
 impl<T: Clone + Eq + Hash> Eq for AxiomSet<T> {}
 
-fn node_eq<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>) -> bool {
-    match (a, b) {
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            x.bitmap == y.bitmap
-                && x.slots
-                    .iter()
-                    .zip(y.slots.iter())
-                    .all(|(s, t)| match (s, t) {
-                        (Slot::Elem(e), Slot::Elem(f)) => e == f,
-                        (Slot::Child(c), Slot::Child(d)) => {
-                            // CHAMP-style short-circuit on shared sub-tries.
-                            Arc::ptr_eq(c, d) || node_eq(c, d)
-                        }
-                        _ => false,
-                    })
-        }
-        (Node::Collision(x), Node::Collision(y)) => {
-            x.hash == y.hash
-                && x.elems.len() == y.elems.len()
-                && x.elems.iter().all(|e| y.elems.contains(e))
-        }
-        _ => false,
+fn node_eq<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> bool {
+    if hash_exhausted(shift) {
+        let (x, y) = (a.ones(), b.ones());
+        return x.len() == y.len() && x.iter().all(|e| y.contains(e));
     }
+    a.word() == b.word()
+        && a.ones() == b.ones()
+        && a.children()
+            .iter()
+            .zip(b.children())
+            // CHAMP-style short-circuit on shared sub-tries.
+            .all(|(c, d)| Node::ptr_eq(c, d) || node_eq(c, d, next_shift(shift)))
 }
 
 impl<T: Clone + Eq + Hash> std::hash::Hash for AxiomSet<T> {
@@ -1374,44 +1153,27 @@ impl<'a, T: Clone + Eq + Hash> IntoIterator for &'a AxiomSet<T> {
     }
 }
 
-/// Depth-first cursor into one node's slots.
-enum Cursor<'a, T> {
-    Bitmap { slots: &'a [Slot<T>], idx: usize },
-    Collision { elems: &'a [T], idx: usize },
-}
-
 /// Iterator over the elements of an [`AxiomSet`]. Created by
 /// [`AxiomSet::iter`].
 ///
-/// Because slots are permuted by category, all of a node's inlined elements
+/// Because slots are grouped by category, all of a node's inlined elements
 /// are yielded before any sub-trie is entered — the paper's histogram-driven
 /// batch iteration (§3.3) falls out of the grouping for free.
 pub struct Iter<'a, T> {
-    stack: Vec<Cursor<'a, T>>,
+    elems: std::slice::Iter<'a, T>,
+    stack: Vec<std::slice::Iter<'a, Node<T>>>,
     remaining: usize,
 }
 
 impl<'a, T> Iter<'a, T> {
     pub(crate) fn new(root: &'a Node<T>, len: usize) -> Self {
         let mut stack = Vec::with_capacity(8);
-        stack.push(cursor_of(root));
+        stack.push(root.children().iter());
         Iter {
+            elems: root.ones().iter(),
             stack,
             remaining: len,
         }
-    }
-}
-
-fn cursor_of<T>(node: &Node<T>) -> Cursor<'_, T> {
-    match node {
-        Node::Bitmap(b) => Cursor::Bitmap {
-            slots: &b.slots,
-            idx: 0,
-        },
-        Node::Collision(c) => Cursor::Collision {
-            elems: &c.elems,
-            idx: 0,
-        },
     }
 }
 
@@ -1420,31 +1182,18 @@ impl<'a, T> Iterator for Iter<'a, T> {
 
     fn next(&mut self) -> Option<&'a T> {
         loop {
+            if let Some(e) = self.elems.next() {
+                self.remaining -= 1;
+                return Some(e);
+            }
             let top = self.stack.last_mut()?;
-            match top {
-                Cursor::Collision { elems, idx } => {
-                    if *idx < elems.len() {
-                        let out = &elems[*idx];
-                        *idx += 1;
-                        self.remaining -= 1;
-                        return Some(out);
-                    }
-                    self.stack.pop();
+            match top.next() {
+                Some(child) => {
+                    self.elems = child.ones().iter();
+                    self.stack.push(child.children().iter());
                 }
-                Cursor::Bitmap { slots, idx } => {
-                    if *idx >= slots.len() {
-                        self.stack.pop();
-                        continue;
-                    }
-                    let slot = &slots[*idx];
-                    *idx += 1;
-                    match slot {
-                        Slot::Elem(e) => {
-                            self.remaining -= 1;
-                            return Some(e);
-                        }
-                        Slot::Child(child) => self.stack.push(cursor_of(child)),
-                    }
+                None => {
+                    self.stack.pop();
                 }
             }
         }
@@ -1680,15 +1429,15 @@ mod tests {
         let b = a.inserted(5000);
         let u = a.union(&b);
         assert_eq!(u, b);
-        // Union with self (or an equal-rooted successor) reuses the root Arc.
+        // Union with self (or an equal-rooted successor) reuses the root handle.
         let self_union = a.union(&a.clone());
-        assert!(Arc::ptr_eq(&self_union.root, &a.root));
+        assert!(Node::ptr_eq(&self_union.root, &a.root));
         // Union where `other` adds nothing also reuses the root.
         let back = b.union(&a);
-        assert!(Arc::ptr_eq(&back.root, &b.root));
+        assert!(Node::ptr_eq(&back.root, &b.root));
         // Intersection with a superset keeps `self` unchanged by pointer.
         let inter = a.intersect(&b);
-        assert!(Arc::ptr_eq(&inter.root, &a.root));
+        assert!(Node::ptr_eq(&inter.root, &a.root));
         // Difference against self is empty; against the successor drops 0.
         assert!(a.difference(&a.clone()).is_empty());
         assert_eq!(b.difference(&a).len(), 1);

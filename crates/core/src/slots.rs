@@ -1,14 +1,16 @@
 //! The slot-array helpers and copy-on-write walk steps AXIOM uses, all
 //! defined in [`trie_common::slices`] and shared with the CHAMP and HAMT
 //! baselines, plus the AXIOM-flavoured test suite for them, including the
-//! three-category migration boundary cases the multi-map relies on.
+//! three-category migration boundary cases.
 //!
-//! Each AXIOM `Node` implements [`CowNode`] with the 2-bit
-//! [`SlotBitmap`](crate::bitmap::SlotBitmap) as its bitmap.
+//! [`AxiomMap`](crate::AxiomMap)'s `Node` is a [`SlotNode`] with the 2-bit
+//! [`SlotBitmap`](crate::bitmap::SlotBitmap) as its bitmap, so its `Arc`
+//! handle runs the walk steps. The set and multi-map nodes are
+//! [`trie_common::packed::Packed`] handles, which run the same steps.
 
 pub(crate) use trie_common::slices::{
     edit_child, insert_slot, inserted_at_owned, migrate_map, remove_slot, removed_at_owned,
-    survivor, CowNode,
+    survivor, SlotNode,
 };
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
-use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, CowNode};
+use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, SlotNode};
 
 /// One slot: an inlined entry or a sub-trie, dynamically discriminated.
 #[derive(Debug, Clone)]
@@ -261,7 +261,7 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
     }
 }
 
-impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+impl<K: Clone, V: Clone> SlotNode for Node<K, V> {
     type Bitmap = u32;
     type Slot = Slot<K, V>;
 
@@ -281,6 +281,13 @@ impl<K: Clone, V: Clone> CowNode for Node<K, V> {
 
     fn of_parts(bitmap: u32, slots: Box<[Slot<K, V>]>) -> Self {
         Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child(slot: &Slot<K, V>) -> &Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Entry(..) => unreachable!("slot holds a child"),
+        }
     }
 
     fn child_mut(slot: &mut Slot<K, V>) -> &mut Arc<Self> {

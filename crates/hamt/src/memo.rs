@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
-use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, CowNode};
+use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, SlotNode};
 
 /// One slot: a leaf entry (with memoized hash) or a sub-trie.
 #[derive(Debug, Clone)]
@@ -290,7 +290,7 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Node<K, V> {
     }
 }
 
-impl<K: Clone, V: Clone> CowNode for Node<K, V> {
+impl<K: Clone, V: Clone> SlotNode for Node<K, V> {
     type Bitmap = u32;
     type Slot = Slot<K, V>;
 
@@ -310,6 +310,13 @@ impl<K: Clone, V: Clone> CowNode for Node<K, V> {
 
     fn of_parts(bitmap: u32, slots: Box<[Slot<K, V>]>) -> Self {
         Node::Bitmap(BitmapNode { bitmap, slots })
+    }
+
+    fn child(slot: &Slot<K, V>) -> &Arc<Self> {
+        match slot {
+            Slot::Child(child) => child,
+            Slot::Entry(..) => unreachable!("slot holds a child"),
+        }
     }
 
     fn child_mut(slot: &mut Slot<K, V>) -> &mut Arc<Self> {

@@ -10,6 +10,7 @@
 
 use std::borrow::Borrow;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use crate::map::HamtMap;
 use crate::memo::MemoHamtMap;
@@ -142,8 +143,13 @@ impl<T: Clone + Eq + Hash> Default for HamtSet<T> {
 }
 
 impl<T: Clone + Eq + Hash> PartialEq for HamtSet<T> {
+    /// Same root ⇒ equal, with no element probed (the identity short-cut
+    /// of `java.util.AbstractSet.equals`); otherwise every element of one
+    /// side is looked up in the other.
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().all(|v| other.contains(v))
+        self.len() == other.len()
+            && (Arc::ptr_eq(&self.map.root, &other.map.root)
+                || self.iter().all(|v| other.contains(v)))
     }
 }
 
@@ -308,8 +314,13 @@ impl<T: Clone + Eq + Hash> Default for MemoHamtSet<T> {
 }
 
 impl<T: Clone + Eq + Hash> PartialEq for MemoHamtSet<T> {
+    /// Same root ⇒ equal, with no element probed (the identity short-cut
+    /// of `java.util.AbstractSet.equals`); otherwise every element of one
+    /// side is looked up in the other.
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().all(|v| other.contains(v))
+        self.len() == other.len()
+            && (Arc::ptr_eq(&self.map.root, &other.map.root)
+                || self.iter().all(|v| other.contains(v)))
     }
 }
 

@@ -161,6 +161,10 @@ where
     }
 
     /// Inserts `(key, value)` in place. Returns true if the relation grew.
+    ///
+    /// The key is hashed twice, by the `get` and then by the put, as the
+    /// idiomatic JVM update does it (`get`, then `assoc`/`updated`); the
+    /// value once, by the nested set's insert.
     pub fn insert_mut(&mut self, key: K, value: V) -> bool {
         // Protocol dispatch: the stored value's dynamic type decides.
         match self.map.get(&key) {
@@ -179,11 +183,12 @@ where
                 true
             }
             Some(ClojureVal::SetOf(s)) => {
-                if s.contains(&value) {
+                // One value hash: a present value leaves the set as it was.
+                let grown = s.inserted(value);
+                if grown.len() == s.len() {
                     return false;
                 }
-                let s = s.inserted(value);
-                self.map.insert_mut(key, ClojureVal::SetOf(s));
+                self.map.insert_mut(key, ClojureVal::SetOf(grown));
                 self.tuples += 1;
                 true
             }
@@ -191,6 +196,7 @@ where
     }
 
     /// Removes `(key, value)` in place. Returns true if present.
+    /// Hashes the key twice (`get`, then the put) and the value once.
     pub fn remove_tuple_mut(&mut self, key: &K, value: &V) -> bool {
         match self.map.get(key) {
             None => false,
@@ -203,16 +209,17 @@ where
                 true
             }
             Some(ClojureVal::SetOf(s)) => {
-                if !s.contains(value) {
+                // One value hash: an absent value leaves the set as it was.
+                let shrunk = s.removed(value);
+                if shrunk.len() == s.len() {
                     return false;
                 }
-                let s = s.removed(value);
-                let new_val = if s.len() == 1 {
+                let new_val = if shrunk.len() == 1 {
                     // Demote to an inlined singleton (the protocol's
                     // `to-one` case).
-                    ClojureVal::Single(s.sole().clone())
+                    ClojureVal::Single(shrunk.sole().clone())
                 } else {
-                    ClojureVal::SetOf(s)
+                    ClojureVal::SetOf(shrunk)
                 };
                 self.map.insert_mut(key.clone(), new_val);
                 self.tuples -= 1;

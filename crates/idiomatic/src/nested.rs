@@ -70,6 +70,10 @@ where
     }
 
     /// Inserts `(key, value)` in place. Returns true if the relation grew.
+    ///
+    /// The key is hashed twice, by the `get` and then by the put, as the
+    /// idiomatic JVM update does it (`get`, then `assoc`/`updated`); the
+    /// value once, by the nested set's insert.
     pub fn insert_mut(&mut self, key: K, value: V) -> bool {
         match self.map.get(&key) {
             None => {
@@ -79,11 +83,12 @@ where
                 true
             }
             Some(set) => {
-                if set.contains(&value) {
+                // One value hash: a present value leaves the set as it was.
+                let grown = set.inserted(value);
+                if grown.len() == set.len() {
                     return false;
                 }
-                let set = set.inserted(value);
-                self.map.insert_mut(key, set);
+                self.map.insert_mut(key, grown);
                 self.tuples += 1;
                 true
             }
@@ -92,18 +97,20 @@ where
 
     /// Removes `(key, value)` in place. Returns true if present. Keys whose
     /// set empties are removed.
+    /// Hashes the key twice (`get`, then the put) and the value once.
     pub fn remove_tuple_mut(&mut self, key: &K, value: &V) -> bool {
         match self.map.get(key) {
             None => false,
             Some(set) => {
-                if !set.contains(value) {
+                // One value hash: an absent value leaves the set as it was.
+                let shrunk = set.removed(value);
+                if shrunk.len() == set.len() {
                     return false;
                 }
-                if set.len() == 1 {
+                if shrunk.is_empty() {
                     self.map.remove_mut(key);
                 } else {
-                    let set = set.removed(value);
-                    self.map.insert_mut(key.clone(), set);
+                    self.map.insert_mut(key.clone(), shrunk);
                 }
                 self.tuples -= 1;
                 true

@@ -167,6 +167,11 @@ impl<V: Clone + Eq + Hash> ScalaSet<V> {
 
     /// Returns the set with `value` added, or `None` if present.
     fn inserted(&self, value: &V) -> Option<ScalaSet<V>> {
+        if let ScalaSet::Trie(s) = self {
+            // One value hash: a present value leaves the trie as it was.
+            let grown = s.inserted(value.clone());
+            return (grown.len() > s.len()).then_some(ScalaSet::Trie(grown));
+        }
         if self.contains(value) {
             return None;
         }
@@ -191,6 +196,13 @@ impl<V: Clone + Eq + Hash> ScalaSet<V> {
     /// became empty.
     #[allow(clippy::option_option)]
     fn removed(&self, value: &V) -> Option<Option<ScalaSet<V>>> {
+        if let ScalaSet::Trie(s) = self {
+            // One value hash: an absent value leaves the trie as it was.
+            // Faithful to Scala, the trie does not demote to `SetN`.
+            let shrunk = s.removed(value);
+            return (shrunk.len() < s.len())
+                .then(|| (!shrunk.is_empty()).then_some(ScalaSet::Trie(shrunk)));
+        }
         if !self.contains(value) {
             return None;
         }
@@ -210,15 +222,7 @@ impl<V: Clone + Eq + Hash> ScalaSet<V> {
                 let r = keep(vec![a, b, c, d]);
                 Some(ScalaSet::S3(r[0].clone(), r[1].clone(), r[2].clone()))
             }
-            ScalaSet::Trie(s) => {
-                let s = s.removed(value);
-                if s.is_empty() {
-                    None
-                } else {
-                    // Faithful to Scala: the trie does not demote to SetN.
-                    Some(ScalaSet::Trie(s))
-                }
-            }
+            ScalaSet::Trie(s) => Some(ScalaSet::Trie(s.removed(value))),
         })
     }
 

@@ -5,7 +5,9 @@
 //! hash collisions, and a frozen snapshot edited in `k` places must diff in
 //! exactly `k` entries. The key-level multi-map operations (`get`,
 //! `replace_values_mut`, `value_set`, `put_value_set_mut`) are checked
-//! against a map-of-sets model, and a put is shown to hash only its key. The
+//! against a map-of-sets model, and a put is shown to hash only its key; a
+//! tuple edit hashes its value once, and a value set equals its clone
+//! without hashing. The
 //! sharded layer's epoch/`changes_since` and the parallel combinators are
 //! covered at the end.
 
@@ -566,6 +568,67 @@ fn put_value_set_hashes_the_key_once_and_no_value() {
     run::<AxiomMultiMap<Counted, Counted>>();
     run::<AxiomFusedMultiMap<Counted, Counted>>();
     run::<NestedChampMultiMap<Counted, Counted>>();
+}
+
+/// A named tuple edit, whether it changes the relation, and the edit.
+type TupleEdit<'a, M> = (&'a str, bool, &'a dyn Fn(&mut M) -> bool);
+
+/// A tuple insert or removal under a key bound to a nested trie set hashes
+/// the value once, hit or miss, on every design (the key, a plain `u16`,
+/// is not counted). Nine values put every design's binding in a trie set:
+/// past the fused bag's and the Scala emulation's four inline values.
+#[test]
+fn tuple_edits_hash_the_value_once() {
+    fn run<M: MultiMapMutOps<u16, Counted>>() {
+        let mut mm = (0..32u16)
+            .flat_map(|k| (0..9).map(move |v| (k, Counted(100 + v))))
+            .fold(M::empty(), |m, (k, v)| m.inserted(k, v));
+        for k in 0..32u16 {
+            let edits: [TupleEdit<M>; 4] = [
+                ("insert a fresh value", true, &|m| {
+                    m.insert_mut(k, Counted(500))
+                }),
+                ("insert a present value", false, &|m| {
+                    m.insert_mut(k, Counted(100))
+                }),
+                ("remove a present value", true, &|m| {
+                    m.remove_tuple_mut(&k, &Counted(500))
+                }),
+                ("remove an absent value", false, &|m| {
+                    m.remove_tuple_mut(&k, &Counted(7))
+                }),
+            ];
+            for (what, changed, edit) in edits {
+                let (out, hashes) = hashes_during(|| edit(&mut mm));
+                assert_eq!(out, changed, "{} {what}", M::NAME);
+                assert_eq!(hashes, 1, "{} {what}: value hashes", M::NAME);
+            }
+        }
+    }
+    run::<AxiomMultiMap<u16, Counted>>();
+    run::<AxiomFusedMultiMap<u16, Counted>>();
+    run::<NestedChampMultiMap<u16, Counted>>();
+    run::<ClojureMultiMap<u16, Counted>>();
+    run::<ScalaMultiMap<u16, Counted>>();
+}
+
+/// A value set compared with its own clone is equal by identity: no value
+/// is hashed, on every design.
+#[test]
+fn value_set_equals_its_clone_without_hashing() {
+    fn run<M: MultiMapMutOps<u16, Counted>>() {
+        let mm = (0..9u16).fold(M::empty(), |m, v| m.inserted(1, Counted(v)));
+        let set = mm.value_set(&1).expect("key 1 is bound");
+        let copy = set.clone();
+        let (same, hashes) = hashes_during(|| set == copy);
+        assert!(same, "{}", M::NAME);
+        assert_eq!(hashes, 0, "{} value_set == clone", M::NAME);
+    }
+    run::<AxiomMultiMap<u16, Counted>>();
+    run::<AxiomFusedMultiMap<u16, Counted>>();
+    run::<NestedChampMultiMap<u16, Counted>>();
+    run::<ClojureMultiMap<u16, Counted>>();
+    run::<ScalaMultiMap<u16, Counted>>();
 }
 
 // ---------------------------------------------------------------------------
