@@ -2,13 +2,13 @@
 //!
 //! A [`Cfg`] stores its nodes in a dense vector (index 0 is the entry) plus
 //! an index-based edge list; [`Cfg::preds_relation`] / [`Cfg::succs_relation`]
-//! materialize the relations as any [`MultiMapOps`] implementation — the
+//! materialize the relations as any [`MultiMapMutOps`] implementation — the
 //! interface Table 1 uses to run the *same* dominator computation over CHAMP
 //! map-of-sets and the AXIOM multi-map.
 
 use std::collections::BTreeSet;
 
-use trie_common::ops::MultiMapOps;
+use trie_common::ops::{MultiMapMutOps, MultiMapOps};
 
 use crate::ast::CfgNode;
 
@@ -57,21 +57,23 @@ impl Cfg {
         out
     }
 
-    /// The `succs` relation over node payloads, as any multi-map.
-    pub fn succs_relation<M: MultiMapOps<CfgNode, CfgNode>>(&self) -> M {
+    /// The `succs` relation over node payloads, as any multi-map, built in
+    /// place (the one handle edits its own nodes instead of path-copying
+    /// the spine for every tuple).
+    pub fn succs_relation<M: MultiMapMutOps<CfgNode, CfgNode>>(&self) -> M {
         let mut mm = M::empty();
         for &(a, b) in &self.edges {
-            mm = mm.inserted(self.nodes[a].clone(), self.nodes[b].clone());
+            mm.insert_mut(self.nodes[a].clone(), self.nodes[b].clone());
         }
         mm
     }
 
     /// The `preds` relation (the reverse index the paper's conclusion calls
-    /// out as AXIOM's sweet spot), as any multi-map.
-    pub fn preds_relation<M: MultiMapOps<CfgNode, CfgNode>>(&self) -> M {
+    /// out as AXIOM's sweet spot), as any multi-map, built in place.
+    pub fn preds_relation<M: MultiMapMutOps<CfgNode, CfgNode>>(&self) -> M {
         let mut mm = M::empty();
         for &(a, b) in &self.edges {
-            mm = mm.inserted(self.nodes[b].clone(), self.nodes[a].clone());
+            mm.insert_mut(self.nodes[b].clone(), self.nodes[a].clone());
         }
         mm
     }

@@ -5,20 +5,32 @@
 //! as
 //!
 //! ```text
-//! | count: AtomicU32 | lens: [u32; 3] | word: W | [A; lens[0]] | [B; lens[1]] | [Packed; lens[2]] |
+//! | count: AtomicU32 | lens: [u8; 3] | flags: u8 | word: W | [A; lens[0]] | [B; lens[1]] | [Packed; lens[2]] |
 //! ```
 //!
-//! The header is `#[repr(C)]`. Each region starts where the previous one
-//! ends, rounded up to its element alignment (the offsets
-//! [`Layout::extend`] computes), and the block size is rounded up to the
-//! largest alignment. The regions are the AXIOM categories in slot order:
-//! `CAT1` payload, `CAT2` payload, sub-tries. A set uses only the first and
-//! the last (`B` is [`std::convert::Infallible`]). A multi-map uses
-//! `(K, V)` and `(K, Bag)` for the two payload regions. The word is the
-//! node's bitmap and is never read here: which branch sits in which slot
-//! is the owner's business, so no slot carries a discriminant of its own.
-//! A hash-collision node is a block with no children whose word the owner
-//! ignores; it is reached through the same 8-byte child pointer.
+//! The header is `#[repr(C)]`: 16 bytes for a 64-bit word. Each region
+//! starts where the previous one ends, rounded up to its element alignment
+//! (the offsets [`Layout::extend`] computes), and the block size is rounded
+//! up to the largest alignment. The regions are the AXIOM categories in
+//! slot order: `CAT1` payload, `CAT2` payload, sub-tries. A set uses only
+//! the first and the last (`B` is [`std::convert::Infallible`]). A
+//! multi-map uses `(K, V)` and its bag's key-and-bag element for the two
+//! payload regions. The word is the node's bitmap and is never read here:
+//! which branch sits in which slot is the owner's business, so no slot
+//! carries a discriminant of its own. A hash-collision node is a block with
+//! no children whose word the owner ignores; it is reached through the same
+//! 8-byte child pointer.
+//!
+//! A bitmap node has at most 32 slots, so its lengths fit the header's
+//! bytes. Only a hash-collision node can have a region longer than 255. Such
+//! a *wide* block sets the `WIDE` flag and keeps its three lengths as `u32`s
+//! in a 12-byte prefix between the header and region 0:
+//!
+//! ```text
+//! | count | lens: unused | flags: WIDE | word | lens: [u32; 3] | [A; lens[0]] | [B; lens[1]] | [Packed; lens[2]] |
+//! ```
+//!
+//! so collision nodes have no cap below `u32::MAX` slots per region.
 //!
 //! Slots are addressed by their *absolute* index in the concatenation of
 //! the three regions, which is what `SlotBitmap::locate` returns.
@@ -29,9 +41,11 @@
 //! relies only on the following, all kept here:
 //!
 //! 1. **Layout.** A handle's pointer is a live block allocated with
-//!    `layout(lens)` for the `lens` in its own header. `lens` never change
-//!    after the block is published: an edit that changes a region's length
-//!    builds a new block.
+//!    `layout(lens)` for its lengths `lens`. A block is wide (flag set,
+//!    lengths in the `u32` prefix) exactly when some length exceeds 255;
+//!    otherwise the lengths are the header's bytes. Neither the lengths nor
+//!    the flag change after the block is published: an edit that changes a
+//!    region's length builds a new block.
 //! 2. **Initialisation.** While any handle exists, every element of every
 //!    region is initialised. A block under construction is owned by a
 //!    `Writer` guard that knows which prefix of each region is written; if
@@ -67,10 +81,20 @@ use std::sync::atomic::{self, AtomicU32, Ordering};
 /// `isize::MAX`): far below `u32::MAX`, so racing increments cannot wrap.
 const MAX_COUNT: u32 = i32::MAX as u32;
 
+/// `flags` bit of a wide block: its lengths are in the `u32` prefix.
+const WIDE: u8 = 1;
+
+/// The longest region a block records in its header bytes.
+const NARROW_MAX: usize = u8::MAX as usize;
+
+/// The lengths prefix of a wide block.
+type WideLens = [u32; 3];
+
 #[repr(C)]
 struct Header<W> {
     count: AtomicU32,
-    lens: [u32; 3],
+    lens: [u8; 3],
+    flags: u8,
     word: W,
 }
 
@@ -213,10 +237,35 @@ impl<W, A, B> Packed<W, A, B> {
         align
     };
 
-    /// Byte offsets of the three regions for region lengths `lens`.
+    /// True if a block with region lengths `lens` is wide.
     #[inline(always)]
-    fn offsets(lens: [usize; 3]) -> [usize; 3] {
-        let a = round_up(size_of::<Header<W>>(), align_of::<A>());
+    fn is_wide(lens: [usize; 3]) -> bool {
+        (lens[0] | lens[1] | lens[2]) > NARROW_MAX
+    }
+
+    /// Byte offset of region 0 in a narrow block: right past the header.
+    const NARROW_START: usize = round_up(size_of::<Header<W>>(), align_of::<A>());
+
+    /// Byte offset of region 0 in a wide block: past the lengths prefix.
+    const WIDE_START: usize = round_up(
+        size_of::<Header<W>>() + size_of::<WideLens>(),
+        align_of::<A>(),
+    );
+
+    /// Byte offset of region 0 for region lengths `lens`.
+    #[inline(always)]
+    fn start(lens: [usize; 3]) -> usize {
+        match Self::is_wide(lens) {
+            true => Self::WIDE_START,
+            false => Self::NARROW_START,
+        }
+    }
+
+    /// Byte offsets of the three regions for region lengths `lens`, region
+    /// 0 starting at `start`.
+    #[inline(always)]
+    fn offsets(start: usize, lens: [usize; 3]) -> [usize; 3] {
+        let a = start;
         let b = round_up(a + lens[0] * size_of::<A>(), align_of::<B>());
         let c = round_up(b + lens[1] * size_of::<B>(), align_of::<Self>());
         [a, b, c]
@@ -232,19 +281,39 @@ impl<W, A, B> Packed<W, A, B> {
                 .and_then(|end| end.checked_add(align - 1))
                 .map(|end| end & !(align - 1))
         };
-        let a = round_up(size_of::<Header<W>>(), align_of::<A>());
-        let size = region(a, lens[0], size_of::<A>(), align_of::<B>())
+        let size = region(Self::start(lens), lens[0], size_of::<A>(), align_of::<B>())
             .and_then(|b| region(b, lens[1], size_of::<B>(), align_of::<Self>()))
             .and_then(|c| region(c, lens[2], size_of::<Self>(), Self::ALIGN));
         size.and_then(|size| Layout::from_size_align(size, Self::ALIGN).ok())
             .expect("trie node size overflows the address space")
     }
 
+    /// The block's region lengths and the byte offsets of its regions.
+    /// Region 0's offset is a constant of the branch the flag takes, so
+    /// reading a narrow block's first region waits on no length.
+    #[inline(always)]
+    fn shape(&self) -> ([usize; 3], [usize; 3]) {
+        let header = self.ptr.as_ptr();
+        // SAFETY: invariant 1: the header is live and neither the flags nor
+        // the lengths change. `lens` and `flags` are adjacent bytes of the
+        // `repr(C)` header, so one 4-byte read covers both. A wide block's
+        // prefix follows the header, aligned for `u32` because the header's
+        // size is a multiple of its `AtomicU32` alignment.
+        unsafe {
+            let [a, b, c, flags] = ptr::addr_of!((*header).lens).cast::<[u8; 4]>().read();
+            if flags & WIDE == 0 {
+                let lens = [a, b, c].map(usize::from);
+                (lens, Self::offsets(Self::NARROW_START, lens))
+            } else {
+                let lens = header.add(1).cast::<WideLens>().read().map(|n| n as usize);
+                (lens, Self::offsets(Self::WIDE_START, lens))
+            }
+        }
+    }
+
     #[inline(always)]
     fn lens(&self) -> [usize; 3] {
-        // SAFETY: invariant 1: the header is live and `lens` never change.
-        let lens = unsafe { ptr::addr_of!((*self.ptr.as_ptr()).lens).read() };
-        lens.map(|n| n as usize)
+        self.shape().0
     }
 
     #[inline(always)]
@@ -257,29 +326,44 @@ impl<W, A, B> Packed<W, A, B> {
     /// lengths `lens`. The element type is the caller's to get right.
     #[inline(always)]
     fn region_ptr<T>(ptr: NonNull<Header<W>>, lens: [usize; 3], r: usize) -> *mut T {
-        let offset = Self::offsets(lens)[r];
-        // SAFETY: the offset lies inside (or one past the end of) the block
-        // allocated with `layout(lens)` (invariant 1).
+        Self::at(ptr, Self::offsets(Self::start(lens), lens)[r])
+    }
+
+    /// Pointer to byte `offset` of the block at `ptr`, as a `T` pointer.
+    #[inline(always)]
+    fn at<T>(ptr: NonNull<Header<W>>, offset: usize) -> *mut T {
+        // SAFETY: the callers pass a region offset of the block, which lies
+        // inside (or one past the end of) its allocation (invariant 1).
         unsafe { ptr.as_ptr().cast::<u8>().add(offset).cast::<T>() }
     }
 
     /// Allocates a block for `lens` and writes its header (count 1); the
     /// regions are left uninitialised for the caller to fill.
     fn allocate(word: W, lens: [usize; 3]) -> NonNull<Header<W>> {
-        let lens32 = lens.map(|n| u32::try_from(n).expect("trie node region length fits u32"));
+        let wide = Self::is_wide(lens);
+        let wide_lens = lens.map(|n| u32::try_from(n).expect("trie node region length fits u32"));
+        let (narrow_lens, flags) = match wide {
+            true => ([u8::MAX; 3], WIDE),
+            false => (lens.map(|n| n as u8), 0),
+        };
         let layout = Self::layout(lens);
         // SAFETY: the layout is at least the header, so its size is not 0.
         let raw = unsafe { alloc::alloc(layout) };
         let Some(ptr) = NonNull::new(raw.cast::<Header<W>>()) else {
             alloc::handle_alloc_error(layout)
         };
-        // SAFETY: a fresh block, aligned for the header.
+        // SAFETY: a fresh block, aligned for the header; a wide block's
+        // layout has room for the prefix right after it (see `lens`).
         unsafe {
             ptr.as_ptr().write(Header {
                 count: AtomicU32::new(1),
-                lens: lens32,
+                lens: narrow_lens,
+                flags,
                 word,
-            })
+            });
+            if wide {
+                ptr.as_ptr().add(1).cast::<WideLens>().write(wide_lens);
+            }
         };
         ptr
     }
@@ -308,26 +392,26 @@ impl<W, A, B> Packed<W, A, B> {
     /// The first payload region (`CAT1`).
     #[inline(always)]
     pub fn ones(&self) -> &[A] {
-        let lens = self.lens();
+        let (lens, at) = self.shape();
         // SAFETY: invariants 1 and 2: region 0 holds `lens[0]` initialised
         // `A`s, shared for as long as `self` is borrowed.
-        unsafe { std::slice::from_raw_parts(Self::region_ptr(self.ptr, lens, 0), lens[0]) }
+        unsafe { std::slice::from_raw_parts(Self::at(self.ptr, at[0]), lens[0]) }
     }
 
     /// The second payload region (`CAT2`).
     #[inline(always)]
     pub fn manys(&self) -> &[B] {
-        let lens = self.lens();
+        let (lens, at) = self.shape();
         // SAFETY: as in `ones`, for region 1.
-        unsafe { std::slice::from_raw_parts(Self::region_ptr(self.ptr, lens, 1), lens[1]) }
+        unsafe { std::slice::from_raw_parts(Self::at(self.ptr, at[1]), lens[1]) }
     }
 
     /// The sub-trie handles.
     #[inline(always)]
     pub fn children(&self) -> &[Self] {
-        let lens = self.lens();
+        let (lens, at) = self.shape();
         // SAFETY: as in `ones`, for region 2.
-        unsafe { std::slice::from_raw_parts(Self::region_ptr(self.ptr, lens, 2), lens[2]) }
+        unsafe { std::slice::from_raw_parts(Self::at(self.ptr, at[2]), lens[2]) }
     }
 
     /// The `CAT1` payload at absolute slot index `idx`.
@@ -339,14 +423,20 @@ impl<W, A, B> Packed<W, A, B> {
     /// The `CAT2` payload at absolute slot index `idx`.
     #[inline(always)]
     pub fn many(&self, idx: usize) -> &B {
-        &self.manys()[idx - self.lens()[0]]
+        let (lens, at) = self.shape();
+        // SAFETY: as in `manys`.
+        let manys: &[B] = unsafe { std::slice::from_raw_parts(Self::at(self.ptr, at[1]), lens[1]) };
+        &manys[idx - lens[0]]
     }
 
     /// The sub-trie handle at absolute slot index `idx`.
     #[inline(always)]
     pub fn child(&self, idx: usize) -> &Self {
-        let lens = self.lens();
-        &self.children()[idx - lens[0] - lens[1]]
+        let (lens, at) = self.shape();
+        // SAFETY: as in `children`.
+        let children: &[Self] =
+            unsafe { std::slice::from_raw_parts(Self::at(self.ptr, at[2]), lens[2]) };
+        &children[idx - lens[0] - lens[1]]
     }
 
     /// Number of slots in all three regions.
@@ -385,7 +475,7 @@ impl<W, A, B> Packed<W, A, B> {
     /// `self.is_unique()` must hold (invariant 4).
     #[inline(always)]
     unsafe fn parts_mut(&mut self) -> NodeMut<'_, W, A, B> {
-        let lens = self.lens();
+        let (lens, at) = self.shape();
         let ptr = self.ptr;
         // SAFETY: by the caller's contract no other handle exists, and the
         // `&mut self` borrow keeps it so for `'_`; the four places are
@@ -393,9 +483,9 @@ impl<W, A, B> Packed<W, A, B> {
         unsafe {
             NodeMut {
                 word: &mut *ptr::addr_of_mut!((*ptr.as_ptr()).word),
-                ones: std::slice::from_raw_parts_mut(Self::region_ptr(ptr, lens, 0), lens[0]),
-                manys: std::slice::from_raw_parts_mut(Self::region_ptr(ptr, lens, 1), lens[1]),
-                children: std::slice::from_raw_parts_mut(Self::region_ptr(ptr, lens, 2), lens[2]),
+                ones: std::slice::from_raw_parts_mut(Self::at(ptr, at[0]), lens[0]),
+                manys: std::slice::from_raw_parts_mut(Self::at(ptr, at[1]), lens[1]),
+                children: std::slice::from_raw_parts_mut(Self::at(ptr, at[2]), lens[2]),
             }
         }
     }
@@ -1064,17 +1154,92 @@ mod tests {
         assert_eq!(node.manys().len(), 2);
         assert_eq!(node.alloc_bytes() % 32, 0);
         assert!(Packed::ptr_eq(&with_child.children()[0], &node));
-        // Header (24 B) then two 32-byte elements at offset 32.
+        // Header (16 B) then two 32-byte elements at offset 32.
         assert_eq!(node.alloc_bytes(), 32 + 2 * 32);
     }
 
     #[test]
-    fn a_u32_set_node_is_a_24_byte_header_and_its_slots() {
+    fn a_u32_set_node_is_a_16_byte_header_and_its_slots() {
         type SetNode = Packed<u64, u32, std::convert::Infallible>;
+        assert_eq!(size_of::<Header<u64>>(), 16);
+        let leaf: SetNode = Packed::new(0, [1, 2], [], []);
+        assert_eq!(leaf.alloc_bytes(), 16 + 2 * 4);
         let leaf: SetNode = Packed::new(0, [1, 2, 3], [], []);
-        assert_eq!(leaf.alloc_bytes(), 24 + 3 * 4 + 4, "rounded up to 8");
+        assert_eq!(leaf.alloc_bytes(), 16 + 3 * 4 + 4, "rounded up to 8");
         let inner: SetNode = Packed::new(0, [4], [], [leaf.clone(), leaf]);
-        assert_eq!(inner.alloc_bytes(), 24 + 8 + 2 * 8);
+        assert_eq!(inner.alloc_bytes(), 16 + 8 + 2 * 8);
         assert_eq!(size_of::<SetNode>(), 8);
+    }
+
+    #[test]
+    fn a_region_past_255_makes_a_wide_block_with_no_cap() {
+        type SetNode = Packed<u64, u32, std::convert::Infallible>;
+        let narrow: SetNode = Packed::new(0, 0..255, [], []);
+        assert_eq!(narrow.alloc_bytes(), 16 + 255 * 4 + 4);
+        let wide: SetNode = Packed::new(0, 0..300, [], []);
+        // Header, the three `u32` lengths, then the elements.
+        assert_eq!(wide.alloc_bytes(), 16 + 12 + 300 * 4 + 4);
+        assert_eq!(wide.ones().len(), 300);
+        assert!(wide.ones().iter().copied().eq(0..300));
+        let wider: SetNode = Packed::new(0, 0..70_000, [], []);
+        assert_eq!(wider.arity(), 70_000, "no 16-bit cap either");
+        assert_eq!(wider.ones()[69_999], 69_999);
+    }
+
+    #[test]
+    fn wide_blocks_cross_the_255_boundary_both_ways_and_drop_once() {
+        let live = Arc::new(AtomicIsize::new(0));
+        let fuse = Arc::new(AtomicIsize::new(isize::MAX));
+        let l = |id| Live::new(id, &live, &fuse);
+        {
+            let node = |l: &dyn Fn(u32) -> Live| {
+                let leaf = Node::new(9, [l(1000)], [], []);
+                Node::new(7, (0..255).map(l), [(0, l(500))], [leaf])
+            };
+            let (mut unique, mut shared) = (node(&l), node(&l));
+            let narrow_bytes = unique.alloc_bytes();
+            let keep = shared.clone();
+            // Wide: 12 more header bytes, one more `Live` (24 B) in the first
+            // region, one `(u32, Live)` (32 B) less in the second.
+            let size = |n: usize, m: usize| round_up(round_up(16 + 12 + n * 24, 8) + m * 32, 8) + 8;
+            for (node, share) in [(&mut unique, false), (&mut shared, true)] {
+                // Narrow to wide: the CAT2 slot moves into the first region
+                // (moved out of the unique node, cloned out of the shared).
+                node.migrate::<Manys, _>(8, 255, 255, |(_, v)| (Slot::One(v), ()));
+                let (ones, manys, children) = ids(node);
+                assert_eq!(ones.len(), 256);
+                assert_eq!((ones[255], manys.len(), children), (500, 0, 1));
+                assert_eq!(node.word(), 8);
+                assert_eq!(node.child(256).ones()[0].id, 1000);
+                assert_eq!(node.alloc_bytes(), size(256, 0));
+                // Wide to narrow: one element moves out again, from a
+                // unique block or from one another handle still reads.
+                let hold = share.then(|| node.clone());
+                node.migrate::<Ones, _>(9, 3, 255, |v| (Slot::Many((1, v)), ()));
+                let (ones, manys, _) = ids(node);
+                assert_eq!((ones.len(), manys), (255, vec![3]));
+                assert_eq!(node.alloc_bytes(), narrow_bytes);
+                if let Some(hold) = hold {
+                    assert_eq!(ids(&hold).0.len(), 256, "the other handle stays wide");
+                    assert_eq!(hold.alloc_bytes(), size(256, 0));
+                }
+                node.make_mut().manys[0].0 = 2;
+                assert_eq!(node.manys()[0].0, 2);
+            }
+            assert_eq!(ids(&unique), ids(&shared));
+            assert_eq!(ids(&keep).0, (0..255).collect::<Vec<_>>(), "untouched");
+            // A wide block copied with a panicking clone is left whole.
+            let mut wide = Node::new(0, (0..300).map(l), [], []);
+            let other = wide.clone();
+            fuse.store(100, Ordering::SeqCst);
+            let hit = catch_unwind(AssertUnwindSafe(|| wide.remove(0, 5)));
+            assert!(hit.is_err(), "the 101st clone panics");
+            fuse.store(isize::MAX, Ordering::SeqCst);
+            assert_eq!(ids(&wide).0, (0..300).collect::<Vec<_>>());
+            drop(other);
+            drop(wide.remove(0, 5));
+            assert_eq!(wide.arity(), 299);
+        }
+        assert_eq!(live.load(Ordering::SeqCst), 0, "every element dropped once");
     }
 }

@@ -15,10 +15,17 @@
 //! The [`ValueBag`] trait is sealed: the two strategies above are the ones
 //! the evaluation defines; downstream code selects one via the multi-map's
 //! third type parameter.
+//!
+//! Each strategy also picks how a key and its bag sit side by side in a
+//! node's `CAT2` region ([`BagSlot::Entry`]). A nested set is stored as
+//! [`SetEntry`]: the key, the set's length as a `u32` and its root pointer,
+//! so a `u32` key fills what would be padding and the element of a
+//! `u32 → u32` multi-map is 16 bytes, not the 24 of a `(u32, AxiomSet)`
+//! pair. A multi-map hands a stored bag out as a [`BagRef`].
 
 use std::hash::Hash;
 
-use crate::set::AxiomSet;
+use crate::set::{self, AxiomSet};
 
 mod sealed {
     pub trait Sealed {}
@@ -40,11 +47,27 @@ pub enum BagEdited<V> {
     Single(V),
 }
 
+/// How a bag is stored next to its key in a multi-map node's `CAT2`
+/// region. Implemented for both [`ValueBag`]s with no bound on `V`, so a
+/// multi-map type can be named for any key and value type.
+pub trait BagSlot<V>: sealed::Sealed {
+    /// A key and its bag, laid out as the strategy chooses.
+    type Entry<K>;
+}
+
+impl<V> BagSlot<V> for AxiomSet<V> {
+    type Entry<K> = SetEntry<K, V>;
+}
+
+impl<V> BagSlot<V> for FusedBag<V> {
+    type Entry<K> = (K, FusedBag<V>);
+}
+
 /// A collection of ≥ 2 values nested under one multi-map key.
 ///
 /// This trait is sealed; see the [module documentation](self) for the two
 /// implementations.
-pub trait ValueBag<V>: Clone + PartialEq + sealed::Sealed {
+pub trait ValueBag<V>: Clone + PartialEq + BagSlot<V> {
     /// Borrowing iterator over the values.
     type Iter<'a>: Iterator<Item = &'a V>
     where
@@ -90,13 +113,84 @@ pub trait ValueBag<V>: Clone + PartialEq + sealed::Sealed {
     /// Iterates the values in unspecified order.
     fn iter(&self) -> Self::Iter<'_>;
 
-    /// The values as a nested set: an `O(1)` clone of a bag stored as one,
-    /// built (each value hashed) for an inline bag.
-    fn to_set(&self) -> AxiomSet<V>;
-
     /// The bag of a set's ≥ 2 values, keeping the set's trie where the
     /// representation stores one; no value is hashed.
     fn of_set(set: AxiomSet<V>) -> Self;
+
+    /// The `CAT2` element of `key` and `bag`.
+    fn entry<K>(key: K, bag: Self) -> Self::Entry<K>;
+
+    /// The key and bag of a `CAT2` element (inverse of [`ValueBag::entry`]).
+    fn split<K>(entry: Self::Entry<K>) -> (K, Self);
+
+    /// A clone of a `CAT2` element: `O(1)` for a stored trie.
+    fn clone_entry<K: Clone>(entry: &Self::Entry<K>) -> Self::Entry<K>;
+
+    /// The key of a `CAT2` element.
+    fn key<K>(entry: &Self::Entry<K>) -> &K;
+
+    /// The bag of a `CAT2` element, borrowed.
+    fn bag<K>(entry: &Self::Entry<K>) -> BagRef<'_, V>;
+
+    /// Iterates the values of a `CAT2` element's bag.
+    fn values<K>(entry: &Self::Entry<K>) -> Self::Iter<'_>;
+
+    /// The values of a `CAT2` element's bag as a nested set: an `O(1)`
+    /// handle sharing a stored trie, built (each value hashed) for an
+    /// inline bag.
+    fn to_set<K>(entry: &Self::Entry<K>) -> AxiomSet<V>;
+
+    /// [`ValueBag::insert_mut`] on the bag of a `CAT2` element.
+    fn insert_in<K>(entry: &mut Self::Entry<K>, value: V) -> bool;
+
+    /// [`ValueBag::remove_mut`] on the bag of a `CAT2` element.
+    fn remove_in<K>(entry: &mut Self::Entry<K>, value: &V) -> BagEdited<V>;
+
+    /// Replaces the bag of a `CAT2` element, keeping its key.
+    fn put_in<K>(entry: &mut Self::Entry<K>, bag: Self);
+}
+
+/// The value count a [`SetEntry`] stores for a set at least this long: its
+/// length is then counted by walking the trie.
+const LONG: u32 = u32::MAX;
+
+/// The stored count of a set of `len` values.
+fn stored_len(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(LONG)
+}
+
+/// The `CAT2` element of a multi-map with nested [`AxiomSet`]s: the key,
+/// the set's length and the root of its trie, side by side (16 bytes for a
+/// `u32` key). The set handle is rebuilt from the fields in `O(1)`.
+///
+/// A length of `u32::MAX` or more is stored as `u32::MAX` and then counted
+/// by walking the trie, so this adds no limit to a set's size.
+pub struct SetEntry<K, V> {
+    key: K,
+    len: u32,
+    root: set::Node<V>,
+}
+
+impl<K, V> SetEntry<K, V> {
+    fn len(&self) -> usize {
+        match self.len {
+            LONG => set::count(&self.root),
+            n => n as usize,
+        }
+    }
+
+    fn set(&self) -> BagRef<'_, V> {
+        BagRef(Values::Set(&self.root, self.len()))
+    }
+}
+
+impl<K: std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for SetEntry<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("SetEntry")
+            .field(&self.key)
+            .field(&self.set())
+            .finish()
+    }
 }
 
 impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
@@ -142,13 +236,80 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
         AxiomSet::iter(self)
     }
 
-    fn to_set(&self) -> AxiomSet<V> {
-        self.clone()
-    }
-
     fn of_set(set: AxiomSet<V>) -> Self {
         debug_assert!(set.len() >= 2);
         set
+    }
+
+    fn entry<K>(key: K, bag: Self) -> SetEntry<K, V> {
+        SetEntry {
+            key,
+            len: stored_len(bag.len),
+            root: bag.root,
+        }
+    }
+
+    fn split<K>(entry: SetEntry<K, V>) -> (K, Self) {
+        let len = entry.len();
+        let set = AxiomSet {
+            root: entry.root,
+            len,
+        };
+        (entry.key, set)
+    }
+
+    fn clone_entry<K: Clone>(entry: &SetEntry<K, V>) -> SetEntry<K, V> {
+        SetEntry {
+            key: entry.key.clone(),
+            len: entry.len,
+            root: entry.root.clone(),
+        }
+    }
+
+    fn key<K>(entry: &SetEntry<K, V>) -> &K {
+        &entry.key
+    }
+
+    fn bag<K>(entry: &SetEntry<K, V>) -> BagRef<'_, V> {
+        entry.set()
+    }
+
+    fn values<K>(entry: &SetEntry<K, V>) -> set::Iter<'_, V> {
+        set::Iter::new(&entry.root, entry.len())
+    }
+
+    fn to_set<K>(entry: &SetEntry<K, V>) -> Self {
+        AxiomSet {
+            root: entry.root.clone(),
+            len: entry.len(),
+        }
+    }
+
+    fn insert_in<K>(entry: &mut SetEntry<K, V>, value: V) -> bool {
+        let grew = set::insert_root(&mut entry.root, value);
+        if grew && entry.len != LONG {
+            entry.len += 1;
+        }
+        grew
+    }
+
+    fn remove_in<K>(entry: &mut SetEntry<K, V>, value: &V) -> BagEdited<V> {
+        if !set::remove_root(&mut entry.root, value) {
+            return BagEdited::NotFound;
+        }
+        entry.len = match entry.len {
+            LONG => stored_len(set::count(&entry.root)),
+            n => n - 1,
+        };
+        match entry.len {
+            1 => BagEdited::Single(entry.set().iter().next().expect("one value left").clone()),
+            _ => BagEdited::Shrunk,
+        }
+    }
+
+    fn put_in<K>(entry: &mut SetEntry<K, V>, bag: Self) {
+        entry.len = stored_len(bag.len);
+        entry.root = bag.root;
     }
 }
 
@@ -169,6 +330,15 @@ pub enum FusedBag<V> {
     Trie(AxiomSet<V>),
 }
 
+impl<V> FusedBag<V> {
+    fn as_ref(&self) -> BagRef<'_, V> {
+        match self {
+            FusedBag::Inline(vs) => BagRef(Values::Inline(vs)),
+            FusedBag::Trie(s) => BagRef(Values::Set(&s.root, s.len)),
+        }
+    }
+}
+
 impl<V: Clone> Clone for FusedBag<V> {
     fn clone(&self) -> Self {
         match self {
@@ -180,16 +350,7 @@ impl<V: Clone> Clone for FusedBag<V> {
 
 impl<V: Clone + Eq + Hash> PartialEq for FusedBag<V> {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (FusedBag::Inline(a), FusedBag::Inline(b)) => {
-                // Inline slices are unordered: compare as sets.
-                a.len() == b.len() && a.iter().all(|v| b.contains(v))
-            }
-            (FusedBag::Trie(a), FusedBag::Trie(b)) => a == b,
-            // Representations are size-segregated, so mixed comparisons are
-            // only reachable between bags of different sizes.
-            _ => false,
-        }
+        self.as_ref() == other.as_ref()
     }
 }
 
@@ -197,7 +358,7 @@ impl<V: Clone + Eq + Hash> Eq for FusedBag<V> {}
 
 impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
     type Iter<'a>
-        = FusedIter<'a, V>
+        = BagIter<'a, V>
     where
         V: 'a;
 
@@ -213,17 +374,11 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
     }
 
     fn len(&self) -> usize {
-        match self {
-            FusedBag::Inline(vs) => vs.len(),
-            FusedBag::Trie(s) => s.len(),
-        }
+        self.as_ref().len()
     }
 
     fn contains(&self, value: &V) -> bool {
-        match self {
-            FusedBag::Inline(vs) => vs.iter().any(|v| v == value),
-            FusedBag::Trie(s) => s.contains(value),
-        }
+        self.as_ref().contains(value)
     }
 
     fn insert_mut(&mut self, value: V) -> bool {
@@ -278,17 +433,7 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
     }
 
     fn iter(&self) -> Self::Iter<'_> {
-        match self {
-            FusedBag::Inline(vs) => FusedIter::Slice(vs.iter()),
-            FusedBag::Trie(s) => FusedIter::Trie(s.iter()),
-        }
-    }
-
-    fn to_set(&self) -> AxiomSet<V> {
-        match self {
-            FusedBag::Inline(vs) => vs.iter().cloned().collect(),
-            FusedBag::Trie(s) => s.clone(),
-        }
+        self.as_ref().iter()
     }
 
     fn of_set(set: AxiomSet<V>) -> Self {
@@ -299,36 +444,178 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
             FusedBag::Inline(set.iter().cloned().collect())
         }
     }
+
+    fn entry<K>(key: K, bag: Self) -> (K, Self) {
+        (key, bag)
+    }
+
+    fn split<K>(entry: (K, Self)) -> (K, Self) {
+        entry
+    }
+
+    fn clone_entry<K: Clone>(entry: &(K, Self)) -> (K, Self) {
+        entry.clone()
+    }
+
+    fn key<K>(entry: &(K, Self)) -> &K {
+        &entry.0
+    }
+
+    fn bag<K>(entry: &(K, Self)) -> BagRef<'_, V> {
+        entry.1.as_ref()
+    }
+
+    fn values<K>(entry: &(K, Self)) -> BagIter<'_, V> {
+        entry.1.iter()
+    }
+
+    fn to_set<K>(entry: &(K, Self)) -> AxiomSet<V> {
+        entry.1.as_ref().to_set()
+    }
+
+    fn insert_in<K>(entry: &mut (K, Self), value: V) -> bool {
+        entry.1.insert_mut(value)
+    }
+
+    fn remove_in<K>(entry: &mut (K, Self), value: &V) -> BagEdited<V> {
+        entry.1.remove_mut(value)
+    }
+
+    fn put_in<K>(entry: &mut (K, Self), bag: Self) {
+        entry.1 = bag;
+    }
 }
 
-/// Iterator over a [`FusedBag`]'s values.
+/// A borrowed bag of a multi-map key's ≥ 2 values, whichever strategy
+/// stores it. Handed out by [`BindingRef::Many`](crate::BindingRef::Many).
+pub struct BagRef<'a, V>(pub(crate) Values<'a, V>);
+
+/// What a [`BagRef`] borrows.
+pub(crate) enum Values<'a, V> {
+    /// A set trie: its root and its length.
+    Set(&'a set::Node<V>, usize),
+    /// A fused bag's inline values.
+    Inline(&'a [V]),
+}
+
+impl<'a, V> Clone for BagRef<'a, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<'a, V> Copy for BagRef<'a, V> {}
+
+impl<'a, V> Clone for Values<'a, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<'a, V> Copy for Values<'a, V> {}
+
+impl<'a, V> BagRef<'a, V> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Values::Set(_, len) => len,
+            Values::Inline(vs) => vs.len(),
+        }
+    }
+
+    /// Always false: a stored bag holds at least two values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Iterates the values in unspecified order.
+    pub fn iter(&self) -> BagIter<'a, V> {
+        match self.0 {
+            Values::Set(root, len) => BagIter::Trie(set::Iter::new(root, len)),
+            Values::Inline(vs) => BagIter::Slice(vs.iter()),
+        }
+    }
+}
+
+impl<'a, V: Clone + Eq + Hash> BagRef<'a, V> {
+    /// Membership test.
+    pub fn contains(&self, value: &V) -> bool {
+        match self.0 {
+            Values::Set(root, _) => set::contains_root(root, value),
+            Values::Inline(vs) => vs.contains(value),
+        }
+    }
+
+    /// The values as a nested set: an `O(1)` handle sharing a stored trie,
+    /// built (each value hashed) for inline values.
+    pub fn to_set(&self) -> AxiomSet<V> {
+        match self.0 {
+            Values::Set(root, len) => AxiomSet {
+                root: root.clone(),
+                len,
+            },
+            Values::Inline(vs) => vs.iter().cloned().collect(),
+        }
+    }
+
+    /// Checks the stored trie's invariants and its recorded length.
+    pub(crate) fn assert_invariants(&self) {
+        match self.0 {
+            Values::Set(root, len) => assert_eq!(set::validate(root, 0, None), len, "bag length"),
+            Values::Inline(vs) => {
+                for (i, v) in vs.iter().enumerate() {
+                    assert!(!vs[i + 1..].contains(v), "duplicate in an inline bag");
+                }
+            }
+        }
+    }
+}
+
+impl<'a, V: Clone + Eq + Hash> PartialEq for BagRef<'a, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && match (self.0, other.0) {
+                (Values::Set(a, _), Values::Set(b, _)) => set::same_elements(a, b),
+                // Inline values are unordered: compare as sets.
+                _ => self.iter().all(|v| other.contains(v)),
+            }
+    }
+}
+
+impl<'a, V: std::fmt::Debug> std::fmt::Debug for BagRef<'a, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a bag's values: a [`BagRef`]'s, or a [`FusedBag`]'s.
 #[derive(Debug)]
-pub enum FusedIter<'a, V> {
+pub enum BagIter<'a, V> {
     /// Iterating an inline slice.
     Slice(std::slice::Iter<'a, V>),
-    /// Iterating the overflow trie set.
+    /// Iterating a trie set.
     Trie(crate::set::Iter<'a, V>),
 }
 
-impl<'a, V> Iterator for FusedIter<'a, V> {
+impl<'a, V> Iterator for BagIter<'a, V> {
     type Item = &'a V;
 
     fn next(&mut self) -> Option<&'a V> {
         match self {
-            FusedIter::Slice(it) => it.next(),
-            FusedIter::Trie(it) => it.next(),
+            BagIter::Slice(it) => it.next(),
+            BagIter::Trie(it) => it.next(),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            FusedIter::Slice(it) => it.size_hint(),
-            FusedIter::Trie(it) => it.size_hint(),
+            BagIter::Slice(it) => it.size_hint(),
+            BagIter::Trie(it) => it.size_hint(),
         }
     }
 }
 
-impl<'a, V> ExactSizeIterator for FusedIter<'a, V> {}
+impl<'a, V> ExactSizeIterator for BagIter<'a, V> {}
 
 #[cfg(test)]
 mod tests {
@@ -356,6 +643,30 @@ mod tests {
             BagEdited::NotFound => {}
             _ => panic!("expected NotFound"),
         }
+    }
+
+    #[test]
+    fn a_set_entry_counts_a_long_set_by_walking() {
+        let set: AxiomSet<u32> = (0..10).collect();
+        let mut entry: SetEntry<u32, u32> = ValueBag::entry(7, set);
+        assert_eq!(std::mem::size_of_val(&entry), 16);
+        assert_eq!(AxiomSet::bag(&entry).len(), 10);
+        // What a set of `u32::MAX` or more values stores.
+        assert_eq!(stored_len(u32::MAX as usize), LONG);
+        assert_eq!(stored_len(usize::MAX), LONG);
+        entry.len = LONG;
+        assert_eq!(AxiomSet::bag(&entry).len(), 10, "counted by walking");
+        assert!(AxiomSet::insert_in(&mut entry, 10));
+        assert_eq!(entry.len, LONG, "a long set stays long");
+        assert_eq!(AxiomSet::bag(&entry).len(), 11);
+        assert!(matches!(
+            AxiomSet::remove_in(&mut entry, &0),
+            BagEdited::Shrunk
+        ));
+        assert_eq!(entry.len, 10, "a removal recounts");
+        let (key, set) = AxiomSet::split(entry);
+        assert_eq!((key, set.len()), (7, 10));
+        set.assert_invariants();
     }
 
     #[test]

@@ -25,7 +25,7 @@ use heapmodel::{
     RustFootprint,
 };
 
-use crate::bag::FusedBag;
+use crate::bag::{BagRef, FusedBag, Values};
 use crate::map::{self, AxiomMap};
 use crate::multimap::AxiomMultiMap;
 use crate::set::{self, AxiomSet};
@@ -163,45 +163,52 @@ where
 // Multi-map: value-bag measurement strategies
 // ---------------------------------------------------------------------------
 
-/// How a `1:n` bag contributes to footprints. Implemented for the two sealed
-/// [`ValueBag`] strategies; keeps the node walk below bag-agnostic.
+/// How a `1:n` bag contributes to the modeled JVM footprint. Implemented
+/// for the two sealed [`ValueBag`] strategies; keeps the node walk below
+/// bag-agnostic.
 pub(crate) trait MeasuredBag<V>: ValueBag<V> {
-    fn bag_jvm(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting);
-    fn bag_rust(&self, acc: &mut Accounting);
+    fn bag_jvm(bag: BagRef<'_, V>, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting);
 }
 
 impl<V: Clone + Eq + Hash + JvmSize> MeasuredBag<V> for AxiomSet<V> {
-    fn bag_jvm(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
+    fn bag_jvm(bag: BagRef<'_, V>, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         // Nested set: wrapper object unless the layout policy fuses it away.
         acc.structure(policy.set_wrapper(arch));
-        set_nodes_jvm(self.root_node(), 0, arch, policy, acc);
-    }
-
-    fn bag_rust(&self, acc: &mut Accounting) {
-        set_nodes_rust(&self.root, acc);
+        fused_bag_jvm(bag, arch, policy, acc);
     }
 }
 
 impl<V: Clone + Eq + Hash + JvmSize> MeasuredBag<V> for FusedBag<V> {
-    fn bag_jvm(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
-        match self {
-            // Fusion is intrinsic to this representation: the values array is
-            // referenced directly from the slot, no wrapper object.
-            FusedBag::Inline(vs) => {
-                acc.structure(arch.ref_array(vs.len() as u64));
-                for v in vs.iter() {
-                    acc.payload(v.jvm_size(arch));
-                }
+    fn bag_jvm(bag: BagRef<'_, V>, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
+        fused_bag_jvm(bag, arch, policy, acc);
+    }
+}
+
+/// A bag with no wrapper object: a trie's nodes, or an inline values array
+/// referenced directly from the slot (fusion is intrinsic to that
+/// representation).
+fn fused_bag_jvm<V: JvmSize>(
+    bag: BagRef<'_, V>,
+    arch: &JvmArch,
+    policy: &LayoutPolicy,
+    acc: &mut Accounting,
+) {
+    match bag.0 {
+        Values::Set(root, _) => set_nodes_jvm(root, 0, arch, policy, acc),
+        Values::Inline(vs) => {
+            acc.structure(arch.ref_array(vs.len() as u64));
+            for v in vs {
+                acc.payload(v.jvm_size(arch));
             }
-            FusedBag::Trie(s) => set_nodes_jvm(s.root_node(), 0, arch, policy, acc),
         }
     }
+}
 
-    fn bag_rust(&self, acc: &mut Accounting) {
-        match self {
-            FusedBag::Inline(vs) => acc.structure(boxed_slice_bytes::<V>(vs.len())),
-            FusedBag::Trie(s) => set_nodes_rust(&s.root, acc),
-        }
+/// Native bytes of a bag: a trie's nodes, or an inline boxed slice.
+fn bag_rust<V>(bag: BagRef<'_, V>, acc: &mut Accounting) {
+    match bag.0 {
+        Values::Set(root, _) => set_nodes_rust(root, acc),
+        Values::Inline(vs) => acc.structure(boxed_slice_bytes::<V>(vs.len())),
     }
 }
 
@@ -229,9 +236,9 @@ fn mm_nodes_jvm<K, V, B>(
         acc.payload(k.jvm_size(arch));
         acc.payload(v.jvm_size(arch));
     }
-    for (k, bag) in node.manys() {
-        acc.payload(k.jvm_size(arch));
-        bag.bag_jvm(arch, policy, acc);
+    for many in node.manys() {
+        acc.payload(many.key().jvm_size(arch));
+        B::bag_jvm(many.bag(), arch, policy, acc);
     }
     for child in node.children() {
         mm_nodes_jvm(child, next_shift(shift), arch, policy, acc);
@@ -262,8 +269,8 @@ where
         return;
     }
     acc.structure(node.alloc_bytes() as u64);
-    for (_, bag) in node.manys() {
-        bag.bag_rust(acc);
+    for many in node.manys() {
+        bag_rust(many.bag(), acc);
     }
     for child in node.children() {
         mm_nodes_rust(child, acc);

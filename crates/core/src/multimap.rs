@@ -50,7 +50,7 @@ use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
 use trie_common::packed::{Children, Manys, Ones, Packed, Slot};
 
-use crate::bag::{BagEdited, ValueBag};
+use crate::bag::{BagEdited, BagIter, BagRef, BagSlot, ValueBag};
 use crate::bitmap::{Category, SlotBitmap};
 use crate::set::AxiomSet;
 use crate::slots::{edit_child, insert_slot, remove_slot, survivor};
@@ -98,14 +98,68 @@ impl<V, B> Binding<V, B> {
     }
 }
 
+/// A `1:n` tuple: a key and its bag of ≥ 2 values, side by side as the
+/// bag strategy lays them out ([`BagSlot::Entry`]).
+pub(crate) struct Cat2<K, V, B: BagSlot<V>>(B::Entry<K>);
+
+impl<K, V, B: ValueBag<V>> Cat2<K, V, B> {
+    fn new(key: K, bag: B) -> Self {
+        Cat2(B::entry(key, bag))
+    }
+
+    pub(crate) fn key(&self) -> &K {
+        B::key(&self.0)
+    }
+
+    pub(crate) fn bag(&self) -> BagRef<'_, V> {
+        B::bag(&self.0)
+    }
+
+    fn values(&self) -> B::Iter<'_> {
+        B::values(&self.0)
+    }
+
+    fn to_set(&self) -> AxiomSet<V> {
+        B::to_set(&self.0)
+    }
+
+    fn into_parts(self) -> (K, B) {
+        B::split(self.0)
+    }
+
+    fn insert_mut(&mut self, value: V) -> bool {
+        B::insert_in(&mut self.0, value)
+    }
+
+    fn remove_mut(&mut self, value: &V) -> BagEdited<V> {
+        B::remove_in(&mut self.0, value)
+    }
+
+    fn put(&mut self, bag: B) {
+        B::put_in(&mut self.0, bag);
+    }
+}
+
+impl<K: Clone, V, B: ValueBag<V>> Clone for Cat2<K, V, B> {
+    fn clone(&self) -> Self {
+        Cat2(B::clone_entry(&self.0))
+    }
+}
+
+impl<K: Eq, V: Clone + Eq + Hash, B: ValueBag<V>> PartialEq for Cat2<K, V, B> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key() && self.bag() == other.bag()
+    }
+}
+
 /// A trie node: one allocation holding the bitmap, the `1:1` tuples, the
 /// `1:n` tuples and the sub-trie handles. Past the last hash level a node
 /// is a collision node: keys sharing one 32-bit hash, no children, an
 /// unused bitmap.
-pub(crate) type Node<K, V, B> = Packed<SlotBitmap, (K, V), (K, B)>;
+pub(crate) type Node<K, V, B> = Packed<SlotBitmap, (K, V), Cat2<K, V, B>>;
 
 /// One slot of a multi-map node, by value.
-type NodeSlot<K, V, B> = Slot<(K, V), (K, B), Node<K, V, B>>;
+type NodeSlot<K, V, B> = Slot<(K, V), Cat2<K, V, B>, Node<K, V, B>>;
 
 /// Insertion outcome: the walk edits or copies nodes where they stand, so
 /// only the tuple/key bookkeeping flag travels.
@@ -135,19 +189,22 @@ enum EditRemoved<K, V, B> {
     },
 }
 
-fn slot_of<K, V, B>(key: K, binding: Binding<V, B>) -> NodeSlot<K, V, B> {
+fn slot_of<K, V, B: ValueBag<V>>(key: K, binding: Binding<V, B>) -> NodeSlot<K, V, B> {
     match binding {
         Binding::One(v) => Slot::One((key, v)),
-        Binding::Many(bag) => Slot::Many((key, bag)),
+        Binding::Many(bag) => Slot::Many(Cat2::new(key, bag)),
     }
 }
 
 /// The key and binding of a payload slot handed over by a collapsing
 /// node (inverse of [`slot_of`]).
-fn binding_of<K, V, B>(slot: NodeSlot<K, V, B>) -> (K, Binding<V, B>) {
+fn binding_of<K, V, B: ValueBag<V>>(slot: NodeSlot<K, V, B>) -> (K, Binding<V, B>) {
     match slot {
         Slot::One((k, v)) => (k, Binding::One(v)),
-        Slot::Many((k, bag)) => (k, Binding::Many(bag)),
+        Slot::Many(many) => {
+            let (k, bag) = many.into_parts();
+            (k, Binding::Many(bag))
+        }
         Slot::Child(_) => unreachable!("a collapsing node holds two payload slots"),
     }
 }
@@ -161,22 +218,26 @@ fn branch(hash: u32, shift: u32) -> u32 {
     }
 }
 
-fn empty<K, V, B>() -> Node<K, V, B> {
+fn empty<K, V, B: BagSlot<V>>() -> Node<K, V, B> {
     Node::new(SlotBitmap::EMPTY, [], [], [])
 }
 
 /// A node of one binding (the root a collapsed trie leaves, or a bitmap
 /// node's payload group of one).
-fn node_of<K, V, B>(bitmap: SlotBitmap, key: K, binding: Binding<V, B>) -> Node<K, V, B> {
+fn node_of<K, V, B: ValueBag<V>>(
+    bitmap: SlotBitmap,
+    key: K,
+    binding: Binding<V, B>,
+) -> Node<K, V, B> {
     match binding {
         Binding::One(v) => Node::new(bitmap, [(key, v)], [], []),
-        Binding::Many(bag) => Node::new(bitmap, [], [(key, bag)], []),
+        Binding::Many(bag) => Node::new(bitmap, [], [Cat2::new(key, bag)], []),
     }
 }
 
 /// Builds the minimal sub-trie holding two distinct keys' bindings whose
 /// hash prefixes agree up to `shift`.
-fn pair<K, V, B>(
+fn pair<K, V, B: ValueBag<V>>(
     h1: u32,
     k1: K,
     b1: Binding<V, B>,
@@ -204,49 +265,71 @@ fn pair<K, V, B>(
     };
     match (ba, bb) {
         (Binding::One(va), Binding::One(vb)) => Node::new(bitmap, [(ka, va), (kb, vb)], [], []),
-        (Binding::Many(xa), Binding::Many(xb)) => Node::new(bitmap, [], [(ka, xa), (kb, xb)], []),
-        (Binding::One(va), Binding::Many(xb)) => Node::new(bitmap, [(ka, va)], [(kb, xb)], []),
-        (Binding::Many(xa), Binding::One(vb)) => Node::new(bitmap, [(kb, vb)], [(ka, xa)], []),
+        (Binding::Many(xa), Binding::Many(xb)) => {
+            Node::new(bitmap, [], [Cat2::new(ka, xa), Cat2::new(kb, xb)], [])
+        }
+        (Binding::One(va), Binding::Many(xb)) => {
+            Node::new(bitmap, [(ka, va)], [Cat2::new(kb, xb)], [])
+        }
+        (Binding::Many(xa), Binding::One(vb)) => {
+            Node::new(bitmap, [(kb, vb)], [Cat2::new(ka, xa)], [])
+        }
     }
 }
 
-/// The binding of `key` in a collision node, with its absolute slot index.
-fn collision_find<'a, K: Eq, V, B>(
+/// A key's slot, as a lookup finds it.
+enum Found<'a, K, V, B: BagSlot<V>> {
+    One(&'a V),
+    Many(&'a Cat2<K, V, B>),
+}
+
+impl<'a, K, V, B: ValueBag<V>> Found<'a, K, V, B> {
+    fn binding(self) -> BindingRef<'a, V> {
+        match self {
+            Found::One(v) => BindingRef::One(v),
+            Found::Many(many) => BindingRef::Many(many.bag()),
+        }
+    }
+}
+
+/// The slot of `key` in a collision node, with its absolute index.
+fn collision_find<'a, K: Eq, V, B: ValueBag<V>>(
     node: &'a Node<K, V, B>,
     key: &K,
-) -> Option<(usize, BindingRef<'a, V, B>)> {
+) -> Option<(usize, Found<'a, K, V, B>)> {
     let ones = node.ones();
     if let Some(pos) = ones.iter().position(|(k, _)| k == key) {
-        return Some((pos, BindingRef::One(&ones[pos].1)));
+        return Some((pos, Found::One(&ones[pos].1)));
     }
-    let pos = node.manys().iter().position(|(k, _)| k == key)?;
-    Some((ones.len() + pos, BindingRef::Many(&node.manys()[pos].1)))
+    let pos = node.manys().iter().position(|many| many.key() == key)?;
+    Some((ones.len() + pos, Found::Many(&node.manys()[pos])))
 }
 
-fn get<'a, K, V, B>(
+fn find<'a, K, V, B>(
     node: &'a Node<K, V, B>,
     hash: u32,
     shift: u32,
     key: &K,
-) -> Option<BindingRef<'a, V, B>>
+) -> Option<Found<'a, K, V, B>>
 where
     K: Eq,
+    B: ValueBag<V>,
 {
     if hash_exhausted(shift) {
-        return collision_find(node, key).map(|(_, binding)| binding);
+        return collision_find(node, key).map(|(_, found)| found);
     }
     // Fused dispatch: category and slot index from one pass.
     match node.word().locate(mask(hash, shift)) {
         (Category::Empty, _) => None,
         (Category::Cat1, idx) => {
             let (k, v) = node.one(idx);
-            (k == key).then_some(BindingRef::One(v))
+            (k == key).then_some(Found::One(v))
         }
         (Category::Cat2, idx) => {
-            let (k, bag) = node.many(idx);
-            (k == key).then_some(BindingRef::Many(bag))
+            let many = node.many(idx);
+            (many.key() == key).then_some(Found::Many(many))
         }
-        (Category::Node, idx) => get(node.child(idx), hash, next_shift(shift), key),
+        (Category::Node, idx) => find(node.child(idx), hash, next_shift(shift), key),
     }
 }
 
@@ -265,7 +348,7 @@ fn push_down<K, V, B>(
 {
     let existing_hash = match cat {
         Category::Cat1 => hash32(&this.one(idx).0),
-        _ => hash32(&this.many(idx).0),
+        _ => hash32(this.many(idx).key()),
     };
     let bitmap = this.word().with(m, Category::Node);
     let to = bitmap.slot_index(Category::Node, m);
@@ -285,7 +368,10 @@ fn push_down<K, V, B>(
         Category::Cat1 => {
             this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| below(k, Binding::One(v)))
         }
-        _ => this.migrate::<Manys, _>(bitmap, idx, to, |(k, bag)| below(k, Binding::Many(bag))),
+        _ => this.migrate::<Manys, _>(bitmap, idx, to, |many| {
+            let (k, bag) = many.into_parts();
+            below(k, Binding::Many(bag))
+        }),
     }
 }
 
@@ -308,8 +394,8 @@ where
     let (bitmap, m) = (this.word(), branch(hash, shift));
     let (cat, idx) = match hash_exhausted(shift) {
         true => match collision_find(this, &key) {
-            Some((idx, BindingRef::One(_))) => (Category::Cat1, idx),
-            Some((idx, BindingRef::Many(_))) => (Category::Cat2, idx),
+            Some((idx, Found::One(_))) => (Category::Cat1, idx),
+            Some((idx, Found::Many(_))) => (Category::Cat2, idx),
             None => {
                 let end = this.ones().len();
                 this.insert(bitmap, end, Slot::One((key, value)));
@@ -359,16 +445,14 @@ where
                 }
             };
             this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| {
-                (
-                    Slot::Many((k, B::from_two_hashed(v, hv, value, hvalue))),
-                    (),
-                )
+                let bag = B::from_two_hashed(v, hv, value, hvalue);
+                (Slot::Many(Cat2::new(k, bag)), ())
             });
             EditInserted::NewTuple
         }
         Category::Cat2 => {
-            let (k, bag) = this.many(idx);
-            if *k != key {
+            let many = this.many(idx);
+            if *many.key() != key {
                 push_down(
                     this,
                     (m, shift),
@@ -378,11 +462,11 @@ where
                 return EditInserted::NewKey;
             }
             // A shared node is copied only for a value its bag lacks.
-            if !this.is_unique() && bag.contains(&value) {
+            if !this.is_unique() && many.bag().contains(&value) {
                 return EditInserted::Unchanged;
             }
             let node = this.make_mut();
-            match node.manys[idx - node.ones.len()].1.insert_mut(value) {
+            match node.manys[idx - node.ones.len()].insert_mut(value) {
                 true => EditInserted::NewTuple,
                 false => EditInserted::Unchanged,
             }
@@ -412,8 +496,8 @@ where
     let to_cat = binding.category();
     let (cat, idx) = match hash_exhausted(shift) {
         true => match collision_find(this, &key) {
-            Some((idx, BindingRef::One(_))) => (Category::Cat1, idx),
-            Some((idx, BindingRef::Many(_))) => (Category::Cat2, idx),
+            Some((idx, Found::One(_))) => (Category::Cat1, idx),
+            Some((idx, Found::Many(_))) => (Category::Cat2, idx),
             None => {
                 let end = match to_cat {
                     Category::Cat1 => this.ones().len(),
@@ -439,8 +523,8 @@ where
         }
         Category::Cat1 => (&this.one(idx).0, 1),
         Category::Cat2 => {
-            let (k, bag) = this.many(idx);
-            (k, bag.len())
+            let many = this.many(idx);
+            (many.key(), many.bag().len())
         }
     };
     if *ek != key {
@@ -465,14 +549,17 @@ where
         (Category::Cat1, Binding::One(v)) => this.make_mut().ones[idx].1 = v,
         (Category::Cat1, Binding::Many(bag)) => {
             // CAT1 → CAT2 in place: the slot migrates groups.
-            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| (Slot::Many((k, bag)), v));
+            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| (Slot::Many(Cat2::new(k, bag)), v));
         }
         (_, Binding::One(v)) => {
-            this.migrate::<Manys, _>(bitmap, idx, to, |(k, bag)| (Slot::One((k, v)), bag));
+            this.migrate::<Manys, _>(bitmap, idx, to, |many| {
+                let (k, bag) = many.into_parts();
+                (Slot::One((k, v)), bag)
+            });
         }
         (_, Binding::Many(bag)) => {
             let node = this.make_mut();
-            node.manys[idx - node.ones.len()].1 = bag;
+            node.manys[idx - node.ones.len()].put(bag);
         }
     }
     Some(old_len)
@@ -498,8 +585,8 @@ where
     let (bitmap, m) = (this.word(), branch(hash, shift));
     let (cat, idx) = match hash_exhausted(shift) {
         true => match collision_find(this, key) {
-            Some((idx, BindingRef::One(_))) => (Category::Cat1, idx),
-            Some((idx, BindingRef::Many(_))) => (Category::Cat2, idx),
+            Some((idx, Found::One(_))) => (Category::Cat1, idx),
+            Some((idx, Found::Many(_))) => (Category::Cat2, idx),
             None => return EditRemoved::NotFound,
         },
         false => bitmap.locate(m),
@@ -544,19 +631,19 @@ where
             }
         }
         Category::Cat2 => {
-            let (k, bag) = this.many(idx);
-            if k != key {
+            let many = this.many(idx);
+            if many.key() != key {
                 return EditRemoved::NotFound;
             }
             let Some(value) = value else {
                 let removal = Removal {
-                    tuples: bag.len(),
+                    tuples: many.bag().len(),
                     key_gone: true,
                 };
                 return remove_payload(this, bitmap, m, shift, idx, removal);
             };
             // A shared node is copied only for a value its bag holds.
-            if !this.is_unique() && !bag.contains(value) {
+            if !this.is_unique() && !many.bag().contains(value) {
                 return EditRemoved::NotFound;
             }
             let node = this.make_mut();
@@ -564,7 +651,7 @@ where
                 tuples: 1,
                 key_gone: false,
             };
-            let survivor = match node.manys[idx - node.ones.len()].1.remove_mut(value) {
+            let survivor = match node.manys[idx - node.ones.len()].remove_mut(value) {
                 BagEdited::NotFound => return EditRemoved::NotFound,
                 BagEdited::Shrunk => return EditRemoved::Removed(removal),
                 BagEdited::Single(survivor) => survivor,
@@ -577,7 +664,10 @@ where
                     (bitmap, bitmap.slot_index(Category::Cat1, m))
                 }
             };
-            this.migrate::<Manys, _>(bitmap, idx, to, |(k, bag)| (Slot::One((k, survivor)), bag));
+            this.migrate::<Manys, _>(bitmap, idx, to, |many| {
+                let (k, bag) = many.into_parts();
+                (Slot::One((k, survivor)), bag)
+            });
             return EditRemoved::Removed(removal);
         }
     };
@@ -598,7 +688,7 @@ fn remove_payload<K, V, B>(
 where
     K: Clone,
     V: Clone,
-    B: Clone,
+    B: ValueBag<V>,
 {
     let (bitmap, last) = match hash_exhausted(shift) {
         true => (bitmap, this.arity() == 2),
@@ -624,22 +714,22 @@ where
 
 /// Borrowed view of one key's values. Returned by [`AxiomMultiMap::get`].
 #[derive(Debug)]
-pub enum BindingRef<'a, V, B> {
+pub enum BindingRef<'a, V> {
     /// The key maps to exactly one (inlined) value.
     One(&'a V),
     /// The key maps to a nested bag of ≥ 2 values.
-    Many(&'a B),
+    Many(BagRef<'a, V>),
 }
 
-impl<'a, V, B> Clone for BindingRef<'a, V, B> {
+impl<'a, V> Clone for BindingRef<'a, V> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<'a, V, B> Copy for BindingRef<'a, V, B> {}
+impl<'a, V> Copy for BindingRef<'a, V> {}
 
-impl<'a, V: Clone + Eq + Hash, B: ValueBag<V>> BindingRef<'a, V, B> {
+impl<'a, V: Clone + Eq + Hash> BindingRef<'a, V> {
     /// Number of values in the binding.
     pub fn len(&self) -> usize {
         match self {
@@ -662,7 +752,7 @@ impl<'a, V: Clone + Eq + Hash, B: ValueBag<V>> BindingRef<'a, V, B> {
     }
 
     /// Iterates the binding's values.
-    pub fn iter(&self) -> BindingIter<'a, V, B> {
+    pub fn iter(&self) -> BindingIter<'a, V> {
         match self {
             BindingRef::One(v) => BindingIter::One(std::iter::once(*v)),
             BindingRef::Many(bag) => BindingIter::Many(bag.iter()),
@@ -671,14 +761,15 @@ impl<'a, V: Clone + Eq + Hash, B: ValueBag<V>> BindingRef<'a, V, B> {
 }
 
 /// Iterator over one binding's values. Created by [`BindingRef::iter`].
-pub enum BindingIter<'a, V: 'a, B: ValueBag<V> + 'a> {
+#[derive(Debug)]
+pub enum BindingIter<'a, V> {
     /// Singleton value.
     One(std::iter::Once<&'a V>),
     /// Nested bag.
-    Many(B::Iter<'a>),
+    Many(BagIter<'a, V>),
 }
 
-impl<'a, V, B: ValueBag<V>> Iterator for BindingIter<'a, V, B> {
+impl<'a, V> Iterator for BindingIter<'a, V> {
     type Item = &'a V;
     fn next(&mut self) -> Option<&'a V> {
         match self {
@@ -688,28 +779,17 @@ impl<'a, V, B: ValueBag<V>> Iterator for BindingIter<'a, V, B> {
     }
 }
 
-impl<'a, V, B: ValueBag<V>> std::fmt::Debug for BindingIter<'a, V, B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("BindingIter { .. }")
-    }
-}
-
 /// Iterator over the values bound to one key; empty when the key is absent.
 /// Created by [`AxiomMultiMap::values_of`].
-pub struct ValuesOf<'a, V: 'a, B: ValueBag<V> + 'a> {
-    inner: Option<BindingIter<'a, V, B>>,
+#[derive(Debug)]
+pub struct ValuesOf<'a, V> {
+    inner: Option<BindingIter<'a, V>>,
 }
 
-impl<'a, V, B: ValueBag<V>> Iterator for ValuesOf<'a, V, B> {
+impl<'a, V> Iterator for ValuesOf<'a, V> {
     type Item = &'a V;
     fn next(&mut self) -> Option<&'a V> {
         self.inner.as_mut()?.next()
-    }
-}
-
-impl<'a, V, B: ValueBag<V>> std::fmt::Debug for ValuesOf<'a, V, B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ValuesOf { .. }")
     }
 }
 
@@ -726,26 +806,26 @@ impl<'a, V, B: ValueBag<V>> std::fmt::Debug for ValuesOf<'a, V, B> {
 // actually differ, and `CAT2`×`CAT2` pairs diff their bags value by value.
 
 /// What one multi-map node holds under a 5-bit mask.
-enum AtM<'a, K, V, B> {
+enum AtM<'a, K, V, B: BagSlot<V>> {
     Nothing,
     /// `CAT1`: an inlined `1:1` tuple.
     One(&'a K, &'a V),
     /// `CAT2`: a key with a nested bag of ≥ 2 values.
-    Many(&'a K, &'a B),
+    Many(&'a K, BagRef<'a, V>),
     /// `NODE`: a sub-trie.
     Sub(&'a Node<K, V, B>),
 }
 
 /// A node's branches in ascending mask order, one cursor per slot group
 /// (each ascending by mask), so no branch costs a popcount.
-struct Branches<'a, K, V, B> {
+struct Branches<'a, K, V, B: BagSlot<V>> {
     bitmap: SlotBitmap,
     ones: std::slice::Iter<'a, (K, V)>,
-    manys: std::slice::Iter<'a, (K, B)>,
+    manys: std::slice::Iter<'a, Cat2<K, V, B>>,
     children: std::slice::Iter<'a, Node<K, V, B>>,
 }
 
-impl<'a, K, V, B> Branches<'a, K, V, B> {
+impl<'a, K, V, B: ValueBag<V>> Branches<'a, K, V, B> {
     fn of(node: &'a Node<K, V, B>) -> Self {
         Branches {
             bitmap: node.word(),
@@ -767,19 +847,21 @@ impl<'a, K, V, B> Branches<'a, K, V, B> {
             Category::Cat2 => self
                 .manys
                 .next()
-                .map_or(AtM::Nothing, |(k, bag)| AtM::Many(k, bag)),
+                .map_or(AtM::Nothing, |many| AtM::Many(many.key(), many.bag())),
             Category::Node => self.children.next().map_or(AtM::Nothing, AtM::Sub),
         }
     }
 }
 
 /// The `(key, binding)` entries of a node's payload groups.
-fn entries<K, V, B>(node: &Node<K, V, B>) -> impl Iterator<Item = (&K, BindingRef<'_, V, B>)> {
+fn entries<K, V, B: ValueBag<V>>(
+    node: &Node<K, V, B>,
+) -> impl Iterator<Item = (&K, BindingRef<'_, V>)> {
     let ones = node.ones().iter().map(|(k, v)| (k, BindingRef::One(v)));
     ones.chain(
         node.manys()
             .iter()
-            .map(|(k, bag)| (k, BindingRef::Many(bag))),
+            .map(|many| (many.key(), BindingRef::Many(many.bag()))),
     )
 }
 
@@ -800,15 +882,14 @@ where
 
 /// Emits the tuple-level delta between two same-key bindings into `out`.
 /// Bindings under distinct keys never reach here.
-fn diff_bindings<K, V, B>(
+fn diff_bindings<K, V>(
     key: &K,
-    a: BindingRef<'_, V, B>,
-    b: BindingRef<'_, V, B>,
+    a: BindingRef<'_, V>,
+    b: BindingRef<'_, V>,
     out: &mut trie_common::ops::MultiMapDiff<K, V>,
 ) where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
-    B: ValueBag<V>,
 {
     for v in a.iter() {
         if !b.contains(v) {
@@ -823,11 +904,10 @@ fn diff_bindings<K, V, B>(
 }
 
 /// Emits every tuple of `binding` under `key` into `sink`.
-fn emit_binding<K, V, B>(key: &K, binding: BindingRef<'_, V, B>, sink: &mut Vec<(K, V)>)
+fn emit_binding<K, V>(key: &K, binding: BindingRef<'_, V>, sink: &mut Vec<(K, V)>)
 where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
-    B: ValueBag<V>,
 {
     for v in binding.iter() {
         sink.push((key.clone(), v.clone()));
@@ -840,7 +920,7 @@ where
 /// `other`.
 fn diff_binding_vs_sub<K, V, B>(
     key: &K,
-    binding: BindingRef<'_, V, B>,
+    binding: BindingRef<'_, V>,
     sub: &Node<K, V, B>,
     shift: u32,
     payload_is_old: bool,
@@ -850,7 +930,7 @@ fn diff_binding_vs_sub<K, V, B>(
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    let in_sub = get(sub, hash32(key), next_shift(shift), key);
+    let in_sub = find(sub, hash32(key), next_shift(shift), key).map(Found::binding);
     // Tuples of the payload binding missing from the sub-trie.
     for v in binding.iter() {
         let present = in_sub.is_some_and(|theirs| theirs.contains(v));
@@ -893,13 +973,13 @@ fn diff_nodes<K, V, B>(
     if hash_exhausted(shift) {
         for (k, binding_a) in entries(a) {
             match entries(b).find(|(kb, _)| *kb == k) {
-                None => emit_binding::<K, V, B>(k, binding_a, &mut out.removed),
-                Some((_, binding_b)) => diff_bindings::<K, V, B>(k, binding_a, binding_b, out),
+                None => emit_binding(k, binding_a, &mut out.removed),
+                Some((_, binding_b)) => diff_bindings(k, binding_a, binding_b, out),
             }
         }
         for (k, binding_b) in entries(b) {
             if !entries(a).any(|(ka, _)| ka == k) {
-                emit_binding::<K, V, B>(k, binding_b, &mut out.added);
+                emit_binding(k, binding_b, &mut out.added);
             }
         }
         return;
@@ -912,7 +992,7 @@ fn diff_nodes<K, V, B>(
                 out.removed.push((k.clone(), v.clone()));
             }
             (AtM::Many(k, bag), AtM::Nothing) => {
-                emit_binding::<K, V, B>(k, BindingRef::Many(bag), &mut out.removed);
+                emit_binding(k, BindingRef::Many(bag), &mut out.removed);
             }
             (AtM::Sub(ac), AtM::Nothing) => {
                 for_each_tuple_node(ac, &mut |k, v| {
@@ -923,7 +1003,7 @@ fn diff_nodes<K, V, B>(
                 out.added.push((k.clone(), v.clone()));
             }
             (AtM::Nothing, AtM::Many(k, bag)) => {
-                emit_binding::<K, V, B>(k, BindingRef::Many(bag), &mut out.added);
+                emit_binding(k, BindingRef::Many(bag), &mut out.added);
             }
             (AtM::Nothing, AtM::Sub(bc)) => {
                 for_each_tuple_node(bc, &mut |k, v| {
@@ -945,34 +1025,29 @@ fn diff_nodes<K, V, B>(
                 if ka == kb {
                     // Promotion: the key gained values (and may have
                     // swapped its original one).
-                    diff_bindings::<K, V, B>(ka, BindingRef::One(va), BindingRef::Many(bb), out);
+                    diff_bindings(ka, BindingRef::One(va), BindingRef::Many(bb), out);
                 } else {
                     out.removed.push((ka.clone(), va.clone()));
-                    emit_binding::<K, V, B>(kb, BindingRef::Many(bb), &mut out.added);
+                    emit_binding(kb, BindingRef::Many(bb), &mut out.added);
                 }
             }
             (AtM::Many(ka, ba), AtM::One(kb, vb)) => {
                 if ka == kb {
                     // Demotion: the key shed values down to one.
-                    diff_bindings::<K, V, B>(ka, BindingRef::Many(ba), BindingRef::One(vb), out);
+                    diff_bindings(ka, BindingRef::Many(ba), BindingRef::One(vb), out);
                 } else {
-                    emit_binding::<K, V, B>(ka, BindingRef::Many(ba), &mut out.removed);
+                    emit_binding(ka, BindingRef::Many(ba), &mut out.removed);
                     out.added.push((kb.clone(), vb.clone()));
                 }
             }
             (AtM::Many(ka, ba), AtM::Many(kb, bb)) => {
                 if ka == kb {
                     if ba != bb {
-                        diff_bindings::<K, V, B>(
-                            ka,
-                            BindingRef::Many(ba),
-                            BindingRef::Many(bb),
-                            out,
-                        );
+                        diff_bindings(ka, BindingRef::Many(ba), BindingRef::Many(bb), out);
                     }
                 } else {
-                    emit_binding::<K, V, B>(ka, BindingRef::Many(ba), &mut out.removed);
-                    emit_binding::<K, V, B>(kb, BindingRef::Many(bb), &mut out.added);
+                    emit_binding(ka, BindingRef::Many(ba), &mut out.removed);
+                    emit_binding(kb, BindingRef::Many(bb), &mut out.added);
                 }
             }
             (AtM::One(ka, va), AtM::Sub(bc)) => {
@@ -1002,14 +1077,14 @@ fn diff_nodes<K, V, B>(
 /// The third type parameter selects the `1:n` value-storage strategy and
 /// defaults to nested [`AxiomSet`]s; [`crate::AxiomFusedMultiMap`] selects
 /// the fusion strategy.
-pub struct AxiomMultiMap<K, V, B = AxiomSet<V>> {
+pub struct AxiomMultiMap<K, V, B: BagSlot<V> = AxiomSet<V>> {
     pub(crate) root: Node<K, V, B>,
     pub(crate) tuples: usize,
     pub(crate) keys: usize,
     marker: PhantomData<fn() -> B>,
 }
 
-impl<K, V, B> Clone for AxiomMultiMap<K, V, B> {
+impl<K, V, B: BagSlot<V>> Clone for AxiomMultiMap<K, V, B> {
     fn clone(&self) -> Self {
         AxiomMultiMap {
             root: self.root.clone(),
@@ -1057,8 +1132,8 @@ where
     }
 
     /// Borrowed view of the values bound to `key`.
-    pub fn get(&self, key: &K) -> Option<BindingRef<'_, V, B>> {
-        get(&self.root, hash32(key), 0, key)
+    pub fn get(&self, key: &K) -> Option<BindingRef<'_, V>> {
+        find(&self.root, hash32(key), 0, key).map(Found::binding)
     }
 
     /// True if `key` maps to at least one value.
@@ -1149,9 +1224,10 @@ where
     /// assert!(mm.value_set(&"E").is_none());
     /// ```
     pub fn value_set(&self, key: &K) -> Option<AxiomSet<V>> {
-        self.get(key).map(|binding| match binding {
-            BindingRef::One(v) => AxiomSet::singleton(v.clone()),
-            BindingRef::Many(bag) => bag.to_set(),
+        let found = find(&self.root, hash32(key), 0, key)?;
+        Some(match found {
+            Found::One(v) => AxiomSet::singleton(v.clone()),
+            Found::Many(many) => many.to_set(),
         })
     }
 
@@ -1277,7 +1353,7 @@ where
     }
 
     /// Iterates the values bound to `key` (nothing if the key is absent).
-    pub fn values_of(&self, key: &K) -> ValuesOf<'_, V, B> {
+    pub fn values_of(&self, key: &K) -> ValuesOf<'_, V> {
         ValuesOf {
             inner: self.get(key).map(|binding| binding.iter()),
         }
@@ -1392,12 +1468,17 @@ where
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    for (_, bag) in node.manys() {
-        assert!(bag.len() >= 2, "CAT2 bag with < 2 values");
+    for many in node.manys() {
+        many.bag().assert_invariants();
+        assert!(many.bag().len() >= 2, "CAT2 bag with < 2 values");
     }
     let mut keys = node.ones().len() + node.manys().len();
-    let mut tuples =
-        node.ones().len() + node.manys().iter().map(|(_, bag)| bag.len()).sum::<usize>();
+    let mut tuples = node.ones().len()
+        + node
+            .manys()
+            .iter()
+            .map(|many| many.bag().len())
+            .sum::<usize>();
     if hash_exhausted(shift) {
         assert!(node.children().is_empty(), "collision node with children");
         assert!(keys >= 2, "collision node with < 2 keys");
@@ -1424,8 +1505,12 @@ where
     for ((k, _), m) in node.ones().iter().zip(bitmap.masks_of(Category::Cat1)) {
         assert_eq!(mask(hash32(k), shift), m, "CAT1 key in wrong branch");
     }
-    for ((k, _), m) in node.manys().iter().zip(bitmap.masks_of(Category::Cat2)) {
-        assert_eq!(mask(hash32(k), shift), m, "CAT2 key in wrong branch");
+    for (many, m) in node.manys().iter().zip(bitmap.masks_of(Category::Cat2)) {
+        assert_eq!(
+            mask(hash32(many.key()), shift),
+            m,
+            "CAT2 key in wrong branch"
+        );
     }
     for child in node.children() {
         let (k, t) = validate(child, next_shift(shift));
@@ -1481,7 +1566,7 @@ where
     B: ValueBag<V>,
 {
     if hash_exhausted(shift) {
-        let same = |(k, x): (&K, BindingRef<'_, V, B>), (k2, y): (&K, BindingRef<'_, V, B>)| {
+        let same = |(k, x): (&K, BindingRef<'_, V>), (k2, y): (&K, BindingRef<'_, V>)| {
             k == k2
                 && match (x, y) {
                     (BindingRef::One(v), BindingRef::One(w)) => v == w,
@@ -1547,19 +1632,19 @@ where
 }
 
 /// Depth-first cursor into one node's three slot groups.
-struct Cursor<'a, K, V, B> {
+struct Cursor<'a, K, V, B: BagSlot<V>> {
     ones: std::slice::Iter<'a, (K, V)>,
-    manys: std::slice::Iter<'a, (K, B)>,
+    manys: std::slice::Iter<'a, Cat2<K, V, B>>,
     children: std::slice::Iter<'a, Node<K, V, B>>,
 }
 
 /// One key's payload, as a depth-first walk meets it.
-enum Payload<'a, K, V, B> {
+enum Payload<'a, K, V, B: BagSlot<V>> {
     One(&'a K, &'a V),
-    Many(&'a K, &'a B),
+    Many(&'a Cat2<K, V, B>),
 }
 
-impl<'a, K, V, B> Cursor<'a, K, V, B> {
+impl<'a, K, V, B: ValueBag<V>> Cursor<'a, K, V, B> {
     fn of(node: &'a Node<K, V, B>) -> Self {
         Cursor {
             ones: node.ones().iter(),
@@ -1575,8 +1660,8 @@ impl<'a, K, V, B> Cursor<'a, K, V, B> {
             if let Some((k, v)) = top.ones.next() {
                 return Some(Payload::One(k, v));
             }
-            if let Some((k, bag)) = top.manys.next() {
-                return Some(Payload::Many(k, bag));
+            if let Some(many) = top.manys.next() {
+                return Some(Payload::Many(many));
             }
             match top.children.next() {
                 Some(child) => stack.push(Cursor::of(child)),
@@ -1628,7 +1713,7 @@ where
                     self.remaining -= 1;
                     return Some((k, v));
                 }
-                Payload::Many(k, bag) => self.current = Some((k, bag.iter())),
+                Payload::Many(many) => self.current = Some((many.key(), many.values())),
             }
         }
     }
@@ -1655,16 +1740,19 @@ impl<'a, K, V, B: ValueBag<V>> std::fmt::Debug for Tuples<'a, K, V, B> {
 }
 
 /// Iterator over distinct keys. Created by [`AxiomMultiMap::keys`].
-pub struct Keys<'a, K, V, B> {
+pub struct Keys<'a, K, V, B: BagSlot<V>> {
     stack: Vec<Cursor<'a, K, V, B>>,
     remaining: usize,
 }
 
-impl<'a, K, V, B> Iterator for Keys<'a, K, V, B> {
+impl<'a, K, V, B: ValueBag<V>> Iterator for Keys<'a, K, V, B> {
     type Item = &'a K;
 
     fn next(&mut self) -> Option<&'a K> {
-        let (Payload::One(k, _) | Payload::Many(k, _)) = Cursor::next(&mut self.stack)?;
+        let k = match Cursor::next(&mut self.stack)? {
+            Payload::One(k, _) => k,
+            Payload::Many(many) => many.key(),
+        };
         self.remaining -= 1;
         Some(k)
     }
@@ -1674,9 +1762,9 @@ impl<'a, K, V, B> Iterator for Keys<'a, K, V, B> {
     }
 }
 
-impl<'a, K, V, B> ExactSizeIterator for Keys<'a, K, V, B> {}
+impl<'a, K, V, B: ValueBag<V>> ExactSizeIterator for Keys<'a, K, V, B> {}
 
-impl<'a, K, V, B> std::fmt::Debug for Keys<'a, K, V, B> {
+impl<'a, K, V, B: BagSlot<V>> std::fmt::Debug for Keys<'a, K, V, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Keys")
             .field("remaining", &self.remaining)
@@ -1686,7 +1774,7 @@ impl<'a, K, V, B> std::fmt::Debug for Keys<'a, K, V, B> {
 
 /// Iterator over `(key, values-view)` groups. Created by
 /// [`AxiomMultiMap::entries`].
-pub struct Entries<'a, K, V, B> {
+pub struct Entries<'a, K, V, B: BagSlot<V>> {
     stack: Vec<Cursor<'a, K, V, B>>,
     remaining: usize,
 }
@@ -1697,12 +1785,12 @@ where
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    type Item = (&'a K, BindingRef<'a, V, B>);
+    type Item = (&'a K, BindingRef<'a, V>);
 
     fn next(&mut self) -> Option<Self::Item> {
         let entry = match Cursor::next(&mut self.stack)? {
             Payload::One(k, v) => (k, BindingRef::One(v)),
-            Payload::Many(k, bag) => (k, BindingRef::Many(bag)),
+            Payload::Many(many) => (many.key(), BindingRef::Many(many.bag())),
         };
         self.remaining -= 1;
         Some(entry)
@@ -1721,7 +1809,7 @@ where
 {
 }
 
-impl<'a, K, V, B> std::fmt::Debug for Entries<'a, K, V, B> {
+impl<'a, K, V, B: BagSlot<V>> std::fmt::Debug for Entries<'a, K, V, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Entries")
             .field("remaining", &self.remaining)
@@ -2011,7 +2099,7 @@ mod tests {
         }
         match mm.get(&2) {
             Some(BindingRef::Many(bag)) => {
-                let vs: BTreeSet<u32> = crate::bag::ValueBag::iter(bag).copied().collect();
+                let vs: BTreeSet<u32> = bag.iter().copied().collect();
                 assert_eq!(vs, BTreeSet::from([20, 21]));
             }
             _ => panic!("expected nested bag"),

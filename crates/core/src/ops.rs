@@ -212,13 +212,13 @@ where
         K: 'a,
         V: 'a;
     type ValuesOf<'a>
-        = multimap::ValuesOf<'a, V, B>
+        = multimap::ValuesOf<'a, V>
     where
         Self: 'a,
         K: 'a,
         V: 'a;
     type Values<'a>
-        = BindingRef<'a, V, B>
+        = BindingRef<'a, V>
     where
         Self: 'a,
         K: 'a,
@@ -313,12 +313,11 @@ where
     }
 }
 
-impl<'a, V, B> ValuesView<'a, V> for BindingRef<'a, V, B>
+impl<'a, V> ValuesView<'a, V> for BindingRef<'a, V>
 where
     V: Clone + Eq + Hash,
-    B: ValueBag<V>,
 {
-    type Iter = multimap::BindingIter<'a, V, B>;
+    type Iter = multimap::BindingIter<'a, V>;
 
     fn len(&self) -> usize {
         BindingRef::len(self)

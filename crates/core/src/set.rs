@@ -108,6 +108,51 @@ where
     get(node, hash, shift, value).is_some()
 }
 
+/// Inserts `value` into the trie at `root` (see [`insert_in_place`]).
+/// Returns true if the set grew.
+pub(crate) fn insert_root<T: Clone + Eq + Hash>(root: &mut Node<T>, value: T) -> bool {
+    let hash = hash32(&value);
+    insert_in_place(root, hash, 0, value)
+}
+
+/// Removes `value` from the trie at `root`, re-rooting a trie that
+/// collapsed to one element. Returns true if the set shrank.
+pub(crate) fn remove_root<T, Q>(root: &mut Node<T>, value: &Q) -> bool
+where
+    T: Clone + Eq + Hash + Borrow<Q>,
+    Q: Eq + Hash + ?Sized,
+{
+    match remove_in_place(root, hash32(value), 0, value) {
+        EditRemoved::NotFound => false,
+        EditRemoved::Removed => true,
+        EditRemoved::Single(survivor) => {
+            // Only reachable when the root collapses to one element.
+            *root = single(survivor);
+            true
+        }
+    }
+}
+
+/// Membership test on the trie at `root`.
+pub(crate) fn contains_root<T, Q>(root: &Node<T>, value: &Q) -> bool
+where
+    T: Borrow<Q>,
+    Q: Eq + Hash + ?Sized,
+{
+    contains(root, hash32(value), 0, value)
+}
+
+/// Number of elements below `node`, counted by walking the trie.
+pub(crate) fn count<T>(node: &Node<T>) -> usize {
+    node.ones().len() + node.children().iter().map(count).sum::<usize>()
+}
+
+/// True if the tries at two roots of sets of equal length hold the same
+/// elements; a shared sub-trie compares in O(1).
+pub(crate) fn same_elements<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>) -> bool {
+    Node::ptr_eq(a, b) || node_eq(a, b, 0)
+}
+
 /// Inserts `value` below `this`, editing unique nodes in place and copying
 /// shared ones on write (see [`crate::slots`]). Takes `value` by ownership
 /// so the common paths move it into its final slot. Returns true if the set
@@ -771,7 +816,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        contains(&self.root, hash32(value), 0, value)
+        contains_root(&self.root, value)
     }
 
     /// Returns a reference to the stored element equal to `value`, if any.
@@ -795,13 +840,9 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// so other handles to the previous version are unaffected. Returns true
     /// if the set grew.
     pub fn insert_mut(&mut self, value: T) -> bool {
-        let hash = hash32(&value);
-        if insert_in_place(&mut self.root, hash, 0, value) {
-            self.len += 1;
-            true
-        } else {
-            false
-        }
+        let grew = insert_root(&mut self.root, value);
+        self.len += usize::from(grew);
+        grew
     }
 
     /// Returns a set without `value`; `self` is unchanged.
@@ -822,19 +863,9 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        match remove_in_place(&mut self.root, hash32(value), 0, value) {
-            EditRemoved::NotFound => false,
-            EditRemoved::Removed => {
-                self.len -= 1;
-                true
-            }
-            EditRemoved::Single(survivor) => {
-                // Only reachable when the root collapses to one element.
-                self.root = single(survivor);
-                self.len -= 1;
-                true
-            }
-        }
+        let shrank = remove_root(&mut self.root, value);
+        self.len -= usize::from(shrank);
+        shrank
     }
 
     /// The sole element of a singleton set (multi-map demotion helper).
@@ -1014,7 +1045,11 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
 }
 
 /// Validates canonical form below `node`; returns the element count.
-fn validate<T: Clone + Eq + Hash>(node: &Node<T>, shift: u32, prefix: Option<u32>) -> usize {
+pub(crate) fn validate<T: Clone + Eq + Hash>(
+    node: &Node<T>,
+    shift: u32,
+    prefix: Option<u32>,
+) -> usize {
     if hash_exhausted(shift) {
         let elems = node.ones();
         assert!(node.children().is_empty(), "collision node with children");
@@ -1091,8 +1126,7 @@ impl<T: Clone + Eq + Hash> std::ops::Sub for &AxiomSet<T> {
 
 impl<T: Clone + Eq + Hash> PartialEq for AxiomSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len
-            && (Node::ptr_eq(&self.root, &other.root) || node_eq(&self.root, &other.root, 0))
+        self.len == other.len && same_elements(&self.root, &other.root)
     }
 }
 

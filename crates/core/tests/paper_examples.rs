@@ -132,7 +132,7 @@ fn figure_3_construction_shapes() {
     // D's binding is now a nested set {4, -4}.
     match mm.get(&d) {
         Some(BindingRef::Many(bag)) => {
-            let mut vs: Vec<i32> = axiom::ValueBag::iter(bag).copied().collect();
+            let mut vs: Vec<i32> = bag.iter().copied().collect();
             vs.sort();
             assert_eq!(vs, vec![-4, 4]);
         }

@@ -23,7 +23,7 @@ fn main() {
     // `get` exposes whether a key is currently 1:1 or 1:n.
     match imports.get(&"codegen") {
         Some(BindingRef::Many(values)) => {
-            let vs: Vec<_> = axiom_repro::axiom::ValueBag::iter(values).collect();
+            let vs: Vec<_> = values.iter().collect();
             println!("codegen -> {vs:?} (nested set)");
         }
         Some(BindingRef::One(v)) => println!("codegen -> {v} (inlined)"),
