@@ -132,14 +132,6 @@ pub trait ValueBag<V>: Clone + PartialEq + BagSlot<V> {
     /// The bag of a `CAT2` element, borrowed.
     fn bag<K>(entry: &Self::Entry<K>) -> BagRef<'_, V>;
 
-    /// Iterates the values of a `CAT2` element's bag.
-    fn values<K>(entry: &Self::Entry<K>) -> Self::Iter<'_>;
-
-    /// The values of a `CAT2` element's bag as a nested set: an `O(1)`
-    /// handle sharing a stored trie, built (each value hashed) for an
-    /// inline bag.
-    fn to_set<K>(entry: &Self::Entry<K>) -> AxiomSet<V>;
-
     /// [`ValueBag::insert_mut`] on the bag of a `CAT2` element.
     fn insert_in<K>(entry: &mut Self::Entry<K>, value: V) -> bool;
 
@@ -272,17 +264,6 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
 
     fn bag<K>(entry: &SetEntry<K, V>) -> BagRef<'_, V> {
         entry.set()
-    }
-
-    fn values<K>(entry: &SetEntry<K, V>) -> set::Iter<'_, V> {
-        set::Iter::new(&entry.root, entry.len())
-    }
-
-    fn to_set<K>(entry: &SetEntry<K, V>) -> Self {
-        AxiomSet {
-            root: entry.root.clone(),
-            len: entry.len(),
-        }
     }
 
     fn insert_in<K>(entry: &mut SetEntry<K, V>, value: V) -> bool {
@@ -463,14 +444,6 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
 
     fn bag<K>(entry: &(K, Self)) -> BagRef<'_, V> {
         entry.1.as_ref()
-    }
-
-    fn values<K>(entry: &(K, Self)) -> BagIter<'_, V> {
-        entry.1.iter()
-    }
-
-    fn to_set<K>(entry: &(K, Self)) -> AxiomSet<V> {
-        entry.1.as_ref().to_set()
     }
 
     fn insert_in<K>(entry: &mut (K, Self), value: V) -> bool {

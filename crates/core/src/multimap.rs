@@ -115,14 +115,6 @@ impl<K, V, B: ValueBag<V>> Cat2<K, V, B> {
         B::bag(&self.0)
     }
 
-    fn values(&self) -> B::Iter<'_> {
-        B::values(&self.0)
-    }
-
-    fn to_set(&self) -> AxiomSet<V> {
-        B::to_set(&self.0)
-    }
-
     fn into_parts(self) -> (K, B) {
         B::split(self.0)
     }
@@ -1224,10 +1216,9 @@ where
     /// assert!(mm.value_set(&"E").is_none());
     /// ```
     pub fn value_set(&self, key: &K) -> Option<AxiomSet<V>> {
-        let found = find(&self.root, hash32(key), 0, key)?;
-        Some(match found {
-            Found::One(v) => AxiomSet::singleton(v.clone()),
-            Found::Many(many) => many.to_set(),
+        self.get(key).map(|binding| match binding {
+            BindingRef::One(v) => AxiomSet::singleton(v.clone()),
+            BindingRef::Many(bag) => bag.to_set(),
         })
     }
 
@@ -1677,7 +1668,7 @@ impl<'a, K, V, B: ValueBag<V>> Cursor<'a, K, V, B> {
 /// [`AxiomMultiMap::iter`].
 pub struct Tuples<'a, K, V: 'a, B: ValueBag<V> + 'a> {
     stack: Vec<Cursor<'a, K, V, B>>,
-    current: Option<(&'a K, B::Iter<'a>)>,
+    current: Option<(&'a K, BagIter<'a, V>)>,
     remaining: usize,
 }
 
@@ -1713,7 +1704,7 @@ where
                     self.remaining -= 1;
                     return Some((k, v));
                 }
-                Payload::Many(many) => self.current = Some((many.key(), many.values())),
+                Payload::Many(many) => self.current = Some((many.key(), many.bag().iter())),
             }
         }
     }
