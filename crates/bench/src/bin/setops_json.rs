@@ -26,10 +26,16 @@
 //!   size, on the `divergent1pct` shape, the structural `diff` beats its
 //!   element-wise fallback by at least `MIN_DIFF_SPEEDUP` (10.0) and the
 //!   structural `union` by at least `MIN_UNION_SPEEDUP` (2.5).
+//!
+//! Each time is the median of per-round medians
+//! ([`paper_bench::report::interleaved_median_ns`]): a round times the
+//! four walks of one shape in turn, so a speedup divides times taken under
+//! the same host load, and a round that load spoiled does not move the
+//! median.
 
 use axiom::AxiomSet;
 use champ::ChampSet;
-use paper_bench::report::{median_ns, Gate, Profile, Report, Row, Run};
+use paper_bench::report::{interleaved_median_ns, Gate, Profile, Report, Row, Run};
 use trie_common::ops::{SetDiff, SetOps};
 
 /// Gate: structural `diff` over the element-wise fallback on 1%-divergent
@@ -64,7 +70,7 @@ fn diff_elementwise<S: SetOps<u64>>(a: &S, b: &S) -> SetDiff<u64> {
 /// Builds the three operand shapes at size `n` for one set type, via the
 /// same closure-driven plumbing for both tries.
 macro_rules! bench_set_impl {
-    ($name:literal, $ty:ty, $n:expr, $reps:expr, $report:expr) => {{
+    ($name:literal, $ty:ty, $n:expr, $rounds:expr, $report:expr) => {{
         let n = $n as u64;
         let a: $ty = (0..n).collect();
         let shapes: [(&'static str, $ty); 3] = [
@@ -83,10 +89,17 @@ macro_rules! bench_set_impl {
             ("disjoint", (n..2 * n).collect()),
         ];
         for (shape, b) in &shapes {
-            let structural_union = median_ns($reps, || a.union(b).len());
-            let elementwise_union = median_ns($reps, || a.union_elementwise(b).len());
-            let structural_diff = median_ns($reps, || a.diff(b).len());
-            let elementwise_diff = median_ns($reps, || diff_elementwise(&a, b).len());
+            let [structural_union, elementwise_union, structural_diff, elementwise_diff] =
+                interleaved_median_ns(
+                    $rounds.0,
+                    $rounds.1,
+                    [
+                        &mut || a.union(b).len(),
+                        &mut || a.union_elementwise(b).len(),
+                        &mut || a.diff(b).len(),
+                        &mut || diff_elementwise(&a, b).len(),
+                    ],
+                );
             for (op, s, e) in [
                 ("union", structural_union, elementwise_union),
                 ("diff", structural_diff, elementwise_diff),
@@ -113,9 +126,10 @@ macro_rules! bench_set_impl {
 
 fn main() {
     let run = Run::from_env("SETOPS");
-    let (sizes, reps) = match run.profile {
-        Profile::Quick => (vec![65_536usize], 3),
-        Profile::Thorough => (vec![65_536usize, 1_000_000], 5),
+    // Sizes, then (rounds, timings per round) of each walk.
+    let (sizes, rounds) = match run.profile {
+        Profile::Quick => (vec![65_536usize], (9, 3)),
+        Profile::Thorough => (vec![65_536usize, 1_000_000], (5, 3)),
     };
 
     let mut report = Report::new("axiom-setops-v1", &run).about(
@@ -126,8 +140,8 @@ fn main() {
     );
     for &n in &sizes {
         eprintln!("set algebra at {n} elements");
-        bench_set_impl!("axiom", AxiomSet<u64>, n, reps, report);
-        bench_set_impl!("champ", ChampSet<u64>, n, reps, report);
+        bench_set_impl!("axiom", AxiomSet<u64>, n, rounds, report);
+        bench_set_impl!("champ", ChampSet<u64>, n, rounds, report);
     }
     report.emit(&run);
 

@@ -8,24 +8,37 @@
 //!
 //! The corpus is the generated structured-program stand-in documented in
 //! DESIGN.md §2; sizes default to {128 … 1024} and extend to the paper's
-//! 4096 with `AXIOM_TABLE1_MAX=4096`. After the timed loops, every CFG's
-//! CHAMP and AXIOM answers are checked against the bitset oracle
-//! (`assert_dominators_agree`), untimed.
-
-use std::time::Instant;
+//! 4096 with `AXIOM_TABLE1_MAX=4096`. Each backend's time is the median of
+//! `RUNS` runs over the corpus, CHAMP and AXIOM alternating, so the ratio
+//! compares times taken under the same host load. After the timed loops,
+//! every CFG's CHAMP and AXIOM answers are checked against the bitset
+//! oracle (`assert_dominators_agree`), untimed.
 
 use axiom::AxiomMultiMap;
 use cfg_analysis::ast::CfgNode;
 use cfg_analysis::dominators::{assert_dominators_agree, dominators_relational};
 use cfg_analysis::generate::{generate_corpus, GenConfig};
-use cfg_analysis::graph::relation_shape;
+use cfg_analysis::graph::{relation_shape, Cfg};
 use heapmodel::{Accounting, JvmArch, JvmFootprint, LayoutPolicy};
 use idiomatic::NestedChampMultiMap;
-use trie_common::ops::MultiMapOps;
+use paper_bench::report::interleaved_median_ns;
+use trie_common::ops::MultiMapMutOps;
 use workloads::{fmt_bytes, Table};
 
 type Axiom = AxiomMultiMap<CfgNode, CfgNode>;
 type Champ = NestedChampMultiMap<CfgNode, CfgNode>;
+
+/// Timed runs of each backend per corpus size.
+const RUNS: usize = 5;
+
+/// Solves every CFG of `corpus` with the backend `M`, dropping each
+/// solution as it goes, and returns the total tuple count.
+fn solve<M: MultiMapMutOps<CfgNode, CfgNode>>(corpus: &[Cfg]) -> usize {
+    corpus
+        .iter()
+        .map(|cfg| dominators_relational::<M>(cfg).tuple_count())
+        .sum()
+}
 
 fn main() {
     let max: usize = std::env::var("AXIOM_TABLE1_MAX")
@@ -56,21 +69,21 @@ fn main() {
         let corpus = generate_corpus(n, 1, &GenConfig::default());
 
         // --- runtimes of the fixed-point dominator computation ---
-        let t0 = Instant::now();
-        let mut champ_checksum = 0usize;
-        for cfg in &corpus {
-            let dom: Champ = dominators_relational(cfg);
-            champ_checksum += dom.tuple_count();
-        }
-        let champ_time = t0.elapsed();
-
-        let t1 = Instant::now();
-        let mut axiom_checksum = 0usize;
-        for cfg in &corpus {
-            let dom: Axiom = dominators_relational(cfg);
-            axiom_checksum += dom.tuple_count();
-        }
-        let axiom_time = t1.elapsed();
+        let (mut champ_checksum, mut axiom_checksum) = (0, 0);
+        let [champ_ns, axiom_ns] = interleaved_median_ns(
+            RUNS,
+            1,
+            [
+                &mut || {
+                    champ_checksum = solve::<Champ>(&corpus);
+                    champ_checksum
+                },
+                &mut || {
+                    axiom_checksum = solve::<Axiom>(&corpus);
+                    axiom_checksum
+                },
+            ],
+        );
         assert_eq!(champ_checksum, axiom_checksum, "implementations disagree");
 
         // Untimed: every CFG's answer from each backend against the bitset
@@ -108,15 +121,15 @@ fn main() {
 
         table.row(vec![
             n.to_string(),
-            format!("{:.3} s", champ_time.as_secs_f64()),
-            format!("{:.3} s", axiom_time.as_secs_f64()),
+            format!("{:.3} s", champ_ns / 1e9),
+            format!("{:.3} s", axiom_ns / 1e9),
             keys.to_string(),
             tuples.to_string(),
             format!("{pct:.0} %"),
             fmt_bytes(champ_bytes),
             fmt_bytes(axiom_bytes),
             format!("x{:.2}", champ_bytes as f64 / axiom_bytes as f64),
-            format!("{:.2}", axiom_time.as_secs_f64() / champ_time.as_secs_f64()),
+            format!("{:.2}", axiom_ns / champ_ns),
         ]);
     }
 

@@ -111,6 +111,28 @@ pub fn median_ns<R>(reps: usize, f: impl FnMut() -> R) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Interleaved medians, in ns, of the closures `fs`: `batches` rounds,
+/// each timing every closure `reps` times in turn, and for each closure the
+/// median of its per-round medians (upper medians for even counts). Rounds
+/// put the samples a ratio of two closures compares under the same host
+/// load, and the median of rounds drops a round that load spoiled.
+pub fn interleaved_median_ns<const N: usize>(
+    batches: usize,
+    reps: usize,
+    mut fs: [&mut dyn FnMut() -> usize; N],
+) -> [f64; N] {
+    let mut rounds: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(batches));
+    for _ in 0..batches {
+        for (f, samples) in fs.iter_mut().zip(&mut rounds) {
+            samples.push(median_ns(reps, &mut **f));
+        }
+    }
+    rounds.map(|mut samples| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    })
+}
+
 /// Nearest-rank percentile of ascending `sorted` samples: the sample at
 /// rank `round(q · (n − 1))`, or 0 for no samples.
 pub fn percentile(sorted: &[u64], q: f64) -> f64 {

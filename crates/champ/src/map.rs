@@ -11,6 +11,10 @@
 //! paper's §5 (Figure 6) and §6 (Table 1): AXIOM generalizes this encoding
 //! (`datamap` ≡ `CAT1`, `nodemap` ≡ `NODE` in 2-bit tags).
 //!
+//! `diff` and `==` are the lockstep walks of [`trie_common::algebra`],
+//! shared with the AXIOM and HAMT maps; this module supplies their node
+//! view (`View`).
+//!
 //! # Examples
 //!
 //! ```
@@ -24,10 +28,13 @@
 
 use std::borrow::Borrow;
 use std::hash::Hash;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
+use trie_common::algebra::{self, masks, At, Canonical, Trie};
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
+use trie_common::ops::MapDiff;
 use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, SlotNode};
 
 /// One physical slot: an inlined entry or a sub-trie.
@@ -385,140 +392,112 @@ impl<K: Clone, V: Clone> SlotNode for Node<K, V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Structural diff: a lockstep walk that skips pointer-shared subtrees
-// (mirrors `axiom::map`, with the split datamap/nodemap bitmaps). The
-// derived algebra in `trie_common::ops::MapMergeOps` routes
-// `merged`/`intersect`/`difference` through this walk.
-// ---------------------------------------------------------------------------
+/// The [`algebra`] view of a map trie: the node hooks the structural
+/// `diff` and `==` walks run on.
+pub(crate) struct View<K, V>(PhantomData<(K, V)>);
 
-/// What one lockstep walk found at a mask position.
-enum At<'a, K, V> {
-    Nothing,
-    Entry(&'a K, &'a V),
-    Sub(&'a Arc<Node<K, V>>),
-}
+impl<K, V> Slot<K, V> {
+    fn entry(&self) -> Option<(&K, &V)> {
+        match self {
+            Slot::Entry(k, v) => Some((k, v)),
+            Slot::Child(_) => None,
+        }
+    }
 
-fn at<'a, K, V>(b: &'a BitmapNode<K, V>, bit: u32) -> At<'a, K, V> {
-    if b.datamap & bit != 0 {
-        match &b.slots[b.data_index(bit)] {
-            Slot::Entry(k, v) => At::Entry(k, v),
-            Slot::Child(_) => unreachable!("datamap says entry"),
+    fn child(&self) -> Option<&Arc<Node<K, V>>> {
+        match self {
+            Slot::Child(child) => Some(child),
+            Slot::Entry(..) => None,
         }
-    } else if b.nodemap & bit != 0 {
-        match &b.slots[b.node_index(bit)] {
-            Slot::Child(c) => At::Sub(c),
-            Slot::Entry(..) => unreachable!("nodemap says child"),
-        }
-    } else {
-        At::Nothing
     }
 }
 
-fn for_each_entry_node<K, V>(node: &Node<K, V>, f: &mut impl FnMut(&K, &V)) {
+/// A node's `datamap` and `nodemap`; a collision node occupies no branch.
+fn bitmaps<K, V>(node: &Node<K, V>) -> (u32, u32) {
     match node {
-        Node::Collision(c) => c.entries.iter().for_each(|(k, v)| f(k, v)),
-        Node::Bitmap(b) => {
-            for s in &b.slots {
-                match s {
-                    Slot::Entry(k, v) => f(k, v),
-                    Slot::Child(c) => for_each_entry_node(c, f),
-                }
-            }
-        }
+        Node::Bitmap(b) => (b.datamap, b.nodemap),
+        Node::Collision(_) => (0, 0),
     }
 }
 
-/// Lockstep diff (`a` old, `b` new): pointer-identical subtrees emit
-/// nothing; a surviving key with a different value lands in `changed`.
-fn diff_nodes<K: Clone + Eq + Hash, V: Clone + PartialEq>(
-    a: &Node<K, V>,
-    b: &Node<K, V>,
-    shift: u32,
-    out: &mut trie_common::ops::MapDiff<K, V>,
-) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            for (k, v) in &x.entries {
-                match y.entries.iter().find(|(yk, _)| yk == k) {
-                    None => out.removed.push((k.clone(), v.clone())),
-                    Some((_, yv)) if yv != v => {
-                        out.changed.push((k.clone(), v.clone(), yv.clone()));
-                    }
-                    Some(_) => {}
-                }
-            }
-            for (k, v) in &y.entries {
-                if !x.entries.iter().any(|(xk, _)| xk == k) {
-                    out.added.push((k.clone(), v.clone()));
-                }
+/// A node's entry slots, a collision node's entries, and sub-trie slots.
+type Runs<'a, K, V> = (&'a [Slot<K, V>], &'a [(K, V)], &'a [Slot<K, V>]);
+
+/// A node's entry slots (and a collision node's entries), and its
+/// sub-trie slots.
+fn runs<K, V>(node: &Node<K, V>) -> Runs<'_, K, V> {
+    match node {
+        Node::Bitmap(b) => {
+            let (entries, children) = b.slots.split_at(b.payload_arity());
+            (entries, &[], children)
+        }
+        Node::Collision(c) => (&[], &c.entries, &[]),
+    }
+}
+
+impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Trie for View<K, V> {
+    type Key = K;
+    type Value = V;
+    type Node = Arc<Node<K, V>>;
+
+    fn ptr_eq(a: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>) -> bool {
+        Arc::ptr_eq(a, b)
+    }
+
+    fn occupied_with(a: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>) -> impl Iterator<Item = u32> {
+        let ((da, na), (db, nb)) = (bitmaps(a), bitmaps(b));
+        masks(da | na | db | nb)
+    }
+
+    /// The payload run and the sub-trie run are each ascending by mask, so
+    /// the two bitmaps pick the run and no branch costs a popcount.
+    fn cursor<'a>(node: &'a Arc<Node<K, V>>) -> impl FnMut(u32) -> At<'a, Self>
+    where
+        Self: 'a,
+    {
+        let (datamap, nodemap) = bitmaps(node);
+        let (mut payload, mut children) = (Self::payload(node), Self::children(node));
+        move |m| {
+            if datamap & bit_pos(m) != 0 {
+                payload
+                    .next()
+                    .map_or(At::Nothing, |(k, v)| At::Payload(k, v))
+            } else if nodemap & bit_pos(m) != 0 {
+                children.next().map_or(At::Nothing, At::Sub)
+            } else {
+                At::Nothing
             }
         }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            for m in 0..32u32 {
-                let bit = bit_pos(m);
-                match (at(x, bit), at(y, bit)) {
-                    (At::Nothing, At::Nothing) => {}
-                    (At::Entry(k, v), At::Nothing) => out.removed.push((k.clone(), v.clone())),
-                    (At::Nothing, At::Entry(k, v)) => out.added.push((k.clone(), v.clone())),
-                    (At::Sub(ac), At::Nothing) => {
-                        for_each_entry_node(ac, &mut |k, v| {
-                            out.removed.push((k.clone(), v.clone()));
-                        });
-                    }
-                    (At::Nothing, At::Sub(bc)) => {
-                        for_each_entry_node(bc, &mut |k, v| {
-                            out.added.push((k.clone(), v.clone()));
-                        });
-                    }
-                    (At::Entry(ka, va), At::Entry(kb, vb)) => {
-                        if ka == kb {
-                            if va != vb {
-                                out.changed.push((ka.clone(), va.clone(), vb.clone()));
-                            }
-                        } else {
-                            out.removed.push((ka.clone(), va.clone()));
-                            out.added.push((kb.clone(), vb.clone()));
-                        }
-                    }
-                    (At::Entry(ka, va), At::Sub(bc)) => {
-                        match bc.get(hash32(ka), next_shift(shift), ka) {
-                            None => out.removed.push((ka.clone(), va.clone())),
-                            Some(vb) if vb != va => {
-                                out.changed.push((ka.clone(), va.clone(), vb.clone()));
-                            }
-                            Some(_) => {}
-                        }
-                        for_each_entry_node(bc, &mut |k, v| {
-                            if k != ka {
-                                out.added.push((k.clone(), v.clone()));
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Entry(kb, vb)) => {
-                        match ac.get(hash32(kb), next_shift(shift), kb) {
-                            None => out.added.push((kb.clone(), vb.clone())),
-                            Some(va) if va != vb => {
-                                out.changed.push((kb.clone(), va.clone(), vb.clone()));
-                            }
-                            Some(_) => {}
-                        }
-                        for_each_entry_node(ac, &mut |k, v| {
-                            if k != kb {
-                                out.removed.push((k.clone(), v.clone()));
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if !Arc::ptr_eq(ac, bc) {
-                            diff_nodes(ac, bc, next_shift(shift), out);
-                        }
-                    }
-                }
-            }
-        }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
+    }
+
+    fn payload<'a>(node: &'a Arc<Node<K, V>>) -> impl Iterator<Item = (&'a K, &'a V)> + Clone
+    where
+        Self: 'a,
+    {
+        let (slots, entries, _) = runs(node);
+        let entries = entries.iter().map(|(k, v)| (k, v));
+        slots.iter().filter_map(Slot::entry).chain(entries)
+    }
+
+    fn children<'a>(node: &'a Arc<Node<K, V>>) -> impl Iterator<Item = &'a Arc<Node<K, V>>>
+    where
+        Self: 'a,
+    {
+        runs(node).2.iter().filter_map(Slot::child)
+    }
+
+    fn get<'a>(node: &'a Arc<Node<K, V>>, hash: u32, shift: u32, key: &K) -> Option<&'a V>
+    where
+        Self: 'a,
+    {
+        node.get(hash, shift, key)
+    }
+}
+
+impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Canonical for View<K, V> {
+    fn same_payload(a: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>) -> bool {
+        let entries = |node| runs(node).0.iter().map(Slot::entry);
+        bitmaps(a) == bitmaps(b) && entries(a).eq(entries(b))
     }
 }
 
@@ -660,23 +639,8 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> ChampMap<K, V> {
     /// What changed between `self` (old) and `other` (new), via a lockstep
     /// structural walk: pointer-shared subtrees emit nothing, so output and
     /// walk are both O(changed).
-    pub fn diff(&self, other: &Self) -> trie_common::ops::MapDiff<K, V> {
-        let mut out = trie_common::ops::MapDiff::new();
-        if Arc::ptr_eq(&self.root, &other.root) {
-            return out;
-        }
-        if self.is_empty() {
-            out.added
-                .extend(other.iter().map(|(k, v)| (k.clone(), v.clone())));
-            return out;
-        }
-        if other.is_empty() {
-            out.removed
-                .extend(self.iter().map(|(k, v)| (k.clone(), v.clone())));
-            return out;
-        }
-        diff_nodes(&self.root, &other.root, 0, &mut out);
-        out
+    pub fn diff(&self, other: &Self) -> MapDiff<K, V> {
+        algebra::diff::<View<K, V>, _>(&self.root, &other.root, MapDiff::new())
     }
 
     pub(crate) fn root_node(&self) -> &Node<K, V> {
@@ -749,36 +713,11 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Default for ChampMap<K, V> {
 
 impl<K: Clone + Eq + Hash, V: Clone + PartialEq> PartialEq for ChampMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && node_eq(&self.root, &other.root)
+        self.len == other.len && algebra::eq::<View<K, V>>(&self.root, &other.root)
     }
 }
 
 impl<K: Clone + Eq + Hash, V: Clone + Eq> Eq for ChampMap<K, V> {}
-
-fn node_eq<K: Clone + Eq + Hash, V: Clone + PartialEq>(a: &Node<K, V>, b: &Node<K, V>) -> bool {
-    match (a, b) {
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            x.datamap == y.datamap
-                && x.nodemap == y.nodemap
-                && x.slots
-                    .iter()
-                    .zip(y.slots.iter())
-                    .all(|(s, t)| match (s, t) {
-                        (Slot::Entry(k1, v1), Slot::Entry(k2, v2)) => k1 == k2 && v1 == v2,
-                        (Slot::Child(c), Slot::Child(d)) => Arc::ptr_eq(c, d) || node_eq(c, d),
-                        _ => false,
-                    })
-        }
-        (Node::Collision(x), Node::Collision(y)) => {
-            x.hash == y.hash
-                && x.entries.len() == y.entries.len()
-                && x.entries
-                    .iter()
-                    .all(|(k, v)| y.entries.iter().any(|(k2, v2)| k == k2 && v == v2))
-        }
-        _ => false,
-    }
-}
 
 impl<K, V> std::fmt::Debug for ChampMap<K, V>
 where

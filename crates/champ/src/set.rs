@@ -4,6 +4,11 @@
 //! multi-map baseline (`idiomatic::NestedChampMultiMap`, the "CHAMP" column
 //! of Table 1) and as a standalone set.
 //!
+//! `union`, `intersect`, `difference`, `diff` and `==` are the lockstep
+//! walks of [`trie_common::algebra`], shared with the AXIOM set; this
+//! module supplies their node view (`View`): the `datamap`/`nodemap`
+//! cursor, and the insert, remove and node-building hooks.
+//!
 //! # Examples
 //!
 //! ```
@@ -17,10 +22,13 @@
 
 use std::borrow::Borrow;
 use std::hash::Hash;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
+use trie_common::algebra::{self, masks, At, Canonical, Removal, SetTrie, Trie};
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
+use trie_common::ops::SetDiff;
 use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, survivor, SlotNode};
 
 /// One physical slot: an element or a sub-trie.
@@ -72,16 +80,6 @@ pub(crate) struct CollisionNode<T> {
 pub(crate) enum Node<T> {
     Bitmap(BitmapNode<T>),
     Collision(CollisionNode<T>),
-}
-
-/// Removal outcome: the walk edits or copies nodes where they stand, so
-/// only the canonicalization payload travels upward.
-pub(crate) enum EditRemoved<T> {
-    NotFound,
-    Removed,
-    /// The sub-tree collapsed to one element (a unique node is left
-    /// consumed; the parent drops it and inlines the survivor).
-    Single(T),
 }
 
 impl<T: Clone + Eq + Hash> Node<T> {
@@ -217,12 +215,7 @@ impl<T: Clone + Eq + Hash> Node<T> {
 
     /// Removes `value` below `this` with the same copy-on-write discipline
     /// as [`Node::insert_in_place`], canonicalizing on the way up.
-    fn remove_in_place<Q>(
-        this: &mut Arc<Node<T>>,
-        hash: u32,
-        shift: u32,
-        value: &Q,
-    ) -> EditRemoved<T>
+    fn remove_in_place<Q>(this: &mut Arc<Node<T>>, hash: u32, shift: u32, value: &Q) -> Removal<T>
     where
         T: Borrow<Q>,
         Q: Eq + ?Sized,
@@ -230,16 +223,16 @@ impl<T: Clone + Eq + Hash> Node<T> {
         let b = match &**this {
             Node::Collision(c) => {
                 let Some(pos) = c.elems.iter().position(|e| e.borrow() == value) else {
-                    return EditRemoved::NotFound;
+                    return Removal::NotFound;
                 };
                 let Node::Collision(c) = Arc::make_mut(this) else {
                     unreachable!("matched a collision node")
                 };
                 if c.elems.len() == 2 {
-                    return EditRemoved::Single(c.elems.swap_remove(1 - pos));
+                    return Removal::Single(c.elems.swap_remove(1 - pos));
                 }
                 c.elems.swap_remove(pos);
-                return EditRemoved::Removed;
+                return Removal::Removed;
             }
             Node::Bitmap(b) => b,
         };
@@ -250,7 +243,7 @@ impl<T: Clone + Eq + Hash> Node<T> {
                 unreachable!("datamap says element")
             };
             if e.borrow() != value {
-                return EditRemoved::NotFound;
+                return Removal::NotFound;
             }
             let bitmap = (b.datamap & !bit, b.nodemap);
             if shift > 0 && bitmap.0.count_ones() == 1 && bitmap.1 == 0 {
@@ -259,10 +252,10 @@ impl<T: Clone + Eq + Hash> Node<T> {
                 let Slot::Elem(e) = survivor(this, idx) else {
                     unreachable!("both slots are payload")
                 };
-                return EditRemoved::Single(e);
+                return Removal::Single(e);
             }
             remove_slot(this, bitmap, idx);
-            EditRemoved::Removed
+            Removal::Removed
         } else if b.nodemap & bit != 0 {
             // A pure chain node dissolves when its child collapses.
             let chain = shift > 0 && b.datamap == 0 && b.nodemap.count_ones() == 1;
@@ -271,9 +264,9 @@ impl<T: Clone + Eq + Hash> Node<T> {
                 this,
                 idx,
                 |child| Node::remove_in_place(child, hash, next_shift(shift), value),
-                |outcome| matches!(outcome, EditRemoved::Removed),
+                |outcome| matches!(outcome, Removal::Removed),
             ) {
-                EditRemoved::Single(e) if !chain => {
+                Removal::Single(e) if !chain => {
                     // Inline the survivor: the slot migrates node group →
                     // data group, dropping the collapsed child.
                     let Node::Bitmap(b) = Arc::make_mut(this) else {
@@ -283,12 +276,12 @@ impl<T: Clone + Eq + Hash> Node<T> {
                     b.nodemap &= !bit;
                     let to = b.data_index(bit);
                     migrate_map(&mut b.slots, idx, to, |_child| Slot::Elem(e));
-                    EditRemoved::Removed
+                    Removal::Removed
                 }
                 outcome => outcome,
             }
         } else {
-            EditRemoved::NotFound
+            Removal::NotFound
         }
     }
 }
@@ -334,561 +327,142 @@ impl<T: Clone> SlotNode for Node<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Structural set algebra: lockstep node walks (mirrors `axiom::set`, with
-// the split datamap/nodemap bitmaps instead of the 2-bit `SlotBitmap`).
-// CHAMP's canonical form makes `Arc::ptr_eq` a sound subtree-equivalence
-// test, so shared subtrees short-circuit and bulk ops cost O(changed).
-// ---------------------------------------------------------------------------
+/// The [`algebra`] view of a CHAMP set trie: the node hooks the structural
+/// `union`, `intersect`, `difference`, `diff` and `==` walks run on.
+pub(crate) struct View<T>(PhantomData<T>);
 
-/// What one lockstep walk found at a mask position.
-enum At<'a, T> {
-    Nothing,
-    Elem(&'a T),
-    Sub(&'a Arc<Node<T>>),
-}
+impl<T> Slot<T> {
+    fn elem(&self) -> Option<&T> {
+        match self {
+            Slot::Elem(e) => Some(e),
+            Slot::Child(_) => None,
+        }
+    }
 
-fn at<'a, T>(b: &'a BitmapNode<T>, bit: u32) -> At<'a, T> {
-    if b.datamap & bit != 0 {
-        match &b.slots[b.data_index(bit)] {
-            Slot::Elem(e) => At::Elem(e),
-            Slot::Child(_) => unreachable!("datamap says element"),
+    fn child(&self) -> Option<&Arc<Node<T>>> {
+        match self {
+            Slot::Child(child) => Some(child),
+            Slot::Elem(_) => None,
         }
-    } else if b.nodemap & bit != 0 {
-        match &b.slots[b.node_index(bit)] {
-            Slot::Child(c) => At::Sub(c),
-            Slot::Elem(_) => unreachable!("nodemap says child"),
-        }
-    } else {
-        At::Nothing
     }
 }
 
-/// A shrinking walk's result, driving canonicalization on the way up.
-enum Cut<T> {
-    /// The result equals the left operand's subtree: reuse its `Arc`.
-    Unchanged,
-    /// Nothing survives below this branch.
-    Empty,
-    /// Exactly one element survives: the parent inlines it.
-    One(T),
-    /// A rebuilt (canonical) node.
-    Node(Node<T>),
-}
-
-/// Elements below `node` (walked, not stored; only non-shared subtrees are
-/// ever counted, keeping bulk ops O(changed)).
-fn node_len<T>(node: &Node<T>) -> usize {
+/// A node's `datamap` and `nodemap`; a collision node occupies no branch.
+fn bitmaps<T>(node: &Node<T>) -> (u32, u32) {
     match node {
-        Node::Collision(c) => c.elems.len(),
-        Node::Bitmap(b) => b
-            .slots
-            .iter()
-            .map(|s| match s {
-                Slot::Elem(_) => 1,
-                Slot::Child(c) => node_len(c),
-            })
-            .sum(),
+        Node::Bitmap(b) => (b.datamap, b.nodemap),
+        Node::Collision(_) => (0, 0),
     }
 }
 
-fn for_each_elem<T>(node: &Node<T>, f: &mut impl FnMut(&T)) {
+/// A node's payload slots (and a collision node's elements), and its
+/// sub-trie slots.
+fn runs<T>(node: &Node<T>) -> (&[Slot<T>], &[T], &[Slot<T>]) {
     match node {
-        Node::Collision(c) => c.elems.iter().for_each(&mut *f),
         Node::Bitmap(b) => {
-            for s in &b.slots {
-                match s {
-                    Slot::Elem(e) => f(e),
-                    Slot::Child(c) => for_each_elem(c, f),
-                }
-            }
+            let (payload, children) = b.slots.split_at(b.payload_arity());
+            (payload, &[], children)
         }
+        Node::Collision(c) => (&[], &c.elems, &[]),
     }
 }
 
-/// Assembles a canonical bitmap node from the walked groups, collapsing
-/// degenerate shapes (`Cut::Empty` / `Cut::One`) for the parent to inline.
-fn assemble<T>(
-    datamap: u32,
-    nodemap: u32,
-    mut payload: Vec<Slot<T>>,
-    children: Vec<Slot<T>>,
-) -> Cut<T> {
-    match (payload.len(), children.len()) {
-        (0, 0) => Cut::Empty,
-        (1, 0) => match payload.pop() {
-            Some(Slot::Elem(e)) => Cut::One(e),
-            _ => unreachable!("payload group holds elements"),
-        },
-        _ => {
-            payload.extend(children);
-            Cut::Node(Node::Bitmap(BitmapNode {
-                datamap,
-                nodemap,
-                slots: payload.into_boxed_slice(),
-            }))
+impl<T: Clone + Eq + Hash> Trie for View<T> {
+    type Key = T;
+    type Value = ();
+    type Node = Arc<Node<T>>;
+
+    fn ptr_eq(a: &Arc<Node<T>>, b: &Arc<Node<T>>) -> bool {
+        Arc::ptr_eq(a, b)
+    }
+
+    fn occupied_with(a: &Arc<Node<T>>, b: &Arc<Node<T>>) -> impl Iterator<Item = u32> {
+        let ((da, na), (db, nb)) = (bitmaps(a), bitmaps(b));
+        masks(da | na | db | nb)
+    }
+
+    /// The payload run and the sub-trie run are each ascending by mask, so
+    /// the two bitmaps pick the run and no branch costs a popcount.
+    fn cursor<'a>(node: &'a Arc<Node<T>>) -> impl FnMut(u32) -> At<'a, Self>
+    where
+        Self: 'a,
+    {
+        let (datamap, nodemap) = bitmaps(node);
+        let (mut payload, mut children) = (Self::payload(node), Self::children(node));
+        move |m| {
+            if datamap & bit_pos(m) != 0 {
+                payload
+                    .next()
+                    .map_or(At::Nothing, |(e, v)| At::Payload(e, v))
+            } else if nodemap & bit_pos(m) != 0 {
+                children.next().map_or(At::Nothing, At::Sub)
+            } else {
+                At::Nothing
+            }
         }
+    }
+
+    fn payload<'a>(node: &'a Arc<Node<T>>) -> impl Iterator<Item = (&'a T, &'a ())> + Clone
+    where
+        Self: 'a,
+    {
+        let (slots, elems, _) = runs(node);
+        let elems = slots.iter().filter_map(Slot::elem).chain(elems);
+        elems.map(|e| (e, &()))
+    }
+
+    fn children<'a>(node: &'a Arc<Node<T>>) -> impl Iterator<Item = &'a Arc<Node<T>>>
+    where
+        Self: 'a,
+    {
+        runs(node).2.iter().filter_map(Slot::child)
+    }
+
+    fn get<'a>(node: &'a Arc<Node<T>>, hash: u32, shift: u32, key: &T) -> Option<&'a ()>
+    where
+        Self: 'a,
+    {
+        node.contains(hash, shift, key).then_some(&())
     }
 }
 
-/// Lockstep union. Returns `(None, 0)` when the result equals `a` (the
-/// caller reuses the `Arc`), else the new node plus how many elements it
-/// gained relative to `a`.
-fn union_nodes<T: Clone + Eq + Hash>(
-    a: &Node<T>,
-    b: &Node<T>,
-    shift: u32,
-) -> (Option<Node<T>>, usize) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            let fresh: Vec<&T> = y.elems.iter().filter(|e| !x.elems.contains(e)).collect();
-            if fresh.is_empty() {
-                return (None, 0);
-            }
-            let added = fresh.len();
-            let mut elems = x.elems.clone();
-            elems.extend(fresh.into_iter().cloned());
-            (
-                Some(Node::Collision(CollisionNode {
-                    hash: x.hash,
-                    elems,
-                })),
-                added,
-            )
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            let mut datamap = 0u32;
-            let mut nodemap = 0u32;
-            let mut payload: Vec<Slot<T>> = Vec::new();
-            let mut children: Vec<Slot<T>> = Vec::new();
-            let mut added = 0usize;
-            let mut changed = false;
-            for m in 0..32u32 {
-                let bit = bit_pos(m);
-                match (at(x, bit), at(y, bit)) {
-                    (At::Nothing, At::Nothing) => {}
-                    (At::Elem(ea), At::Nothing) => {
-                        datamap |= bit;
-                        payload.push(Slot::Elem(ea.clone()));
-                    }
-                    (At::Nothing, At::Elem(eb)) => {
-                        datamap |= bit;
-                        payload.push(Slot::Elem(eb.clone()));
-                        added += 1;
-                        changed = true;
-                    }
-                    (At::Sub(ac), At::Nothing) => {
-                        nodemap |= bit;
-                        children.push(Slot::Child(Arc::clone(ac)));
-                    }
-                    (At::Nothing, At::Sub(bc)) => {
-                        nodemap |= bit;
-                        added += node_len(bc);
-                        children.push(Slot::Child(Arc::clone(bc)));
-                        changed = true;
-                    }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea == eb {
-                            datamap |= bit;
-                            payload.push(Slot::Elem(ea.clone()));
-                        } else {
-                            nodemap |= bit;
-                            let child = Node::pair(
-                                hash32(ea),
-                                ea.clone(),
-                                hash32(eb),
-                                eb.clone(),
-                                next_shift(shift),
-                            );
-                            children.push(Slot::Child(Arc::new(child)));
-                            added += 1;
-                            changed = true;
-                        }
-                    }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        // `a`'s lone element joins (or is absorbed by) `b`'s
-                        // subtree; either way the slot becomes a child.
-                        nodemap |= bit;
-                        let mut child = Arc::clone(bc);
-                        added += node_len(bc);
-                        if !Node::insert_in_place(
-                            &mut child,
-                            hash32(ea),
-                            next_shift(shift),
-                            ea.clone(),
-                        ) {
-                            added -= 1;
-                        }
-                        children.push(Slot::Child(child));
-                        changed = true;
-                    }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        nodemap |= bit;
-                        let mut child = Arc::clone(ac);
-                        if Node::insert_in_place(
-                            &mut child,
-                            hash32(eb),
-                            next_shift(shift),
-                            eb.clone(),
-                        ) {
-                            added += 1;
-                            changed = true;
-                        }
-                        children.push(Slot::Child(child));
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        nodemap |= bit;
-                        if Arc::ptr_eq(ac, bc) {
-                            children.push(Slot::Child(Arc::clone(ac)));
-                        } else {
-                            match union_nodes(ac, bc, next_shift(shift)) {
-                                (None, _) => children.push(Slot::Child(Arc::clone(ac))),
-                                (Some(n), add) => {
-                                    children.push(Slot::Child(Arc::new(n)));
-                                    added += add;
-                                    changed = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if !changed {
-                return (None, 0);
-            }
-            payload.extend(children);
-            (
-                Some(Node::Bitmap(BitmapNode {
-                    datamap,
-                    nodemap,
-                    slots: payload.into_boxed_slice(),
-                })),
-                added,
-            )
-        }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
+impl<T: Clone + Eq + Hash> Canonical for View<T> {
+    fn same_payload(a: &Arc<Node<T>>, b: &Arc<Node<T>>) -> bool {
+        let elems = |node| runs(node).0.iter().map(Slot::elem);
+        bitmaps(a) == bitmaps(b) && elems(a).eq(elems(b))
     }
 }
 
-/// Lockstep intersection. Returns the surviving shape plus how many of `a`'s
-/// elements were dropped (`Cut::Unchanged` ⇒ 0).
-fn intersect_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> (Cut<T>, usize) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            let mut kept: Vec<T> = x
-                .elems
-                .iter()
-                .filter(|e| y.elems.contains(e))
-                .cloned()
-                .collect();
-            let removed = x.elems.len() - kept.len();
-            match kept.len() {
-                n if n == x.elems.len() => (Cut::Unchanged, 0),
-                0 => (Cut::Empty, removed),
-                1 => (Cut::One(kept.pop().expect("len == 1")), removed),
-                _ => (
-                    Cut::Node(Node::Collision(CollisionNode {
-                        hash: x.hash,
-                        elems: kept,
-                    })),
-                    removed,
-                ),
-            }
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            let mut datamap = 0u32;
-            let mut nodemap = 0u32;
-            let mut payload: Vec<Slot<T>> = Vec::new();
-            let mut children: Vec<Slot<T>> = Vec::new();
-            let mut removed = 0usize;
-            let mut changed = false;
-            for m in 0..32u32 {
-                let bit = bit_pos(m);
-                let pos_a = at(x, bit);
-                if matches!(pos_a, At::Nothing) {
-                    continue;
-                }
-                match (pos_a, at(y, bit)) {
-                    (At::Elem(_), At::Nothing) => {
-                        removed += 1;
-                        changed = true;
-                    }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea == eb {
-                            datamap |= bit;
-                            payload.push(Slot::Elem(ea.clone()));
-                        } else {
-                            removed += 1;
-                            changed = true;
-                        }
-                    }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        if bc.contains(hash32(ea), next_shift(shift), ea) {
-                            datamap |= bit;
-                            payload.push(Slot::Elem(ea.clone()));
-                        } else {
-                            removed += 1;
-                            changed = true;
-                        }
-                    }
-                    (At::Sub(ac), At::Nothing) => {
-                        removed += node_len(ac);
-                        changed = true;
-                    }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        let total = node_len(ac);
-                        if ac.contains(hash32(eb), next_shift(shift), eb) {
-                            // The intersection of this subtree with a lone
-                            // element is that element, inlined.
-                            datamap |= bit;
-                            payload.push(Slot::Elem(eb.clone()));
-                            removed += total - 1;
-                        } else {
-                            removed += total;
-                        }
-                        changed = true;
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if Arc::ptr_eq(ac, bc) {
-                            nodemap |= bit;
-                            children.push(Slot::Child(Arc::clone(ac)));
-                            continue;
-                        }
-                        match intersect_nodes(ac, bc, next_shift(shift)) {
-                            (Cut::Unchanged, _) => {
-                                nodemap |= bit;
-                                children.push(Slot::Child(Arc::clone(ac)));
-                            }
-                            (Cut::Empty, r) => {
-                                removed += r;
-                                changed = true;
-                            }
-                            (Cut::One(e), r) => {
-                                datamap |= bit;
-                                payload.push(Slot::Elem(e));
-                                removed += r;
-                                changed = true;
-                            }
-                            (Cut::Node(n), r) => {
-                                nodemap |= bit;
-                                children.push(Slot::Child(Arc::new(n)));
-                                removed += r;
-                                changed = true;
-                            }
-                        }
-                    }
-                    (At::Nothing, _) => unreachable!("filtered above"),
-                }
-            }
-            if !changed {
-                return (Cut::Unchanged, 0);
-            }
-            (assemble(datamap, nodemap, payload, children), removed)
-        }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
+impl<T: Clone + Eq + Hash> SetTrie for View<T> {
+    fn pair(h1: u32, e1: T, h2: u32, e2: T, shift: u32) -> Arc<Node<T>> {
+        Arc::new(Node::pair(h1, e1, h2, e2, shift))
     }
-}
 
-/// Lockstep difference (`a \ b`). Returns the surviving shape plus how many
-/// elements survive (`Cut::Unchanged` ⇒ the whole subtree, counted).
-fn difference_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> (Cut<T>, usize) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            let mut kept: Vec<T> = x
-                .elems
-                .iter()
-                .filter(|e| !y.elems.contains(e))
-                .cloned()
-                .collect();
-            match kept.len() {
-                n if n == x.elems.len() => (Cut::Unchanged, n),
-                0 => (Cut::Empty, 0),
-                1 => (Cut::One(kept.pop().expect("len == 1")), 1),
-                n => (
-                    Cut::Node(Node::Collision(CollisionNode {
-                        hash: x.hash,
-                        elems: kept,
-                    })),
-                    n,
-                ),
-            }
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            let mut datamap = 0u32;
-            let mut nodemap = 0u32;
-            let mut payload: Vec<Slot<T>> = Vec::new();
-            let mut children: Vec<Slot<T>> = Vec::new();
-            let mut kept = 0usize;
-            let mut changed = false;
-            for m in 0..32u32 {
-                let bit = bit_pos(m);
-                let pos_a = at(x, bit);
-                if matches!(pos_a, At::Nothing) {
-                    continue;
-                }
-                match (pos_a, at(y, bit)) {
-                    (At::Elem(ea), At::Nothing) => {
-                        datamap |= bit;
-                        payload.push(Slot::Elem(ea.clone()));
-                        kept += 1;
-                    }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea == eb {
-                            changed = true;
-                        } else {
-                            datamap |= bit;
-                            payload.push(Slot::Elem(ea.clone()));
-                            kept += 1;
-                        }
-                    }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        if bc.contains(hash32(ea), next_shift(shift), ea) {
-                            changed = true;
-                        } else {
-                            datamap |= bit;
-                            payload.push(Slot::Elem(ea.clone()));
-                            kept += 1;
-                        }
-                    }
-                    (At::Sub(ac), At::Nothing) => {
-                        nodemap |= bit;
-                        children.push(Slot::Child(Arc::clone(ac)));
-                        kept += node_len(ac);
-                    }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        let mut child = Arc::clone(ac);
-                        match Node::remove_in_place(&mut child, hash32(eb), next_shift(shift), eb) {
-                            EditRemoved::NotFound => {
-                                nodemap |= bit;
-                                children.push(Slot::Child(child));
-                                kept += node_len(ac);
-                            }
-                            EditRemoved::Removed => {
-                                kept += node_len(&child);
-                                nodemap |= bit;
-                                children.push(Slot::Child(child));
-                                changed = true;
-                            }
-                            EditRemoved::Single(e) => {
-                                datamap |= bit;
-                                payload.push(Slot::Elem(e));
-                                kept += 1;
-                                changed = true;
-                            }
-                        }
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if Arc::ptr_eq(ac, bc) {
-                            // The entire shared subtree cancels out.
-                            changed = true;
-                            continue;
-                        }
-                        match difference_nodes(ac, bc, next_shift(shift)) {
-                            (Cut::Unchanged, k) => {
-                                nodemap |= bit;
-                                children.push(Slot::Child(Arc::clone(ac)));
-                                kept += k;
-                            }
-                            (Cut::Empty, _) => changed = true,
-                            (Cut::One(e), _) => {
-                                datamap |= bit;
-                                payload.push(Slot::Elem(e));
-                                kept += 1;
-                                changed = true;
-                            }
-                            (Cut::Node(n), k) => {
-                                nodemap |= bit;
-                                children.push(Slot::Child(Arc::new(n)));
-                                kept += k;
-                                changed = true;
-                            }
-                        }
-                    }
-                    (At::Nothing, _) => unreachable!("filtered above"),
-                }
-            }
-            if !changed {
-                return (Cut::Unchanged, kept);
-            }
-            (assemble(datamap, nodemap, payload, children), kept)
-        }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
+    fn insert(node: &mut Arc<Node<T>>, hash: u32, shift: u32, e: T) -> bool {
+        Node::insert_in_place(node, hash, shift, e)
     }
-}
 
-/// Lockstep diff (`a` old, `b` new): pointer-identical subtrees emit
-/// nothing, so the output and the walk are both O(changed).
-fn diff_nodes<T: Clone + Eq + Hash>(
-    a: &Node<T>,
-    b: &Node<T>,
-    shift: u32,
-    out: &mut trie_common::ops::SetDiff<T>,
-) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            for e in &x.elems {
-                if !y.elems.contains(e) {
-                    out.removed.push(e.clone());
-                }
-            }
-            for e in &y.elems {
-                if !x.elems.contains(e) {
-                    out.added.push(e.clone());
-                }
-            }
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            for m in 0..32u32 {
-                let bit = bit_pos(m);
-                match (at(x, bit), at(y, bit)) {
-                    (At::Nothing, At::Nothing) => {}
-                    (At::Elem(ea), At::Nothing) => out.removed.push(ea.clone()),
-                    (At::Nothing, At::Elem(eb)) => out.added.push(eb.clone()),
-                    (At::Sub(ac), At::Nothing) => {
-                        for_each_elem(ac, &mut |e| out.removed.push(e.clone()));
-                    }
-                    (At::Nothing, At::Sub(bc)) => {
-                        for_each_elem(bc, &mut |e| out.added.push(e.clone()));
-                    }
-                    (At::Elem(ea), At::Elem(eb)) => {
-                        if ea != eb {
-                            out.removed.push(ea.clone());
-                            out.added.push(eb.clone());
-                        }
-                    }
-                    (At::Elem(ea), At::Sub(bc)) => {
-                        if !bc.contains(hash32(ea), next_shift(shift), ea) {
-                            out.removed.push(ea.clone());
-                        }
-                        for_each_elem(bc, &mut |e| {
-                            if e != ea {
-                                out.added.push(e.clone());
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Elem(eb)) => {
-                        if !ac.contains(hash32(eb), next_shift(shift), eb) {
-                            out.added.push(eb.clone());
-                        }
-                        for_each_elem(ac, &mut |e| {
-                            if e != eb {
-                                out.removed.push(e.clone());
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if !Arc::ptr_eq(ac, bc) {
-                            diff_nodes(ac, bc, next_shift(shift), out);
-                        }
-                    }
-                }
-            }
-        }
-        _ => unreachable!("canonical tries align node kinds at equal depth"),
+    fn remove(node: &mut Arc<Node<T>>, hash: u32, shift: u32, e: &T) -> Removal<T> {
+        Node::remove_in_place(node, hash, shift, e)
+    }
+
+    fn collision(elems: Vec<T>) -> Arc<Node<T>> {
+        let hash = hash32(&elems[0]);
+        Arc::new(Node::Collision(CollisionNode { hash, elems }))
+    }
+
+    fn assemble(
+        datamap: u32,
+        nodemap: u32,
+        elems: impl ExactSizeIterator<Item = T>,
+        children: impl ExactSizeIterator<Item = Arc<Node<T>>>,
+    ) -> Arc<Node<T>> {
+        let slots = elems.map(Slot::Elem).chain(children.map(Slot::Child));
+        Arc::new(Node::Bitmap(BitmapNode {
+            datamap,
+            nodemap,
+            slots: slots.collect(),
+        }))
     }
 }
 
@@ -976,12 +550,12 @@ impl<T: Clone + Eq + Hash> ChampSet<T> {
         Q: Eq + Hash + ?Sized,
     {
         match Node::remove_in_place(&mut self.root, hash32(value), 0, value) {
-            EditRemoved::NotFound => false,
-            EditRemoved::Removed => {
+            Removal::NotFound => false,
+            Removal::Removed => {
                 self.len -= 1;
                 true
             }
-            EditRemoved::Single(survivor) => {
+            Removal::Single(survivor) => {
                 // Only reachable when the root collapses to one element.
                 *self = Self::singleton(survivor);
                 true
@@ -1014,82 +588,39 @@ impl<T: Clone + Eq + Hash> ChampSet<T> {
         set
     }
 
-    /// Union of two sets via a lockstep structural walk: subtrees the
-    /// operands share by pointer are reused wholesale, so the cost is
-    /// O(changed) — and a self-union returns `self` without allocating.
+    /// Union of two sets via a lockstep structural walk
+    /// ([`trie_common::algebra`]): subtrees the operands share by pointer
+    /// are reused wholesale, so the cost is O(changed) — and a self-union
+    /// returns `self` without allocating.
     pub fn union(&self, other: &Self) -> Self {
-        if other.is_empty() || Arc::ptr_eq(&self.root, &other.root) {
-            return self.clone();
-        }
-        if self.is_empty() {
-            return other.clone();
-        }
-        match union_nodes(&self.root, &other.root, 0) {
-            (None, _) => self.clone(),
-            (Some(node), added) => ChampSet {
-                root: Arc::new(node),
-                len: self.len + added,
-            },
-        }
+        self.or(algebra::union::<View<T>>(self.parts(), other.parts()))
     }
 
     /// Intersection of two sets via a lockstep structural walk (shared
     /// subtrees survive by pointer, cost O(changed)).
     pub fn intersect(&self, other: &Self) -> Self {
-        if self.is_empty() || Arc::ptr_eq(&self.root, &other.root) {
-            return self.clone();
-        }
-        if other.is_empty() {
-            return ChampSet::new();
-        }
-        match intersect_nodes(&self.root, &other.root, 0) {
-            (Cut::Unchanged, _) => self.clone(),
-            (Cut::Empty, _) => ChampSet::new(),
-            (Cut::One(e), _) => Self::singleton(e),
-            (Cut::Node(n), removed) => ChampSet {
-                root: Arc::new(n),
-                len: self.len - removed,
-            },
-        }
+        self.or(algebra::intersect::<View<T>>(self.parts(), other.parts()))
     }
 
     /// Elements of `self` not in `other`, via a lockstep structural walk
     /// (a shared subtree cancels out in O(1)).
     pub fn difference(&self, other: &Self) -> Self {
-        if self.is_empty() || other.is_empty() {
-            return self.clone();
-        }
-        if Arc::ptr_eq(&self.root, &other.root) {
-            return ChampSet::new();
-        }
-        match difference_nodes(&self.root, &other.root, 0) {
-            (Cut::Unchanged, _) => self.clone(),
-            (Cut::Empty, _) => ChampSet::new(),
-            (Cut::One(e), _) => Self::singleton(e),
-            (Cut::Node(n), kept) => ChampSet {
-                root: Arc::new(n),
-                len: kept,
-            },
-        }
+        self.or(algebra::difference::<View<T>>(self.parts(), other.parts()))
     }
 
     /// What changed between `self` (old) and `other` (new): pointer-shared
     /// subtrees emit nothing, so output and walk are both O(changed).
-    pub fn diff(&self, other: &Self) -> trie_common::ops::SetDiff<T> {
-        let mut out = trie_common::ops::SetDiff::new();
-        if Arc::ptr_eq(&self.root, &other.root) {
-            return out;
-        }
-        if self.is_empty() {
-            out.added.extend(other.iter().cloned());
-            return out;
-        }
-        if other.is_empty() {
-            out.removed.extend(self.iter().cloned());
-            return out;
-        }
-        diff_nodes(&self.root, &other.root, 0, &mut out);
-        out
+    pub fn diff(&self, other: &Self) -> SetDiff<T> {
+        algebra::diff::<View<T>, _>(&self.root, &other.root, SetDiff::new())
+    }
+
+    fn parts(&self) -> (&Arc<Node<T>>, usize) {
+        (&self.root, self.len)
+    }
+
+    /// `self`, or the set at the root and length a walk built.
+    fn or(&self, walked: Option<(Arc<Node<T>>, usize)>) -> Self {
+        walked.map_or_else(|| self.clone(), |(root, len)| ChampSet { root, len })
     }
 
     /// Element-wise union: iterates the smaller into the larger. Retained as
@@ -1233,35 +764,11 @@ impl<T: Clone + Eq + Hash> std::ops::Sub for &ChampSet<T> {
 
 impl<T: Clone + Eq + Hash> PartialEq for ChampSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len
-            && (Arc::ptr_eq(&self.root, &other.root) || node_eq(&self.root, &other.root))
+        self.len == other.len && algebra::eq::<View<T>>(&self.root, &other.root)
     }
 }
 
 impl<T: Clone + Eq + Hash> Eq for ChampSet<T> {}
-
-fn node_eq<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>) -> bool {
-    match (a, b) {
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            x.datamap == y.datamap
-                && x.nodemap == y.nodemap
-                && x.slots
-                    .iter()
-                    .zip(y.slots.iter())
-                    .all(|(s, t)| match (s, t) {
-                        (Slot::Elem(e), Slot::Elem(f)) => e == f,
-                        (Slot::Child(c), Slot::Child(d)) => Arc::ptr_eq(c, d) || node_eq(c, d),
-                        _ => false,
-                    })
-        }
-        (Node::Collision(x), Node::Collision(y)) => {
-            x.hash == y.hash
-                && x.elems.len() == y.elems.len()
-                && x.elems.iter().all(|e| y.elems.contains(e))
-        }
-        _ => false,
-    }
-}
 
 impl<T: Clone + Eq + Hash> std::hash::Hash for ChampSet<T> {
     /// Order-independent hash (sum of element hashes).

@@ -5,6 +5,9 @@
 //! branching factor of 32 experimentally balances search and update costs for
 //! immutable collections). This crate provides:
 //!
+//! * [`algebra`] — the structural `union`/`intersect`/`difference`/`diff`
+//!   and `==` walks, written once over a read-only node view that each
+//!   AXIOM, CHAMP and HAMT trie supplies;
 //! * [`bits`] — 5-bit mask extraction, one-bit positions and popcount-based
 //!   compressed indexing shared by all node encodings;
 //! * [`hash`] — a deterministic, dependency-free 32-bit key hasher;
@@ -49,6 +52,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod algebra;
 pub mod bits;
 pub mod faults;
 pub mod hash;

@@ -25,6 +25,8 @@
 
 use std::hash::Hash;
 
+use trie_common::algebra;
+
 use crate::set::{self, AxiomSet};
 
 mod sealed {
@@ -151,6 +153,14 @@ fn stored_len(len: usize) -> u32 {
     u32::try_from(len).unwrap_or(LONG)
 }
 
+/// The length of the set at `root` whose stored count is `stored`.
+fn decoded_len<V>(root: &set::Node<V>, stored: u32) -> usize {
+    match stored {
+        LONG => set::count(root),
+        n => n as usize,
+    }
+}
+
 /// The `CAT2` element of a multi-map with nested [`AxiomSet`]s: the key,
 /// the set's length and the root of its trie, side by side (16 bytes for a
 /// `u32` key). The set handle is rebuilt from the fields in `O(1)`.
@@ -164,15 +174,10 @@ pub struct SetEntry<K, V> {
 }
 
 impl<K, V> SetEntry<K, V> {
-    fn len(&self) -> usize {
-        match self.len {
-            LONG => set::count(&self.root),
-            n => n as usize,
-        }
-    }
-
+    /// The stored set, its length still encoded: a lookup that only needs
+    /// presence or membership never decodes it.
     fn set(&self) -> BagRef<'_, V> {
-        BagRef(Values::Set(&self.root, self.len()))
+        BagRef(Values::Set(&self.root, self.len))
     }
 }
 
@@ -242,7 +247,7 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
     }
 
     fn split<K>(entry: SetEntry<K, V>) -> (K, Self) {
-        let len = entry.len();
+        let len = decoded_len(&entry.root, entry.len);
         let set = AxiomSet {
             root: entry.root,
             len,
@@ -315,7 +320,7 @@ impl<V> FusedBag<V> {
     fn as_ref(&self) -> BagRef<'_, V> {
         match self {
             FusedBag::Inline(vs) => BagRef(Values::Inline(vs)),
-            FusedBag::Trie(s) => BagRef(Values::Set(&s.root, s.len)),
+            FusedBag::Trie(s) => BagRef(Values::Set(&s.root, stored_len(s.len))),
         }
     }
 }
@@ -465,8 +470,9 @@ pub struct BagRef<'a, V>(pub(crate) Values<'a, V>);
 
 /// What a [`BagRef`] borrows.
 pub(crate) enum Values<'a, V> {
-    /// A set trie: its root and its length.
-    Set(&'a set::Node<V>, usize),
+    /// A set trie: its root and its stored length ([`LONG`] for a set
+    /// counted by walking), decoded only where a length is asked for.
+    Set(&'a set::Node<V>, u32),
     /// A fused bag's inline values.
     Inline(&'a [V]),
 }
@@ -491,7 +497,7 @@ impl<'a, V> BagRef<'a, V> {
     /// Number of values.
     pub fn len(&self) -> usize {
         match self.0 {
-            Values::Set(_, len) => len,
+            Values::Set(root, len) => decoded_len(root, len),
             Values::Inline(vs) => vs.len(),
         }
     }
@@ -504,7 +510,7 @@ impl<'a, V> BagRef<'a, V> {
     /// Iterates the values in unspecified order.
     pub fn iter(&self) -> BagIter<'a, V> {
         match self.0 {
-            Values::Set(root, len) => BagIter::Trie(set::Iter::new(root, len)),
+            Values::Set(root, _) => BagIter::Trie(set::Iter::new(root, self.len())),
             Values::Inline(vs) => BagIter::Slice(vs.iter()),
         }
     }
@@ -523,9 +529,9 @@ impl<'a, V: Clone + Eq + Hash> BagRef<'a, V> {
     /// built (each value hashed) for inline values.
     pub fn to_set(&self) -> AxiomSet<V> {
         match self.0 {
-            Values::Set(root, len) => AxiomSet {
+            Values::Set(root, _) => AxiomSet {
                 root: root.clone(),
-                len,
+                len: self.len(),
             },
             Values::Inline(vs) => vs.iter().cloned().collect(),
         }
@@ -534,7 +540,9 @@ impl<'a, V: Clone + Eq + Hash> BagRef<'a, V> {
     /// Checks the stored trie's invariants and its recorded length.
     pub(crate) fn assert_invariants(&self) {
         match self.0 {
-            Values::Set(root, len) => assert_eq!(set::validate(root, 0, None), len, "bag length"),
+            Values::Set(root, _) => {
+                assert_eq!(set::validate(root, 0, None), self.len(), "bag length")
+            }
             Values::Inline(vs) => {
                 for (i, v) in vs.iter().enumerate() {
                     assert!(!vs[i + 1..].contains(v), "duplicate in an inline bag");
@@ -548,7 +556,7 @@ impl<'a, V: Clone + Eq + Hash> PartialEq for BagRef<'a, V> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len()
             && match (self.0, other.0) {
-                (Values::Set(a, _), Values::Set(b, _)) => set::same_elements(a, b),
+                (Values::Set(a, _), Values::Set(b, _)) => algebra::eq::<set::View<V>>(a, b),
                 // Inline values are unordered: compare as sets.
                 _ => self.iter().all(|v| other.contains(v)),
             }

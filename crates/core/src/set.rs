@@ -12,6 +12,11 @@
 //! then the sub-trie handles, each group ascending by mask. The bitmap is
 //! the only tag; no slot carries one.
 //!
+//! `union`, `intersect`, `difference`, `diff` and `==` are the lockstep
+//! walks of [`trie_common::algebra`], shared with the CHAMP set; this
+//! module supplies their node view (`View`): one cursor per slot group,
+//! and the insert, remove and node-building hooks.
+//!
 //! # Examples
 //!
 //! ```
@@ -29,9 +34,12 @@
 use std::borrow::Borrow;
 use std::convert::Infallible;
 use std::hash::Hash;
+use std::marker::PhantomData;
 
+use trie_common::algebra::{self, masks, At, Canonical, Removal, SetTrie, Trie};
 use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
+use trie_common::ops::SetDiff;
 use trie_common::packed::{Children, Ones, Packed, Slot};
 
 use crate::bitmap::{Category, SlotBitmap};
@@ -42,17 +50,6 @@ use crate::slots::{edit_child, insert_slot, remove_slot, survivor};
 /// node is a collision node: elements sharing one 32-bit hash, no children,
 /// an unused bitmap.
 pub(crate) type Node<T> = Packed<SlotBitmap, T, Infallible>;
-
-/// Result of a node-level removal, driving CHAMP-style canonicalization:
-/// a sub-tree reduced to a single element hands it to the parent for
-/// inlining instead of being kept as a degenerate path.
-pub(crate) enum EditRemoved<T> {
-    NotFound,
-    Removed,
-    /// The sub-tree collapsed to one element (a unique node is left
-    /// empty; the parent drops it and inlines the survivor).
-    Single(T),
-}
 
 fn empty<T>() -> Node<T> {
     Node::new(SlotBitmap::EMPTY, [], [], [])
@@ -123,9 +120,9 @@ where
     Q: Eq + Hash + ?Sized,
 {
     match remove_in_place(root, hash32(value), 0, value) {
-        EditRemoved::NotFound => false,
-        EditRemoved::Removed => true,
-        EditRemoved::Single(survivor) => {
+        Removal::NotFound => false,
+        Removal::Removed => true,
+        Removal::Single(survivor) => {
             // Only reachable when the root collapses to one element.
             *root = single(survivor);
             true
@@ -145,12 +142,6 @@ where
 /// Number of elements below `node`, counted by walking the trie.
 pub(crate) fn count<T>(node: &Node<T>) -> usize {
     node.ones().len() + node.children().iter().map(count).sum::<usize>()
-}
-
-/// True if the tries at two roots of sets of equal length hold the same
-/// elements; a shared sub-trie compares in O(1).
-pub(crate) fn same_elements<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>) -> bool {
-    Node::ptr_eq(a, b) || node_eq(a, b, 0)
 }
 
 /// Inserts `value` below `this`, editing unique nodes in place and copying
@@ -207,20 +198,20 @@ fn insert_in_place<T: Clone + Eq + Hash>(
 
 /// Removes `value` below `this` with the same copy-on-write discipline as
 /// [`insert_in_place`], canonicalizing on the way up.
-fn remove_in_place<T, Q>(this: &mut Node<T>, hash: u32, shift: u32, value: &Q) -> EditRemoved<T>
+fn remove_in_place<T, Q>(this: &mut Node<T>, hash: u32, shift: u32, value: &Q) -> Removal<T>
 where
     T: Clone + Eq + Hash + Borrow<Q>,
     Q: Eq + ?Sized,
 {
     if hash_exhausted(shift) {
         let Some(pos) = this.ones().iter().position(|e| e.borrow() == value) else {
-            return EditRemoved::NotFound;
+            return Removal::NotFound;
         };
         return match this.ones().len() {
-            2 => EditRemoved::Single(take_element(survivor(this, pos))),
+            2 => Removal::Single(take_element(survivor(this, pos))),
             _ => {
                 this.remove(SlotBitmap::EMPTY, pos);
-                EditRemoved::Removed
+                Removal::Removed
             }
         };
     }
@@ -229,16 +220,16 @@ where
     match bitmap.locate(m) {
         (Category::Cat1, idx) => {
             if this.one(idx).borrow() != value {
-                return EditRemoved::NotFound;
+                return Removal::NotFound;
             }
             let bitmap = bitmap.with(m, Category::Empty);
             if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
                 // The node held exactly two elements; hand the survivor to
                 // the parent for inlining.
-                return EditRemoved::Single(take_element(survivor(this, idx)));
+                return Removal::Single(take_element(survivor(this, idx)));
             }
             remove_slot(this, bitmap, idx);
-            EditRemoved::Removed
+            Removal::Removed
         }
         (Category::Node, idx) => {
             // A pure chain node dissolves when its child collapses.
@@ -247,20 +238,20 @@ where
                 this,
                 idx,
                 |child| remove_in_place(child, hash, next_shift(shift), value),
-                |outcome| matches!(outcome, EditRemoved::Removed),
+                |outcome| matches!(outcome, Removal::Removed),
             ) {
-                EditRemoved::Single(e) if !chain => {
+                Removal::Single(e) if !chain => {
                     // Inline the survivor: NODE → CAT1, dropping the
                     // collapsed child after the move.
                     let bitmap = bitmap.with(m, Category::Cat1);
                     let to = bitmap.slot_index(Category::Cat1, m);
                     this.migrate::<Children, _>(bitmap, idx, to, |child| (Slot::One(e), child));
-                    EditRemoved::Removed
+                    Removal::Removed
                 }
                 outcome => outcome,
             }
         }
-        _ => EditRemoved::NotFound,
+        _ => Removal::NotFound,
     }
 }
 
@@ -274,470 +265,93 @@ fn take_element<T>(slot: Slot<T, Infallible, Node<T>>) -> T {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Structural set algebra: lockstep node walks.
-//
-// Both operands are walked in lockstep over the union of their occupied
-// masks; pointer-identical subtrees short-circuit (`Packed::ptr_eq` is a
-// sound subtree-equivalence test because canonical tries represent equal
-// sets with identical structure), and results canonicalize on the way up
-// through `Cut`. Element counts travel as deltas so a short-circuited
-// subtree costs nothing to account for.
-// ---------------------------------------------------------------------------
+/// The [`algebra`] view of a set trie: the node hooks the structural
+/// `union`, `intersect`, `difference`, `diff` and `==` walks run on.
+pub(crate) struct View<T>(PhantomData<T>);
 
-/// What one lockstep walk found at a mask position.
-enum At<'a, T> {
-    Nothing,
-    Elem(&'a T),
-    Sub(&'a Node<T>),
-}
+impl<T: Clone + Eq + Hash> Trie for View<T> {
+    type Key = T;
+    type Value = ();
+    type Node = Node<T>;
 
-/// A node's branches in ascending mask order. Each slot group is
-/// ascending by mask, so one cursor per group walks them without a
-/// popcount per branch.
-struct Branches<'a, T> {
-    bitmap: SlotBitmap,
-    elems: std::slice::Iter<'a, T>,
-    children: std::slice::Iter<'a, Node<T>>,
-}
-
-impl<'a, T> Branches<'a, T> {
-    fn of(node: &'a Node<T>) -> Self {
-        Branches {
-            bitmap: node.word(),
-            elems: node.ones().iter(),
-            children: node.children().iter(),
-        }
+    fn ptr_eq(a: &Node<T>, b: &Node<T>) -> bool {
+        Node::ptr_eq(a, b)
     }
 
-    /// What the node holds at `m`. Called for ascending masks that cover
-    /// every branch the node occupies.
-    fn at(&mut self, m: u32) -> At<'a, T> {
-        match self.bitmap.get(m) {
-            Category::Cat1 => self.elems.next().map_or(At::Nothing, At::Elem),
-            Category::Node => self.children.next().map_or(At::Nothing, At::Sub),
+    fn occupied_with(a: &Node<T>, b: &Node<T>) -> impl Iterator<Item = u32> {
+        a.word().occupied_with(b.word())
+    }
+
+    /// One cursor per slot group: each group is ascending by mask, so no
+    /// branch costs a popcount.
+    fn cursor<'a>(node: &'a Node<T>) -> impl FnMut(u32) -> At<'a, Self>
+    where
+        Self: 'a,
+    {
+        let (bitmap, mut elems, mut children) =
+            (node.word(), node.ones().iter(), node.children().iter());
+        move |m| match bitmap.get(m) {
+            Category::Cat1 => elems.next().map_or(At::Nothing, |e| At::Payload(e, &())),
+            Category::Node => children.next().map_or(At::Nothing, At::Sub),
             _ => At::Nothing,
         }
     }
-}
 
-/// The lockstep walk of two bitmap nodes: both nodes' branches at every
-/// mask either occupies, ascending.
-fn lockstep<'a, T>(
-    a: &'a Node<T>,
-    b: &'a Node<T>,
-) -> impl Iterator<Item = (u32, At<'a, T>, At<'a, T>)> {
-    let (mut xa, mut xb) = (Branches::of(a), Branches::of(b));
-    a.word()
-        .occupied_with(b.word())
-        .map(move |m| (m, xa.at(m), xb.at(m)))
-}
+    fn payload<'a>(node: &'a Node<T>) -> impl Iterator<Item = (&'a T, &'a ())> + Clone
+    where
+        Self: 'a,
+    {
+        node.ones().iter().map(|e| (e, &()))
+    }
 
-/// A shrinking walk's result, driving canonicalization on the way up.
-enum Cut<T> {
-    /// The result equals the left operand's subtree: reuse its handle.
-    Unchanged,
-    /// Nothing survives below this branch.
-    Empty,
-    /// Exactly one element survives: the parent inlines it.
-    One(T),
-    /// A rebuilt (canonical) node.
-    Node(Node<T>),
-}
+    fn children<'a>(node: &'a Node<T>) -> impl Iterator<Item = &'a Node<T>>
+    where
+        Self: 'a,
+    {
+        node.children().iter()
+    }
 
-/// Elements below `node` (walked, not stored; only non-shared subtrees are
-/// ever counted, keeping bulk ops O(changed)).
-fn node_len<T>(node: &Node<T>) -> usize {
-    node.ones().len() + node.children().iter().map(node_len).sum::<usize>()
-}
-
-fn for_each_elem<T>(node: &Node<T>, f: &mut impl FnMut(&T)) {
-    node.ones().iter().for_each(&mut *f);
-    for child in node.children() {
-        for_each_elem(child, f);
+    fn get<'a>(node: &'a Node<T>, hash: u32, shift: u32, key: &T) -> Option<&'a ()>
+    where
+        Self: 'a,
+    {
+        get(node, hash, shift, key).map(|_| &())
     }
 }
 
-/// A collision node of `elems`, or the degenerate shapes for the parent to
-/// inline. `Unchanged` when all `total` elements of the left operand stay.
-fn collision_cut<T>(mut elems: Vec<T>, total: usize) -> Cut<T> {
-    match elems.len() {
-        n if n == total => Cut::Unchanged,
-        0 => Cut::Empty,
-        1 => Cut::One(elems.pop().expect("len == 1")),
-        _ => Cut::Node(Node::new(SlotBitmap::EMPTY, elems, [], [])),
+impl<T: Clone + Eq + Hash> Canonical for View<T> {
+    fn same_payload(a: &Node<T>, b: &Node<T>) -> bool {
+        a.word() == b.word() && a.ones() == b.ones()
     }
 }
 
-/// Assembles a canonical bitmap node from the walked groups, collapsing
-/// degenerate shapes (`Cut::Empty` / `Cut::One`) for the parent to inline.
-fn assemble<T>(bitmap: SlotBitmap, mut payload: Vec<T>, children: Vec<Node<T>>) -> Cut<T> {
-    match (payload.len(), children.len()) {
-        (0, 0) => Cut::Empty,
-        (1, 0) => Cut::One(payload.pop().expect("len == 1")),
-        _ => Cut::Node(Node::new(bitmap, payload, [], children)),
+impl<T: Clone + Eq + Hash> SetTrie for View<T> {
+    fn pair(h1: u32, e1: T, h2: u32, e2: T, shift: u32) -> Node<T> {
+        pair(h1, e1, h2, e2, shift)
     }
-}
 
-/// Lockstep union. Returns `(None, 0)` when the result equals `a` (the
-/// caller reuses the handle), else the new node plus how many elements it
-/// gained relative to `a`.
-fn union_nodes<T: Clone + Eq + Hash>(
-    a: &Node<T>,
-    b: &Node<T>,
-    shift: u32,
-) -> (Option<Node<T>>, usize) {
-    if hash_exhausted(shift) {
-        let fresh: Vec<&T> = b.ones().iter().filter(|e| !a.ones().contains(e)).collect();
-        if fresh.is_empty() {
-            return (None, 0);
-        }
-        let added = fresh.len();
-        let elems: Vec<T> = a.ones().iter().chain(fresh).cloned().collect();
-        return (Some(Node::new(SlotBitmap::EMPTY, elems, [], [])), added);
+    fn insert(node: &mut Node<T>, hash: u32, shift: u32, e: T) -> bool {
+        insert_in_place(node, hash, shift, e)
     }
-    let mut bitmap = SlotBitmap::EMPTY;
-    let mut payload: Vec<T> = Vec::new();
-    let mut children: Vec<Node<T>> = Vec::new();
-    let mut added = 0usize;
-    let mut changed = false;
-    for (m, at_a, at_b) in lockstep(a, b) {
-        match (at_a, at_b) {
-            (At::Nothing, At::Nothing) => {}
-            (At::Elem(ea), At::Nothing) => {
-                bitmap = bitmap.with(m, Category::Cat1);
-                payload.push(ea.clone());
-            }
-            (At::Nothing, At::Elem(eb)) => {
-                bitmap = bitmap.with(m, Category::Cat1);
-                payload.push(eb.clone());
-                added += 1;
-                changed = true;
-            }
-            (At::Sub(ac), At::Nothing) => {
-                bitmap = bitmap.with(m, Category::Node);
-                children.push(ac.clone());
-            }
-            (At::Nothing, At::Sub(bc)) => {
-                bitmap = bitmap.with(m, Category::Node);
-                added += node_len(bc);
-                children.push(bc.clone());
-                changed = true;
-            }
-            (At::Elem(ea), At::Elem(eb)) => {
-                if ea == eb {
-                    bitmap = bitmap.with(m, Category::Cat1);
-                    payload.push(ea.clone());
-                } else {
-                    bitmap = bitmap.with(m, Category::Node);
-                    let (ha, hb) = (hash32(ea), hash32(eb));
-                    children.push(pair(ha, ea.clone(), hb, eb.clone(), next_shift(shift)));
-                    added += 1;
-                    changed = true;
-                }
-            }
-            (At::Elem(ea), At::Sub(bc)) => {
-                // `a`'s lone element joins (or is absorbed by) `b`'s
-                // subtree; either way the slot becomes NODE.
-                bitmap = bitmap.with(m, Category::Node);
-                let mut child = bc.clone();
-                added += node_len(bc);
-                if !insert_in_place(&mut child, hash32(ea), next_shift(shift), ea.clone()) {
-                    added -= 1;
-                }
-                children.push(child);
-                changed = true;
-            }
-            (At::Sub(ac), At::Elem(eb)) => {
-                bitmap = bitmap.with(m, Category::Node);
-                let mut child = ac.clone();
-                if insert_in_place(&mut child, hash32(eb), next_shift(shift), eb.clone()) {
-                    added += 1;
-                    changed = true;
-                }
-                children.push(child);
-            }
-            (At::Sub(ac), At::Sub(bc)) => {
-                bitmap = bitmap.with(m, Category::Node);
-                if Node::ptr_eq(ac, bc) {
-                    children.push(ac.clone());
-                    continue;
-                }
-                match union_nodes(ac, bc, next_shift(shift)) {
-                    (None, _) => children.push(ac.clone()),
-                    (Some(n), add) => {
-                        children.push(n);
-                        added += add;
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    if !changed {
-        return (None, 0);
-    }
-    (Some(Node::new(bitmap, payload, [], children)), added)
-}
 
-/// Lockstep intersection. Returns the surviving shape plus how many of `a`'s
-/// elements were dropped (`Cut::Unchanged` ⇒ 0).
-fn intersect_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> (Cut<T>, usize) {
-    if hash_exhausted(shift) {
-        let kept: Vec<T> = a
-            .ones()
-            .iter()
-            .filter(|e| b.ones().contains(e))
-            .cloned()
-            .collect();
-        let removed = a.ones().len() - kept.len();
-        return (collision_cut(kept, a.ones().len()), removed);
+    fn remove(node: &mut Node<T>, hash: u32, shift: u32, e: &T) -> Removal<T> {
+        remove_in_place(node, hash, shift, e)
     }
-    let mut bitmap = SlotBitmap::EMPTY;
-    let mut payload: Vec<T> = Vec::new();
-    let mut children: Vec<Node<T>> = Vec::new();
-    let mut removed = 0usize;
-    let mut changed = false;
-    for (m, at_a, at_b) in lockstep(a, b) {
-        match (at_a, at_b) {
-            (At::Nothing, _) => {}
-            (At::Elem(_), At::Nothing) => {
-                removed += 1;
-                changed = true;
-            }
-            (At::Elem(ea), At::Elem(eb)) => {
-                if ea == eb {
-                    bitmap = bitmap.with(m, Category::Cat1);
-                    payload.push(ea.clone());
-                } else {
-                    removed += 1;
-                    changed = true;
-                }
-            }
-            (At::Elem(ea), At::Sub(bc)) => {
-                if contains(bc, hash32(ea), next_shift(shift), ea) {
-                    bitmap = bitmap.with(m, Category::Cat1);
-                    payload.push(ea.clone());
-                } else {
-                    removed += 1;
-                    changed = true;
-                }
-            }
-            (At::Sub(ac), At::Nothing) => {
-                removed += node_len(ac);
-                changed = true;
-            }
-            (At::Sub(ac), At::Elem(eb)) => {
-                let total = node_len(ac);
-                if contains(ac, hash32(eb), next_shift(shift), eb) {
-                    // The intersection of this subtree with a lone element
-                    // is that element, inlined.
-                    bitmap = bitmap.with(m, Category::Cat1);
-                    payload.push(eb.clone());
-                    removed += total - 1;
-                } else {
-                    removed += total;
-                }
-                changed = true;
-            }
-            (At::Sub(ac), At::Sub(bc)) => {
-                if Node::ptr_eq(ac, bc) {
-                    bitmap = bitmap.with(m, Category::Node);
-                    children.push(ac.clone());
-                    continue;
-                }
-                let (cut, r) = intersect_nodes(ac, bc, next_shift(shift));
-                removed += r;
-                changed |= !matches!(cut, Cut::Unchanged);
-                match cut {
-                    Cut::Unchanged => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        children.push(ac.clone());
-                    }
-                    Cut::Empty => {}
-                    Cut::One(e) => {
-                        bitmap = bitmap.with(m, Category::Cat1);
-                        payload.push(e);
-                    }
-                    Cut::Node(n) => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        children.push(n);
-                    }
-                }
-            }
-        }
-    }
-    if !changed {
-        return (Cut::Unchanged, 0);
-    }
-    (assemble(bitmap, payload, children), removed)
-}
 
-/// Lockstep difference (`a \ b`). Returns the surviving shape plus how many
-/// elements survive (`Cut::Unchanged` ⇒ the whole subtree, counted).
-fn difference_nodes<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> (Cut<T>, usize) {
-    if hash_exhausted(shift) {
-        let kept: Vec<T> = a
-            .ones()
-            .iter()
-            .filter(|e| !b.ones().contains(e))
-            .cloned()
-            .collect();
-        let n = kept.len();
-        return (collision_cut(kept, a.ones().len()), n);
+    fn collision(elems: Vec<T>) -> Node<T> {
+        Node::new(SlotBitmap::EMPTY, elems, [], [])
     }
-    let mut bitmap = SlotBitmap::EMPTY;
-    let mut payload: Vec<T> = Vec::new();
-    let mut children: Vec<Node<T>> = Vec::new();
-    let mut kept = 0usize;
-    let mut changed = false;
-    for (m, at_a, at_b) in lockstep(a, b) {
-        match (at_a, at_b) {
-            (At::Nothing, _) => {}
-            (At::Elem(ea), At::Nothing) => {
-                bitmap = bitmap.with(m, Category::Cat1);
-                payload.push(ea.clone());
-                kept += 1;
-            }
-            (At::Elem(ea), At::Elem(eb)) => {
-                if ea == eb {
-                    changed = true;
-                } else {
-                    bitmap = bitmap.with(m, Category::Cat1);
-                    payload.push(ea.clone());
-                    kept += 1;
-                }
-            }
-            (At::Elem(ea), At::Sub(bc)) => {
-                if contains(bc, hash32(ea), next_shift(shift), ea) {
-                    changed = true;
-                } else {
-                    bitmap = bitmap.with(m, Category::Cat1);
-                    payload.push(ea.clone());
-                    kept += 1;
-                }
-            }
-            (At::Sub(ac), At::Nothing) => {
-                bitmap = bitmap.with(m, Category::Node);
-                children.push(ac.clone());
-                kept += node_len(ac);
-            }
-            (At::Sub(ac), At::Elem(eb)) => {
-                let mut child = ac.clone();
-                match remove_in_place(&mut child, hash32(eb), next_shift(shift), eb) {
-                    EditRemoved::NotFound => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        children.push(child);
-                        kept += node_len(ac);
-                    }
-                    EditRemoved::Removed => {
-                        kept += node_len(&child);
-                        bitmap = bitmap.with(m, Category::Node);
-                        children.push(child);
-                        changed = true;
-                    }
-                    EditRemoved::Single(e) => {
-                        bitmap = bitmap.with(m, Category::Cat1);
-                        payload.push(e);
-                        kept += 1;
-                        changed = true;
-                    }
-                }
-            }
-            (At::Sub(ac), At::Sub(bc)) => {
-                if Node::ptr_eq(ac, bc) {
-                    // The entire shared subtree cancels out.
-                    changed = true;
-                    continue;
-                }
-                let (cut, k) = difference_nodes(ac, bc, next_shift(shift));
-                changed |= !matches!(cut, Cut::Unchanged);
-                match cut {
-                    Cut::Unchanged => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        children.push(ac.clone());
-                        kept += k;
-                    }
-                    Cut::Empty => {}
-                    Cut::One(e) => {
-                        bitmap = bitmap.with(m, Category::Cat1);
-                        payload.push(e);
-                        kept += 1;
-                    }
-                    Cut::Node(n) => {
-                        bitmap = bitmap.with(m, Category::Node);
-                        children.push(n);
-                        kept += k;
-                    }
-                }
-            }
-        }
-    }
-    if !changed {
-        return (Cut::Unchanged, kept);
-    }
-    (assemble(bitmap, payload, children), kept)
-}
 
-/// Lockstep diff (`a` old, `b` new): pointer-identical subtrees emit
-/// nothing, so the output and the walk are both O(changed).
-fn diff_nodes<T: Clone + Eq + Hash>(
-    a: &Node<T>,
-    b: &Node<T>,
-    shift: u32,
-    out: &mut trie_common::ops::SetDiff<T>,
-) {
-    if hash_exhausted(shift) {
-        let (x, y) = (a.ones(), b.ones());
-        out.removed
-            .extend(x.iter().filter(|e| !y.contains(e)).cloned());
-        out.added
-            .extend(y.iter().filter(|e| !x.contains(e)).cloned());
-        return;
-    }
-    for (_, at_a, at_b) in lockstep(a, b) {
-        match (at_a, at_b) {
-            (At::Nothing, At::Nothing) => {}
-            (At::Elem(ea), At::Nothing) => out.removed.push(ea.clone()),
-            (At::Nothing, At::Elem(eb)) => out.added.push(eb.clone()),
-            (At::Sub(ac), At::Nothing) => {
-                for_each_elem(ac, &mut |e| out.removed.push(e.clone()));
-            }
-            (At::Nothing, At::Sub(bc)) => {
-                for_each_elem(bc, &mut |e| out.added.push(e.clone()));
-            }
-            (At::Elem(ea), At::Elem(eb)) => {
-                if ea != eb {
-                    out.removed.push(ea.clone());
-                    out.added.push(eb.clone());
-                }
-            }
-            (At::Elem(ea), At::Sub(bc)) => {
-                if !contains(bc, hash32(ea), next_shift(shift), ea) {
-                    out.removed.push(ea.clone());
-                }
-                for_each_elem(bc, &mut |e| {
-                    if e != ea {
-                        out.added.push(e.clone());
-                    }
-                });
-            }
-            (At::Sub(ac), At::Elem(eb)) => {
-                if !contains(ac, hash32(eb), next_shift(shift), eb) {
-                    out.added.push(eb.clone());
-                }
-                for_each_elem(ac, &mut |e| {
-                    if e != eb {
-                        out.removed.push(e.clone());
-                    }
-                });
-            }
-            (At::Sub(ac), At::Sub(bc)) => {
-                if !Node::ptr_eq(ac, bc) {
-                    diff_nodes(ac, bc, next_shift(shift), out);
-                }
-            }
-        }
+    fn assemble(
+        elem_masks: u32,
+        child_masks: u32,
+        elems: impl ExactSizeIterator<Item = T>,
+        children: impl ExactSizeIterator<Item = Node<T>>,
+    ) -> Node<T> {
+        let mut bitmap = SlotBitmap::EMPTY;
+        masks(elem_masks).for_each(|m| bitmap = bitmap.with(m, Category::Cat1));
+        masks(child_masks).for_each(|m| bitmap = bitmap.with(m, Category::Node));
+        Node::new(bitmap, elems, [], children)
     }
 }
 
@@ -891,79 +505,39 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         }
     }
 
-    /// Union of two sets via a lockstep structural walk: subtrees the
-    /// operands share by pointer are reused wholesale, so the cost is
-    /// O(changed) — and a self-union returns `self` without allocating.
+    /// Union of two sets via a lockstep structural walk
+    /// ([`trie_common::algebra`]): subtrees the operands share by pointer
+    /// are reused wholesale, so the cost is O(changed) — and a self-union
+    /// returns `self` without allocating.
     pub fn union(&self, other: &Self) -> Self {
-        if other.is_empty() || Node::ptr_eq(&self.root, &other.root) {
-            return self.clone();
-        }
-        if self.is_empty() {
-            return other.clone();
-        }
-        match union_nodes(&self.root, &other.root, 0) {
-            (None, _) => self.clone(),
-            (Some(node), added) => AxiomSet {
-                root: node,
-                len: self.len + added,
-            },
-        }
+        self.or(algebra::union::<View<T>>(self.parts(), other.parts()))
     }
 
     /// Intersection of two sets via a lockstep structural walk (shared
     /// subtrees survive by pointer, cost O(changed)).
     pub fn intersect(&self, other: &Self) -> Self {
-        if self.is_empty() || Node::ptr_eq(&self.root, &other.root) {
-            return self.clone();
-        }
-        if other.is_empty() {
-            return AxiomSet::new();
-        }
-        match intersect_nodes(&self.root, &other.root, 0) {
-            (Cut::Unchanged, _) => self.clone(),
-            (Cut::Empty, _) => AxiomSet::new(),
-            (Cut::One(e), _) => Self::singleton(e),
-            (Cut::Node(n), removed) => AxiomSet {
-                root: n,
-                len: self.len - removed,
-            },
-        }
+        self.or(algebra::intersect::<View<T>>(self.parts(), other.parts()))
     }
 
     /// Elements of `self` not in `other`, via a lockstep structural walk
     /// (a shared subtree cancels out in O(1)).
     pub fn difference(&self, other: &Self) -> Self {
-        if self.is_empty() || other.is_empty() {
-            return self.clone();
-        }
-        if Node::ptr_eq(&self.root, &other.root) {
-            return AxiomSet::new();
-        }
-        match difference_nodes(&self.root, &other.root, 0) {
-            (Cut::Unchanged, _) => self.clone(),
-            (Cut::Empty, _) => AxiomSet::new(),
-            (Cut::One(e), _) => Self::singleton(e),
-            (Cut::Node(n), kept) => AxiomSet { root: n, len: kept },
-        }
+        self.or(algebra::difference::<View<T>>(self.parts(), other.parts()))
     }
 
     /// What changed between `self` (old) and `other` (new): pointer-shared
     /// subtrees emit nothing, so output and walk are both O(changed).
-    pub fn diff(&self, other: &Self) -> trie_common::ops::SetDiff<T> {
-        let mut out = trie_common::ops::SetDiff::new();
-        if Node::ptr_eq(&self.root, &other.root) {
-            return out;
-        }
-        if self.is_empty() {
-            out.added.extend(other.iter().cloned());
-            return out;
-        }
-        if other.is_empty() {
-            out.removed.extend(self.iter().cloned());
-            return out;
-        }
-        diff_nodes(&self.root, &other.root, 0, &mut out);
-        out
+    pub fn diff(&self, other: &Self) -> SetDiff<T> {
+        algebra::diff::<View<T>, _>(&self.root, &other.root, SetDiff::new())
+    }
+
+    fn parts(&self) -> (&Node<T>, usize) {
+        (&self.root, self.len)
+    }
+
+    /// `self`, or the set at the root and length a walk built.
+    fn or(&self, walked: Option<(Node<T>, usize)>) -> Self {
+        walked.map_or_else(|| self.clone(), |(root, len)| AxiomSet { root, len })
     }
 
     /// Element-wise union: iterates the smaller into the larger. Retained as
@@ -1126,25 +700,11 @@ impl<T: Clone + Eq + Hash> std::ops::Sub for &AxiomSet<T> {
 
 impl<T: Clone + Eq + Hash> PartialEq for AxiomSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && same_elements(&self.root, &other.root)
+        self.len == other.len && algebra::eq::<View<T>>(&self.root, &other.root)
     }
 }
 
 impl<T: Clone + Eq + Hash> Eq for AxiomSet<T> {}
-
-fn node_eq<T: Clone + Eq + Hash>(a: &Node<T>, b: &Node<T>, shift: u32) -> bool {
-    if hash_exhausted(shift) {
-        let (x, y) = (a.ones(), b.ones());
-        return x.len() == y.len() && x.iter().all(|e| y.contains(e));
-    }
-    a.word() == b.word()
-        && a.ones() == b.ones()
-        && a.children()
-            .iter()
-            .zip(b.children())
-            // CHAMP-style short-circuit on shared sub-tries.
-            .all(|(c, d)| Node::ptr_eq(c, d) || node_eq(c, d, next_shift(shift)))
-}
 
 impl<T: Clone + Eq + Hash> std::hash::Hash for AxiomSet<T> {
     /// Order-independent hash: the sum of per-element hashes, so equal sets
@@ -1193,19 +753,28 @@ impl<'a, T: Clone + Eq + Hash> IntoIterator for &'a AxiomSet<T> {
 /// Because slots are grouped by category, all of a node's inlined elements
 /// are yielded before any sub-trie is entered — the paper's histogram-driven
 /// batch iteration (§3.3) falls out of the grouping for free.
+///
+/// The walk's stack lives in the iterator, so iterating allocates nothing.
 pub struct Iter<'a, T> {
     elems: std::slice::Iter<'a, T>,
-    stack: Vec<std::slice::Iter<'a, Node<T>>>,
+    /// The unvisited children of each node on the path from the root.
+    stack: [std::slice::Iter<'a, Node<T>>; DEPTH],
+    depth: usize,
     remaining: usize,
 }
 
+/// The most nodes on one root-to-leaf path: seven bitmap levels consume the
+/// 32 hash bits five at a time, and a collision node may sit below them.
+const DEPTH: usize = 8;
+
 impl<'a, T> Iter<'a, T> {
     pub(crate) fn new(root: &'a Node<T>, len: usize) -> Self {
-        let mut stack = Vec::with_capacity(8);
-        stack.push(root.children().iter());
+        let mut stack: [std::slice::Iter<'a, Node<T>>; DEPTH] = Default::default();
+        stack[0] = root.children().iter();
         Iter {
             elems: root.ones().iter(),
             stack,
+            depth: 1,
             remaining: len,
         }
     }
@@ -1220,15 +789,13 @@ impl<'a, T> Iterator for Iter<'a, T> {
                 self.remaining -= 1;
                 return Some(e);
             }
-            let top = self.stack.last_mut()?;
-            match top.next() {
+            match self.stack[..self.depth].last_mut()?.next() {
                 Some(child) => {
                     self.elems = child.ones().iter();
-                    self.stack.push(child.children().iter());
+                    self.stack[self.depth] = child.children().iter();
+                    self.depth += 1;
                 }
-                None => {
-                    self.stack.pop();
-                }
+                None => self.depth -= 1,
             }
         }
     }

@@ -7,6 +7,13 @@
 //! like Clojure's `PersistentHashMap`, removing entries can leave degenerate
 //! single-entry paths in place — one of the differences CHAMP/AXIOM exploit.
 //!
+//! `diff` is the lockstep walk of [`trie_common::algebra`], shared with the
+//! AXIOM and CHAMP maps, over this module's node view (`View`). The trie is
+//! not canonical, so pointer equality is only a one-way short-cut: equal
+//! subtrees that are not pointer-equal are walked (emitting nothing), nodes
+//! whose kinds do not align compare their entry lists outright, and `==`
+//! compares contents.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,10 +26,13 @@
 
 use std::borrow::Borrow;
 use std::hash::Hash;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
+use trie_common::algebra::{self, masks, At, Trie};
 use trie_common::bits::{bit_pos, hash_exhausted, index_in, mask, next_shift};
 use trie_common::hash::hash32;
+use trie_common::ops::MapDiff;
 use trie_common::slices::{edit_child, insert_slot, migrate_map, remove_slot, SlotNode};
 
 /// One slot: an inlined entry or a sub-trie, dynamically discriminated.
@@ -298,169 +308,106 @@ impl<K: Clone, V: Clone> SlotNode for Node<K, V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Structural diff: a lockstep walk that skips pointer-shared subtrees.
-//
-// The HAMT is NOT canonical (deletion leaves degenerate single-entry paths
-// and 1-entry collision nodes in place), so `Arc::ptr_eq` is only a one-way
-// short-circuit here: identical pointers imply identical content, but equal
-// content need not be pointer-identical — those subtrees fall back to
-// content recursion, which emits nothing when entries match. Node kinds
-// still align at equal depth (collision nodes exist only past hash
-// exhaustion), but a defensive unstructured compare guards the mix anyway.
-// ---------------------------------------------------------------------------
+/// The [`algebra`] view of a map trie: the node hooks the structural
+/// `diff` walk runs on.
+pub(crate) struct View<K, V>(PhantomData<(K, V)>);
 
-/// What one lockstep walk found at a mask position.
-enum At<'a, K, V> {
-    Nothing,
-    Entry(&'a K, &'a V),
-    Sub(&'a Arc<Node<K, V>>),
-}
-
-fn at<'a, K, V>(b: &'a BitmapNode<K, V>, bit: u32) -> At<'a, K, V> {
-    if b.bitmap & bit == 0 {
-        return At::Nothing;
+impl<K, V> Slot<K, V> {
+    fn entry(&self) -> Option<(&K, &V)> {
+        match self {
+            Slot::Entry(k, v) => Some((k, v)),
+            Slot::Child(_) => None,
+        }
     }
-    // Dynamic slot-type dispatch — the HAMT's `instanceof`.
-    match &b.slots[index_in(b.bitmap, bit)] {
-        Slot::Entry(k, v) => At::Entry(k, v),
-        Slot::Child(c) => At::Sub(c),
+
+    fn child(&self) -> Option<&Arc<Node<K, V>>> {
+        match self {
+            Slot::Child(child) => Some(child),
+            Slot::Entry(..) => None,
+        }
     }
 }
 
-fn for_each_entry_node<K, V>(node: &Node<K, V>, f: &mut impl FnMut(&K, &V)) {
+/// A node's bitmap; a collision node occupies no branch.
+fn bitmap<K, V>(node: &Node<K, V>) -> u32 {
     match node {
-        Node::Collision(c) => c.entries.iter().for_each(|(k, v)| f(k, v)),
-        Node::Bitmap(b) => {
-            for s in &b.slots {
-                match s {
-                    Slot::Entry(k, v) => f(k, v),
-                    Slot::Child(c) => for_each_entry_node(c, f),
-                }
-            }
-        }
+        Node::Bitmap(b) => b.bitmap,
+        Node::Collision(_) => 0,
     }
 }
 
-/// Fallback for subtree pairs the lockstep walk cannot align (reachable only
-/// through non-canonical shapes): compare entry lists outright.
-fn unstructured_diff<K: Clone + Eq + Hash, V: Clone + PartialEq>(
-    a: &Node<K, V>,
-    b: &Node<K, V>,
-    out: &mut trie_common::ops::MapDiff<K, V>,
-) {
-    let mut old: Vec<(K, V)> = Vec::new();
-    for_each_entry_node(a, &mut |k, v| old.push((k.clone(), v.clone())));
-    let mut new: Vec<(K, V)> = Vec::new();
-    for_each_entry_node(b, &mut |k, v| new.push((k.clone(), v.clone())));
-    for (k, v) in &old {
-        match new.iter().find(|(nk, _)| nk == k) {
-            None => out.removed.push((k.clone(), v.clone())),
-            Some((_, nv)) if nv != v => {
-                out.changed.push((k.clone(), v.clone(), nv.clone()));
-            }
-            Some(_) => {}
-        }
-    }
-    for (k, v) in &new {
-        if !old.iter().any(|(ok, _)| ok == k) {
-            out.added.push((k.clone(), v.clone()));
-        }
+/// A node's entry slots, a collision node's entries, and sub-trie slots.
+type Runs<'a, K, V> = (&'a [Slot<K, V>], &'a [(K, V)], &'a [Slot<K, V>]);
+
+/// A node's mixed slots as both runs (the payload and the sub-tries are
+/// filtered out of them), and a collision node's entries.
+fn runs<K, V>(node: &Node<K, V>) -> Runs<'_, K, V> {
+    match node {
+        Node::Bitmap(b) => (&b.slots, &[], &b.slots),
+        Node::Collision(c) => (&[], &c.entries, &[]),
     }
 }
 
-/// Lockstep diff (`a` old, `b` new): pointer-identical subtrees emit
-/// nothing; equal-but-not-pointer-equal subtrees recurse on content.
-fn diff_nodes<K: Clone + Eq + Hash, V: Clone + PartialEq>(
-    a: &Node<K, V>,
-    b: &Node<K, V>,
-    shift: u32,
-    out: &mut trie_common::ops::MapDiff<K, V>,
-) {
-    match (a, b) {
-        (Node::Collision(x), Node::Collision(y)) => {
-            debug_assert_eq!(x.hash, y.hash, "lockstep paths fix the full hash");
-            for (k, v) in &x.entries {
-                match y.entries.iter().find(|(yk, _)| yk == k) {
-                    None => out.removed.push((k.clone(), v.clone())),
-                    Some((_, yv)) if yv != v => {
-                        out.changed.push((k.clone(), v.clone(), yv.clone()));
-                    }
-                    Some(_) => {}
-                }
+impl<K: Clone + Eq + Hash, V: Clone + PartialEq> Trie for View<K, V> {
+    type Key = K;
+    type Value = V;
+    type Node = Arc<Node<K, V>>;
+
+    fn ptr_eq(a: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>) -> bool {
+        Arc::ptr_eq(a, b)
+    }
+
+    fn occupied_with(a: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>) -> impl Iterator<Item = u32> {
+        masks(bitmap(a) | bitmap(b))
+    }
+
+    /// The slots are in mask order, so the bitmap says when to advance and
+    /// no branch costs a popcount; each slot is checked for its kind (the
+    /// HAMT's `instanceof`).
+    fn cursor<'a>(node: &'a Arc<Node<K, V>>) -> impl FnMut(u32) -> At<'a, Self>
+    where
+        Self: 'a,
+    {
+        let (bitmap, mut slots) = (bitmap(node), runs(node).0.iter());
+        move |m| {
+            if bitmap & bit_pos(m) == 0 {
+                return At::Nothing;
             }
-            for (k, v) in &y.entries {
-                if !x.entries.iter().any(|(xk, _)| xk == k) {
-                    out.added.push((k.clone(), v.clone()));
-                }
-            }
-        }
-        (Node::Bitmap(x), Node::Bitmap(y)) => {
-            for m in 0..32u32 {
-                let bit = bit_pos(m);
-                match (at(x, bit), at(y, bit)) {
-                    (At::Nothing, At::Nothing) => {}
-                    (At::Entry(k, v), At::Nothing) => out.removed.push((k.clone(), v.clone())),
-                    (At::Nothing, At::Entry(k, v)) => out.added.push((k.clone(), v.clone())),
-                    (At::Sub(ac), At::Nothing) => {
-                        for_each_entry_node(ac, &mut |k, v| {
-                            out.removed.push((k.clone(), v.clone()));
-                        });
-                    }
-                    (At::Nothing, At::Sub(bc)) => {
-                        for_each_entry_node(bc, &mut |k, v| {
-                            out.added.push((k.clone(), v.clone()));
-                        });
-                    }
-                    (At::Entry(ka, va), At::Entry(kb, vb)) => {
-                        if ka == kb {
-                            if va != vb {
-                                out.changed.push((ka.clone(), va.clone(), vb.clone()));
-                            }
-                        } else {
-                            out.removed.push((ka.clone(), va.clone()));
-                            out.added.push((kb.clone(), vb.clone()));
-                        }
-                    }
-                    (At::Entry(ka, va), At::Sub(bc)) => {
-                        // Degenerate single-entry subtrees are legal here, so
-                        // this mix is common after deletions.
-                        match bc.get(hash32(ka), next_shift(shift), ka) {
-                            None => out.removed.push((ka.clone(), va.clone())),
-                            Some(vb) if vb != va => {
-                                out.changed.push((ka.clone(), va.clone(), vb.clone()));
-                            }
-                            Some(_) => {}
-                        }
-                        for_each_entry_node(bc, &mut |k, v| {
-                            if k != ka {
-                                out.added.push((k.clone(), v.clone()));
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Entry(kb, vb)) => {
-                        match ac.get(hash32(kb), next_shift(shift), kb) {
-                            None => out.added.push((kb.clone(), vb.clone())),
-                            Some(va) if va != vb => {
-                                out.changed.push((kb.clone(), va.clone(), vb.clone()));
-                            }
-                            Some(_) => {}
-                        }
-                        for_each_entry_node(ac, &mut |k, v| {
-                            if k != kb {
-                                out.removed.push((k.clone(), v.clone()));
-                            }
-                        });
-                    }
-                    (At::Sub(ac), At::Sub(bc)) => {
-                        if !Arc::ptr_eq(ac, bc) {
-                            diff_nodes(ac, bc, next_shift(shift), out);
-                        }
-                    }
-                }
+            match slots.next() {
+                Some(Slot::Entry(k, v)) => At::Payload(k, v),
+                Some(Slot::Child(child)) => At::Sub(child),
+                None => At::Nothing,
             }
         }
-        _ => unstructured_diff(a, b, out),
+    }
+
+    fn payload<'a>(node: &'a Arc<Node<K, V>>) -> impl Iterator<Item = (&'a K, &'a V)> + Clone
+    where
+        Self: 'a,
+    {
+        let (slots, entries, _) = runs(node);
+        let entries = entries.iter().map(|(k, v)| (k, v));
+        slots.iter().filter_map(Slot::entry).chain(entries)
+    }
+
+    fn children<'a>(node: &'a Arc<Node<K, V>>) -> impl Iterator<Item = &'a Arc<Node<K, V>>>
+    where
+        Self: 'a,
+    {
+        runs(node).2.iter().filter_map(Slot::child)
+    }
+
+    fn get<'a>(node: &'a Arc<Node<K, V>>, hash: u32, shift: u32, key: &K) -> Option<&'a V>
+    where
+        Self: 'a,
+    {
+        node.get(hash, shift, key)
+    }
+
+    /// Deletes leave degenerate paths here, and a walk must not pair a
+    /// collision node with a bitmap node's branches.
+    fn aligned(a: &Arc<Node<K, V>>, b: &Arc<Node<K, V>>) -> bool {
+        matches!((&**a, &**b), (Node::Bitmap(_), Node::Bitmap(_)))
     }
 }
 
@@ -595,23 +542,8 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> HamtMap<K, V> {
     /// structural walk. Pointer-shared subtrees are skipped; because the
     /// HAMT is non-canonical, equal-but-not-pointer-equal subtrees fall back
     /// to content recursion (which emits nothing when entries match).
-    pub fn diff(&self, other: &Self) -> trie_common::ops::MapDiff<K, V> {
-        let mut out = trie_common::ops::MapDiff::new();
-        if Arc::ptr_eq(&self.root, &other.root) {
-            return out;
-        }
-        if self.is_empty() {
-            out.added
-                .extend(other.iter().map(|(k, v)| (k.clone(), v.clone())));
-            return out;
-        }
-        if other.is_empty() {
-            out.removed
-                .extend(self.iter().map(|(k, v)| (k.clone(), v.clone())));
-            return out;
-        }
-        diff_nodes(&self.root, &other.root, 0, &mut out);
-        out
+    pub fn diff(&self, other: &Self) -> MapDiff<K, V> {
+        algebra::diff::<View<K, V>, _>(&self.root, &other.root, MapDiff::new())
     }
 
     pub(crate) fn root_node(&self) -> &Node<K, V> {

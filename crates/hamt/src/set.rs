@@ -7,6 +7,11 @@
 //! doubled slot (the value slot references the same element object, so no
 //! extra payload box is counted). [`MemoHamtSet`] wraps [`MemoHamtMap`] and
 //! inherits its memoized hashes (Scala `HashSet` leaves store their hash).
+//!
+//! [`HamtSet::diff`] is its map's structural `diff`
+//! ([`trie_common::algebra`]), and the [`trie_common::ops::SetAlgebraOps`]
+//! defaults route `union`, `intersect` and `difference` through it.
+//! [`MemoHamtSet`] takes all four element-wise.
 
 use std::borrow::Borrow;
 use std::hash::Hash;

@@ -80,6 +80,66 @@ fn self_algebra_allocates_nothing() {
 
     replace_values_copies_only_shared_nodes();
     baseline_shared_edits();
+    iteration_allocates_nothing();
+    walks_copy_only_what_changed();
+}
+
+/// Iterating a set keeps its walk's stack inline, so it allocates
+/// nothing; a multi-map's iteration over its nested `CAT2` sets
+/// allocates no more than a constant.
+fn iteration_allocates_nothing() {
+    let set: AxiomSet<u64> = (0..3).collect();
+    let (n, allocs) = measure(|| set.iter().count());
+    assert_eq!(n, 3);
+    assert_eq!(allocs, 0, "AxiomSet iteration allocated");
+
+    let mm: AxiomMultiMap<u64, u64> = (0..1_000).map(|i| (i % 400, i)).collect();
+    let (n, allocs) = measure(|| mm.iter().count());
+    assert_eq!(n, 1_000);
+    assert!(
+        allocs <= 3,
+        "AxiomMultiMap iteration made {allocs} allocations"
+    );
+}
+
+/// A structural walk over two sets that differ in two elements copies only
+/// the spines it changes: each bound is what the walk allocated when every
+/// trie wrote its own (`union`, `intersect`, `difference`). Comparing sets
+/// allocates nothing.
+fn walks_copy_only_what_changed() {
+    fn check<S>(n: u64, bounds: [u64; 3])
+    where
+        S: SetAlgebraOps<u64> + FromIterator<u64> + PartialEq,
+    {
+        let a: S = (0..n).collect();
+        let b = a.removed(&(n / 3)).inserted(n + 7);
+        let walks: [(&str, &dyn Fn() -> S); 3] = [
+            ("union", &|| a.union(&b)),
+            ("intersect", &|| a.intersect(&b)),
+            ("difference", &|| a.difference(&b)),
+        ];
+        for ((walk, run), bound) in walks.into_iter().zip(bounds) {
+            let (_, allocs) = measure(run);
+            assert!(
+                allocs <= bound,
+                "{} {walk} at n = {n}: {allocs} allocations (bound {bound})",
+                S::NAME
+            );
+        }
+        let c = a.inserted(n + 7);
+        let (same, allocs) = measure(|| a == c);
+        assert!(!same);
+        assert_eq!(allocs, 0, "{} == allocated", S::NAME);
+        // Equal contents behind a copied spine: the comparison walks it.
+        let d = c.removed(&(n + 7));
+        let (same, allocs) = measure(|| a == d);
+        assert!(same);
+        assert_eq!(allocs, 0, "{} == of a copied spine allocated", S::NAME);
+    }
+    check::<AxiomSet<u64>>(1 << 10, [17, 17, 3]);
+    check::<AxiomSet<u64>>(1 << 16, [27, 27, 5]);
+    check::<ChampSet<u64>>(1 << 10, [20, 20, 4]);
+    check::<ChampSet<u64>>(1 << 16, [31, 32, 6]);
 }
 
 /// Replacing a `CAT2` binding with another `CAT2` binding: on a
