@@ -3,46 +3,63 @@
 //! Modeled JVM layout per CHAMP node: one node object carrying the two 32-bit
 //! bitmaps (`2 ints`) and a reference to a dense `Object[]` with two slots per
 //! payload entry (key + value; one per set element) and one per sub-node.
+//! Native bytes: each node is one [`Packed`](trie_common::packed::Packed)
+//! block. Both walks run on [`trie_common::node::visit`].
 
 use std::hash::Hash;
-use std::sync::Arc;
 
-use heapmodel::{
-    arc_alloc_bytes, boxed_slice_bytes, Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy,
-    RustFootprint,
-};
+use heapmodel::{Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy, RustFootprint};
+use trie_common::bits::hash_exhausted;
+use trie_common::node::{self, visit};
 
-use crate::map::{self, ChampMap};
-use crate::set::{self, ChampSet};
+use crate::map::Bitmaps;
+use crate::{ChampMap, ChampSet};
 
 /// Per-entry payload accounting callback for composite values.
 pub type EntryAccount<'a, K, V> = &'a mut dyn FnMut(&K, &V, &mut Accounting);
 
-fn map_nodes_jvm_with<K, V>(
-    node: &map::Node<K, V>,
+/// Modeled JVM bytes of the nodes of a CHAMP trie. An entry weighs `refs`
+/// array references (two for a key and a value, one for a set's element,
+/// as a set node counts no value slot) and a sub-trie one; `entry`
+/// accounts each entry's payload.
+fn nodes_jvm<K, V>(
+    root: &node::Node<Bitmaps, K, V>,
+    refs: u64,
     arch: &JvmArch,
     policy: &LayoutPolicy,
     acc: &mut Accounting,
     entry: EntryAccount<'_, K, V>,
 ) {
-    match node {
-        map::Node::Bitmap(b) => {
-            let slots = 2 * b.payload_arity() as u64 + b.node_arity() as u64;
-            acc.structure(policy.node_size(arch, slots, 2, 0));
-            for slot in b.slots.iter() {
-                match slot {
-                    map::Slot::Entry(k, v) => entry(k, v, acc),
-                    map::Slot::Child(child) => map_nodes_jvm_with(child, arch, policy, acc, entry),
-                }
-            }
+    visit(root, 0, &mut |node, shift| {
+        let payload = refs * node.ones().len() as u64;
+        acc.structure(if hash_exhausted(shift) {
+            // Collision node: object (array ref, hash int) and its array.
+            arch.object(1, 1, 0) + arch.ref_array(payload)
+        } else {
+            // The bitmaps are two ints.
+            let slots = payload + node.children().len() as u64;
+            policy.node_size(arch, slots, 2, 0)
+        });
+        node.ones().iter().for_each(|(k, v)| entry(k, v, acc));
+        true
+    });
+}
+
+/// Native bytes of the nodes of a CHAMP trie: one block each, counted once
+/// however many handles share it. `entry` adds what an entry owns.
+fn nodes_rust<K, V>(
+    root: &node::Node<Bitmaps, K, V>,
+    acc: &mut Accounting,
+    entry: EntryAccount<'_, K, V>,
+) {
+    visit(root, 0, &mut |node, _| {
+        if !acc.first_visit(node.as_ptr()) {
+            return false;
         }
-        map::Node::Collision(c) => {
-            acc.structure(arch.object(1, 1, 0) + arch.ref_array(2 * c.entries.len() as u64));
-            for (k, v) in &c.entries {
-                entry(k, v, acc);
-            }
-        }
-    }
+        acc.structure(node.alloc_bytes() as u64);
+        node.ones().iter().for_each(|(k, v)| entry(k, v, acc));
+        true
+    });
 }
 
 /// Walks a [`ChampMap`]'s modeled JVM structure with a per-entry payload
@@ -58,19 +75,7 @@ pub fn champ_map_jvm_with<K, V>(
     V: Clone + PartialEq,
 {
     acc.structure(arch.object(1, 2, 0));
-    map_nodes_jvm_with(map.root_node(), arch, policy, acc, entry);
-}
-
-pub(crate) fn map_nodes_jvm<K: JvmSize, V: JvmSize>(
-    node: &map::Node<K, V>,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
-    acc: &mut Accounting,
-) {
-    map_nodes_jvm_with(node, arch, policy, acc, &mut |k, v, acc| {
-        acc.payload(k.jvm_size(arch));
-        acc.payload(v.jvm_size(arch));
-    });
+    nodes_jvm(map.root_node(), 2, arch, policy, acc, entry);
 }
 
 impl<K, V> JvmFootprint for ChampMap<K, V>
@@ -79,36 +84,10 @@ where
     V: Clone + PartialEq + JvmSize,
 {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
-        acc.structure(arch.object(1, 2, 0));
-        map_nodes_jvm(self.root_node(), arch, policy, acc);
-    }
-}
-
-fn map_nodes_rust_with<K, V>(
-    node: &Arc<map::Node<K, V>>,
-    acc: &mut Accounting,
-    entry: EntryAccount<'_, K, V>,
-) {
-    if !acc.first_visit(Arc::as_ptr(node)) {
-        return;
-    }
-    acc.structure(arc_alloc_bytes::<map::Node<K, V>>());
-    match &**node {
-        map::Node::Bitmap(b) => {
-            acc.structure(boxed_slice_bytes::<map::Slot<K, V>>(b.slots.len()));
-            for slot in b.slots.iter() {
-                match slot {
-                    map::Slot::Child(child) => map_nodes_rust_with(child, acc, entry),
-                    map::Slot::Entry(k, v) => entry(k, v, acc),
-                }
-            }
-        }
-        map::Node::Collision(c) => {
-            acc.structure(boxed_slice_bytes::<(K, V)>(c.entries.len()));
-            for (k, v) in &c.entries {
-                entry(k, v, acc);
-            }
-        }
+        champ_map_jvm_with(self, arch, policy, acc, &mut |k, v, acc| {
+            acc.payload(k.jvm_size(arch));
+            acc.payload(v.jvm_size(arch));
+        });
     }
 }
 
@@ -121,11 +100,7 @@ pub fn champ_map_rust_with<K, V>(
     K: Clone + Eq + Hash,
     V: Clone + PartialEq,
 {
-    map_nodes_rust_with(&map.root, acc, entry);
-}
-
-fn map_nodes_rust<K, V>(node: &Arc<map::Node<K, V>>, acc: &mut Accounting) {
-    map_nodes_rust_with(node, acc, &mut |_, _, _| {});
+    nodes_rust(map.root_node(), acc, entry);
 }
 
 impl<K, V> RustFootprint for ChampMap<K, V>
@@ -134,33 +109,7 @@ where
     V: Clone + PartialEq,
 {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        map_nodes_rust(&self.root, acc);
-    }
-}
-
-pub(crate) fn set_nodes_jvm<T: JvmSize>(
-    node: &set::Node<T>,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
-    acc: &mut Accounting,
-) {
-    match node {
-        set::Node::Bitmap(b) => {
-            let slots = b.payload_arity() as u64 + b.node_arity() as u64;
-            acc.structure(policy.node_size(arch, slots, 2, 0));
-            for slot in b.slots.iter() {
-                match slot {
-                    set::Slot::Elem(e) => acc.payload(e.jvm_size(arch)),
-                    set::Slot::Child(child) => set_nodes_jvm(child, arch, policy, acc),
-                }
-            }
-        }
-        set::Node::Collision(c) => {
-            acc.structure(arch.object(1, 1, 0) + arch.ref_array(c.elems.len() as u64));
-            for e in &c.elems {
-                acc.payload(e.jvm_size(arch));
-            }
-        }
+        champ_map_rust_with(self, acc, &mut |_, _, _| {});
     }
 }
 
@@ -170,27 +119,7 @@ where
 {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         acc.structure(arch.object(1, 2, 0));
-        set_nodes_jvm(self.root_node(), arch, policy, acc);
-    }
-}
-
-pub(crate) fn set_nodes_rust<T>(node: &Arc<set::Node<T>>, acc: &mut Accounting) {
-    if !acc.first_visit(Arc::as_ptr(node)) {
-        return;
-    }
-    acc.structure(arc_alloc_bytes::<set::Node<T>>());
-    match &**node {
-        set::Node::Bitmap(b) => {
-            acc.structure(boxed_slice_bytes::<set::Slot<T>>(b.slots.len()));
-            for slot in b.slots.iter() {
-                if let set::Slot::Child(child) = slot {
-                    set_nodes_rust(child, acc);
-                }
-            }
-        }
-        set::Node::Collision(c) => {
-            acc.structure(boxed_slice_bytes::<T>(c.elems.len()));
-        }
+        nested_set_jvm(self, arch, policy, acc);
     }
 }
 
@@ -199,7 +128,7 @@ where
     T: Clone + Eq + Hash,
 {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        set_nodes_rust(&self.root, acc);
+        nested_set_rust(self, acc);
     }
 }
 
@@ -212,12 +141,14 @@ pub fn nested_set_jvm<T: Clone + Eq + Hash + JvmSize>(
     policy: &LayoutPolicy,
     acc: &mut Accounting,
 ) {
-    set_nodes_jvm(set.root_node(), arch, policy, acc);
+    nodes_jvm(set.root_node(), 1, arch, policy, acc, &mut |e, _, acc| {
+        acc.payload(e.jvm_size(arch))
+    });
 }
 
 /// Native-allocation counterpart of [`nested_set_jvm`].
 pub fn nested_set_rust<T: Clone + Eq + Hash>(set: &ChampSet<T>, acc: &mut Accounting) {
-    set_nodes_rust(&set.root, acc);
+    nodes_rust(set.root_node(), acc, &mut |_, _, _| {});
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! Each trie supplies a read-only view of its nodes ([`Trie`]):
 //!
 //! * its occupied branches in ascending mask order, as nothing, a payload
-//!   or a sub-trie, through a cursor of its own (AXIOM's 2-bit bitmap and
-//!   CHAMP's `datamap`/`nodemap` pick the payload or the sub-trie run, the
-//!   HAMT's one bitmap steps its mixed run);
+//!   or a sub-trie, through a cursor of its own (for AXIOM and CHAMP the
+//!   one view of [`crate::node`], whose bitmap picks the payload or the
+//!   sub-trie run; the HAMT's one bitmap steps its mixed run);
 //! * its payload and its sub-tries, each ascending by mask (a collision
 //!   node's payload is all of its entries);
 //! * `Arc::ptr_eq` (or `Packed::ptr_eq`) on node handles;

@@ -6,8 +6,8 @@
 //! off. What is always present are the [`site`] name constants, so call
 //! sites and tests share one vocabulary.
 //!
-//! With the feature on, a test [`install`]s a [`FaultPlan`] — a map from
-//! *(site name, hit index)* to a [`Fault`] — and every instrumented code
+//! With the feature on, a test `install`s a `FaultPlan` — a map from
+//! *(site name, hit index)* to a `Fault` — and every instrumented code
 //! path calls [`fire`] with its site name. The registry counts hits per
 //! site and executes the planned fault (an injected panic, or a delay)
 //! exactly at the planned hit index. Plans are deterministic by

@@ -20,9 +20,12 @@
 //! * [`slices`] — dense slot-array edit helpers (borrowed path-copying and
 //!   owned in-place families) and the copy-on-write steps of the one edit
 //!   walk every AXIOM, CHAMP and HAMT trie runs;
-//! * [`packed`] — the one-allocation node of the AXIOM set and multi-map
+//! * [`packed`] — the one-allocation node of the AXIOM and CHAMP tries
 //!   (reference count, bitmap and typed slot groups in one block), which
 //!   holds every `unsafe` block of the tries;
+//! * [`node`] — the node walk of the AXIOM and CHAMP sets and maps, written
+//!   once over a bitmap-syntax trait: lookup, insert, remove, iteration,
+//!   validation, the [`algebra`] view and the footprint walks' traversal;
 //! * [`snapshot`] — the versioned binary snapshot codec
 //!   (`SnapshotWrite`/`SnapshotRead`) every collection and the sharded
 //!   layer persist through;
@@ -57,6 +60,7 @@ pub mod bits;
 pub mod faults;
 pub mod hash;
 pub mod iter;
+pub mod node;
 pub mod ops;
 pub mod packed;
 pub mod slices;
@@ -67,3 +71,8 @@ pub use bits::{bit_pos, index_in, mask, BITS_PER_LEVEL, FANOUT, HASH_BITS, LEVEL
 pub use hash::hash32;
 pub use ops::{Builder, EditInPlace, MapOps, MultiMapOps, SetOps, Transient, TransientOps};
 pub use snapshot::{SnapshotError, SnapshotRead, SnapshotWrite};
+
+/// Boundary cases of the [`slices`] edit helpers, including the
+/// three-category migration cases.
+#[cfg(test)]
+mod slots;

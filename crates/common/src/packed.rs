@@ -12,10 +12,12 @@
 //! starts where the previous one ends, rounded up to its element alignment
 //! (the offsets [`Layout::extend`] computes), and the block size is rounded
 //! up to the largest alignment. The regions are the AXIOM categories in
-//! slot order: `CAT1` payload, `CAT2` payload, sub-tries. A set uses only
-//! the first and the last (`B` is [`std::convert::Infallible`]). A
-//! multi-map uses `(K, V)` and its bag's key-and-bag element for the two
-//! payload regions. The word is the node's bitmap and is never read here:
+//! slot order: `CAT1` payload, `CAT2` payload, sub-tries. The AXIOM and
+//! CHAMP sets and maps use only the first and the last: `(K, V)` entries (a
+//! set's `(T, ())`) and sub-tries, `B` being [`std::convert::Infallible`]
+//! (see [`crate::node`]). The AXIOM multi-map uses `(K, V)` and its bag's
+//! key-and-bag element for the two payload regions. The word is the node's
+//! bitmap and is never read here:
 //! which branch sits in which slot is the owner's business, so no slot
 //! carries a discriminant of its own. A hash-collision node is a block with
 //! no children whose word the owner ignores; it is reached through the same
@@ -33,7 +35,8 @@
 //! so collision nodes have no cap below `u32::MAX` slots per region.
 //!
 //! Slots are addressed by their *absolute* index in the concatenation of
-//! the three regions, which is what `SlotBitmap::locate` returns.
+//! the three regions, which is what the owner's bitmap locates (as
+//! [`crate::node::Bitmap::locate`] does).
 //!
 //! # Invariants
 //!

@@ -14,9 +14,10 @@
 //!
 //! Every edit (`insert_mut`, `remove_mut`, …, and the persistent
 //! `inserted`/`removed` built on them) is one recursive walk over a node
-//! handle: `&mut Arc<Node>` for a [`SlotNode`] (a bitmap plus a
-//! `Box<[Slot]>` array), `&mut Packed` for the one-allocation AXIOM set and
-//! multi-map nodes ([`crate::packed`]). Both handles are a [`CowNode`], and
+//! handle: `&mut Packed` for the one-allocation AXIOM and CHAMP nodes
+//! ([`crate::packed`]), `&mut Arc<Node>` for the HAMTs' [`SlotNode`] (a
+//! bitmap plus a `Box<[Slot]>` array, whose one bitmap marks a mixed
+//! run). Both handles are a [`CowNode`], and
 //! the functions below are the steps where the walk meets a node it may
 //! share with another handle:
 //!

@@ -1,22 +1,13 @@
-//! The slot-array helpers and copy-on-write walk steps AXIOM uses, all
-//! defined in [`trie_common::slices`] and shared with the CHAMP and HAMT
-//! baselines, plus the AXIOM-flavoured test suite for them, including the
-//! three-category migration boundary cases.
-//!
-//! [`AxiomMap`](crate::AxiomMap)'s `Node` is a [`SlotNode`] with the 2-bit
-//! [`SlotBitmap`](crate::bitmap::SlotBitmap) as its bitmap, so its `Arc`
-//! handle runs the walk steps. The set and multi-map nodes are
-//! [`trie_common::packed::Packed`] handles, which run the same steps.
-
-pub(crate) use trie_common::slices::{
-    edit_child, insert_slot, inserted_at_owned, migrate_map, remove_slot, removed_at_owned,
-    survivor, SlotNode,
-};
+//! The boundary cases of the [`crate::slices`] helpers: insertion,
+//! removal and replacement at both ends, and the payload ↔ sub-trie
+//! migrations of the borrowed and the owned families.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use trie_common::slices::{inserted_at, migrated, removed_at, replaced_at};
+    use crate::slices::{
+        inserted_at, inserted_at_owned, migrate_map, migrated, removed_at, removed_at_owned,
+        replaced_at,
+    };
 
     #[test]
     fn inserted_at_boundaries_and_middle() {

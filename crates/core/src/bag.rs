@@ -239,20 +239,17 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
     }
 
     fn entry<K>(key: K, bag: Self) -> SetEntry<K, V> {
+        let (root, len) = bag.map.into_parts();
         SetEntry {
             key,
-            len: stored_len(bag.len),
-            root: bag.root,
+            len: stored_len(len),
+            root,
         }
     }
 
     fn split<K>(entry: SetEntry<K, V>) -> (K, Self) {
         let len = decoded_len(&entry.root, entry.len);
-        let set = AxiomSet {
-            root: entry.root,
-            len,
-        };
-        (entry.key, set)
+        (entry.key, AxiomSet::from_root(entry.root, len))
     }
 
     fn clone_entry<K: Clone>(entry: &SetEntry<K, V>) -> SetEntry<K, V> {
@@ -294,8 +291,9 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for AxiomSet<V> {
     }
 
     fn put_in<K>(entry: &mut SetEntry<K, V>, bag: Self) {
-        entry.len = stored_len(bag.len);
-        entry.root = bag.root;
+        let (root, len) = bag.map.into_parts();
+        entry.len = stored_len(len);
+        entry.root = root;
     }
 }
 
@@ -320,7 +318,7 @@ impl<V> FusedBag<V> {
     fn as_ref(&self) -> BagRef<'_, V> {
         match self {
             FusedBag::Inline(vs) => BagRef(Values::Inline(vs)),
-            FusedBag::Trie(s) => BagRef(Values::Set(&s.root, stored_len(s.len))),
+            FusedBag::Trie(s) => BagRef(Values::Set(s.root_node(), stored_len(s.map.len()))),
         }
     }
 }
@@ -375,7 +373,7 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
                 }
                 if vs.len() < FUSE_MAX {
                     let idx = vs.len();
-                    *vs = crate::slots::inserted_at_owned(std::mem::take(vs), idx, value);
+                    *vs = trie_common::slices::inserted_at_owned(std::mem::take(vs), idx, value);
                 } else {
                     // Overflow: move the inline values into a trie set.
                     let mut set = AxiomSet::new();
@@ -401,7 +399,7 @@ impl<V: Clone + Eq + Hash> ValueBag<V> for FusedBag<V> {
                     let mut v = std::mem::take(vs).into_vec();
                     return BagEdited::Single(v.swap_remove(1 - pos));
                 }
-                *vs = crate::slots::removed_at_owned(std::mem::take(vs), pos);
+                *vs = trie_common::slices::removed_at_owned(std::mem::take(vs), pos);
                 BagEdited::Shrunk
             }
             FusedBag::Trie(s) => {
@@ -529,10 +527,7 @@ impl<'a, V: Clone + Eq + Hash> BagRef<'a, V> {
     /// built (each value hashed) for inline values.
     pub fn to_set(&self) -> AxiomSet<V> {
         match self.0 {
-            Values::Set(root, _) => AxiomSet {
-                root: root.clone(),
-                len: self.len(),
-            },
+            Values::Set(root, _) => AxiomSet::from_root(root.clone(), self.len()),
             Values::Inline(vs) => vs.iter().cloned().collect(),
         }
     }
@@ -541,7 +536,11 @@ impl<'a, V: Clone + Eq + Hash> BagRef<'a, V> {
     pub(crate) fn assert_invariants(&self) {
         match self.0 {
             Values::Set(root, _) => {
-                assert_eq!(set::validate(root, 0, None), self.len(), "bag length")
+                assert_eq!(
+                    trie_common::node::validate(root, 0),
+                    self.len(),
+                    "bag length"
+                )
             }
             Values::Inline(vs) => {
                 for (i, v) in vs.iter().enumerate() {

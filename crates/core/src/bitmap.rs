@@ -45,6 +45,8 @@
 //! assert_eq!(bm.get(2), Category::NODE);
 //! ```
 
+use trie_common::node::{Bitmap, Branch};
+
 /// A 2-bit content category tag.
 ///
 /// The four values cover rank-2 type-heterogeneity, which is what the
@@ -331,6 +333,68 @@ impl Iterator for MaskIter {
 }
 
 impl ExactSizeIterator for MaskIter {}
+
+/// The walk of the AXIOM set and map ([`trie_common::node`]): a set or plain
+/// map node tags its entries `CAT1` and its sub-tries `NODE`, the CHAMP
+/// special case of the encoding.
+impl Bitmap for SlotBitmap {
+    const EMPTY: SlotBitmap = SlotBitmap::EMPTY;
+
+    #[inline(always)]
+    fn get(self, mask: u32) -> Branch {
+        branch(SlotBitmap::get(self, mask))
+    }
+
+    #[inline(always)]
+    fn locate(self, mask: u32) -> (Branch, usize) {
+        let (cat, idx) = SlotBitmap::locate(self, mask);
+        (branch(cat), idx)
+    }
+
+    #[inline(always)]
+    fn with(self, mask: u32, branch: Branch) -> SlotBitmap {
+        SlotBitmap::with(self, mask, category(branch))
+    }
+
+    #[inline(always)]
+    fn slot_index(self, branch: Branch, mask: u32) -> usize {
+        SlotBitmap::slot_index(self, category(branch), mask)
+    }
+
+    #[inline(always)]
+    fn payload_arity(self) -> usize {
+        self.count(Category::Cat1)
+    }
+
+    #[inline(always)]
+    fn node_arity(self) -> usize {
+        SlotBitmap::node_arity(self)
+    }
+
+    fn occupied_with(self, other: SlotBitmap) -> impl Iterator<Item = u32> {
+        SlotBitmap::occupied_with(self, other)
+    }
+}
+
+/// The branch a set or map node holds under tag `cat` (it uses no `CAT2`).
+#[inline(always)]
+fn branch(cat: Category) -> Branch {
+    match cat {
+        Category::Cat1 => Branch::Payload,
+        Category::Node => Branch::Node,
+        Category::Empty | Category::Cat2 => Branch::Empty,
+    }
+}
+
+/// The tag of `branch` in a set or map node.
+#[inline(always)]
+fn category(branch: Branch) -> Category {
+    match branch {
+        Branch::Empty => Category::Empty,
+        Branch::Payload => Category::Cat1,
+        Branch::Node => Category::Node,
+    }
+}
 
 #[cfg(test)]
 mod tests {

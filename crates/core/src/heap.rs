@@ -9,112 +9,103 @@
 //! fixed-field objects without the array; under a fusing policy nested-set
 //! wrapper objects disappear.
 //!
-//! Native bytes are what the allocator holds: a set or multi-map node is
-//! one [`Packed`](trie_common::packed::Packed) block (its
-//! `alloc_bytes`), counted once however many handles share it; the map's
-//! nodes are an `Arc` plus a boxed slot array. The walk tells a collision
-//! node from a bitmap node by depth, as the tries do.
+//! Native bytes are what the allocator holds: every node is one
+//! [`Packed`](trie_common::packed::Packed) block (its `alloc_bytes`),
+//! counted once however many handles share it. The set and map walks are
+//! the shared ones of [`trie_common::node`]; the multi-map's walks here add
+//! its `CAT2` bags. The walks tell a collision node from a bitmap node by
+//! depth, as the tries do.
 
+use std::convert::Infallible;
 use std::hash::Hash;
-use std::sync::Arc;
 
-use trie_common::bits::{hash_exhausted, next_shift};
+use trie_common::bits::hash_exhausted;
+use trie_common::node::visit;
+use trie_common::packed::Packed;
 
 use heapmodel::{
-    arc_alloc_bytes, boxed_slice_bytes, Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy,
-    RustFootprint,
+    boxed_slice_bytes, Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy, RustFootprint,
 };
 
 use crate::bag::{BagRef, FusedBag, Values};
-use crate::map::{self, AxiomMap};
-use crate::multimap::AxiomMultiMap;
+use crate::bitmap::SlotBitmap;
+use crate::map::AxiomMap;
+use crate::multimap::{AxiomMultiMap, Cat2};
 use crate::set::{self, AxiomSet};
-use crate::{multimap, ValueBag};
+use crate::ValueBag;
 
-// ---------------------------------------------------------------------------
-// Set
-// ---------------------------------------------------------------------------
+/// The modeled architecture and layout policy.
+type Model<'a> = (&'a JvmArch, &'a LayoutPolicy);
 
-fn set_nodes_jvm<T: JvmSize>(
-    node: &set::Node<T>,
-    shift: u32,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
+/// Modeled JVM bytes of the nodes of an AXIOM trie. Its `CAT1` and `CAT2`
+/// entries weigh `refs` array references each (two for a key and a value
+/// or a nested set, the paper's weight vector `[0, 2, 2, 1]`; one for a
+/// set's element, as a set node counts no value slot) and its sub-tries
+/// one. `one` and `many` account each entry's payload.
+fn nodes_jvm<A, B>(
+    root: &Packed<SlotBitmap, A, B>,
+    refs: u64,
+    (arch, policy): Model<'_>,
     acc: &mut Accounting,
+    mut one: impl FnMut(&A, &mut Accounting),
+    mut many: impl FnMut(&B, &mut Accounting),
 ) {
-    let elems = node.ones();
-    if hash_exhausted(shift) {
-        // Collision node: object(array ref, hash int) + element array.
-        acc.structure(arch.object(1, 1, 0) + arch.ref_array(elems.len() as u64));
-    } else {
-        // Elements weigh 1 ref, children 1 ref; bitmap is one long.
-        let slots = (elems.len() + node.children().len()) as u64;
-        acc.structure(policy.node_size(arch, slots, 0, 1));
-    }
-    for e in elems {
-        acc.payload(e.jvm_size(arch));
-    }
-    for child in node.children() {
-        set_nodes_jvm(child, next_shift(shift), arch, policy, acc);
-    }
+    visit(root, 0, &mut |node, shift| {
+        let payload = refs * (node.ones().len() + node.manys().len()) as u64;
+        acc.structure(if hash_exhausted(shift) {
+            // Collision node: object (array ref, hash int) and its array.
+            arch.object(1, 1, 0) + arch.ref_array(payload)
+        } else {
+            // The bitmap is one long.
+            let slots = payload + node.children().len() as u64;
+            policy.node_size(arch, slots, 0, 1)
+        });
+        node.ones().iter().for_each(|a| one(a, acc));
+        node.manys().iter().for_each(|b| many(b, acc));
+        true
+    });
+}
+
+/// Native bytes of the nodes of an AXIOM trie: one block each, counted
+/// once however many handles share it. `many` adds what a `CAT2` entry
+/// owns.
+fn nodes_rust<A, B>(
+    root: &Packed<SlotBitmap, A, B>,
+    acc: &mut Accounting,
+    mut many: impl FnMut(&B, &mut Accounting),
+) {
+    visit(root, 0, &mut |node, _| {
+        if !acc.first_visit(node.as_ptr()) {
+            return false;
+        }
+        acc.structure(node.alloc_bytes() as u64);
+        node.manys().iter().for_each(|b| many(b, acc));
+        true
+    });
+}
+
+/// The `CAT2` accounting of a set or map, which have no `CAT2` entries.
+fn no_many(never: &Infallible, _: &mut Accounting) {
+    match *never {}
+}
+
+/// Modeled JVM bytes of a set trie's nodes and elements.
+fn set_nodes_jvm<T: JvmSize>(root: &set::Node<T>, model: Model<'_>, acc: &mut Accounting) {
+    let elem = |(e, ()): &(T, ()), acc: &mut Accounting| acc.payload(e.jvm_size(model.0));
+    nodes_jvm(root, 1, model, acc, elem, no_many);
 }
 
 impl<T: Clone + Eq + Hash + JvmSize> JvmFootprint for AxiomSet<T> {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         // Outer collection wrapper: root ref + cached size/hash ints.
         acc.structure(arch.object(1, 2, 0));
-        set_nodes_jvm(self.root_node(), 0, arch, policy, acc);
-    }
-}
-
-fn set_nodes_rust<T>(node: &set::Node<T>, acc: &mut Accounting) {
-    if !acc.first_visit(node.as_ptr()) {
-        return;
-    }
-    acc.structure(node.alloc_bytes() as u64);
-    for child in node.children() {
-        set_nodes_rust(child, acc);
+        set_nodes_jvm(self.root_node(), (arch, policy), acc);
     }
 }
 
 impl<T: Clone + Eq + Hash> RustFootprint for AxiomSet<T> {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        set_nodes_rust(&self.root, acc);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Map
-// ---------------------------------------------------------------------------
-
-fn map_nodes_jvm<K: JvmSize, V: JvmSize>(
-    node: &map::Node<K, V>,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
-    acc: &mut Accounting,
-) {
-    match node {
-        map::Node::Bitmap(b) => {
-            let payload = b.bitmap.payload_arity() as u64;
-            let children = b.bitmap.node_arity() as u64;
-            acc.structure(policy.node_size(arch, 2 * payload + children, 0, 1));
-            for slot in b.slots.iter() {
-                match slot {
-                    map::Slot::Entry(k, v) => {
-                        acc.payload(k.jvm_size(arch));
-                        acc.payload(v.jvm_size(arch));
-                    }
-                    map::Slot::Child(child) => map_nodes_jvm(child, arch, policy, acc),
-                }
-            }
-        }
-        map::Node::Collision(c) => {
-            acc.structure(arch.object(1, 1, 0) + arch.ref_array(2 * c.entries.len() as u64));
-            for (k, v) in &c.entries {
-                acc.payload(k.jvm_size(arch));
-                acc.payload(v.jvm_size(arch));
-            }
-        }
+        nodes_rust(self.root_node(), acc, no_many);
     }
 }
 
@@ -125,27 +116,11 @@ where
 {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         acc.structure(arch.object(1, 2, 0));
-        map_nodes_jvm(self.root_node(), arch, policy, acc);
-    }
-}
-
-fn map_nodes_rust<K, V>(node: &Arc<map::Node<K, V>>, acc: &mut Accounting) {
-    if !acc.first_visit(Arc::as_ptr(node)) {
-        return;
-    }
-    acc.structure(arc_alloc_bytes::<map::Node<K, V>>());
-    match &**node {
-        map::Node::Bitmap(b) => {
-            acc.structure(boxed_slice_bytes::<map::Slot<K, V>>(b.slots.len()));
-            for slot in b.slots.iter() {
-                if let map::Slot::Child(child) = slot {
-                    map_nodes_rust(child, acc);
-                }
-            }
-        }
-        map::Node::Collision(c) => {
-            acc.structure(boxed_slice_bytes::<(K, V)>(c.entries.len()));
-        }
+        let entry = |(k, v): &(K, V), acc: &mut Accounting| {
+            acc.payload(k.jvm_size(arch));
+            acc.payload(v.jvm_size(arch));
+        };
+        nodes_jvm(self.root_node(), 2, (arch, policy), acc, entry, no_many);
     }
 }
 
@@ -155,7 +130,7 @@ where
     V: Clone + PartialEq,
 {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        map_nodes_rust(&self.root, acc);
+        nodes_rust(self.root_node(), acc, no_many);
     }
 }
 
@@ -194,7 +169,7 @@ fn fused_bag_jvm<V: JvmSize>(
     acc: &mut Accounting,
 ) {
     match bag.0 {
-        Values::Set(root, _) => set_nodes_jvm(root, 0, arch, policy, acc),
+        Values::Set(root, _) => set_nodes_jvm(root, (arch, policy), acc),
         Values::Inline(vs) => {
             acc.structure(arch.ref_array(vs.len() as u64));
             for v in vs {
@@ -207,41 +182,8 @@ fn fused_bag_jvm<V: JvmSize>(
 /// Native bytes of a bag: a trie's nodes, or an inline boxed slice.
 fn bag_rust<V>(bag: BagRef<'_, V>, acc: &mut Accounting) {
     match bag.0 {
-        Values::Set(root, _) => set_nodes_rust(root, acc),
+        Values::Set(root, _) => nodes_rust(root, acc, no_many),
         Values::Inline(vs) => acc.structure(boxed_slice_bytes::<V>(vs.len())),
-    }
-}
-
-fn mm_nodes_jvm<K, V, B>(
-    node: &multimap::Node<K, V, B>,
-    shift: u32,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
-    acc: &mut Accounting,
-) where
-    K: Clone + Eq + Hash + JvmSize,
-    V: Clone + Eq + Hash + JvmSize,
-    B: MeasuredBag<V>,
-{
-    let payload = (node.ones().len() + node.manys().len()) as u64;
-    if hash_exhausted(shift) {
-        acc.structure(arch.object(1, 1, 0) + arch.ref_array(2 * payload));
-    } else {
-        // Paper weight vector [0, 2, 2, 1]: payload categories use two
-        // array slots, sub-nodes one; the bitmap is one long.
-        let children = node.children().len() as u64;
-        acc.structure(policy.node_size(arch, 2 * payload + children, 0, 1));
-    }
-    for (k, v) in node.ones() {
-        acc.payload(k.jvm_size(arch));
-        acc.payload(v.jvm_size(arch));
-    }
-    for many in node.manys() {
-        acc.payload(many.key().jvm_size(arch));
-        B::bag_jvm(many.bag(), arch, policy, acc);
-    }
-    for child in node.children() {
-        mm_nodes_jvm(child, next_shift(shift), arch, policy, acc);
     }
 }
 
@@ -254,26 +196,15 @@ where
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         // Outer wrapper: root ref + cached tuple/key counts.
         acc.structure(arch.object(1, 2, 0));
-        mm_nodes_jvm(self.root_node(), 0, arch, policy, acc);
-    }
-}
-
-fn mm_nodes_rust<K, V, B>(node: &multimap::Node<K, V, B>, acc: &mut Accounting)
-where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: MeasuredBag<V>,
-    V: JvmSize,
-{
-    if !acc.first_visit(node.as_ptr()) {
-        return;
-    }
-    acc.structure(node.alloc_bytes() as u64);
-    for many in node.manys() {
-        bag_rust(many.bag(), acc);
-    }
-    for child in node.children() {
-        mm_nodes_rust(child, acc);
+        let one = |(k, v): &(K, V), acc: &mut Accounting| {
+            acc.payload(k.jvm_size(arch));
+            acc.payload(v.jvm_size(arch));
+        };
+        let many = |many: &Cat2<K, V, B>, acc: &mut Accounting| {
+            acc.payload(many.key().jvm_size(arch));
+            B::bag_jvm(many.bag(), arch, policy, acc);
+        };
+        nodes_jvm(self.root_node(), 2, (arch, policy), acc, one, many);
     }
 }
 
@@ -284,7 +215,7 @@ where
     B: MeasuredBag<V>,
 {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        mm_nodes_rust(&self.root, acc);
+        nodes_rust(self.root_node(), acc, |many, acc| bag_rust(many.bag(), acc));
     }
 }
 
@@ -370,13 +301,12 @@ mod tests {
         // boxed ints (4 × 16).
         let m: AxiomMap<u32, u32> = [(1, 2), (2, 3)].into_iter().collect();
         m.assert_invariants();
-        if let map::Node::Bitmap(b) = m.root_node() {
-            if b.bitmap.node_arity() == 0 && b.slots.len() == 2 {
-                let fp = jvm(&m);
-                // wrapper 24 + node 24 + array 32 = 80 structure bytes.
-                assert_eq!(fp.structure, 24 + 24 + 32);
-                assert_eq!(fp.payload, 4 * 16);
-            }
+        let root = m.root_node();
+        if root.children().is_empty() && root.ones().len() == 2 {
+            let fp = jvm(&m);
+            // wrapper 24 + node 24 + array 32 = 80 structure bytes.
+            assert_eq!(fp.structure, 24 + 24 + 32);
+            assert_eq!(fp.payload, 4 * 16);
         }
     }
 

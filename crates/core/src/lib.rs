@@ -57,7 +57,6 @@ mod heap;
 mod ops;
 #[cfg(feature = "serde")]
 mod serde_impls;
-mod slots;
 mod snapshot;
 
 pub use bag::{FusedBag, ValueBag, FUSE_MAX};

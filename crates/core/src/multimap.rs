@@ -49,11 +49,11 @@ use std::marker::PhantomData;
 use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
 use trie_common::packed::{Children, Manys, Ones, Packed, Slot};
+use trie_common::slices::{edit_child, insert_slot, remove_slot, survivor};
 
 use crate::bag::{BagEdited, BagIter, BagRef, BagSlot, ValueBag};
 use crate::bitmap::{Category, SlotBitmap};
 use crate::set::AxiomSet;
-use crate::slots::{edit_child, insert_slot, remove_slot, survivor};
 
 /// The values bound to one key: an inlined singleton or a nested bag.
 #[derive(Debug, Clone)]
@@ -369,8 +369,8 @@ fn push_down<K, V, B>(
 
 /// Inserts `(key, value)` below `this`, editing unique nodes in place
 /// (`CAT2` bags through [`ValueBag::insert_mut`]) and copying shared ones
-/// on write (see [`crate::slots`]). Takes the tuple by ownership so the
-/// common paths are clone-free.
+/// on write (see [`trie_common::slices`]). Takes the tuple by ownership so
+/// the common paths are clone-free.
 fn insert_in_place<K, V, B>(
     this: &mut Node<K, V, B>,
     hash: u32,

@@ -7,15 +7,13 @@
 //!
 //! Sets are the homogeneous instance of AXIOM: only categories `EMPTY`,
 //! `CAT1` (an element) and `NODE` are populated, which is exactly the CHAMP
-//! special case of the encoding (paper §3.1). Each node is one allocation
-//! ([`trie_common::packed`]): the 2-bit bitmap, then the inlined elements,
-//! then the sub-trie handles, each group ascending by mask. The bitmap is
-//! the only tag; no slot carries one.
-//!
-//! `union`, `intersect`, `difference`, `diff` and `==` are the lockstep
-//! walks of [`trie_common::algebra`], shared with the CHAMP set; this
-//! module supplies their node view (`View`): one cursor per slot group,
-//! and the insert, remove and node-building hooks.
+//! special case of the encoding (paper §3.1). A set is a map to `()`: it
+//! wraps the node of [`AxiomMap<T, ()>`](crate::AxiomMap) and runs the one
+//! node walk of [`trie_common::node`]. `(T, ())` has the size of `T`, so a
+//! node is one allocation holding the 2-bit bitmap, the inlined elements
+//! and the sub-trie handles, each group ascending by mask; the bitmap is
+//! the only tag. `union`, `intersect`, `difference`, `diff` and `==` are
+//! the lockstep walks of [`trie_common::algebra`] over the same node.
 //!
 //! # Examples
 //!
@@ -32,102 +30,25 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::convert::Infallible;
 use std::hash::Hash;
-use std::marker::PhantomData;
 
-use trie_common::algebra::{self, masks, At, Canonical, Removal, SetTrie, Trie};
-use trie_common::bits::{hash_exhausted, mask, next_shift};
 use trie_common::hash::hash32;
+use trie_common::node;
 use trie_common::ops::SetDiff;
-use trie_common::packed::{Children, Ones, Packed, Slot};
 
-use crate::bitmap::{Category, SlotBitmap};
-use crate::slots::{edit_child, insert_slot, remove_slot, survivor};
+use crate::bitmap::SlotBitmap;
 
-/// A trie node: one allocation holding the bitmap, the inlined elements
-/// and the sub-trie handles (`[T] | [Node]`). Past the last hash level a
-/// node is a collision node: elements sharing one 32-bit hash, no children,
-/// an unused bitmap.
-pub(crate) type Node<T> = Packed<SlotBitmap, T, Infallible>;
+pub(crate) use trie_common::node::{count, remove_root};
 
-fn empty<T>() -> Node<T> {
-    Node::new(SlotBitmap::EMPTY, [], [], [])
-}
+/// A set node: the node of a map to `()`.
+pub(crate) type Node<T> = node::Node<SlotBitmap, T, ()>;
 
-/// Builds the minimal sub-trie holding two *distinct* elements whose hash
-/// prefixes agree up to `shift`.
-fn pair<T>(h1: u32, e1: T, h2: u32, e2: T, shift: u32) -> Node<T> {
-    if hash_exhausted(shift) {
-        debug_assert_eq!(h1, h2);
-        return Node::new(SlotBitmap::EMPTY, [e1, e2], [], []);
-    }
-    let m1 = mask(h1, shift);
-    let m2 = mask(h2, shift);
-    if m1 == m2 {
-        let child = pair(h1, e1, h2, e2, next_shift(shift));
-        return Node::new(SlotBitmap::EMPTY.with(m1, Category::Node), [], [], [child]);
-    }
-    let bitmap = SlotBitmap::EMPTY
-        .with(m1, Category::Cat1)
-        .with(m2, Category::Cat1);
-    let elems = if m1 < m2 { [e1, e2] } else { [e2, e1] };
-    Node::new(bitmap, elems, [], [])
-}
+/// The [`trie_common::algebra`] view of a set trie.
+pub(crate) type View<T> = node::View<SlotBitmap, T, ()>;
 
-/// The root of a one-element set (a collapsed trie's last element).
-fn single<T: Hash>(value: T) -> Node<T> {
-    let bitmap = SlotBitmap::EMPTY.with(mask(hash32(&value), 0), Category::Cat1);
-    Node::new(bitmap, [value], [], [])
-}
-
-fn get<'a, T, Q>(node: &'a Node<T>, hash: u32, shift: u32, value: &Q) -> Option<&'a T>
-where
-    T: Borrow<Q>,
-    Q: Eq + ?Sized,
-{
-    if hash_exhausted(shift) {
-        return node.ones().iter().find(|e| (*e).borrow() == value);
-    }
-    // Fused dispatch: category and slot index from one pass.
-    match node.word().locate(mask(hash, shift)) {
-        (Category::Cat1, idx) => Some(node.one(idx)).filter(|e| (*e).borrow() == value),
-        (Category::Node, idx) => get(node.child(idx), hash, next_shift(shift), value),
-        _ => None,
-    }
-}
-
-fn contains<T, Q>(node: &Node<T>, hash: u32, shift: u32, value: &Q) -> bool
-where
-    T: Borrow<Q>,
-    Q: Eq + ?Sized,
-{
-    get(node, hash, shift, value).is_some()
-}
-
-/// Inserts `value` into the trie at `root` (see [`insert_in_place`]).
-/// Returns true if the set grew.
+/// Inserts `value` into the trie at `root`. Returns true if the set grew.
 pub(crate) fn insert_root<T: Clone + Eq + Hash>(root: &mut Node<T>, value: T) -> bool {
-    let hash = hash32(&value);
-    insert_in_place(root, hash, 0, value)
-}
-
-/// Removes `value` from the trie at `root`, re-rooting a trie that
-/// collapsed to one element. Returns true if the set shrank.
-pub(crate) fn remove_root<T, Q>(root: &mut Node<T>, value: &Q) -> bool
-where
-    T: Clone + Eq + Hash + Borrow<Q>,
-    Q: Eq + Hash + ?Sized,
-{
-    match remove_in_place(root, hash32(value), 0, value) {
-        Removal::NotFound => false,
-        Removal::Removed => true,
-        Removal::Single(survivor) => {
-            // Only reachable when the root collapses to one element.
-            *root = single(survivor);
-            true
-        }
-    }
+    node::insert_root(root, value, ()).is_none()
 }
 
 /// Membership test on the trie at `root`.
@@ -136,223 +57,7 @@ where
     T: Borrow<Q>,
     Q: Eq + Hash + ?Sized,
 {
-    contains(root, hash32(value), 0, value)
-}
-
-/// Number of elements below `node`, counted by walking the trie.
-pub(crate) fn count<T>(node: &Node<T>) -> usize {
-    node.ones().len() + node.children().iter().map(count).sum::<usize>()
-}
-
-/// Inserts `value` below `this`, editing unique nodes in place and copying
-/// shared ones on write (see [`crate::slots`]). Takes `value` by ownership
-/// so the common paths move it into its final slot. Returns true if the set
-/// grew.
-fn insert_in_place<T: Clone + Eq + Hash>(
-    this: &mut Node<T>,
-    hash: u32,
-    shift: u32,
-    value: T,
-) -> bool {
-    if hash_exhausted(shift) {
-        if this.ones().contains(&value) {
-            return false;
-        }
-        let end = this.ones().len();
-        this.insert(SlotBitmap::EMPTY, end, Slot::One(value));
-        return true;
-    }
-    let bitmap = this.word();
-    let m = mask(hash, shift);
-    match bitmap.locate(m) {
-        (Category::Cat1, idx) => {
-            let existing = this.one(idx);
-            if *existing == value {
-                return false;
-            }
-            // Prefix clash: both elements descend into a fresh sub-trie;
-            // the slot migrates CAT1 → NODE.
-            let existing_hash = hash32(existing);
-            let bitmap = bitmap.with(m, Category::Node);
-            let to = bitmap.slot_index(Category::Node, m);
-            this.migrate::<Ones, _>(bitmap, idx, to, |existing| {
-                let child = pair(existing_hash, existing, hash, value, next_shift(shift));
-                (Slot::Child(child), ())
-            });
-            true
-        }
-        (Category::Node, idx) => edit_child(
-            this,
-            idx,
-            |child| insert_in_place(child, hash, next_shift(shift), value),
-            |grew| *grew,
-        ),
-        _ => {
-            let bitmap = bitmap.with(m, Category::Cat1);
-            let idx = bitmap.slot_index(Category::Cat1, m);
-            insert_slot(this, bitmap, idx, Slot::One(value));
-            true
-        }
-    }
-}
-
-/// Removes `value` below `this` with the same copy-on-write discipline as
-/// [`insert_in_place`], canonicalizing on the way up.
-fn remove_in_place<T, Q>(this: &mut Node<T>, hash: u32, shift: u32, value: &Q) -> Removal<T>
-where
-    T: Clone + Eq + Hash + Borrow<Q>,
-    Q: Eq + ?Sized,
-{
-    if hash_exhausted(shift) {
-        let Some(pos) = this.ones().iter().position(|e| e.borrow() == value) else {
-            return Removal::NotFound;
-        };
-        return match this.ones().len() {
-            2 => Removal::Single(take_element(survivor(this, pos))),
-            _ => {
-                this.remove(SlotBitmap::EMPTY, pos);
-                Removal::Removed
-            }
-        };
-    }
-    let bitmap = this.word();
-    let m = mask(hash, shift);
-    match bitmap.locate(m) {
-        (Category::Cat1, idx) => {
-            if this.one(idx).borrow() != value {
-                return Removal::NotFound;
-            }
-            let bitmap = bitmap.with(m, Category::Empty);
-            if shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0 {
-                // The node held exactly two elements; hand the survivor to
-                // the parent for inlining.
-                return Removal::Single(take_element(survivor(this, idx)));
-            }
-            remove_slot(this, bitmap, idx);
-            Removal::Removed
-        }
-        (Category::Node, idx) => {
-            // A pure chain node dissolves when its child collapses.
-            let chain = shift > 0 && bitmap.payload_arity() == 0 && bitmap.node_arity() == 1;
-            match edit_child(
-                this,
-                idx,
-                |child| remove_in_place(child, hash, next_shift(shift), value),
-                |outcome| matches!(outcome, Removal::Removed),
-            ) {
-                Removal::Single(e) if !chain => {
-                    // Inline the survivor: NODE → CAT1, dropping the
-                    // collapsed child after the move.
-                    let bitmap = bitmap.with(m, Category::Cat1);
-                    let to = bitmap.slot_index(Category::Cat1, m);
-                    this.migrate::<Children, _>(bitmap, idx, to, |child| (Slot::One(e), child));
-                    Removal::Removed
-                }
-                outcome => outcome,
-            }
-        }
-        _ => Removal::NotFound,
-    }
-}
-
-/// The element of a surviving set slot: a set node's payload is all
-/// `CAT1`, and a collapsing node holds no child.
-fn take_element<T>(slot: Slot<T, Infallible, Node<T>>) -> T {
-    match slot {
-        Slot::One(e) => e,
-        Slot::Many(never) => match never {},
-        Slot::Child(_) => unreachable!("a collapsing node holds two elements"),
-    }
-}
-
-/// The [`algebra`] view of a set trie: the node hooks the structural
-/// `union`, `intersect`, `difference`, `diff` and `==` walks run on.
-pub(crate) struct View<T>(PhantomData<T>);
-
-impl<T: Clone + Eq + Hash> Trie for View<T> {
-    type Key = T;
-    type Value = ();
-    type Node = Node<T>;
-
-    fn ptr_eq(a: &Node<T>, b: &Node<T>) -> bool {
-        Node::ptr_eq(a, b)
-    }
-
-    fn occupied_with(a: &Node<T>, b: &Node<T>) -> impl Iterator<Item = u32> {
-        a.word().occupied_with(b.word())
-    }
-
-    /// One cursor per slot group: each group is ascending by mask, so no
-    /// branch costs a popcount.
-    fn cursor<'a>(node: &'a Node<T>) -> impl FnMut(u32) -> At<'a, Self>
-    where
-        Self: 'a,
-    {
-        let (bitmap, mut elems, mut children) =
-            (node.word(), node.ones().iter(), node.children().iter());
-        move |m| match bitmap.get(m) {
-            Category::Cat1 => elems.next().map_or(At::Nothing, |e| At::Payload(e, &())),
-            Category::Node => children.next().map_or(At::Nothing, At::Sub),
-            _ => At::Nothing,
-        }
-    }
-
-    fn payload<'a>(node: &'a Node<T>) -> impl Iterator<Item = (&'a T, &'a ())> + Clone
-    where
-        Self: 'a,
-    {
-        node.ones().iter().map(|e| (e, &()))
-    }
-
-    fn children<'a>(node: &'a Node<T>) -> impl Iterator<Item = &'a Node<T>>
-    where
-        Self: 'a,
-    {
-        node.children().iter()
-    }
-
-    fn get<'a>(node: &'a Node<T>, hash: u32, shift: u32, key: &T) -> Option<&'a ()>
-    where
-        Self: 'a,
-    {
-        get(node, hash, shift, key).map(|_| &())
-    }
-}
-
-impl<T: Clone + Eq + Hash> Canonical for View<T> {
-    fn same_payload(a: &Node<T>, b: &Node<T>) -> bool {
-        a.word() == b.word() && a.ones() == b.ones()
-    }
-}
-
-impl<T: Clone + Eq + Hash> SetTrie for View<T> {
-    fn pair(h1: u32, e1: T, h2: u32, e2: T, shift: u32) -> Node<T> {
-        pair(h1, e1, h2, e2, shift)
-    }
-
-    fn insert(node: &mut Node<T>, hash: u32, shift: u32, e: T) -> bool {
-        insert_in_place(node, hash, shift, e)
-    }
-
-    fn remove(node: &mut Node<T>, hash: u32, shift: u32, e: &T) -> Removal<T> {
-        remove_in_place(node, hash, shift, e)
-    }
-
-    fn collision(elems: Vec<T>) -> Node<T> {
-        Node::new(SlotBitmap::EMPTY, elems, [], [])
-    }
-
-    fn assemble(
-        elem_masks: u32,
-        child_masks: u32,
-        elems: impl ExactSizeIterator<Item = T>,
-        children: impl ExactSizeIterator<Item = Node<T>>,
-    ) -> Node<T> {
-        let mut bitmap = SlotBitmap::EMPTY;
-        masks(elem_masks).for_each(|m| bitmap = bitmap.with(m, Category::Cat1));
-        masks(child_masks).for_each(|m| bitmap = bitmap.with(m, Category::Node));
-        Node::new(bitmap, elems, [], children)
-    }
+    node::get(root, hash32(value), 0, value).is_some()
 }
 
 /// A persistent (immutable, structurally shared) hash set.
@@ -361,16 +66,27 @@ impl<T: Clone + Eq + Hash> SetTrie for View<T> {
 /// new set sharing unchanged sub-tries with its ancestors. See the
 /// [module documentation](self) for the encoding.
 pub struct AxiomSet<T> {
-    pub(crate) root: Node<T>,
-    pub(crate) len: usize,
+    pub(crate) map: node::Map<SlotBitmap, T, ()>,
 }
 
 impl<T> Clone for AxiomSet<T> {
     fn clone(&self) -> Self {
         AxiomSet {
-            root: self.root.clone(),
-            len: self.len,
+            map: self.map.clone(),
         }
+    }
+}
+
+impl<T> AxiomSet<T> {
+    /// The set with the trie at `root`, holding `len` elements.
+    pub(crate) fn from_root(root: Node<T>, len: usize) -> Self {
+        AxiomSet {
+            map: node::Map::from_parts(root, len),
+        }
+    }
+
+    pub(crate) fn root_node(&self) -> &Node<T> {
+        self.map.root()
     }
 }
 
@@ -385,15 +101,13 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// ```
     pub fn new() -> Self {
         AxiomSet {
-            root: empty(),
-            len: 0,
+            map: node::Map::new(),
         }
     }
 
     /// Creates the two-element set used when a `1:1` multi-map slot is
     /// promoted to `1:n`. `a` and `b` must be distinct.
     pub(crate) fn from_two(a: T, b: T) -> Self {
-        debug_assert!(a != b);
         let (ha, hb) = (hash32(&a), hash32(&b));
         Self::from_two_hashed(a, ha, b, hb)
     }
@@ -402,19 +116,18 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// hashes nothing.
     pub(crate) fn from_two_hashed(a: T, ha: u32, b: T, hb: u32) -> Self {
         AxiomSet {
-            root: pair(ha, a, hb, b, 0),
-            len: 2,
+            map: node::Map::from_two(a, ha, b, hb),
         }
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// True if the set holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.map.is_empty()
     }
 
     /// Membership test.
@@ -430,7 +143,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        contains_root(&self.root, value)
+        self.map.get(value).is_some()
     }
 
     /// Returns a reference to the stored element equal to `value`, if any.
@@ -439,7 +152,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        get(&self.root, hash32(value), 0, value)
+        self.map.get(value).map(|(e, ())| e)
     }
 
     /// Returns a set additionally containing `value`; `self` is unchanged.
@@ -454,9 +167,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// so other handles to the previous version are unaffected. Returns true
     /// if the set grew.
     pub fn insert_mut(&mut self, value: T) -> bool {
-        let grew = insert_root(&mut self.root, value);
-        self.len += usize::from(grew);
-        grew
+        self.map.insert_mut(value, ()).is_none()
     }
 
     /// Returns a set without `value`; `self` is unchanged.
@@ -477,9 +188,7 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
         T: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        let shrank = remove_root(&mut self.root, value);
-        self.len -= usize::from(shrank);
-        shrank
+        self.map.remove_mut(value)
     }
 
     /// The sole element of a singleton set (multi-map demotion helper).
@@ -488,20 +197,18 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     ///
     /// Panics if the set does not hold exactly one element.
     pub(crate) fn sole(&self) -> &T {
-        assert_eq!(self.len, 1, "sole() requires a singleton set");
-        self.iter().next().expect("len == 1")
+        self.map.sole()
     }
 
     /// Iterates the elements in unspecified (trie) order.
     pub fn iter(&self) -> Iter<'_, T> {
-        Iter::new(&self.root, self.len)
+        Iter::new(self.root_node(), self.len())
     }
 
     /// Rebuilds the one-element set (canonicalization helper).
     pub(crate) fn singleton(value: T) -> Self {
         AxiomSet {
-            root: single(value),
-            len: 1,
+            map: node::Map::single(value),
         }
     }
 
@@ -510,100 +217,68 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// are reused wholesale, so the cost is O(changed) — and a self-union
     /// returns `self` without allocating.
     pub fn union(&self, other: &Self) -> Self {
-        self.or(algebra::union::<View<T>>(self.parts(), other.parts()))
+        AxiomSet {
+            map: self.map.union(&other.map),
+        }
     }
 
     /// Intersection of two sets via a lockstep structural walk (shared
     /// subtrees survive by pointer, cost O(changed)).
     pub fn intersect(&self, other: &Self) -> Self {
-        self.or(algebra::intersect::<View<T>>(self.parts(), other.parts()))
+        AxiomSet {
+            map: self.map.intersect(&other.map),
+        }
     }
 
     /// Elements of `self` not in `other`, via a lockstep structural walk
     /// (a shared subtree cancels out in O(1)).
     pub fn difference(&self, other: &Self) -> Self {
-        self.or(algebra::difference::<View<T>>(self.parts(), other.parts()))
+        AxiomSet {
+            map: self.map.difference(&other.map),
+        }
     }
 
     /// What changed between `self` (old) and `other` (new): pointer-shared
     /// subtrees emit nothing, so output and walk are both O(changed).
     pub fn diff(&self, other: &Self) -> SetDiff<T> {
-        algebra::diff::<View<T>, _>(&self.root, &other.root, SetDiff::new())
-    }
-
-    fn parts(&self) -> (&Node<T>, usize) {
-        (&self.root, self.len)
-    }
-
-    /// `self`, or the set at the root and length a walk built.
-    fn or(&self, walked: Option<(Node<T>, usize)>) -> Self {
-        walked.map_or_else(|| self.clone(), |(root, len)| AxiomSet { root, len })
+        self.map.diff(&other.map, SetDiff::new())
     }
 
     /// Element-wise union: iterates the smaller into the larger. Retained as
     /// the documented fallback path (differential-testing and benchmark
     /// baseline for the structural walk).
     pub fn union_elementwise(&self, other: &Self) -> Self {
-        let (big, small) = if self.len >= other.len {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let mut out = big.clone();
-        for v in small.iter() {
-            out.insert_mut(v.clone());
+        AxiomSet {
+            map: self.map.union_elementwise(&other.map),
         }
-        out
     }
 
     /// Element-wise intersection: scans the smaller, probes the larger.
     /// Retained as the documented fallback path (differential-testing and
     /// benchmark baseline for the structural walk).
     pub fn intersect_elementwise(&self, other: &Self) -> Self {
-        let (probe, scan) = if self.len >= other.len {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let mut out = AxiomSet::new();
-        for v in scan.iter() {
-            if probe.contains(v) {
-                out.insert_mut(v.clone());
-            }
+        AxiomSet {
+            map: self.map.intersect_elementwise(&other.map),
         }
-        out
     }
 
     /// Element-wise difference: probes `other` per element. Retained as the
     /// documented fallback path (differential-testing and benchmark baseline
     /// for the structural walk).
     pub fn difference_elementwise(&self, other: &Self) -> Self {
-        let mut out = AxiomSet::new();
-        for v in self.iter() {
-            if !other.contains(v) {
-                out.insert_mut(v.clone());
-            }
+        AxiomSet {
+            map: self.map.difference_elementwise(&other.map),
         }
-        out
     }
 
     /// True if every element of `self` is in `other`.
     pub fn is_subset(&self, other: &Self) -> bool {
-        self.len <= other.len && self.iter().all(|v| other.contains(v))
+        self.map.is_subset(&other.map)
     }
 
     /// True if the sets share no element.
     pub fn is_disjoint(&self, other: &Self) -> bool {
-        let (probe, scan) = if self.len >= other.len {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        scan.iter().all(|v| !probe.contains(v))
-    }
-
-    pub(crate) fn root_node(&self) -> &Node<T> {
-        &self.root
+        self.map.is_disjoint(&other.map)
     }
 
     /// Recursively checks the canonical-form invariants (test support).
@@ -613,56 +288,8 @@ impl<T: Clone + Eq + Hash> AxiomSet<T> {
     /// Panics if any structural invariant is violated.
     #[doc(hidden)]
     pub fn assert_invariants(&self) {
-        let counted = validate(&self.root, 0, None);
-        assert_eq!(counted, self.len, "len bookkeeping");
+        self.map.assert_invariants();
     }
-}
-
-/// Validates canonical form below `node`; returns the element count.
-pub(crate) fn validate<T: Clone + Eq + Hash>(
-    node: &Node<T>,
-    shift: u32,
-    prefix: Option<u32>,
-) -> usize {
-    if hash_exhausted(shift) {
-        let elems = node.ones();
-        assert!(node.children().is_empty(), "collision node with children");
-        assert!(elems.len() >= 2, "collision node with < 2 elements");
-        let hash = hash32(&elems[0]);
-        for (i, e) in elems.iter().enumerate() {
-            assert_eq!(hash32(e), hash, "collision member hash");
-            assert!(!elems[i + 1..].contains(e), "duplicate in collision node");
-        }
-        if let Some(p) = prefix {
-            assert_eq!(hash, p, "collision hash disagrees with path");
-        }
-        return elems.len();
-    }
-    let bitmap = node.word();
-    assert_eq!(bitmap.count(Category::Cat2), 0, "sets never use CAT2");
-    assert_eq!(
-        node.ones().len(),
-        bitmap.count(Category::Cat1),
-        "element count"
-    );
-    assert_eq!(node.children().len(), bitmap.node_arity(), "child count");
-    for (e, m) in node.ones().iter().zip(bitmap.masks_of(Category::Cat1)) {
-        assert_eq!(mask(hash32(e), shift), m, "element in wrong branch");
-    }
-    let mut total = node.ones().len();
-    for child in node.children() {
-        let sub = validate(child, next_shift(shift), prefix);
-        assert!(sub >= 2, "sub-trie with < 2 elements not inlined");
-        total += sub;
-    }
-    if shift > 0 {
-        assert!(
-            !(bitmap.payload_arity() == 1 && bitmap.node_arity() == 0),
-            "non-root singleton payload node must be inlined"
-        );
-        assert!(bitmap.arity() >= 1, "empty non-root node");
-    }
-    total
 }
 
 impl<T: Clone + Eq + Hash> Default for AxiomSet<T> {
@@ -700,7 +327,7 @@ impl<T: Clone + Eq + Hash> std::ops::Sub for &AxiomSet<T> {
 
 impl<T: Clone + Eq + Hash> PartialEq for AxiomSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && algebra::eq::<View<T>>(&self.root, &other.root)
+        self.map == other.map
     }
 }
 
@@ -710,19 +337,14 @@ impl<T: Clone + Eq + Hash> std::hash::Hash for AxiomSet<T> {
     /// Order-independent hash: the sum of per-element hashes, so equal sets
     /// hash equally regardless of trie-internal ordering.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let mut acc = 0u64;
-        for v in self.iter() {
-            acc = acc.wrapping_add(hash32(v) as u64);
-        }
-        state.write_u64(acc);
-        state.write_usize(self.len);
+        self.map.hash(state);
     }
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for AxiomSet<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set()
-            .entries(Iter::new(&self.root, self.len))
+            .entries(Iter::new(self.root_node(), self.map.len()))
             .finish()
     }
 }
@@ -756,26 +378,13 @@ impl<'a, T: Clone + Eq + Hash> IntoIterator for &'a AxiomSet<T> {
 ///
 /// The walk's stack lives in the iterator, so iterating allocates nothing.
 pub struct Iter<'a, T> {
-    elems: std::slice::Iter<'a, T>,
-    /// The unvisited children of each node on the path from the root.
-    stack: [std::slice::Iter<'a, Node<T>>; DEPTH],
-    depth: usize,
-    remaining: usize,
+    inner: node::Iter<'a, SlotBitmap, T, ()>,
 }
-
-/// The most nodes on one root-to-leaf path: seven bitmap levels consume the
-/// 32 hash bits five at a time, and a collision node may sit below them.
-const DEPTH: usize = 8;
 
 impl<'a, T> Iter<'a, T> {
     pub(crate) fn new(root: &'a Node<T>, len: usize) -> Self {
-        let mut stack: [std::slice::Iter<'a, Node<T>>; DEPTH] = Default::default();
-        stack[0] = root.children().iter();
         Iter {
-            elems: root.ones().iter(),
-            stack,
-            depth: 1,
-            remaining: len,
+            inner: node::Iter::new(root, len),
         }
     }
 }
@@ -784,24 +393,11 @@ impl<'a, T> Iterator for Iter<'a, T> {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
-        loop {
-            if let Some(e) = self.elems.next() {
-                self.remaining -= 1;
-                return Some(e);
-            }
-            match self.stack[..self.depth].last_mut()?.next() {
-                Some(child) => {
-                    self.elems = child.ones().iter();
-                    self.stack[self.depth] = child.children().iter();
-                    self.depth += 1;
-                }
-                None => self.depth -= 1,
-            }
-        }
+        self.inner.next().map(|(e, ())| e)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        self.inner.size_hint()
     }
 }
 
@@ -809,9 +405,7 @@ impl<'a, T> ExactSizeIterator for Iter<'a, T> {}
 
 impl<'a, T> std::fmt::Debug for Iter<'a, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Iter")
-            .field("remaining", &self.remaining)
-            .finish()
+        self.inner.fmt(f)
     }
 }
 
@@ -1032,13 +626,13 @@ mod tests {
         assert_eq!(u, b);
         // Union with self (or an equal-rooted successor) reuses the root handle.
         let self_union = a.union(&a.clone());
-        assert!(Node::ptr_eq(&self_union.root, &a.root));
+        assert!(Node::ptr_eq(self_union.root_node(), a.root_node()));
         // Union where `other` adds nothing also reuses the root.
         let back = b.union(&a);
-        assert!(Node::ptr_eq(&back.root, &b.root));
+        assert!(Node::ptr_eq(back.root_node(), b.root_node()));
         // Intersection with a superset keeps `self` unchanged by pointer.
         let inter = a.intersect(&b);
-        assert!(Node::ptr_eq(&inter.root, &a.root));
+        assert!(Node::ptr_eq(inter.root_node(), a.root_node()));
         // Difference against self is empty; against the successor drops 0.
         assert!(a.difference(&a.clone()).is_empty());
         assert_eq!(b.difference(&a).len(), 1);

@@ -14,7 +14,7 @@
 //!   probes);
 //! * [`snapshot`] — save/restore scenarios for the persistence layer
 //!   (sized relations plus hit/partial/miss probe oracles);
-//! * [`faults`] (behind the `fault-injection` feature) — seeded chaos-plan
+//! * `faults` (behind the `fault-injection` feature) — seeded chaos-plan
 //!   generation for the fault-injection harness, so panic/delay storms are
 //!   reproducible from a seed;
 //! * [`timing`] — JMH-like warmup + measurement iterations with median/MAD

@@ -8,7 +8,8 @@
 //!
 //! One `#[test]`, because the counters are process-wide.
 
-use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMultiMap, AxiomSet};
+use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet};
+use axiom_repro::champ::{ChampMap, ChampSet};
 use axiom_repro::heapmodel::alloc_counter::{live_bytes, CountingAlloc};
 use axiom_repro::heapmodel::RustFootprint;
 use axiom_repro::idiomatic::{ClojureMultiMap, NestedChampMultiMap, ScalaMultiMap};
@@ -51,6 +52,31 @@ fn footprint_walkers_match_live_bytes() {
             "AxiomSet",
             keys,
             built(|| w.keys.iter().copied().collect::<AxiomSet<u32>>()),
+        );
+        check(
+            "AxiomMap",
+            keys,
+            built(|| {
+                w.keys
+                    .iter()
+                    .map(|&k| (k, k))
+                    .collect::<AxiomMap<u32, u32>>()
+            }),
+        );
+        check(
+            "ChampMap",
+            keys,
+            built(|| {
+                w.keys
+                    .iter()
+                    .map(|&k| (k, k))
+                    .collect::<ChampMap<u32, u32>>()
+            }),
+        );
+        check(
+            "ChampSet",
+            keys,
+            built(|| w.keys.iter().copied().collect::<ChampSet<u32>>()),
         );
         check(
             "AxiomMultiMap",

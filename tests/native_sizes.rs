@@ -1,4 +1,5 @@
-//! Exact native sizes of the AXIOM collections, pinned.
+//! Exact native sizes of the AXIOM collections and the CHAMP baselines,
+//! pinned.
 //!
 //! These are what the allocator holds, by the `RustFootprint` walk, and are
 //! exact for a given workload seed. A change to the node layout moves them;
@@ -8,7 +9,8 @@
 use std::mem::size_of;
 
 use axiom_repro::axiom::bag::SetEntry;
-use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMultiMap, AxiomSet};
+use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet};
+use axiom_repro::champ::{ChampMap, ChampSet};
 use axiom_repro::heapmodel::RustFootprint;
 use axiom_repro::workloads::build::multimap_transient;
 use axiom_repro::workloads::data::multimap_workload;
@@ -39,4 +41,21 @@ fn native_bytes_at_2_14_keys_seed_11_are_pinned() {
     assert_eq!(mm.rust_bytes(), 499_240);
     // 20.06 B per tuple.
     assert_eq!(fused.rust_bytes(), 493_000);
+}
+
+#[test]
+fn maps_and_the_champ_set_at_2_14_keys_seed_11_are_pinned() {
+    // The same keys as above, each bound to itself. All four tries store a
+    // node as one block with a 16-byte header, and AXIOM's `CAT1`/`NODE`
+    // tags and CHAMP's two bitmaps give the same shape, so each map matches
+    // the other and each set the AXIOM set.
+    let w = multimap_workload(1 << 14, 11);
+    let axiom: AxiomMap<u32, u32> = w.keys.iter().map(|&k| (k, k)).collect();
+    let champ: ChampMap<u32, u32> = w.keys.iter().map(|&k| (k, k)).collect();
+    let set: ChampSet<u32> = w.keys.iter().copied().collect();
+    // 14.09 B per entry.
+    assert_eq!(axiom.rust_bytes(), 230_856);
+    assert_eq!(champ.rust_bytes(), 230_856);
+    // 10.31 B per element.
+    assert_eq!(set.rust_bytes(), 168_960);
 }
