@@ -9,7 +9,7 @@
 use axiom::AxiomMap;
 use champ::ChampMap;
 use heapmodel::{JvmArch, JvmFootprint, LayoutPolicy};
-use paper_bench::{map_times, HarnessConfig};
+use paper_bench::{map_times, time_pair, HarnessConfig};
 use workloads::data::map_workload;
 use workloads::timing::RatioSummary;
 use workloads::{Table, SEEDS};
@@ -43,12 +43,15 @@ fn main() {
     let mut all: [Vec<f64>; 6] = Default::default();
     let mut footprints_equal = true;
 
-    for &size in &cfg.sizes() {
+    for (size_index, &size) in cfg.sizes().iter().enumerate() {
         let mut per_size: [Vec<f64>; 6] = Default::default();
-        for &seed in &SEEDS[..cfg.seeds] {
+        for (seed_index, &seed) in SEEDS[..cfg.seeds].iter().enumerate() {
             let w = map_workload(size, seed);
-            let axiom = map_times::<AxiomMap<u32, u32>>(&w, &cfg.opts);
-            let champ = map_times::<ChampMap<u32, u32>>(&w, &cfg.opts);
+            let (axiom, champ) = time_pair(
+                size_index + seed_index,
+                || map_times::<AxiomMap<u32, u32>>(&w, &cfg.opts),
+                || map_times::<ChampMap<u32, u32>>(&w, &cfg.opts),
+            );
             let ratios = [
                 champ.lookup.median_ns / axiom.lookup.median_ns,
                 champ.lookup_fail.median_ns / axiom.lookup_fail.median_ns,

@@ -14,17 +14,22 @@
 //!   file): exit nonzero if any overlapping `(impl, op, keys)` data point is
 //!   more than `GATE_FACTOR` (3.0) times slower than the baseline.
 //!
-//! The same-run gate always runs: the AXIOM map's `lookup_hit` median must
-//! stay within `MAX_VS_CHAMP` (2.5) of CHAMP's at every size.
+//! The same-run gates always run: the AXIOM map's `lookup_hit` median must
+//! stay within `MAX_VS_CHAMP` (2.5) of CHAMP's at every size, and the AXIOM
+//! multi-map's batched `get_many` must cost at most `MAX_BATCHED` (0.85) of
+//! per-key `get` on a 2^20-key store (both profiles), the size at which a
+//! lookup misses the cache and batching has misses to overlap.
 
 use std::time::Duration;
 
-use axiom::AxiomMap;
+use axiom::{AxiomMap, AxiomMultiMap};
 use champ::ChampMap;
 use hamt::{HamtMap, MemoHamtMap};
 use paper_bench::report::{die, Gate, Profile, Report, Row, Run};
-use trie_common::ops::{MapOps, TransientOps};
-use workloads::data::map_workload;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use trie_common::ops::{MapOps, MultiMapOps, TransientOps};
+use workloads::data::{map_workload, multimap_workload};
 use workloads::timing::{measure, BenchOptions, Stats};
 
 const SEED: u64 = 11;
@@ -38,6 +43,75 @@ const GATE_FACTOR: f64 = 3.0;
 /// Machine-independent, so it holds on any runner (the paper's fig. 6
 /// deficit is ~×1.2).
 const MAX_VS_CHAMP: f64 = 2.5;
+
+/// Same-run gate: batched `get_many` over per-key `get`, per key, on the
+/// `BATCHED_KEYS` multi-map.
+const MAX_BATCHED: f64 = 0.85;
+
+/// Keys of the batched-lookup store: 2^20, as many as the served
+/// `feed_read` store, far larger than the last-level cache.
+const BATCHED_KEYS: usize = 1 << 20;
+
+/// Probed keys per measured repetition of the batched-lookup rows.
+const BATCHED_PROBES: usize = 1 << 15;
+
+/// Per-key `get` against `get_many` on an `AxiomMultiMap<u32, u32>` of
+/// `BATCHED_KEYS` keys, 50 % 1:1 and 50 % 1:2 (the `feed_read` shape).
+/// Present keys are probed in random order, in batches of 8–16 keys, and
+/// every value of each answer is read, as a `ValuesOf` reply does.
+fn bench_batched(opts: &BenchOptions, report: &mut Report) {
+    let w = multimap_workload(BATCHED_KEYS, SEED);
+    let mm: AxiomMultiMap<u32, u32> = workloads::multimap_transient(&w.tuples);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let probes: Vec<&u32> = (0..BATCHED_PROBES)
+        .map(|_| &w.keys[rng.gen_range(0..w.keys.len())])
+        .collect();
+    let mut batches = Vec::new();
+    let mut rest = &probes[..];
+    while !rest.is_empty() {
+        let (batch, tail) = rest.split_at(rng.gen_range(8usize..=16).min(rest.len()));
+        batches.push(batch);
+        rest = tail;
+    }
+    let sum = |vs: Option<<AxiomMultiMap<u32, u32> as MultiMapOps<u32, u32>>::Values<'_>>| {
+        vs.map_or(0, |vs| vs.iter().map(|&v| u64::from(v)).sum::<u64>())
+    };
+    let sequential = || {
+        batches
+            .iter()
+            .flat_map(|batch| batch.iter().map(|k| sum(mm.get(k))))
+            .sum::<u64>()
+    };
+    let mut found = Vec::with_capacity(16);
+    let mut batched = || {
+        let mut total = 0;
+        for batch in &batches {
+            found.clear();
+            mm.get_many(batch, &mut found);
+            total += found.drain(..).map(sum).sum::<u64>();
+        }
+        total
+    };
+    assert_eq!(sequential(), batched(), "get_many disagrees with get");
+    // One walk over every batch per measured repetition.
+    let opts = BenchOptions {
+        inner_reps: 1,
+        ..*opts
+    };
+    for (op, stats) in [
+        ("get_sequential", measure(&opts, sequential)),
+        ("get_many", measure(&opts, &mut batched)),
+    ] {
+        report.push(
+            Row::new()
+                .str("impl", "axiom-multimap")
+                .str("op", op)
+                .int("keys", BATCHED_KEYS)
+                .num("median_ns", stats.median_ns / BATCHED_PROBES as f64, 3)
+                .num("mad_ns", stats.mad_ns / BATCHED_PROBES as f64, 3),
+        );
+    }
+}
 
 fn bench_map<M>(name: &str, keys: usize, opts: &BenchOptions, report: &mut Report)
 where
@@ -89,7 +163,8 @@ fn main() {
     let started = std::time::Instant::now();
     let mut report = Report::new("axiom-query-v1", &run).seed(SEED).about(
         "ns_per_op",
-        "median ns per operation (lookups: per probe of an 8-probe burst; iterate: per element)",
+        "median ns per operation (lookups: per probe of an 8-probe burst; iterate: per element; \
+         get_sequential/get_many: per probed key)",
     );
     for &keys in &sizes {
         bench_map::<AxiomMap<u32, u32>>("axiom-map", keys, &opts, &mut report);
@@ -97,6 +172,7 @@ fn main() {
         bench_map::<HamtMap<u32, u32>>("hamt-map", keys, &opts, &mut report);
         bench_map::<MemoHamtMap<u32, u32>>("memo-hamt-map", keys, &opts, &mut report);
     }
+    bench_batched(&opts, &mut report);
     let elapsed = started.elapsed();
     report.emit(&run);
     eprintln!("measured {} rows in {elapsed:.1?}", report.rows().len());
@@ -121,6 +197,19 @@ fn main() {
             ),
         );
     }
+    let per_key = |op: &str| {
+        report
+            .find(|r| r.is("impl", "axiom-multimap") && r.is("op", op))
+            .num_of("median_ns")
+    };
+    let ratio = per_key("get_many") / per_key("get_sequential");
+    gate.check(
+        ratio <= MAX_BATCHED,
+        format!(
+            "axiom-multimap get_many is x{ratio:.2} of per-key get at {BATCHED_KEYS} keys \
+             (allowed x{MAX_BATCHED:.2})"
+        ),
+    );
     if let Some(path) = &run.gate {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(format!("reading gate baseline {path}: {e}")));

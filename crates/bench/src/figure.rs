@@ -13,7 +13,7 @@ use workloads::data::multimap_workload;
 use workloads::timing::RatioSummary;
 use workloads::{Table, SEEDS};
 
-use crate::{multimap_times, HarnessConfig};
+use crate::{multimap_times, time_pair, HarnessConfig};
 
 /// Collected speedup/footprint ratios for one figure.
 #[derive(Debug)]
@@ -62,12 +62,15 @@ where
         footprint_64: vec![],
     };
 
-    for &size in &cfg.sizes() {
+    for (size_index, &size) in cfg.sizes().iter().enumerate() {
         let mut per_size: [Vec<f64>; 6] = Default::default();
-        for &seed in &SEEDS[..cfg.seeds] {
+        for (seed_index, &seed) in SEEDS[..cfg.seeds].iter().enumerate() {
             let w = multimap_workload(size, seed);
-            let axiom = multimap_times::<AxiomMultiMap<u32, u32>>(&w, &cfg.opts);
-            let base = multimap_times::<B>(&w, &cfg.opts);
+            let (axiom, base) = time_pair(
+                size_index + seed_index,
+                || multimap_times::<AxiomMultiMap<u32, u32>>(&w, &cfg.opts),
+                || multimap_times::<B>(&w, &cfg.opts),
+            );
 
             let ratios = [
                 base.lookup.median_ns / axiom.lookup.median_ns,

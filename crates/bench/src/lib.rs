@@ -35,6 +35,28 @@ use workloads::concurrent::ReadProbe;
 use workloads::data::{MapWorkload, MultiMapWorkload};
 use workloads::timing::{measure, BenchOptions, Stats};
 
+/// Times one figure data point's two sides, AXIOM's and its baseline's, in
+/// an order that alternates with `point` (the size index plus the seed
+/// index, so it alternates per seed, and per size when one seed runs).
+/// Whichever side runs second meets the heap and caches the first left, so
+/// a fixed order would put that effect into every ratio on one side.
+pub fn time_pair<A, B>(
+    point: usize,
+    axiom: impl FnOnce() -> A,
+    baseline: impl FnOnce() -> B,
+) -> (A, B) {
+    match point % 2 {
+        0 => {
+            let a = axiom();
+            (a, baseline())
+        }
+        _ => {
+            let b = baseline();
+            (axiom(), b)
+        }
+    }
+}
+
 /// Per-operation timings of one multi-map implementation on one workload.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiMapTimes {

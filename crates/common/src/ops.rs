@@ -204,6 +204,18 @@ pub trait MultiMapOps<K, V>: Clone {
     /// caller asking several questions of one key pays for its hash once.
     fn get(&self, key: &K) -> Option<Self::Values<'_>>;
 
+    /// Looks up every key of `keys` at once, appending one
+    /// [`MultiMapOps::get`] answer per key to `out`, in the order of `keys`
+    /// (absent and repeated keys included).
+    ///
+    /// The default calls `get` per key. A trie whose nodes are far apart in
+    /// memory can do better by walking all keys level by level and
+    /// prefetching each next node, so that the cache misses of the batch
+    /// overlap (the AXIOM multi-map does).
+    fn get_many<'a>(&'a self, keys: &[&K], out: &mut Vec<Option<Self::Values<'a>>>) {
+        out.extend(keys.iter().map(|key| self.get(key)));
+    }
+
     /// True if `key` maps to at least one value.
     fn contains_key(&self, key: &K) -> bool {
         self.get(key).is_some()
@@ -236,7 +248,8 @@ pub trait MultiMapOps<K, V>: Clone {
     /// Iterates the distinct keys.
     fn keys(&self) -> Self::Keys<'_>;
 
-    /// Iterates the values associated with `key` (nothing if absent).
+    /// Iterates the values associated with `key` (nothing if absent), in
+    /// the order `get(key)`'s [`ValuesView::iter`] yields them.
     fn values_of<'a>(&'a self, key: &K) -> Self::ValuesOf<'a>;
 
     /// Invokes `f` for every tuple, in unspecified order.

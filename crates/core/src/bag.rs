@@ -505,6 +505,15 @@ impl<'a, V> BagRef<'a, V> {
         self.len() == 0
     }
 
+    /// Hints the CPU to load the bag's first values: the set trie's root
+    /// node or the inline values (see [`trie_common::packed::prefetch`]).
+    pub(crate) fn prefetch(&self) {
+        match self.0 {
+            Values::Set(root, _) => root.prefetch(),
+            Values::Inline(vs) => trie_common::packed::prefetch(vs),
+        }
+    }
+
     /// Iterates the values in unspecified order.
     pub fn iter(&self) -> BagIter<'a, V> {
         match self.0 {

@@ -297,33 +297,61 @@ fn collision_find<'a, K: Eq, V, B: ValueBag<V>>(
     Some((ones.len() + pos, Found::Many(&node.manys()[pos])))
 }
 
+/// One level of a lookup: the key's answer, or the sub-trie it goes on in.
+enum Step<'a, K, V, B: BagSlot<V>> {
+    Done(Option<Found<'a, K, V, B>>),
+    Down(&'a Node<K, V, B>),
+}
+
+/// One level of the lookup of `key` (hashed to `hash`) in `node` at
+/// `shift`: the step [`find`] loops on, and the one
+/// [`AxiomMultiMap::get_many`] takes for every walking key per round.
+#[inline(always)]
+fn step<'a, K, V, B>(node: &'a Node<K, V, B>, hash: u32, shift: u32, key: &K) -> Step<'a, K, V, B>
+where
+    K: Eq,
+    B: ValueBag<V>,
+{
+    if hash_exhausted(shift) {
+        return Step::Done(collision_find(node, key).map(|(_, found)| found));
+    }
+    // Fused dispatch: category and slot index from one pass.
+    match node.word().locate(mask(hash, shift)) {
+        (Category::Empty, _) => Step::Done(None),
+        (Category::Cat1, idx) => {
+            let (k, v) = node.one(idx);
+            Step::Done((k == key).then_some(Found::One(v)))
+        }
+        (Category::Cat2, idx) => {
+            let many = node.many(idx);
+            Step::Done((many.key() == key).then_some(Found::Many(many)))
+        }
+        (Category::Node, idx) => Step::Down(node.child(idx)),
+    }
+}
+
 fn find<'a, K, V, B>(
-    node: &'a Node<K, V, B>,
+    mut node: &'a Node<K, V, B>,
     hash: u32,
-    shift: u32,
+    mut shift: u32,
     key: &K,
 ) -> Option<Found<'a, K, V, B>>
 where
     K: Eq,
     B: ValueBag<V>,
 {
-    if hash_exhausted(shift) {
-        return collision_find(node, key).map(|(_, found)| found);
-    }
-    // Fused dispatch: category and slot index from one pass.
-    match node.word().locate(mask(hash, shift)) {
-        (Category::Empty, _) => None,
-        (Category::Cat1, idx) => {
-            let (k, v) = node.one(idx);
-            (k == key).then_some(Found::One(v))
+    loop {
+        match step(node, hash, shift, key) {
+            Step::Done(found) => return found,
+            Step::Down(child) => (node, shift) = (child, next_shift(shift)),
         }
-        (Category::Cat2, idx) => {
-            let many = node.many(idx);
-            (many.key() == key).then_some(Found::Many(many))
-        }
-        (Category::Node, idx) => find(node.child(idx), hash, next_shift(shift), key),
     }
 }
+
+/// Keys whose walks [`AxiomMultiMap::get_many`] runs side by side: enough
+/// to overlap a batch's cache misses, few enough for the cursors to live
+/// on the stack.
+const LANES: usize = 16;
 
 /// Prefix clash at mask `m`: the payload at `idx` (of category `cat`) and
 /// the new binding of `key` (hashed to `hash`) descend into a fresh
@@ -1126,6 +1154,62 @@ where
     /// Borrowed view of the values bound to `key`.
     pub fn get(&self, key: &K) -> Option<BindingRef<'_, V>> {
         find(&self.root, hash32(key), 0, key).map(Found::binding)
+    }
+
+    /// Looks up every key of `keys`, appending one [`AxiomMultiMap::get`]
+    /// answer per key to `out`, in order.
+    ///
+    /// Up to 16 keys walk the trie together, level by level: in each round
+    /// every key still walking takes the one level step a `get` takes and
+    /// prefetches the node it goes on in (or, on a `1:n` hit, its nested
+    /// bag), so the cache misses of the batch overlap instead of queueing
+    /// one behind another.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use axiom::AxiomMultiMap;
+    ///
+    /// let mm: AxiomMultiMap<u32, u32> = [(1, 10), (1, 11), (2, 20)].into_iter().collect();
+    /// let mut out = Vec::new();
+    /// mm.get_many(&[&2, &3, &1], &mut out);
+    /// let lens: Vec<_> = out.iter().map(|b| b.map(|b| b.len())).collect();
+    /// assert_eq!(lens, [Some(1), None, Some(2)]);
+    /// ```
+    pub fn get_many<'a>(&'a self, keys: &[&K], out: &mut Vec<Option<BindingRef<'a, V>>>) {
+        out.reserve(keys.len());
+        for batch in keys.chunks(LANES) {
+            let base = out.len();
+            out.extend(std::iter::repeat_n(None, batch.len()));
+            let found = &mut out[base..];
+            // One cursor per walking key: its node, its hash and its lane.
+            let mut walking = [(&self.root, 0, 0); LANES];
+            for (lane, key) in batch.iter().enumerate() {
+                walking[lane] = (&self.root, hash32(*key), lane);
+            }
+            let (mut live, mut shift) = (batch.len(), 0);
+            while live > 0 {
+                let mut kept = 0;
+                for i in 0..live {
+                    let (node, hash, lane) = walking[i];
+                    match step(node, hash, shift, batch[lane]) {
+                        Step::Down(child) => {
+                            child.prefetch();
+                            walking[kept] = (child, hash, lane);
+                            kept += 1;
+                        }
+                        Step::Done(hit) => {
+                            let binding = hit.map(Found::binding);
+                            if let Some(BindingRef::Many(bag)) = binding {
+                                bag.prefetch();
+                            }
+                            found[lane] = binding;
+                        }
+                    }
+                }
+                (live, shift) = (kept, next_shift(shift));
+            }
+        }
     }
 
     /// True if `key` maps to at least one value.

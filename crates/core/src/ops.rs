@@ -240,6 +240,10 @@ where
         AxiomMultiMap::get(self, key)
     }
 
+    fn get_many<'a>(&'a self, keys: &[&K], out: &mut Vec<Option<Self::Values<'a>>>) {
+        AxiomMultiMap::get_many(self, keys, out)
+    }
+
     fn inserted(&self, key: K, value: V) -> Self {
         AxiomMultiMap::inserted(self, key, value)
     }

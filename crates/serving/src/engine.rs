@@ -591,7 +591,7 @@ fn supervise(stats: &StatsCore, work: impl Fn()) {
 fn answer_batch<S: Serve>(snap: &S::Snapshot, ops: &[S::Read]) -> BatchReply<S::Reply> {
     BatchReply {
         epoch: S::epoch_of(snap),
-        replies: ops.iter().map(|op| S::answer(snap, op)).collect(),
+        replies: S::answer_batch(snap, ops),
     }
 }
 

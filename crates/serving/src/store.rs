@@ -13,7 +13,7 @@
 use std::hash::Hash;
 
 use sharded::{EditKind, EpochConflict, Map, MultiMap, Set, Sharded, Snapshot};
-use trie_common::ops::{MapMutOps, MultiMapMutOps, SetMutOps};
+use trie_common::ops::{MapMutOps, MultiMapMutOps, SetMutOps, ValuesView};
 
 use crate::ops::{MapRead, MapReply, MultiMapRead, MultiMapReply, SetRead, SetReply};
 
@@ -51,6 +51,18 @@ pub trait Serve: Send + Sync + 'static {
     /// Answers one read against a pinned snapshot.
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply;
 
+    /// Answers a batch of reads against one pinned snapshot: one reply per
+    /// op, in op order, each what [`Serve::answer`] gives for it. Every
+    /// read the engine serves goes through here (the wire's writer half,
+    /// [`Engine::execute`](crate::Engine::execute) and the read pool).
+    ///
+    /// The default calls `answer` per op; a store can share work across
+    /// the batch, as the multi-map kind does with one
+    /// [`get_many`](trie_common::ops::MultiMapOps::get_many) per shard.
+    fn answer_batch(snap: &Self::Snapshot, ops: &[Self::Read]) -> Vec<Self::Reply> {
+        ops.iter().map(|op| Self::answer(snap, op)).collect()
+    }
+
     /// Appends the shard indices `op` reads from to `out` (what a
     /// transaction validates at commit).
     fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>);
@@ -79,6 +91,13 @@ pub trait ServeKind<C>: EditKind<C> {
 
     /// Answers one read against a pinned snapshot.
     fn answer(snap: &Snapshot<C, Self>, op: &Self::Read) -> Self::Reply;
+
+    /// Answers a batch of reads against one pinned snapshot, one reply per
+    /// op in op order (see [`Serve::answer_batch`]). The default calls
+    /// `answer` per op.
+    fn answer_batch(snap: &Snapshot<C, Self>, ops: &[Self::Read]) -> Vec<Self::Reply> {
+        ops.iter().map(|op| Self::answer(snap, op)).collect()
+    }
 
     /// Appends the shard indices `op` reads from to `out`.
     fn read_shards(snap: &Snapshot<C, Self>, op: &Self::Read, out: &mut Vec<usize>);
@@ -113,6 +132,10 @@ where
 
     fn answer(snap: &Self::Snapshot, op: &Self::Read) -> Self::Reply {
         Kd::answer(snap, op)
+    }
+
+    fn answer_batch(snap: &Self::Snapshot, ops: &[Self::Read]) -> Vec<Self::Reply> {
+        Kd::answer_batch(snap, ops)
     }
 
     fn read_shards(snap: &Self::Snapshot, op: &Self::Read, out: &mut Vec<usize>) {
@@ -219,15 +242,75 @@ where
         }
     }
 
+    /// Looks up every key the batch's `ValuesOf`, `ContainsKey`,
+    /// `ContainsTuple` and `FanOut` ops probe with one
+    /// [`get_many`](trie_common::ops::MultiMapOps::get_many) per shard, then
+    /// builds the replies in op order; `Scan` and `TupleCount` take the
+    /// per-op path. The replies are those of [`ServeKind::answer`].
+    fn answer_batch(
+        snap: &Snapshot<M, Self>,
+        ops: &[MultiMapRead<K, V>],
+    ) -> Vec<MultiMapReply<K, V>> {
+        // Every probed key, numbered in op order and grouped by shard.
+        let probed = ops.iter().map(|op| probed_keys(op).len()).sum();
+        let mut routed: Vec<(usize, usize, &K)> = Vec::with_capacity(probed);
+        routed.extend(
+            ops.iter()
+                .flat_map(probed_keys)
+                .enumerate()
+                .map(|(at, key)| (snap.shard_of(key), at, key)),
+        );
+        routed.sort_unstable_by_key(|&(shard, at, _)| (shard, at));
+        let keys: Vec<&K> = routed.iter().map(|&(_, _, key)| key).collect();
+        let mut found = Vec::with_capacity(keys.len());
+        let mut start = 0;
+        for run in routed.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len();
+            snap.shard(run[0].0).get_many(&keys[start..end], &mut found);
+            start = end;
+        }
+        // `found[j]` answers `routed[j]`; take the answers in op order.
+        let mut rank = vec![0; routed.len()];
+        for (j, &(_, at, _)) in routed.iter().enumerate() {
+            rank[at] = j;
+        }
+        let mut answers = rank.into_iter().map(|j| found[j].take());
+        let mut next = || answers.next().expect("one answer per probed key");
+        let values =
+            |vs: Option<M::Values<'_>>| vs.map_or_else(Vec::new, |vs| vs.iter().cloned().collect());
+        ops.iter()
+            .map(|op| match op {
+                MultiMapRead::ValuesOf(_) => MultiMapReply::Values(values(next())),
+                MultiMapRead::FanOut(keys) => MultiMapReply::FanOut(
+                    keys.iter().map(|k| (k.clone(), values(next()))).collect(),
+                ),
+                MultiMapRead::ContainsKey(_) => MultiMapReply::Bool(next().is_some()),
+                MultiMapRead::ContainsTuple(_, v) => {
+                    MultiMapReply::Bool(next().is_some_and(|vs| vs.contains(v)))
+                }
+                MultiMapRead::Scan { .. } | MultiMapRead::TupleCount => Self::answer(snap, op),
+            })
+            .collect()
+    }
+
     fn read_shards(snap: &Snapshot<M, Self>, op: &MultiMapRead<K, V>, out: &mut Vec<usize>) {
         match op {
-            MultiMapRead::ValuesOf(k)
-            | MultiMapRead::ContainsKey(k)
-            | MultiMapRead::ContainsTuple(k, _) => out.push(snap.shard_of(k)),
-            MultiMapRead::FanOut(keys) => out.extend(keys.iter().map(|k| snap.shard_of(k))),
             MultiMapRead::Scan { .. } | MultiMapRead::TupleCount => {
                 out.extend(0..snap.shard_count())
             }
+            _ => out.extend(probed_keys(op).iter().map(|k| snap.shard_of(k))),
         }
+    }
+}
+
+/// The keys a multi-map read looks up one by one: none for `Scan` and
+/// `TupleCount`.
+fn probed_keys<K, V>(op: &MultiMapRead<K, V>) -> &[K] {
+    match op {
+        MultiMapRead::ValuesOf(k)
+        | MultiMapRead::ContainsKey(k)
+        | MultiMapRead::ContainsTuple(k, _) => std::slice::from_ref(k),
+        MultiMapRead::FanOut(keys) => keys,
+        MultiMapRead::Scan { .. } | MultiMapRead::TupleCount => &[],
     }
 }
