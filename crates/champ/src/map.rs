@@ -86,6 +86,7 @@ impl Bitmap for Bitmaps {
                 datamap,
                 nodemap: nodemap | bit,
             },
+            Branch::Many => unreachable!("a CHAMP node holds no second payload kind"),
         }
     }
 

@@ -1,28 +1,38 @@
-//! The bitmap-trie node walk of the AXIOM and CHAMP sets and maps, written
-//! once.
+//! The bitmap-trie node walk of every AXIOM and CHAMP trie, written once:
+//! the sets, the maps and the AXIOM multi-map.
 //!
 //! A set is the homogeneous case of the AXIOM encoding, "exactly the CHAMP
-//! special case" (paper §3.1), and a set is a map to `()`. So the four
-//! tries are one node and one walk over two bitmap syntaxes:
+//! special case" (paper §3.1), a set is a map to `()`, and the multi-map is
+//! the same trie with a second payload kind. So the five tries are one node
+//! and one walk over two bitmap syntaxes:
 //!
 //! * a node is a [`Packed`] block holding its bitmap word, its inlined
-//!   `(key, value)` entries ascending by mask and its sub-trie handles
-//!   ascending by mask; `(T, ())` has the size of `T`, so a set node is
-//!   what it would be with the elements alone;
-//! * the word is any [`Bitmap`]: AXIOM's 2-bit `SlotBitmap` using `CAT1`
-//!   and `NODE` only, or CHAMP's `(datamap, nodemap)` pair. Both fit the
+//!   `(key, value)` entries, its second-kind payloads `M` and its sub-trie
+//!   handles, each group ascending by mask; `(T, ())` has the size of `T`,
+//!   so a set node is what it would be with the elements alone;
+//! * `M` is the second payload kind ([`Many`]): a multi-map's `CAT2`
+//!   element, a key bound to two or more values. Sets and maps have none:
+//!   their `M` is [`Infallible`], so every arm that meets one is
+//!   uninhabited and drops out of their code;
+//! * the word is any [`Bitmap`]: AXIOM's 2-bit `SlotBitmap` with `CAT1`,
+//!   `CAT2` and `NODE`, or CHAMP's `(datamap, nodemap)` pair. Both fit the
 //!   block's 16-byte header;
-//! * past the last hash level a node is a collision node: entries sharing
-//!   one 32-bit hash, no children, an `EMPTY` word. The walks tell it from
-//!   a bitmap node by depth.
+//! * past the last hash level a node is a collision node: payloads whose
+//!   keys share one 32-bit hash, no children, an unused word. The walks
+//!   tell it from a bitmap node by depth.
 //!
-//! The walk provides point lookup ([`get`]), insertion that replaces a
-//! value only when it is unequal ([`insert_root`]), removal that inlines a
-//! sub-trie left with one entry into its parent ([`remove_root`]), the
-//! iterator ([`Iter`]), the canonical-form check ([`validate`]), the
-//! [`algebra`] view ([`View`]) and the traversal of the footprint walks
-//! ([`visit`]). [`Map`] is the handle the four public types wrap: a root
-//! node and its length.
+//! The walk provides point lookup ([`get`]) and its level-synchronous,
+//! prefetching batch form ([`get_many`]), insertion ([`bind`] of a
+//! [`Value`]), removal that inlines a sub-trie left with one payload into
+//! its parent ([`remove_root`]), the iterator ([`Iter`]), the canonical-form
+//! check ([`validate`]), the [`algebra`] view ([`View`]) and the traversal
+//! of the footprint walks ([`visit`]). What differs between the payload
+//! kinds is a few hooks of [`Many`]: what inserting a value does at a key's
+//! slot (a map replaces the value, a multi-map promotes the key or grows its
+//! bag), what removing one value does (a bag shrinks, or the key is
+//! demoted) and the bag invariants [`validate`] checks. A multi-map put that
+//! rebinds a key whole is a [`Bind`] of its own. [`Map`] is the handle the
+//! four set and map types wrap: a root node and its length.
 
 use std::borrow::Borrow;
 use std::convert::Infallible;
@@ -32,7 +42,7 @@ use std::marker::PhantomData;
 use crate::algebra::{self, masks, At, Canonical, Removal, SetTrie, Sink, Trie};
 use crate::bits::{hash_exhausted, mask, next_shift};
 use crate::hash::hash32;
-use crate::packed::{Children, Ones, Packed, Slot};
+use crate::packed::{Children, Manys, Ones, Packed, Slot};
 use crate::slices::{edit_child, insert_slot, remove_slot, survivor};
 
 /// What a node holds at one branch.
@@ -40,15 +50,19 @@ use crate::slices::{edit_child, insert_slot, remove_slot, survivor};
 pub enum Branch {
     /// Nothing.
     Empty,
-    /// An inlined entry.
+    /// An inlined entry: a key and its one value (AXIOM's `CAT1`).
     Payload,
+    /// A payload of the second kind: a key and its two or more values
+    /// (AXIOM's `CAT2`). Set and map nodes hold none.
+    Many,
     /// A sub-trie.
     Node,
 }
 
 /// A bitmap syntax: how a node's word records which of its 32 branches
-/// hold an entry and which a sub-trie, and where each sits in the node's
-/// slots (entries first, then sub-tries, each ascending by mask).
+/// hold which kind of slot, and where each sits in the node's slots
+/// (entries first, then second-kind payloads, then sub-tries, each
+/// ascending by mask).
 pub trait Bitmap: Copy + Eq {
     /// The word of a node with every branch empty.
     const EMPTY: Self;
@@ -66,7 +80,7 @@ pub trait Bitmap: Copy + Eq {
     /// The absolute slot index of branch `mask`, which holds `branch`.
     fn slot_index(self, branch: Branch, mask: u32) -> usize;
 
-    /// Number of branches holding an entry.
+    /// Number of branches holding a payload of either kind.
     fn payload_arity(self) -> usize;
 
     /// Number of branches holding a sub-trie.
@@ -76,305 +90,740 @@ pub trait Bitmap: Copy + Eq {
     fn occupied_with(self, other: Self) -> impl Iterator<Item = u32>;
 }
 
-/// A trie node: one allocation holding the word, the inlined entries and
-/// the sub-trie handles.
-pub type Node<W, K, V> = Packed<W, (K, V), Infallible>;
+/// A trie node: one allocation holding the word, the inlined entries, the
+/// second-kind payloads and the sub-trie handles.
+pub type Node<W, K, V, M = Infallible> = Packed<W, (K, V), M>;
 
-/// The minimal sub-trie holding two entries with distinct keys whose hash
+/// One payload by value, as an edit moves it: an entry or a second-kind
+/// payload (a node's [`Slot`], never a child).
+pub type Payload<W, K, V, M> = Slot<(K, V), M, Node<W, K, V, M>>;
+
+/// A node's second payload kind: a key bound to two or more values, the
+/// AXIOM multi-map's `CAT2` element. Sets and maps have none, so they use
+/// [`Infallible`]. The hooks are the steps of the walk where the two kinds
+/// differ.
+pub trait Many<K, V>: Clone {
+    /// The key.
+    fn key(&self) -> &K;
+
+    /// Number of values bound to the key (at least two).
+    fn value_count(&self) -> usize;
+
+    /// Hints the CPU to load the values: [`get_many`] calls it on a hit,
+    /// as it does on the node a walking key goes on in.
+    fn prefetch(&self);
+
+    /// Inserts `value` for the key whose entry (one value) sits at absolute
+    /// index `idx` of `node`, at `place`: a map replaces the value, a
+    /// multi-map promotes the key to this kind.
+    fn insert_one<W: Bitmap>(
+        node: &mut Node<W, K, V, Self>,
+        place: Place<W>,
+        idx: usize,
+        value: V,
+    ) -> Inserted<V>;
+
+    /// Inserts `value` for the key whose payload of this kind sits at
+    /// absolute index `idx` of `node`: a multi-map grows the key's bag.
+    fn insert_many<W: Bitmap>(node: &mut Node<W, K, V, Self>, idx: usize, value: V) -> Inserted<V>;
+
+    /// Removes `value` from the key whose payload of this kind sits at
+    /// absolute index `idx` of `node`, at `place`: the bag shrinks, or the
+    /// key is demoted to an entry when one value is left. Returns false if
+    /// the key is not bound to `value`.
+    fn remove_value<W: Bitmap>(
+        node: &mut Node<W, K, V, Self>,
+        place: Place<W>,
+        idx: usize,
+        value: &V,
+    ) -> bool;
+
+    /// Checks the invariants of the values (for [`validate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if one is violated.
+    fn validate(&self);
+}
+
+/// Sets and maps: no second payload kind. A key found bound has its value
+/// replaced, unless equal.
+impl<K: Clone, V: Clone + PartialEq> Many<K, V> for Infallible {
+    fn key(&self) -> &K {
+        match *self {}
+    }
+
+    fn value_count(&self) -> usize {
+        match *self {}
+    }
+
+    fn prefetch(&self) {
+        match *self {}
+    }
+
+    fn insert_one<W: Bitmap>(
+        node: &mut Node<W, K, V, Self>,
+        _: Place<W>,
+        idx: usize,
+        value: V,
+    ) -> Inserted<V> {
+        if node.one(idx).1 == value {
+            return Inserted::Unchanged(Some(value));
+        }
+        let old = std::mem::replace(&mut node.make_mut().ones[idx].1, value);
+        Inserted::Changed(Some(old))
+    }
+
+    fn insert_many<W: Bitmap>(node: &mut Node<W, K, V, Self>, idx: usize, _: V) -> Inserted<V> {
+        match *node.many(idx) {}
+    }
+
+    fn remove_value<W: Bitmap>(
+        node: &mut Node<W, K, V, Self>,
+        _: Place<W>,
+        idx: usize,
+        _: &V,
+    ) -> bool {
+        match *node.many(idx) {}
+    }
+
+    fn validate(&self) {
+        match *self {}
+    }
+}
+
+/// What inserting one value for a key bound already did.
+#[derive(Debug)]
+pub enum Inserted<V> {
+    /// The key was bound to the value already: nothing changed. The offered
+    /// value comes back where the hook still holds it (always, for a map).
+    Unchanged(Option<V>),
+    /// The key's values changed: a map hands back the value it replaced, a
+    /// multi-map's key gained the value.
+    Changed(Option<V>),
+}
+
+/// What a removal took out.
+#[derive(Debug, Clone, Copy)]
+pub struct Gone {
+    /// Number of values removed (1 for a map's key).
+    pub values: usize,
+    /// True if the key went with them.
+    pub key: bool,
+}
+
+/// What removing from below a node did.
+enum Removed<P> {
+    NotFound,
+    Done(Gone),
+    /// The sub-trie collapsed to one payload: a unique node is left empty,
+    /// and the parent drops it and inlines the payload.
+    Single(P, Gone),
+}
+
+/// A borrowed payload: an entry, or a second-kind payload.
+#[derive(Debug)]
+pub enum Entry<'a, K, V, M> {
+    /// An entry: a key and its one value.
+    One(&'a (K, V)),
+    /// A payload of the second kind.
+    Many(&'a M),
+}
+
+impl<'a, K, V, M> Clone for Entry<'a, K, V, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<'a, K, V, M> Copy for Entry<'a, K, V, M> {}
+
+impl<'a, K, V, M: Many<K, V>> Entry<'a, K, V, M> {
+    /// The key.
+    pub fn key(self) -> &'a K {
+        match self {
+            Entry::One((k, _)) => k,
+            Entry::Many(many) => many.key(),
+        }
+    }
+}
+
+impl<'a, K, V> Entry<'a, K, V, Infallible> {
+    /// The entry of a set or map, which has no second payload kind.
+    fn one(self) -> &'a (K, V) {
+        match self {
+            Entry::One(entry) => entry,
+            Entry::Many(never) => match *never {},
+        }
+    }
+}
+
+/// The kind of branch a payload goes in.
+fn kind<W, K, V, M>(payload: &Payload<W, K, V, M>) -> Branch {
+    match payload {
+        Slot::One(_) => Branch::Payload,
+        Slot::Many(_) => Branch::Many,
+        Slot::Child(_) => Branch::Node,
+    }
+}
+
+/// The payload of kind `kind` at absolute index `idx`.
+fn entry_at<W, K, V, M>(node: &Node<W, K, V, M>, kind: Branch, idx: usize) -> Entry<'_, K, V, M> {
+    match kind {
+        Branch::Payload => Entry::One(node.one(idx)),
+        _ => Entry::Many(node.many(idx)),
+    }
+}
+
+/// A node holding `word` and the payloads `a` and `b` (in branch order).
+fn leaf<W, K, V, M>(word: W, a: Payload<W, K, V, M>, b: Payload<W, K, V, M>) -> Node<W, K, V, M> {
+    match (a, b) {
+        (Slot::One(a), Slot::One(b)) => Node::new(word, [a, b], [], []),
+        (Slot::Many(a), Slot::Many(b)) => Node::new(word, [], [a, b], []),
+        (Slot::One(a), Slot::Many(b)) | (Slot::Many(b), Slot::One(a)) => {
+            Node::new(word, [a], [b], [])
+        }
+        _ => unreachable!("a leaf holds two payloads"),
+    }
+}
+
+/// The minimal sub-trie holding two payloads with distinct keys whose hash
 /// prefixes agree up to `shift`.
-fn pair<W: Bitmap, K, V>(h1: u32, e1: (K, V), h2: u32, e2: (K, V), shift: u32) -> Node<W, K, V> {
+fn pair<W: Bitmap, K, V, M>(
+    h1: u32,
+    p1: Payload<W, K, V, M>,
+    h2: u32,
+    p2: Payload<W, K, V, M>,
+    shift: u32,
+) -> Node<W, K, V, M> {
     if hash_exhausted(shift) {
         debug_assert_eq!(h1, h2);
-        return Node::new(W::EMPTY, [e1, e2], [], []);
+        return leaf(W::EMPTY, p1, p2);
     }
     let (m1, m2) = (mask(h1, shift), mask(h2, shift));
     if m1 == m2 {
-        let child = pair(h1, e1, h2, e2, next_shift(shift));
+        let child = pair(h1, p1, h2, p2, next_shift(shift));
         return Node::new(W::EMPTY.with(m1, Branch::Node), [], [], [child]);
     }
-    let word = W::EMPTY.with(m1, Branch::Payload).with(m2, Branch::Payload);
-    let entries = if m1 < m2 { [e1, e2] } else { [e2, e1] };
-    Node::new(word, entries, [], [])
+    let word = W::EMPTY.with(m1, kind(&p1)).with(m2, kind(&p2));
+    match m1 < m2 {
+        true => leaf(word, p1, p2),
+        false => leaf(word, p2, p1),
+    }
 }
 
-/// The root of a one-entry trie (a collapsed trie's last entry).
-fn single<W: Bitmap, K: Hash, V>(entry: (K, V)) -> Node<W, K, V> {
-    let word = W::EMPTY.with(mask(hash32(&entry.0), 0), Branch::Payload);
-    Node::new(word, [entry], [], [])
+/// The root of a one-payload trie (a collapsed trie's last payload).
+fn single<W: Bitmap, K: Hash, V, M: Many<K, V>>(payload: Payload<W, K, V, M>) -> Node<W, K, V, M> {
+    let at = |key, kind| W::EMPTY.with(mask(hash32(key), 0), kind);
+    match payload {
+        Slot::One(entry) => Node::new(at(&entry.0, Branch::Payload), [entry], [], []),
+        Slot::Many(many) => Node::new(at(many.key(), Branch::Many), [], [many], []),
+        Slot::Child(_) => unreachable!("a payload is not a sub-trie"),
+    }
 }
 
-/// The entry for `key` below `node`, whose branches are selected by the
-/// hash bits from `shift` on.
-pub fn get<'a, W, K, V, Q>(
-    node: &'a Node<W, K, V>,
+/// One level of a lookup: the key's payload (if any), or the sub-trie it
+/// goes on in.
+enum Step<'a, W, K, V, M> {
+    Done(Option<Entry<'a, K, V, M>>),
+    Down(&'a Node<W, K, V, M>),
+}
+
+/// Where `key` (hashed to `hash`) goes in `node` at `shift`: its place,
+/// and the kind and absolute index of the slot there (`Branch::Empty` if
+/// none). In a bitmap node that slot may hold another key; in a collision
+/// node it holds `key`.
+#[inline(always)]
+fn position<W, K, V, M, Q>(
+    node: &Node<W, K, V, M>,
     hash: u32,
     shift: u32,
     key: &Q,
-) -> Option<&'a (K, V)>
+) -> (Place<W>, Branch, usize)
 where
     W: Bitmap,
     K: Borrow<Q>,
+    M: Many<K, V>,
     Q: Eq + ?Sized,
 {
-    if hash_exhausted(shift) {
-        return node.ones().iter().find(|(k, _)| k.borrow() == key);
+    let word = node.word();
+    if !hash_exhausted(shift) {
+        // Fused dispatch: kind and slot index from one pass over the word.
+        let m = mask(hash, shift);
+        let (kind, idx) = word.locate(m);
+        let place = Place {
+            word,
+            mask: Some(m),
+        };
+        return (place, kind, idx);
     }
-    match node.word().locate(mask(hash, shift)) {
-        (Branch::Payload, idx) => Some(node.one(idx)).filter(|(k, _)| k.borrow() == key),
-        (Branch::Node, idx) => get(node.child(idx), hash, next_shift(shift), key),
-        (Branch::Empty, _) => None,
+    let (place, ones) = (Place { word, mask: None }, node.ones());
+    if let Some(pos) = ones.iter().position(|(k, _)| k.borrow() == key) {
+        return (place, Branch::Payload, pos);
+    }
+    match node.manys().iter().position(|m| m.key().borrow() == key) {
+        Some(pos) => (place, Branch::Many, ones.len() + pos),
+        None => (place, Branch::Empty, 0),
     }
 }
 
-/// What inserting one entry below a node did.
-enum Inserted<V> {
-    /// An equal value was already bound; the offered one is handed back.
-    Unchanged(V),
-    /// The value the key was bound to before.
-    Replaced(V),
-    /// The key is new.
-    Added,
+/// One level of the lookup of `key` (hashed to `hash`) in `node` at
+/// `shift`: the step [`get`] loops on, and the one [`get_many`] takes for
+/// every walking key per round.
+#[inline(always)]
+fn step<'a, W, K, V, M, Q>(
+    node: &'a Node<W, K, V, M>,
+    hash: u32,
+    shift: u32,
+    key: &Q,
+) -> Step<'a, W, K, V, M>
+where
+    W: Bitmap,
+    K: Borrow<Q>,
+    M: Many<K, V>,
+    Q: Eq + ?Sized,
+{
+    match position(node, hash, shift, key) {
+        (_, Branch::Empty, _) => Step::Done(None),
+        (_, Branch::Node, idx) => Step::Down(node.child(idx)),
+        (_, kind, idx) => {
+            let entry = entry_at(node, kind, idx);
+            Step::Done((entry.key().borrow() == key).then_some(entry))
+        }
+    }
 }
 
-/// Binds `key` to `value` in the trie at `root`, editing unique nodes in
-/// place and copying shared ones on write. Returns `None` for a new key,
-/// else the value it was bound to (or `value` itself, when equal: then
-/// nothing is copied).
-pub fn insert_root<W, K, V>(root: &mut Node<W, K, V>, key: K, value: V) -> Option<V>
+/// The payload of `key` below `node`, whose branches are selected by the
+/// hash bits from `shift` on.
+pub fn get<'a, W, K, V, M, Q>(
+    mut node: &'a Node<W, K, V, M>,
+    hash: u32,
+    mut shift: u32,
+    key: &Q,
+) -> Option<Entry<'a, K, V, M>>
+where
+    W: Bitmap,
+    K: Borrow<Q>,
+    M: Many<K, V>,
+    Q: Eq + ?Sized,
+{
+    loop {
+        match step(node, hash, shift, key) {
+            Step::Done(found) => return found,
+            Step::Down(child) => (node, shift) = (child, next_shift(shift)),
+        }
+    }
+}
+
+/// Keys whose walks [`get_many`] runs side by side: enough to overlap a
+/// batch's cache misses, few enough for the cursors to live on the stack.
+const LANES: usize = 16;
+
+/// Looks up every key of `keys` in the trie at `root`, appending
+/// `answer` of each key's [`get`] result to `out`, in order.
+///
+/// Up to 16 keys walk the trie together, level by level: in each round
+/// every key still walking takes the one level step a lookup takes and
+/// prefetches the node it goes on in (or, on a second-kind hit, its values
+/// through [`Many::prefetch`]), so the cache misses of the batch overlap
+/// instead of queueing one behind another.
+pub fn get_many<'a, W, K, V, M, Q, T>(
+    root: &'a Node<W, K, V, M>,
+    keys: &[&Q],
+    out: &mut Vec<T>,
+    answer: impl Fn(Option<Entry<'a, K, V, M>>) -> T,
+) where
+    W: Bitmap,
+    K: Borrow<Q>,
+    M: Many<K, V>,
+    Q: Eq + Hash + ?Sized,
+    T: Clone,
+{
+    out.reserve(keys.len());
+    for batch in keys.chunks(LANES) {
+        let base = out.len();
+        out.extend(std::iter::repeat_n(answer(None), batch.len()));
+        let found = &mut out[base..];
+        // One cursor per walking key: its node, its hash and its lane.
+        let mut walking = [(root, 0, 0); LANES];
+        for (lane, key) in batch.iter().enumerate() {
+            walking[lane] = (root, hash32(*key), lane);
+        }
+        let (mut live, mut shift) = (batch.len(), 0);
+        while live > 0 {
+            let mut kept = 0;
+            for i in 0..live {
+                let (node, hash, lane) = walking[i];
+                match step(node, hash, shift, batch[lane]) {
+                    Step::Down(child) => {
+                        child.prefetch();
+                        walking[kept] = (child, hash, lane);
+                        kept += 1;
+                    }
+                    Step::Done(hit) => {
+                        if let Some(Entry::Many(many)) = hit {
+                            many.prefetch();
+                        }
+                        found[lane] = answer(hit);
+                    }
+                }
+            }
+            (live, shift) = (kept, next_shift(shift));
+        }
+    }
+}
+
+/// Where an edit walk meets a key's slot: under branch `mask` of a bitmap
+/// node whose word is `word`, or (no mask) in a collision node, whose word
+/// is unused.
+#[derive(Debug, Clone, Copy)]
+pub struct Place<W> {
+    word: W,
+    mask: Option<u32>,
+}
+
+impl<W: Bitmap> Place<W> {
+    /// The word and the absolute slot index that a slot of kind `to` takes
+    /// at this place in `node`, once the key's slot there, of kind `from`
+    /// (`Branch::Empty` if none), has left: where an insertion puts a new
+    /// payload, and where [`Packed::migrate`] moves a slot that changes
+    /// kind (a promoted or demoted key, a payload pushed into a sub-trie, a
+    /// sub-trie inlined). A collision node keeps each kind's payloads in
+    /// insertion order, so there the slot goes last among its kind.
+    pub fn target<K, V, M>(self, node: &Node<W, K, V, M>, from: Branch, to: Branch) -> (W, usize) {
+        match self.mask {
+            Some(m) => {
+                let word = self.word.with(m, to);
+                (word, word.slot_index(to, m))
+            }
+            None => {
+                let ones = node.ones().len() - usize::from(from == Branch::Payload);
+                let manys = node.manys().len() - usize::from(from == Branch::Many);
+                let at = match to {
+                    Branch::Payload => ones,
+                    _ => ones + manys,
+                };
+                (self.word, at)
+            }
+        }
+    }
+}
+
+/// What an insertion binds a key to: the payload a new key gets, and what
+/// it does to a key that is bound already.
+pub trait Bind<W, K, V, M>: Sized {
+    /// What the insertion reports for a key bound already.
+    type Out;
+
+    /// The payload of `key` when the key is new.
+    fn payload(self, key: K) -> Payload<W, K, V, M>;
+
+    /// True if the report says the trie changed: a shared node on the path
+    /// is then copied to hold the edited child.
+    fn changed(out: &Self::Out) -> bool;
+
+    /// Edits the payload of kind `kind` that the key is bound to, at
+    /// absolute index `idx` of `node`, at `place`.
+    fn hit(
+        self,
+        node: &mut Node<W, K, V, M>,
+        place: Place<W>,
+        kind: Branch,
+        idx: usize,
+    ) -> Self::Out;
+}
+
+/// One value for a key: a map's binding, a multi-map's tuple. A key bound
+/// already takes it through its payload kind's hooks ([`Many::insert_one`]
+/// and [`Many::insert_many`]).
+#[derive(Debug)]
+pub struct Value<V>(pub V);
+
+impl<W, K, V, M> Bind<W, K, V, M> for Value<V>
+where
+    W: Bitmap,
+    M: Many<K, V>,
+{
+    type Out = Inserted<V>;
+
+    fn payload(self, key: K) -> Payload<W, K, V, M> {
+        Slot::One((key, self.0))
+    }
+
+    fn changed(out: &Inserted<V>) -> bool {
+        matches!(out, Inserted::Changed(_))
+    }
+
+    fn hit(
+        self,
+        node: &mut Node<W, K, V, M>,
+        place: Place<W>,
+        kind: Branch,
+        idx: usize,
+    ) -> Inserted<V> {
+        match kind {
+            Branch::Payload => M::insert_one(node, place, idx, self.0),
+            _ => M::insert_many(node, idx, self.0),
+        }
+    }
+}
+
+/// Binds `key` in the trie at `root` as `binding` says, editing unique
+/// nodes in place and copying shared ones on write (copying nothing when
+/// the key is found bound as asked). Returns `None` for a new key, else
+/// what [`Bind::hit`] reported.
+pub fn bind<W, K, V, M, B>(root: &mut Node<W, K, V, M>, key: K, binding: B) -> Option<B::Out>
 where
     W: Bitmap,
     K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
+    V: Clone,
+    M: Many<K, V>,
+    B: Bind<W, K, V, M>,
 {
     let hash = hash32(&key);
-    match insert(root, hash, 0, key, value) {
-        Inserted::Unchanged(v) | Inserted::Replaced(v) => Some(v),
-        Inserted::Added => None,
-    }
+    bind_at(root, hash, 0, key, binding)
 }
 
-/// Binds `key` to `value` below `this`. Takes the entry by ownership so the
-/// common paths move it into its final slot.
-fn insert<W, K, V>(this: &mut Node<W, K, V>, hash: u32, shift: u32, key: K, value: V) -> Inserted<V>
+/// Binds `key` below `this`. Takes the key by ownership so the common paths
+/// move it into its final slot.
+fn bind_at<W, K, V, M, B>(
+    this: &mut Node<W, K, V, M>,
+    hash: u32,
+    shift: u32,
+    key: K,
+    binding: B,
+) -> Option<B::Out>
 where
     W: Bitmap,
     K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
+    V: Clone,
+    M: Many<K, V>,
+    B: Bind<W, K, V, M>,
 {
-    if hash_exhausted(shift) {
-        return match this.ones().iter().position(|(k, _)| *k == key) {
-            Some(pos) => replace(this, pos, value),
-            None => {
-                let end = this.ones().len();
-                this.insert(W::EMPTY, end, Slot::One((key, value)));
-                Inserted::Added
-            }
-        };
-    }
-    let word = this.word();
-    let m = mask(hash, shift);
-    match word.locate(m) {
-        (Branch::Payload, idx) => {
-            let (existing, _) = this.one(idx);
-            if *existing == key {
-                return replace(this, idx, value);
-            }
-            // Prefix clash: both entries descend into a fresh sub-trie; the
-            // slot migrates payload → sub-trie.
-            let existing_hash = hash32(existing);
-            let word = word.with(m, Branch::Node);
-            let to = word.slot_index(Branch::Node, m);
-            this.migrate::<Ones, _>(word, idx, to, |existing| {
-                let child = pair(
-                    existing_hash,
-                    existing,
-                    hash,
-                    (key, value),
-                    next_shift(shift),
-                );
-                (Slot::Child(child), ())
-            });
-            Inserted::Added
+    let (place, at, idx) = position(this, hash, shift, &key);
+    match at {
+        Branch::Empty => {
+            let payload = binding.payload(key);
+            let (word, to) = place.target(this, Branch::Empty, kind(&payload));
+            insert_slot(this, word, to, payload);
+            None
         }
-        (Branch::Node, idx) => edit_child(
+        Branch::Node => edit_child(
             this,
             idx,
-            |child| insert(child, hash, next_shift(shift), key, value),
-            |outcome| !matches!(outcome, Inserted::Unchanged(_)),
+            |child| bind_at(child, hash, next_shift(shift), key, binding),
+            |out| out.as_ref().is_none_or(B::changed),
         ),
-        (Branch::Empty, _) => {
-            let word = word.with(m, Branch::Payload);
-            let idx = word.slot_index(Branch::Payload, m);
-            insert_slot(this, word, idx, Slot::One((key, value)));
-            Inserted::Added
+        at if *entry_at(this, at, idx).key() == key => Some(binding.hit(this, place, at, idx)),
+        at => {
+            // Prefix clash: both payloads descend into a fresh sub-trie;
+            // the slot migrates payload → sub-trie.
+            let existing_hash = hash32(entry_at(this, at, idx).key());
+            let payload = binding.payload(key);
+            let (word, to) = place.target(this, at, Branch::Node);
+            let below = move |existing| {
+                let child = pair(existing_hash, existing, hash, payload, next_shift(shift));
+                (Slot::Child(child), ())
+            };
+            match at {
+                Branch::Payload => this.migrate::<Ones, _>(word, idx, to, |e| below(Slot::One(e))),
+                _ => this.migrate::<Manys, _>(word, idx, to, |m| below(Slot::Many(m))),
+            }
+            None
         }
     }
 }
 
-/// Rebinds the entry at `idx` to `value` unless its value already equals
-/// it.
-fn replace<W, K, V>(this: &mut Node<W, K, V>, idx: usize, value: V) -> Inserted<V>
-where
-    W: Bitmap,
-    K: Clone,
-    V: Clone + PartialEq,
-{
-    if this.one(idx).1 == value {
-        return Inserted::Unchanged(value);
-    }
-    Inserted::Replaced(std::mem::replace(&mut this.make_mut().ones[idx].1, value))
-}
-
-/// Removes `key` from the trie at `root`, re-rooting a trie that collapsed
-/// to one entry. Returns true if an entry was removed.
-pub fn remove_root<W, K, V, Q>(root: &mut Node<W, K, V>, key: &Q) -> bool
+/// Removes `key` from the trie at `root`, or only its `value` when given
+/// (a multi-map's tuple; a map's `value` is always `None`), re-rooting a
+/// trie that collapsed to one payload. Returns what went, `None` if
+/// nothing did.
+pub fn remove_root<W, K, V, M, Q>(
+    root: &mut Node<W, K, V, M>,
+    key: &Q,
+    value: Option<&V>,
+) -> Option<Gone>
 where
     W: Bitmap,
     K: Clone + Hash + Borrow<Q>,
-    V: Clone,
+    V: Clone + PartialEq,
+    M: Many<K, V>,
     Q: Eq + Hash + ?Sized,
 {
-    match remove(root, hash32(key), 0, key) {
-        Removal::NotFound => false,
-        Removal::Removed => true,
-        Removal::Single(entry) => {
-            *root = single(entry);
-            true
+    match remove(root, hash32(key), 0, key, value) {
+        Removed::NotFound => None,
+        Removed::Done(gone) => Some(gone),
+        Removed::Single(payload, gone) => {
+            *root = single(payload);
+            Some(gone)
         }
     }
 }
 
-/// Removes `key` below `this` with the same copy-on-write discipline as
-/// [`insert_root`]. Canonicalizes on the way up: a sub-trie left with one
-/// entry hands it to its parent for inlining.
-fn remove<W, K, V, Q>(this: &mut Node<W, K, V>, hash: u32, shift: u32, key: &Q) -> Removal<(K, V)>
+/// Removes `key` (or only its `value`) below `this` with the same
+/// copy-on-write discipline as [`bind`]. Canonicalizes on the way up: a
+/// sub-trie left with one payload hands it to its parent for inlining.
+fn remove<W, K, V, M, Q>(
+    this: &mut Node<W, K, V, M>,
+    hash: u32,
+    shift: u32,
+    key: &Q,
+    value: Option<&V>,
+) -> Removed<Payload<W, K, V, M>>
 where
     W: Bitmap,
     K: Clone + Borrow<Q>,
-    V: Clone,
+    V: Clone + PartialEq,
+    M: Many<K, V>,
     Q: Eq + ?Sized,
 {
-    if hash_exhausted(shift) {
-        let Some(pos) = this.ones().iter().position(|(k, _)| k.borrow() == key) else {
-            return Removal::NotFound;
-        };
-        if this.ones().len() == 2 {
-            return Removal::Single(take_entry(survivor(this, pos)));
-        }
-        this.remove(W::EMPTY, pos);
-        return Removal::Removed;
-    }
-    let word = this.word();
-    let m = mask(hash, shift);
-    match word.locate(m) {
-        (Branch::Payload, idx) => {
-            if this.one(idx).0.borrow() != key {
-                return Removal::NotFound;
-            }
-            let word = word.with(m, Branch::Empty);
-            if shift > 0 && word.payload_arity() == 1 && word.node_arity() == 0 {
-                // The node held exactly two entries; hand the survivor to
-                // the parent for inlining.
-                return Removal::Single(take_entry(survivor(this, idx)));
-            }
-            remove_slot(this, word, idx);
-            Removal::Removed
-        }
-        (Branch::Node, idx) => {
+    let (place, at, idx) = position(this, hash, shift, key);
+    let gone = match at {
+        Branch::Empty => return Removed::NotFound,
+        Branch::Node => {
             // A pure chain node dissolves when its child collapses.
+            let word = place.word;
             let chain = shift > 0 && word.payload_arity() == 0 && word.node_arity() == 1;
-            match edit_child(
+            return match edit_child(
                 this,
                 idx,
-                |child| remove(child, hash, next_shift(shift), key),
-                |outcome| matches!(outcome, Removal::Removed),
+                |child| remove(child, hash, next_shift(shift), key, value),
+                |outcome| matches!(outcome, Removed::Done(_)),
             ) {
-                Removal::Single(entry) if !chain => {
+                Removed::Single(payload, gone) if !chain => {
                     // Inline the survivor: sub-trie → payload, dropping the
                     // collapsed child after the move.
-                    let word = word.with(m, Branch::Payload);
-                    let to = word.slot_index(Branch::Payload, m);
-                    this.migrate::<Children, _>(word, idx, to, |child| (Slot::One(entry), child));
-                    Removal::Removed
+                    let (word, to) = place.target(this, Branch::Node, kind(&payload));
+                    this.migrate::<Children, _>(word, idx, to, |child| (payload, child));
+                    Removed::Done(gone)
                 }
                 outcome => outcome,
+            };
+        }
+        Branch::Payload => {
+            let (k, v) = this.one(idx);
+            if k.borrow() != key || value.is_some_and(|value| value != v) {
+                return Removed::NotFound;
+            }
+            Gone {
+                values: 1,
+                key: true,
             }
         }
-        (Branch::Empty, _) => Removal::NotFound,
+        Branch::Many => {
+            let many = this.many(idx);
+            if many.key().borrow() != key {
+                return Removed::NotFound;
+            }
+            match value {
+                None => Gone {
+                    values: many.value_count(),
+                    key: true,
+                },
+                Some(value) if M::remove_value(this, place, idx, value) => {
+                    let gone = Gone {
+                        values: 1,
+                        key: false,
+                    };
+                    return Removed::Done(gone);
+                }
+                Some(_) => return Removed::NotFound,
+            }
+        }
+    };
+    // The whole payload goes. A node left with one payload and no child
+    // offers it to the parent for inlining.
+    let (word, last) = match place.mask {
+        None => (place.word, this.arity() == 2),
+        Some(m) => {
+            let word = place.word.with(m, Branch::Empty);
+            let last = shift > 0 && word.payload_arity() == 1 && word.node_arity() == 0;
+            (word, last)
+        }
+    };
+    if last {
+        return Removed::Single(survivor(this, idx), gone);
     }
+    remove_slot(this, word, idx);
+    Removed::Done(gone)
 }
 
-/// The entry of a surviving slot: a collapsing node holds two entries.
-fn take_entry<K, V, N>(slot: Slot<(K, V), Infallible, N>) -> (K, V) {
-    match slot {
-        Slot::One(entry) => entry,
-        Slot::Many(never) => match never {},
-        Slot::Child(_) => unreachable!("a collapsing node holds two entries"),
-    }
+/// Number of payloads (keys) below `node`, counted by walking the trie.
+pub fn count<W, K, V, M>(node: &Node<W, K, V, M>) -> usize {
+    node.ones().len() + node.manys().len() + node.children().iter().map(count).sum::<usize>()
 }
 
-/// Number of entries below `node`, counted by walking the trie.
-pub fn count<W, K, V>(node: &Node<W, K, V>) -> usize {
-    node.ones().len() + node.children().iter().map(count).sum::<usize>()
-}
-
-/// The entry the walk of `node` yields first.
-fn first<W, K, V>(node: &Node<W, K, V>) -> &(K, V) {
-    match node.ones().first() {
-        Some(entry) => entry,
-        None => first(&node.children()[0]),
+/// The key the walk of `node` yields first.
+fn first_key<W, K, V, M: Many<K, V>>(node: &Node<W, K, V, M>) -> &K {
+    match (node.ones().first(), node.manys().first()) {
+        (Some((k, _)), _) => k,
+        (None, Some(many)) => many.key(),
+        (None, None) => first_key(&node.children()[0]),
     }
 }
 
 /// Checks the canonical form below `node`, whose branches are selected by
-/// the hash bits from `shift` on, and returns its entry count.
+/// the hash bits from `shift` on, and returns its numbers of keys and of
+/// values.
 ///
 /// # Panics
 ///
 /// Panics if an invariant is violated.
-pub fn validate<W: Bitmap, K: Eq + Hash, V>(node: &Node<W, K, V>, shift: u32) -> usize {
-    let (entries, children) = (node.ones(), node.children());
+pub fn validate<W, K, V, M>(node: &Node<W, K, V, M>, shift: u32) -> (usize, usize)
+where
+    W: Bitmap,
+    K: Eq + Hash,
+    M: Many<K, V>,
+{
+    let (ones, manys, children) = (node.ones(), node.manys(), node.children());
+    manys.iter().for_each(M::validate);
+    let keys = || ones.iter().map(|(k, _)| k).chain(manys.iter().map(M::key));
+    let mut total = (
+        ones.len() + manys.len(),
+        ones.len() + manys.iter().map(M::value_count).sum::<usize>(),
+    );
     if hash_exhausted(shift) {
         assert!(children.is_empty(), "collision node with children");
-        assert!(entries.len() >= 2, "collision node with < 2 entries");
-        let hash = hash32(&entries[0].0);
-        for (i, (k, _)) in entries.iter().enumerate() {
+        assert!(total.0 >= 2, "collision node with < 2 entries");
+        let hash = hash32(first_key(node));
+        for (i, k) in keys().enumerate() {
             assert_eq!(hash32(k), hash, "collision member hash");
             assert!(
-                entries[i + 1..].iter().all(|(other, _)| other != k),
+                keys().skip(i + 1).all(|other| other != k),
                 "duplicate key in collision node"
             );
         }
-        return entries.len();
+        return total;
     }
     let word = node.word();
-    assert_eq!(entries.len(), word.payload_arity(), "entry count");
+    assert_eq!(total.0, word.payload_arity(), "entry count");
     assert_eq!(children.len(), word.node_arity(), "child count");
     let occupied = word.occupied_with(W::EMPTY).count();
     assert_eq!(
         occupied,
-        entries.len() + children.len(),
+        total.0 + children.len(),
         "branch neither entry nor sub-trie"
     );
-    for (i, (k, _)) in entries.iter().enumerate() {
+    for (i, k) in keys().enumerate() {
         let at = word.locate(mask(hash32(k), shift));
-        assert_eq!(at, (Branch::Payload, i), "entry in wrong branch");
+        let kind = if i < ones.len() {
+            Branch::Payload
+        } else {
+            Branch::Many
+        };
+        assert_eq!(at, (kind, i), "entry in wrong branch");
     }
-    let mut total = entries.len();
+    let payloads = total.0;
     for (i, child) in children.iter().enumerate() {
         let sub = validate(child, next_shift(shift));
-        assert!(sub >= 2, "sub-trie with < 2 entries not inlined");
-        let at = word.locate(mask(hash32(&first(child).0), shift));
-        assert_eq!(
-            at,
-            (Branch::Node, entries.len() + i),
-            "sub-trie in wrong branch"
-        );
-        total += sub;
+        assert!(sub.0 >= 2, "sub-trie with < 2 entries not inlined");
+        let at = word.locate(mask(hash32(first_key(child)), shift));
+        assert_eq!(at, (Branch::Node, payloads + i), "sub-trie in wrong branch");
+        total = (total.0 + sub.0, total.1 + sub.1);
     }
     if shift > 0 {
         assert!(
-            !(entries.len() == 1 && children.is_empty()),
+            !(payloads == 1 && children.is_empty()),
             "non-root singleton payload node must be inlined"
         );
         assert!(occupied >= 1, "empty non-root node");
@@ -382,15 +831,17 @@ pub fn validate<W: Bitmap, K: Eq + Hash, V>(node: &Node<W, K, V>, shift: u32) ->
     total
 }
 
-/// Iterator over the entries of a trie.
+/// Iterator over the payloads of a trie.
 ///
-/// A node's inlined entries are yielded before any of its sub-tries is
+/// A node's inlined payloads are yielded before any of its sub-tries is
 /// entered, the paper's grouped batch iteration (§3.3). The walk's stack
-/// lives in the iterator, so iterating allocates nothing.
-pub struct Iter<'a, W, K, V> {
-    entries: std::slice::Iter<'a, (K, V)>,
+/// lives in the iterator, so iterating allocates nothing. A set's or map's
+/// iterator yields its entries; [`Iter::next_payload`] yields either kind.
+pub struct Iter<'a, W, K, V, M = Infallible> {
+    ones: std::slice::Iter<'a, (K, V)>,
+    manys: std::slice::Iter<'a, M>,
     /// The unvisited children of each node on the path from the root.
-    stack: [std::slice::Iter<'a, Node<W, K, V>>; DEPTH],
+    stack: [std::slice::Iter<'a, Node<W, K, V, M>>; DEPTH],
     depth: usize,
     remaining: usize,
 }
@@ -399,16 +850,46 @@ pub struct Iter<'a, W, K, V> {
 /// 32 hash bits five at a time, and a collision node may sit below them.
 const DEPTH: usize = 8;
 
-impl<'a, W, K, V> Iter<'a, W, K, V> {
-    /// An iterator over the `len` entries of the trie at `root`.
-    pub fn new(root: &'a Node<W, K, V>, len: usize) -> Self {
-        let mut stack: [std::slice::Iter<'a, Node<W, K, V>>; DEPTH] = Default::default();
+impl<'a, W, K, V, M> Iter<'a, W, K, V, M> {
+    /// An iterator over the `len` payloads of the trie at `root`.
+    pub fn new(root: &'a Node<W, K, V, M>, len: usize) -> Self {
+        let mut stack: [std::slice::Iter<'a, Node<W, K, V, M>>; DEPTH] = Default::default();
         stack[0] = root.children().iter();
         Iter {
-            entries: root.ones().iter(),
+            ones: root.ones().iter(),
+            manys: root.manys().iter(),
             stack,
             depth: 1,
             remaining: len,
+        }
+    }
+
+    /// Number of payloads not yet yielded.
+    pub fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// The next payload of either kind.
+    #[inline]
+    pub fn next_payload(&mut self) -> Option<Entry<'a, K, V, M>> {
+        loop {
+            if let Some(entry) = self.ones.next() {
+                self.remaining -= 1;
+                return Some(Entry::One(entry));
+            }
+            if let Some(many) = self.manys.next() {
+                self.remaining -= 1;
+                return Some(Entry::Many(many));
+            }
+            match self.stack[..self.depth].last_mut()?.next() {
+                Some(child) => {
+                    self.ones = child.ones().iter();
+                    self.manys = child.manys().iter();
+                    self.stack[self.depth] = child.children().iter();
+                    self.depth += 1;
+                }
+                None => self.depth -= 1,
+            }
         }
     }
 }
@@ -417,20 +898,7 @@ impl<'a, W, K, V> Iterator for Iter<'a, W, K, V> {
     type Item = &'a (K, V);
 
     fn next(&mut self) -> Option<&'a (K, V)> {
-        loop {
-            if let Some(entry) = self.entries.next() {
-                self.remaining -= 1;
-                return Some(entry);
-            }
-            match self.stack[..self.depth].last_mut()?.next() {
-                Some(child) => {
-                    self.entries = child.ones().iter();
-                    self.stack[self.depth] = child.children().iter();
-                    self.depth += 1;
-                }
-                None => self.depth -= 1,
-            }
-        }
+        self.next_payload().map(Entry::one)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -440,7 +908,7 @@ impl<'a, W, K, V> Iterator for Iter<'a, W, K, V> {
 
 impl<'a, W, K, V> ExactSizeIterator for Iter<'a, W, K, V> {}
 
-impl<'a, W, K, V> std::fmt::Debug for Iter<'a, W, K, V> {
+impl<'a, W, K, V, M> std::fmt::Debug for Iter<'a, W, K, V, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Iter")
             .field("remaining", &self.remaining)
@@ -448,9 +916,42 @@ impl<'a, W, K, V> std::fmt::Debug for Iter<'a, W, K, V> {
     }
 }
 
-/// The [`algebra`] view of a trie with bitmap syntax `W`: the node hooks
-/// the structural `union`, `intersect`, `difference`, `diff` and `==`
-/// walks run on.
+/// What a node holds at one branch, borrowed.
+#[derive(Debug)]
+pub enum Held<'a, W, K, V, M> {
+    /// Nothing.
+    Nothing,
+    /// A payload.
+    Entry(Entry<'a, K, V, M>),
+    /// A sub-trie.
+    Sub(&'a Node<W, K, V, M>),
+}
+
+/// A cursor over a bitmap node's branches: called for ascending masks that
+/// cover every branch the node occupies, it returns what the node holds at
+/// each. One cursor per slot run, each ascending by mask, so no branch
+/// costs a popcount.
+pub fn branches<'a, W: Bitmap, K, V, M>(
+    node: &'a Node<W, K, V, M>,
+) -> impl FnMut(u32) -> Held<'a, W, K, V, M> {
+    let word = node.word();
+    let (mut ones, mut manys) = (node.ones().iter(), node.manys().iter());
+    let mut children = node.children().iter();
+    move |m| match word.get(m) {
+        Branch::Empty => Held::Nothing,
+        Branch::Payload => ones
+            .next()
+            .map_or(Held::Nothing, |e| Held::Entry(Entry::One(e))),
+        Branch::Many => manys
+            .next()
+            .map_or(Held::Nothing, |e| Held::Entry(Entry::Many(e))),
+        Branch::Node => children.next().map_or(Held::Nothing, Held::Sub),
+    }
+}
+
+/// The [`algebra`] view of a set or map trie with bitmap syntax `W`: the
+/// node hooks the structural `union`, `intersect`, `difference`, `diff`
+/// and `==` walks run on.
 #[derive(Debug)]
 pub struct View<W, K, V>(PhantomData<(W, K, V)>);
 
@@ -467,20 +968,18 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Trie for View<W, K, 
         a.word().occupied_with(b.word())
     }
 
-    /// One cursor per slot run: each run is ascending by mask, so no branch
-    /// costs a popcount.
     fn cursor<'a>(node: &'a Self::Node) -> impl FnMut(u32) -> At<'a, Self>
     where
         Self: 'a,
     {
-        let (word, mut entries, mut children) =
-            (node.word(), node.ones().iter(), node.children().iter());
-        move |m| match word.get(m) {
-            Branch::Payload => entries
-                .next()
-                .map_or(At::Nothing, |(k, v)| At::Payload(k, v)),
-            Branch::Node => children.next().map_or(At::Nothing, At::Sub),
-            Branch::Empty => At::Nothing,
+        let mut at = branches(node);
+        move |m| match at(m) {
+            Held::Nothing => At::Nothing,
+            Held::Entry(entry) => {
+                let (k, v) = entry.one();
+                At::Payload(k, v)
+            }
+            Held::Sub(child) => At::Sub(child),
         }
     }
 
@@ -502,7 +1001,7 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Trie for View<W, K, 
     where
         Self: 'a,
     {
-        get(node, hash, shift, key).map(|(_, v)| v)
+        get(node, hash, shift, key).map(|entry| &entry.one().1)
     }
 }
 
@@ -512,20 +1011,29 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Canonical for View<W
     }
 }
 
+/// The entry of a set or map payload by value.
+fn entry_of<W, K, V>(payload: Payload<W, K, V, Infallible>) -> (K, V) {
+    match payload {
+        Slot::One(entry) => entry,
+        Slot::Many(never) => match never {},
+        Slot::Child(_) => unreachable!("a payload is not a sub-trie"),
+    }
+}
+
 impl<W: Bitmap, T: Clone + Eq + Hash> SetTrie for View<W, T, ()> {
     fn pair(h1: u32, e1: T, h2: u32, e2: T, shift: u32) -> Self::Node {
-        pair(h1, (e1, ()), h2, (e2, ()), shift)
+        pair(h1, Slot::One((e1, ())), h2, Slot::One((e2, ())), shift)
     }
 
     fn insert(node: &mut Self::Node, hash: u32, shift: u32, e: T) -> bool {
-        matches!(insert(node, hash, shift, e, ()), Inserted::Added)
+        bind_at(node, hash, shift, e, Value(())).is_none()
     }
 
     fn remove(node: &mut Self::Node, hash: u32, shift: u32, e: &T) -> Removal<T> {
-        match remove(node, hash, shift, e) {
-            Removal::NotFound => Removal::NotFound,
-            Removal::Removed => Removal::Removed,
-            Removal::Single((e, ())) => Removal::Single(e),
+        match remove(node, hash, shift, e, None) {
+            Removed::NotFound => Removal::NotFound,
+            Removed::Done(_) => Removal::Removed,
+            Removed::Single(payload, _) => Removal::Single(entry_of(payload).0),
         }
     }
 
@@ -615,15 +1123,19 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Map<W, K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        get(&self.root, hash32(key), 0, key)
+        get(&self.root, hash32(key), 0, key).map(Entry::one)
     }
 
-    /// Binds `key` to `value` in place (see [`insert_root`]): `None` for a
+    /// Binds `key` to `value` in place (see [`bind`]): `None` for a
     /// new key, else the value it was bound to.
     pub fn insert_mut(&mut self, key: K, value: V) -> Option<V> {
-        let old = insert_root(&mut self.root, key, value);
-        self.len += usize::from(old.is_none());
-        old
+        match bind(&mut self.root, key, Value(value)) {
+            Some(Inserted::Unchanged(old) | Inserted::Changed(old)) => old,
+            None => {
+                self.len += 1;
+                None
+            }
+        }
     }
 
     /// Removes `key` in place. Returns true if an entry was removed.
@@ -632,7 +1144,7 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Map<W, K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        let removed = remove_root(&mut self.root, key);
+        let removed = remove_root(&mut self.root, key, None).is_some();
         self.len -= usize::from(removed);
         removed
     }
@@ -649,7 +1161,7 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Map<W, K, V> {
     ///
     /// Panics if an invariant is violated.
     pub fn assert_invariants(&self) {
-        assert_eq!(validate(&self.root, 0), self.len, "len bookkeeping");
+        assert_eq!(validate(&self.root, 0).0, self.len, "len bookkeeping");
     }
 }
 
@@ -667,12 +1179,13 @@ impl<W: Bitmap, T: Clone + Eq + Hash> Map<W, T, ()> {
     /// computed.
     pub fn from_two(a: T, ha: u32, b: T, hb: u32) -> Self {
         debug_assert!(a != b);
-        Map::from_parts(pair(ha, (a, ()), hb, (b, ()), 0), 2)
+        let (a, b) = (Slot::One((a, ())), Slot::One((b, ())));
+        Map::from_parts(pair(ha, a, hb, b, 0), 2)
     }
 
     /// The one-element set.
     pub fn single(e: T) -> Self {
-        Map::from_parts(single((e, ())), 1)
+        Map::from_parts(single(Slot::One((e, ()))), 1)
     }
 
     /// Iterates the elements.
@@ -687,7 +1200,7 @@ impl<W: Bitmap, T: Clone + Eq + Hash> Map<W, T, ()> {
     /// Panics if the set does not hold exactly one element.
     pub fn sole(&self) -> &T {
         assert_eq!(self.len, 1, "sole() requires a singleton set");
-        &first(&self.root).0
+        first_key(&self.root)
     }
 
     fn parts(&self) -> (&Node<W, T, ()>, usize) {

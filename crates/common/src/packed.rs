@@ -474,7 +474,7 @@ impl<W, A, B> Packed<W, A, B> {
     /// Hints the CPU to load the node's header line into cache: a
     /// lookup that will read this node soon calls it first, so that the
     /// misses of several lookups overlap (see
-    /// `AxiomMultiMap::get_many`). Reads and writes nothing.
+    /// [`crate::node::get_many`]). Reads and writes nothing.
     #[inline(always)]
     pub fn prefetch(&self) {
         prefetch(self.ptr.as_ptr().cast_const());

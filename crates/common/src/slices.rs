@@ -2,15 +2,13 @@
 //! edit walk every trie in the workspace runs (AXIOM's map, set and
 //! multi-map; the CHAMP map and set; the HAMT and memoizing HAMT maps).
 //!
-//! Two slice families, one per ownership regime:
-//!
-//! * **Borrowed** (`inserted_at`, `removed_at`, `replaced_at`, `migrated`):
-//!   the input node is shared, so a fresh `Box<[T]>` is built with the
-//!   edit applied and untouched slots cloned.
-//! * **Owned** (`inserted_at_owned`, `removed_at_owned`, `migrate_map`):
-//!   the caller holds the node uniquely (via `Arc::get_mut`), so slots are
-//!   *moved*, never cloned; arity-preserving edits reuse the existing
-//!   allocation.
+//! The slice helpers are the owned family (`inserted_at_owned`,
+//! `removed_at_owned`, `migrate_map`): the caller holds the slot array
+//! uniquely (a fused bag's inline values, or a HAMT node via
+//! `Arc::get_mut`), so slots are *moved*, never cloned, and
+//! arity-preserving edits reuse the existing allocation. A shared HAMT
+//! node is rebuilt once from its borrowed slots by the copying helpers
+//! behind [`CowNode`] for `Arc<N>`.
 //!
 //! Every edit (`insert_mut`, `remove_mut`, …, and the persistent
 //! `inserted`/`removed` built on them) is one recursive walk over a node
@@ -208,7 +206,7 @@ impl<N: SlotNode> CowNode for Arc<N> {
 }
 
 /// Returns a copy of `slots` with `item` inserted at `idx`.
-pub fn inserted_at<T: Clone>(slots: &[T], idx: usize, item: T) -> Box<[T]> {
+pub(crate) fn inserted_at<T: Clone>(slots: &[T], idx: usize, item: T) -> Box<[T]> {
     debug_assert!(idx <= slots.len());
     let mut out = Vec::with_capacity(slots.len() + 1);
     out.extend_from_slice(&slots[..idx]);
@@ -218,7 +216,7 @@ pub fn inserted_at<T: Clone>(slots: &[T], idx: usize, item: T) -> Box<[T]> {
 }
 
 /// Returns a copy of `slots` with the element at `idx` removed.
-pub fn removed_at<T: Clone>(slots: &[T], idx: usize) -> Box<[T]> {
+pub(crate) fn removed_at<T: Clone>(slots: &[T], idx: usize) -> Box<[T]> {
     debug_assert!(idx < slots.len());
     let mut out = Vec::with_capacity(slots.len() - 1);
     out.extend_from_slice(&slots[..idx]);
@@ -228,7 +226,7 @@ pub fn removed_at<T: Clone>(slots: &[T], idx: usize) -> Box<[T]> {
 
 /// Returns a copy of `slots` with the element at `idx` replaced by `item`.
 /// The displaced slot is skipped, not cloned-then-overwritten.
-pub fn replaced_at<T: Clone>(slots: &[T], idx: usize, item: T) -> Box<[T]> {
+pub(crate) fn replaced_at<T: Clone>(slots: &[T], idx: usize, item: T) -> Box<[T]> {
     debug_assert!(idx < slots.len());
     let mut out = Vec::with_capacity(slots.len());
     out.extend_from_slice(&slots[..idx]);
@@ -237,33 +235,9 @@ pub fn replaced_at<T: Clone>(slots: &[T], idx: usize, item: T) -> Box<[T]> {
     out.into_boxed_slice()
 }
 
-/// Returns a copy of `slots` with the element at `from` removed and `item`
-/// inserted so that it lands at index `to` *of the resulting array* — the
-/// data→node and node→data migrations of CHAMP-style updates.
-pub fn migrated<T: Clone>(slots: &[T], from: usize, to: usize, item: T) -> Box<[T]> {
-    debug_assert!(from < slots.len());
-    debug_assert!(to < slots.len());
-    let mut item = Some(item);
-    let mut out = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.iter().enumerate() {
-        if i == from {
-            continue;
-        }
-        if out.len() == to {
-            out.push(item.take().expect("item placed once"));
-        }
-        out.push(slot.clone());
-    }
-    if let Some(item) = item {
-        debug_assert_eq!(out.len(), to);
-        out.push(item);
-    }
-    debug_assert_eq!(out.len(), slots.len());
-    out.into_boxed_slice()
-}
-
-/// Owned sibling of [`inserted_at`]: consumes the slot array and builds the
-/// grown one by *moving* every element (one allocation, zero clones).
+/// Returns `slots` with `item` inserted at `idx`: consumes the slot array
+/// and builds the grown one by *moving* every element (one allocation, zero
+/// clones).
 pub fn inserted_at_owned<T>(slots: Box<[T]>, idx: usize, item: T) -> Box<[T]> {
     debug_assert!(idx <= slots.len());
     let mut out = Vec::with_capacity(slots.len() + 1);
@@ -274,8 +248,9 @@ pub fn inserted_at_owned<T>(slots: Box<[T]>, idx: usize, item: T) -> Box<[T]> {
     out.into_boxed_slice()
 }
 
-/// Owned sibling of [`removed_at`]: consumes the slot array and builds the
-/// shrunk one by moving the survivors. The removed element is dropped.
+/// Returns `slots` without the element at `idx`: consumes the slot array
+/// and builds the shrunk one by moving the survivors. The removed element
+/// is dropped.
 pub fn removed_at_owned<T>(slots: Box<[T]>, idx: usize) -> Box<[T]> {
     debug_assert!(idx < slots.len());
     let mut out = Vec::with_capacity(slots.len() - 1);
@@ -286,9 +261,10 @@ pub fn removed_at_owned<T>(slots: Box<[T]>, idx: usize) -> Box<[T]> {
     out.into_boxed_slice()
 }
 
-/// Owned, allocation-free sibling of [`migrated`]: shifts the slots between
-/// `from` and `to` inside the existing allocation and rewrites the migrating
-/// slot *through* `f`, which receives the old slot by value and returns its
+/// Moves the slot at `from` so that it lands at index `to` *of the
+/// resulting array* — the data→node and node→data migrations of
+/// CHAMP-style updates — inside the existing allocation, rewriting it
+/// *through* `f`, which receives the old slot by value and returns its
 /// replacement (`from == to` degenerates to an in-place slot transform).
 pub fn migrate_map<T>(slots: &mut Box<[T]>, from: usize, to: usize, f: impl FnOnce(T) -> T) {
     debug_assert!(from < slots.len());
@@ -310,17 +286,6 @@ mod tests {
         assert_eq!(&*inserted_at(&base, 1, 9), &[1, 9, 2, 3]);
         assert_eq!(&*removed_at(&base, 1), &[1, 3]);
         assert_eq!(&*replaced_at(&base, 2, 9), &[1, 2, 9]);
-        assert_eq!(&*migrated(&base, 0, 2, 9), &[2, 3, 9]);
-        assert_eq!(&*migrated(&base, 2, 0, 9), &[9, 1, 2]);
-    }
-
-    #[test]
-    fn migrated_boundary_to_is_last_index() {
-        let base = [10, 20, 30, 40];
-        for from in 0..base.len() {
-            let out = migrated(&base, from, base.len() - 1, 99);
-            assert_eq!(out[base.len() - 1], 99, "from {from}");
-        }
     }
 
     #[test]
@@ -353,7 +318,10 @@ mod tests {
             for to in 0..base.len() {
                 let mut slots = base.clone();
                 migrate_map(&mut slots, from, to, |_| 9);
-                assert_eq!(slots, migrated(&base, from, to, 9), "{from}->{to}");
+                let mut moved = base.to_vec();
+                moved.remove(from);
+                moved.insert(to, 9);
+                assert_eq!(*slots, *moved, "{from}->{to}");
             }
         }
     }

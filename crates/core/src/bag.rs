@@ -546,7 +546,7 @@ impl<'a, V: Clone + Eq + Hash> BagRef<'a, V> {
         match self.0 {
             Values::Set(root, _) => {
                 assert_eq!(
-                    trie_common::node::validate(root, 0),
+                    trie_common::node::validate(root, 0).0,
                     self.len(),
                     "bag length"
                 )

@@ -334,9 +334,9 @@ impl Iterator for MaskIter {
 
 impl ExactSizeIterator for MaskIter {}
 
-/// The walk of the AXIOM set and map ([`trie_common::node`]): a set or plain
-/// map node tags its entries `CAT1` and its sub-tries `NODE`, the CHAMP
-/// special case of the encoding.
+/// The walk of every AXIOM trie ([`trie_common::node`]): `CAT1` holds an
+/// entry, `CAT2` a multi-map key's bag (set and map nodes use none, the
+/// CHAMP special case of the encoding) and `NODE` a sub-trie.
 impl Bitmap for SlotBitmap {
     const EMPTY: SlotBitmap = SlotBitmap::EMPTY;
 
@@ -363,7 +363,7 @@ impl Bitmap for SlotBitmap {
 
     #[inline(always)]
     fn payload_arity(self) -> usize {
-        self.count(Category::Cat1)
+        SlotBitmap::payload_arity(self)
     }
 
     #[inline(always)]
@@ -376,22 +376,24 @@ impl Bitmap for SlotBitmap {
     }
 }
 
-/// The branch a set or map node holds under tag `cat` (it uses no `CAT2`).
+/// The branch a node holds under tag `cat`.
 #[inline(always)]
 fn branch(cat: Category) -> Branch {
     match cat {
+        Category::Empty => Branch::Empty,
         Category::Cat1 => Branch::Payload,
+        Category::Cat2 => Branch::Many,
         Category::Node => Branch::Node,
-        Category::Empty | Category::Cat2 => Branch::Empty,
     }
 }
 
-/// The tag of `branch` in a set or map node.
+/// The tag of `branch`.
 #[inline(always)]
 fn category(branch: Branch) -> Category {
     match branch {
         Branch::Empty => Category::Empty,
         Branch::Payload => Category::Cat1,
+        Branch::Many => Category::Cat2,
         Branch::Node => Category::Node,
     }
 }

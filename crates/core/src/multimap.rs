@@ -12,11 +12,17 @@
 //! the `1:1` tuples, the `1:n` tuples and the sub-trie handles, each group
 //! ascending by mask. The bitmap is the only tag; no slot carries one.
 //!
-//! Content migrates between representations as the relation evolves
-//! (paper §3.2): inserting a second value *promotes* a `CAT1` slot to `CAT2`;
-//! deleting down to one value *demotes* it back; prefix clashes push payload
-//! into fresh sub-tries; deletions canonicalize by inlining collapsed
-//! sub-tries into parents. Memory therefore degrades/improves gracefully as
+//! The multi-map runs the node walk of the AXIOM and CHAMP sets and maps,
+//! [`trie_common::node`], with `CAT2` as its second payload kind: lookup
+//! and batched lookup, insertion, put, removal with canonical inlining,
+//! collision nodes, iteration and the canonical-form check are written
+//! once there. This module holds the public API, the values of one key
+//! ([`BindingRef`]) and the `CAT2` hooks of that walk: content migrates
+//! between representations as the relation evolves (paper §3.2), so
+//! inserting a second value *promotes* a `CAT1` slot to `CAT2` and deleting
+//! down to one value *demotes* it back, while the walk pushes payload into
+//! fresh sub-tries on prefix clashes and inlines collapsed sub-tries into
+//! parents on deletion. Memory therefore degrades/improves gracefully as
 //! arities grow or shrink — the skewed-distribution insight the paper
 //! exploits.
 //!
@@ -46,13 +52,14 @@
 use std::hash::Hash;
 use std::marker::PhantomData;
 
-use trie_common::bits::{hash_exhausted, mask, next_shift};
+use trie_common::bits::{hash_exhausted, next_shift};
 use trie_common::hash::hash32;
-use trie_common::packed::{Children, Manys, Ones, Packed, Slot};
-use trie_common::slices::{edit_child, insert_slot, remove_slot, survivor};
+use trie_common::node::{self, Bind, Bitmap, Branch, Entry, Gone, Held, Inserted, Many, Place};
+use trie_common::ops::MultiMapDiff;
+use trie_common::packed::{Manys, Ones, Slot};
 
 use crate::bag::{BagEdited, BagIter, BagRef, BagSlot, ValueBag};
-use crate::bitmap::{Category, SlotBitmap};
+use crate::bitmap::SlotBitmap;
 use crate::set::AxiomSet;
 
 /// The values bound to one key: an inlined singleton or a nested bag.
@@ -89,12 +96,54 @@ impl<V: Clone + Eq + Hash, B: ValueBag<V>> Binding<V, B> {
     }
 }
 
-impl<V, B> Binding<V, B> {
-    fn category(&self) -> Category {
+/// A put: binds a key to exactly this binding, whatever it was bound to.
+/// Reports the number of values the key had. A put never removes a key, so
+/// no sub-trie collapses.
+impl<W, K, V, B> Bind<W, K, V, Cat2<K, V, B>> for Binding<V, B>
+where
+    W: Bitmap,
+    K: Clone,
+    V: Clone + Eq + Hash,
+    B: ValueBag<V>,
+{
+    type Out = usize;
+
+    fn payload(self, key: K) -> node::Payload<W, K, V, Cat2<K, V, B>> {
         match self {
-            Binding::One(_) => Category::Cat1,
-            Binding::Many(_) => Category::Cat2,
+            Binding::One(v) => Slot::One((key, v)),
+            Binding::Many(bag) => Slot::Many(Cat2::new(key, bag)),
         }
+    }
+
+    fn changed(_: &usize) -> bool {
+        true
+    }
+
+    fn hit(self, node: &mut Node<W, K, V, B>, place: Place<W>, kind: Branch, idx: usize) -> usize {
+        let old = match kind {
+            Branch::Payload => 1,
+            _ => node.many(idx).bag().len(),
+        };
+        match (kind, self) {
+            (Branch::Payload, Binding::One(v)) => node.make_mut().ones[idx].1 = v,
+            (Branch::Payload, Binding::Many(bag)) => {
+                // CAT1 → CAT2 in place: the slot migrates groups.
+                let (word, to) = place.target(node, kind, Branch::Many);
+                node.migrate::<Ones, _>(word, idx, to, |(k, v)| (Slot::Many(Cat2::new(k, bag)), v));
+            }
+            (_, Binding::One(v)) => {
+                let (word, to) = place.target(node, kind, Branch::Payload);
+                node.migrate::<Manys, _>(word, idx, to, |many| {
+                    let (k, bag) = many.into_parts();
+                    (Slot::One((k, v)), bag)
+                });
+            }
+            (_, Binding::Many(bag)) => {
+                let slots = node.make_mut();
+                B::put_in(&mut slots.manys[idx - slots.ones.len()].0, bag);
+            }
+        }
+        old
     }
 }
 
@@ -118,18 +167,6 @@ impl<K, V, B: ValueBag<V>> Cat2<K, V, B> {
     fn into_parts(self) -> (K, B) {
         B::split(self.0)
     }
-
-    fn insert_mut(&mut self, value: V) -> bool {
-        B::insert_in(&mut self.0, value)
-    }
-
-    fn remove_mut(&mut self, value: &V) -> BagEdited<V> {
-        B::remove_in(&mut self.0, value)
-    }
-
-    fn put(&mut self, bag: B) {
-        B::put_in(&mut self.0, bag);
-    }
 }
 
 impl<K: Clone, V, B: ValueBag<V>> Clone for Cat2<K, V, B> {
@@ -144,592 +181,118 @@ impl<K: Eq, V: Clone + Eq + Hash, B: ValueBag<V>> PartialEq for Cat2<K, V, B> {
     }
 }
 
+/// The `CAT2` hooks of the node walk: promotion, a growing or shrinking
+/// bag, demotion.
+impl<K: Clone, V: Clone + Eq + Hash, B: ValueBag<V>> Many<K, V> for Cat2<K, V, B> {
+    fn key(&self) -> &K {
+        Cat2::key(self)
+    }
+
+    fn value_count(&self) -> usize {
+        self.bag().len()
+    }
+
+    fn prefetch(&self) {
+        self.bag().prefetch();
+    }
+
+    /// Promotes 1:1 → 1:n (CAT1 → CAT2), the existing value moving into
+    /// the fresh bag, unless the value is the one bound already.
+    fn insert_one<W: Bitmap>(
+        node: &mut Node<W, K, V, B>,
+        place: Place<W>,
+        idx: usize,
+        value: V,
+    ) -> Inserted<V> {
+        let v = &node.one(idx).1;
+        if *v == value {
+            return Inserted::Unchanged(Some(value));
+        }
+        let (hv, hvalue) = match B::HASHED {
+            true => (hash32(v), hash32(&value)),
+            false => (0, 0),
+        };
+        let (word, to) = place.target(node, Branch::Payload, Branch::Many);
+        node.migrate::<Ones, _>(word, idx, to, |(k, v)| {
+            let bag = B::from_two_hashed(v, hv, value, hvalue);
+            (Slot::Many(Cat2::new(k, bag)), ())
+        });
+        Inserted::Changed(None)
+    }
+
+    /// Adds the value to the bag in place. A shared node is copied only for
+    /// a value its bag lacks.
+    fn insert_many<W: Bitmap>(node: &mut Node<W, K, V, B>, idx: usize, value: V) -> Inserted<V> {
+        if !node.is_unique() && node.many(idx).bag().contains(&value) {
+            return Inserted::Unchanged(Some(value));
+        }
+        let slots = node.make_mut();
+        match B::insert_in(&mut slots.manys[idx - slots.ones.len()].0, value) {
+            true => Inserted::Changed(None),
+            false => Inserted::Unchanged(None),
+        }
+    }
+
+    /// Takes the value out of the bag in place, and demotes 1:n → 1:1
+    /// (CAT2 → CAT1) when one value survives, dropping the consumed bag. A
+    /// shared node is copied only for a value its bag holds.
+    fn remove_value<W: Bitmap>(
+        node: &mut Node<W, K, V, B>,
+        place: Place<W>,
+        idx: usize,
+        value: &V,
+    ) -> bool {
+        if !node.is_unique() && !node.many(idx).bag().contains(value) {
+            return false;
+        }
+        let slots = node.make_mut();
+        let survivor = match B::remove_in(&mut slots.manys[idx - slots.ones.len()].0, value) {
+            BagEdited::NotFound => return false,
+            BagEdited::Shrunk => return true,
+            BagEdited::Single(survivor) => survivor,
+        };
+        let (word, to) = place.target(node, Branch::Many, Branch::Payload);
+        node.migrate::<Manys, _>(word, idx, to, |many| {
+            let (k, bag) = many.into_parts();
+            (Slot::One((k, survivor)), bag)
+        });
+        true
+    }
+
+    fn validate(&self) {
+        let bag = self.bag();
+        bag.assert_invariants();
+        assert!(bag.len() >= 2, "CAT2 bag with < 2 values");
+    }
+}
+
 /// A trie node: one allocation holding the bitmap, the `1:1` tuples, the
 /// `1:n` tuples and the sub-trie handles. Past the last hash level a node
 /// is a collision node: keys sharing one 32-bit hash, no children, an
 /// unused bitmap.
-pub(crate) type Node<K, V, B> = Packed<SlotBitmap, (K, V), Cat2<K, V, B>>;
+pub(crate) type Node<W, K, V, B> = node::Node<W, K, V, Cat2<K, V, B>>;
 
-/// One slot of a multi-map node, by value.
-type NodeSlot<K, V, B> = Slot<(K, V), Cat2<K, V, B>, Node<K, V, B>>;
+/// The root type of an [`AxiomMultiMap`].
+type Root<K, V, B> = Node<SlotBitmap, K, V, B>;
 
-/// Insertion outcome: the walk edits or copies nodes where they stand, so
-/// only the tuple/key bookkeeping flag travels.
-enum EditInserted {
-    Unchanged,
-    NewTuple,
-    NewKey,
-}
-
-/// What one removal took out of the relation.
-#[derive(Clone, Copy)]
-struct Removal {
-    tuples: usize,
-    key_gone: bool,
-}
-
-/// Removal outcome, shared by tuple and key removal.
-enum EditRemoved<K, V, B> {
-    NotFound,
-    Removed(Removal),
-    /// Sub-tree collapsed to one key's binding: the parent inlines it (a
-    /// unique node is left empty for the parent to drop).
-    Single {
-        key: K,
-        binding: Binding<V, B>,
-        removal: Removal,
-    },
-}
-
-fn slot_of<K, V, B: ValueBag<V>>(key: K, binding: Binding<V, B>) -> NodeSlot<K, V, B> {
-    match binding {
-        Binding::One(v) => Slot::One((key, v)),
-        Binding::Many(bag) => Slot::Many(Cat2::new(key, bag)),
+/// The values of a payload the walk found.
+fn binding_of<'a, K, V, B: ValueBag<V>>(
+    entry: Entry<'a, K, V, Cat2<K, V, B>>,
+) -> BindingRef<'a, V> {
+    match entry {
+        Entry::One((_, v)) => BindingRef::One(v),
+        Entry::Many(many) => BindingRef::Many(many.bag()),
     }
 }
 
-/// The key and binding of a payload slot handed over by a collapsing
-/// node (inverse of [`slot_of`]).
-fn binding_of<K, V, B: ValueBag<V>>(slot: NodeSlot<K, V, B>) -> (K, Binding<V, B>) {
-    match slot {
-        Slot::One((k, v)) => (k, Binding::One(v)),
-        Slot::Many(many) => {
-            let (k, bag) = many.into_parts();
-            (k, Binding::Many(bag))
-        }
-        Slot::Child(_) => unreachable!("a collapsing node holds two payload slots"),
-    }
-}
-
-/// The branch of `hash` at `shift`; 0 past the last level, where a
-/// collision node has no branches.
-fn branch(hash: u32, shift: u32) -> u32 {
-    match hash_exhausted(shift) {
-        true => 0,
-        false => mask(hash, shift),
-    }
-}
-
-fn empty<K, V, B: BagSlot<V>>() -> Node<K, V, B> {
-    Node::new(SlotBitmap::EMPTY, [], [], [])
-}
-
-/// A node of one binding (the root a collapsed trie leaves, or a bitmap
-/// node's payload group of one).
-fn node_of<K, V, B: ValueBag<V>>(
-    bitmap: SlotBitmap,
-    key: K,
-    binding: Binding<V, B>,
-) -> Node<K, V, B> {
-    match binding {
-        Binding::One(v) => Node::new(bitmap, [(key, v)], [], []),
-        Binding::Many(bag) => Node::new(bitmap, [], [Cat2::new(key, bag)], []),
-    }
-}
-
-/// Builds the minimal sub-trie holding two distinct keys' bindings whose
-/// hash prefixes agree up to `shift`.
-fn pair<K, V, B: ValueBag<V>>(
-    h1: u32,
-    k1: K,
-    b1: Binding<V, B>,
-    h2: u32,
-    k2: K,
-    b2: Binding<V, B>,
-    shift: u32,
-) -> Node<K, V, B> {
-    let exhausted = hash_exhausted(shift);
-    let (m1, m2) = (branch(h1, shift), branch(h2, shift));
-    if !exhausted && m1 == m2 {
-        let child = pair(h1, k1, b1, h2, k2, b2, next_shift(shift));
-        return Node::new(SlotBitmap::EMPTY.with(m1, Category::Node), [], [], [child]);
-    }
-    // A collision node (exhausted hash) ignores its bitmap.
-    let bitmap = match exhausted {
-        true => SlotBitmap::EMPTY,
-        false => SlotBitmap::EMPTY
-            .with(m1, b1.category())
-            .with(m2, b2.category()),
-    };
-    let ((ka, ba), (kb, bb)) = match m1 <= m2 {
-        true => ((k1, b1), (k2, b2)),
-        false => ((k2, b2), (k1, b1)),
-    };
-    match (ba, bb) {
-        (Binding::One(va), Binding::One(vb)) => Node::new(bitmap, [(ka, va), (kb, vb)], [], []),
-        (Binding::Many(xa), Binding::Many(xb)) => {
-            Node::new(bitmap, [], [Cat2::new(ka, xa), Cat2::new(kb, xb)], [])
-        }
-        (Binding::One(va), Binding::Many(xb)) => {
-            Node::new(bitmap, [(ka, va)], [Cat2::new(kb, xb)], [])
-        }
-        (Binding::Many(xa), Binding::One(vb)) => {
-            Node::new(bitmap, [(kb, vb)], [Cat2::new(ka, xa)], [])
-        }
-    }
-}
-
-/// A key's slot, as a lookup finds it.
-enum Found<'a, K, V, B: BagSlot<V>> {
-    One(&'a V),
-    Many(&'a Cat2<K, V, B>),
-}
-
-impl<'a, K, V, B: ValueBag<V>> Found<'a, K, V, B> {
-    fn binding(self) -> BindingRef<'a, V> {
-        match self {
-            Found::One(v) => BindingRef::One(v),
-            Found::Many(many) => BindingRef::Many(many.bag()),
-        }
-    }
-}
-
-/// The slot of `key` in a collision node, with its absolute index.
-fn collision_find<'a, K: Eq, V, B: ValueBag<V>>(
-    node: &'a Node<K, V, B>,
-    key: &K,
-) -> Option<(usize, Found<'a, K, V, B>)> {
-    let ones = node.ones();
-    if let Some(pos) = ones.iter().position(|(k, _)| k == key) {
-        return Some((pos, Found::One(&ones[pos].1)));
-    }
-    let pos = node.manys().iter().position(|many| many.key() == key)?;
-    Some((ones.len() + pos, Found::Many(&node.manys()[pos])))
-}
-
-/// One level of a lookup: the key's answer, or the sub-trie it goes on in.
-enum Step<'a, K, V, B: BagSlot<V>> {
-    Done(Option<Found<'a, K, V, B>>),
-    Down(&'a Node<K, V, B>),
-}
-
-/// One level of the lookup of `key` (hashed to `hash`) in `node` at
-/// `shift`: the step [`find`] loops on, and the one
-/// [`AxiomMultiMap::get_many`] takes for every walking key per round.
-#[inline(always)]
-fn step<'a, K, V, B>(node: &'a Node<K, V, B>, hash: u32, shift: u32, key: &K) -> Step<'a, K, V, B>
-where
-    K: Eq,
-    B: ValueBag<V>,
-{
-    if hash_exhausted(shift) {
-        return Step::Done(collision_find(node, key).map(|(_, found)| found));
-    }
-    // Fused dispatch: category and slot index from one pass.
-    match node.word().locate(mask(hash, shift)) {
-        (Category::Empty, _) => Step::Done(None),
-        (Category::Cat1, idx) => {
-            let (k, v) = node.one(idx);
-            Step::Done((k == key).then_some(Found::One(v)))
-        }
-        (Category::Cat2, idx) => {
-            let many = node.many(idx);
-            Step::Done((many.key() == key).then_some(Found::Many(many)))
-        }
-        (Category::Node, idx) => Step::Down(node.child(idx)),
-    }
-}
-
-fn find<'a, K, V, B>(
-    mut node: &'a Node<K, V, B>,
-    hash: u32,
-    mut shift: u32,
-    key: &K,
-) -> Option<Found<'a, K, V, B>>
-where
-    K: Eq,
-    B: ValueBag<V>,
-{
-    loop {
-        match step(node, hash, shift, key) {
-            Step::Done(found) => return found,
-            Step::Down(child) => (node, shift) = (child, next_shift(shift)),
-        }
-    }
-}
-
-/// Keys whose walks [`AxiomMultiMap::get_many`] runs side by side: enough
-/// to overlap a batch's cache misses, few enough for the cursors to live
-/// on the stack.
-const LANES: usize = 16;
-
-/// Prefix clash at mask `m`: the payload at `idx` (of category `cat`) and
-/// the new binding of `key` (hashed to `hash`) descend into a fresh
-/// sub-trie; the slot becomes NODE.
-fn push_down<K, V, B>(
-    this: &mut Node<K, V, B>,
-    (m, shift): (u32, u32),
-    (cat, idx): (Category, usize),
-    (hash, key, binding): (u32, K, Binding<V, B>),
-) where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: ValueBag<V>,
-{
-    let existing_hash = match cat {
-        Category::Cat1 => hash32(&this.one(idx).0),
-        _ => hash32(this.many(idx).key()),
-    };
-    let bitmap = this.word().with(m, Category::Node);
-    let to = bitmap.slot_index(Category::Node, m);
-    let below = move |k, existing| {
-        let child = pair(
-            existing_hash,
-            k,
-            existing,
-            hash,
-            key,
-            binding,
-            next_shift(shift),
-        );
-        (Slot::Child(child), ())
-    };
-    match cat {
-        Category::Cat1 => {
-            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| below(k, Binding::One(v)))
-        }
-        _ => this.migrate::<Manys, _>(bitmap, idx, to, |many| {
-            let (k, bag) = many.into_parts();
-            below(k, Binding::Many(bag))
-        }),
-    }
-}
-
-/// Inserts `(key, value)` below `this`, editing unique nodes in place
-/// (`CAT2` bags through [`ValueBag::insert_mut`]) and copying shared ones
-/// on write (see [`trie_common::slices`]). Takes the tuple by ownership so
-/// the common paths are clone-free.
-fn insert_in_place<K, V, B>(
-    this: &mut Node<K, V, B>,
-    hash: u32,
-    shift: u32,
-    key: K,
-    value: V,
-) -> EditInserted
-where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: ValueBag<V>,
-{
-    let (bitmap, m) = (this.word(), branch(hash, shift));
-    let (cat, idx) = match hash_exhausted(shift) {
-        true => match collision_find(this, &key) {
-            Some((idx, Found::One(_))) => (Category::Cat1, idx),
-            Some((idx, Found::Many(_))) => (Category::Cat2, idx),
-            None => {
-                let end = this.ones().len();
-                this.insert(bitmap, end, Slot::One((key, value)));
-                return EditInserted::NewKey;
-            }
-        },
-        false => bitmap.locate(m),
-    };
-    match cat {
-        Category::Empty => {
-            let bitmap = bitmap.with(m, Category::Cat1);
-            let idx = bitmap.slot_index(Category::Cat1, m);
-            insert_slot(this, bitmap, idx, Slot::One((key, value)));
-            EditInserted::NewKey
-        }
-        Category::Node => edit_child(
-            this,
-            idx,
-            |child| insert_in_place(child, hash, next_shift(shift), key, value),
-            |outcome| !matches!(outcome, EditInserted::Unchanged),
-        ),
-        Category::Cat1 => {
-            let (k, v) = this.one(idx);
-            if *k != key {
-                push_down(
-                    this,
-                    (m, shift),
-                    (cat, idx),
-                    (hash, key, Binding::One(value)),
-                );
-                return EditInserted::NewKey;
-            }
-            if *v == value {
-                return EditInserted::Unchanged;
-            }
-            // Promote 1:1 → 1:n: CAT1 → CAT2, the existing value moving
-            // into the fresh bag.
-            let (hv, hvalue) = match B::HASHED {
-                true => (hash32(v), hash32(&value)),
-                false => (0, 0),
-            };
-            let (bitmap, to) = match hash_exhausted(shift) {
-                true => (bitmap, this.arity() - this.children().len() - 1),
-                false => {
-                    let bitmap = bitmap.with(m, Category::Cat2);
-                    (bitmap, bitmap.slot_index(Category::Cat2, m))
-                }
-            };
-            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| {
-                let bag = B::from_two_hashed(v, hv, value, hvalue);
-                (Slot::Many(Cat2::new(k, bag)), ())
-            });
-            EditInserted::NewTuple
-        }
-        Category::Cat2 => {
-            let many = this.many(idx);
-            if *many.key() != key {
-                push_down(
-                    this,
-                    (m, shift),
-                    (cat, idx),
-                    (hash, key, Binding::One(value)),
-                );
-                return EditInserted::NewKey;
-            }
-            // A shared node is copied only for a value its bag lacks.
-            if !this.is_unique() && many.bag().contains(&value) {
-                return EditInserted::Unchanged;
-            }
-            let node = this.make_mut();
-            match node.manys[idx - node.ones.len()].insert_mut(value) {
-                true => EditInserted::NewTuple,
-                false => EditInserted::Unchanged,
-            }
-        }
-    }
-}
-
-/// In-place put: binds `key` to `binding`, replacing the key's previous
-/// binding, in one walk. Returns the previous binding's size (`None` for a
-/// new key). A shared node is copied first (`make_mut`), so other handles
-/// keep their version and only the spine down to the key is copied; a
-/// uniquely-owned node is edited where it stands. A put never removes a
-/// key, so no sub-trie collapses.
-fn put_in_place<K, V, B>(
-    this: &mut Node<K, V, B>,
-    hash: u32,
-    shift: u32,
-    key: K,
-    binding: Binding<V, B>,
-) -> Option<usize>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: ValueBag<V>,
-{
-    let (bitmap, m) = (this.word(), branch(hash, shift));
-    let to_cat = binding.category();
-    let (cat, idx) = match hash_exhausted(shift) {
-        true => match collision_find(this, &key) {
-            Some((idx, Found::One(_))) => (Category::Cat1, idx),
-            Some((idx, Found::Many(_))) => (Category::Cat2, idx),
-            None => {
-                let end = match to_cat {
-                    Category::Cat1 => this.ones().len(),
-                    _ => this.ones().len() + this.manys().len(),
-                };
-                this.insert(bitmap, end, slot_of(key, binding));
-                return None;
-            }
-        },
-        false => bitmap.locate(m),
-    };
-    let (ek, old_len) = match cat {
-        Category::Empty => {
-            let bitmap = bitmap.with(m, to_cat);
-            let idx = bitmap.slot_index(to_cat, m);
-            this.insert(bitmap, idx, slot_of(key, binding));
-            return None;
-        }
-        Category::Node => {
-            let node = this.make_mut();
-            let child = &mut node.children[idx - node.ones.len() - node.manys.len()];
-            return put_in_place(child, hash, next_shift(shift), key, binding);
-        }
-        Category::Cat1 => (&this.one(idx).0, 1),
-        Category::Cat2 => {
-            let many = this.many(idx);
-            (many.key(), many.bag().len())
-        }
-    };
-    if *ek != key {
-        push_down(this, (m, shift), (cat, idx), (hash, key, binding));
-        return None;
-    }
-    let (bitmap, to) = match hash_exhausted(shift) {
-        true => {
-            let ones = this.ones().len() - usize::from(cat == Category::Cat1);
-            let to = match to_cat {
-                Category::Cat1 => ones,
-                _ => this.arity() - this.children().len() - 1,
-            };
-            (bitmap, to)
-        }
-        false => {
-            let bitmap = bitmap.with(m, to_cat);
-            (bitmap, bitmap.slot_index(to_cat, m))
-        }
-    };
-    match (cat, binding) {
-        (Category::Cat1, Binding::One(v)) => this.make_mut().ones[idx].1 = v,
-        (Category::Cat1, Binding::Many(bag)) => {
-            // CAT1 → CAT2 in place: the slot migrates groups.
-            this.migrate::<Ones, _>(bitmap, idx, to, |(k, v)| (Slot::Many(Cat2::new(k, bag)), v));
-        }
-        (_, Binding::One(v)) => {
-            this.migrate::<Manys, _>(bitmap, idx, to, |many| {
-                let (k, bag) = many.into_parts();
-                (Slot::One((k, v)), bag)
-            });
-        }
-        (_, Binding::Many(bag)) => {
-            let node = this.make_mut();
-            node.manys[idx - node.ones.len()].put(bag);
-        }
-    }
-    Some(old_len)
-}
-
-/// Removes from `key`'s binding below `this` either one `value` (a tuple
-/// removal) or, for `None`, the whole binding (a key removal), with the
-/// same copy-on-write discipline as [`insert_in_place`]. Canonicalizes on
-/// the way up: a sub-trie left with one key hands its binding to the parent
-/// for inlining.
-fn remove_in_place<K, V, B>(
-    this: &mut Node<K, V, B>,
-    hash: u32,
-    shift: u32,
-    key: &K,
-    value: Option<&V>,
-) -> EditRemoved<K, V, B>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: ValueBag<V>,
-{
-    let (bitmap, m) = (this.word(), branch(hash, shift));
-    let (cat, idx) = match hash_exhausted(shift) {
-        true => match collision_find(this, key) {
-            Some((idx, Found::One(_))) => (Category::Cat1, idx),
-            Some((idx, Found::Many(_))) => (Category::Cat2, idx),
-            None => return EditRemoved::NotFound,
-        },
-        false => bitmap.locate(m),
-    };
-    let removal = match cat {
-        Category::Empty => return EditRemoved::NotFound,
-        Category::Node => {
-            // A pure chain node dissolves when its child collapses.
-            let chain = shift > 0 && bitmap.payload_arity() == 0 && bitmap.node_arity() == 1;
-            return match edit_child(
-                this,
-                idx,
-                |child| remove_in_place(child, hash, next_shift(shift), key, value),
-                |outcome| matches!(outcome, EditRemoved::Removed(_)),
-            ) {
-                EditRemoved::Single {
-                    key,
-                    binding,
-                    removal,
-                } if !chain => {
-                    // Inline the binding: NODE → CAT1/CAT2, dropping the
-                    // collapsed child after the move.
-                    let cat = binding.category();
-                    let bitmap = bitmap.with(m, cat);
-                    let to = bitmap.slot_index(cat, m);
-                    this.migrate::<Children, _>(bitmap, idx, to, |child| {
-                        (slot_of(key, binding), child)
-                    });
-                    EditRemoved::Removed(removal)
-                }
-                outcome => outcome,
-            };
-        }
-        Category::Cat1 => {
-            let (k, v) = this.one(idx);
-            if k != key || value.is_some_and(|value| value != v) {
-                return EditRemoved::NotFound;
-            }
-            Removal {
-                tuples: 1,
-                key_gone: true,
-            }
-        }
-        Category::Cat2 => {
-            let many = this.many(idx);
-            if many.key() != key {
-                return EditRemoved::NotFound;
-            }
-            let Some(value) = value else {
-                let removal = Removal {
-                    tuples: many.bag().len(),
-                    key_gone: true,
-                };
-                return remove_payload(this, bitmap, m, shift, idx, removal);
-            };
-            // A shared node is copied only for a value its bag holds.
-            if !this.is_unique() && !many.bag().contains(value) {
-                return EditRemoved::NotFound;
-            }
-            let node = this.make_mut();
-            let removal = Removal {
-                tuples: 1,
-                key_gone: false,
-            };
-            let survivor = match node.manys[idx - node.ones.len()].remove_mut(value) {
-                BagEdited::NotFound => return EditRemoved::NotFound,
-                BagEdited::Shrunk => return EditRemoved::Removed(removal),
-                BagEdited::Single(survivor) => survivor,
-            };
-            // Demote 1:n → 1:1: CAT2 → CAT1, dropping the consumed bag.
-            let (bitmap, to) = match hash_exhausted(shift) {
-                true => (bitmap, this.ones().len()),
-                false => {
-                    let bitmap = bitmap.with(m, Category::Cat1);
-                    (bitmap, bitmap.slot_index(Category::Cat1, m))
-                }
-            };
-            this.migrate::<Manys, _>(bitmap, idx, to, |many| {
-                let (k, bag) = many.into_parts();
-                (Slot::One((k, survivor)), bag)
-            });
-            return EditRemoved::Removed(removal);
-        }
-    };
-    remove_payload(this, bitmap, m, shift, idx, removal)
-}
-
-/// Takes the whole payload slot at `idx` (mask `m`) out of `this`. A node
-/// left with one payload slot and no child offers it to the parent for
-/// inlining.
-fn remove_payload<K, V, B>(
-    this: &mut Node<K, V, B>,
-    bitmap: SlotBitmap,
-    m: u32,
-    shift: u32,
-    idx: usize,
-    removal: Removal,
-) -> EditRemoved<K, V, B>
+/// The key and the values of a payload the walk found.
+fn bound<'a, K, V, B>(entry: Entry<'a, K, V, Cat2<K, V, B>>) -> (&'a K, BindingRef<'a, V>)
 where
     K: Clone,
-    V: Clone,
+    V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    let (bitmap, last) = match hash_exhausted(shift) {
-        true => (bitmap, this.arity() == 2),
-        false => {
-            let bitmap = bitmap.with(m, Category::Empty);
-            (
-                bitmap,
-                shift > 0 && bitmap.payload_arity() == 1 && bitmap.node_arity() == 0,
-            )
-        }
-    };
-    if last {
-        let (key, binding) = binding_of(survivor(this, idx));
-        return EditRemoved::Single {
-            key,
-            binding,
-            removal,
-        };
-    }
-    remove_slot(this, bitmap, idx);
-    EditRemoved::Removed(removal)
+    (entry.key(), binding_of(entry))
 }
 
 /// Borrowed view of one key's values. Returned by [`AxiomMultiMap::get`].
@@ -814,7 +377,7 @@ impl<'a, V> Iterator for ValuesOf<'a, V> {
 }
 
 // ---------------------------------------------------------------------------
-// Structural relation diff: a lockstep node walk.
+// Structural relation diff and equality: lockstep node walks.
 // ---------------------------------------------------------------------------
 //
 // `diff_nodes` walks two multi-map tries in lockstep, comparing the branch
@@ -824,69 +387,21 @@ impl<'a, V> Iterator for ValuesOf<'a, V> {
 // structure. Bindings compare at tuple granularity: a `CAT1`×`CAT2` pair at
 // the same mask (a promoted or demoted key) contributes only the values that
 // actually differ, and `CAT2`×`CAT2` pairs diff their bags value by value.
+// The walks of `trie_common::algebra` pair `(key, &value)` payloads and
+// report a changed key's old and new value; a `CAT2` payload has no stored
+// value to lend, and the multi-map's diff is by tuple, so these two stay
+// here.
 
-/// What one multi-map node holds under a 5-bit mask.
-enum AtM<'a, K, V, B: BagSlot<V>> {
-    Nothing,
-    /// `CAT1`: an inlined `1:1` tuple.
-    One(&'a K, &'a V),
-    /// `CAT2`: a key with a nested bag of ≥ 2 values.
-    Many(&'a K, BagRef<'a, V>),
-    /// `NODE`: a sub-trie.
-    Sub(&'a Node<K, V, B>),
-}
-
-/// A node's branches in ascending mask order, one cursor per slot group
-/// (each ascending by mask), so no branch costs a popcount.
-struct Branches<'a, K, V, B: BagSlot<V>> {
-    bitmap: SlotBitmap,
-    ones: std::slice::Iter<'a, (K, V)>,
-    manys: std::slice::Iter<'a, Cat2<K, V, B>>,
-    children: std::slice::Iter<'a, Node<K, V, B>>,
-}
-
-impl<'a, K, V, B: ValueBag<V>> Branches<'a, K, V, B> {
-    fn of(node: &'a Node<K, V, B>) -> Self {
-        Branches {
-            bitmap: node.word(),
-            ones: node.ones().iter(),
-            manys: node.manys().iter(),
-            children: node.children().iter(),
-        }
-    }
-
-    /// What the node holds at `m`. Called for ascending masks that cover
-    /// every branch the node occupies.
-    fn at(&mut self, m: u32) -> AtM<'a, K, V, B> {
-        match self.bitmap.get(m) {
-            Category::Empty => AtM::Nothing,
-            Category::Cat1 => self
-                .ones
-                .next()
-                .map_or(AtM::Nothing, |(k, v)| AtM::One(k, v)),
-            Category::Cat2 => self
-                .manys
-                .next()
-                .map_or(AtM::Nothing, |many| AtM::Many(many.key(), many.bag())),
-            Category::Node => self.children.next().map_or(AtM::Nothing, AtM::Sub),
-        }
-    }
-}
-
-/// The `(key, binding)` entries of a node's payload groups.
-fn entries<K, V, B: ValueBag<V>>(
-    node: &Node<K, V, B>,
+/// The `(key, binding)` payloads of a node.
+fn entries<K: Clone, V: Clone + Eq + Hash, B: ValueBag<V>>(
+    node: &Root<K, V, B>,
 ) -> impl Iterator<Item = (&K, BindingRef<'_, V>)> {
-    let ones = node.ones().iter().map(|(k, v)| (k, BindingRef::One(v)));
-    ones.chain(
-        node.manys()
-            .iter()
-            .map(|many| (many.key(), BindingRef::Many(many.bag()))),
-    )
+    let ones = node.ones().iter().map(Entry::One);
+    ones.chain(node.manys().iter().map(Entry::Many)).map(bound)
 }
 
 /// Invokes `f` for every `(key, value)` tuple stored in the sub-trie.
-fn for_each_tuple_node<K, V, B>(node: &Node<K, V, B>, f: &mut impl FnMut(&K, &V))
+fn for_each_tuple<K, V, B>(node: &Root<K, V, B>, f: &mut impl FnMut(&K, &V))
 where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
@@ -896,41 +411,56 @@ where
         binding.iter().for_each(|v| f(k, v));
     }
     for child in node.children() {
-        for_each_tuple_node(child, f);
-    }
-}
-
-/// Emits the tuple-level delta between two same-key bindings into `out`.
-/// Bindings under distinct keys never reach here.
-fn diff_bindings<K, V>(
-    key: &K,
-    a: BindingRef<'_, V>,
-    b: BindingRef<'_, V>,
-    out: &mut trie_common::ops::MultiMapDiff<K, V>,
-) where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-{
-    for v in a.iter() {
-        if !b.contains(v) {
-            out.removed.push((key.clone(), v.clone()));
-        }
-    }
-    for v in b.iter() {
-        if !a.contains(v) {
-            out.added.push((key.clone(), v.clone()));
-        }
+        for_each_tuple(child, f);
     }
 }
 
 /// Emits every tuple of `binding` under `key` into `sink`.
-fn emit_binding<K, V>(key: &K, binding: BindingRef<'_, V>, sink: &mut Vec<(K, V)>)
+fn emit<K: Clone, V: Clone + Eq + Hash>(
+    key: &K,
+    binding: BindingRef<'_, V>,
+    sink: &mut Vec<(K, V)>,
+) {
+    sink.extend(binding.iter().map(|v| (key.clone(), v.clone())));
+}
+
+/// Emits every tuple one side holds at a branch into `sink`.
+fn emit_all<K, V, B>(held: Held<'_, SlotBitmap, K, V, Cat2<K, V, B>>, sink: &mut Vec<(K, V)>)
 where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
+    B: ValueBag<V>,
 {
-    for v in binding.iter() {
-        sink.push((key.clone(), v.clone()));
+    match held {
+        Held::Nothing => {}
+        Held::Entry(entry) => {
+            let (key, values) = bound(entry);
+            emit(key, values, sink);
+        }
+        Held::Sub(sub) => for_each_tuple(sub, &mut |k, v| sink.push((k.clone(), v.clone()))),
+    }
+}
+
+/// Emits the tuple-level delta between two same-key bindings into `out`.
+fn diff_bindings<K, V>(
+    key: &K,
+    a: BindingRef<'_, V>,
+    b: BindingRef<'_, V>,
+    out: &mut MultiMapDiff<K, V>,
+) where
+    K: Clone + Eq + Hash,
+    V: Clone + Eq + Hash,
+{
+    if let (BindingRef::Many(x), BindingRef::Many(y)) = (a, b) {
+        if x == y {
+            return;
+        }
+    }
+    for v in a.iter().filter(|v| !b.contains(v)) {
+        out.removed.push((key.clone(), v.clone()));
+    }
+    for v in b.iter().filter(|v| !a.contains(v)) {
+        out.added.push((key.clone(), v.clone()));
     }
 }
 
@@ -939,41 +469,32 @@ where
 /// when the binding comes from `self` (the old side) and the sub-trie from
 /// `other`.
 fn diff_binding_vs_sub<K, V, B>(
-    key: &K,
-    binding: BindingRef<'_, V>,
-    sub: &Node<K, V, B>,
+    (key, binding): (&K, BindingRef<'_, V>),
+    sub: &Root<K, V, B>,
     shift: u32,
     payload_is_old: bool,
-    out: &mut trie_common::ops::MultiMapDiff<K, V>,
+    out: &mut MultiMapDiff<K, V>,
 ) where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-    let in_sub = find(sub, hash32(key), next_shift(shift), key).map(Found::binding);
+    let in_sub = node::get(sub, hash32(key), next_shift(shift), key).map(binding_of);
+    let (gone, new) = match payload_is_old {
+        true => (&mut out.removed, &mut out.added),
+        false => (&mut out.added, &mut out.removed),
+    };
     // Tuples of the payload binding missing from the sub-trie.
     for v in binding.iter() {
-        let present = in_sub.is_some_and(|theirs| theirs.contains(v));
-        if !present {
-            let pair = (key.clone(), v.clone());
-            if payload_is_old {
-                out.removed.push(pair);
-            } else {
-                out.added.push(pair);
-            }
+        if !in_sub.is_some_and(|theirs| theirs.contains(v)) {
+            gone.push((key.clone(), v.clone()));
         }
     }
     // Tuples of the sub-trie missing from the payload binding: every tuple
     // under a different key, plus same-key values the binding lacks.
-    for_each_tuple_node(sub, &mut |k, v| {
-        if k == key && binding.contains(v) {
-            return;
-        }
-        let pair = (k.clone(), v.clone());
-        if payload_is_old {
-            out.added.push(pair);
-        } else {
-            out.removed.push(pair);
+    for_each_tuple(sub, &mut |k, v| {
+        if k != key || !binding.contains(v) {
+            new.push((k.clone(), v.clone()));
         }
     });
 }
@@ -981,114 +502,76 @@ fn diff_binding_vs_sub<K, V, B>(
 /// Lockstep diff of two multi-map sub-tries at the same depth, accumulating
 /// tuple-granularity added/removed entries into `out` (`a` old, `b` new).
 fn diff_nodes<K, V, B>(
-    a: &Node<K, V, B>,
-    b: &Node<K, V, B>,
+    a: &Root<K, V, B>,
+    b: &Root<K, V, B>,
     shift: u32,
-    out: &mut trie_common::ops::MultiMapDiff<K, V>,
+    out: &mut MultiMapDiff<K, V>,
 ) where
     K: Clone + Eq + Hash,
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
     if hash_exhausted(shift) {
-        for (k, binding_a) in entries(a) {
+        for (k, x) in entries(a) {
             match entries(b).find(|(kb, _)| *kb == k) {
-                None => emit_binding(k, binding_a, &mut out.removed),
-                Some((_, binding_b)) => diff_bindings(k, binding_a, binding_b, out),
+                None => emit(k, x, &mut out.removed),
+                Some((_, y)) => diff_bindings(k, x, y, out),
             }
         }
-        for (k, binding_b) in entries(b) {
+        for (k, y) in entries(b) {
             if !entries(a).any(|(ka, _)| ka == k) {
-                emit_binding(k, binding_b, &mut out.added);
+                emit(k, y, &mut out.added);
             }
         }
         return;
     }
-    let (mut xa, mut xb) = (Branches::of(a), Branches::of(b));
+    let (mut xa, mut xb) = (node::branches(a), node::branches(b));
     for m in a.word().occupied_with(b.word()) {
-        match (xa.at(m), xb.at(m)) {
-            (AtM::Nothing, AtM::Nothing) => {}
-            (AtM::One(k, v), AtM::Nothing) => {
-                out.removed.push((k.clone(), v.clone()));
-            }
-            (AtM::Many(k, bag), AtM::Nothing) => {
-                emit_binding(k, BindingRef::Many(bag), &mut out.removed);
-            }
-            (AtM::Sub(ac), AtM::Nothing) => {
-                for_each_tuple_node(ac, &mut |k, v| {
-                    out.removed.push((k.clone(), v.clone()));
-                });
-            }
-            (AtM::Nothing, AtM::One(k, v)) => {
-                out.added.push((k.clone(), v.clone()));
-            }
-            (AtM::Nothing, AtM::Many(k, bag)) => {
-                emit_binding(k, BindingRef::Many(bag), &mut out.added);
-            }
-            (AtM::Nothing, AtM::Sub(bc)) => {
-                for_each_tuple_node(bc, &mut |k, v| {
-                    out.added.push((k.clone(), v.clone()));
-                });
-            }
-            (AtM::One(ka, va), AtM::One(kb, vb)) => {
+        match (xa(m), xb(m)) {
+            (x, Held::Nothing) => emit_all(x, &mut out.removed),
+            (Held::Nothing, y) => emit_all(y, &mut out.added),
+            (Held::Entry(x), Held::Entry(y)) => {
+                let ((ka, x), (kb, y)) = (bound(x), bound(y));
                 if ka == kb {
-                    if va != vb {
-                        out.removed.push((ka.clone(), va.clone()));
-                        out.added.push((kb.clone(), vb.clone()));
-                    }
+                    // A promoted or demoted key contributes only the values
+                    // that differ.
+                    diff_bindings(ka, x, y, out);
                 } else {
-                    out.removed.push((ka.clone(), va.clone()));
-                    out.added.push((kb.clone(), vb.clone()));
+                    emit(ka, x, &mut out.removed);
+                    emit(kb, y, &mut out.added);
                 }
             }
-            (AtM::One(ka, va), AtM::Many(kb, bb)) => {
-                if ka == kb {
-                    // Promotion: the key gained values (and may have
-                    // swapped its original one).
-                    diff_bindings(ka, BindingRef::One(va), BindingRef::Many(bb), out);
-                } else {
-                    out.removed.push((ka.clone(), va.clone()));
-                    emit_binding(kb, BindingRef::Many(bb), &mut out.added);
-                }
-            }
-            (AtM::Many(ka, ba), AtM::One(kb, vb)) => {
-                if ka == kb {
-                    // Demotion: the key shed values down to one.
-                    diff_bindings(ka, BindingRef::Many(ba), BindingRef::One(vb), out);
-                } else {
-                    emit_binding(ka, BindingRef::Many(ba), &mut out.removed);
-                    out.added.push((kb.clone(), vb.clone()));
-                }
-            }
-            (AtM::Many(ka, ba), AtM::Many(kb, bb)) => {
-                if ka == kb {
-                    if ba != bb {
-                        diff_bindings(ka, BindingRef::Many(ba), BindingRef::Many(bb), out);
-                    }
-                } else {
-                    emit_binding(ka, BindingRef::Many(ba), &mut out.removed);
-                    emit_binding(kb, BindingRef::Many(bb), &mut out.added);
-                }
-            }
-            (AtM::One(ka, va), AtM::Sub(bc)) => {
-                diff_binding_vs_sub(ka, BindingRef::One(va), bc, shift, true, out);
-            }
-            (AtM::Many(ka, ba), AtM::Sub(bc)) => {
-                diff_binding_vs_sub(ka, BindingRef::Many(ba), bc, shift, true, out);
-            }
-            (AtM::Sub(ac), AtM::One(kb, vb)) => {
-                diff_binding_vs_sub(kb, BindingRef::One(vb), ac, shift, false, out);
-            }
-            (AtM::Sub(ac), AtM::Many(kb, bag)) => {
-                diff_binding_vs_sub(kb, BindingRef::Many(bag), ac, shift, false, out);
-            }
-            (AtM::Sub(ac), AtM::Sub(bc)) => {
-                if !Node::ptr_eq(ac, bc) {
+            (Held::Entry(x), Held::Sub(bc)) => diff_binding_vs_sub(bound(x), bc, shift, true, out),
+            (Held::Sub(ac), Held::Entry(y)) => diff_binding_vs_sub(bound(y), ac, shift, false, out),
+            (Held::Sub(ac), Held::Sub(bc)) => {
+                if !Root::ptr_eq(ac, bc) {
                     diff_nodes(ac, bc, next_shift(shift), out);
                 }
             }
         }
     }
+}
+
+/// Structural equality of two canonical multi-map nodes at one depth.
+fn node_eq<K, V, B>(a: &Root<K, V, B>, b: &Root<K, V, B>, shift: u32) -> bool
+where
+    K: Clone + Eq + Hash,
+    V: Clone + Eq + Hash,
+    B: ValueBag<V>,
+{
+    if hash_exhausted(shift) {
+        return a.ones().len() == b.ones().len()
+            && a.manys().len() == b.manys().len()
+            && a.ones().iter().all(|x| b.ones().contains(x))
+            && a.manys().iter().all(|x| b.manys().contains(x));
+    }
+    a.word() == b.word()
+        && a.ones() == b.ones()
+        && a.manys() == b.manys()
+        && a.children()
+            .iter()
+            .zip(b.children())
+            .all(|(c, d)| Root::ptr_eq(c, d) || node_eq(c, d, next_shift(shift)))
 }
 
 /// A persistent (immutable, structurally shared) multi-map on the AXIOM
@@ -1098,7 +581,7 @@ fn diff_nodes<K, V, B>(
 /// defaults to nested [`AxiomSet`]s; [`crate::AxiomFusedMultiMap`] selects
 /// the fusion strategy.
 pub struct AxiomMultiMap<K, V, B: BagSlot<V> = AxiomSet<V>> {
-    pub(crate) root: Node<K, V, B>,
+    pub(crate) root: Root<K, V, B>,
     pub(crate) tuples: usize,
     pub(crate) keys: usize,
     marker: PhantomData<fn() -> B>,
@@ -1124,7 +607,7 @@ where
     /// Creates an empty multi-map.
     pub fn new() -> Self {
         AxiomMultiMap {
-            root: empty(),
+            root: Root::new(SlotBitmap::EMPTY, [], [], []),
             tuples: 0,
             keys: 0,
             marker: PhantomData,
@@ -1153,17 +636,18 @@ where
 
     /// Borrowed view of the values bound to `key`.
     pub fn get(&self, key: &K) -> Option<BindingRef<'_, V>> {
-        find(&self.root, hash32(key), 0, key).map(Found::binding)
+        node::get(&self.root, hash32(key), 0, key).map(binding_of)
     }
 
     /// Looks up every key of `keys`, appending one [`AxiomMultiMap::get`]
     /// answer per key to `out`, in order.
     ///
-    /// Up to 16 keys walk the trie together, level by level: in each round
-    /// every key still walking takes the one level step a `get` takes and
-    /// prefetches the node it goes on in (or, on a `1:n` hit, its nested
-    /// bag), so the cache misses of the batch overlap instead of queueing
-    /// one behind another.
+    /// Up to 16 keys walk the trie together, level by level
+    /// ([`trie_common::node::get_many`]): in each round every key still
+    /// walking takes the one level step a `get` takes and prefetches the
+    /// node it goes on in (or, on a `1:n` hit, its nested bag), so the
+    /// cache misses of the batch overlap instead of queueing one behind
+    /// another.
     ///
     /// # Examples
     ///
@@ -1177,39 +661,7 @@ where
     /// assert_eq!(lens, [Some(1), None, Some(2)]);
     /// ```
     pub fn get_many<'a>(&'a self, keys: &[&K], out: &mut Vec<Option<BindingRef<'a, V>>>) {
-        out.reserve(keys.len());
-        for batch in keys.chunks(LANES) {
-            let base = out.len();
-            out.extend(std::iter::repeat_n(None, batch.len()));
-            let found = &mut out[base..];
-            // One cursor per walking key: its node, its hash and its lane.
-            let mut walking = [(&self.root, 0, 0); LANES];
-            for (lane, key) in batch.iter().enumerate() {
-                walking[lane] = (&self.root, hash32(*key), lane);
-            }
-            let (mut live, mut shift) = (batch.len(), 0);
-            while live > 0 {
-                let mut kept = 0;
-                for i in 0..live {
-                    let (node, hash, lane) = walking[i];
-                    match step(node, hash, shift, batch[lane]) {
-                        Step::Down(child) => {
-                            child.prefetch();
-                            walking[kept] = (child, hash, lane);
-                            kept += 1;
-                        }
-                        Step::Done(hit) => {
-                            let binding = hit.map(Found::binding);
-                            if let Some(BindingRef::Many(bag)) = binding {
-                                bag.prefetch();
-                            }
-                            found[lane] = binding;
-                        }
-                    }
-                }
-                (live, shift) = (kept, next_shift(shift));
-            }
-        }
+        node::get_many(&self.root, keys, out, |hit| hit.map(binding_of));
     }
 
     /// True if `key` maps to at least one value.
@@ -1242,14 +694,13 @@ where
     /// spine are edited directly, shared nodes are path-copied (other
     /// handles keep their version). Returns true if the relation grew.
     pub fn insert_mut(&mut self, key: K, value: V) -> bool {
-        let hash = hash32(&key);
-        match insert_in_place(&mut self.root, hash, 0, key, value) {
-            EditInserted::Unchanged => false,
-            EditInserted::NewTuple => {
+        match node::bind(&mut self.root, key, node::Value(value)) {
+            Some(Inserted::Unchanged(_)) => false,
+            Some(Inserted::Changed(_)) => {
                 self.tuples += 1;
                 true
             }
-            EditInserted::NewKey => {
+            None => {
                 self.tuples += 1;
                 self.keys += 1;
                 true
@@ -1339,8 +790,7 @@ where
     /// Binds `key` to `binding` in one walk; returns the tuple-count delta.
     fn put_binding_mut(&mut self, key: K, binding: Binding<V, B>) -> isize {
         let new = binding.len();
-        let hash = hash32(&key);
-        let old = match put_in_place(&mut self.root, hash, 0, key, binding) {
+        let old = match node::bind(&mut self.root, key, binding) {
             Some(old) => old,
             None => {
                 self.keys += 1;
@@ -1362,8 +812,8 @@ where
     /// Removes the tuple `(key, value)` in place (editing uniquely-owned
     /// nodes, path-copying shared ones). Returns true if present.
     pub fn remove_tuple_mut(&mut self, key: &K, value: &V) -> bool {
-        let outcome = remove_in_place(&mut self.root, hash32(key), 0, key, Some(value));
-        self.apply_removal(outcome).is_some()
+        let gone = node::remove_root(&mut self.root, key, Some(value));
+        self.apply_removal(gone).is_some()
     }
 
     /// Returns a multi-map without any tuple for `key`; `self` is unchanged.
@@ -1376,54 +826,40 @@ where
     /// Removes every tuple for `key` in place (editing uniquely-owned nodes,
     /// path-copying shared ones). Returns the number of tuples removed.
     pub fn remove_key_mut(&mut self, key: &K) -> usize {
-        let outcome = remove_in_place(&mut self.root, hash32(key), 0, key, None);
-        self.apply_removal(outcome)
-            .map_or(0, |removal| removal.tuples)
+        let gone = node::remove_root(&mut self.root, key, None);
+        self.apply_removal(gone).map_or(0, |gone| gone.values)
     }
 
-    /// Books a removal walk's outcome into the counts, rebuilding the root
-    /// when the trie collapsed to one binding. `None` if nothing went.
-    fn apply_removal(&mut self, outcome: EditRemoved<K, V, B>) -> Option<Removal> {
-        let removal = match outcome {
-            EditRemoved::NotFound => return None,
-            EditRemoved::Removed(removal) => removal,
-            EditRemoved::Single {
-                key,
-                binding,
-                removal,
-            } => {
-                let bitmap = SlotBitmap::EMPTY.with(mask(hash32(&key), 0), binding.category());
-                self.root = node_of(bitmap, key, binding);
-                removal
-            }
-        };
-        self.tuples -= removal.tuples;
-        if removal.key_gone {
-            self.keys -= 1;
-        }
-        Some(removal)
+    /// Books what a removal took out into the counts.
+    fn apply_removal(&mut self, gone: Option<Gone>) -> Option<Gone> {
+        let gone = gone?;
+        self.tuples -= gone.values;
+        self.keys -= usize::from(gone.key);
+        Some(gone)
     }
 
     /// Iterates all `(key, value)` tuples — the paper's flattened
     /// *Iteration (Entry)* sequence — in unspecified order.
     pub fn iter(&self) -> Tuples<'_, K, V, B> {
-        Tuples::new(&self.root, self.tuples)
+        Tuples {
+            inner: node::Iter::new(&self.root, self.keys),
+            current: None,
+            remaining: self.tuples,
+        }
     }
 
     /// Iterates distinct keys — the paper's *Iteration (Key)* — in
     /// unspecified order.
     pub fn keys(&self) -> Keys<'_, K, V, B> {
         Keys {
-            stack: vec![Cursor::of(&self.root)],
-            remaining: self.keys,
+            inner: node::Iter::new(&self.root, self.keys),
         }
     }
 
     /// Iterates `(key, values-view)` groups in unspecified order.
     pub fn entries(&self) -> Entries<'_, K, V, B> {
         Entries {
-            stack: vec![Cursor::of(&self.root)],
-            remaining: self.keys,
+            inner: node::Iter::new(&self.root, self.keys),
         }
     }
 
@@ -1453,9 +889,9 @@ where
     /// assert_eq!(d.added, vec![("D", 5)]);
     /// assert!(d.removed.is_empty());
     /// ```
-    pub fn diff(&self, other: &Self) -> trie_common::ops::MultiMapDiff<K, V> {
-        let mut out = trie_common::ops::MultiMapDiff::new();
-        if Node::ptr_eq(&self.root, &other.root) {
+    pub fn diff(&self, other: &Self) -> MultiMapDiff<K, V> {
+        let mut out = MultiMapDiff::new();
+        if Root::ptr_eq(&self.root, &other.root) {
             return out;
         }
         if self.is_empty() {
@@ -1479,7 +915,7 @@ where
     /// from a common ancestor, so they route through the structural
     /// [`AxiomMultiMap::diff`] and cost O(changed).
     pub fn union(&self, other: &Self) -> Self {
-        if Node::ptr_eq(&self.root, &other.root) || other.is_empty() {
+        if Root::ptr_eq(&self.root, &other.root) || other.is_empty() {
             return self.clone();
         }
         if self.is_empty() {
@@ -1498,7 +934,7 @@ where
         out
     }
 
-    pub(crate) fn root_node(&self) -> &Node<K, V, B> {
+    pub(crate) fn root_node(&self) -> &Root<K, V, B> {
         &self.root
     }
 
@@ -1530,76 +966,10 @@ where
     /// Panics if any structural invariant is violated.
     #[doc(hidden)]
     pub fn assert_invariants(&self) {
-        let (keys, tuples) = validate(&self.root, 0);
+        let (keys, tuples) = node::validate(&self.root, 0);
         assert_eq!(keys, self.keys, "key bookkeeping");
         assert_eq!(tuples, self.tuples, "tuple bookkeeping");
     }
-}
-
-/// Validates canonical form; returns `(keys, tuples)` below `node`.
-fn validate<K, V, B>(node: &Node<K, V, B>, shift: u32) -> (usize, usize)
-where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: ValueBag<V>,
-{
-    for many in node.manys() {
-        many.bag().assert_invariants();
-        assert!(many.bag().len() >= 2, "CAT2 bag with < 2 values");
-    }
-    let mut keys = node.ones().len() + node.manys().len();
-    let mut tuples = node.ones().len()
-        + node
-            .manys()
-            .iter()
-            .map(|many| many.bag().len())
-            .sum::<usize>();
-    if hash_exhausted(shift) {
-        assert!(node.children().is_empty(), "collision node with children");
-        assert!(keys >= 2, "collision node with < 2 keys");
-        let hash = hash32(entries(node).next().expect("keys >= 2").0);
-        let all: Vec<&K> = entries(node).map(|(k, _)| k).collect();
-        for (i, k) in all.iter().enumerate() {
-            assert_eq!(hash32(*k), hash, "collision member hash");
-            assert!(!all[i + 1..].contains(k), "duplicate key in collision node");
-        }
-        return (keys, tuples);
-    }
-    let bitmap = node.word();
-    assert_eq!(
-        node.ones().len(),
-        bitmap.count(Category::Cat1),
-        "CAT1 count"
-    );
-    assert_eq!(
-        node.manys().len(),
-        bitmap.count(Category::Cat2),
-        "CAT2 count"
-    );
-    assert_eq!(node.children().len(), bitmap.node_arity(), "child count");
-    for ((k, _), m) in node.ones().iter().zip(bitmap.masks_of(Category::Cat1)) {
-        assert_eq!(mask(hash32(k), shift), m, "CAT1 key in wrong branch");
-    }
-    for (many, m) in node.manys().iter().zip(bitmap.masks_of(Category::Cat2)) {
-        assert_eq!(
-            mask(hash32(many.key()), shift),
-            m,
-            "CAT2 key in wrong branch"
-        );
-    }
-    for child in node.children() {
-        let (k, t) = validate(child, next_shift(shift));
-        assert!(k >= 2, "sub-trie with < 2 keys not inlined");
-        keys += k;
-        tuples += t;
-    }
-    if shift > 0 {
-        assert!(
-            !(bitmap.payload_arity() == 1 && bitmap.node_arity() == 0),
-            "non-root singleton payload node must be inlined"
-        );
-    }
-    (keys, tuples)
 }
 
 impl<K, V, B> Default for AxiomMultiMap<K, V, B>
@@ -1632,32 +1002,6 @@ where
     V: Clone + Eq + Hash,
     B: ValueBag<V>,
 {
-}
-
-fn node_eq<K, V, B>(a: &Node<K, V, B>, b: &Node<K, V, B>, shift: u32) -> bool
-where
-    K: Clone + Eq + Hash,
-    V: Clone + Eq + Hash,
-    B: ValueBag<V>,
-{
-    if hash_exhausted(shift) {
-        let same = |(k, x): (&K, BindingRef<'_, V>), (k2, y): (&K, BindingRef<'_, V>)| {
-            k == k2
-                && match (x, y) {
-                    (BindingRef::One(v), BindingRef::One(w)) => v == w,
-                    (BindingRef::Many(p), BindingRef::Many(q)) => p == q,
-                    _ => false,
-                }
-        };
-        return a.arity() == b.arity() && entries(a).all(|x| entries(b).any(|y| same(x, y)));
-    }
-    a.word() == b.word()
-        && a.ones() == b.ones()
-        && a.manys() == b.manys()
-        && a.children()
-            .iter()
-            .zip(b.children())
-            .all(|(c, d)| Node::ptr_eq(c, d) || node_eq(c, d, next_shift(shift)))
 }
 
 impl<K, V, B> std::fmt::Debug for AxiomMultiMap<K, V, B>
@@ -1706,64 +1050,12 @@ where
     }
 }
 
-/// Depth-first cursor into one node's three slot groups.
-struct Cursor<'a, K, V, B: BagSlot<V>> {
-    ones: std::slice::Iter<'a, (K, V)>,
-    manys: std::slice::Iter<'a, Cat2<K, V, B>>,
-    children: std::slice::Iter<'a, Node<K, V, B>>,
-}
-
-/// One key's payload, as a depth-first walk meets it.
-enum Payload<'a, K, V, B: BagSlot<V>> {
-    One(&'a K, &'a V),
-    Many(&'a Cat2<K, V, B>),
-}
-
-impl<'a, K, V, B: ValueBag<V>> Cursor<'a, K, V, B> {
-    fn of(node: &'a Node<K, V, B>) -> Self {
-        Cursor {
-            ones: node.ones().iter(),
-            manys: node.manys().iter(),
-            children: node.children().iter(),
-        }
-    }
-
-    /// The next payload below the top of `stack`, depth first.
-    fn next(stack: &mut Vec<Self>) -> Option<Payload<'a, K, V, B>> {
-        loop {
-            let top = stack.last_mut()?;
-            if let Some((k, v)) = top.ones.next() {
-                return Some(Payload::One(k, v));
-            }
-            if let Some(many) = top.manys.next() {
-                return Some(Payload::Many(many));
-            }
-            match top.children.next() {
-                Some(child) => stack.push(Cursor::of(child)),
-                None => {
-                    stack.pop();
-                }
-            }
-        }
-    }
-}
-
 /// Iterator over all `(key, value)` tuples. Created by
 /// [`AxiomMultiMap::iter`].
 pub struct Tuples<'a, K, V: 'a, B: ValueBag<V> + 'a> {
-    stack: Vec<Cursor<'a, K, V, B>>,
+    inner: node::Iter<'a, SlotBitmap, K, V, Cat2<K, V, B>>,
     current: Option<(&'a K, BagIter<'a, V>)>,
     remaining: usize,
-}
-
-impl<'a, K, V, B: ValueBag<V>> Tuples<'a, K, V, B> {
-    fn new(root: &'a Node<K, V, B>, tuples: usize) -> Self {
-        Tuples {
-            stack: vec![Cursor::of(root)],
-            current: None,
-            remaining: tuples,
-        }
-    }
 }
 
 impl<'a, K, V, B> Iterator for Tuples<'a, K, V, B>
@@ -1783,12 +1075,12 @@ where
                 }
                 self.current = None;
             }
-            match Cursor::next(&mut self.stack)? {
-                Payload::One(k, v) => {
+            match self.inner.next_payload()? {
+                Entry::One((k, v)) => {
                     self.remaining -= 1;
                     return Some((k, v));
                 }
-                Payload::Many(many) => self.current = Some((many.key(), many.bag().iter())),
+                Entry::Many(many) => self.current = Some((many.key(), many.bag().iter())),
             }
         }
     }
@@ -1816,24 +1108,21 @@ impl<'a, K, V, B: ValueBag<V>> std::fmt::Debug for Tuples<'a, K, V, B> {
 
 /// Iterator over distinct keys. Created by [`AxiomMultiMap::keys`].
 pub struct Keys<'a, K, V, B: BagSlot<V>> {
-    stack: Vec<Cursor<'a, K, V, B>>,
-    remaining: usize,
+    inner: node::Iter<'a, SlotBitmap, K, V, Cat2<K, V, B>>,
 }
 
 impl<'a, K, V, B: ValueBag<V>> Iterator for Keys<'a, K, V, B> {
     type Item = &'a K;
 
     fn next(&mut self) -> Option<&'a K> {
-        let k = match Cursor::next(&mut self.stack)? {
-            Payload::One(k, _) => k,
-            Payload::Many(many) => many.key(),
-        };
-        self.remaining -= 1;
-        Some(k)
+        match self.inner.next_payload()? {
+            Entry::One((k, _)) => Some(k),
+            Entry::Many(many) => Some(many.key()),
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        (self.inner.remaining(), Some(self.inner.remaining()))
     }
 }
 
@@ -1842,7 +1131,7 @@ impl<'a, K, V, B: ValueBag<V>> ExactSizeIterator for Keys<'a, K, V, B> {}
 impl<'a, K, V, B: BagSlot<V>> std::fmt::Debug for Keys<'a, K, V, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Keys")
-            .field("remaining", &self.remaining)
+            .field("remaining", &self.inner.remaining())
             .finish()
     }
 }
@@ -1850,8 +1139,7 @@ impl<'a, K, V, B: BagSlot<V>> std::fmt::Debug for Keys<'a, K, V, B> {
 /// Iterator over `(key, values-view)` groups. Created by
 /// [`AxiomMultiMap::entries`].
 pub struct Entries<'a, K, V, B: BagSlot<V>> {
-    stack: Vec<Cursor<'a, K, V, B>>,
-    remaining: usize,
+    inner: node::Iter<'a, SlotBitmap, K, V, Cat2<K, V, B>>,
 }
 
 impl<'a, K, V, B> Iterator for Entries<'a, K, V, B>
@@ -1863,16 +1151,11 @@ where
     type Item = (&'a K, BindingRef<'a, V>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let entry = match Cursor::next(&mut self.stack)? {
-            Payload::One(k, v) => (k, BindingRef::One(v)),
-            Payload::Many(many) => (many.key(), BindingRef::Many(many.bag())),
-        };
-        self.remaining -= 1;
-        Some(entry)
+        self.inner.next_payload().map(bound)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        (self.inner.remaining(), Some(self.inner.remaining()))
     }
 }
 
@@ -1887,7 +1170,7 @@ where
 impl<'a, K, V, B: BagSlot<V>> std::fmt::Debug for Entries<'a, K, V, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Entries")
-            .field("remaining", &self.remaining)
+            .field("remaining", &self.inner.remaining())
             .finish()
     }
 }

@@ -38,7 +38,7 @@ use trie_common::ops::SetDiff;
 
 use crate::bitmap::SlotBitmap;
 
-pub(crate) use trie_common::node::{count, remove_root};
+pub(crate) use trie_common::node::count;
 
 /// A set node: the node of a map to `()`.
 pub(crate) type Node<T> = node::Node<SlotBitmap, T, ()>;
@@ -48,13 +48,18 @@ pub(crate) type View<T> = node::View<SlotBitmap, T, ()>;
 
 /// Inserts `value` into the trie at `root`. Returns true if the set grew.
 pub(crate) fn insert_root<T: Clone + Eq + Hash>(root: &mut Node<T>, value: T) -> bool {
-    node::insert_root(root, value, ()).is_none()
+    node::bind(root, value, node::Value(())).is_none()
+}
+
+/// Removes `value` from the trie at `root`. Returns true if it was there.
+pub(crate) fn remove_root<T: Clone + Eq + Hash>(root: &mut Node<T>, value: &T) -> bool {
+    node::remove_root(root, value, None).is_some()
 }
 
 /// Membership test on the trie at `root`.
 pub(crate) fn contains_root<T, Q>(root: &Node<T>, value: &Q) -> bool
 where
-    T: Borrow<Q>,
+    T: Clone + Eq + Hash + Borrow<Q>,
     Q: Eq + Hash + ?Sized,
 {
     node::get(root, hash32(value), 0, value).is_some()

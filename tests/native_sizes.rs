@@ -59,3 +59,17 @@ fn maps_and_the_champ_set_at_2_14_keys_seed_11_are_pinned() {
     // 10.31 B per element.
     assert_eq!(set.rust_bytes(), 168_960);
 }
+
+#[test]
+fn a_multimap_of_one_to_one_tuples_is_as_small_as_the_map() {
+    // The paper's "to-one" half: every key bound to itself alone. No bag
+    // is ever made, so both multi-maps hold exactly the map's nodes.
+    let w = multimap_workload(1 << 14, 11);
+    let pairs = || w.keys.iter().map(|&k| (k, k));
+    let map: AxiomMap<u32, u32> = pairs().collect();
+    let mm: AxiomMultiMap<u32, u32> = pairs().collect();
+    let fused: AxiomFusedMultiMap<u32, u32> = pairs().collect();
+    assert_eq!(map.rust_bytes(), 230_856);
+    assert_eq!(mm.rust_bytes(), 230_856);
+    assert_eq!(fused.rust_bytes(), 230_856);
+}

@@ -13,7 +13,7 @@
 //! Lives in its own test binary because the counting allocator is
 //! process-global; see `heapmodel::alloc_counter`.
 
-use axiom_repro::axiom::{AxiomMap, AxiomMultiMap, AxiomSet, ValueBag};
+use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet, ValueBag};
 use axiom_repro::champ::{ChampMap, ChampSet};
 use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap};
 use axiom_repro::heapmodel::alloc_counter::{measure, CountingAlloc};
@@ -85,21 +85,36 @@ fn self_algebra_allocates_nothing() {
 }
 
 /// Iterating a set keeps its walk's stack inline, so it allocates
-/// nothing; a multi-map's iteration over its nested `CAT2` sets
-/// allocates no more than a constant.
+/// nothing; so does a multi-map's, over its `CAT2` bags too, for both bag
+/// strategies: its tuples, its keys and its `(key, values)` groups.
 fn iteration_allocates_nothing() {
     let set: AxiomSet<u64> = (0..3).collect();
     let (n, allocs) = measure(|| set.iter().count());
     assert_eq!(n, 3);
     assert_eq!(allocs, 0, "AxiomSet iteration allocated");
 
-    let mm: AxiomMultiMap<u64, u64> = (0..1_000).map(|i| (i % 400, i)).collect();
-    let (n, allocs) = measure(|| mm.iter().count());
-    assert_eq!(n, 1_000);
-    assert!(
-        allocs <= 3,
-        "AxiomMultiMap iteration made {allocs} allocations"
-    );
+    // Keys 0..400 bound to two or three values each, and key 0 to 100 more:
+    // past the fused bag's inline capacity, so it iterates a trie too.
+    let tuples = || {
+        (0..1_000)
+            .map(|i| (i % 400, i))
+            .chain((0..100).map(|i| (0, 10_000 + i)))
+    };
+    let nested: AxiomMultiMap<u64, u64> = tuples().collect();
+    let fused: AxiomFusedMultiMap<u64, u64> = tuples().collect();
+    fn check<B: ValueBag<u64>>(mm: &AxiomMultiMap<u64, u64, B>, bag: &str) {
+        let (n, allocs) = measure(|| mm.iter().count());
+        assert_eq!(n, 1_100);
+        assert_eq!(allocs, 0, "{bag} AxiomMultiMap::iter allocated");
+        let (n, allocs) = measure(|| mm.keys().count());
+        assert_eq!(n, 400);
+        assert_eq!(allocs, 0, "{bag} AxiomMultiMap::keys allocated");
+        let (n, allocs) = measure(|| mm.entries().map(|(_, values)| values.len()).sum::<usize>());
+        assert_eq!(n, 1_100);
+        assert_eq!(allocs, 0, "{bag} AxiomMultiMap::entries allocated");
+    }
+    check(&nested, "nested");
+    check(&fused, "fused");
 }
 
 /// A structural walk over two sets that differ in two elements copies only
