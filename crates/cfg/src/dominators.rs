@@ -13,6 +13,7 @@
 //!   as an independent oracle in tests (and by the well-known dominator-tree
 //!   derivation [`dominator_tree`]).
 
+use trie_common::hash::hash32;
 use trie_common::ops::{MultiMapMutOps, MultiMapOps, SetAlgebraOps, SetMutOps};
 
 use crate::ast::CfgNode;
@@ -33,9 +34,20 @@ use crate::graph::Cfg;
 /// intersection and the comparison walk the tries in lockstep and skip
 /// subtrees shared by pointer, and the put stores the set as it is, so
 /// `Dom(n)` keeps sharing every subtree it did not change with the
-/// `Dom(p)` it came from. A node's (deliberately expensive) hash is paid
-/// once per set it is looked up in, not once per element of the set it
-/// is compared with. A sweep that rebinds nothing is the fixed point.
+/// `Dom(p)` it came from. A sweep that rebinds nothing is the fixed point.
+///
+/// A node's (deliberately expensive) hash is paid once per CFG: the nodes
+/// are hashed up front, and every lookup, insert and put of the fixed
+/// point goes through the `_hashed` entry points
+/// ([`value_set_hashed`](MultiMapMutOps::value_set_hashed),
+/// [`insert_hashed_mut`](SetMutOps::insert_hashed_mut),
+/// [`put_value_set_hashed_mut`](MultiMapMutOps::put_value_set_hashed_mut)),
+/// which the AXIOM and nested-CHAMP multi-maps and their sets walk by the
+/// given hash. What is left is the walks' own hashing: an element pushed
+/// down into a new sub-trie, an intersection probing a sub-trie for a
+/// lone element of the other set, and the value of a one-element set read
+/// out of a `1:1` binding. The Clojure and Scala emulations take the
+/// traits' defaults, which ignore the hash.
 pub fn dominators_relational<M>(cfg: &Cfg) -> M
 where
     M: MultiMapMutOps<CfgNode, CfgNode>,
@@ -43,6 +55,7 @@ where
     let rpo = cfg.reverse_postorder();
     let preds_idx = cfg.pred_indices();
     let nodes = &cfg.nodes;
+    let hashes: Vec<u32> = nodes.iter().map(hash32).collect();
 
     // Dom(entry) = {entry}; all other nodes start "unknown" (absent), which
     // behaves as the full set in the intersection.
@@ -56,7 +69,7 @@ where
             // still-unknown ones.
             let mut candidate: Option<M::ValueSet> = None;
             for &p in &preds_idx[n] {
-                let Some(dom_p) = dom.value_set(&nodes[p]) else {
+                let Some(dom_p) = dom.value_set_hashed(&nodes[p], hashes[p]) else {
                     continue;
                 };
                 candidate = Some(match candidate {
@@ -67,10 +80,10 @@ where
             let Some(mut new_dom) = candidate else {
                 continue; // no processed predecessor yet
             };
-            new_dom.insert_mut(nodes[n].clone());
+            new_dom.insert_hashed_mut(nodes[n].clone(), hashes[n]);
             // Compare against the current solution; rebind on change.
-            if dom.value_set(&nodes[n]).as_ref() != Some(&new_dom) {
-                dom.put_value_set_mut(nodes[n].clone(), new_dom);
+            if dom.value_set_hashed(&nodes[n], hashes[n]).as_ref() != Some(&new_dom) {
+                dom.put_value_set_hashed_mut(nodes[n].clone(), hashes[n], new_dom);
                 changed = true;
             }
         }

@@ -159,6 +159,17 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> ChampMap<K, V> {
         self.map.get(key).map(|(_, v)| v)
     }
 
+    /// [`ChampMap::get`] of a key whose
+    /// [`hash32`](trie_common::hash::hash32) the caller computed: hashes
+    /// nothing ([`node::Map::get_hashed`]).
+    pub fn get_hashed<Q>(&self, key: &Q, hash: u32) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.map.get_hashed(key, hash).map(|(_, v)| v)
+    }
+
     /// True if `key` has a binding.
     pub fn contains_key<Q>(&self, key: &Q) -> bool
     where
@@ -188,6 +199,13 @@ impl<K: Clone + Eq + Hash, V: Clone + PartialEq> ChampMap<K, V> {
     /// `value` itself comes back.
     pub fn replace_mut(&mut self, key: K, value: V) -> Option<V> {
         self.map.insert_mut(key, value)
+    }
+
+    /// [`ChampMap::replace_mut`] of a key whose
+    /// [`hash32`](trie_common::hash::hash32) the caller computed
+    /// ([`node::Map::insert_hashed_mut`]).
+    pub fn replace_hashed_mut(&mut self, key: K, value: V, hash: u32) -> Option<V> {
+        self.map.insert_hashed_mut(key, value, hash)
     }
 
     /// Returns a map without a binding for `key`; `self` is unchanged.

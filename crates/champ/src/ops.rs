@@ -172,6 +172,10 @@ where
         ChampSet::insert_mut(self, value)
     }
 
+    fn insert_hashed_mut(&mut self, value: T, hash: u32) -> bool {
+        self.map.insert_hashed_mut(value, (), hash).is_none()
+    }
+
     fn remove_mut(&mut self, value: &T) -> bool {
         ChampSet::remove_mut(self, value)
     }

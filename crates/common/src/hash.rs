@@ -106,6 +106,21 @@ pub fn hash32<K: Hash + ?Sized>(key: &K) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
+/// The misuse guard of the hashed entry points (`get_hashed`,
+/// `insert_hashed_mut`, `value_set_hashed`, ...): in debug builds, panics
+/// unless `hash` is `key`'s [`hash32`]. Release builds check nothing and
+/// hash nothing.
+///
+/// A wrong hash is a logic error, like a `Hash` that disagrees with `Eq`:
+/// the key is looked up or stored under the wrong branches, so a lookup
+/// misses it and an insert may store it twice. It is never undefined
+/// behaviour.
+#[inline(always)]
+#[track_caller]
+pub fn debug_assert_hash<K: Hash + ?Sized>(key: &K, hash: u32) {
+    debug_assert_eq!(hash, hash32(key), "the hash given is not the key's hash32");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -41,7 +41,7 @@ use std::marker::PhantomData;
 
 use crate::algebra::{self, masks, At, Canonical, Removal, SetTrie, Sink, Trie};
 use crate::bits::{hash_exhausted, mask, next_shift};
-use crate::hash::hash32;
+use crate::hash::{debug_assert_hash, hash32};
 use crate::packed::{Children, Manys, Ones, Packed, Slot};
 use crate::slices::{edit_child, insert_slot, remove_slot, survivor};
 
@@ -568,11 +568,16 @@ where
     }
 }
 
-/// Binds `key` in the trie at `root` as `binding` says, editing unique
-/// nodes in place and copying shared ones on write (copying nothing when
-/// the key is found bound as asked). Returns `None` for a new key, else
-/// what [`Bind::hit`] reported.
-pub fn bind<W, K, V, M, B>(root: &mut Node<W, K, V, M>, key: K, binding: B) -> Option<B::Out>
+/// Binds `key`, hashed to `hash`, in the trie at `root` as `binding`
+/// says, editing unique nodes in place and copying shared ones on write
+/// (copying nothing when the key is found bound as asked). Returns `None`
+/// for a new key, else what [`Bind::hit`] reported.
+pub fn bind<W, K, V, M, B>(
+    root: &mut Node<W, K, V, M>,
+    hash: u32,
+    key: K,
+    binding: B,
+) -> Option<B::Out>
 where
     W: Bitmap,
     K: Clone + Eq + Hash,
@@ -580,7 +585,6 @@ where
     M: Many<K, V>,
     B: Bind<W, K, V, M>,
 {
-    let hash = hash32(&key);
     bind_at(root, hash, 0, key, binding)
 }
 
@@ -634,12 +638,13 @@ where
     }
 }
 
-/// Removes `key` from the trie at `root`, or only its `value` when given
-/// (a multi-map's tuple; a map's `value` is always `None`), re-rooting a
-/// trie that collapsed to one payload. Returns what went, `None` if
-/// nothing did.
+/// Removes `key`, hashed to `hash`, from the trie at `root`, or only its
+/// `value` when given (a multi-map's tuple; a map's `value` is always
+/// `None`), re-rooting a trie that collapsed to one payload. Returns what
+/// went, `None` if nothing did.
 pub fn remove_root<W, K, V, M, Q>(
     root: &mut Node<W, K, V, M>,
+    hash: u32,
     key: &Q,
     value: Option<&V>,
 ) -> Option<Gone>
@@ -648,9 +653,9 @@ where
     K: Clone + Hash + Borrow<Q>,
     V: Clone + PartialEq,
     M: Many<K, V>,
-    Q: Eq + Hash + ?Sized,
+    Q: Eq + ?Sized,
 {
-    match remove(root, hash32(key), 0, key, value) {
+    match remove(root, hash, 0, key, value) {
         Removed::NotFound => None,
         Removed::Done(gone) => Some(gone),
         Removed::Single(payload, gone) => {
@@ -1126,10 +1131,33 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Map<W, K, V> {
         get(&self.root, hash32(key), 0, key).map(Entry::one)
     }
 
+    /// [`Map::get`] of a key whose [`hash32`] the caller computed: hashes
+    /// nothing (see [`debug_assert_hash`] for a wrong `hash`).
+    pub fn get_hashed<Q>(&self, key: &Q, hash: u32) -> Option<&(K, V)>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        debug_assert_hash(key, hash);
+        get(&self.root, hash, 0, key).map(Entry::one)
+    }
+
     /// Binds `key` to `value` in place (see [`bind`]): `None` for a
     /// new key, else the value it was bound to.
     pub fn insert_mut(&mut self, key: K, value: V) -> Option<V> {
-        match bind(&mut self.root, key, Value(value)) {
+        self.insert_at(hash32(&key), key, value)
+    }
+
+    /// [`Map::insert_mut`] of a key whose [`hash32`] the caller computed:
+    /// hashes nothing but the key of an entry it pushes down into a new
+    /// sub-trie (see [`debug_assert_hash`] for a wrong `hash`).
+    pub fn insert_hashed_mut(&mut self, key: K, value: V, hash: u32) -> Option<V> {
+        debug_assert_hash(&key, hash);
+        self.insert_at(hash, key, value)
+    }
+
+    fn insert_at(&mut self, hash: u32, key: K, value: V) -> Option<V> {
+        match bind(&mut self.root, hash, key, Value(value)) {
             Some(Inserted::Unchanged(old) | Inserted::Changed(old)) => old,
             None => {
                 self.len += 1;
@@ -1144,7 +1172,7 @@ impl<W: Bitmap, K: Clone + Eq + Hash, V: Clone + PartialEq> Map<W, K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        let removed = remove_root(&mut self.root, key, None).is_some();
+        let removed = remove_root(&mut self.root, hash32(key), key, None).is_some();
         self.len -= usize::from(removed);
         removed
     }

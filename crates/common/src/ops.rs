@@ -614,9 +614,29 @@ pub trait MapMutOps<K, V>: MapOps<K, V> {
 }
 
 /// The in-place mutation surface of a persistent set (see [`MapMutOps`]).
+///
+/// The `_hashed` methods, here and on [`MultiMapMutOps`], take the
+/// element's or key's [`hash32`](crate::hash::hash32) from a caller that
+/// looks the same key up many times and whose `Hash` is expensive (the
+/// dominators fixed point hashes each CFG node once). A trie that walks
+/// by that hash overrides them and does not hash the key; the defaults
+/// ignore the hash. A wrong hash is a logic error, like a `Hash` that
+/// disagrees with `Eq`: the key is looked up or stored under the wrong
+/// branches, so a lookup misses it and an insert may store it twice. It is
+/// never undefined behaviour, and debug builds of the overrides panic on
+/// it ([`debug_assert_hash`](crate::hash::debug_assert_hash)).
 pub trait SetMutOps<T>: SetOps<T> {
     /// Inserts `value` in place. Returns true if the set grew.
     fn insert_mut(&mut self, value: T) -> bool;
+
+    /// [`insert_mut`](SetMutOps::insert_mut) of a value whose hash the
+    /// caller computed (see the [trait documentation](SetMutOps)).
+    ///
+    /// Default: ignores `hash` and calls `insert_mut`.
+    fn insert_hashed_mut(&mut self, value: T, hash: u32) -> bool {
+        let _ = hash;
+        self.insert_mut(value)
+    }
 
     /// Removes `value` in place. Returns true if the set shrank.
     fn remove_mut(&mut self, value: &T) -> bool;
@@ -659,12 +679,31 @@ pub trait MultiMapMutOps<K, V: Clone>: MultiMapOps<K, V> {
     /// built into a set.
     fn value_set(&self, key: &K) -> Option<Self::ValueSet>;
 
+    /// [`value_set`](MultiMapMutOps::value_set) of a key whose hash the
+    /// caller computed (see [`SetMutOps`] on the `_hashed` methods).
+    ///
+    /// Default: ignores `hash` and calls `value_set`.
+    fn value_set_hashed(&self, key: &K, hash: u32) -> Option<Self::ValueSet> {
+        let _ = hash;
+        self.value_set(key)
+    }
+
     /// Binds `key` to exactly the values of `set` in place, replacing
     /// whatever it was bound to, and returns the tuple-count delta. An
     /// empty `set` removes the key; a one-element set takes the inlined
     /// form where the multi-map has one. No value is hashed, and a set that
     /// is stored as it is keeps sharing its nodes with the caller's copy.
     fn put_value_set_mut(&mut self, key: K, set: Self::ValueSet) -> isize;
+
+    /// [`put_value_set_mut`](MultiMapMutOps::put_value_set_mut) of a key
+    /// whose hash the caller computed (see [`SetMutOps`] on the `_hashed`
+    /// methods).
+    ///
+    /// Default: ignores `hash` and calls `put_value_set_mut`.
+    fn put_value_set_hashed_mut(&mut self, key: K, hash: u32, set: Self::ValueSet) -> isize {
+        let _ = hash;
+        self.put_value_set_mut(key, set)
+    }
 
     /// Binds `key` to exactly `values` in place, replacing whatever it was
     /// bound to. Duplicate values collapse; empty `values` removes the key.

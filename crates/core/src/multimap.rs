@@ -53,7 +53,7 @@ use std::hash::Hash;
 use std::marker::PhantomData;
 
 use trie_common::bits::{hash_exhausted, next_shift};
-use trie_common::hash::hash32;
+use trie_common::hash::{debug_assert_hash, hash32};
 use trie_common::node::{self, Bind, Bitmap, Branch, Entry, Gone, Held, Inserted, Many, Place};
 use trie_common::ops::MultiMapDiff;
 use trie_common::packed::{Manys, Ones, Slot};
@@ -694,7 +694,7 @@ where
     /// spine are edited directly, shared nodes are path-copied (other
     /// handles keep their version). Returns true if the relation grew.
     pub fn insert_mut(&mut self, key: K, value: V) -> bool {
-        match node::bind(&mut self.root, key, node::Value(value)) {
+        match node::bind(&mut self.root, hash32(&key), key, node::Value(value)) {
             Some(Inserted::Unchanged(_)) => false,
             Some(Inserted::Changed(_)) => {
                 self.tuples += 1;
@@ -730,7 +730,7 @@ where
     /// ```
     pub fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {
         match Binding::of_values(values) {
-            Some(binding) => self.put_binding_mut(key, binding),
+            Some(binding) => self.put_binding_mut(hash32(&key), key, binding),
             None => -(self.remove_key_mut(&key) as isize),
         }
     }
@@ -751,7 +751,20 @@ where
     /// assert!(mm.value_set(&"E").is_none());
     /// ```
     pub fn value_set(&self, key: &K) -> Option<AxiomSet<V>> {
-        self.get(key).map(|binding| match binding {
+        self.value_set_at(hash32(key), key)
+    }
+
+    /// [`AxiomMultiMap::value_set`] of a key whose [`hash32`] the caller
+    /// computed: hashes no key (see [`debug_assert_hash`] for a wrong
+    /// `hash`).
+    pub fn value_set_hashed(&self, key: &K, hash: u32) -> Option<AxiomSet<V>> {
+        debug_assert_hash(key, hash);
+        self.value_set_at(hash, key)
+    }
+
+    fn value_set_at(&self, hash: u32, key: &K) -> Option<AxiomSet<V>> {
+        let binding = node::get(&self.root, hash, 0, key).map(binding_of)?;
+        Some(match binding {
             BindingRef::One(v) => AxiomSet::singleton(v.clone()),
             BindingRef::Many(bag) => bag.to_set(),
         })
@@ -779,18 +792,32 @@ where
     /// assert_eq!(mm.tuple_count(), 5);
     /// ```
     pub fn put_value_set_mut(&mut self, key: K, set: AxiomSet<V>) -> isize {
+        self.put_value_set_at(hash32(&key), key, set)
+    }
+
+    /// [`AxiomMultiMap::put_value_set_mut`] of a key whose [`hash32`] the
+    /// caller computed: hashes no key but the one of a payload it pushes
+    /// down into a new sub-trie (see [`debug_assert_hash`] for a wrong
+    /// `hash`).
+    pub fn put_value_set_hashed_mut(&mut self, key: K, hash: u32, set: AxiomSet<V>) -> isize {
+        debug_assert_hash(&key, hash);
+        self.put_value_set_at(hash, key, set)
+    }
+
+    fn put_value_set_at(&mut self, hash: u32, key: K, set: AxiomSet<V>) -> isize {
         let binding = match set.len() {
-            0 => return -(self.remove_key_mut(&key) as isize),
+            0 => return -(self.remove_key_at(hash, &key) as isize),
             1 => Binding::One(set.sole().clone()),
             _ => Binding::Many(B::of_set(set)),
         };
-        self.put_binding_mut(key, binding)
+        self.put_binding_mut(hash, key, binding)
     }
 
-    /// Binds `key` to `binding` in one walk; returns the tuple-count delta.
-    fn put_binding_mut(&mut self, key: K, binding: Binding<V, B>) -> isize {
+    /// Binds `key`, hashed to `hash`, to `binding` in one walk; returns the
+    /// tuple-count delta.
+    fn put_binding_mut(&mut self, hash: u32, key: K, binding: Binding<V, B>) -> isize {
         let new = binding.len();
-        let old = match node::bind(&mut self.root, key, binding) {
+        let old = match node::bind(&mut self.root, hash, key, binding) {
             Some(old) => old,
             None => {
                 self.keys += 1;
@@ -812,7 +839,7 @@ where
     /// Removes the tuple `(key, value)` in place (editing uniquely-owned
     /// nodes, path-copying shared ones). Returns true if present.
     pub fn remove_tuple_mut(&mut self, key: &K, value: &V) -> bool {
-        let gone = node::remove_root(&mut self.root, key, Some(value));
+        let gone = node::remove_root(&mut self.root, hash32(key), key, Some(value));
         self.apply_removal(gone).is_some()
     }
 
@@ -826,7 +853,11 @@ where
     /// Removes every tuple for `key` in place (editing uniquely-owned nodes,
     /// path-copying shared ones). Returns the number of tuples removed.
     pub fn remove_key_mut(&mut self, key: &K) -> usize {
-        let gone = node::remove_root(&mut self.root, key, None);
+        self.remove_key_at(hash32(key), key)
+    }
+
+    fn remove_key_at(&mut self, hash: u32, key: &K) -> usize {
+        let gone = node::remove_root(&mut self.root, hash, key, None);
         self.apply_removal(gone).map_or(0, |gone| gone.values)
     }
 

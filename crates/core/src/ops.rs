@@ -186,6 +186,10 @@ where
         AxiomSet::insert_mut(self, value)
     }
 
+    fn insert_hashed_mut(&mut self, value: T, hash: u32) -> bool {
+        self.map.insert_hashed_mut(value, (), hash).is_none()
+    }
+
     fn remove_mut(&mut self, value: &T) -> bool {
         AxiomSet::remove_mut(self, value)
     }
@@ -308,8 +312,16 @@ where
         AxiomMultiMap::value_set(self, key)
     }
 
+    fn value_set_hashed(&self, key: &K, hash: u32) -> Option<AxiomSet<V>> {
+        AxiomMultiMap::value_set_hashed(self, key, hash)
+    }
+
     fn put_value_set_mut(&mut self, key: K, set: AxiomSet<V>) -> isize {
         AxiomMultiMap::put_value_set_mut(self, key, set)
+    }
+
+    fn put_value_set_hashed_mut(&mut self, key: K, hash: u32, set: AxiomSet<V>) -> isize {
+        AxiomMultiMap::put_value_set_hashed_mut(self, key, hash, set)
     }
 
     fn replace_values_mut(&mut self, key: K, values: impl IntoIterator<Item = V>) -> isize {

@@ -48,12 +48,12 @@ pub(crate) type View<T> = node::View<SlotBitmap, T, ()>;
 
 /// Inserts `value` into the trie at `root`. Returns true if the set grew.
 pub(crate) fn insert_root<T: Clone + Eq + Hash>(root: &mut Node<T>, value: T) -> bool {
-    node::bind(root, value, node::Value(())).is_none()
+    node::bind(root, hash32(&value), value, node::Value(())).is_none()
 }
 
 /// Removes `value` from the trie at `root`. Returns true if it was there.
 pub(crate) fn remove_root<T: Clone + Eq + Hash>(root: &mut Node<T>, value: &T) -> bool {
-    node::remove_root(root, value, None).is_some()
+    node::remove_root(root, hash32(value), value, None).is_some()
 }
 
 /// Membership test on the trie at `root`.

@@ -11,6 +11,7 @@ use std::hash::Hash;
 
 use champ::{ChampMap, ChampSet};
 use heapmodel::{Accounting, JvmArch, JvmFootprint, JvmSize, LayoutPolicy, RustFootprint};
+use trie_common::hash::debug_assert_hash;
 use trie_common::iter::{MaybeIter, TuplesOf};
 use trie_common::ops::{EditInPlace, MultiMapAlgebraOps, MultiMapMutOps, MultiMapOps};
 
@@ -116,6 +117,14 @@ where
                 true
             }
         }
+    }
+
+    /// Books a key rebound to `new` values, from the set `old` (`None` for
+    /// a new key); returns the tuple-count delta.
+    fn rebound(&mut self, new: usize, old: Option<ChampSet<V>>) -> isize {
+        let old = old.map_or(0, |old| old.len());
+        self.tuples = self.tuples + new - old;
+        new as isize - old as isize
     }
 
     /// Removes every tuple for `key` in place. Returns the number removed.
@@ -225,6 +234,10 @@ where
         self.map.get(key).cloned()
     }
 
+    fn value_set_hashed(&self, key: &K, hash: u32) -> Option<ChampSet<V>> {
+        self.map.get_hashed(key, hash).cloned()
+    }
+
     /// One map insert of the set as it is, so the key is hashed once and
     /// the set keeps sharing its nodes, as in AXIOM.
     fn put_value_set_mut(&mut self, key: K, set: ChampSet<V>) -> isize {
@@ -232,9 +245,20 @@ where
             return -(self.remove_key_mut(&key) as isize);
         }
         let new = set.len();
-        let old = self.map.replace_mut(key, set).map_or(0, |old| old.len());
-        self.tuples = self.tuples + new - old;
-        new as isize - old as isize
+        let old = self.map.replace_mut(key, set);
+        self.rebound(new, old)
+    }
+
+    /// As `put_value_set_mut`, hashing the key only to remove it when `set`
+    /// is empty.
+    fn put_value_set_hashed_mut(&mut self, key: K, hash: u32, set: ChampSet<V>) -> isize {
+        if set.is_empty() {
+            debug_assert_hash(&key, hash);
+            return -(self.remove_key_mut(&key) as isize);
+        }
+        let new = set.len();
+        let old = self.map.replace_hashed_mut(key, set, hash);
+        self.rebound(new, old)
     }
 }
 

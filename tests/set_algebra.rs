@@ -4,12 +4,13 @@
 //! `union`/`intersect`/`difference`/`diff`, including under pathological
 //! hash collisions, and a frozen snapshot edited in `k` places must diff in
 //! exactly `k` entries. The key-level multi-map operations (`get`,
-//! `replace_values_mut`, `value_set`, `put_value_set_mut`) are checked
-//! against a map-of-sets model, and a put is shown to hash only its key; a
-//! tuple edit hashes its value once, and a value set equals its clone
-//! without hashing. The
-//! sharded layer's epoch/`changes_since` and the parallel combinators are
-//! covered at the end.
+//! `replace_values_mut`, `value_set`, `put_value_set_mut` and their hashed
+//! forms) are checked against a map-of-sets model, and a put is shown to
+//! hash only its key; the hashed forms hash nothing more, and debug builds
+//! catch a wrong hash; a tuple edit hashes its value once, and a value set
+//! equals its clone without hashing. The sharded layer's
+//! epoch/`changes_since` and the parallel combinators are covered at the
+//! end.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,6 +26,7 @@ use axiom_repro::idiomatic::{
     ClojureMultiMap, ClojureVal, NestedChampMultiMap, ScalaMultiMap, ScalaSet,
 };
 use axiom_repro::sharded::{ShardedMap, ShardedMultiMap, ShardedSet};
+use axiom_repro::trie_common::hash::hash32;
 use axiom_repro::trie_common::ops::{
     MapMergeOps, MultiMapAlgebraOps, MultiMapMutOps, SetAlgebraOps, SetMutOps, SetOps, ValuesView,
 };
@@ -254,23 +256,26 @@ where
 type KeyModel<K> = BTreeMap<K, BTreeSet<u8>>;
 
 /// The key-level operations against a `BTreeMap<K, BTreeSet<V>>` model.
-/// Two copies of the multi-map run `script`, which replaces one key's values
-/// per step with 0, 1, 2 or many values (duplicates included), so keys
-/// appear, go, and move between the singleton and the nested representation
-/// in both directions. One copy takes each step as one `replace_values_mut`;
-/// the other reads the key's `value_set`, edits that owned set to the new
-/// values and binds it back with `put_value_set_mut`. After every step, for
-/// both copies: the returned delta, the whole relation, every key's view
-/// and value set, a clone taken before the step (unchanged), and the
-/// implementation's own `shape` check (which catches a one-element set left
-/// nested instead of inlined).
+/// Three copies of the multi-map run `script`, which replaces one key's
+/// values per step with 0, 1, 2 or many values (duplicates included), so
+/// keys appear, go, and move between the singleton and the nested
+/// representation in both directions. One copy takes each step as one
+/// `replace_values_mut`; the second reads the key's `value_set`, edits that
+/// owned set to the new values and binds it back with `put_value_set_mut`;
+/// the third does what the second does through the hashed entry points
+/// (`value_set_hashed`, `insert_hashed_mut`, `put_value_set_hashed_mut`),
+/// given each key's and value's `hash32`. After every step, for all three
+/// copies: the returned delta, the whole relation, every key's view and
+/// value set (read both ways, and `==` the second copy's), a clone taken
+/// before the step (unchanged), and the implementation's own `shape` check
+/// (which catches a one-element set left nested instead of inlined).
 fn check_key_level_ops<K, M>(
     key: fn(u16) -> K,
     base: &[(u16, u8)],
     script: &[(u16, Vec<u8>)],
     shape: fn(&M, &KeyModel<K>),
 ) where
-    K: Clone + Ord + Debug,
+    K: Clone + Ord + Hash + Debug,
     M: MultiMapMutOps<K, u8>,
 {
     let to_model = |m: &M| -> KeyModel<K> {
@@ -285,10 +290,12 @@ fn check_key_level_ops<K, M>(
         .iter()
         .fold(M::empty(), |m, &(k, v)| m.inserted(key(k), v));
     let mut by_sets = by_values.clone();
+    let mut by_hashed = by_values.clone();
     let mut model = to_model(&by_values);
     for (k, values) in script {
         let k = key(*k);
-        let frozen = [by_values.clone(), by_sets.clone()];
+        let h = hash32(&k);
+        let frozen = [by_values.clone(), by_sets.clone(), by_hashed.clone()];
         let frozen_model = model.clone();
         let new: BTreeSet<u8> = values.iter().copied().collect();
         let old = model.get(&k).cloned().unwrap_or_default();
@@ -297,32 +304,48 @@ fn check_key_level_ops<K, M>(
         let delta = by_values.replace_values_mut(k.clone(), values.iter().copied());
         assert_eq!(delta, expected, "{} replace delta", M::NAME);
 
-        let read = by_sets.value_set(&k);
-        assert_eq!(read.is_some(), !old.is_empty(), "{} value_set", M::NAME);
-        let mut set = read.unwrap_or_else(M::ValueSet::empty);
-        assert_eq!(elems(&set), old, "{} value_set elements", M::NAME);
-        for v in &old - &new {
-            assert!(set.remove_mut(&v));
+        for (mm, hashed) in [(&mut by_sets, false), (&mut by_hashed, true)] {
+            let read = match hashed {
+                false => mm.value_set(&k),
+                true => mm.value_set_hashed(&k, h),
+            };
+            assert_eq!(read.is_some(), !old.is_empty(), "{} value_set", M::NAME);
+            let mut set = read.unwrap_or_else(M::ValueSet::empty);
+            assert_eq!(elems(&set), old, "{} value_set elements", M::NAME);
+            for v in &old - &new {
+                assert!(set.remove_mut(&v));
+            }
+            for &v in values {
+                match hashed {
+                    false => set.insert_mut(v),
+                    true => set.insert_hashed_mut(v, hash32(&v)),
+                };
+            }
+            assert_eq!(elems(&set), new);
+            assert_eq!(
+                mm.value_count(&k),
+                old.len(),
+                "{} editing the owned value set moved the multi-map",
+                M::NAME
+            );
+            let delta = match hashed {
+                false => mm.put_value_set_mut(k.clone(), set),
+                true => mm.put_value_set_hashed_mut(k.clone(), h, set),
+            };
+            assert_eq!(delta, expected, "{} put delta (hashed: {hashed})", M::NAME);
         }
-        for &v in values {
-            set.insert_mut(v);
-        }
-        assert_eq!(elems(&set), new);
-        assert_eq!(
-            by_sets.value_count(&k),
-            old.len(),
-            "{} editing the owned value set moved the multi-map",
-            M::NAME
-        );
-        let delta = by_sets.put_value_set_mut(k.clone(), set);
-        assert_eq!(delta, expected, "{} put delta", M::NAME);
 
         if new.is_empty() {
             model.remove(&k);
         } else {
             model.insert(k.clone(), new);
         }
-        for (mm, frozen) in [(&by_values, &frozen[0]), (&by_sets, &frozen[1])] {
+        let copies = [
+            (&by_values, &frozen[0]),
+            (&by_sets, &frozen[1]),
+            (&by_hashed, &frozen[2]),
+        ];
+        for (mm, frozen) in copies {
             assert_eq!(to_model(mm), model, "{} step on {k:?}", M::NAME);
             assert_eq!(
                 mm.tuple_count(),
@@ -336,12 +359,16 @@ fn check_key_level_ops<K, M>(
                 assert_eq!(view.is_some(), expected.is_some(), "{} get", M::NAME);
                 assert_eq!(mm.contains_key(&probe), expected.is_some());
                 assert_eq!(mm.value_count(&probe), expected.map_or(0, BTreeSet::len));
+                let set = mm.value_set(&probe);
                 assert_eq!(
-                    mm.value_set(&probe).map(|set| elems(&set)).as_ref(),
+                    set.as_ref().map(elems).as_ref(),
                     expected,
                     "{} value_set",
                     M::NAME
                 );
+                let hashed = mm.value_set_hashed(&probe, hash32(&probe));
+                assert!(hashed == set, "{} value_set_hashed", M::NAME);
+                assert!(set == by_sets.value_set(&probe), "{} value_set", M::NAME);
                 let (Some(view), Some(expected)) = (view, expected) else {
                     continue;
                 };
@@ -574,6 +601,108 @@ fn put_value_set_hashes_the_key_once_and_no_value() {
     run::<AxiomMultiMap<Counted, Counted>>();
     run::<AxiomFusedMultiMap<Counted, Counted>>();
     run::<NestedChampMultiMap<Counted, Counted>>();
+}
+
+/// Misuse-guard hashes per hashed call: debug builds check the given hash
+/// against the key's own, once per call (`debug_assert_hash`).
+const GUARD: u64 = cfg!(debug_assertions) as u64;
+
+/// The hashed entry points hash nothing the caller hashed for them: a
+/// hashed `value_set` of a key bound to a trie set (nine values, past the
+/// fused bag's inline ones), a hashed put of a present key, and a hashed
+/// insert into a value set that meets no prefix clash (a clash would hash
+/// the element it pushes down). Debug builds add the guard's one hash.
+#[test]
+fn hashed_entry_points_hash_nothing_more() {
+    fn run<M: MultiMapMutOps<Counted, Counted>>() {
+        let mut mm = (0..16u16)
+            .flat_map(|k| (0..9 + k % 4).map(move |v| (Counted(k), Counted(1_000 + v))))
+            .fold(M::empty(), |m, (k, v)| m.inserted(k, v));
+        for k in 0..16u16 {
+            let (key, h) = (Counted(k), hash32(&Counted(k)));
+            let (set, hashes) = hashes_during(|| mm.value_set_hashed(&key, h));
+            assert_eq!(hashes, GUARD, "{} value_set_hashed", M::NAME);
+            assert!(set == mm.value_set(&key), "{} value_set_hashed", M::NAME);
+            // Rebind the key to the set of another key, shared as it is.
+            let other = mm.value_set(&Counted((k + 1) % 16)).expect("bound");
+            let n = other.len() as isize;
+            let old = mm.value_count(&key) as isize;
+            let (delta, hashes) = hashes_during(|| mm.put_value_set_hashed_mut(key, h, other));
+            assert_eq!(hashes, GUARD, "{} put_value_set_hashed_mut", M::NAME);
+            assert_eq!(delta, n - old, "{} put delta", M::NAME);
+        }
+        // Elements whose root branches differ: no insert meets a clash.
+        let (mut spread, mut masks) = (Vec::new(), 0u32);
+        for v in (0..).map(Counted) {
+            let h = hash32(&v);
+            if masks & (1 << (h & 31)) == 0 {
+                masks |= 1 << (h & 31);
+                spread.push((v, h));
+            }
+            if spread.len() == 12 {
+                break;
+            }
+        }
+        let mut set = M::ValueSet::empty();
+        for &(v, h) in &spread {
+            let (grew, hashes) = hashes_during(|| set.insert_hashed_mut(v, h));
+            assert!(grew, "{} insert_hashed_mut", M::NAME);
+            assert_eq!(hashes, GUARD, "{} insert_hashed_mut", M::NAME);
+        }
+        for &(v, h) in &spread {
+            let (grew, hashes) = hashes_during(|| set.insert_hashed_mut(v, h));
+            assert!(!grew, "{} insert_hashed_mut of a member", M::NAME);
+            assert_eq!(hashes, GUARD, "{} insert_hashed_mut of a member", M::NAME);
+        }
+        assert_eq!(set.len(), spread.len());
+    }
+    run::<AxiomMultiMap<Counted, Counted>>();
+    run::<AxiomFusedMultiMap<Counted, Counted>>();
+    run::<NestedChampMultiMap<Counted, Counted>>();
+}
+
+/// `f` panics.
+#[cfg(debug_assertions)]
+fn panics(what: &str, f: impl FnOnce()) {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    assert!(caught.is_err(), "{what} took a wrong hash");
+}
+
+/// Debug builds catch a wrong hash at every override of a hashed entry
+/// point (and at the trie handles they forward to), instead of misplacing
+/// the key.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "the hash given is not the key's hash32")]
+fn a_wrong_hash_panics_in_debug_builds() {
+    fn run<M: MultiMapMutOps<u16, u16>>() {
+        let mm = (0..40u16).fold(M::empty(), |m, k| m.inserted(k % 8, k));
+        let set = mm.value_set(&1).expect("key 1 is bound");
+        let wrong = hash32(&1u16) ^ 1;
+        let name = M::NAME;
+        panics(&format!("{name} value_set_hashed"), || {
+            mm.value_set_hashed(&1, wrong);
+        });
+        panics(&format!("{name} put_value_set_hashed_mut"), || {
+            mm.clone().put_value_set_hashed_mut(1, wrong, set.clone());
+        });
+        panics(&format!("{name} put of an empty set"), || {
+            mm.clone()
+                .put_value_set_hashed_mut(1, wrong, M::ValueSet::empty());
+        });
+        panics(&format!("{name} insert_hashed_mut"), || {
+            set.clone().insert_hashed_mut(1, wrong);
+        });
+    }
+    run::<AxiomMultiMap<u16, u16>>();
+    run::<AxiomFusedMultiMap<u16, u16>>();
+    run::<NestedChampMultiMap<u16, u16>>();
+    let map: ChampMap<u16, u16> = (0..8u16).map(|k| (k, k)).collect();
+    let wrong = hash32(&1u16) ^ 1;
+    panics("ChampMap get_hashed", || {
+        map.get_hashed(&1, wrong);
+    });
+    map.clone().replace_hashed_mut(1, 1, wrong);
 }
 
 /// A named tuple edit, whether it changes the relation, and the edit.
