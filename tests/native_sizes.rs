@@ -1,5 +1,5 @@
-//! Exact native sizes of the AXIOM collections and the CHAMP baselines,
-//! pinned.
+//! Exact native sizes of the AXIOM collections and the CHAMP and HAMT
+//! baselines, pinned (the HAMT ones with their modeled JVM bytes).
 //!
 //! These are what the allocator holds, by the `RustFootprint` walk, and are
 //! exact for a given workload seed. A change to the node layout moves them;
@@ -11,7 +11,9 @@ use std::mem::size_of;
 use axiom_repro::axiom::bag::SetEntry;
 use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet};
 use axiom_repro::champ::{ChampMap, ChampSet};
-use axiom_repro::heapmodel::RustFootprint;
+use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
+use axiom_repro::heapmodel::{Footprint, JvmArch, JvmFootprint, LayoutPolicy, RustFootprint};
+use axiom_repro::idiomatic::{ClojureMultiMap, ScalaMultiMap};
 use axiom_repro::workloads::build::multimap_transient;
 use axiom_repro::workloads::data::multimap_workload;
 
@@ -72,4 +74,56 @@ fn a_multimap_of_one_to_one_tuples_is_as_small_as_the_map() {
     assert_eq!(map.rust_bytes(), 230_856);
     assert_eq!(mm.rust_bytes(), 230_856);
     assert_eq!(fused.rust_bytes(), 230_856);
+}
+
+#[test]
+fn hamt_comparators_at_2_14_keys_seed_11_are_pinned() {
+    // The same keys as above: the maps bind each key to itself, the
+    // multi-maps hold the tuples. The HAMT slot enums carry their entries
+    // unboxed, so a slot whose layout grows moves the native bytes.
+    let w = multimap_workload(1 << 14, 11);
+    let pairs = || w.keys.iter().map(|&k| (k, k));
+    let clojure: HamtMap<u32, u32> = pairs().collect();
+    let scala: MemoHamtMap<u32, u32> = pairs().collect();
+    let clojure_set: HamtSet<u32> = w.keys.iter().copied().collect();
+    let scala_set: MemoHamtSet<u32> = w.keys.iter().copied().collect();
+    let clojure_mm: ClojureMultiMap<u32, u32> = multimap_transient(&w.tuples);
+    let scala_mm: ScalaMultiMap<u32, u32> = multimap_transient(&w.tuples);
+    let (arch, policy) = (JvmArch::COMPRESSED_OOPS, LayoutPolicy::BASELINE);
+    let jvm = |fp: Footprint| (fp.structure, fp.payload);
+    let got = [
+        (clojure.rust_bytes(), jvm(clojure.jvm_bytes(&arch, &policy))),
+        (scala.rust_bytes(), jvm(scala.jvm_bytes(&arch, &policy))),
+        (
+            clojure_set.rust_bytes(),
+            jvm(clojure_set.jvm_bytes(&arch, &policy)),
+        ),
+        (
+            scala_set.rust_bytes(),
+            jvm(scala_set.jvm_bytes(&arch, &policy)),
+        ),
+        (
+            clojure_mm.rust_bytes(),
+            jvm(clojure_mm.jvm_bytes(&arch, &policy)),
+        ),
+        (
+            scala_mm.rust_bytes(),
+            jvm(scala_mm.jvm_bytes(&arch, &policy)),
+        ),
+    ];
+    // (native bytes, (JVM structure, JVM payload)), in the order above. A
+    // `u32` map entry and a child pointer both fit a 16-byte slot, so the
+    // two maps and the two sets match natively; Scala's `HashMap1` leaves
+    // are what its JVM structure adds.
+    assert_eq!(
+        got,
+        [
+            (528_224, (373_184, 524_288)),
+            (528_224, (776_704, 524_288)),
+            (528_216, (373_184, 262_144)),
+            (528_216, (645_632, 262_144)),
+            (1_364_568, (1_434_240, 655_360)),
+            (856_896, (1_497_600, 655_360)),
+        ]
+    );
 }
