@@ -121,8 +121,8 @@ fn main() {
 
         table.row(vec![
             n.to_string(),
-            format!("{:.3} s", champ_ns / 1e9),
-            format!("{:.3} s", axiom_ns / 1e9),
+            format!("{:.2} ms", champ_ns / 1e6),
+            format!("{:.2} ms", axiom_ns / 1e6),
             keys.to_string(),
             tuples.to_string(),
             format!("{pct:.0} %"),

@@ -1002,13 +1002,6 @@ pub struct Transient<C> {
     inner: C,
 }
 
-impl<C> Transient<C> {
-    /// Read-only view of the collection being built.
-    pub fn as_inner(&self) -> &C {
-        &self.inner
-    }
-}
-
 impl<Item, C: EditInPlace<Item>> Builder<Item> for Transient<C> {
     type Persistent = C;
 

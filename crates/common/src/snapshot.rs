@@ -485,11 +485,6 @@ impl<'a> Frame<'a> {
     pub fn sections(&self) -> &[FrameSection<'a>] {
         &self.sections
     }
-
-    /// Total declared item count across all sections.
-    pub fn item_count(&self) -> u64 {
-        self.sections.iter().map(|s| s.count).sum()
-    }
 }
 
 impl<'a> FrameSection<'a> {
@@ -521,18 +516,6 @@ impl<'a> FrameSection<'a> {
             });
         }
         Ok(())
-    }
-
-    /// Decodes the section into a fresh `Vec`.
-    pub fn decode_vec<Item: for<'de> Deserialize<'de>>(&self) -> Result<Vec<Item>, SnapshotError> {
-        // Capacity is clamped by the payload size: every item encoding is at
-        // least one byte, so a corrupt count cannot force an allocation
-        // larger than the buffer itself.
-        let cap = usize::try_from(self.count.min(self.payload.len() as u64))
-            .unwrap_or(self.payload.len());
-        let mut out = Vec::with_capacity(cap);
-        self.decode_each(|item| out.push(item))?;
-        Ok(out)
     }
 }
 

@@ -10,8 +10,10 @@
 //!   ref) plus `Object[arity]`, where each payload branch references a
 //!   separate `HashMap1` leaf object (hash int + key/value refs + cached
 //!   tuple ref) — the leaf objects are what make Scala's maps heavy.
+//!
+//! Both models share one traversal; [`JvmModel`] prices a flavour's nodes.
+//! The native walk is one for both flavours.
 
-use std::hash::Hash;
 use std::sync::Arc;
 
 use heapmodel::{
@@ -19,58 +21,99 @@ use heapmodel::{
     RustFootprint,
 };
 
-use crate::map::{self, HamtMap};
-use crate::memo::{self, MemoHamtMap};
-use crate::set::{HamtSet, MemoHamtSet};
+use crate::trie::{Clojure, Leaf, Map, Node, Scala, Set, Slot};
 
 /// Per-entry payload accounting callback used by the `*_with` walkers so
 /// composite structures (multi-maps with structured values) can recurse.
 pub type EntryAccount<'a, K, V> = &'a mut dyn FnMut(&K, &V, &mut Accounting);
 
-fn hamt_nodes_jvm_with<K, V>(
-    node: &map::Node<K, V>,
+/// The modeled JVM cost of a flavour's nodes, in the library it stands in
+/// for.
+pub trait JvmModel: Leaf {
+    /// The structure bytes of a bitmap node with `arity` branches, and what
+    /// each entry inlined in it adds.
+    fn bitmap_node(arch: &JvmArch, policy: &LayoutPolicy, arity: u64) -> (u64, u64);
+
+    /// The structure bytes of a collision node holding `len` entries.
+    fn collision_node(arch: &JvmArch, len: u64) -> u64;
+
+    /// The structure bytes of a plain map's (or set's) per-entry leaf.
+    fn leaf(arch: &JvmArch, is_set: bool) -> u64;
+}
+
+impl JvmModel for Clojure {
+    fn bitmap_node(arch: &JvmArch, policy: &LayoutPolicy, arity: u64) -> (u64, u64) {
+        if arity > 16 {
+            // Clojure converts nodes past 16 branches into an ArrayNode:
+            // a fixed Object[32] of child references *with empty cells*
+            // (the paper's Hypothesis 3: "Clojure's simple compression
+            // may contain empty array cells"). Inlined entries at this
+            // level are pushed down into single-pair BitmapIndexedNodes.
+            let pushed_down = arch.object(1, 1, 0) + arch.ref_array(2);
+            (arch.object(1, 1, 0) + arch.ref_array(32), pushed_down)
+        } else {
+            // BitmapIndexedNode: two array slots per branch, whatever it
+            // holds ((key, value) pairs or (null, node) pairs).
+            (policy.node_size(arch, 2 * arity, 1, 0), 0)
+        }
+    }
+
+    fn collision_node(arch: &JvmArch, len: u64) -> u64 {
+        arch.object(1, 1, 0) + arch.ref_array(2 * len)
+    }
+
+    /// Entries live in the node's array: no leaf object.
+    fn leaf(_: &JvmArch, _: bool) -> u64 {
+        0
+    }
+}
+
+impl JvmModel for Scala {
+    /// HashTrieMap: node object (bitmap + size + array ref) and one array
+    /// slot per branch; payload branches reference separate leaf objects,
+    /// which the per-entry callback accounts.
+    fn bitmap_node(arch: &JvmArch, policy: &LayoutPolicy, arity: u64) -> (u64, u64) {
+        (policy.node_size(arch, arity, 2, 0), 0)
+    }
+
+    fn collision_node(arch: &JvmArch, len: u64) -> u64 {
+        arch.object(2, 1, 0) + arch.ref_array(2 * len)
+    }
+
+    /// A HashMap1 leaf: hash int + key + value + cached tuple ref (HashSet1
+    /// for sets: hash int + elem).
+    fn leaf(arch: &JvmArch, is_set: bool) -> u64 {
+        if is_set {
+            arch.object(1, 1, 0)
+        } else {
+            arch.object(3, 1, 0)
+        }
+    }
+}
+
+fn nodes_jvm_with<K, V, L: JvmModel>(
+    node: &Node<K, V, L>,
     arch: &JvmArch,
     policy: &LayoutPolicy,
     acc: &mut Accounting,
     entry: EntryAccount<'_, K, V>,
 ) {
     match node {
-        map::Node::Bitmap(b) => {
-            let arity = b.slots.len() as u64;
-            if arity > 16 {
-                // Clojure converts nodes past 16 branches into an ArrayNode:
-                // a fixed Object[32] of child references *with empty cells*
-                // (the paper's Hypothesis 3: "Clojure's simple compression
-                // may contain empty array cells"). Inlined entries at this
-                // level are pushed down into single-pair BitmapIndexedNodes.
-                acc.structure(arch.object(1, 1, 0) + arch.ref_array(32));
-                for slot in b.slots.iter() {
-                    match slot {
-                        map::Slot::Entry(k, v) => {
-                            acc.structure(arch.object(1, 1, 0) + arch.ref_array(2));
-                            entry(k, v, acc);
-                        }
-                        map::Slot::Child(child) => {
-                            hamt_nodes_jvm_with(child, arch, policy, acc, entry)
-                        }
+        Node::Bitmap(b) => {
+            let (bytes, per_entry) = L::bitmap_node(arch, policy, b.slots.len() as u64);
+            acc.structure(bytes);
+            for slot in b.slots.iter() {
+                match slot {
+                    Slot::Entry(_, k, v) => {
+                        acc.structure(per_entry);
+                        entry(k, v, acc);
                     }
-                }
-            } else {
-                // BitmapIndexedNode: two array slots per branch, whatever it
-                // holds ((key, value) pairs or (null, node) pairs).
-                acc.structure(policy.node_size(arch, 2 * arity, 1, 0));
-                for slot in b.slots.iter() {
-                    match slot {
-                        map::Slot::Entry(k, v) => entry(k, v, acc),
-                        map::Slot::Child(child) => {
-                            hamt_nodes_jvm_with(child, arch, policy, acc, entry)
-                        }
-                    }
+                    Slot::Child(child) => nodes_jvm_with(child, arch, policy, acc, entry),
                 }
             }
         }
-        map::Node::Collision(c) => {
-            acc.structure(arch.object(1, 1, 0) + arch.ref_array(2 * c.entries.len() as u64));
+        Node::Collision(c) => {
+            acc.structure(L::collision_node(arch, c.entries.len() as u64));
             for (k, v) in &c.entries {
                 entry(k, v, acc);
             }
@@ -78,30 +121,30 @@ fn hamt_nodes_jvm_with<K, V>(
     }
 }
 
-/// Walks a [`HamtMap`]'s modeled JVM structure, delegating per-entry payload
+/// Walks a HAMT map's modeled JVM structure, delegating per-entry payload
 /// accounting to `entry` (for composite values like nested collections).
-pub fn hamt_map_jvm_with<K, V>(
-    map: &HamtMap<K, V>,
+/// For the Scala flavour, the callback must also account for the per-entry
+/// leaf object (`HashMap1`): `arch.object(3, 1, 0)` for plain map entries.
+pub fn map_jvm_with<K, V, L: JvmModel>(
+    map: &Map<K, V, L>,
     arch: &JvmArch,
     policy: &LayoutPolicy,
     acc: &mut Accounting,
     entry: EntryAccount<'_, K, V>,
-) where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
+) {
     acc.structure(arch.object(1, 2, 0));
-    hamt_nodes_jvm_with(map.root_node(), arch, policy, acc, entry);
+    nodes_jvm_with(&map.root, arch, policy, acc, entry);
 }
 
-fn hamt_nodes_jvm<K: JvmSize, V: JvmSize>(
-    node: &map::Node<K, V>,
+fn nodes_jvm<K: JvmSize, V: JvmSize, L: JvmModel>(
+    node: &Node<K, V, L>,
     arch: &JvmArch,
     policy: &LayoutPolicy,
     acc: &mut Accounting,
     is_set: bool,
 ) {
-    hamt_nodes_jvm_with(node, arch, policy, acc, &mut |k, v, acc| {
+    nodes_jvm_with(node, arch, policy, acc, &mut |k, v, acc| {
+        acc.structure(L::leaf(arch, is_set));
         acc.payload(k.jvm_size(arch));
         if !is_set {
             acc.payload(v.jvm_size(arch));
@@ -109,58 +152,51 @@ fn hamt_nodes_jvm<K: JvmSize, V: JvmSize>(
     });
 }
 
-impl<K, V> JvmFootprint for HamtMap<K, V>
-where
-    K: Clone + Eq + Hash + JvmSize,
-    V: Clone + PartialEq + JvmSize,
-{
+impl<K: JvmSize, V: JvmSize, L: JvmModel> JvmFootprint for Map<K, V, L> {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         acc.structure(arch.object(1, 2, 0));
-        hamt_nodes_jvm(self.root_node(), arch, policy, acc, false);
+        nodes_jvm(&self.root, arch, policy, acc, false);
     }
 }
 
-impl<T> JvmFootprint for HamtSet<T>
-where
-    T: Clone + Eq + Hash + JvmSize,
-{
+impl<T: JvmSize, L: JvmModel> JvmFootprint for Set<T, L> {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
         acc.structure(arch.object(1, 2, 0));
-        hamt_nodes_jvm(self.inner().root_node(), arch, policy, acc, true);
+        nested_set_jvm(self, arch, policy, acc);
     }
 }
 
 /// Nested-set measurement without the outer wrapper (for composite
 /// multi-maps whose wrapper is governed by the enclosing [`LayoutPolicy`]).
-pub fn nested_hamt_set_jvm<T: Clone + Eq + Hash + JvmSize>(
-    set: &HamtSet<T>,
+pub fn nested_set_jvm<T: JvmSize, L: JvmModel>(
+    set: &Set<T, L>,
     arch: &JvmArch,
     policy: &LayoutPolicy,
     acc: &mut Accounting,
 ) {
-    hamt_nodes_jvm(set.inner().root_node(), arch, policy, acc, true);
+    nodes_jvm(&set.map.root, arch, policy, acc, true);
 }
 
-fn hamt_nodes_rust_with<K, V>(
-    node: &Arc<map::Node<K, V>>,
+fn nodes_rust_with<K, V, L: Leaf>(
+    node: &Arc<Node<K, V, L>>,
     acc: &mut Accounting,
     entry: EntryAccount<'_, K, V>,
 ) {
     if !acc.first_visit(Arc::as_ptr(node)) {
         return;
     }
-    acc.structure(arc_alloc_bytes::<map::Node<K, V>>());
+    acc.structure(arc_alloc_bytes::<Node<K, V, L>>());
     match &**node {
-        map::Node::Bitmap(b) => {
-            acc.structure(boxed_slice_bytes::<map::Slot<K, V>>(b.slots.len()));
+        Node::Bitmap(b) => {
+            acc.structure(boxed_slice_bytes::<Slot<K, V, L>>(b.slots.len()));
             for slot in b.slots.iter() {
                 match slot {
-                    map::Slot::Child(child) => hamt_nodes_rust_with(child, acc, entry),
-                    map::Slot::Entry(k, v) => entry(k, v, acc),
+                    Slot::Child(child) => nodes_rust_with(child, acc, entry),
+                    Slot::Entry(_, k, v) => entry(k, v, acc),
                 }
             }
         }
-        map::Node::Collision(c) => {
+        Node::Collision(c) => {
             acc.structure(boxed_slice_bytes::<(K, V)>(c.entries.len()));
             for (k, v) in &c.entries {
                 entry(k, v, acc);
@@ -170,210 +206,35 @@ fn hamt_nodes_rust_with<K, V>(
 }
 
 /// Native-allocation walk with per-entry recursion hook.
-pub fn hamt_map_rust_with<K, V>(
-    map: &HamtMap<K, V>,
-    acc: &mut Accounting,
-    entry: EntryAccount<'_, K, V>,
-) where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-    hamt_nodes_rust_with(&map.root, acc, entry);
-}
-
-fn hamt_nodes_rust<K, V>(node: &Arc<map::Node<K, V>>, acc: &mut Accounting) {
-    hamt_nodes_rust_with(node, acc, &mut |_, _, _| {});
-}
-
-impl<K, V> RustFootprint for HamtMap<K, V>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-    fn rust_footprint(&self, acc: &mut Accounting) {
-        hamt_nodes_rust(&self.root, acc);
-    }
-}
-
-impl<T: Clone + Eq + Hash> RustFootprint for HamtSet<T> {
-    fn rust_footprint(&self, acc: &mut Accounting) {
-        hamt_nodes_rust(&self.inner().root, acc);
-    }
-}
-
-/// Native-allocation counterpart of [`nested_hamt_set_jvm`].
-pub fn nested_hamt_set_rust<T: Clone + Eq + Hash>(set: &HamtSet<T>, acc: &mut Accounting) {
-    hamt_nodes_rust(&set.inner().root, acc);
-}
-
-fn memo_nodes_jvm_with<K, V>(
-    node: &memo::Node<K, V>,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
+pub fn map_rust_with<K, V, L: Leaf>(
+    map: &Map<K, V, L>,
     acc: &mut Accounting,
     entry: EntryAccount<'_, K, V>,
 ) {
-    match node {
-        memo::Node::Bitmap(b) => {
-            // Scala HashTrieMap: node object (bitmap + size + array ref) and
-            // one array slot per branch; payload branches reference separate
-            // leaf objects whose size the `entry` callback accounts.
-            acc.structure(policy.node_size(arch, b.slots.len() as u64, 2, 0));
-            for slot in b.slots.iter() {
-                match slot {
-                    memo::Slot::Entry(_, k, v) => entry(k, v, acc),
-                    memo::Slot::Child(child) => {
-                        memo_nodes_jvm_with(child, arch, policy, acc, entry)
-                    }
-                }
-            }
-        }
-        memo::Node::Collision(c) => {
-            acc.structure(arch.object(2, 1, 0) + arch.ref_array(2 * c.entries.len() as u64));
-            for (k, v) in &c.entries {
-                entry(k, v, acc);
-            }
-        }
-    }
+    nodes_rust_with(&map.root, acc, entry);
 }
 
-/// Walks a [`MemoHamtMap`]'s modeled JVM structure with a per-entry payload
-/// callback. The callback must also account for the per-entry leaf object
-/// (Scala's `HashMap1`): `arch.object(3, 1, 0)` for plain map entries.
-pub fn memo_map_jvm_with<K, V>(
-    map: &MemoHamtMap<K, V>,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
-    acc: &mut Accounting,
-    entry: EntryAccount<'_, K, V>,
-) where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-    acc.structure(arch.object(1, 2, 0));
-    memo_nodes_jvm_with(map.root_node(), arch, policy, acc, entry);
-}
-
-fn memo_nodes_jvm<K: JvmSize, V: JvmSize>(
-    node: &memo::Node<K, V>,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
-    acc: &mut Accounting,
-    is_set: bool,
-) {
-    memo_nodes_jvm_with(node, arch, policy, acc, &mut |k, v, acc| {
-        // A HashMap1 leaf: hash int + key + value + cached tuple ref
-        // (HashSet1 for sets: hash int + elem).
-        if is_set {
-            acc.structure(arch.object(1, 1, 0));
-            acc.payload(k.jvm_size(arch));
-        } else {
-            acc.structure(arch.object(3, 1, 0));
-            acc.payload(k.jvm_size(arch));
-            acc.payload(v.jvm_size(arch));
-        }
-    });
-}
-
-impl<K, V> JvmFootprint for MemoHamtMap<K, V>
-where
-    K: Clone + Eq + Hash + JvmSize,
-    V: Clone + PartialEq + JvmSize,
-{
-    fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
-        acc.structure(arch.object(1, 2, 0));
-        memo_nodes_jvm(self.root_node(), arch, policy, acc, false);
-    }
-}
-
-impl<T> JvmFootprint for MemoHamtSet<T>
-where
-    T: Clone + Eq + Hash + JvmSize,
-{
-    fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
-        acc.structure(arch.object(1, 2, 0));
-        memo_nodes_jvm(self.inner().root_node(), arch, policy, acc, true);
-    }
-}
-
-/// Nested-set measurement without the outer wrapper.
-pub fn nested_memo_set_jvm<T: Clone + Eq + Hash + JvmSize>(
-    set: &MemoHamtSet<T>,
-    arch: &JvmArch,
-    policy: &LayoutPolicy,
-    acc: &mut Accounting,
-) {
-    memo_nodes_jvm(set.inner().root_node(), arch, policy, acc, true);
-}
-
-fn memo_nodes_rust_with<K, V>(
-    node: &Arc<memo::Node<K, V>>,
-    acc: &mut Accounting,
-    entry: EntryAccount<'_, K, V>,
-) {
-    if !acc.first_visit(Arc::as_ptr(node)) {
-        return;
-    }
-    acc.structure(arc_alloc_bytes::<memo::Node<K, V>>());
-    match &**node {
-        memo::Node::Bitmap(b) => {
-            acc.structure(boxed_slice_bytes::<memo::Slot<K, V>>(b.slots.len()));
-            for slot in b.slots.iter() {
-                match slot {
-                    memo::Slot::Child(child) => memo_nodes_rust_with(child, acc, entry),
-                    memo::Slot::Entry(_, k, v) => entry(k, v, acc),
-                }
-            }
-        }
-        memo::Node::Collision(c) => {
-            acc.structure(boxed_slice_bytes::<(K, V)>(c.entries.len()));
-            for (k, v) in &c.entries {
-                entry(k, v, acc);
-            }
-        }
-    }
-}
-
-/// Native-allocation walk with per-entry recursion hook.
-pub fn memo_map_rust_with<K, V>(
-    map: &MemoHamtMap<K, V>,
-    acc: &mut Accounting,
-    entry: EntryAccount<'_, K, V>,
-) where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-    memo_nodes_rust_with(&map.root, acc, entry);
-}
-
-fn memo_nodes_rust<K, V>(node: &Arc<memo::Node<K, V>>, acc: &mut Accounting) {
-    memo_nodes_rust_with(node, acc, &mut |_, _, _| {});
-}
-
-impl<K, V> RustFootprint for MemoHamtMap<K, V>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
+impl<K, V, L: Leaf> RustFootprint for Map<K, V, L> {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        memo_nodes_rust(&self.root, acc);
+        map_rust_with(self, acc, &mut |_, _, _| {});
     }
 }
 
-impl<T: Clone + Eq + Hash> RustFootprint for MemoHamtSet<T> {
+impl<T, L: Leaf> RustFootprint for Set<T, L> {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        memo_nodes_rust(&self.inner().root, acc);
+        nested_set_rust(self, acc);
     }
 }
 
-/// Native-allocation counterpart of [`nested_memo_set_jvm`].
-pub fn nested_memo_set_rust<T: Clone + Eq + Hash>(set: &MemoHamtSet<T>, acc: &mut Accounting) {
-    memo_nodes_rust(&set.inner().root, acc);
+/// Native-allocation counterpart of [`nested_set_jvm`].
+pub fn nested_set_rust<T, L: Leaf>(set: &Set<T, L>, acc: &mut Accounting) {
+    map_rust_with(&set.map, acc, &mut |_, _, _| {});
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
 
     #[test]
     fn scala_style_leaves_cost_more_than_clojure_pairs() {

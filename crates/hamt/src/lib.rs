@@ -10,6 +10,11 @@
 //!   `Lookup (Fail)` in Figure 5) and deletion canonicalizes. Substrate of
 //!   the idiomatic Scala multi-map.
 //!
+//! Both flavours run one node walk, parameterised by the leaf: lookup,
+//! insert, iteration, the structural `diff` of [`trie_common::algebra`], the
+//! native footprint walk and the harness traits exist once, and only the
+//! leaf (memoized hash or not) and the deletion shape rule differ.
+//!
 //! # Examples
 //!
 //! ```
@@ -29,12 +34,9 @@ pub mod set;
 mod heap;
 mod ops;
 mod snapshot;
+mod trie;
 
-pub use heap::{
-    hamt_map_jvm_with, hamt_map_rust_with, memo_map_jvm_with, memo_map_rust_with,
-    nested_hamt_set_jvm, nested_hamt_set_rust, nested_memo_set_jvm, nested_memo_set_rust,
-    EntryAccount,
-};
+pub use heap::{map_jvm_with, map_rust_with, nested_set_jvm, nested_set_rust, EntryAccount};
 pub use map::HamtMap;
 pub use memo::MemoHamtMap;
 pub use set::{HamtSet, MemoHamtSet};

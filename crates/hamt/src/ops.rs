@@ -1,8 +1,9 @@
 //! Harness-facing trait implementations ([`trie_common::ops`]).
 //!
-//! Thin forwarding shims: the associated iterator types are the inherent
-//! iterators of the HAMT maps and sets, and the transient builder rides the
-//! `Rc`-uniqueness `insert_mut` path via [`EditInPlace`].
+//! Thin forwarding shims, once for both flavours: the associated iterator
+//! types are the inherent iterators of the HAMT maps and sets, the transient
+//! builder rides the `Rc`-uniqueness `insert_mut` path via [`EditInPlace`],
+//! and `diff` is the structural walk of [`trie_common::algebra`].
 
 use std::hash::Hash;
 
@@ -10,71 +11,71 @@ use trie_common::ops::{
     EditInPlace, MapDiff, MapMergeOps, MapMutOps, MapOps, SetAlgebraOps, SetDiff, SetMutOps, SetOps,
 };
 
-use crate::{map, memo, set, HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
+use crate::trie::{Iter, Keys, Leaf, Map, Set, Values};
 
-impl<K, V> MapOps<K, V> for HamtMap<K, V>
+impl<K, V, L: Leaf> MapOps<K, V> for Map<K, V, L>
 where
     K: Clone + Eq + Hash,
     V: Clone + PartialEq,
 {
-    const NAME: &'static str = "hamt-map";
+    const NAME: &'static str = L::MAP_NAME;
 
     type Entries<'a>
-        = map::Iter<'a, K, V>
+        = Iter<'a, K, V, L>
     where
         Self: 'a,
         K: 'a,
         V: 'a;
     type Keys<'a>
-        = map::Keys<'a, K, V>
+        = Keys<'a, K, V, L>
     where
         Self: 'a,
         K: 'a,
         V: 'a;
     type Values<'a>
-        = map::Values<'a, K, V>
+        = Values<'a, K, V, L>
     where
         Self: 'a,
         K: 'a,
         V: 'a;
 
     fn empty() -> Self {
-        HamtMap::new()
+        Map::new()
     }
     fn len(&self) -> usize {
-        HamtMap::len(self)
+        Map::len(self)
     }
     fn get(&self, key: &K) -> Option<&V> {
-        HamtMap::get(self, key)
+        Map::get(self, key)
     }
     fn inserted(&self, key: K, value: V) -> Self {
-        HamtMap::inserted(self, key, value)
+        Map::inserted(self, key, value)
     }
     fn removed(&self, key: &K) -> Self {
-        HamtMap::removed(self, key)
+        Map::removed(self, key)
     }
     fn entries(&self) -> Self::Entries<'_> {
-        HamtMap::iter(self)
+        Map::iter(self)
     }
     fn keys(&self) -> Self::Keys<'_> {
-        HamtMap::keys(self)
+        Map::keys(self)
     }
     fn values(&self) -> Self::Values<'_> {
-        HamtMap::values(self)
+        Map::values(self)
     }
 }
 
-impl<K, V> MapMergeOps<K, V> for HamtMap<K, V>
+impl<K, V, L: Leaf> MapMergeOps<K, V> for Map<K, V, L>
 where
     K: Clone + Eq + Hash,
     V: Clone + PartialEq,
 {
     fn diff(&self, other: &Self) -> MapDiff<K, V> {
-        HamtMap::diff(self, other)
+        Map::diff(self, other)
     }
 }
 
-impl<K, V> EditInPlace<(K, V)> for HamtMap<K, V>
+impl<K, V, L: Leaf> EditInPlace<(K, V)> for Map<K, V, L>
 where
     K: Clone + Eq + Hash,
     V: Clone + PartialEq,
@@ -84,229 +85,75 @@ where
     }
 }
 
-impl<K, V> MapMutOps<K, V> for HamtMap<K, V>
+impl<K, V, L: Leaf> MapMutOps<K, V> for Map<K, V, L>
 where
     K: Clone + Eq + Hash,
     V: Clone + PartialEq,
 {
     fn insert_mut(&mut self, key: K, value: V) -> bool {
-        HamtMap::insert_mut(self, key, value)
+        Map::insert_mut(self, key, value)
     }
 
     fn remove_mut(&mut self, key: &K) -> bool {
-        HamtMap::remove_mut(self, key)
+        Map::remove_mut(self, key)
     }
 }
 
-impl<K, V> MapOps<K, V> for MemoHamtMap<K, V>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-    const NAME: &'static str = "memo-hamt-map";
-
-    type Entries<'a>
-        = memo::Iter<'a, K, V>
-    where
-        Self: 'a,
-        K: 'a,
-        V: 'a;
-    type Keys<'a>
-        = memo::Keys<'a, K, V>
-    where
-        Self: 'a,
-        K: 'a,
-        V: 'a;
-    type Values<'a>
-        = memo::Values<'a, K, V>
-    where
-        Self: 'a,
-        K: 'a,
-        V: 'a;
-
-    fn empty() -> Self {
-        MemoHamtMap::new()
-    }
-    fn len(&self) -> usize {
-        MemoHamtMap::len(self)
-    }
-    fn get(&self, key: &K) -> Option<&V> {
-        MemoHamtMap::get(self, key)
-    }
-    fn inserted(&self, key: K, value: V) -> Self {
-        MemoHamtMap::inserted(self, key, value)
-    }
-    fn removed(&self, key: &K) -> Self {
-        MemoHamtMap::removed(self, key)
-    }
-    fn entries(&self) -> Self::Entries<'_> {
-        MemoHamtMap::iter(self)
-    }
-    fn keys(&self) -> Self::Keys<'_> {
-        MemoHamtMap::keys(self)
-    }
-    fn values(&self) -> Self::Values<'_> {
-        MemoHamtMap::values(self)
-    }
-}
-
-// The memoized wrapper keeps no structural root of its own, so it rides the
-// documented element-wise fallbacks of the algebra traits.
-impl<K, V> MapMergeOps<K, V> for MemoHamtMap<K, V>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-}
-
-impl<K, V> EditInPlace<(K, V)> for MemoHamtMap<K, V>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-    fn edit_insert(&mut self, (key, value): (K, V)) -> bool {
-        self.insert_mut(key, value)
-    }
-}
-
-impl<K, V> MapMutOps<K, V> for MemoHamtMap<K, V>
-where
-    K: Clone + Eq + Hash,
-    V: Clone + PartialEq,
-{
-    fn insert_mut(&mut self, key: K, value: V) -> bool {
-        MemoHamtMap::insert_mut(self, key, value)
-    }
-
-    fn remove_mut(&mut self, key: &K) -> bool {
-        MemoHamtMap::remove_mut(self, key)
-    }
-}
-
-impl<T> SetOps<T> for HamtSet<T>
-where
-    T: Clone + Eq + Hash,
-{
-    const NAME: &'static str = "hamt-set";
+impl<T: Clone + Eq + Hash, L: Leaf> SetOps<T> for Set<T, L> {
+    const NAME: &'static str = L::SET_NAME;
 
     type Elems<'a>
-        = set::Iter<'a, T>
+        = Keys<'a, T, (), L>
     where
         Self: 'a,
         T: 'a;
 
     fn empty() -> Self {
-        HamtSet::new()
+        Set::new()
     }
     fn len(&self) -> usize {
-        HamtSet::len(self)
+        Set::len(self)
     }
     fn contains(&self, value: &T) -> bool {
-        HamtSet::contains(self, value)
+        Set::contains(self, value)
     }
     fn inserted(&self, value: T) -> Self {
-        HamtSet::inserted(self, value)
+        Set::inserted(self, value)
     }
     fn removed(&self, value: &T) -> Self {
-        HamtSet::removed(self, value)
+        Set::removed(self, value)
     }
     fn iter(&self) -> Self::Elems<'_> {
-        HamtSet::iter(self)
+        Set::iter(self)
     }
 }
 
-impl<T> SetAlgebraOps<T> for HamtSet<T>
-where
-    T: Clone + Eq + Hash,
-{
+impl<T: Clone + Eq + Hash, L: Leaf> SetAlgebraOps<T> for Set<T, L> {
     fn diff(&self, other: &Self) -> SetDiff<T> {
-        HamtSet::diff(self, other)
+        Set::diff(self, other)
     }
 }
 
-impl<T> EditInPlace<T> for HamtSet<T>
-where
-    T: Clone + Eq + Hash,
-{
+impl<T: Clone + Eq + Hash, L: Leaf> EditInPlace<T> for Set<T, L> {
     fn edit_insert(&mut self, value: T) -> bool {
         self.insert_mut(value)
     }
 }
 
-impl<T> SetMutOps<T> for HamtSet<T>
-where
-    T: Clone + Eq + Hash,
-{
+impl<T: Clone + Eq + Hash, L: Leaf> SetMutOps<T> for Set<T, L> {
     fn insert_mut(&mut self, value: T) -> bool {
-        HamtSet::insert_mut(self, value)
+        Set::insert_mut(self, value)
     }
 
     fn remove_mut(&mut self, value: &T) -> bool {
-        HamtSet::remove_mut(self, value)
-    }
-}
-
-impl<T> SetOps<T> for MemoHamtSet<T>
-where
-    T: Clone + Eq + Hash,
-{
-    const NAME: &'static str = "memo-hamt-set";
-
-    type Elems<'a>
-        = set::MemoIter<'a, T>
-    where
-        Self: 'a,
-        T: 'a;
-
-    fn empty() -> Self {
-        MemoHamtSet::new()
-    }
-    fn len(&self) -> usize {
-        MemoHamtSet::len(self)
-    }
-    fn contains(&self, value: &T) -> bool {
-        MemoHamtSet::contains(self, value)
-    }
-    fn inserted(&self, value: T) -> Self {
-        MemoHamtSet::inserted(self, value)
-    }
-    fn removed(&self, value: &T) -> Self {
-        MemoHamtSet::removed(self, value)
-    }
-    fn iter(&self) -> Self::Elems<'_> {
-        MemoHamtSet::iter(self)
-    }
-}
-
-impl<T> SetMutOps<T> for MemoHamtSet<T>
-where
-    T: Clone + Eq + Hash,
-{
-    fn insert_mut(&mut self, value: T) -> bool {
-        MemoHamtSet::insert_mut(self, value)
-    }
-
-    fn remove_mut(&mut self, value: &T) -> bool {
-        MemoHamtSet::remove_mut(self, value)
-    }
-}
-
-// See the `MemoHamtMap` note: the memoized set uses the element-wise
-// fallback defaults.
-impl<T> SetAlgebraOps<T> for MemoHamtSet<T> where T: Clone + Eq + Hash {}
-
-impl<T> EditInPlace<T> for MemoHamtSet<T>
-where
-    T: Clone + Eq + Hash,
-{
-    fn edit_insert(&mut self, value: T) -> bool {
-        self.insert_mut(value)
+        Set::remove_mut(self, value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
     use trie_common::ops::{Builder, TransientOps};
 
     fn exercise<M: MapOps<u32, u32>>() {

@@ -1,13 +1,13 @@
 //! Snapshot persistence ([`SnapshotWrite`] / [`SnapshotRead`]) for the
-//! HAMT collections.
+//! HAMT collections, once for both flavours.
 //!
-//! The Clojure-flavoured [`HamtMap`]/[`HamtSet`] do *not* canonicalize
-//! under deletion, so two equal maps can have different trie shapes — but
-//! snapshots store only the element sequence and restore rebuilds from
-//! scratch, so the decoded trie is always in build-canonical form and
-//! equality (which is content-based for these types) holds regardless of
-//! the source's edit history. The memoizing variants rebuild their cached
-//! hashes as a side effect of reinsertion.
+//! The Clojure-flavoured [`HamtMap`](crate::HamtMap) does *not*
+//! canonicalize under deletion, so two equal maps can have different trie
+//! shapes — but snapshots store only the element sequence and restore
+//! rebuilds from scratch, so the decoded trie is always in build-canonical
+//! form and equality (which is content-based for these types) holds
+//! regardless of the source's edit history. The memoizing variants rebuild
+//! their cached hashes as a side effect of reinsertion.
 
 use std::hash::Hash;
 
@@ -15,66 +15,48 @@ use serde::{Deserialize, Serialize};
 use trie_common::ops::{MapOps, SetOps};
 use trie_common::snapshot::{self, Kind, SnapshotError, SnapshotRead, SnapshotWrite};
 
-use crate::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
+use crate::trie::{Leaf, Map, Set};
 
-macro_rules! impl_map_snapshot {
-    ($ty:ident) => {
-        impl<K, V> SnapshotWrite for $ty<K, V>
-        where
-            K: Serialize + Clone + Eq + Hash,
-            V: Serialize + Clone + PartialEq,
-        {
-            const KIND: Kind = Kind::Map;
+impl<K, V, L: Leaf> SnapshotWrite for Map<K, V, L>
+where
+    K: Serialize + Clone + Eq + Hash,
+    V: Serialize + Clone + PartialEq,
+{
+    const KIND: Kind = Kind::Map;
 
-            fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-                snapshot::write_collection(Kind::Map, MapOps::entries(self), out)
-            }
-        }
-
-        impl<K, V> SnapshotRead for $ty<K, V>
-        where
-            K: for<'de> Deserialize<'de> + Clone + Eq + Hash,
-            V: for<'de> Deserialize<'de> + Clone + PartialEq,
-        {
-            fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-                snapshot::read_collection(Kind::Map, bytes)
-            }
-        }
-    };
+    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        snapshot::write_collection(Kind::Map, MapOps::entries(self), out)
+    }
 }
 
-macro_rules! impl_set_snapshot {
-    ($ty:ident) => {
-        impl<T> SnapshotWrite for $ty<T>
-        where
-            T: Serialize + Clone + Eq + Hash,
-        {
-            const KIND: Kind = Kind::Set;
-
-            fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-                snapshot::write_collection(Kind::Set, SetOps::iter(self), out)
-            }
-        }
-
-        impl<T> SnapshotRead for $ty<T>
-        where
-            T: for<'de> Deserialize<'de> + Clone + Eq + Hash,
-        {
-            fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-                snapshot::read_collection(Kind::Set, bytes)
-            }
-        }
-    };
+impl<K, V, L: Leaf> SnapshotRead for Map<K, V, L>
+where
+    K: for<'de> Deserialize<'de> + Clone + Eq + Hash,
+    V: for<'de> Deserialize<'de> + Clone + PartialEq,
+{
+    fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::read_collection(Kind::Map, bytes)
+    }
 }
 
-impl_map_snapshot!(HamtMap);
-impl_map_snapshot!(MemoHamtMap);
-impl_set_snapshot!(HamtSet);
-impl_set_snapshot!(MemoHamtSet);
+impl<T: Serialize + Clone + Eq + Hash, L: Leaf> SnapshotWrite for Set<T, L> {
+    const KIND: Kind = Kind::Set;
+
+    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        snapshot::write_collection(Kind::Set, SetOps::iter(self), out)
+    }
+}
+
+impl<T: for<'de> Deserialize<'de> + Clone + Eq + Hash, L: Leaf> SnapshotRead for Set<T, L> {
+    fn read_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::read_collection(Kind::Set, bytes)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
 
     #[test]
     fn hamt_collections_roundtrip() {

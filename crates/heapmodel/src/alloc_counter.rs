@@ -98,14 +98,3 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let result = f();
     (result, total_allocations() - before)
 }
-
-/// Like [`measure`], also reporting the bytes requested.
-pub fn measure_bytes<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-    let (before, before_bytes) = (total_allocations(), total_allocated_bytes());
-    let result = f();
-    (
-        result,
-        total_allocations() - before,
-        total_allocated_bytes() - before_bytes,
-    )
-}

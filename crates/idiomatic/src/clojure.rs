@@ -449,7 +449,7 @@ where
     V: Clone + Eq + Hash + JvmSize,
 {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
-        hamt::hamt_map_jvm_with(&self.map, arch, policy, acc, &mut |k, binding, acc| {
+        hamt::map_jvm_with(&self.map, arch, policy, acc, &mut |k, binding, acc| {
             acc.payload(k.jvm_size(arch));
             match binding {
                 ClojureVal::Single(v) => acc.payload(v.jvm_size(arch)),
@@ -460,7 +460,7 @@ where
                     // fields, meta, cached hashes) — heavy fixed costs per
                     // nested collection on the real JVM.
                     acc.structure(arch.object(2, 2, 0) + arch.object(3, 4, 0));
-                    hamt::nested_hamt_set_jvm(s, arch, policy, acc);
+                    hamt::nested_set_jvm(s, arch, policy, acc);
                 }
             }
         });
@@ -473,9 +473,9 @@ where
     V: Clone + Eq + Hash,
 {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        hamt::hamt_map_rust_with(&self.map, acc, &mut |_, binding, acc| {
+        hamt::map_rust_with(&self.map, acc, &mut |_, binding, acc| {
             if let ClojureVal::SetOf(s) = binding {
-                hamt::nested_hamt_set_rust(s, acc);
+                hamt::nested_set_rust(s, acc);
             }
         });
     }

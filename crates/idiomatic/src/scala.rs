@@ -559,7 +559,7 @@ where
     V: Clone + Eq + Hash + JvmSize,
 {
     fn jvm_footprint(&self, arch: &JvmArch, policy: &LayoutPolicy, acc: &mut Accounting) {
-        hamt::memo_map_jvm_with(&self.map, arch, policy, acc, &mut |k, set, acc| {
+        hamt::map_jvm_with(&self.map, arch, policy, acc, &mut |k, set, acc| {
             // The outer leaf object (HashMap1: hash + key + value + kv ref)
             // plus the live Tuple2 the `map + (key -> set)` idiom stores in
             // the leaf's kv field.
@@ -590,7 +590,7 @@ where
                 }
                 ScalaSet::Trie(s) => {
                     acc.structure(arch.object(1, 2, 0));
-                    hamt::nested_memo_set_jvm(s, arch, policy, acc);
+                    hamt::nested_set_jvm(s, arch, policy, acc);
                 }
             }
         });
@@ -603,9 +603,9 @@ where
     V: Clone + Eq + Hash,
 {
     fn rust_footprint(&self, acc: &mut Accounting) {
-        hamt::memo_map_rust_with(&self.map, acc, &mut |_, set, acc| {
+        hamt::map_rust_with(&self.map, acc, &mut |_, set, acc| {
             if let ScalaSet::Trie(s) = set {
-                hamt::nested_memo_set_rust(s, acc);
+                hamt::nested_set_rust(s, acc);
             }
         });
     }

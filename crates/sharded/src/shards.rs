@@ -354,12 +354,6 @@ impl<C, Kd> Snapshot<C, Kd> {
         self.pin.epoch
     }
 
-    /// The publication counter shard `index` was pinned at (what a
-    /// validated commit re-checks).
-    pub fn shard_version(&self, index: usize) -> u64 {
-        self.pin.shards[index].0
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.pin.shards.len()

@@ -789,6 +789,7 @@ fn set_frozen_then_edited_k_times_diffs_exactly_k() {
     run::<AxiomSet<u32>>();
     run::<ChampSet<u32>>();
     run::<HamtSet<u32>>();
+    run::<MemoHamtSet<u32>>();
 }
 
 #[test]
@@ -812,6 +813,7 @@ fn map_frozen_then_overwritten_k_times_diffs_exactly_k() {
     run::<AxiomMap<u32, u32>>();
     run::<ChampMap<u32, u32>>();
     run::<HamtMap<u32, u32>>();
+    run::<MemoHamtMap<u32, u32>>();
 }
 
 #[test]

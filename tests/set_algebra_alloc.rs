@@ -15,7 +15,7 @@
 
 use axiom_repro::axiom::{AxiomFusedMultiMap, AxiomMap, AxiomMultiMap, AxiomSet, ValueBag};
 use axiom_repro::champ::{ChampMap, ChampSet};
-use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap};
+use axiom_repro::hamt::{HamtMap, HamtSet, MemoHamtMap, MemoHamtSet};
 use axiom_repro::heapmodel::alloc_counter::{measure, CountingAlloc};
 use axiom_repro::trie_common::ops::{
     MapMergeOps, MapOps, MultiMapAlgebraOps, SetAlgebraOps, SetOps,
@@ -30,6 +30,7 @@ fn self_algebra_allocates_nothing() {
     let set: AxiomSet<u64> = (0..10_000).collect();
     let champ: ChampSet<u64> = (0..10_000).collect();
     let hamt: HamtSet<u64> = (0..10_000).collect();
+    let memo: MemoHamtSet<u64> = (0..10_000).collect();
     let map: AxiomMap<u64, u64> = (0..10_000).map(|k| (k, k)).collect();
     let mm: AxiomMultiMap<u64, u64> = (0..10_000).map(|i| (i % 2_500, i)).collect();
 
@@ -48,15 +49,19 @@ fn self_algebra_allocates_nothing() {
     assert_eq!(allocs, 0, "AxiomSet self-intersect allocated");
     assert_eq!(i.len(), set.len());
 
-    // ...and for self-diff across all three kinds, including the HAMT
-    // (whose non-canonical form only gets the one-way ptr_eq shortcut —
-    // which is exactly the one self-diff exercises).
+    // ...and for self-diff across all three kinds, including both HAMTs
+    // (the Clojure-style one's non-canonical form only gets the one-way
+    // ptr_eq shortcut — which is exactly the one self-diff exercises).
     let (d, allocs) = measure(|| SetAlgebraOps::diff(&set, &set));
     assert_eq!(allocs, 0, "AxiomSet self-diff allocated");
     assert!(d.is_empty());
 
     let (d, allocs) = measure(|| SetAlgebraOps::diff(&hamt, &hamt));
     assert_eq!(allocs, 0, "HamtSet self-diff allocated");
+    assert!(d.is_empty());
+
+    let (d, allocs) = measure(|| SetAlgebraOps::diff(&memo, &memo));
+    assert_eq!(allocs, 0, "MemoHamtSet self-diff allocated");
     assert!(d.is_empty());
 
     let (d, allocs) = measure(|| MapMergeOps::diff(&map, &map));
